@@ -10,7 +10,6 @@ Usage::
     python -m repro analysis check-protocol
     python -m repro grid sweep figure2 table3 --preset tiny --jobs 4
     python -m repro serve start --socket .repro-serve.sock --jobs 4
-    python -m repro perf bench --preset tiny --jobs 2
     python -m repro tune fir merge --preset tiny --budget 24
     python -m repro run fir --model cc --cores 1 --preset tiny --cprofile
 
@@ -120,13 +119,6 @@ def _build_parser() -> argparse.ArgumentParser:
     grid_p.add_argument("grid_args", nargs=argparse.REMAINDER,
                         help="arguments forwarded to repro.grid")
 
-    perf_p = sub.add_parser(
-        "perf",
-        help="benchmark the simulator itself and gate regressions; "
-             "see 'python -m repro perf --help'")
-    perf_p.add_argument("perf_args", nargs=argparse.REMAINDER,
-                        help="arguments forwarded to repro.perf")
-
     obs_p = sub.add_parser(
         "obs",
         help="metrics, time series, and Chrome trace export; "
@@ -199,10 +191,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.grid.cli import main as grid_main
 
         return grid_main(args.grid_args)
-    if args.command == "perf":
-        from repro.perf.__main__ import main as perf_main
-
-        return perf_main(args.perf_args)
     if args.command == "obs":
         from repro.obs.cli import main as obs_main
 

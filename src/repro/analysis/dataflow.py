@@ -182,13 +182,12 @@ class BlockProof:
 class PhaseProof:
     """Eligibility verdict for one dispatched OpPhase descriptor.
 
-    ``eligible`` mirrors the processor's *wholesale* phase gates (the
-    slice-invariant conditions under which the phase engine will even
-    attempt the closed form): arithmetic lanes with nonzero cost,
-    line-aligned bases and strides, and a local-store footprint inside
-    the capacity budget.  L1 residency is inherently dynamic — the
-    engine verifies it per iteration and spills exactly the misses — so
-    ``fits_l1`` is reported as a predictor, not a gate.
+    ``eligible`` mirrors the processor's phase-arm rule (the conditions
+    under which the arm walks a phase in place instead of spilling it
+    as block replays): one lane, arithmetic ops only, and no local-store
+    access.  L1 residency is dynamic and changes only how many lines
+    the walker serves inline, so ``fits_l1`` is reported as a predictor,
+    not a gate.
     """
 
     name: str
@@ -196,30 +195,27 @@ class PhaseProof:
     dispatches: int
     iterations: int
     arith_only: bool
-    line_aligned: bool
-    ls_fits: bool
+    has_local: bool
     fits_l1: bool
-    all_static: bool
 
     @property
     def eligible(self) -> bool:
-        return self.arith_only and self.line_aligned and self.ls_fits
+        return self.lanes == 1 and self.arith_only and not self.has_local
 
     def render(self) -> str:
         verdict = "eligible" if self.eligible else "NOT eligible"
         why = []
+        if self.lanes != 1:
+            why.append("several lanes")
         if not self.arith_only:
-            why.append("non-arith or zero-cost lanes")
-        if not self.line_aligned:
-            why.append("unaligned base/stride")
-        if not self.ls_fits:
-            why.append("exceeds local store")
+            why.append("non-arith lanes")
+        if self.has_local:
+            why.append("local-store ops")
         tail = f" ({', '.join(why)})" if why else ""
-        shape = "static" if self.all_static else "strided"
         resident = "resident-sized" if self.fits_l1 else "exceeds L1"
         return (f"phase {self.name!r}: {self.lanes} lane(s) x "
                 f"{self.iterations} iteration(s) over "
-                f"{self.dispatches} dispatch(es), {shape}, {resident}: "
+                f"{self.dispatches} dispatch(es), {resident}: "
                 f"{verdict}{tail}")
 
 
@@ -1040,7 +1036,6 @@ class _ProgramAuditor:
             # shifted to the first iteration's deltas, merged across
             # lanes (later iterations have the same shape).
             intervals = []
-            ls_fits = True
             for blk, base, _stride in ph.lanes:
                 fp = blk.footprint()
                 for s, e in fp.reads:
@@ -1053,30 +1048,25 @@ class _ProgramAuditor:
                 fits = touched <= self._l1_capacity()
             else:
                 fits = True
-            if ph.has_local:
-                capacity = (self.config.stream.local_store_bytes
-                            if self.streaming else 0)
-                ls_fits = ph.ls_max_end <= capacity
             key = (ph.name or "anonymous", len(ph.lanes),
-                   ph.iter_cycles is not None,
-                   ph.align_or % line_bytes == 0,
-                   ls_fits, fits, ph.all_static)
+                   all(blk.arith_cycles is not None
+                       for blk, _base, _stride in ph.lanes),
+                   any(blk.has_local for blk, _base, _stride in ph.lanes),
+                   fits)
             counts = grouped.setdefault(key, [0, 0])
             counts[0] += stats["dispatches"]
             counts[1] += stats["iterations"]
         proofs = []
         for key, (dispatches, iterations) in grouped.items():
-            name, lanes, arith, aligned, ls_fits, fits, static = key
+            name, lanes, arith, has_local, fits = key
             proof = PhaseProof(
                 name=name,
                 lanes=lanes,
                 dispatches=dispatches,
                 iterations=iterations,
                 arith_only=arith,
-                line_aligned=aligned,
-                ls_fits=ls_fits,
+                has_local=has_local,
                 fits_l1=fits,
-                all_static=static,
             )
             proofs.append(proof)
             if not proof.eligible:

@@ -26,8 +26,8 @@ a guaranteed L1 hit — retires it in closed form (see
 
 A level above blocks, a loop that replays templates at a *constant
 stride* can be described once as an :class:`OpPhase` (:func:`phase`) and
-yielded as a single op: the phase engine then retires the whole resident
-run — many block iterations — in one vectorized step.
+yielded as a single op: the processor then walks the whole run — many
+block iterations — without a generator round trip per iteration.
 """
 
 from __future__ import annotations
@@ -648,32 +648,13 @@ def block(*ops: tuple, name: str | None = None) -> OpBlock:
 
 
 # ----------------------------------------------------------------------
-# Op phases: whole resident loops as one descriptor
+# Op phases: constant-stride loops as one descriptor
 # ----------------------------------------------------------------------
 
 #: Upper bound on iterations per phase.  Phases materialize lazily (the
 #: processor spills them in bounded chunks), so the cap only guards
 #: against a nonsensical descriptor, not memory.
 MAX_PHASE_ITERS = 1 << 24
-
-
-class _PhaseGeometry:
-    """Per-``line_shift`` closed-form view of one phase iteration.
-
-    ``lanes`` holds each lane's :class:`_BlockGeometry` in replay order
-    (byte bases and strides stay on the phase's own ``lanes``, so one
-    geometry serves every rebased descriptor sharing the templates);
-    ``loads_hit``/``stores_hit`` are the per-iteration L1 hit aggregates
-    summed across lanes.
-    """
-
-    __slots__ = ("lanes", "loads_hit", "stores_hit")
-
-    def __init__(self, phase_lanes: tuple, line_shift: int) -> None:
-        self.lanes = tuple(
-            blk.geometry(line_shift) for blk, _base, _stride in phase_lanes)
-        self.loads_hit = sum(g.loads_hit for g in self.lanes)
-        self.stores_hit = sum(g.stores_hit for g in self.lanes)
 
 
 class OpPhase:
@@ -683,85 +664,18 @@ class OpPhase:
     stride)`` contributes ``blk.at(base + k * stride)`` to iteration
     ``k``.  That is the phase's entire meaning — yielding the phase op is
     exactly yielding those ``count x len(lanes)`` block replays one by
-    one, and every execution mode other than the phase closed form
-    (``REPRO_PHASES=0``, a non-arith lane, a non-resident line, a
-    foreign event inside the phase) runs precisely that spilled stream
-    through the block interpreter.
-
-    Attributes precomputed for the phase engine:
-
-    * ``iter_cycles`` / ``iter_prefix`` — one iteration's total cost and
-      per-op cumulative cycle schedule (lanes concatenated), used to
-      retire K iterations arithmetically and replay the exact
-      quantum-renewal schedule (``None`` when any lane carries
-      DMA/prefetch/flush ops, which never retire in closed form);
-    * per-iteration counter aggregates summed across lanes;
-    * ``align_or`` — OR of every lane base and stride, so one mask test
-      checks that all replay deltas stay line-aligned;
-    * ``all_static`` — every stride is zero (a revisit phase): residency
-      and LRU state are iteration-invariant, so the closed form checks
-      and applies them once instead of K times.
+    one.  The processor's phase arm walks single-lane arithmetic phases
+    in place, op by op; every other phase, and every phase under
+    ``REPRO_PHASES=0``, runs precisely that spilled stream through the
+    block interpreter.
     """
 
-    __slots__ = (
-        "lanes", "count", "name", "iter_cycles", "iter_prefix",
-        "instructions", "word_accesses", "local_accesses",
-        "ls_reads", "ls_read_accesses", "ls_writes", "ls_write_accesses",
-        "ls_max_end", "has_local", "align_or", "all_static", "_geometries",
-    )
+    __slots__ = ("lanes", "count", "name")
 
     def __init__(self, lanes: tuple, count: int, name: str | None) -> None:
         self.lanes = lanes
         self.count = count
         self.name = name
-        self._geometries: dict[int, _PhaseGeometry] = {}
-
-        arith = True
-        cycles = 0
-        prefix: list[int] = []
-        align_or = 0
-        all_static = True
-        instructions = word_accesses = local_accesses = 0
-        ls_reads = ls_read_accesses = ls_writes = ls_write_accesses = 0
-        ls_max_end = 0
-        has_local = False
-        for blk, base, stride in lanes:
-            align_or |= base | stride
-            if stride:
-                all_static = False
-            if blk.arith_cycles is None:
-                arith = False
-            elif arith:
-                for p in blk.prefix_cycles:
-                    prefix.append(cycles + p)
-                cycles += blk.arith_cycles
-            instructions += blk.instructions
-            word_accesses += blk.word_accesses
-            local_accesses += blk.local_accesses
-            ls_reads += blk.ls_reads
-            ls_read_accesses += blk.ls_read_accesses
-            ls_writes += blk.ls_writes
-            ls_write_accesses += blk.ls_write_accesses
-            if blk.ls_max_end > ls_max_end:
-                ls_max_end = blk.ls_max_end
-            has_local = has_local or blk.has_local
-
-        # A zero-cost iteration can never renew a quantum, so the
-        # schedule arithmetic would not terminate; such degenerate
-        # phases simply spill (cycles > 0 whenever any lane does work).
-        self.iter_cycles = cycles if arith and cycles > 0 else None
-        self.iter_prefix = tuple(prefix) if self.iter_cycles else None
-        self.instructions = instructions
-        self.word_accesses = word_accesses
-        self.local_accesses = local_accesses
-        self.ls_reads = ls_reads
-        self.ls_read_accesses = ls_read_accesses
-        self.ls_writes = ls_writes
-        self.ls_write_accesses = ls_write_accesses
-        self.ls_max_end = ls_max_end
-        self.has_local = has_local
-        self.align_or = align_or
-        self.all_static = all_static
 
     def __repr__(self) -> str:
         label = self.name or "anonymous"
@@ -771,49 +685,6 @@ class OpPhase:
     def op(self) -> tuple:
         """The phase op this descriptor is yielded as."""
         return (OP_PHASE, self)
-
-    def rebase(self, base: int, count: int) -> "OpPhase":
-        """A single-lane descriptor sharing this one's closed forms.
-
-        Everything :meth:`__init__` precomputes per iteration — cycle
-        schedule, counter aggregates, local-store footprint — is
-        independent of the lane base, so a run coalescer can build one
-        prototype per (template, stride) and stamp out per-run
-        descriptors that share the prefix tuple *and* the geometry
-        cache instead of re-deriving both.  Only valid on single-lane
-        phases (the only kind :func:`phase_runs` mints).
-        """
-        proto_lanes = self.lanes
-        if len(proto_lanes) != 1:
-            raise ValueError("rebase() requires a single-lane phase")
-        blk, _old_base, stride = proto_lanes[0]
-        ph = object.__new__(OpPhase)
-        ph.lanes = ((blk, base, stride),)
-        ph.count = count
-        ph.name = self.name
-        ph.iter_cycles = self.iter_cycles
-        ph.iter_prefix = self.iter_prefix
-        ph.instructions = self.instructions
-        ph.word_accesses = self.word_accesses
-        ph.local_accesses = self.local_accesses
-        ph.ls_reads = self.ls_reads
-        ph.ls_read_accesses = self.ls_read_accesses
-        ph.ls_writes = self.ls_writes
-        ph.ls_write_accesses = self.ls_write_accesses
-        ph.ls_max_end = self.ls_max_end
-        ph.has_local = self.has_local
-        ph.align_or = base | stride
-        ph.all_static = stride == 0
-        ph._geometries = self._geometries
-        return ph
-
-    def geometry(self, line_shift: int) -> _PhaseGeometry:
-        """The (cached) per-iteration closed-form view for one geometry."""
-        geom = self._geometries.get(line_shift)
-        if geom is None:
-            geom = self._geometries[line_shift] = _PhaseGeometry(
-                self.lanes, line_shift)
-        return geom
 
     def replays(self, start: int = 0, stop: int | None = None) -> list:
         """The block-replay stream for iterations ``[start, stop)``.
@@ -1106,23 +977,7 @@ def phase_runs(replays, name: str | None = None):
     with data-dependent template choices (e.g. bitonic's dirty/clean
     compare-exchange lines) convert by streaming their natural replay
     sequence through this helper.
-
-    Descriptor minting is amortized: the first run over a (template,
-    stride) pair builds a full prototype, and every later run over the
-    same pair is a :meth:`OpPhase.rebase` stamp sharing the prototype's
-    precomputed schedule and geometry cache — run-heavy streams (one
-    descriptor per few iterations) pay near-nothing per run.
     """
-    protos: dict[tuple, OpPhase] = {}
-
-    def emit(tmpl, base, stride, count):
-        proto = protos.get((tmpl, stride))
-        if proto is None:
-            proto = protos[(tmpl, stride)] = OpPhase(
-                ((tmpl, base, stride),), count, name)
-            return (OP_PHASE, proto)
-        return (OP_PHASE, proto.rebase(base, count))
-
     tmpl = None
     base = stride = count = last = 0
     for nxt_tmpl, nxt_delta in replays:
@@ -1140,7 +995,7 @@ def phase_runs(replays, name: str | None = None):
             if count == 1:
                 yield tmpl.at(base)
             else:
-                yield emit(tmpl, base, stride, count)
+                yield OpPhase(((tmpl, base, stride),), count, name).op()
         tmpl = nxt_tmpl
         base = last = nxt_delta
         stride = 0
@@ -1149,4 +1004,4 @@ def phase_runs(replays, name: str | None = None):
         if count == 1:
             yield tmpl.at(base)
         else:
-            yield emit(tmpl, base, stride, count)
+            yield OpPhase(((tmpl, base, stride),), count, name).op()

@@ -42,27 +42,11 @@ if TYPE_CHECKING:
 #: Fetch stall per instruction-cache miss: an L2 round trip.
 ICACHE_MISS_PENALTY_NS = 12.0
 
-#: Iterations spilled per chunk when a phase cannot retire in closed
-#: form (escape hatch, non-arith lanes, slow path).  Bounds the pending
-#: list while keeping the re-dispatch overhead amortized.
+#: Iterations one phase dispatch walks (single-lane arithmetic phases)
+#: or spills as block replays (every other phase, and every phase under
+#: an escape hatch).  Bounds the pending list while keeping the
+#: re-dispatch overhead amortized.
 PHASE_SPILL_CHUNK = 64
-
-#: Smallest slice worth retiring in closed form.  Below this, the phase
-#: arm's own per-slice cost (schedule gate, queue peek, residency scan,
-#: renewal arithmetic) exceeds what retiring saves over the block
-#: interpreter's per-iteration closed form, so the slice spills instead.
-#: Multi-core barrier-lockstep runs sit permanently in this regime —
-#: foreign events land within an iteration's cost of each other — and
-#: degrade gracefully to block-interpreter speed.
-PHASE_MIN_RETIRE = 4
-
-#: Iterations spilled when the schedule gate yields a slice below
-#: :data:`PHASE_MIN_RETIRE` (quantum boundary with foreign events too
-#: close).  Barrier-lockstep cores keep their events interleaved within
-#: an iteration's cost for long stretches, so a blocked phase spills a
-#: full chunk rather than re-proving the schedule every few iterations;
-#: the block interpreter's own closed form keeps the spilled chunk fast.
-PHASE_SCHED_SPILL = 64
 
 #: Iterations a demoted stream (``REPRO_STREAMS=0``) materializes per
 #: chunk back into the plain per-op DMA stream.
@@ -99,38 +83,6 @@ def _limit_after_block(start_fs: int, limit_fs: int, cycle_fs: int,
         limit_fs = start_fs + prefix_cycles[index] * cycle_fs + quantum_fs
 
 
-def _limit_after_phase(start_fs: int, limit_fs: int, cycle_fs: int,
-                       quantum_fs: int, iter_prefix: tuple,
-                       iter_cycles: int, iters: int) -> int:
-    """Quantum limit after ``iters`` closed-form phase iterations.
-
-    The iteration axis extends :func:`_limit_after_block`'s schedule
-    periodically: op boundaries sit at ``start + (k * iter_cycles +
-    iter_prefix[i]) * cycle_fs`` for iteration ``k``, so each renewal
-    resolves its target boundary by splitting the cumulative cycle count
-    into (iteration, residue) and bisecting the residue into one
-    iteration's prefix sums.  The loop runs once per quantum renewal —
-    O(total cycles / quantum), independent of the iteration count —
-    and, like the block version, relies on the caller having proved
-    that every renewal inside the phase succeeds (queue head beyond the
-    retired prefix, or no boundary reaching the old limit at all).
-    """
-    total = iters * iter_cycles
-    while True:
-        need = -(-(limit_fs - start_fs) // cycle_fs)
-        if need > total:
-            return limit_fs
-        iteration, residue = divmod(need, iter_cycles)
-        if residue:
-            boundary = (iteration * iter_cycles
-                        + iter_prefix[bisect_left(iter_prefix, residue)])
-        else:
-            # ``need`` lands exactly on an iteration boundary, which is
-            # the previous iteration's final op boundary.
-            boundary = need
-        limit_fs = start_fs + boundary * cycle_fs + quantum_fs
-
-
 class Processor:
     """One in-order core executing one workload thread."""
 
@@ -161,10 +113,10 @@ class Processor:
         #: Block interpreter switch (REPRO_BLOCKS); when off, every
         #: OpBlock is materialized back into the plain per-op stream.
         self._blocks = blocks_enabled()
-        #: Phase engine switch (REPRO_PHASES); when off, every OpPhase
-        #: is spilled back into per-iteration block replays.  The phase
-        #: closed form retires *block* iterations, so it additionally
-        #: requires the block interpreter to be on.
+        #: Phase arm switch (REPRO_PHASES); when off, every OpPhase is
+        #: spilled back into per-iteration block replays.  Phases are
+        #: runs of *block* iterations, so the arm additionally requires
+        #: the block interpreter to be on.
         self._phases = phases_enabled() and self._blocks
         #: Stream engine switch (REPRO_STREAMS); when off, every
         #: OpStream is materialized back into the plain per-op DMA
@@ -174,8 +126,9 @@ class Processor:
         #: mid-block yield, or a whole block under REPRO_BLOCKS=0),
         #: consumed LIFO before the generator is consulted again.
         self._pending: list[tuple] = []
-        #: Per-template cold verdicts: id(blk) -> dispatches left to
-        #: skip the inline L1 pre-probe (see :data:`BLK_COLD_SKIP`).
+        #: Per-template cold verdicts: id(blk) or id(phase) ->
+        #: dispatches left to skip the inline L1 pre-probe (see
+        #: :data:`BLK_COLD_SKIP`).
         self._blk_verdicts: dict[int, int] = {}
         # Clock and accounting (all femtoseconds)
         self.now = 0
@@ -187,9 +140,10 @@ class Processor:
         self.word_accesses = 0
         self.local_accesses = 0
         self.icache_misses = 0
-        #: Iterations retired by the phase closed form (mode-dependent
-        #: diagnostic) and total iterations dispatched as phases
-        #: (mode-independent: counted once whether retired or spilled).
+        #: Iterations the phase arm walked without spilling
+        #: (mode-dependent diagnostic) and total iterations dispatched as
+        #: phases (mode-independent: counted once whether walked or
+        #: spilled).
         self.phase_iters = 0
         self.phase_iters_total = 0
         #: Iterations driven by the stream arm (mode-dependent
@@ -263,15 +217,20 @@ class Processor:
           back into plain tuples handled by the arms above.
         * **Op phases** (``"ph"``) are the tier above blocks (see
           :func:`repro.core.ops.phase`): a run of K constant-stride block
-          iterations yielded as one descriptor.  When the block closed
-          form's conditions hold across whole iterations, the phase arm
-          retires as many as the quantum/queue horizon allows in a
-          single arithmetic step — counters as ``K x per_iteration``
-          sums, LRU/stored state via the block geometry evaluated per
-          iteration shift, the renewal schedule via
-          :func:`_limit_after_phase` — and spills back to per-block
-          replays at the first non-resident iteration or ineligible
-          descriptor.  ``REPRO_PHASES=0`` spills every phase.
+          iterations yielded as one descriptor.  Under the inline-hit
+          fast path, a single-lane phase of compute / L1 ops is walked
+          in place, ``PHASE_SPILL_CHUNK`` iterations per dispatch: hits
+          retire inline, every other line goes through the hierarchy
+          walker, and a quantum yield leaves a resume cursor, all
+          exactly as the block arm would replay the same iterations.
+          Every other phase (several lanes, local-store or DMA ops)
+          spills back into per-iteration block replays in chunks of the
+          same size.  ``REPRO_PHASES=0`` spills every phase.
+        * **Op streams** (``"strm"``) are double-buffered DMA loops (see
+          :func:`repro.core.ops.stream`): the stream arm interprets the
+          per-iteration step list with the dget / dput / dwait / lsst
+          arms' semantics, detouring kernel steps through the block arm.
+          ``REPRO_STREAMS=0`` materializes them in bounded chunks.
         """
         gen_send = self._gen.send
         cycle_fs = self.cycle_fs
@@ -416,11 +375,10 @@ class Processor:
                         line += 1
 
                 elif kind == "ph":
-                    # Phase engine (see repro.core.ops.OpPhase): a run of
-                    # ``count`` constant-stride block iterations.  The
-                    # closed form below retires as many whole iterations
-                    # as the quantum/queue horizon and L1 residency
-                    # allow, in one arithmetic step; everything else
+                    # Phase arm (see repro.core.ops.OpPhase): a run of
+                    # ``count`` constant-stride block iterations.  A
+                    # single-lane arithmetic phase without local-store
+                    # ops is walked in place below; every other phase
                     # spills back into plain ("blk", ...) replays, which
                     # the block interpreter executes bit-identically.
                     ph = op[1]
@@ -434,458 +392,156 @@ class Processor:
                         phase_total += ph.count
                     count = ph.count
                     lanes = ph.lanes
-                    iter_cycles = ph.iter_cycles
-                    # Wholesale-ineligibility gates, cheapest first.  All
-                    # are slice-invariant, so an ineligible phase spills
-                    # a bounded chunk of iterations and leaves a cursor
-                    # rather than re-proving ineligibility per iteration.
-                    eligible = (phases_on and fast_mem
-                                and iter_cycles is not None
-                                and not (ph.align_or & line_mask))
-                    if eligible and ph.has_local:
-                        eligible = (local_store is not None
-                                    and local_store.observer is None
-                                    and ph.ls_max_end
-                                    <= local_store.capacity_bytes)
-                    if not eligible:
-                        k_hi = k0 + PHASE_SPILL_CHUNK
+                    blk0, base0, stride0 = lanes[0]
+                    k_hi = k0 + PHASE_SPILL_CHUNK
+                    if k_hi > count:
+                        k_hi = count
+                    if not (phases_on and fast_mem and len(lanes) == 1
+                            and blk0.arith_cycles is not None
+                            and not blk0.has_local):
+                        # Spill a bounded chunk of iterations and leave a
+                        # cursor, keeping the pending list short.
                         if k_hi < count:
                             pending.append(("ph", ph, k_hi))
-                        else:
-                            k_hi = count
                         for k in range(k_hi - 1, k0 - 1, -1):
                             for blk, base, stride in reversed(lanes):
                                 pending.append(
                                     ("blk", blk, base + k * stride))
                         continue
-                    # Schedule gate: retiring m iterations is safe when
-                    # their end precedes the quantum limit (no renewal
-                    # needed) or the queue head lies beyond it (every
-                    # interior renewal succeeds).  m_peek may go negative
-                    # when another core's event sits at or behind our
-                    # clock; the max() floors the bound at m_limit >= 0.
-                    c_fs = iter_cycles * cycle_fs
-                    m_max = count - k0
-                    m_limit = (limit - now - 1) // c_fs
-                    if m_limit >= m_max:
-                        m_allowed = m_max
+                    # Walker: a fused per-iteration loop over the block's
+                    # ops that retires L1 hits inline and drives the
+                    # hierarchy walker on every other line — the exact
+                    # stalls, evictions and coherence traffic of the
+                    # per-op path, with none of the per-iteration pending
+                    # churn of a block spill.  It walks one chunk per
+                    # dispatch, so the cold verdict below is revisited.
+                    ops_seq = blk0.ops
+                    n_ops = len(ops_seq)
+                    # Same cold-probe economics as the block arm: a
+                    # never-resident stream pays the inline L1 probe
+                    # *and* the walker on every line.  Once a full chunk
+                    # walks with zero hits, later dispatches skip the
+                    # probe and drive the walker directly (walker-served
+                    # hits fold into the same counters, so stats cannot
+                    # diverge).
+                    pid = id(ph)
+                    skip = verdicts.get(pid, 0)
+                    if skip:
+                        verdicts[pid] = skip - 1
+                        probe = False
+                        hits0 = -1
                     else:
-                        next_fs = peek_time()
-                        if next_fs is None:
-                            m_allowed = m_max
-                        else:
-                            m_peek = (next_fs - now - 1) // c_fs
-                            m_allowed = m_limit if m_limit > m_peek else m_peek
-                            if m_allowed > m_max:
-                                m_allowed = m_max
-                    if m_allowed < PHASE_MIN_RETIRE:
-                        # Quantum boundary with foreign events too close
-                        # to prove a slice worth the arm's overhead: run
-                        # a short chunk through the block interpreter (it
-                        # replays the renewal/yield decision per op,
-                        # bit-exactly) and resume the phase afterwards.
-                        spill = m_allowed if (m_allowed
-                                              > PHASE_SCHED_SPILL) \
-                            else PHASE_SCHED_SPILL
-                        k_hi = k0 + spill
-                        if k_hi < count:
-                            pending.append(("ph", ph, k_hi))
-                        else:
-                            k_hi = count
-                        for k in range(k_hi - 1, k0 - 1, -1):
-                            for blk, base, stride in reversed(lanes):
-                                pending.append(
-                                    ("blk", blk, base + k * stride))
-                        continue
-                    geom = ph._geometries.get(line_shift)
-                    if geom is None:
-                        geom = ph.geometry(line_shift)
-                    glanes = geom.lanes
-                    # Residency scan: the per-line conditions are exactly
-                    # the block closed form's, probed at the slice start.
-                    # That is conservative-safe for every later iteration
-                    # in the slice: a zero-miss slice inserts and evicts
-                    # nothing, and the state transitions it does apply
-                    # (SHARED departing, prefetch tags clearing, LRU
-                    # touches) only ever *help* these checks.
-                    if ph.all_static:
-                        # Revisit phase (every stride zero): residency is
-                        # iteration-invariant — check once, apply the
-                        # stored/LRU transitions once (identical
-                        # iterations are idempotent on cache state), and
-                        # multiply the counters.
-                        ok = True
-                        for g, (_blk, base, _stride) in zip(glanes, lanes):
-                            dl = base >> line_shift
-                            for rel, loaded, fresh, written in g.checks:
-                                line = rel + dl
-                                entry = l1_sets[line & l1_mask].get(line)
-                                if (entry is None
-                                        or (loaded
-                                            and (entry.ready_fs > now
-                                                 or (fresh
-                                                     and entry.prefetched)))
-                                        or (written
-                                            and entry.state is shared)):
-                                    ok = False
-                                    break
-                            if not ok:
-                                break
-                        if ok:
-                            for g, (_blk, base, _stride) in zip(glanes,
-                                                                lanes):
-                                dl = base >> line_shift
-                                for rel in g.stored:
-                                    line = rel + dl
-                                    entry = l1_sets[line & l1_mask][line]
-                                    entry.state = modified
-                                    entry.prefetched = False
-                                for rel in g.lru:
-                                    line = rel + dl
-                                    l1_sets[line & l1_mask].move_to_end(line)
-                            retire = m_allowed
-                        else:
-                            retire = 0
-                    elif len(glanes) == 1:
-                        # Single-lane strided phase (the shape every run
-                        # coalescer emits): fused scan+apply with an
-                        # incremental line cursor — the alignment gate
-                        # proved base and stride line-multiples, so the
-                        # per-iteration delta is one integer add.
-                        g = glanes[0]
-                        _blk, base, stride = lanes[0]
-                        dl = (base + k0 * stride) >> line_shift
-                        sdl = stride >> line_shift
-                        checks = g.checks
-                        g_stored = g.stored
-                        g_lru = g.lru
-                        n_m = m_allowed
-                        retire = 0
-                        if (len(checks) == 1 and g_lru == (checks[0][0],)
-                                and (not g_stored
-                                     or g_stored == (checks[0][0],))):
-                            # One-line block (load/compute[/store] on a
-                            # single cache line): the check, the dirty
-                            # transition, and the LRU touch all hit the
-                            # same entry, so one probe per iteration
-                            # covers everything.
-                            rel, loaded, fresh, written = checks[0]
-                            do_store = bool(g_stored)
-                            while retire < n_m:
-                                line = rel + dl
-                                cache_set = l1_sets[line & l1_mask]
-                                entry = cache_set.get(line)
-                                if (entry is None
-                                        or (loaded
-                                            and (entry.ready_fs > now
-                                                 or (fresh
-                                                     and entry.prefetched)))
-                                        or (written
-                                            and entry.state is shared)):
-                                    break
-                                if do_store:
-                                    entry.state = modified
-                                    entry.prefetched = False
-                                cache_set.move_to_end(line)
-                                dl += sdl
-                                retire += 1
-                            n_m = retire  # skip the generic loop below
-                        while retire < n_m:
-                            ok = True
-                            for rel, loaded, fresh, written in checks:
-                                line = rel + dl
-                                entry = l1_sets[line & l1_mask].get(line)
-                                if (entry is None
-                                        or (loaded
-                                            and (entry.ready_fs > now
-                                                 or (fresh
-                                                     and entry.prefetched)))
-                                        or (written
-                                            and entry.state is shared)):
-                                    ok = False
-                                    break
-                            if not ok:
-                                break
-                            for rel in g_stored:
-                                line = rel + dl
-                                entry = l1_sets[line & l1_mask][line]
-                                entry.state = modified
-                                entry.prefetched = False
-                            for rel in g_lru:
-                                l1_sets[(rel + dl) & l1_mask].move_to_end(
-                                    rel + dl)
-                            dl += sdl
-                            retire += 1
-                    else:
-                        # Multi-lane strided phase: same fused scan+apply,
-                        # verifying ALL lanes of an iteration before
-                        # applying any of its state, stopping at the first
-                        # non-resident iteration (the retired prefix stays
-                        # exact).  Lane line cursors advance incrementally
-                        # along the iteration axis.
-                        lane_geoms = list(zip(glanes, lanes))
-                        dls = [(base + k0 * stride) >> line_shift
-                               for _g, (_b, base, stride) in lane_geoms]
-                        sdls = [stride >> line_shift
-                                for _g, (_b, _base, stride) in lane_geoms]
-                        n_m = m_allowed
-                        retire = 0
-                        while retire < n_m:
-                            ok = True
-                            for (g, _lane), dl in zip(lane_geoms, dls):
-                                for rel, loaded, fresh, written in g.checks:
-                                    line = rel + dl
-                                    entry = l1_sets[line & l1_mask].get(line)
-                                    if (entry is None
-                                            or (loaded
-                                                and (entry.ready_fs > now
-                                                     or (fresh
-                                                         and entry.prefetched
-                                                         )))
-                                            or (written
-                                                and entry.state is shared)):
-                                        ok = False
+                        probe = True
+                        hits0 = loads_hit + stores_hit
+                    k = k0
+                    yielded = False
+                    while k < k_hi:
+                        delta = base0 + k * stride0
+                        index = 0
+                        while index < n_ops:
+                            bop = ops_seq[index]
+                            index += 1
+                            bkind = bop[0]
+                            if bkind == "ld":
+                                _, addr, nbytes, accesses = bop
+                                addr += delta
+                                issue = accesses * cycle_fs
+                                now += issue
+                                useful += issue
+                                instructions += accesses
+                                word_accesses += accesses
+                                line = addr >> line_shift
+                                last = (addr + nbytes - 1) >> line_shift
+                                while True:
+                                    if probe:
+                                        cache_set = l1_sets[line & l1_mask]
+                                        entry = cache_set.get(line)
+                                    else:
+                                        entry = None
+                                    if (entry is not None
+                                            and entry.ready_fs <= now
+                                            and not entry.prefetched):
+                                        cache_set.move_to_end(line)
+                                        loads_hit += 1
+                                    else:
+                                        done = load_line(core_id, line, now)
+                                        if done > now:
+                                            load_stall += done - now
+                                            now = done
+                                    if line == last:
                                         break
-                                if not ok:
-                                    break
-                            if not ok:
+                                    line += 1
+                            elif bkind == "c":
+                                _, cycles, op_instructions, l1_accesses = bop
+                                cost = cycles * cycle_fs
+                                now += cost
+                                useful += cost
+                                instructions += op_instructions
+                                word_accesses += l1_accesses
+                            else:  # st / pfs
+                                _, addr, nbytes, accesses = bop
+                                addr += delta
+                                issue = accesses * cycle_fs
+                                now += issue
+                                useful += issue
+                                instructions += accesses
+                                word_accesses += accesses
+                                no_allocate = bkind == "pfs"
+                                line = addr >> line_shift
+                                last = (addr + nbytes - 1) >> line_shift
+                                while True:
+                                    if probe:
+                                        cache_set = l1_sets[line & l1_mask]
+                                        entry = cache_set.get(line)
+                                    else:
+                                        entry = None
+                                    if (entry is not None
+                                            and entry.state is not shared):
+                                        cache_set.move_to_end(line)
+                                        entry.state = modified
+                                        entry.prefetched = False
+                                        stores_hit += 1
+                                    else:
+                                        stall = store_line(
+                                            core_id, line, now,
+                                            no_allocate=no_allocate)
+                                        if stall:
+                                            store_stall += stall
+                                            now += stall
+                                    if line == last:
+                                        break
+                                    line += 1
+                            if now >= limit:
+                                next_fs = peek_time()
+                                if next_fs is None or next_fs > now:
+                                    limit = now + quantum_fs
+                                    continue
+                                yielded = True
                                 break
-                            for (g, _lane), dl in zip(lane_geoms, dls):
-                                for rel in g.stored:
-                                    line = rel + dl
-                                    entry = l1_sets[line & l1_mask][line]
-                                    entry.state = modified
-                                    entry.prefetched = False
-                                for rel in g.lru:
-                                    line = rel + dl
-                                    l1_sets[line & l1_mask].move_to_end(line)
-                            dls = [dl + sdl for dl, sdl in zip(dls, sdls)]
-                            retire += 1
-                    if retire:
-                        end = now + retire * c_fs
-                        useful += end - now
-                        instructions += ph.instructions * retire
-                        word_accesses += ph.word_accesses * retire
-                        local_accesses += ph.local_accesses * retire
-                        loads_hit += geom.loads_hit * retire
-                        stores_hit += geom.stores_hit * retire
-                        if ph.has_local:
-                            local_store.reads += ph.ls_reads * retire
-                            local_store.read_accesses += (
-                                ph.ls_read_accesses * retire)
-                            local_store.writes += ph.ls_writes * retire
-                            local_store.write_accesses += (
-                                ph.ls_write_accesses * retire)
-                        if end >= limit:
-                            # Safe by the schedule gate: retire > m_limit
-                            # only happens on the peek branch with every
-                            # interior renewal proven to succeed.
-                            limit = _limit_after_phase(
-                                now, limit, cycle_fs, quantum_fs,
-                                ph.iter_prefix, iter_cycles, retire)
-                        now = end
-                        phase_retired += retire
-                        k0 += retire
-                    if k0 < count:
-                        if retire == m_allowed:
-                            # Horizon-bound: the slice retired whole; the
-                            # cursor re-enters with a renewed schedule
-                            # gate (limit advanced above, or the peek
-                            # still blocks and one iteration spills).
-                            pending.append(("ph", ph, k0))
-                        else:
-                            # Residency failed at iteration k0.  For a
-                            # single-lane cache phase this is usually a
-                            # *miss stream* — a never-resident strided
-                            # scan (fir-cc) taking one compulsory miss
-                            # per line — so the miss arm below drives the
-                            # hierarchy walker directly in a fused
-                            # per-line loop: exact stalls, evictions and
-                            # coherence traffic (the very walker calls
-                            # the per-op path makes), none of the
-                            # per-iteration pending churn of a block
-                            # spill.  An iteration that completes with
-                            # zero walker calls means residency is back,
-                            # so the loop hands the cursor straight back
-                            # to the closed form.
-                            blk0, base0, stride0 = lanes[0]
-                            if len(lanes) == 1 and not blk0.has_local:
-                                k_hi = k0 + PHASE_SPILL_CHUNK
-                                if k_hi > count:
-                                    k_hi = count
-                                ops_seq = blk0.ops
-                                n_ops = len(ops_seq)
-                                # Same cold-probe economics as the block
-                                # arm: a never-resident stream pays the
-                                # inline L1 probe *and* the walker on
-                                # every line.  Once a full chunk walks
-                                # with zero hits, later dispatches skip
-                                # the probe and drive the walker directly
-                                # (walker-served hits fold into the same
-                                # counters, so stats cannot diverge).
-                                pid = id(ph)
-                                skip = verdicts.get(pid, 0)
-                                if skip:
-                                    verdicts[pid] = skip - 1
-                                    probe = False
-                                    hits0 = -1
-                                else:
-                                    probe = True
-                                    hits0 = loads_hit + stores_hit
-                                k = k0
-                                yielded = False
-                                while k < k_hi:
-                                    delta = base0 + k * stride0
-                                    missed = False
-                                    index = 0
-                                    while index < n_ops:
-                                        bop = ops_seq[index]
-                                        index += 1
-                                        bkind = bop[0]
-                                        if bkind == "ld":
-                                            _, addr, nbytes, accesses = bop
-                                            addr += delta
-                                            issue = accesses * cycle_fs
-                                            now += issue
-                                            useful += issue
-                                            instructions += accesses
-                                            word_accesses += accesses
-                                            line = addr >> line_shift
-                                            last = ((addr + nbytes - 1)
-                                                    >> line_shift)
-                                            while True:
-                                                if probe:
-                                                    cache_set = l1_sets[
-                                                        line & l1_mask]
-                                                    entry = cache_set.get(
-                                                        line)
-                                                else:
-                                                    entry = None
-                                                if (entry is not None
-                                                        and entry.ready_fs
-                                                        <= now
-                                                        and not
-                                                        entry.prefetched):
-                                                    cache_set.move_to_end(
-                                                        line)
-                                                    loads_hit += 1
-                                                else:
-                                                    missed = True
-                                                    done = load_line(
-                                                        core_id, line, now)
-                                                    if done > now:
-                                                        load_stall += (
-                                                            done - now)
-                                                        now = done
-                                                if line == last:
-                                                    break
-                                                line += 1
-                                        elif bkind == "c":
-                                            (_, cycles, op_instructions,
-                                             l1_accesses) = bop
-                                            cost = cycles * cycle_fs
-                                            now += cost
-                                            useful += cost
-                                            instructions += op_instructions
-                                            word_accesses += l1_accesses
-                                        else:  # st / pfs
-                                            _, addr, nbytes, accesses = bop
-                                            addr += delta
-                                            issue = accesses * cycle_fs
-                                            now += issue
-                                            useful += issue
-                                            instructions += accesses
-                                            word_accesses += accesses
-                                            no_allocate = bkind == "pfs"
-                                            line = addr >> line_shift
-                                            last = ((addr + nbytes - 1)
-                                                    >> line_shift)
-                                            while True:
-                                                if probe:
-                                                    cache_set = l1_sets[
-                                                        line & l1_mask]
-                                                    entry = cache_set.get(
-                                                        line)
-                                                else:
-                                                    entry = None
-                                                if (entry is not None
-                                                        and entry.state
-                                                        is not shared):
-                                                    cache_set.move_to_end(
-                                                        line)
-                                                    entry.state = modified
-                                                    entry.prefetched = False
-                                                    stores_hit += 1
-                                                else:
-                                                    missed = True
-                                                    stall = store_line(
-                                                        core_id, line, now,
-                                                        no_allocate=
-                                                        no_allocate)
-                                                    if stall:
-                                                        store_stall += stall
-                                                        now += stall
-                                                if line == last:
-                                                    break
-                                                line += 1
-                                        if now >= limit:
-                                            next_fs = peek_time()
-                                            if (next_fs is None
-                                                    or next_fs > now):
-                                                limit = now + quantum_fs
-                                                continue
-                                            yielded = True
-                                            break
-                                    if yielded:
-                                        if index == n_ops:
-                                            phase_retired += 1
-                                            k += 1
-                                            if k < count:
-                                                pending.append(
-                                                    ("ph", ph, k))
-                                        else:
-                                            if k + 1 < count:
-                                                pending.append(
-                                                    ("ph", ph, k + 1))
-                                            pending.append(
-                                                ("blk", blk0, delta, index))
-                                        break
-                                    phase_retired += 1
-                                    k += 1
-                                    if not missed:
-                                        # Fully hit: the stream is
-                                        # resident again; let the closed
-                                        # form take over.
-                                        break
-                                if (hits0 >= 0 and not yielded
-                                        and loads_hit + stores_hit
-                                        == hits0):
-                                    verdicts[pid] = BLK_COLD_SKIP
-                                if yielded:
-                                    action = YIELD
-                                    break
+                        if yielded:
+                            # Leave a cursor past this iteration, and the
+                            # iteration's unexecuted remainder (if any)
+                            # as a block resume cursor in front of it.
+                            if index == n_ops:
+                                phase_retired += 1
+                                k += 1
                                 if k < count:
                                     pending.append(("ph", ph, k))
-                                continue
-                            # Multi-lane or local-store phase: replay a
-                            # bounded chunk through the block
-                            # interpreter, which reproduces the miss —
-                            # stalls, walker calls, evictions — bit for
-                            # bit, then resume the phase.  A whole chunk
-                            # (not a single iteration) spills because a
-                            # non-resident line usually means a streaming
-                            # access pattern where the *next* iterations
-                            # miss too; re-proving the slice per miss
-                            # would cost a gate + scan per iteration.
-                            k_hi = k0 + PHASE_SPILL_CHUNK
-                            if k_hi < count:
-                                pending.append(("ph", ph, k_hi))
                             else:
-                                k_hi = count
-                            for k in range(k_hi - 1, k0 - 1, -1):
-                                for blk, base, stride in reversed(lanes):
-                                    pending.append(
-                                        ("blk", blk, base + k * stride))
+                                if k + 1 < count:
+                                    pending.append(("ph", ph, k + 1))
+                                pending.append(("blk", blk0, delta, index))
+                            break
+                        phase_retired += 1
+                        k += 1
+                    if (hits0 >= 0 and not yielded
+                            and loads_hit + stores_hit == hits0):
+                        verdicts[pid] = BLK_COLD_SKIP
+                    if yielded:
+                        action = YIELD
+                        break
+                    if k < count:
+                        pending.append(("ph", ph, k))
                     continue
 
                 elif kind == "strm":

@@ -29,152 +29,6 @@ from repro.sim.fastpath import streams_enabled
 from repro.sim.resources import _MAX_INTERVALS, _TRIM_AT
 
 
-def _plan_stage(res, segs, service):
-    """Plan serving arithmetic arrival trains on one occupancy resource.
-
-    ``segs`` is a list of ``(t0, d, k)`` arrival segments — ``k`` arrivals
-    at ``t0, t0 + d, ...`` — monotone across the list.  A constant-spacing
-    train through a constant-service resource is a D/D/1 renewal: each
-    segment splits into at most a *queued* run (arrivals inside the busy
-    tail, completions spaced ``service``) and a *paced* run (arrivals past
-    the tail, completions spaced ``d``), with the crossover index in
-    closed form.  Returns ``(out_segs, wait_fs, ops)`` where ``ops``
-    replays the exact calendar mutations the per-granule ``serve`` loop
-    would have made (tail extensions, single appends, interval runs), or
-    None when an arrival lands before the tail interval's start — the
-    backfill case, which must walk the full calendar and is left to the
-    ordinary path.  Pure planning: nothing is mutated here, so a bail
-    anywhere in a multi-stage chain commits nothing.
-    """
-    starts = res._starts
-    ends = res._ends
-    lat = res.latency_fs
-    if ends:
-        v_start = starts[-1]
-        v_end = ends[-1]
-    else:
-        v_start = v_end = None
-    wait = 0
-    ops = []
-    out = []
-    for a0, d, k in segs:
-        if v_end is not None and a0 < v_start:
-            return None
-        m = a0 if (v_end is None or a0 > v_end) else v_end
-        if d <= service or m == a0:
-            i0 = k if d <= service else 0
-        else:
-            i0 = -(-(m - a0) // (d - service))
-        if i0 >= k:
-            # Every arrival queues on (or seeds) the busy tail: one
-            # contiguous block, completions spaced by the service time.
-            if v_end is None or a0 > v_end:
-                ops.append(("a", a0, a0 + k * service))
-                v_start = a0
-            else:
-                ops.append(("e", v_end + k * service))
-            v_end = m + k * service
-            wait += k * (m - a0) + (service - d) * (k * (k - 1) // 2)
-            out.append((m + service + lat, service, k))
-        else:
-            # Queued transient (i < i0), then paced: each arrival finds
-            # the resource idle and opens its own interval, spaced d.
-            if i0:
-                ops.append(("e", v_end + i0 * service))
-                v_end += i0 * service
-                wait += (i0 * (m - a0)
-                         + (service - d) * (i0 * (i0 - 1) // 2))
-                out.append((m + service + lat, service, i0))
-            kp = k - i0
-            p0 = a0 + i0 * d
-            if v_end is not None and p0 == v_end:
-                ops.append(("e", p0 + service))
-                if kp > 1:
-                    ops.append(("r", p0 + d, d, kp - 1))
-                    v_start = p0 + (kp - 1) * d
-            else:
-                ops.append(("r", p0, d, kp))
-                v_start = p0 + (kp - 1) * d
-            v_end = p0 + (kp - 1) * d + service
-            out.append((p0 + service + lat, d, kp))
-    return out, wait, ops
-
-
-def _plan_chain(chain, start, h):
-    """Plan one all-hit command through a whole resource chain.
-
-    ``chain`` is the command's stage list ``((resource, service_fs),
-    ...)``; the command arrives as one zero-spacing train of ``h``
-    granules at ``start``.  Returns a *relative* replay recipe
-    ``(stages, window_segs, done_rel)`` — every time in it is an offset
-    from ``start`` — or None when any stage hits the backfill path.
-
-    The recipe is the unit of the steady-state cache: :func:`_plan_stage`
-    is shift-invariant (its arithmetic uses only differences and
-    comparisons of times), so two commands whose chain tails sit at the
-    same offsets from their respective starts produce the same recipe.
-    In the double-buffer steady state every iteration's commands repeat
-    one of a handful of relative configurations, and the whole O(stages)
-    planning pass collapses into one dict hit.
-    """
-    segs = ((start, 0, h),)
-    stages = []
-    for res, service in chain:
-        plan = _plan_stage(res, segs, service)
-        if plan is None:
-            return None
-        segs, wait, ops = plan
-        rel = []
-        for op in ops:
-            tag = op[0]
-            if tag == "e":
-                rel.append(("e", op[1] - start))
-            elif tag == "a":
-                rel.append(("a", op[1] - start, op[2] - start))
-            else:
-                rel.append(("r", op[1] - start, op[2], op[3]))
-        stages.append((tuple(rel), wait))
-    win = tuple((t0 - start, d, k) for t0, d, k in segs)
-    t0, d, k = win[-1]
-    return tuple(stages), win, t0 + (k - 1) * d
-
-
-def _apply_chain(chain, stages, start, h):
-    """Commit a :func:`_plan_chain` recipe at absolute time ``start``.
-
-    Replays, per stage, exactly the calendar mutations the per-granule
-    ``serve`` loop would have made (tail extensions, single appends,
-    interval runs), the per-append chunked trim — each time the calendar
-    reaches ``_TRIM_AT`` entries the oldest ``_MAX_INTERVALS`` drop in
-    one slice, leaving the identical retained suffix — and the busy /
-    wait / request counters in aggregate.
-    """
-    for (res, service), (ops, wait) in zip(chain, stages):
-        starts = res._starts
-        ends = res._ends
-        for op in ops:
-            tag = op[0]
-            if tag == "e":
-                ends[-1] = start + op[1]
-            elif tag == "a":
-                starts.append(start + op[1])
-                ends.append(start + op[2])
-            else:
-                _, p0, d, k = op
-                p0 += start
-                starts.extend(range(p0, p0 + k * d, d))
-                ends.extend(range(p0 + service, p0 + k * d + service, d))
-        m = len(starts)
-        if m >= _TRIM_AT:
-            while m >= _TRIM_AT:
-                m -= _MAX_INTERVALS
-            del starts[:len(starts) - m]
-            del ends[:len(ends) - m]
-        res.busy_fs += h * service
-        res.requests += h
-        res.wait_fs += wait
-
-
 class DmaEngine:
     """One core's DMA engine."""
 
@@ -194,25 +48,12 @@ class DmaEngine:
         #: Stream-engine switch (REPRO_STREAMS), read at construction like
         #: the processor's fast-path flags: when on, contiguous
         #: line-aligned commands whose lines are all L2-resident are
-        #: served by a fused renewal loop (:meth:`_fast_get` /
+        #: served by a fused per-granule loop (:meth:`_fast_get` /
         #: :meth:`_fast_put`) instead of four resource method calls per
         #: granule.  The fused loop replays the exact calendar, counter,
         #: and LRU transitions of the ordinary path, granule for granule,
         #: and bails to it at the first line that is not a guaranteed hit.
         self._fast = streams_enabled()
-        #: Resource chains for all-hit line commands (get: crossbar-up
-        #: control, L2 bank, crossbar-down transfer, bus response; put:
-        #: bus request, crossbar-up transfer, L2 bank), resolved lazily
-        #: with their per-granule service times.
-        self._get_chain: tuple | None = None
-        self._put_chain: tuple | None = None
-        #: Steady-state recipe caches: relative chain signature ->
-        #: :func:`_plan_chain` recipe.  The double-buffer steady state
-        #: revisits a handful of signatures, so nearly every command
-        #: after warmup is a dict hit; the caches are cleared (not
-        #: LRU-managed) on the off chance a workload churns signatures.
-        self._get_recipes: dict = {}
-        self._put_recipes: dict = {}
         #: Optional invariant observer (repro.analysis.monitors), called
         #: as ``observer(kind, engine, addr, nbytes, stride, block,
         #: now_fs)`` with kind "get"/"put" before each command executes.
@@ -269,169 +110,10 @@ class DmaEngine:
     # Each inline branch is a literal transcription of the corresponding
     # branch of OccupancyResource.serve / _Link.transfer / _Link.control,
     # so calendars, busy/wait accounting, and LRU state come out
-    # bit-identical; anything off the beaten path (a non-resident line, a
-    # backfill arrival, a second L2 bank) bails to the ordinary methods
+    # bit-identical.  A backfill arrival (one landing before a calendar's
+    # tail interval) goes through the resource's own acquire; a
+    # non-resident line or a second L2 bank bails to the ordinary methods
     # for the rest of the command.
-
-    def _chains(self) -> tuple:
-        """Resolve (and cache) the get/put stage chains for this engine."""
-        u = self.uncore
-        cl = self.cluster_id
-        lb = self.line_bytes
-        xc = u.xbar.up[cl]
-        bk = u.l2_banks[0]
-        xd = u.xbar.down[cl]
-        br = u.buses[cl].resp
-        bq = u.buses[cl].req
-        self._get_chain = (
-            (xc, xc.cycle_fs),
-            (bk, u._l2_service_fs),
-            (xd, (-(-lb // xd.width_bytes) or 1) * xd.cycle_fs),
-            (br, (-(-lb // br.width_bytes) or 1) * br.cycle_fs),
-        )
-        self._put_chain = (
-            (bq, (-(-lb // bq.width_bytes) or 1) * bq.cycle_fs),
-            (xc, (-(-lb // xc.width_bytes) or 1) * xc.cycle_fs),
-            (bk, u._l2_service_fs),
-        )
-        return self._get_chain, self._put_chain
-
-    @staticmethod
-    def _chain_recipe(chain, recipes, start, h):
-        """Look up (or plan and cache) the recipe for one command.
-
-        The signature is the full planner input relative to ``start``:
-        the granule count plus every chain resource's tail interval
-        offsets (None for an empty calendar).  Matching signatures give
-        byte-identical plans because :func:`_plan_stage` is
-        shift-invariant, so a hit skips straight to the commit.
-        """
-        sig = [h]
-        push = sig.append
-        for res, _service in chain:
-            ends = res._ends
-            if ends:
-                push(res._starts[-1] - start)
-                push(ends[-1] - start)
-            else:
-                push(None)
-                push(None)
-        sig = tuple(sig)
-        rec = recipes.get(sig)
-        if rec is None:
-            rec = _plan_chain(chain, start, h)
-            if rec is None:
-                return None
-            if len(recipes) >= 512:
-                recipes.clear()
-            recipes[sig] = rec
-        return rec
-
-    def _renewal_get(self, start: int, line0: int,
-                     nlines: int) -> tuple[int, int] | None:
-        """Retire a whole all-hit get command in closed form.
-
-        Valid when the command fits inside the outstanding-access window
-        (the window holds completions of *previous* commands, all at or
-        before ``engine_free <= start``, so the first ``maxlen`` granules
-        of any command are provably unthrottled) and the single L2 bank
-        applies.  The hit prefix of the command is planned as one
-        zero-spacing arrival train through the four-stage resource chain
-        via :func:`_plan_chain` — O(stages), not O(granules), and one
-        dict hit in steady state — and committed only if every stage
-        stays off the backfill path.  Returns ``(granules_served,
-        completion_high_water)``, or None to fall back to the
-        per-granule fused loop.
-        """
-        u = self.uncore
-        if u._num_banks != 1:
-            return None
-        window = self._window
-        if nlines > window.maxlen:
-            return None
-        l2 = u.l2
-        sets = l2._sets
-        smask = l2._set_mask
-        # Fused probe + LRU touch: moving a hit line before the plan is
-        # committed is safe even if the planner bails — the per-granule
-        # fallback serves exactly the same hit prefix and re-applies the
-        # same moves in the same ascending order.
-        line = line0
-        end_line = line0 + nlines
-        while line < end_line:
-            cs = sets[line & smask]
-            if line not in cs:
-                break
-            cs.move_to_end(line)
-            line += 1
-        h = line - line0
-        if h == 0:
-            return 0, start
-        chain = self._get_chain
-        if chain is None:
-            chain = self._chains()[0]
-        rec = self._chain_recipe(chain, self._get_recipes, start, h)
-        if rec is None:
-            return None
-        stages, win_segs, done_rel = rec
-        _apply_chain(chain, stages, start, h)
-        lb = self.line_bytes
-        chain[2][0].bytes_moved += h * lb
-        chain[3][0].bytes_moved += h * lb
-        u.l2_reads += h
-        u.l2_read_hits += h
-        extend = window.extend
-        for t0, d, k in win_segs:
-            t0 += start
-            extend(range(t0, t0 + k * d, d) if d else (t0,) * k)
-        return h, start + done_rel
-
-    def _renewal_put(self, start: int, line0: int,
-                     nlines: int) -> tuple[int, int] | None:
-        """Closed-form counterpart of :meth:`_renewal_get` for puts."""
-        u = self.uncore
-        if u._num_banks != 1:
-            return None
-        window = self._window
-        if nlines > window.maxlen:
-            return None
-        l2 = u.l2
-        sets = l2._sets
-        smask = l2._set_mask
-        # Fused probe + state/LRU apply (see _renewal_get: safe on bail
-        # because the fallback re-applies identical transitions).
-        modified = MesiState.MODIFIED
-        line = line0
-        end_line = line0 + nlines
-        while line < end_line:
-            cs = sets[line & smask]
-            entry = cs.get(line)
-            if entry is None:
-                break
-            cs.move_to_end(line)
-            entry.state = modified
-            line += 1
-        h = line - line0
-        if h == 0:
-            return 0, start
-        chain = self._put_chain
-        if chain is None:
-            chain = self._chains()[1]
-        rec = self._chain_recipe(chain, self._put_recipes, start, h)
-        if rec is None:
-            return None
-        stages, win_segs, done_rel = rec
-        _apply_chain(chain, stages, start, h)
-        lb = self.line_bytes
-        chain[0][0].bytes_moved += h * lb
-        chain[1][0].bytes_moved += h * lb
-        u.l2_writes += h
-        u.l2_write_hits += h
-        extend = window.extend
-        for t0, d, k in win_segs:
-            t0 += start
-            extend(range(t0, t0 + k * d, d) if d else (t0,) * k)
-        return h, start + done_rel
 
     def _fast_get(self, start: int, line0: int, nlines: int) -> tuple[int, int]:
         """Serve leading all-hit granules of a contiguous line-aligned get.
@@ -772,13 +454,10 @@ class DmaEngine:
             nlines = nbytes >> self._line_shift
             first = 0
             # Single-line commands (e.g. a mesh gather rim) skip the
-            # closed-form probes: planning one granule costs more than
-            # the one pass through the plain loop it would replace.
+            # fused loop: its setup costs more than the one pass through
+            # the plain loop it would replace.
             if nlines > 1 and self._fast and self.observer is None:
-                fast = self._renewal_get(start, line0, nlines)
-                if fast is None:
-                    fast = self._fast_get(start, line0, nlines)
-                first, done = fast
+                first, done = self._fast_get(start, line0, nlines)
             for line in range(line0 + first, line0 + nlines):
                 t = start if len(window) < win_size else max(start, window[0])
                 t = xbar_control(t)
@@ -846,12 +525,9 @@ class DmaEngine:
             line0 = addr >> self._line_shift
             nlines = nbytes >> self._line_shift
             first = 0
-            # Same single-line gate as the get side: not worth planning.
+            # Same single-line gate as the get side.
             if nlines > 1 and self._fast and self.observer is None:
-                fast = self._renewal_put(start, line0, nlines)
-                if fast is None:
-                    fast = self._fast_put(start, line0, nlines)
-                first, done = fast
+                first, done = self._fast_put(start, line0, nlines)
             for line in range(line0 + first, line0 + nlines):
                 t = start if len(window) < win_size else max(start, window[0])
                 t = bus_req(t, line_bytes)

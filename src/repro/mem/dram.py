@@ -129,28 +129,6 @@ class DramChannel:
         utils = [ch.utilization(total_fs) for ch in self._channels]
         return sum(utils) / len(utils)
 
-    def busy_until(self, addr: int | None = None) -> int:
-        """Absolute time the channel serving ``addr`` drains its calendar.
-
-        A request arriving at or after this instant is served with zero
-        queueing delay — the boundary the stream engine's renewal
-        calculus reasons from when it retires double-buffer iterations
-        without replaying each transfer.  With ``addr=None`` (or one
-        channel) this is the first channel's tail.
-        """
-        return self._channel_for(addr).next_free
-
-    def backlog_fs(self, now_fs: int, addr: int | None = None) -> int:
-        """Queued occupancy ahead of a request arriving now, in fs.
-
-        Zero means the channel is in steady state (a new transfer pays
-        only its own occupancy plus access latency); a positive value
-        is exactly the extra wait the next transfer to this channel
-        would observe.  Tests use it to pin down *why* a contended
-        ``dwait`` spilled instead of retiring in closed form.
-        """
-        return max(0, self._channel_for(addr).next_free - now_fs)
-
     def channels(self):
         """The per-channel throughput resources, in interleave order.
 

@@ -26,28 +26,28 @@ escape hatch is
 which makes the processor materialize every block back into the plain
 per-op stream, exercising the original dispatch arms unchanged.
 
-The phase engine (PR 8) is the tier above blocks: workloads may yield
+The phase engine is the tier above blocks: workloads may yield
 :class:`repro.core.ops.OpPhase` descriptors — a run of K block
-iterations at a constant address stride — that the processor retires in
-one vectorized step when every touched line stays a guaranteed hit
-(counters as ``K x per_iteration`` sums, LRU/stored state via the block
-geometry arithmetic, the quantum-renewal schedule as a prefix-sum
-closed form over the iteration axis).  Its escape hatch is
+iterations at a constant address stride.  The processor walks a
+single-lane phase of compute / L1 ops in place, one fused per-op loop
+per chunk of iterations with no generator round trips; every other
+phase spills back into block replays.  Its escape hatch is
 
     REPRO_PHASES=0 python -m repro ...
 
 which makes the processor spill every phase back into per-iteration
 block replays, exercising the block interpreter unchanged.
 
-The stream engine (PR 10) is the streaming-model counterpart of the
-phase engine: workloads may yield :class:`repro.core.ops.OpStream`
+The stream engine is the streaming-model counterpart of the phase
+engine: workloads may yield :class:`repro.core.ops.OpStream`
 descriptors — the canonical DMA double-buffer loop (dget next tile /
-dwait / compute kernel / dput previous tile) unrolled to a fixed
-per-iteration step list at constant address strides — that the
-processor's stream arm retires iteration by iteration without generator
-round trips, and the DMA engine serves all-L2-hit line commands through
-a fused renewal loop (one arithmetic pass over the resource calendars
-instead of four method calls per granule).  Its escape hatch is
+dwait / compute kernel / dput previous tile) as one per-iteration step
+list over per-iteration tables — that the processor's stream arm
+interprets iteration by iteration without generator round trips, and
+the DMA engine serves the all-L2-hit prefix of contiguous line commands
+in a fused per-granule loop (integer compares against the resource
+calendar tails instead of four method calls per granule).  Its escape
+hatch is
 
     REPRO_STREAMS=0 python -m repro ...
 
@@ -57,8 +57,8 @@ ordinary resource methods.
 
 The four hatches compose into a sixteen-mode identity matrix (streams x
 phases x blocks x fastpath), every cell bit-identical except
-``stats["sim.*"]`` diagnostics: the phase closed form additionally
-requires ``REPRO_BLOCKS`` on (phases retire *block* iterations, so
+``stats["sim.*"]`` diagnostics: the phase arm additionally requires
+``REPRO_BLOCKS`` on (phases are runs of *block* iterations, so
 disabling blocks demotes phases to spill too), and ``REPRO_FASTPATH=0
 REPRO_BLOCKS=0 REPRO_PHASES=0 REPRO_STREAMS=0`` is the seed's execution
 model, byte for byte.

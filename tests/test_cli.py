@@ -126,18 +126,6 @@ def test_run_cprofile_dumps_stats_file(tmp_path, capsys):
     assert "fir/cc" in capsys.readouterr().out
 
 
-def test_perf_subcommand_forwards(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    out_path = tmp_path / "bench.json"
-    assert main(["perf", "bench", "--preset", "tiny", "--repeats", "1",
-                 "--out", str(out_path), "--no-gate"]) == 0
-    out = capsys.readouterr().out
-    assert "simulator bench" in out
-    assert out_path.exists()
-    assert main(["perf", "compare", str(out_path), str(out_path)]) == 0
-    assert "perf gate" in capsys.readouterr().out
-
-
 def test_compare_includes_applicable_models(capsys):
     assert main(["compare", "fir", "--cores", "4", "--preset", "tiny"]) == 0
     out = capsys.readouterr().out

@@ -3,8 +3,9 @@
 An :class:`~repro.core.ops.OpPhase` is a promise that yielding the
 phase op means exactly the same thing as yielding its ``count x lanes``
 block replays one by one (iteration-major, lane-minor).  The phase arm
-in :mod:`repro.core.processor` — closed-form retirement of whole
-resident iterations — is an optimization over that meaning, so these
+in :mod:`repro.core.processor` — walking single-lane iterations in
+place instead of spilling them as block replays — is an optimization
+over that meaning, so these
 tests pin both sides: the ``phase()`` / ``phase_runs()`` API, and
 full-record bit-identity across every combination of ``REPRO_PHASES``,
 ``REPRO_BLOCKS`` and ``REPRO_FASTPATH`` — with ``stats["sim.*"]`` as
@@ -128,33 +129,6 @@ class TestValidation:
         assert ph.replays(start=1, stop=2) == ph.replays()[2:4]
 
 
-class TestRebase:
-    def test_multi_lane_rejected(self):
-        other = block(compute(1), load(0x40, LINE))
-        ph = phase((BLK, 0, LINE), (other, 0, LINE), count=2)
-        with pytest.raises(ValueError, match="single-lane"):
-            ph.rebase(0x100, 4)
-
-    def test_shares_schedule_and_geometry_cache(self):
-        proto = phase((BLK, 0, LINE), count=8)
-        proto.geometry(5)                    # populate the cache
-        stamped = proto.rebase(0x1000, 3)
-        assert stamped.lanes == ((BLK, 0x1000, LINE),)
-        assert stamped.count == 3
-        assert stamped.iter_cycles == proto.iter_cycles
-        assert stamped.iter_prefix is proto.iter_prefix
-        assert stamped._geometries is proto._geometries
-        assert stamped.geometry(5) is proto.geometry(5)
-
-    def test_recomputes_base_dependent_fields(self):
-        proto = phase((BLK, 0, LINE), count=8)
-        stamped = proto.rebase(0x30, 0)      # misaligned base
-        assert stamped.align_or == 0x30 | LINE
-        static = proto.rebase(0x1000, 2)
-        assert not static.all_static
-        assert phase((BLK, 0, 0), count=2).rebase(0x40, 2).all_static
-
-
 def expand(op_stream):
     """Flatten a phase_runs output stream back to plain block replays."""
     out = []
@@ -198,9 +172,9 @@ class TestPhaseRuns:
         assert ops[1][1].count == 2
         assert ops[1][1].lanes == ((BLK, 8 * LINE, 2 * LINE),)
 
-    def test_later_runs_are_rebased_stamps(self):
-        # Two separate runs over the same (template, stride) pair must
-        # share one prototype's schedule and geometry cache.
+    def test_later_runs_keep_their_own_base(self):
+        # Two separate runs over the same (template, stride) pair are
+        # two descriptors, each starting at its own run's first delta.
         breaker = block(compute(1), load(0x40, LINE))
         replays = ([(BLK, k * LINE) for k in range(4)]
                    + [(breaker, 0x5000)]
@@ -208,8 +182,9 @@ class TestPhaseRuns:
         ops = list(phase_runs(iter(replays)))
         phases = [op[1] for op in ops if op[0] == "ph"]
         assert len(phases) == 2
-        assert phases[0]._geometries is phases[1]._geometries
+        assert phases[0].lanes == ((BLK, 0, LINE),)
         assert phases[1].lanes == ((BLK, 0x8000, LINE),)
+        assert [ph.count for ph in phases] == [4, 6]
 
     def test_expansion_is_semantically_identical(self):
         rng = random.Random(7)
@@ -236,8 +211,8 @@ class TestReplayIdentity:
 
         def phased(env):
             # Three dispatches of the same region: the first runs cold
-            # (spills at the first non-resident line), the rest retire
-            # warm through the closed form.
+            # (every line misses), the rest walk warm (every line hits
+            # inline).
             for _ in range(3):
                 yield phase((blk, 0, self.STRIDE), count=self.COUNT).op()
 
@@ -305,9 +280,9 @@ class TestReplayIdentity:
         assert records[0] == records[1] == records[2]
 
     def test_quantum_straddle_matches_escape_hatch(self, monkeypatch):
-        # One long phase spans many 200-cycle quanta, so closed-form
-        # retirement must reproduce the renewal schedule exactly
-        # (_limit_after_phase), including the mid-iteration boundary.
+        # One long phase spans many 200-cycle quanta, so the phase arm
+        # must reproduce the renewal schedule exactly, including the
+        # mid-iteration boundary.
         def thread(env):
             blk = block(compute(33), load(0x1000, LINE), store(0x1000, LINE))
             yield phase((blk, 0, LINE), count=200).op()
@@ -327,9 +302,9 @@ class TestReplayIdentity:
         assert off.stats["sim.phase_iters"] == 0
 
     def test_dma_lane_spills_and_matches(self, monkeypatch):
-        # DMA-bearing lanes have no arithmetic cycle schedule
-        # (iter_cycles is None): the phase must spill to the block
-        # interpreter and still replay identically.
+        # DMA-bearing lanes are not arithmetic (arith_cycles is None):
+        # the phase must spill to the block interpreter and still replay
+        # identically.
         def thread(env):
             env.local_store.alloc(256, "buf")
             blk = block(dma_get(1, 0x4000, 256), dma_wait(1),
@@ -345,7 +320,7 @@ class TestReplayIdentity:
 
     def test_observer_attach_deoptimizes(self, monkeypatch):
         # A per-access observer makes hierarchy.fastpath_safe false;
-        # phases must spill (retiring in closed form would skip the
+        # phases must spill (the walker's inline hits would skip the
         # observer's callbacks) while the record stays identical.
         monkeypatch.setenv("REPRO_FASTPATH", "1")
         monkeypatch.setenv("REPRO_BLOCKS", "1")
@@ -391,7 +366,7 @@ class TestEightModeIdentity:
 
 class TestCounters:
     def run_bitonic(self, monkeypatch, phases):
-        # Blocks and the fast path must be on for phases to retire, so
+        # Blocks and the fast path must be on for phases to walk, so
         # pin them against ambient escape-hatch env (CI slow-path smoke).
         monkeypatch.setenv("REPRO_FASTPATH", "1")
         monkeypatch.setenv("REPRO_BLOCKS", "1")
@@ -416,8 +391,7 @@ class TestCounters:
         assert off.stats["sim.phase_iters"] == 0
 
     def test_fir_retires_through_miss_stream(self, monkeypatch):
-        # fir streams lines that are never already resident, so its
-        # phases always fail the residency gate — but the miss-stream
+        # fir streams lines that are never already resident; the phase
         # arm drives the hierarchy walker in a fused per-line loop and
         # still retires every iteration at the phase level.
         monkeypatch.setenv("REPRO_FASTPATH", "1")

@@ -1,11 +1,11 @@
-"""The stream engine: descriptors, renewal retirement, and bit-identity.
+"""The stream engine: descriptors, the stream arm, and bit-identity.
 
 An :class:`~repro.core.ops.OpStream` is a promise that yielding the
 stream op means exactly the same thing as yielding the op tuples of
 :meth:`~repro.core.ops.OpStream.materialize` one by one.  The stream
 arm in :mod:`repro.core.processor` — interpreting the per-iteration
 step list of a double-buffered DMA loop without generator round trips,
-retiring whole iterations through the DMA engine's renewal calculus —
+with all-hit DMA commands served by the engine's fused granule loops —
 is an optimization over that meaning, so these tests pin both sides:
 the ``stream()`` / ``stream_*`` factory API, and full-record
 bit-identity across every combination of ``REPRO_STREAMS``,
@@ -37,7 +37,6 @@ from repro.core.ops import (
 from repro.core.system import CmpSystem
 from repro.harness.experiments import figure2, figure5
 from repro.harness.runner import Runner
-from repro.mem.dram import DramChannel
 from repro.obs import DmaCommandRecorder
 from repro.sim.fastpath import streams_enabled
 from repro.workloads.base import Program
@@ -335,36 +334,15 @@ class TestQuantumStraddle:
 
 
 class TestDwaitContention:
-    """dwait under a contended DRAM channel spills; it never guesses."""
-
-    def test_backlog_reports_queued_occupancy(self):
-        ch = DramChannel(DramConfig(channels=2, interleave_bytes=256))
-        per_byte = ch.channel.fs_per_byte
-        assert ch.backlog_fs(0, addr=0) == 0
-        ch.read(0, 256, addr=0)
-        # Channel 0 now holds 256 bytes of occupancy; channel 1 is idle.
-        assert ch.busy_until(addr=0) == 256 * per_byte
-        assert ch.backlog_fs(0, addr=0) == 256 * per_byte
-        assert ch.backlog_fs(0, addr=256) == 0
-        # A later arrival sees only the remaining backlog.
-        assert ch.backlog_fs(100 * per_byte, addr=0) == 156 * per_byte
-        assert ch.backlog_fs(256 * per_byte, addr=0) == 0
-
-    def test_busy_until_is_the_zero_queue_boundary(self):
-        ch = DramChannel(DramConfig())
-        ch.read(0, 512)
-        boundary = ch.busy_until()
-        assert ch.backlog_fs(boundary) == 0
-        assert ch.backlog_fs(boundary - 1) == 1
+    """dwait under a contended DRAM channel: exact stalls, never guesses."""
 
     @pytest.mark.parametrize("channels", [1, 2])
     def test_contended_streams_identical_on_off(self, monkeypatch,
                                                 channels):
         # Four cores hammer a starved DRAM config (1/8 the default
         # bandwidth), so DMA transfers queue behind each other and
-        # every dwait observes a backlog.  The renewal calculus must
-        # spill to the exact per-command path there — identity against
-        # the escape hatch is the proof it never approximates a stall.
+        # every dwait observes a backlog.  Identity against the escape
+        # hatch is the proof the stream arm never approximates a stall.
         dram = DramConfig(bandwidth_gbps=0.8, channels=channels,
                           interleave_bytes=256)
         threads = [streamed_thread] * 4
