@@ -20,11 +20,11 @@ byte-interval sets, and reports:
   use-after-reset / capacity violations (mirroring
   :class:`~repro.analysis.monitors.LocalStoreMonitor`);
 * **Block eligibility** — a proof per replayed
-  :class:`~repro.core.ops.OpBlock` template (arithmetic-only,
-  line-aligned replay stride, footprint fits in L1, no cross-iteration
-  self-conflict), plus *candidate* loops: periodic raw-op runs that
-  could use :func:`repro.core.ops.block` closed-form replay but do not —
-  the work-list for the vectorized phase engine.
+  :class:`~repro.core.ops.OpBlock` template (arithmetic-only: the
+  template runs in the processor's block-arm loop), plus *candidate*
+  loops: periodic raw-op runs that could use
+  :func:`repro.core.ops.block` replay but do not — the work-list for
+  the next descriptor conversion.
 
 Concurrency model: a *unit* is either a core's top-level code or one
 task popped from a :class:`~repro.core.sync.TaskQueue` (tasks may land
@@ -146,33 +146,27 @@ class Diagnostic:
 
 @dataclass(frozen=True)
 class BlockProof:
-    """Eligibility proof for one replayed OpBlock template."""
+    """Eligibility proof for one replayed OpBlock template.
+
+    ``eligible`` mirrors the processor's block-arm rule: a template runs
+    in the arm's per-op loop exactly when every op is compute, a cached
+    access or a local-store access.  Stride, alignment and L1 residency
+    change only how many lines the loop serves inline, never whether it
+    runs, so they are reported (``strides``) but not gated on.
+    """
 
     name: str
     replays: int
     strides: tuple
     arith_only: bool
-    line_aligned: bool
-    fits_l1: bool
-    self_conflict: bool
 
     @property
     def eligible(self) -> bool:
-        return (self.arith_only and self.line_aligned and self.fits_l1
-                and not self.self_conflict)
+        return self.arith_only
 
     def render(self) -> str:
         verdict = "eligible" if self.eligible else "NOT eligible"
-        why = []
-        if not self.arith_only:
-            why.append("non-arith ops")
-        if not self.line_aligned:
-            why.append("unaligned stride")
-        if not self.fits_l1:
-            why.append("exceeds L1")
-        if self.self_conflict:
-            why.append("self-conflict")
-        tail = f" ({', '.join(why)})" if why else ""
+        tail = "" if self.arith_only else " (non-arith ops)"
         strides = ",".join(str(s) for s in self.strides) or "-"
         return (f"block {self.name!r}: {self.replays} replays, "
                 f"stride {strides}: {verdict}{tail}")
@@ -182,12 +176,12 @@ class BlockProof:
 class PhaseProof:
     """Eligibility verdict for one dispatched OpPhase descriptor.
 
-    ``eligible`` mirrors the processor's phase-arm rule (the conditions
-    under which the arm walks a phase in place instead of spilling it
-    as block replays): one lane, arithmetic ops only, and no local-store
-    access.  L1 residency is dynamic and changes only how many lines
-    the walker serves inline, so ``fits_l1`` is reported as a predictor,
-    not a gate.
+    ``eligible`` mirrors the processor's walk rule (the conditions under
+    which the block arm walks a phase's iterations in its per-op loop
+    instead of spilling them as block replays): one lane, arithmetic ops
+    only.  L1 residency is dynamic and changes only how many lines the
+    loop serves inline, so ``fits_l1`` is reported as a predictor, not a
+    gate.
     """
 
     name: str
@@ -195,12 +189,11 @@ class PhaseProof:
     dispatches: int
     iterations: int
     arith_only: bool
-    has_local: bool
     fits_l1: bool
 
     @property
     def eligible(self) -> bool:
-        return self.lanes == 1 and self.arith_only and not self.has_local
+        return self.lanes == 1 and self.arith_only
 
     def render(self) -> str:
         verdict = "eligible" if self.eligible else "NOT eligible"
@@ -209,8 +202,6 @@ class PhaseProof:
             why.append("several lanes")
         if not self.arith_only:
             why.append("non-arith lanes")
-        if self.has_local:
-            why.append("local-store ops")
         tail = f" ({', '.join(why)})" if why else ""
         resident = "resident-sized" if self.fits_l1 else "exceeds L1"
         return (f"phase {self.name!r}: {self.lanes} lane(s) x "
@@ -226,12 +217,11 @@ class StreamProof:
     The ``stream()`` factory already validates shape at construction
     (table coverage, positive DMA ranges, kernel tables of OpBlocks),
     so a dispatched descriptor is structurally sound; what remains to
-    prove is what lets the stream arm's renewal calculus retire whole
-    double-buffer iterations cheaply: every kernel lane closes in
-    arithmetic form (``arith_cycles`` precomputed) and every
-    local-store touch fits the capacity budget.  An ineligible stream
-    still runs bit-identically — the arm just spills the offending
-    kernels op by op.
+    prove is what keeps the stream arm on its fast path: every kernel
+    it detours through the block arm is arithmetic (so the kernel runs
+    in the arm's per-op loop instead of materializing op by op) and
+    every local-store touch fits the capacity budget.  An ineligible
+    stream still runs bit-identically.
     """
 
     name: str
@@ -997,23 +987,11 @@ class _ProgramAuditor:
         proofs = []
         for stats in self.block_stats.values():
             blk: OpBlock = stats["blk"]
-            fp = blk.footprint()
-            strides = tuple(sorted(stats["strides"]))
-            line_aligned = all(s % self.line_bytes == 0 for s in strides)
-            if fp.reads or fp.writes:
-                fits = (fp.line_bytes_touched(self.line_bytes)
-                        <= self._l1_capacity())
-            else:
-                fits = True  # local-store-only block
-            conflict = any(fp.self_conflict(s) for s in strides if s)
             proof = BlockProof(
                 name=blk.name or "anonymous",
                 replays=stats["replays"],
-                strides=strides,
-                arith_only=fp.arith_only,
-                line_aligned=line_aligned,
-                fits_l1=fits,
-                self_conflict=conflict,
+                strides=tuple(sorted(stats["strides"])),
+                arith_only=blk.arith_only,
             )
             proofs.append(proof)
             if not proof.eligible:
@@ -1049,23 +1027,20 @@ class _ProgramAuditor:
             else:
                 fits = True
             key = (ph.name or "anonymous", len(ph.lanes),
-                   all(blk.arith_cycles is not None
-                       for blk, _base, _stride in ph.lanes),
-                   any(blk.has_local for blk, _base, _stride in ph.lanes),
+                   all(blk.arith_only for blk, _base, _stride in ph.lanes),
                    fits)
             counts = grouped.setdefault(key, [0, 0])
             counts[0] += stats["dispatches"]
             counts[1] += stats["iterations"]
         proofs = []
         for key, (dispatches, iterations) in grouped.items():
-            name, lanes, arith, has_local, fits = key
+            name, lanes, arith, fits = key
             proof = PhaseProof(
                 name=name,
                 lanes=lanes,
                 dispatches=dispatches,
                 iterations=iterations,
                 arith_only=arith,
-                has_local=has_local,
                 fits_l1=fits,
             )
             proofs.append(proof)
@@ -1093,7 +1068,7 @@ class _ProgramAuditor:
                 kind = step[0]
                 if kind == OP_BLOCK:
                     for blk in step[1][:st.count]:
-                        if blk.arith_cycles is None:
+                        if not blk.arith_only:
                             kernels_arith = False
                         if blk.ls_max_end > capacity:
                             ls_fits = False

@@ -19,15 +19,16 @@ The ``task_pop`` operation returns a value *into* the generator — use
 
 Hot loops should not rebuild the same op tuples every iteration: build an
 :class:`OpBlock` template once with :func:`block` and yield
-``template.at(offset)`` per iteration instead.  The processor replays the
-block without generator round trips, and — when every line it touches is
-a guaranteed L1 hit — retires it in closed form (see
-:mod:`repro.core.processor` and docs/PERF.md).
+``template.at(offset)`` per iteration instead.  The processor's block arm
+replays the block in one tight per-op loop without generator round trips
+(see :mod:`repro.core.processor` and docs/PERF.md).
 
 A level above blocks, a loop that replays templates at a *constant
 stride* can be described once as an :class:`OpPhase` (:func:`phase`) and
-yielded as a single op: the processor then walks the whole run — many
-block iterations — without a generator round trip per iteration.
+yielded as a single op: the block arm then walks the whole run — many
+block iterations of the same loop — without a generator round trip per
+iteration.  A double-buffered DMA loop is described once as an
+:class:`OpStream` (:func:`stream`).
 """
 
 from __future__ import annotations
@@ -259,10 +260,9 @@ _BLOCK_REJECTED = frozenset({
     OP_STREAM,
 })
 
-#: Ops the closed-form path can retire arithmetically: their cost is a
-#: fixed cycle count whenever the lines they touch are resident L1 hits
-#: (or local-store accesses), and their only side effects are counters
-#: and LRU order.
+#: Ops the block arm's per-op loop has an arm for: compute, cached and
+#: local-store accesses.  Blocks carrying any other op materialize back
+#: into the plain per-op stream.
 _ARITH_OPS = frozenset({
     OP_COMPUTE, OP_LOAD, OP_STORE, OP_PFS, OP_LOCAL_LOAD, OP_LOCAL_STORE,
 })
@@ -363,106 +363,8 @@ class BlockFootprint:
         #: Tags waited on inside the block.
         self.wait_tags = tuple(wait_tags)
         #: True when the block is pure compute + cached/local accesses —
-        #: exactly the blocks the closed-form interpreter can retire.
+        #: exactly the blocks the block arm's per-op loop runs.
         self.arith_only = arith_only
-
-    def line_bytes_touched(self, line_bytes: int) -> int:
-        """Cache bytes one replay occupies: touched lines × line size."""
-        lines = 0
-        for start, end in self.reads + self.writes:
-            lines += (end - 1) // line_bytes - start // line_bytes + 1
-        return lines * line_bytes
-
-    def self_conflict(self, stride: int, iterations: int = 2) -> bool:
-        """True if replays at consecutive multiples of ``stride`` conflict.
-
-        A conflict is a write of one iteration overlapping a read or
-        write of another — the cross-iteration dependence that disquali-
-        fies a loop from independent per-iteration treatment.  ``stride``
-        0 (revisiting the same footprint, e.g. a timestep sweep) is the
-        *resident* replay case and never a conflict.
-        """
-        if stride == 0:
-            return False
-        for k in range(1, iterations + 1):
-            shift = k * stride
-            shifted = [(s + shift, e + shift) for s, e in self.writes]
-            if (_intervals_overlap(shifted, self.reads)
-                    or _intervals_overlap(shifted, self.writes)
-                    or _intervals_overlap(
-                        [(s + shift, e + shift) for s, e in self.reads],
-                        self.writes)):
-                return True
-        return False
-
-
-def _intervals_overlap(a, b) -> bool:
-    """True if any interval of sorted-disjoint lists ``a``/``b`` overlap."""
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i][1] <= b[j][0]:
-            i += 1
-        elif b[j][1] <= a[i][0]:
-            j += 1
-        else:
-            return True
-    return False
-
-
-class _BlockGeometry:
-    """Per-``line_shift`` cache-line view of a block (closed-form data).
-
-    ``checks`` holds one entry per distinct relative line, in first-touch
-    order: ``(rel_line, loaded, load_before_store, stored)``.  ``loaded``
-    lines must be ready (``ready_fs <= now``) for the closed form to
-    apply; ``load_before_store`` lines must additionally carry no
-    prefetch tag (a store would have cleared it first otherwise); and
-    ``stored`` lines must not be SHARED.  ``lru`` lists relative lines in
-    last-touch order — replaying ``move_to_end`` over it reproduces the
-    exact LRU order per-op execution would leave.
-    """
-
-    __slots__ = ("checks", "stored", "lru", "loads_hit", "stores_hit")
-
-    def __init__(self, ops: tuple, line_shift: int) -> None:
-        touched: dict[int, list] = {}   # rel_line -> [loaded, fresh, stored]
-        order: dict[int, None] = {}     # last-touch order (dict = ordered)
-        loads_hit = 0
-        stores_hit = 0
-        for op in ops:
-            kind = op[0]
-            if kind == OP_LOAD:
-                is_load = True
-            elif kind == OP_STORE or kind == OP_PFS:
-                is_load = False
-            else:
-                continue
-            _, addr, nbytes, _accesses = op
-            first = addr >> line_shift
-            last = (addr + nbytes - 1) >> line_shift
-            for line in range(first, last + 1):
-                flags = touched.get(line)
-                if flags is None:
-                    flags = touched[line] = [False, False, False]
-                if is_load:
-                    loads_hit += 1
-                    flags[0] = True
-                    if not flags[2]:
-                        flags[1] = True      # load before any store
-                else:
-                    stores_hit += 1
-                    flags[2] = True
-                if line in order:
-                    del order[line]
-                order[line] = None
-        self.checks = tuple(
-            (line, flags[0], flags[1], flags[2])
-            for line, flags in touched.items())
-        self.stored = tuple(
-            line for line, flags in touched.items() if flags[2])
-        self.lru = tuple(order)
-        self.loads_hit = loads_hit
-        self.stores_hit = stores_hit
 
 
 class OpBlock:
@@ -475,69 +377,39 @@ class OpBlock:
     shift.  Sync ops (barrier/lock/unlock/task_pop) are rejected — a
     block must be replayable without suspending the thread.
 
-    Attributes precomputed for the interpreter:
+    Attributes precomputed once per template:
 
-    * ``arith_cycles`` — total cost in core cycles when every memory line
-      hits (``None`` if the block contains DMA/prefetch/flush ops, which
-      never retire in closed form);
-    * ``prefix_cycles`` — cumulative cycles after each op, used to replay
-      the exact quantum-renewal schedule arithmetically;
-    * counter aggregates (instructions, word/local accesses, local-store
-      read/write bytes and accesses).
+    * ``arith_only`` — True when every op is compute, a cached access or
+      a local-store access, the ops the block arm's per-op loop runs
+      (a block with DMA/prefetch/flush ops materializes instead);
+    * ``min_addr`` — the lowest memory address, for the sign check in
+      :meth:`at`;
+    * ``ls_max_end`` — the end offset of the block's furthest
+      local-store access, for the static auditor's capacity check.
     """
 
-    __slots__ = (
-        "ops", "name", "min_addr", "arith_cycles", "prefix_cycles",
-        "instructions", "word_accesses", "local_accesses",
-        "ls_reads", "ls_read_accesses", "ls_writes", "ls_write_accesses",
-        "ls_max_end", "has_local", "_geometries", "_footprint",
-    )
+    __slots__ = ("ops", "name", "min_addr", "arith_only", "ls_max_end",
+                 "_footprint")
 
     def __init__(self, ops: tuple, name: str | None) -> None:
         self.ops = ops
         self.name = name
-        self._geometries: dict[int, _BlockGeometry] = {}
         self._footprint: BlockFootprint | None = None
 
         min_addr = None
         arith = True
-        cycles = 0
-        prefix = []
-        instructions = 0
-        word_accesses = 0
-        local_accesses = 0
-        ls_reads = ls_read_accesses = 0
-        ls_writes = ls_write_accesses = 0
         ls_max_end = 0
-        has_local = False
         for op in ops:
             kind = op[0]
-            if kind == OP_COMPUTE:
-                cycles += op[1]
-                instructions += op[2]
-                word_accesses += op[3]
-            elif kind in (OP_LOAD, OP_STORE, OP_PFS):
-                _, addr, nbytes, accesses = op
+            if kind in (OP_LOAD, OP_STORE, OP_PFS):
+                addr = op[1]
                 if min_addr is None or addr < min_addr:
                     min_addr = addr
-                cycles += accesses
-                instructions += accesses
-                word_accesses += accesses
             elif kind in (OP_LOCAL_LOAD, OP_LOCAL_STORE):
-                _, offset, nbytes, accesses = op
-                has_local = True
-                cycles += accesses
-                instructions += accesses
-                local_accesses += accesses
+                _, offset, nbytes, _accesses = op
                 if offset + nbytes > ls_max_end:
                     ls_max_end = offset + nbytes
-                if kind == OP_LOCAL_LOAD:
-                    ls_reads += nbytes
-                    ls_read_accesses += accesses
-                else:
-                    ls_writes += nbytes
-                    ls_write_accesses += accesses
-            else:
+            elif kind != OP_COMPUTE:
                 arith = False
                 addr_index = 2 if kind in _ADDR2_OPS else (
                     1 if kind in _ADDR1_OPS else None)
@@ -545,20 +417,10 @@ class OpBlock:
                     addr = op[addr_index]
                     if min_addr is None or addr < min_addr:
                         min_addr = addr
-            prefix.append(cycles)
 
         self.min_addr = 0 if min_addr is None else min_addr
-        self.arith_cycles = cycles if arith else None
-        self.prefix_cycles = tuple(prefix) if arith else None
-        self.instructions = instructions
-        self.word_accesses = word_accesses
-        self.local_accesses = local_accesses
-        self.ls_reads = ls_reads
-        self.ls_read_accesses = ls_read_accesses
-        self.ls_writes = ls_writes
-        self.ls_write_accesses = ls_write_accesses
+        self.arith_only = arith
         self.ls_max_end = ls_max_end
-        self.has_local = has_local
 
     def __repr__(self) -> str:
         label = self.name or "anonymous"
@@ -577,14 +439,6 @@ class OpBlock:
                 f"{self.min_addr:#x} negative")
         return (OP_BLOCK, self, delta)
 
-    def geometry(self, line_shift: int) -> _BlockGeometry:
-        """The (cached) per-line closed-form view for one line geometry."""
-        geom = self._geometries.get(line_shift)
-        if geom is None:
-            geom = self._geometries[line_shift] = _BlockGeometry(
-                self.ops, line_shift)
-        return geom
-
     def footprint(self) -> BlockFootprint:
         """The (cached) byte-interval footprint of one replay at delta 0.
 
@@ -594,16 +448,14 @@ class OpBlock:
         """
         fp = self._footprint
         if fp is None:
-            fp = self._footprint = BlockFootprint(
-                self.ops, self.arith_cycles is not None)
+            fp = self._footprint = BlockFootprint(self.ops, self.arith_only)
         return fp
 
     def materialize(self, delta: int, start: int = 0) -> list:
         """The plain per-op stream this block stands for, from ``start``.
 
         This *is* the block's semantics: every execution mode other than
-        the tight/closed-form interpreter (``REPRO_BLOCKS=0``, or a block
-        carrying DMA ops, or a mid-block yield spilling its remainder)
+        the block arm (``REPRO_BLOCKS=0``, or a block carrying DMA ops)
         runs exactly these tuples through the ordinary dispatch arms.
         """
         ops = self.ops[start:] if start else self.ops
@@ -664,10 +516,10 @@ class OpPhase:
     stride)`` contributes ``blk.at(base + k * stride)`` to iteration
     ``k``.  That is the phase's entire meaning — yielding the phase op is
     exactly yielding those ``count x len(lanes)`` block replays one by
-    one.  The processor's phase arm walks single-lane arithmetic phases
-    in place, op by op; every other phase, and every phase under
-    ``REPRO_PHASES=0``, runs precisely that spilled stream through the
-    block interpreter.
+    one.  The processor's block arm walks single-lane arithmetic phases
+    as iterations of its per-op loop; every other phase, and every phase
+    under ``REPRO_BLOCKS=0``, runs precisely that spilled stream through
+    the block arm.
     """
 
     __slots__ = ("lanes", "count", "name")
@@ -708,7 +560,7 @@ def phase(*lanes: tuple, count: int, name: str | None = None) -> OpPhase:
 
     Each lane is ``(template, base, stride)``: iteration ``k`` of the
     phase replays ``template.at(base + k * stride)``.  Validation is
-    front-loaded here so the processor's phase arm does none: every
+    front-loaded here so the processor's block arm does none: every
     template must be an :class:`OpBlock`, and every replay delta the
     phase can produce must keep the template's lowest address
     non-negative (strides may be negative for descending sweeps).
@@ -780,7 +632,7 @@ class OpStream:
     stream op means exactly yielding :meth:`materialize`'s op tuples
     one by one; the processor's stream arm interprets the steps with
     bit-identical per-op semantics but no generator round trips, and
-    ``REPRO_STREAMS=0`` (or a mid-iteration suspension point) falls
+    ``REPRO_BLOCKS=0`` (or a mid-iteration suspension point) falls
     back to the materialized chunks.
     """
 
@@ -805,7 +657,7 @@ class OpStream:
         """The plain per-op DMA stream for iterations ``[start, stop)``.
 
         This *is* the stream's semantics: every execution mode other
-        than the stream arm (``REPRO_STREAMS=0``, or a resume after a
+        than the stream arm (``REPRO_BLOCKS=0``, or a resume after a
         mid-iteration quantum yield) runs exactly these tuples through
         the ordinary dispatch arms.  ``step0`` skips the first
         iteration's leading steps (a quantum yield spills the rest of

@@ -18,7 +18,6 @@ model honest without per-cycle lockstep.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.core.sync import (
@@ -27,12 +26,7 @@ from repro.core.sync import (
     TASK_POP_OVERHEAD_CYCLES,
 )
 from repro.mem.coherence import MesiState
-from repro.sim.fastpath import (
-    blocks_enabled,
-    fastpath_enabled,
-    phases_enabled,
-    streams_enabled,
-)
+from repro.sim.fastpath import blocks_enabled, fastpath_enabled
 from repro.sim.kernel import SimulationError
 from repro.units import ns_to_fs
 
@@ -44,43 +38,21 @@ ICACHE_MISS_PENALTY_NS = 12.0
 
 #: Iterations one phase dispatch walks (single-lane arithmetic phases)
 #: or spills as block replays (every other phase, and every phase under
-#: an escape hatch).  Bounds the pending list while keeping the
+#: ``REPRO_BLOCKS=0``).  Bounds the pending list while keeping the
 #: re-dispatch overhead amortized.
 PHASE_SPILL_CHUNK = 64
 
-#: Iterations a demoted stream (``REPRO_STREAMS=0``) materializes per
+#: Iterations a demoted stream (``REPRO_BLOCKS=0``) materializes per
 #: chunk back into the plain per-op DMA stream.
 STREAM_SPILL_CHUNK = 64
 
-#: Block dispatches that skip the per-op inline L1 pre-probe after one
-#: full dispatch of the template observed zero inline hits (the probe
-#: then only doubles the miss path's lookups), before probing one
-#: dispatch again in case residency returned.  Wall-clock only: the
-#: walker retires a hit bit-identically to the inline probe.
+#: Block-arm dispatches (one block, or one phase chunk) that skip the
+#: per-op inline L1 pre-probe after one full dispatch of the same
+#: template observed zero inline hits (the probe then only doubles the
+#: miss path's lookups), before probing one dispatch again in case
+#: residency returned.  Wall-clock only: the walker retires a hit
+#: bit-identically to the inline probe.
 BLK_COLD_SKIP = 15
-
-
-def _limit_after_block(start_fs: int, limit_fs: int, cycle_fs: int,
-                       quantum_fs: int, prefix_cycles: tuple) -> int:
-    """Quantum limit after replaying a block's per-op renewal schedule.
-
-    Per-op execution checks ``now >= limit`` after *every* op and, with
-    the queue head beyond the core's clock, renews ``limit = now +
-    quantum``.  The closed form must leave the same limit so quantum
-    boundaries stay aligned with per-op execution for the rest of the
-    thread.  ``prefix_cycles[i]`` is the block's cumulative cost after op
-    ``i``, so the op times are ``start + P_i * cycle`` and each renewal
-    picks the first boundary at or past the current limit.  Renewal is
-    guaranteed to succeed: the caller established that the queue head
-    lies beyond the block's end, hence beyond every interior boundary.
-    """
-    total = prefix_cycles[-1]
-    while True:
-        need = -(-(limit_fs - start_fs) // cycle_fs)
-        if need > total:
-            return limit_fs
-        index = bisect_left(prefix_cycles, need)
-        limit_fs = start_fs + prefix_cycles[index] * cycle_fs + quantum_fs
 
 
 class Processor:
@@ -96,7 +68,6 @@ class Processor:
         self.cycle_fs = config.core.cycle_fs
         self._quantum_fs = config.quantum_cycles * self.cycle_fs
         self._line_shift = config.line_bytes.bit_length() - 1
-        self._line_bytes = config.line_bytes
         self._imiss_fs = ns_to_fs(ICACHE_MISS_PENALTY_NS)
         self._dma_setup_cycles = config.stream.dma_setup_instructions
         self._gen = thread
@@ -110,21 +81,15 @@ class Processor:
         #: Run-until-miss fast path (see :mod:`repro.sim.fastpath`).
         #: Read at construction so one system runs one mode throughout.
         self._fastpath = fastpath_enabled()
-        #: Block interpreter switch (REPRO_BLOCKS); when off, every
-        #: OpBlock is materialized back into the plain per-op stream.
+        #: Descriptor switch (REPRO_BLOCKS); when off, every OpBlock is
+        #: materialized back into the plain per-op stream, every OpPhase
+        #: spilled into per-iteration block replays, and every OpStream
+        #: materialized into the plain per-op DMA stream.
         self._blocks = blocks_enabled()
-        #: Phase arm switch (REPRO_PHASES); when off, every OpPhase is
-        #: spilled back into per-iteration block replays.  Phases are
-        #: runs of *block* iterations, so the arm additionally requires
-        #: the block interpreter to be on.
-        self._phases = phases_enabled() and self._blocks
-        #: Stream engine switch (REPRO_STREAMS); when off, every
-        #: OpStream is materialized back into the plain per-op DMA
-        #: stream in bounded chunks.
-        self._streams = streams_enabled()
-        #: Ops spilled from a block (materialized remainder after a
-        #: mid-block yield, or a whole block under REPRO_BLOCKS=0),
-        #: consumed LIFO before the generator is consulted again.
+        #: Ops spilled from a descriptor (resume cursors after a quantum
+        #: yield, phase chunks that are not walked, or whole descriptors
+        #: under REPRO_BLOCKS=0), consumed LIFO before the generator is
+        #: consulted again.
         self._pending: list[tuple] = []
         #: Per-template cold verdicts: id(blk) or id(phase) ->
         #: dispatches left to skip the inline L1 pre-probe (see
@@ -140,10 +105,10 @@ class Processor:
         self.word_accesses = 0
         self.local_accesses = 0
         self.icache_misses = 0
-        #: Iterations the phase arm walked without spilling
-        #: (mode-dependent diagnostic) and total iterations dispatched as
-        #: phases (mode-independent: counted once whether walked or
-        #: spilled).
+        #: Iterations the block arm walked as phase iterations without
+        #: spilling (mode-dependent diagnostic) and total iterations
+        #: dispatched as phases (mode-independent: counted once whether
+        #: walked or spilled).
         self.phase_iters = 0
         self.phase_iters_total = 0
         #: Iterations driven by the stream arm (mode-dependent
@@ -203,34 +168,31 @@ class Processor:
         one-event-per-quantum execution; per-access side channels (trace
         hooks, invariant observers) disable the inline-hit path alone.
 
-        * **Op blocks** (``"blk"``) are immutable templates the workload
-          yields once per loop iteration (see :func:`repro.core.ops.block`).
-          A block of compute / L1 / local-store ops whose lines are all
-          guaranteed inline hits and whose end precedes the queue head
-          retires in *closed form* — cost, counters, and LRU touches
-          applied arithmetically, with the quantum-renewal schedule
-          replayed via :func:`_limit_after_block`.  Otherwise the block
-          runs through a tight per-op loop (no generator round trips),
-          spilling its unexecuted remainder into ``self._pending`` if the
-          quantum expires mid-block.  ``REPRO_BLOCKS=0``, or any block
-          carrying DMA / prefetch / flush ops, materializes the block
-          back into plain tuples handled by the arms above.
-        * **Op phases** (``"ph"``) are the tier above blocks (see
-          :func:`repro.core.ops.phase`): a run of K constant-stride block
-          iterations yielded as one descriptor.  Under the inline-hit
-          fast path, a single-lane phase of compute / L1 ops is walked
-          in place, ``PHASE_SPILL_CHUNK`` iterations per dispatch: hits
-          retire inline, every other line goes through the hierarchy
-          walker, and a quantum yield leaves a resume cursor, all
-          exactly as the block arm would replay the same iterations.
-          Every other phase (several lanes, local-store or DMA ops)
-          spills back into per-iteration block replays in chunks of the
-          same size.  ``REPRO_PHASES=0`` spills every phase.
-        * **Op streams** (``"strm"``) are double-buffered DMA loops (see
-          :func:`repro.core.ops.stream`): the stream arm interprets the
-          per-iteration step list with the dget / dput / dwait / lsst
-          arms' semantics, detouring kernel steps through the block arm.
-          ``REPRO_STREAMS=0`` materializes them in bounded chunks.
+        * **The block arm** is one tight per-op loop (no generator round
+          trips) over immutable op templates.  An op block (``"blk"``,
+          see :func:`repro.core.ops.block`) is one iteration of that
+          loop at its replay delta.  A single-lane op phase (``"ph"``,
+          see :func:`repro.core.ops.phase`) — a run of constant-stride
+          block iterations — is up to ``PHASE_SPILL_CHUNK`` iterations
+          of the same loop at ``base + k * stride``.  Compute, L1 and
+          local-store ops each have an arm in the loop; L1 hits retire
+          through the inline probe above, every other line through the
+          hierarchy walker; a quantum yield leaves a resume cursor.
+          Blocks carrying DMA / prefetch / flush ops materialize back
+          into plain tuples handled by the arms above, and multi-lane
+          or non-arithmetic phases spill block replays.  There is no
+          closed form: the resident blocks one would retire
+          arithmetically are mostly STR local-store kernels whose few op
+          tuples each stand for thousands of accesses, so skipping their
+          loop saves no measurable host time (see docs/PERF.md).
+        * **The stream arm** (``"strm"``, see
+          :func:`repro.core.ops.stream`) interprets the per-iteration
+          step list of a double-buffered DMA loop with the dget / dput /
+          dwait / lsst arms' semantics, detouring kernel steps through
+          the block arm.
+
+        ``REPRO_BLOCKS=0`` turns all three descriptor paths off: blocks
+        and streams materialize, phases spill as block replays.
         """
         gen_send = self._gen.send
         cycle_fs = self.cycle_fs
@@ -239,13 +201,10 @@ class Processor:
         store_line = hierarchy.store_line
         core_id = self.core_id
         line_shift = self._line_shift
-        line_mask = self._line_bytes - 1
         quantum_fs = self._quantum_fs
         fastpath = self._fastpath
         fast_mem = fastpath and hierarchy.fastpath_safe
         blocks_on = self._blocks
-        phases_on = self._phases
-        streams_on = self._streams
         pending = self._pending
         verdicts = self._blk_verdicts
         # Per-op invariants hoisted to loop-locals: resolved once per
@@ -374,70 +333,80 @@ class Processor:
                             break
                         line += 1
 
-                elif kind == "ph":
-                    # Phase arm (see repro.core.ops.OpPhase): a run of
-                    # ``count`` constant-stride block iterations.  A
-                    # single-lane arithmetic phase without local-store
-                    # ops is walked in place below; every other phase
-                    # spills back into plain ("blk", ...) replays, which
-                    # the block interpreter executes bit-identically.
-                    ph = op[1]
-                    # A 3-tuple is a resume cursor: re-enter at the
-                    # recorded iteration.  The mode-independent total is
-                    # counted once, at first dispatch.
-                    if len(op) == 3:
-                        k0 = op[2]
+                elif kind == "blk" or kind == "ph":
+                    # Block arm: one per-op loop over an OpBlock's ops.  A
+                    # block op is one iteration at its replay delta; a
+                    # single-lane arithmetic phase (see
+                    # repro.core.ops.OpPhase) is a chunk of iterations of
+                    # its lane's block at base + k * stride.
+                    if kind == "blk":
+                        blk = op[1]
+                        base = op[2]
+                        stride = 0
+                        k = 0
+                        count = k_hi = 1
+                        # A 4-tuple is a resume cursor spilled by the loop
+                        # below at a quantum boundary; re-enter at the
+                        # recorded op index.
+                        start = op[3] if len(op) == 4 else 0
+                        if not blocks_on or not blk.arith_only:
+                            # Escape hatch, or a block carrying DMA /
+                            # prefetch / flush ops: run the plain per-op
+                            # stream through the ordinary dispatch arms.
+                            pending.extend(reversed(blk.materialize(base)))
+                            continue
+                        vid = id(blk)
                     else:
-                        k0 = 0
-                        phase_total += ph.count
-                    count = ph.count
-                    lanes = ph.lanes
-                    blk0, base0, stride0 = lanes[0]
-                    k_hi = k0 + PHASE_SPILL_CHUNK
-                    if k_hi > count:
-                        k_hi = count
-                    if not (phases_on and fast_mem and len(lanes) == 1
-                            and blk0.arith_cycles is not None
-                            and not blk0.has_local):
-                        # Spill a bounded chunk of iterations and leave a
-                        # cursor, keeping the pending list short.
-                        if k_hi < count:
-                            pending.append(("ph", ph, k_hi))
-                        for k in range(k_hi - 1, k0 - 1, -1):
-                            for blk, base, stride in reversed(lanes):
-                                pending.append(
-                                    ("blk", blk, base + k * stride))
-                        continue
-                    # Walker: a fused per-iteration loop over the block's
-                    # ops that retires L1 hits inline and drives the
-                    # hierarchy walker on every other line — the exact
-                    # stalls, evictions and coherence traffic of the
-                    # per-op path, with none of the per-iteration pending
-                    # churn of a block spill.  It walks one chunk per
-                    # dispatch, so the cold verdict below is revisited.
-                    ops_seq = blk0.ops
-                    n_ops = len(ops_seq)
-                    # Same cold-probe economics as the block arm: a
-                    # never-resident stream pays the inline L1 probe
-                    # *and* the walker on every line.  Once a full chunk
-                    # walks with zero hits, later dispatches skip the
-                    # probe and drive the walker directly (walker-served
-                    # hits fold into the same counters, so stats cannot
-                    # diverge).
-                    pid = id(ph)
-                    skip = verdicts.get(pid, 0)
+                        ph = op[1]
+                        count = ph.count
+                        # A 3-tuple is a resume cursor: re-enter at the
+                        # recorded iteration.  The mode-independent total
+                        # is counted once, at first dispatch.
+                        if len(op) == 3:
+                            k = op[2]
+                        else:
+                            k = 0
+                            phase_total += count
+                        k_hi = k + PHASE_SPILL_CHUNK
+                        if k_hi > count:
+                            k_hi = count
+                        lanes = ph.lanes
+                        blk, base, stride = lanes[0]
+                        if not (blocks_on and len(lanes) == 1
+                                and blk.arith_only):
+                            # Spill a bounded chunk of iterations as plain
+                            # ("blk", ...) replays and leave a cursor,
+                            # keeping the pending list short.
+                            if k_hi < count:
+                                pending.append(("ph", ph, k_hi))
+                            for j in range(k_hi - 1, k - 1, -1):
+                                for blk, base, stride in reversed(lanes):
+                                    pending.append(
+                                        ("blk", blk, base + j * stride))
+                            continue
+                        start = 0
+                        vid = id(ph)
+                    # Per-template cold verdict (see BLK_COLD_SKIP): a
+                    # template streaming through memory pays the inline
+                    # L1 probe *and* the walker on every line, so after
+                    # one full dispatch with zero inline hits, later
+                    # dispatches skip the probe and drive the walker
+                    # directly (walker-served hits fold into the same
+                    # counters, so stats cannot diverge).
+                    skip = verdicts.get(vid, 0)
                     if skip:
-                        verdicts[pid] = skip - 1
+                        verdicts[vid] = skip - 1
                         probe = False
-                        hits0 = -1
                     else:
-                        probe = True
-                        hits0 = loads_hit + stores_hit
-                    k = k0
+                        probe = fast_mem
+                    hits0 = loads_hit + stores_hit
+                    ops_seq = blk.ops
+                    n_ops = len(ops_seq)
+                    k0 = k
+                    index = start
                     yielded = False
                     while k < k_hi:
-                        delta = base0 + k * stride0
-                        index = 0
+                        delta = base + k * stride
                         while index < n_ops:
                             bop = ops_seq[index]
                             index += 1
@@ -456,18 +425,19 @@ class Processor:
                                     if probe:
                                         cache_set = l1_sets[line & l1_mask]
                                         entry = cache_set.get(line)
-                                    else:
-                                        entry = None
-                                    if (entry is not None
-                                            and entry.ready_fs <= now
-                                            and not entry.prefetched):
-                                        cache_set.move_to_end(line)
-                                        loads_hit += 1
-                                    else:
-                                        done = load_line(core_id, line, now)
-                                        if done > now:
-                                            load_stall += done - now
-                                            now = done
+                                        if (entry is not None
+                                                and entry.ready_fs <= now
+                                                and not entry.prefetched):
+                                            cache_set.move_to_end(line)
+                                            loads_hit += 1
+                                            if line == last:
+                                                break
+                                            line += 1
+                                            continue
+                                    done = load_line(core_id, line, now)
+                                    if done > now:
+                                        load_stall += done - now
+                                        now = done
                                     if line == last:
                                         break
                                     line += 1
@@ -478,7 +448,7 @@ class Processor:
                                 useful += cost
                                 instructions += op_instructions
                                 word_accesses += l1_accesses
-                            else:  # st / pfs
+                            elif bkind == "st" or bkind == "pfs":
                                 _, addr, nbytes, accesses = bop
                                 addr += delta
                                 issue = accesses * cycle_fs
@@ -493,53 +463,71 @@ class Processor:
                                     if probe:
                                         cache_set = l1_sets[line & l1_mask]
                                         entry = cache_set.get(line)
-                                    else:
-                                        entry = None
-                                    if (entry is not None
-                                            and entry.state is not shared):
-                                        cache_set.move_to_end(line)
-                                        entry.state = modified
-                                        entry.prefetched = False
-                                        stores_hit += 1
-                                    else:
-                                        stall = store_line(
-                                            core_id, line, now,
-                                            no_allocate=no_allocate)
-                                        if stall:
-                                            store_stall += stall
-                                            now += stall
+                                        if (entry is not None
+                                                and entry.state is not shared):
+                                            cache_set.move_to_end(line)
+                                            entry.state = modified
+                                            entry.prefetched = False
+                                            stores_hit += 1
+                                            if line == last:
+                                                break
+                                            line += 1
+                                            continue
+                                    stall = store_line(core_id, line, now,
+                                                       no_allocate=no_allocate)
+                                    if stall:
+                                        store_stall += stall
+                                        now += stall
                                     if line == last:
                                         break
                                     line += 1
+                            else:  # lsld / lsst
+                                _, offset, nbytes, accesses = bop
+                                if local_store is None:
+                                    raise SimulationError(
+                                        f"core {core_id}: local-store access "
+                                        "on the cache-coherent model")
+                                local_store.check_range(offset, nbytes)
+                                if bkind == "lsld":
+                                    local_store.record_read(nbytes, accesses)
+                                else:
+                                    local_store.record_write(nbytes, accesses)
+                                issue = accesses * cycle_fs
+                                now += issue
+                                useful += issue
+                                instructions += accesses
+                                local_accesses += accesses
                             if now >= limit:
-                                next_fs = peek_time()
-                                if next_fs is None or next_fs > now:
-                                    limit = now + quantum_fs
-                                    continue
+                                if fastpath:
+                                    next_fs = peek_time()
+                                    if next_fs is None or next_fs > now:
+                                        limit = now + quantum_fs
+                                        continue
                                 yielded = True
                                 break
-                        if yielded:
-                            # Leave a cursor past this iteration, and the
-                            # iteration's unexecuted remainder (if any)
-                            # as a block resume cursor in front of it.
-                            if index == n_ops:
-                                phase_retired += 1
-                                k += 1
-                                if k < count:
-                                    pending.append(("ph", ph, k))
-                            else:
-                                if k + 1 < count:
-                                    pending.append(("ph", ph, k + 1))
-                                pending.append(("blk", blk0, delta, index))
-                            break
-                        phase_retired += 1
+                        if index < n_ops:
+                            break  # yielded mid-iteration
+                        index = 0
                         k += 1
-                    if (hits0 >= 0 and not yielded
-                            and loads_hit + stores_hit == hits0):
-                        verdicts[pid] = BLK_COLD_SKIP
+                        if yielded:
+                            break
+                    if kind == "ph":
+                        phase_retired += k - k0
                     if yielded:
+                        # Leave a cursor for the rest of the run (phases
+                        # only: a block's count is 1) and, in front of it,
+                        # the interrupted iteration's remainder.
+                        if index:
+                            if k + 1 < count:
+                                pending.append(("ph", ph, k + 1))
+                            pending.append(("blk", blk, delta, index))
+                        elif k < count:
+                            pending.append(("ph", ph, k))
                         action = YIELD
                         break
+                    if (probe and start == 0
+                            and loads_hit + stores_hit == hits0):
+                        verdicts[vid] = BLK_COLD_SKIP
                     if k < count:
                         pending.append(("ph", ph, k))
                     continue
@@ -550,8 +538,8 @@ class Processor:
                     # DMA loop directly — same primitives as the dget /
                     # dput / dwait / lsst arms below, bit for bit, but no
                     # generator round trips and no per-op tuple traffic.
-                    # Kernel steps detour through the block arm (closed
-                    # form when resident) via a resume cursor.
+                    # Kernel steps detour through the block arm via a
+                    # resume cursor.
                     st = op[1]
                     # A 4-tuple is a resume cursor: re-enter at iteration
                     # k, step index si.  The mode-independent total is
@@ -564,7 +552,7 @@ class Processor:
                         si = 0
                         stream_total += st.count
                     count = st.count
-                    if not streams_on:
+                    if not blocks_on:
                         # Escape hatch: materialize a bounded chunk back
                         # into the plain per-op DMA stream, handled by
                         # the ordinary dispatch arms.
@@ -687,250 +675,6 @@ class Processor:
                             pending.extend(reversed(part))
                             break
                     if leave == 1:
-                        action = YIELD
-                        break
-                    continue
-
-                elif kind == "blk":
-                    blk = op[1]
-                    delta = op[2]
-                    # A 4-tuple is a resume cursor spilled by the tight
-                    # loop below at a quantum boundary; re-enter at the
-                    # recorded op index (skipping the closed form, whose
-                    # geometry covers only whole blocks).
-                    start = op[3] if len(op) == 4 else 0
-                    if not blocks_on or blk.arith_cycles is None:
-                        # Escape hatch, or a block carrying DMA / prefetch
-                        # / flush ops: run the plain per-op stream through
-                        # the ordinary dispatch arms above.
-                        pending.extend(reversed(blk.materialize(delta)))
-                        continue
-                    # Per-template verdict (see BLK_COLD_SKIP): positive =
-                    # cold for that many dispatches (a prior full dispatch
-                    # saw zero L1 hits — a streaming-through-memory pass —
-                    # so the closed form cannot succeed and the per-op
-                    # pre-probe only doubles every miss's lookups; skip
-                    # geometry, residency scan, and probes, and let the
-                    # walker serve any hit bit-identically).  Negative =
-                    # hot (a prior full dispatch retired without a single
-                    # walker call, so the closed form is worth its
-                    # geometry).  Zero = unproven: run the probing loop
-                    # and let the outcome classify the template — this
-                    # defers the geometry build past templates that never
-                    # become resident at all.
-                    resident = False
-                    bid = id(blk)
-                    state = verdicts.get(bid, 0)
-                    if state > 0:
-                        verdicts[bid] = state - 1
-                    elif (state < 0 and start == 0 and fast_mem
-                          and not (delta & line_mask)):
-                        # Closed form: if every line the block touches is
-                        # a guaranteed inline hit and no foreign event
-                        # intervenes before the block's end, the whole
-                        # block retires arithmetically.  Every condition
-                        # checked here is exactly the condition under
-                        # which the per-op loop below would have taken
-                        # the inline path for every single access.  The
-                        # per-line residency checks run first: they are
-                        # plain dict probes that fail fast on miss-heavy
-                        # streams, gating the costlier queue peek.
-                        geom = blk._geometries.get(line_shift)
-                        if geom is None:
-                            geom = blk.geometry(line_shift)
-                        dl = delta >> line_shift
-                        ok = True
-                        for rel, loaded, fresh, written in geom.checks:
-                            line = rel + dl
-                            entry = l1_sets[line & l1_mask].get(line)
-                            if (entry is None
-                                    or (loaded
-                                        and (entry.ready_fs > now
-                                             or (fresh
-                                                 and entry.prefetched)))
-                                    or (written
-                                        and entry.state is shared)):
-                                ok = False
-                                break
-                        if ok and blk.has_local:
-                            ok = (local_store is not None
-                                  and local_store.observer is None
-                                  and blk.ls_max_end
-                                  <= local_store.capacity_bytes)
-                        # Past this point a failure is the *schedule*
-                        # (a foreign event lands mid-block), not
-                        # residency — the per-op probes below would all
-                        # hit, so the cold verdict must not suppress
-                        # them.
-                        resident = ok
-                        if ok:
-                            end = now + blk.arith_cycles * cycle_fs
-                            if end >= limit:
-                                next_fs = peek_time()
-                                ok = next_fs is None or next_fs > end
-                        if ok:
-                            for rel in geom.stored:
-                                line = rel + dl
-                                entry = l1_sets[line & l1_mask][line]
-                                entry.state = modified
-                                entry.prefetched = False
-                            for rel in geom.lru:
-                                line = rel + dl
-                                l1_sets[line & l1_mask].move_to_end(line)
-                            loads_hit += geom.loads_hit
-                            stores_hit += geom.stores_hit
-                            if blk.has_local:
-                                local_store.reads += blk.ls_reads
-                                local_store.read_accesses += (
-                                    blk.ls_read_accesses)
-                                local_store.writes += blk.ls_writes
-                                local_store.write_accesses += (
-                                    blk.ls_write_accesses)
-                            useful += end - now
-                            instructions += blk.instructions
-                            word_accesses += blk.word_accesses
-                            local_accesses += blk.local_accesses
-                            if end >= limit:
-                                limit = _limit_after_block(
-                                    now, limit, cycle_fs, quantum_fs,
-                                    blk.prefix_cycles)
-                            now = end
-                            continue
-                    # Tight per-op loop: same arms as above, no generator
-                    # round trips.  Only arithmetic opcodes occur here
-                    # (compute / ld / st / pfs / lsld / lsst) — blocks
-                    # with anything else were materialized above.
-                    #
-                    # A schedule-blocked resident dispatch keeps its
-                    # probes (they are guaranteed hits) and neither
-                    # consumes nor records a verdict.
-                    if resident:
-                        probe = fast_mem
-                        hits0 = -1
-                    elif state > 0:
-                        probe = False
-                        hits0 = -1
-                    else:
-                        probe = fast_mem
-                        hits0 = loads_hit + stores_hit
-                    ops_seq = blk.ops
-                    n_ops = len(ops_seq)
-                    index = start
-                    yielded = False
-                    missed = False
-                    while index < n_ops:
-                        bop = ops_seq[index]
-                        index += 1
-                        bkind = bop[0]
-                        if bkind == "ld":
-                            _, addr, nbytes, accesses = bop
-                            addr += delta
-                            issue = accesses * cycle_fs
-                            now += issue
-                            useful += issue
-                            instructions += accesses
-                            word_accesses += accesses
-                            line = addr >> line_shift
-                            last = (addr + nbytes - 1) >> line_shift
-                            while True:
-                                if probe:
-                                    cache_set = l1_sets[line & l1_mask]
-                                    entry = cache_set.get(line)
-                                    if (entry is not None
-                                            and entry.ready_fs <= now
-                                            and not entry.prefetched):
-                                        cache_set.move_to_end(line)
-                                        loads_hit += 1
-                                        if line == last:
-                                            break
-                                        line += 1
-                                        continue
-                                missed = True
-                                done = load_line(core_id, line, now)
-                                if done > now:
-                                    load_stall += done - now
-                                    now = done
-                                if line == last:
-                                    break
-                                line += 1
-                        elif bkind == "c":
-                            _, cycles, op_instructions, l1_accesses = bop
-                            cost = cycles * cycle_fs
-                            now += cost
-                            useful += cost
-                            instructions += op_instructions
-                            word_accesses += l1_accesses
-                        elif bkind == "st" or bkind == "pfs":
-                            _, addr, nbytes, accesses = bop
-                            addr += delta
-                            issue = accesses * cycle_fs
-                            now += issue
-                            useful += issue
-                            instructions += accesses
-                            word_accesses += accesses
-                            no_allocate = bkind == "pfs"
-                            line = addr >> line_shift
-                            last = (addr + nbytes - 1) >> line_shift
-                            while True:
-                                if probe:
-                                    cache_set = l1_sets[line & l1_mask]
-                                    entry = cache_set.get(line)
-                                    if (entry is not None
-                                            and entry.state is not shared):
-                                        cache_set.move_to_end(line)
-                                        entry.state = modified
-                                        entry.prefetched = False
-                                        stores_hit += 1
-                                        if line == last:
-                                            break
-                                        line += 1
-                                        continue
-                                missed = True
-                                stall = store_line(core_id, line, now,
-                                                   no_allocate=no_allocate)
-                                if stall:
-                                    store_stall += stall
-                                    now += stall
-                                if line == last:
-                                    break
-                                line += 1
-                        else:  # lsld / lsst
-                            _, offset, nbytes, accesses = bop
-                            if local_store is None:
-                                raise SimulationError(
-                                    f"core {core_id}: local-store access "
-                                    "on the cache-coherent model")
-                            local_store.check_range(offset, nbytes)
-                            if bkind == "lsld":
-                                local_store.record_read(nbytes, accesses)
-                            else:
-                                local_store.record_write(nbytes, accesses)
-                            issue = accesses * cycle_fs
-                            now += issue
-                            useful += issue
-                            instructions += accesses
-                            local_accesses += accesses
-                        if now >= limit:
-                            if fastpath:
-                                next_fs = peek_time()
-                                if next_fs is None or next_fs > now:
-                                    limit = now + quantum_fs
-                                    continue
-                            if index < n_ops:
-                                pending.append(("blk", blk, delta, index))
-                            yielded = True
-                            break
-                    if hits0 >= 0 and not yielded and start == 0:
-                        if probe and not missed:
-                            # Not a single walker call: every line was
-                            # served inline (or the block touches no L1
-                            # lines at all — a local-store kernel).  The
-                            # closed form would have retired this
-                            # dispatch whole; promote the template.
-                            verdicts[bid] = -1
-                        elif loads_hit + stores_hit == hits0:
-                            verdicts[bid] = BLK_COLD_SKIP
-                    if yielded:
                         action = YIELD
                         break
                     continue

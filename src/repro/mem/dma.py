@@ -25,7 +25,7 @@ from collections.abc import Iterable
 
 from repro.config import StreamConfig
 from repro.mem.coherence import MesiState
-from repro.sim.fastpath import streams_enabled
+from repro.sim.fastpath import blocks_enabled
 from repro.sim.resources import _MAX_INTERVALS, _TRIM_AT
 
 
@@ -45,7 +45,7 @@ class DmaEngine:
         self.commands = 0
         self.bytes_read = 0
         self.bytes_written = 0
-        #: Stream-engine switch (REPRO_STREAMS), read at construction like
+        #: Descriptor switch (REPRO_BLOCKS), read at construction like
         #: the processor's fast-path flags: when on, contiguous
         #: line-aligned commands whose lines are all L2-resident are
         #: served by a fused per-granule loop (:meth:`_fast_get` /
@@ -53,7 +53,7 @@ class DmaEngine:
         #: granule.  The fused loop replays the exact calendar, counter,
         #: and LRU transitions of the ordinary path, granule for granule,
         #: and bails to it at the first line that is not a guaranteed hit.
-        self._fast = streams_enabled()
+        self._fast = blocks_enabled()
         #: Optional invariant observer (repro.analysis.monitors), called
         #: as ``observer(kind, engine, addr, nbytes, stride, block,
         #: now_fs)`` with kind "get"/"put" before each command executes.
@@ -95,7 +95,7 @@ class DmaEngine:
         return start_fs
 
     # ------------------------------------------------------------------
-    # Fused all-L2-hit command path (REPRO_STREAMS)
+    # Fused all-L2-hit command path (REPRO_BLOCKS)
     # ------------------------------------------------------------------
     #
     # The granule loops in get/put spend nearly all their time in four

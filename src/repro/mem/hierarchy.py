@@ -263,9 +263,9 @@ class CacheCoherentHierarchy:
     def fold_hit_counters(self, loads_hit: int, stores_hit: int) -> None:
         """Fold a batch of inline-retired L1 hits into the op counters.
 
-        The processor's fast paths (inline hits, the block closed form,
-        the phase engine) count guaranteed hits in loop-locals and fold
-        them here once per scheduling slice — the per-access paths
+        The processor's fast paths (the inline L1 probe of the per-op
+        arms and of the block arm) count guaranteed hits in loop-locals
+        and fold them here once per scheduling slice — the per-access paths
         (:meth:`load_line` / :meth:`store_line`) bump the same counters
         one at a time, so totals are mode-independent.
         """

@@ -163,8 +163,8 @@ class FemWorkload(Workload):
                 groups.append(block(*ops, name="fem.cells"))
             # One all-static multi-lane phase per timestep (every lane at
             # delta 0, stride 0): the sweep revisits the same addresses,
-            # so once the state is resident a whole timestep retires as
-            # one closed-form step.  Built once, replayed per step.
+            # so one descriptor stands for a whole timestep's block
+            # replays.  Built once, replayed per step.
             step = (phase(*((tmpl, 0, 0) for tmpl in groups),
                           count=1, name="fem.step").op()
                     if groups else None)

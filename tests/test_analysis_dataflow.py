@@ -394,17 +394,6 @@ class TestBlockFootprint:
         fp = blk.footprint()
         assert fp.ls_reads == ((0, 512), (512, 1024))
 
-    def test_line_bytes_touched(self):
-        blk = block(load(0, 8), load(LINE, 8), name="two-lines")
-        assert blk.footprint().line_bytes_touched(LINE) == 2 * LINE
-
-    def test_self_conflict(self):
-        blk = block(load(0, LINE), store(LINE, LINE), name="chase")
-        fp = blk.footprint()
-        assert fp.self_conflict(-LINE)   # next iter writes what we read
-        assert not fp.self_conflict(2 * LINE)
-        assert not fp.self_conflict(0)   # resident replay never conflicts
-
     def test_footprint_class_is_exported(self):
         assert BlockFootprint.__name__ == "BlockFootprint"
 
@@ -416,19 +405,22 @@ class TestBlockEligibility:
         assert report.blocks and all(b.eligible for b in report.blocks)
         assert not report.hazards
 
-    def test_unaligned_stride_fails_the_proof(self):
+    def test_dma_block_fails_the_proof(self):
+        # The block arm runs compute, cached and local-store ops only; a
+        # DMA-bearing template materializes, so its proof fails.
         arena = Arena()
         base = arena.alloc(1024, "data")
-        blk = block(load(base, LINE), compute(2), name="skewed")
 
         def lone(env):
+            buf = env.local_store.alloc(256, "buf")
+            blk = block(dma_get(1, base, 256), dma_wait(1),
+                        local_load(buf, 256), name="fetch")
             for i in range(4):
-                yield blk.at(i * 8)  # 8-byte stride: not line-aligned
+                yield blk.at(i * 256)
 
-        report = audit([lone], cc_config(cores=1), arena)
-        assert len(report.blocks) == 1
+        report = audit([lone], str_config(cores=1), arena)
         proof = report.blocks[0]
-        assert not proof.line_aligned and not proof.eligible
+        assert not proof.arith_only and not proof.eligible
         assert "block-proof-failed" in warning_kinds(report)
 
     def test_aligned_resident_block_is_eligible(self):

@@ -3,12 +3,12 @@
 An :class:`~repro.core.ops.OpBlock` is a promise that yielding
 ``template.at(delta)`` means exactly the same thing as yielding the
 plain op tuples one by one with every memory address shifted by
-``delta``.  The block interpreter (tight loop and closed form) is an
-optimization over that meaning, so these tests pin both sides: the
-template/validation API, and full-record bit-identity across every
-combination of ``REPRO_BLOCKS`` and ``REPRO_FASTPATH`` — with
-``stats["sim.events"]`` as the single permitted difference, same as the
-fast-path contract.
+``delta``.  The processor's block arm is an optimization over that
+meaning, so these tests pin both sides: the template/validation API, and
+full-record bit-identity across every combination of ``REPRO_BLOCKS``
+and ``REPRO_FASTPATH`` — over workloads that take every descriptor
+path (blocks, phases and streams) — with ``stats["sim.*"]`` as the
+single permitted difference, same as the fast-path contract.
 """
 
 import pytest
@@ -44,8 +44,9 @@ def run_threads(*threads, model="cc", **cfg_kwargs):
 def comparable(result) -> dict:
     """The full result record minus the permitted ``sim.*`` diagnostics.
 
-    ``sim.events`` and the phase engine's ``sim.phase_iters`` are
-    mode-dependent by design; everything else must be bit-identical.
+    ``sim.events`` and the descriptor counters (``sim.phase_iters``,
+    ``sim.stream_iters``) are mode-dependent by design; everything else
+    must be bit-identical.
     """
     record = result.to_dict()
     record["stats"] = {k: v for k, v in record["stats"].items()
@@ -159,9 +160,10 @@ class TestReplayIdentity:
         assert blocked.l1_misses >= self.ITERS
 
     def test_straddling_a_miss_matches_escape_hatch(self, monkeypatch):
-        # Iteration 0 runs cold (every line misses -> per-op fallback);
-        # later iterations rerun the same lines warm (closed form).  Both
-        # paths must agree bit-for-bit with the escape-hatch interpreter.
+        # Iteration 0 runs cold (every line goes through the walker);
+        # later iterations rerun the same lines warm (every line an
+        # inline hit).  Both must agree bit-for-bit with the escape-hatch
+        # interpreter.
         def thread(env):
             blk = block(compute(20), load(0x1000, 64), compute(10),
                         store(0x1000, 64))
@@ -175,7 +177,7 @@ class TestReplayIdentity:
         assert comparable(on) == comparable(off)
 
     def test_dma_block_matches_escape_hatch(self, monkeypatch):
-        # DMA-bearing blocks never take the closed form; they must still
+        # DMA-bearing blocks never run in the block arm; they must still
         # replay identically through the materialized path.
         def thread(env):
             env.local_store.alloc(256, "buf")
@@ -192,7 +194,14 @@ class TestReplayIdentity:
 
 
 class TestFourModeIdentity:
-    """blocks x fastpath: all four interpreters, one answer."""
+    """blocks x fastpath: all four interpreters, one answer.
+
+    The workloads cover every descriptor path: block replays (all of
+    them), walked phases (bitonic-cc, fir-cc) and streams with their
+    fused DMA loops (the str rows).  Spilled two-lane phases (merge-cc)
+    and the observer de-opts are in ``tests/test_phases.py`` and
+    ``tests/test_streams.py``.
+    """
 
     MODES = [(blocks, fastpath)
              for blocks in ("1", "0") for fastpath in ("1", "0")]

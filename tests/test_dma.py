@@ -135,17 +135,17 @@ class TestTiming:
 
 
 class TestFusedLoopIdentity:
-    """The fused all-hit loops (REPRO_STREAMS) match the per-granule path.
+    """The fused all-hit loops (REPRO_BLOCKS) match the per-granule path.
 
     Two identical single-bank hierarchies run the same command sequence,
-    one built with the stream engine on and one with it off; every
+    one built with the descriptor paths on and one with them off; every
     observable of the engines and of the uncore must agree.
     """
 
     LINE = 32
 
-    def build(self, monkeypatch, streams):
-        monkeypatch.setenv("REPRO_STREAMS", streams)
+    def build(self, monkeypatch, blocks):
+        monkeypatch.setenv("REPRO_BLOCKS", blocks)
         # Two cores form one cluster, so the uncore has one L2 bank.  A
         # 4 KiB L2 (8 sets of 16 ways) puts several lines of each long
         # command in one set, so LRU order and evictions are checked.

@@ -8,10 +8,11 @@ step list of a double-buffered DMA loop without generator round trips,
 with all-hit DMA commands served by the engine's fused granule loops —
 is an optimization over that meaning, so these tests pin both sides:
 the ``stream()`` / ``stream_*`` factory API, and full-record
-bit-identity across every combination of ``REPRO_STREAMS``,
-``REPRO_PHASES``, ``REPRO_BLOCKS`` and ``REPRO_FASTPATH`` — with
-``stats["sim.*"]`` as the single permitted difference, same as the
-fast-path contract.
+bit-identity against ``REPRO_BLOCKS=0`` (which materializes streams and
+turns the fused loops off) — with ``stats["sim.*"]`` as the single
+permitted difference, same as the fast-path contract — and across every
+combination of ``REPRO_BLOCKS``, ``REPRO_FASTPATH`` and the hierarchy
+and DMA-engine observers.
 """
 
 import pytest
@@ -38,7 +39,7 @@ from repro.core.system import CmpSystem
 from repro.harness.experiments import figure2, figure5
 from repro.harness.runner import Runner
 from repro.obs import DmaCommandRecorder
-from repro.sim.fastpath import streams_enabled
+from repro.workloads import get_workload
 from repro.workloads.base import Program
 
 LINE = 32                  # MachineConfig default L1 line size
@@ -134,19 +135,29 @@ def handwritten_thread(env):
 
 
 class TestFlag:
+    """The stream arm and the fused DMA loops follow REPRO_BLOCKS."""
+
+    def engaged(self, monkeypatch):
+        """(stream iterations the arm drove, fused loops switched on)."""
+        monkeypatch.setenv("REPRO_FASTPATH", "1")
+        cfg = MachineConfig(num_cores=1).with_model("str")
+        system = CmpSystem(cfg, Program("test", [streamed_thread]))
+        fused = system.hierarchy.dma_engines[0]._fast
+        return system.run().stats["sim.stream_iters"], fused
+
     def test_default_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STREAMS", raising=False)
-        assert streams_enabled()
+        monkeypatch.delenv("REPRO_BLOCKS", raising=False)
+        assert self.engaged(monkeypatch) == (COUNT, True)
 
     @pytest.mark.parametrize("value", ["0", "false", "off", "no", " NO "])
     def test_off_values(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_STREAMS", value)
-        assert not streams_enabled()
+        monkeypatch.setenv("REPRO_BLOCKS", value)
+        assert self.engaged(monkeypatch) == (0, False)
 
     @pytest.mark.parametrize("value", ["1", "true", "on", "yes", ""])
     def test_on_values(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_STREAMS", value)
-        assert streams_enabled()
+        monkeypatch.setenv("REPRO_BLOCKS", value)
+        assert self.engaged(monkeypatch) == (COUNT, True)
 
 
 GET_TABLE = (((0x1000, LINE),), ((0x1020, LINE),))
@@ -267,17 +278,16 @@ class TestMaterialize:
 class TestReplayIdentity:
     """A stream means exactly its materialized op run, in every mode."""
 
-    def test_three_ways_bit_identical(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STREAMS", raising=False)
+    def test_three_ways_bit_identical(self):
         records = [comparable(run_threads(t))
                    for t in (streamed_thread, materialized_thread,
                              handwritten_thread)]
         assert records[0] == records[1] == records[2]
 
     def test_demotion_under_escape_hatch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STREAMS", "1")
+        monkeypatch.setenv("REPRO_BLOCKS", "1")
         on = run_threads(streamed_thread)
-        monkeypatch.setenv("REPRO_STREAMS", "0")
+        monkeypatch.setenv("REPRO_BLOCKS", "0")
         off = run_threads(streamed_thread)
         assert comparable(on) == comparable(off)
         # The arm really did retire on, and really did demote off.
@@ -294,9 +304,9 @@ class TestReplayIdentity:
             yield dma_wait(2)
             yield dma_wait(3)
 
-        monkeypatch.setenv("REPRO_STREAMS", "1")
+        monkeypatch.setenv("REPRO_BLOCKS", "1")
         on = run_threads(with_lsst)
-        monkeypatch.setenv("REPRO_STREAMS", "0")
+        monkeypatch.setenv("REPRO_BLOCKS", "0")
         off = run_threads(with_lsst)
         assert comparable(on) == comparable(off)
         assert on.stats["sim.stream_iters"] > 0
@@ -305,11 +315,9 @@ class TestReplayIdentity:
 class TestQuantumStraddle:
     """Quantum expiry mid-iteration spills the remainder, bit for bit."""
 
-    def two_core_run(self, monkeypatch, streams, quantum):
+    def two_core_run(self, monkeypatch, blocks, quantum):
         monkeypatch.setenv("REPRO_FASTPATH", "1")
-        monkeypatch.setenv("REPRO_BLOCKS", "1")
-        monkeypatch.setenv("REPRO_PHASES", "1")
-        monkeypatch.setenv("REPRO_STREAMS", streams)
+        monkeypatch.setenv("REPRO_BLOCKS", blocks)
         return run_threads(streamed_thread, streamed_thread,
                            quantum_cycles=quantum)
 
@@ -347,9 +355,9 @@ class TestDwaitContention:
                           interleave_bytes=256)
         threads = [streamed_thread] * 4
 
-        monkeypatch.setenv("REPRO_STREAMS", "1")
+        monkeypatch.setenv("REPRO_BLOCKS", "1")
         on = run_threads(*threads, dram=dram)
-        monkeypatch.setenv("REPRO_STREAMS", "0")
+        monkeypatch.setenv("REPRO_BLOCKS", "0")
         off = run_threads(*threads, dram=dram)
         assert comparable(on) == comparable(off)
         # The contention was real: transfers queued at the channel and
@@ -359,13 +367,11 @@ class TestDwaitContention:
 
 
 class TestCounters:
-    def run_streaming(self, monkeypatch, streams, workload="bitonic"):
-        # Blocks and the fast path feed the kernel detour, so pin them
-        # against ambient escape-hatch env (CI slow-path smoke).
+    def run_streaming(self, monkeypatch, blocks, workload="bitonic"):
+        # Pin the fast path against ambient escape-hatch env (CI
+        # slow-path smoke) so only the descriptor hatch varies.
         monkeypatch.setenv("REPRO_FASTPATH", "1")
-        monkeypatch.setenv("REPRO_BLOCKS", "1")
-        monkeypatch.setenv("REPRO_PHASES", "1")
-        monkeypatch.setenv("REPRO_STREAMS", streams)
+        monkeypatch.setenv("REPRO_BLOCKS", blocks)
         return run_workload(workload, model="str", cores=1, preset="tiny")
 
     @pytest.mark.parametrize("workload", ["bitonic", "fir", "fem"])
@@ -386,14 +392,31 @@ class TestCounters:
         assert off.stats["sim.stream_iters"] == 0
 
 
-class TestSixteenModeIdentity:
-    """streams x phases x blocks x fastpath: 16 interpreters, one answer."""
+def run_tiny(name, model, cores, observed=False, dma_observed=False):
+    """Run a tiny-preset workload, optionally under a no-op hierarchy
+    observer (the inline L1 probe goes off) and a no-op DMA-engine
+    observer (the fused DMA loops go off)."""
+    config = MachineConfig(num_cores=cores).with_model(model)
+    program = get_workload(name).build(config.model, config, preset="tiny")
+    system = CmpSystem(config, program)
+    if observed:
+        system.hierarchy.register_observer(lambda *args: None)
+    if dma_observed:
+        for engine in system.hierarchy.dma_engines:
+            engine.observer = lambda *args: None
+    return system.run()
 
-    MODES = [(streams, phases, blocks, fastpath)
-             for streams in ("1", "0")
-             for phases in ("1", "0")
+
+class TestSixteenModeIdentity:
+    """blocks x fastpath x observed x dma_observed: 16 interpreters, one
+    answer.  Each observer de-opts its own fast path (the inline L1
+    probe, the fused DMA loops) without changing the run."""
+
+    MODES = [(blocks, fastpath, observed, dma_observed)
              for blocks in ("1", "0")
-             for fastpath in ("1", "0")]
+             for fastpath in ("1", "0")
+             for observed in (False, True)
+             for dma_observed in (False, True)]
 
     @pytest.mark.parametrize("workload,model,cores", [
         ("fir", "str", 1),
@@ -402,13 +425,12 @@ class TestSixteenModeIdentity:
     def test_full_record_identical_in_all_modes(self, monkeypatch, workload,
                                                 model, cores):
         records = []
-        for streams, phases, blocks, fastpath in self.MODES:
-            monkeypatch.setenv("REPRO_STREAMS", streams)
-            monkeypatch.setenv("REPRO_PHASES", phases)
+        for blocks, fastpath, observed, dma_observed in self.MODES:
             monkeypatch.setenv("REPRO_BLOCKS", blocks)
             monkeypatch.setenv("REPRO_FASTPATH", fastpath)
-            records.append(comparable(run_workload(
-                workload, model=model, cores=cores, preset="tiny")))
+            records.append(comparable(run_tiny(
+                workload, model, cores, observed=observed,
+                dma_observed=dma_observed)))
         assert all(r == records[0] for r in records[1:])
 
 
@@ -421,7 +443,7 @@ class TestObserved:
 
     def test_recorder_sees_every_command_and_changes_nothing(self,
                                                              monkeypatch):
-        monkeypatch.setenv("REPRO_STREAMS", "1")
+        monkeypatch.setenv("REPRO_BLOCKS", "1")
         bare = comparable(self.build().run())
         observed_system = self.build()
         with DmaCommandRecorder(observed_system.hierarchy) as recorder:
@@ -434,8 +456,8 @@ class TestObserved:
 class TestExperimentTables:
     """Whole experiment tables (restricted rows, tiny preset) across modes."""
 
-    def rows_in_mode(self, monkeypatch, streams, build):
-        monkeypatch.setenv("REPRO_STREAMS", streams)
+    def rows_in_mode(self, monkeypatch, blocks, build):
+        monkeypatch.setenv("REPRO_BLOCKS", blocks)
         return build(Runner(preset="tiny")).rows
 
     def test_figure2_rows_identical(self, monkeypatch):
