@@ -7,7 +7,8 @@ with cycle-stamped context as soon as a check fails:
 
 * :class:`CoherenceMonitor` — the MESI single-writer/multiple-reader
   invariant over the touched line, after every demand load/store and
-  every software flush/invalidate (coherent hierarchies only; the
+  every software flush/invalidate, plus the presence map's agreement
+  with L1 residency for that line (coherent hierarchies only; the
   incoherent model violates SWMR *by design* between sync points).
 * :class:`DmaRaceMonitor` — DMA-vs-cached-line overlap races in the
   streaming model: a DMA ``get`` overlapping a line some cache holds
@@ -40,7 +41,12 @@ from repro.sim.kernel import InvariantViolation
 
 
 class CoherenceMonitor:
-    """Checks the MESI global invariant on every observed line operation."""
+    """Checks the MESI global invariant on every observed line operation.
+
+    It also checks that the hierarchy's presence map records exactly the
+    L1s holding the line: a drifting map would silently drop a supplier
+    or an invalidation.
+    """
 
     name = "coherence"
 
@@ -50,8 +56,20 @@ class CoherenceMonitor:
     def __call__(self, kind: str, core: int, line: int, now_fs: int,
                  hierarchy) -> None:
         self.checks += 1
-        check_global_invariant(hierarchy.line_states(line),
-                               now_fs=now_fs, line=line)
+        states = hierarchy.line_states(line)
+        check_global_invariant(states, now_fs=now_fs, line=line)
+        if len(states) == 1:
+            return                  # one core keeps no presence map
+        resident = sum(1 << c for c, state in enumerate(states)
+                       if state is not MesiState.INVALID)
+        present = sum(1 << c for c in hierarchy.holders(line))
+        if present != resident:
+            raise InvariantViolation(
+                "presence map disagrees with L1 residency",
+                now_fs=now_fs,
+                context={"line": line, "presence_mask": present,
+                         "residency_mask": resident},
+            )
 
 
 class DmaRaceMonitor:

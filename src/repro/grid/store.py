@@ -38,6 +38,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,33 +57,42 @@ class _StoreLock:
 
     Backed by ``flock`` on ``<root>/.lock``; re-entrant within one
     :class:`ResultStore` instance (``compact`` calls locked helpers).
-    Degrades to a no-op where ``fcntl`` is unavailable — the store then
-    falls back to pure atomic-replace semantics.
+    Threads sharing the instance (the serve server's in-process workers
+    and store writers) serialize on a re-entrant mutex first: the flock
+    handle and nesting depth are per-instance state, and ``flock``
+    itself does not exclude threads of one process.  Degrades to the
+    mutex alone where ``fcntl`` is unavailable — the store then falls
+    back to pure atomic-replace semantics across processes.
     """
 
     def __init__(self, root: Path) -> None:
         self._path = root / ".lock"
+        self._mutex = threading.RLock()
         self._handle = None
         self._depth = 0
 
     def __enter__(self) -> "_StoreLock":
-        if fcntl is None:
-            return self
-        if self._depth == 0:
-            self._path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = open(self._path, "a+")
-            fcntl.flock(self._handle, fcntl.LOCK_EX)
+        self._mutex.acquire()
+        try:
+            if fcntl is not None and self._depth == 0:
+                self._path.parent.mkdir(parents=True, exist_ok=True)
+                self._handle = open(self._path, "a+")
+                fcntl.flock(self._handle, fcntl.LOCK_EX)
+        except BaseException:
+            self._mutex.release()
+            raise
         self._depth += 1
         return self
 
     def __exit__(self, *_exc) -> bool:
-        if fcntl is None:
-            return False
         self._depth -= 1
-        if self._depth == 0 and self._handle is not None:
-            fcntl.flock(self._handle, fcntl.LOCK_UN)
-            self._handle.close()
-            self._handle = None
+        try:
+            if self._depth == 0 and self._handle is not None:
+                fcntl.flock(self._handle, fcntl.LOCK_UN)
+                self._handle.close()
+                self._handle = None
+        finally:
+            self._mutex.release()
         return False
 
 

@@ -208,21 +208,15 @@ class CacheCoherentHierarchy:
         cluster_size = config.interconnect.cluster_size
         self.cluster_of = [i // cluster_size for i in range(num_cores)]
         self._no_write_allocate = l1_config.write_policy is WritePolicy.NO_WRITE_ALLOCATE
-        # Directory mode: track the sharer set per line so remote lookups
-        # consult the directory instead of broadcasting snoops.
+        # Presence map for both coherence modes: bit c of a line's mask is
+        # set while core c's L1 holds it.  With no peers it stays empty.
         self._directory_mode = config.coherence is CoherenceKind.DIRECTORY
-        self._sharers: dict[int, set[int]] = {}
-        # A single broadcast-mode core has no peers to snoop or
-        # invalidate: skip the owner/invalidate walk entirely.  (Directory
-        # mode still consults the directory so its lookup count is
-        # meaningful even solo.)
+        self._presence: dict[int, int] = {}
+        self._num_peers = num_cores - 1
+        # One shared int per single-holder mask keeps peak RSS down.
+        self._core_bits = [1 << c for c in range(num_cores)]
+        # A lone broadcast core skips the snoop walk; a directory still counts.
         self._no_peers = num_cores == 1 and not self._directory_mode
-        # Broadcast mode snoops a static peer set; precompute the tuples
-        # so the hot lookup paths do not rebuild them per access.
-        self._broadcast_peers = [
-            tuple(c for c in range(num_cores) if c != requester)
-            for requester in range(num_cores)
-        ]
         # Per-core interconnect endpoints, pre-resolved: the miss walk is
         # the simulator's hottest call chain after the op loop itself.
         self._core_ports = [
@@ -328,61 +322,80 @@ class CacheCoherentHierarchy:
     # Coherence helpers
     # ------------------------------------------------------------------
 
-    def _candidates(self, line: int, requester: int):
-        """The peer caches a remote lookup must consult.
-
-        Broadcast mode snoops every peer (each charged a tag lookup, per
-        Section 3.2); directory mode consults the sharer set and snoops
-        only the actual holders.
-        """
-        if self._directory_mode:
-            self.directory_lookups += 1
-            holders = self._sharers.get(line)
-            if not holders:
-                return ()
-            # Sorted for deterministic supplier selection.
-            return tuple(c for c in sorted(holders) if c != requester)
-        return self._broadcast_peers[requester]
+    def holders(self, line: int) -> tuple[int, ...]:
+        """Cores the presence map records as holding ``line``, ascending
+        (exact with two or more cores; one core keeps no map)."""
+        mask = self._presence.get(line, 0)
+        return tuple(c for c in range(len(self.l1s)) if mask >> c & 1)
 
     def _find_owner(self, line: int, requester: int) -> tuple[int, MesiState] | None:
-        """Return (core, state) of a peer holding ``line``, preferring M/E."""
-        best: tuple[int, MesiState] | None = None
-        for core in self._candidates(line, requester):
-            self.snoop_lookups += 1
+        """Return (core, state) of a peer holding ``line``, preferring M/E.
+
+        Probes only the presence map's holders, in ascending core order.
+        A directory charges one lookup plus a snoop per holder probed; a
+        broadcast charges the peers it would snoop in that order (up to
+        the M/E owner, else all), each a tag lookup (Section 3.2).
+        """
+        mask = self._presence.get(line, 0) & ~(1 << requester)
+        owner = best = None
+        probed = 0
+        while mask:
+            core = (mask & -mask).bit_length() - 1
+            mask &= mask - 1
+            probed += 1
             entry = self.l1s[core].lookup(line)
             if entry is None:
                 continue
             if entry.state in (MesiState.MODIFIED, MesiState.EXCLUSIVE):
-                return core, entry.state
+                owner = (core, entry.state)
+                break
             if best is None:
                 best = (core, entry.state)
-        return best
+        if self._directory_mode:
+            self.directory_lookups += 1
+            self.snoop_lookups += probed
+        elif owner is not None:
+            self.snoop_lookups += core + 1 if core < requester else core
+        else:
+            self.snoop_lookups += self._num_peers
+        return owner or best
 
     def _invalidate_peers(self, line: int, requester: int) -> bool:
-        """Invalidate every peer copy; returns True if any was remote."""
+        """Invalidate every peer copy; returns True if any was remote.
+
+        Charged like :meth:`_find_owner`, but a broadcast reaches all peers.
+        """
+        mine = self._core_bits[requester]
+        held = self._presence.get(line, 0)
+        mask = held & ~mine
+        if self._directory_mode:
+            self.directory_lookups += 1
+            self.snoop_lookups += mask.bit_count()
+        else:
+            self.snoop_lookups += self._num_peers
+        if not mask:
+            return False
+        if held & mine:
+            self._presence[line] = mine
+        else:
+            del self._presence[line]
         my_cluster = self.cluster_of[requester]
         any_remote = False
-        for core in self._candidates(line, requester):
-            self.snoop_lookups += 1
-            victim = self.l1s[core].invalidate(line)
-            if victim is not None:
+        while mask:
+            core = (mask & -mask).bit_length() - 1
+            mask &= mask - 1
+            if self.l1s[core].invalidate(line) is not None:
                 self.invalidations_sent += 1
-                self._directory_remove(line, core)
                 if self.cluster_of[core] != my_cluster:
                     any_remote = True
         return any_remote
 
-    def _directory_add(self, line: int, core: int) -> None:
-        if self._directory_mode:
-            self._sharers.setdefault(line, set()).add(core)
-
-    def _directory_remove(self, line: int, core: int) -> None:
-        if self._directory_mode:
-            holders = self._sharers.get(line)
-            if holders is not None:
-                holders.discard(core)
-                if not holders:
-                    del self._sharers[line]
+    def _drop_holder(self, line: int, core: int) -> None:
+        held = self._presence.get(line, 0) & ~self._core_bits[core]
+        if held:
+            self._presence[line] = held
+        else:
+            self._presence.pop(line, None)
 
     # ------------------------------------------------------------------
     # Fill path
@@ -400,11 +413,15 @@ class CacheCoherentHierarchy:
         request behind a posted write.
         """
         victim = self.l1s[core].insert(line, state, ready_fs, prefetched)
-        self._directory_add(line, core)
-        if victim is not None:
-            self._directory_remove(victim.line, core)
-            if victim.state is MesiState.MODIFIED:
-                self.writeback(core, victim.line, when_fs)
+        if self._num_peers:
+            presence = self._presence
+            bit = self._core_bits[core]
+            held = presence.get(line)
+            presence[line] = bit if held is None else held | bit
+            if victim is not None:
+                self._drop_holder(victim.line, core)
+        if victim is not None and victim.state is MesiState.MODIFIED:
+            self.writeback(core, victim.line, when_fs)
 
     def writeback(self, core: int, line: int, now_fs: int) -> int:
         """Write a dirty L1 line back to the L2 (posted; returns done time)."""
@@ -441,7 +458,7 @@ class CacheCoherentHierarchy:
             if owner_cluster != cluster:
                 # Remote supply: request over the crossbar, data back over it.
                 t = xbar_up.control(t)
-                t = uncore.buses[owner_cluster].resp.transfer(t, line_bytes)
+                t = self._core_ports[owner_core][0].resp.transfer(t, line_bytes)
                 t = xbar_down.transfer(t, line_bytes)
             t = bus.resp.transfer(t, line_bytes)
             if for_write:
@@ -475,7 +492,7 @@ class CacheCoherentHierarchy:
     def _issue_prefetches(self, core: int, lines: list[int], now_fs: int) -> None:
         """Fetch prefetch candidates and install them with a future ready time."""
         l1 = self.l1s[core]
-        cluster = self.cluster_of[core]
+        bus, xbar_up, xbar_down, _ = self._core_ports[core]
         uncore = self.uncore
         line_bytes = uncore.line_bytes
         inflight = self._inflight[core]
@@ -491,11 +508,11 @@ class CacheCoherentHierarchy:
                 # Keep the prefetcher simple: skip lines another core owns.
                 continue
             self.prefetches_issued += 1
-            t = uncore.buses[cluster].req.control(now_fs)
-            t = uncore.xbar.up[cluster].control(t)
+            t = bus.req.control(now_fs)
+            t = xbar_up.control(t)
             t, _ = uncore.l2_read(pline, t)
-            t = uncore.xbar.down[cluster].transfer(t, line_bytes)
-            t = uncore.buses[cluster].resp.transfer(t, line_bytes)
+            t = xbar_down.transfer(t, line_bytes)
+            t = bus.resp.transfer(t, line_bytes)
             self._install(core, pline, MesiState.EXCLUSIVE, now_fs,
                           ready_fs=t, prefetched=True)
             inflight.append(t)
@@ -513,7 +530,7 @@ class CacheCoherentHierarchy:
         not block on it).
         """
         l1 = self.l1s[core]
-        cluster = self.cluster_of[core]
+        bus, xbar_up, xbar_down, _ = self._core_ports[core]
         uncore = self.uncore
         line_bytes = uncore.line_bytes
         done = now_fs
@@ -526,11 +543,11 @@ class CacheCoherentHierarchy:
                 # demand path's coherence actions.
                 continue
             self.bulk_prefetches += 1
-            t = uncore.buses[cluster].req.control(t)
-            t = uncore.xbar.up[cluster].control(t)
+            t = bus.req.control(t)
+            t = xbar_up.control(t)
             fill, _ = uncore.l2_read(line, t)
-            fill = uncore.xbar.down[cluster].transfer(fill, line_bytes)
-            fill = uncore.buses[cluster].resp.transfer(fill, line_bytes)
+            fill = xbar_down.transfer(fill, line_bytes)
+            fill = bus.resp.transfer(fill, line_bytes)
             self._install(core, line, MesiState.EXCLUSIVE, now_fs,
                           ready_fs=fill, prefetched=False)
             done = max(done, fill)
@@ -586,10 +603,10 @@ class CacheCoherentHierarchy:
         if entry is not None:
             if entry.state is MesiState.SHARED:
                 self.upgrades += 1
-                cluster = self.cluster_of[core]
-                t = self.uncore.buses[cluster].req.control(now_fs)
+                bus, xbar_up, _, _ = self._core_ports[core]
+                t = bus.req.control(now_fs)
                 if self._invalidate_peers(line, core):
-                    self.uncore.xbar.up[cluster].control(t)
+                    xbar_up.control(t)
             entry.state = MesiState.MODIFIED
             entry.prefetched = False
             if self._observers:
@@ -645,7 +662,7 @@ class CacheCoherentHierarchy:
             victim = l1.invalidate(line)
             if victim is not None:
                 self.invalidates += 1
-                self._directory_remove(line, core)
+                self._drop_holder(line, core)
                 if victim.state is MesiState.MODIFIED:
                     self.writeback(core, line, now_fs)
                     self.dirty_invalidates += 1
@@ -702,8 +719,11 @@ class IncoherentCacheHierarchy(CacheCoherentHierarchy):
     whose threads write disjoint cache lines in between.
     """
 
-    def _candidates(self, line: int, requester: int):
-        return ()
+    def _find_owner(self, line: int, requester: int) -> None:
+        return None
+
+    def _invalidate_peers(self, line: int, requester: int) -> bool:
+        return False
 
 
 class StreamingHierarchy(CacheCoherentHierarchy):

@@ -32,6 +32,7 @@ import io
 import multiprocessing
 import os
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
@@ -45,6 +46,21 @@ from repro.grid.spec import RunSpec
 from repro.grid.store import FailedRun, ResultStore
 from repro.serve import protocol
 from repro.serve.jobs import JobTable, ServerStats
+
+
+def _describe(exc: BaseException) -> str:
+    """``Type: message (at file:line in function)`` for an error frame.
+
+    The innermost traceback frame is where the exception was raised, so
+    a client-side report of an internal error names its origin.
+    """
+    text = f"{type(exc).__name__}: {exc}"
+    frames = traceback.extract_tb(exc.__traceback__)
+    if frames:
+        last = frames[-1]
+        text += (f" (at {os.path.basename(last.filename)}:{last.lineno}"
+                 f" in {last.name})")
+    return text
 
 
 class _Connection:
@@ -369,7 +385,7 @@ class ReproServer:
                     except Exception as exc:
                         await conn.send(protocol.error_frame(
                             rid, f"run {job.spec.label()} hit an internal "
-                                 f"server error: {exc}"))
+                                 f"server error: {_describe(exc)}"))
                         return
                     counts[outcome.status] += 1
                     await conn.send(protocol.outcome_frame(

@@ -49,6 +49,21 @@ class TestCoherenceMonitor:
             assert exc.now_fs == 5_000_000
             assert exc.context["line"] == 100
 
+    def test_drifted_presence_map_raises_with_both_masks(self):
+        h = small_cc_hierarchy()
+        monitor = CoherenceMonitor()
+        h.register_observer(monitor)
+        h.load_line(0, 100, 0)
+        # Drop the line behind the presence map's back: its bit for
+        # core 0 is now stale.
+        h.l1s[0].invalidate(100)
+        h.l1s[1].insert(100, MesiState.EXCLUSIVE)
+        with pytest.raises(InvariantViolation, match="presence map") as info:
+            monitor("load", 1, 100, 5_000_000, h)
+        assert info.value.now_fs == 5_000_000
+        assert info.value.context == {"line": 100, "presence_mask": 0b01,
+                                      "residency_mask": 0b10}
+
     def test_violation_is_a_simulation_error_and_assertion_shim(self):
         # InvariantViolation must survive `python -O` (it is raised, not
         # asserted) while still satisfying legacy AssertionError handlers.

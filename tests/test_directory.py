@@ -76,20 +76,24 @@ class TestDirectoryProtocol:
     @settings(max_examples=60, deadline=None)
     @given(ops_strategy)
     def test_directory_matches_residency(self, ops):
-        """The sharer sets exactly mirror the L1 tag arrays."""
-        h = directory_hierarchy()
-        now = 0
-        for core, op, line in ops:
-            now += 1_000_000
-            if op == "load":
-                h.load_line(core, line, now)
-            else:
-                h.store_line(core, line, now)
-        actual: dict[int, set[int]] = {}
-        for core, l1 in enumerate(h.l1s):
-            for entry in l1.lines():
-                actual.setdefault(entry.line, set()).add(core)
-        assert h._sharers == actual
+        """The presence map exactly mirrors the L1 tag arrays, in both
+        coherence modes (they share one map)."""
+        for h in (directory_hierarchy(), CacheCoherentHierarchy(
+                MachineConfig(num_cores=4),
+                l1_config=CacheConfig(capacity_bytes=512, associativity=2))):
+            now = 0
+            for core, op, line in ops:
+                now += 1_000_000
+                if op == "load":
+                    h.load_line(core, line, now)
+                else:
+                    h.store_line(core, line, now)
+            actual: dict[int, list[int]] = {}
+            for core, l1 in enumerate(h.l1s):
+                for entry in l1.lines():
+                    actual.setdefault(entry.line, []).append(core)
+            for line in range(32):
+                assert h.holders(line) == tuple(actual.get(line, ()))
 
     @settings(max_examples=25, deadline=None)
     @given(ops_strategy)

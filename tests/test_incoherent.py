@@ -156,4 +156,4 @@ class TestCacheControlOnCoherentModel:
         h = CacheCoherentHierarchy(cfg)
         h.load_line(0, 100, 0)
         h.invalidate_range(0, 100, 100, 10**9)
-        assert 100 not in h._sharers
+        assert h.holders(100) == ()

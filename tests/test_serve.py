@@ -182,6 +182,22 @@ class TestServerBasics:
             # And the connection is still usable afterwards.
             assert client.ping()["type"] == "pong"
 
+    def test_internal_error_frame_names_type_and_origin(
+            self, make_server, monkeypatch):
+        from repro.serve import server as server_module
+
+        def broken(*args):
+            raise OSError("disk went away")
+
+        monkeypatch.setattr(server_module, "outcome_from_payload", broken)
+        harness = make_server()
+        with harness.client() as client:
+            with pytest.raises(ServeError) as info:
+                client.submit(specs_for(1))
+        message = str(info.value)
+        assert "internal server error: OSError: disk went away" in message
+        assert "(at test_serve.py:" in message and "in broken)" in message
+
     def test_shutdown_stops_the_server(self, make_server):
         harness = make_server()
         with harness.client() as client:

@@ -4,11 +4,16 @@ Several processes hammer ``put_record`` / ``get_record`` / ``clear``
 against one store root — the sharing pattern of concurrent CLI sweeps
 and a ``repro serve`` server over the same cache directory.  The store
 must come out with every record present and readable: no corruption,
-no lost records, no quarantined files, no leaked temp files.
+no lost records, no quarantined files, no leaked temp files.  Threads
+sharing one store instance (an in-process serve server's writers) must
+exclude each other too.
 """
 
 import hashlib
 import multiprocessing
+import sys
+import threading
+import time
 
 from repro.grid import keys
 from repro.grid.store import ResultStore
@@ -107,3 +112,43 @@ def _compact_loop(root, stop) -> None:
     while not stop.is_set():
         summary = compacting.compact()
         assert summary["stale"] == 0        # current-schema records stay
+
+
+def test_threads_sharing_one_store_exclude_each_other(tmp_path):
+    """The store lock serializes threads, not only processes.
+
+    ``flock`` does not exclude threads of one process, and the lock's
+    handle and nesting depth are per-instance state: unguarded, a second
+    thread walked straight in (or hit a handle another thread had just
+    closed).
+    """
+    store = ResultStore(tmp_path / "store")
+    inside: list[int] = []
+    overlaps: list[int] = []
+    errors: list[str] = []
+
+    def worker() -> None:
+        for _ in range(200):
+            try:
+                with store._lock:
+                    inside.append(1)
+                    if len(inside) > 1:
+                        overlaps.append(len(inside))
+                    time.sleep(0)           # invite a thread switch
+                    inside.pop()
+            except Exception as exc:
+                errors.append(f"{type(exc).__name__}: {exc}")
+
+    threads = [threading.Thread(target=worker) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert overlaps == []
