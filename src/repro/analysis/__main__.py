@@ -69,11 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               "mapping; exit non-zero when the audited set "
                               "differs (guards against silent "
                               "de-vectorization)")
-    audit_p.add_argument("--expect-streamed", metavar="NAMES",
-                         help="comma-separated workloads that must dispatch "
-                              "at least one eligible OpStream in the str "
-                              "mapping; exit non-zero when the audited set "
-                              "differs (guards against silent de-streaming)")
 
     mon_p = sub.add_parser(
         "monitor",
@@ -154,17 +149,6 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"expect-phased mismatch: expected {expected}, "
                       f"audited programs dispatch eligible phases in "
                       f"{phased}", file=sys.stderr)
-                status = 1
-        if args.expect_streamed is not None:
-            expected = sorted({part.strip()
-                               for part in args.expect_streamed.split(",")
-                               if part.strip()})
-            streamed = sorted({r.workload for r in reports
-                               if r.model == "str" and r.streamed})
-            if streamed != expected:
-                print(f"expect-streamed mismatch: expected {expected}, "
-                      f"audited programs dispatch eligible streams in "
-                      f"{streamed}", file=sys.stderr)
                 status = 1
         return status
 

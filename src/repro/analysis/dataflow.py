@@ -20,11 +20,10 @@ byte-interval sets, and reports:
   use-after-reset / capacity violations (mirroring
   :class:`~repro.analysis.monitors.LocalStoreMonitor`);
 * **Block eligibility** — a proof per replayed
-  :class:`~repro.core.ops.OpBlock` template (arithmetic-only: the
-  template runs in the processor's block-arm loop), plus *candidate*
-  loops: periodic raw-op runs that could use
-  :func:`repro.core.ops.block` replay but do not — the work-list for
-  the next descriptor conversion.
+  :class:`~repro.core.ops.OpBlock` template and per dispatched
+  :class:`~repro.core.ops.OpPhase`, plus *candidate* loops: periodic
+  raw-op runs that could use :func:`repro.core.ops.block` replay but do
+  not — the work-list for the next descriptor conversion.
 
 Concurrency model: a *unit* is either a core's top-level code or one
 task popped from a :class:`~repro.core.sync.TaskQueue` (tasks may land
@@ -68,12 +67,10 @@ from repro.core.ops import (
     OP_PFS,
     OP_PHASE,
     OP_STORE,
-    OP_STREAM,
     OP_TASK_POP,
     OP_UNLOCK,
     OpBlock,
     OpPhase,
-    OpStream,
     merge_intervals,
 )
 from repro.workloads import get_workload
@@ -148,106 +145,57 @@ class Diagnostic:
 class BlockProof:
     """Eligibility proof for one replayed OpBlock template.
 
-    ``eligible`` mirrors the processor's block-arm rule: a template runs
-    in the arm's per-op loop exactly when every op is compute, a cached
-    access or a local-store access.  Stride, alignment and L1 residency
-    change only how many lines the loop serves inline, never whether it
-    runs, so they are reported (``strides``) but not gated on.
+    :func:`~repro.core.ops.block` admits only the ops the processor's
+    block arm runs (compute, cached and local-store accesses), so every
+    template is eligible by construction.  Stride, alignment and L1
+    residency change only how many lines the loop serves inline, never
+    whether it runs, so they are reported (``strides``) but not gated
+    on.
     """
 
     name: str
     replays: int
     strides: tuple
-    arith_only: bool
 
     @property
     def eligible(self) -> bool:
-        return self.arith_only
+        return True
 
     def render(self) -> str:
-        verdict = "eligible" if self.eligible else "NOT eligible"
-        tail = "" if self.arith_only else " (non-arith ops)"
         strides = ",".join(str(s) for s in self.strides) or "-"
         return (f"block {self.name!r}: {self.replays} replays, "
-                f"stride {strides}: {verdict}{tail}")
+                f"stride {strides}: eligible")
 
 
 @dataclass(frozen=True)
 class PhaseProof:
     """Eligibility verdict for one dispatched OpPhase descriptor.
 
-    ``eligible`` mirrors the processor's walk rule (the conditions under
+    ``eligible`` mirrors the processor's walk rule (the condition under
     which the block arm walks a phase's iterations in its per-op loop
-    instead of spilling them as block replays): one lane, arithmetic ops
-    only.  L1 residency is dynamic and changes only how many lines the
-    loop serves inline, so ``fits_l1`` is reported as a predictor, not a
-    gate.
+    instead of spilling them as block replays): one lane.  L1 residency
+    is dynamic and changes only how many lines the loop serves inline,
+    so ``fits_l1`` is reported as a predictor, not a gate.
     """
 
     name: str
     lanes: int
     dispatches: int
     iterations: int
-    arith_only: bool
     fits_l1: bool
 
     @property
     def eligible(self) -> bool:
-        return self.lanes == 1 and self.arith_only
+        return self.lanes == 1
 
     def render(self) -> str:
         verdict = "eligible" if self.eligible else "NOT eligible"
-        why = []
-        if self.lanes != 1:
-            why.append("several lanes")
-        if not self.arith_only:
-            why.append("non-arith lanes")
-        tail = f" ({', '.join(why)})" if why else ""
+        tail = "" if self.eligible else " (several lanes)"
         resident = "resident-sized" if self.fits_l1 else "exceeds L1"
         return (f"phase {self.name!r}: {self.lanes} lane(s) x "
                 f"{self.iterations} iteration(s) over "
                 f"{self.dispatches} dispatch(es), {resident}: "
                 f"{verdict}{tail}")
-
-
-@dataclass(frozen=True)
-class StreamProof:
-    """Eligibility verdict for one dispatched OpStream descriptor.
-
-    The ``stream()`` factory already validates shape at construction
-    (table coverage, positive DMA ranges, kernel tables of OpBlocks),
-    so a dispatched descriptor is structurally sound; what remains to
-    prove is what keeps the stream arm on its fast path: every kernel
-    it detours through the block arm is arithmetic (so the kernel runs
-    in the arm's per-op loop instead of materializing op by op) and
-    every local-store touch fits the capacity budget.  An ineligible
-    stream still runs bit-identically.
-    """
-
-    name: str
-    steps: int
-    dispatches: int
-    iterations: int
-    dma_steps: int
-    kernels_arith: bool
-    ls_fits: bool
-
-    @property
-    def eligible(self) -> bool:
-        return self.kernels_arith and self.ls_fits
-
-    def render(self) -> str:
-        verdict = "eligible" if self.eligible else "NOT eligible"
-        why = []
-        if not self.kernels_arith:
-            why.append("non-arith kernel lanes")
-        if not self.ls_fits:
-            why.append("exceeds local store")
-        tail = f" ({', '.join(why)})" if why else ""
-        return (f"stream {self.name!r}: {self.steps} step(s) x "
-                f"{self.iterations} iteration(s) over "
-                f"{self.dispatches} dispatch(es), {self.dma_steps} DMA "
-                f"rim step(s): {verdict}{tail}")
 
 
 @dataclass(frozen=True)
@@ -282,7 +230,6 @@ class AuditReport:
     diagnostics: list[Diagnostic]
     blocks: list[BlockProof]
     phases: list[PhaseProof]
-    streams: list[StreamProof]
     candidates: list[LoopCandidate]
     ops_walked: int
     truncated: bool
@@ -305,11 +252,6 @@ class AuditReport:
         """True when the program dispatches at least one eligible phase."""
         return any(p.eligible for p in self.phases)
 
-    @property
-    def streamed(self) -> bool:
-        """True when the program dispatches at least one eligible stream."""
-        return any(s.eligible for s in self.streams)
-
     def to_dict(self) -> dict:
         return {
             "workload": self.workload,
@@ -322,12 +264,9 @@ class AuditReport:
                        for b in self.blocks],
             "phases": [dict(asdict(p), eligible=p.eligible)
                        for p in self.phases],
-            "streams": [dict(asdict(s), eligible=s.eligible)
-                        for s in self.streams],
             "candidates": [asdict(c) for c in self.candidates],
             "converted": self.converted,
             "phased": self.phased,
-            "streamed": self.streamed,
             "ops_walked": self.ops_walked,
             "truncated": self.truncated,
         }
@@ -338,7 +277,6 @@ class AuditReport:
             f"preset={self.preset}: {len(self.hazards)} hazard(s), "
             f"{len(self.warnings)} warning(s), {len(self.blocks)} block "
             f"template(s), {len(self.phases)} phase descriptor(s), "
-            f"{len(self.streams)} stream descriptor(s), "
             f"{len(self.candidates)} candidate loop(s) "
             f"[{self.ops_walked} ops walked]"
         ]
@@ -353,8 +291,6 @@ class AuditReport:
             lines.append("  " + b.render())
         for p in self.phases:
             lines.append("  " + p.render())
-        for s in self.streams:
-            lines.append("  " + s.render())
         for c in self.candidates:
             lines.append("  " + c.render())
         if self.truncated:
@@ -482,13 +418,11 @@ class _ProgramAuditor:
         self.cached_writes: list[Interval] = []
         self.block_stats: dict[int, dict] = {}
         self.phase_stats: dict[int, dict] = {}
-        self.stream_stats: dict[int, dict] = {}
         self.segments: list[tuple[str, list[tuple]]] = []
         self.pop_seq: dict[int, int] = {}
         self.unit_labels: dict[tuple, str] = {}
         self.ops_walked = 0
         self.truncated = False
-        self._tracing = True
         self.stores: list[AuditLocalStore] | None = None
         if self.streaming:
             self.stores = [
@@ -641,9 +575,6 @@ class _ProgramAuditor:
         elif kind == OP_PHASE:
             self._flush_trace(w)
             self._replay_phase(w, op[1])
-        elif kind == OP_STREAM:
-            self._flush_trace(w)
-            self._replay_stream(w, op[1])
         elif kind in (OP_DMA_GET, OP_DMA_PUT):
             self._flush_trace(w)
             self._dma_command(w, kind, op[1], op[2], op[3], op[4], op[5])
@@ -737,24 +668,15 @@ class _ProgramAuditor:
         else:
             stats["last"][w.core] = (delta, None)
         fp = blk.footprint()
-        if fp.arith_only:
-            self.ops_walked += len(blk.ops)
-            for s, e in fp.reads:
-                self._record(w, False, s + delta, e - s)
-            for s, e in fp.writes:
-                self._record(w, True, s + delta, e - s)
-            for s, e in fp.ls_reads:
-                self._local(w, s, e - s)
-            for s, e in fp.ls_writes:
-                self._local(w, s, e - s)
-            return
-        # DMA/prefetch-bearing blocks fall back to their op stream.
-        self._tracing = False
-        try:
-            for mop in blk.materialize(delta):
-                self._dispatch(w, mop)
-        finally:
-            self._tracing = True
+        self.ops_walked += len(blk.ops)
+        for s, e in fp.reads:
+            self._record(w, False, s + delta, e - s)
+        for s, e in fp.writes:
+            self._record(w, True, s + delta, e - s)
+        for s, e in fp.ls_reads:
+            self._local(w, s, e - s)
+        for s, e in fp.ls_writes:
+            self._local(w, s, e - s)
 
     def _replay_phase(self, w: _Walker, ph: OpPhase) -> None:
         """Walk a phase as the block replays it stands for.
@@ -778,31 +700,6 @@ class _ProgramAuditor:
                 return
             for blk, base, stride in lanes:
                 self._replay_block(w, blk, base + k * stride)
-
-    def _replay_stream(self, w: _Walker, st: OpStream) -> None:
-        """Walk a stream as the materialized op run it stands for.
-
-        :meth:`OpStream.materialize` is the stream's ground truth, so
-        routing its chunks back through :meth:`_dispatch` keeps DMA
-        hazard tracking, tag accounting, and kernel block proofs
-        identical to the unconverted loop while the stream descriptor
-        itself gets a separate eligibility verdict.
-        """
-        stats = self.stream_stats.get(id(st))
-        if stats is None:
-            stats = self.stream_stats[id(st)] = {"st": st, "dispatches": 0,
-                                                 "iterations": 0}
-        stats["dispatches"] += 1
-        stats["iterations"] += st.count
-        k = 0
-        while k < st.count:
-            if self.ops_walked >= MAX_WALK_OPS:
-                self._mark_truncated()
-                return
-            hi = min(k + 256, st.count)
-            for mop in st.materialize(k, hi):
-                self._dispatch(w, mop)
-            k = hi
 
     def _dma_command(self, w: _Walker, kind: str, tag: int, addr: int,
                      nbytes: int, stride: int, block: int | None) -> None:
@@ -830,8 +727,6 @@ class _ProgramAuditor:
     # -- raw-op tracing for candidate detection ------------------------
 
     def _trace(self, w: _Walker, entry: tuple) -> None:
-        if not self._tracing:
-            return
         if len(w.trace) < MAX_TRACE_SEGMENT:
             w.trace.append(entry)
         else:
@@ -987,18 +882,11 @@ class _ProgramAuditor:
         proofs = []
         for stats in self.block_stats.values():
             blk: OpBlock = stats["blk"]
-            proof = BlockProof(
+            proofs.append(BlockProof(
                 name=blk.name or "anonymous",
                 replays=stats["replays"],
                 strides=tuple(sorted(stats["strides"])),
-                arith_only=blk.arith_only,
-            )
-            proofs.append(proof)
-            if not proof.eligible:
-                self._sink(Diagnostic(
-                    WARNING, "block-proof-failed",
-                    f"replayed block {proof.name!r} fails its "
-                    "eligibility proof: " + proof.render()))
+            ))
         proofs.sort(key=lambda p: p.name)
         return proofs
 
@@ -1026,21 +914,18 @@ class _ProgramAuditor:
                 fits = touched <= self._l1_capacity()
             else:
                 fits = True
-            key = (ph.name or "anonymous", len(ph.lanes),
-                   all(blk.arith_only for blk, _base, _stride in ph.lanes),
-                   fits)
+            key = (ph.name or "anonymous", len(ph.lanes), fits)
             counts = grouped.setdefault(key, [0, 0])
             counts[0] += stats["dispatches"]
             counts[1] += stats["iterations"]
         proofs = []
         for key, (dispatches, iterations) in grouped.items():
-            name, lanes, arith, fits = key
+            name, lanes, fits = key
             proof = PhaseProof(
                 name=name,
                 lanes=lanes,
                 dispatches=dispatches,
                 iterations=iterations,
-                arith_only=arith,
                 fits_l1=fits,
             )
             proofs.append(proof)
@@ -1048,59 +933,6 @@ class _ProgramAuditor:
                 self._sink(Diagnostic(
                     WARNING, "phase-proof-failed",
                     f"dispatched phase {proof.name!r} fails its "
-                    "eligibility proof: " + proof.render()))
-        proofs.sort(key=lambda p: (p.name, -p.iterations))
-        return proofs
-
-    def stream_proofs(self) -> list[StreamProof]:
-        # Workloads mint one descriptor per (thread, vector) shape, so
-        # same-shaped descriptors aggregate under one proof:
-        # signature -> [dispatches, iterations].
-        grouped: dict[tuple, list[int]] = {}
-        capacity = (self.config.stream.local_store_bytes
-                    if self.streaming else 0)
-        for stats in self.stream_stats.values():
-            st: OpStream = stats["st"]
-            kernels_arith = True
-            ls_fits = True
-            dma_steps = 0
-            for step in st.steps:
-                kind = step[0]
-                if kind == OP_BLOCK:
-                    for blk in step[1][:st.count]:
-                        if not blk.arith_only:
-                            kernels_arith = False
-                        if blk.ls_max_end > capacity:
-                            ls_fits = False
-                elif kind == OP_LOCAL_STORE:
-                    _, table, nbytes, _accesses = step
-                    if any(off + nbytes > capacity
-                           for off in table[:st.count]):
-                        ls_fits = False
-                elif kind in (OP_DMA_GET, OP_DMA_PUT):
-                    dma_steps += 1
-            key = (st.name or "anonymous", len(st.steps), dma_steps,
-                   kernels_arith, ls_fits)
-            counts = grouped.setdefault(key, [0, 0])
-            counts[0] += stats["dispatches"]
-            counts[1] += stats["iterations"]
-        proofs = []
-        for key, (dispatches, iterations) in grouped.items():
-            name, steps, dma_steps, kernels_arith, ls_fits = key
-            proof = StreamProof(
-                name=name,
-                steps=steps,
-                dispatches=dispatches,
-                iterations=iterations,
-                dma_steps=dma_steps,
-                kernels_arith=kernels_arith,
-                ls_fits=ls_fits,
-            )
-            proofs.append(proof)
-            if not proof.eligible:
-                self._sink(Diagnostic(
-                    WARNING, "stream-proof-failed",
-                    f"dispatched stream {proof.name!r} fails its "
                     "eligibility proof: " + proof.render()))
         proofs.sort(key=lambda p: (p.name, -p.iterations))
         return proofs
@@ -1239,7 +1071,6 @@ class _ProgramAuditor:
     def report(self) -> AuditReport:
         blocks = self.block_proofs()
         phases = self.phase_proofs()
-        streams = self.stream_proofs()
         candidates = self.find_candidates()
         return AuditReport(
             workload=self.workload,
@@ -1249,7 +1080,6 @@ class _ProgramAuditor:
             diagnostics=list(self.diagnostics),
             blocks=blocks,
             phases=phases,
-            streams=streams,
             candidates=candidates,
             ops_walked=self.ops_walked,
             truncated=self.truncated,

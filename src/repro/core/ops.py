@@ -27,8 +27,12 @@ A level above blocks, a loop that replays templates at a *constant
 stride* can be described once as an :class:`OpPhase` (:func:`phase`) and
 yielded as a single op: the block arm then walks the whole run — many
 block iterations of the same loop — without a generator round trip per
-iteration.  A double-buffered DMA loop is described once as an
-:class:`OpStream` (:func:`stream`).
+iteration.
+
+Blocks hold only what the block arm runs: compute, cached and
+local-store accesses.  DMA commands, waits and the other ops are yielded
+plain; a double-buffered DMA loop is an ordinary generator loop (see
+docs/API.md).
 """
 
 from __future__ import annotations
@@ -54,7 +58,6 @@ OP_CACHE_FLUSH = "cfl"
 OP_CACHE_INVALIDATE = "cinv"
 OP_BLOCK = "blk"
 OP_PHASE = "ph"
-OP_STREAM = "strm"
 
 WORD_BYTES = 4
 
@@ -252,35 +255,23 @@ def icache_miss(count: int = 1) -> tuple:
 #: block (REPRO_BLOCKS=0) from ballooning memory.
 MAX_BLOCK_OPS = 4096
 
-#: Ops that suspend the thread or send a value back into the generator.
-#: They cannot appear inside a block: the processor must be able to
-#: replay a block without consulting the scheduler or the generator.
-_BLOCK_REJECTED = frozenset({
-    OP_BARRIER, OP_LOCK, OP_UNLOCK, OP_TASK_POP, OP_BLOCK, OP_PHASE,
-    OP_STREAM,
-})
-
-#: Ops the block arm's per-op loop has an arm for: compute, cached and
-#: local-store accesses.  Blocks carrying any other op materialize back
-#: into the plain per-op stream.
+#: Ops the block arm's per-op loop runs: compute, cached and local-store
+#: accesses.  Nothing else may appear inside a block.
 _ARITH_OPS = frozenset({
     OP_COMPUTE, OP_LOAD, OP_STORE, OP_PFS, OP_LOCAL_LOAD, OP_LOCAL_STORE,
 })
 
+#: Every other opcode: ops that suspend the thread or send a value back
+#: into the generator, DMA commands and waits, prefetch, flush and
+#: icache ops, and nested descriptors.
+_BLOCK_REJECTED = frozenset({
+    OP_DMA_GET, OP_DMA_PUT, OP_DMA_WAIT, OP_BARRIER, OP_LOCK, OP_UNLOCK,
+    OP_TASK_POP, OP_ICACHE_MISS, OP_BULK_PREFETCH, OP_CACHE_FLUSH,
+    OP_CACHE_INVALIDATE, OP_BLOCK, OP_PHASE,
+})
+
 #: Ops whose field 1 is a memory address shifted by the replay offset.
-_ADDR1_OPS = frozenset({
-    OP_LOAD, OP_STORE, OP_PFS, OP_BULK_PREFETCH,
-    OP_CACHE_FLUSH, OP_CACHE_INVALIDATE,
-})
-
-#: Ops whose field 2 is a memory address shifted by the replay offset
-#: (DMA commands: field 1 is the tag).
-_ADDR2_OPS = frozenset({OP_DMA_GET, OP_DMA_PUT})
-
-_KNOWN_OPS = _ARITH_OPS | _ADDR2_OPS | frozenset({
-    OP_DMA_WAIT, OP_ICACHE_MISS, OP_BULK_PREFETCH,
-    OP_CACHE_FLUSH, OP_CACHE_INVALIDATE,
-})
+_ADDR1_OPS = frozenset({OP_LOAD, OP_STORE, OP_PFS})
 
 
 def merge_intervals(intervals: list) -> tuple:
@@ -311,28 +302,23 @@ class BlockFootprint:
     ``template.at(delta)`` touches every interval shifted by ``delta``.
     Local-store intervals are absolute (the replay offset never shifts
     them).  Intervals are half-open ``(start, end)`` byte ranges, merged
-    and sorted; DMA commands are kept un-merged because a strided
-    transfer is not an interval.
+    and sorted.
 
     Computed once per template by :meth:`OpBlock.footprint` and cached —
     the static auditor replays hot-loop blocks by shifting these
     intervals instead of re-walking the ops.
     """
 
-    __slots__ = ("reads", "writes", "ls_reads", "ls_writes",
-                 "dma_gets", "dma_puts", "wait_tags", "arith_only")
+    __slots__ = ("reads", "writes", "ls_reads", "ls_writes")
 
-    def __init__(self, ops: tuple, arith_only: bool) -> None:
+    def __init__(self, ops: tuple) -> None:
         reads: list = []
         writes: list = []
         ls_reads: list = []
         ls_writes: list = []
-        dma_gets: list = []
-        dma_puts: list = []
-        wait_tags: list = []
         for op in ops:
             kind = op[0]
-            if kind == OP_LOAD or kind == OP_BULK_PREFETCH:
+            if kind == OP_LOAD:
                 reads.append((op[1], op[1] + op[2]))
             elif kind == OP_STORE or kind == OP_PFS:
                 writes.append((op[1], op[1] + op[2]))
@@ -340,14 +326,7 @@ class BlockFootprint:
                 ls_reads.append((op[1], op[1] + op[2]))
             elif kind == OP_LOCAL_STORE:
                 ls_writes.append((op[1], op[1] + op[2]))
-            elif kind == OP_DMA_GET:
-                dma_gets.append(op[1:])
-            elif kind == OP_DMA_PUT:
-                dma_puts.append(op[1:])
-            elif kind == OP_DMA_WAIT:
-                wait_tags.append(op[1])
-        #: Merged relative ``(start, end)`` cached-read intervals
-        #: (loads and bulk prefetches).
+        #: Merged relative ``(start, end)`` cached-read intervals.
         self.reads = merge_intervals(reads)
         #: Merged relative cached-write intervals (stores and PFS stores).
         self.writes = merge_intervals(writes)
@@ -357,70 +336,29 @@ class BlockFootprint:
         #: valid accesses into one apparent straddle.
         self.ls_reads = tuple(sorted(ls_reads))
         self.ls_writes = tuple(sorted(ls_writes))
-        #: DMA commands as raw ``(tag, addr, nbytes, stride, block)``.
-        self.dma_gets = tuple(dma_gets)
-        self.dma_puts = tuple(dma_puts)
-        #: Tags waited on inside the block.
-        self.wait_tags = tuple(wait_tags)
-        #: True when the block is pure compute + cached/local accesses —
-        #: exactly the blocks the block arm's per-op loop runs.
-        self.arith_only = arith_only
 
 
 class OpBlock:
     """An immutable, validated op sequence replayed with an address offset.
 
     Built once via :func:`block`, yielded per iteration as
-    ``template.at(offset)``.  The offset shifts every *memory* address in
-    the block (loads, stores, prefetches, flushes, DMA source/target);
-    local-store offsets are a separate, fixed address space and do not
-    shift.  Sync ops (barrier/lock/unlock/task_pop) are rejected — a
-    block must be replayable without suspending the thread.
+    ``template.at(offset)``.  The offset shifts every cached-memory
+    address in the block; local-store offsets are a separate, fixed
+    address space and do not shift.  A block holds only compute, cached
+    and local-store accesses — the ops the processor's block arm runs.
 
-    Attributes precomputed once per template:
-
-    * ``arith_only`` — True when every op is compute, a cached access or
-      a local-store access, the ops the block arm's per-op loop runs
-      (a block with DMA/prefetch/flush ops materializes instead);
-    * ``min_addr`` — the lowest memory address, for the sign check in
-      :meth:`at`;
-    * ``ls_max_end`` — the end offset of the block's furthest
-      local-store access, for the static auditor's capacity check.
+    ``min_addr`` — the lowest memory address, for the sign check in
+    :meth:`at` — is precomputed once per template.
     """
 
-    __slots__ = ("ops", "name", "min_addr", "arith_only", "ls_max_end",
-                 "_footprint")
+    __slots__ = ("ops", "name", "min_addr", "_footprint")
 
     def __init__(self, ops: tuple, name: str | None) -> None:
         self.ops = ops
         self.name = name
         self._footprint: BlockFootprint | None = None
-
-        min_addr = None
-        arith = True
-        ls_max_end = 0
-        for op in ops:
-            kind = op[0]
-            if kind in (OP_LOAD, OP_STORE, OP_PFS):
-                addr = op[1]
-                if min_addr is None or addr < min_addr:
-                    min_addr = addr
-            elif kind in (OP_LOCAL_LOAD, OP_LOCAL_STORE):
-                _, offset, nbytes, _accesses = op
-                if offset + nbytes > ls_max_end:
-                    ls_max_end = offset + nbytes
-            elif kind != OP_COMPUTE:
-                arith = False
-                addr_index = 2 if kind in _ADDR2_OPS else (
-                    1 if kind in _ADDR1_OPS else None)
-                if addr_index is not None:
-                    addr = op[addr_index]
-                    if min_addr is None or addr < min_addr:
-                        min_addr = addr
-
-        self.min_addr = 0 if min_addr is None else min_addr
-        self.arith_only = arith
-        self.ls_max_end = ls_max_end
+        addrs = [op[1] for op in ops if op[0] in _ADDR1_OPS]
+        self.min_addr = min(addrs) if addrs else 0
 
     def __repr__(self) -> str:
         label = self.name or "anonymous"
@@ -448,29 +386,21 @@ class OpBlock:
         """
         fp = self._footprint
         if fp is None:
-            fp = self._footprint = BlockFootprint(self.ops, self.arith_only)
+            fp = self._footprint = BlockFootprint(self.ops)
         return fp
 
     def materialize(self, delta: int, start: int = 0) -> list:
         """The plain per-op stream this block stands for, from ``start``.
 
-        This *is* the block's semantics: every execution mode other than
-        the block arm (``REPRO_BLOCKS=0``, or a block carrying DMA ops)
-        runs exactly these tuples through the ordinary dispatch arms.
+        This *is* the block's semantics: with the block arm off
+        (``REPRO_BLOCKS=0``) the processor runs exactly these tuples
+        through the ordinary dispatch arms.
         """
         ops = self.ops[start:] if start else self.ops
         if delta == 0:
             return list(ops)
-        out = []
-        for op in ops:
-            kind = op[0]
-            if kind in _ADDR1_OPS:
-                out.append((kind, op[1] + delta) + op[2:])
-            elif kind in _ADDR2_OPS:
-                out.append((kind, op[1], op[2] + delta) + op[3:])
-            else:
-                out.append(op)
-        return out
+        return [(op[0], op[1] + delta) + op[2:] if op[0] in _ADDR1_OPS
+                else op for op in ops]
 
 
 def block(*ops: tuple, name: str | None = None) -> OpBlock:
@@ -478,8 +408,9 @@ def block(*ops: tuple, name: str | None = None) -> OpBlock:
 
     Validation is front-loaded here (once per template) so replay does
     none: the block must be non-empty, at most :data:`MAX_BLOCK_OPS`
-    ops, and free of suspending ops (barrier, lock/unlock, task_pop) and
-    nested blocks.
+    ops, and hold only compute, cached and local-store accesses — no
+    suspending ops (barrier, lock/unlock, task_pop), DMA commands or
+    waits, prefetch, flush or icache ops, or nested blocks.
     """
     if not ops:
         raise ValueError("a block must contain at least one op")
@@ -492,9 +423,9 @@ def block(*ops: tuple, name: str | None = None) -> OpBlock:
         kind = op[0]
         if kind in _BLOCK_REJECTED:
             raise ValueError(
-                f"op {kind!r} cannot appear inside a block "
-                "(blocks must replay without suspending the thread)")
-        if kind not in _KNOWN_OPS:
+                f"op {kind!r} cannot appear inside a block (the block arm "
+                "runs only compute, cached and local-store ops)")
+        if kind not in _ARITH_OPS:
             raise ValueError(f"unknown opcode {kind!r} in block")
     return OpBlock(tuple(ops), name)
 
@@ -516,8 +447,8 @@ class OpPhase:
     stride)`` contributes ``blk.at(base + k * stride)`` to iteration
     ``k``.  That is the phase's entire meaning — yielding the phase op is
     exactly yielding those ``count x len(lanes)`` block replays one by
-    one.  The processor's block arm walks single-lane arithmetic phases
-    as iterations of its per-op loop; every other phase, and every phase
+    one.  The processor's block arm walks single-lane phases as
+    iterations of its per-op loop; every other phase, and every phase
     under ``REPRO_BLOCKS=0``, runs precisely that spilled stream through
     the block arm.
     """
@@ -592,230 +523,6 @@ def phase(*lanes: tuple, count: int, name: str | None = None) -> OpPhase:
                     f"{blk.min_addr:#x} negative")
         checked.append((blk, base, stride))
     return OpPhase(tuple(checked), count, name)
-
-
-# ----------------------------------------------------------------------
-# Op streams: whole double-buffered DMA loops as one descriptor
-# ----------------------------------------------------------------------
-
-#: Upper bound on iterations per stream (guards a nonsensical
-#: descriptor; streams materialize lazily in bounded chunks).
-MAX_STREAM_ITERS = 1 << 24
-
-
-class OpStream:
-    """A run of ``count`` double-buffered DMA loop iterations.
-
-    The canonical streaming-model hot loop — *fetch the next tile /
-    wait for this one / run the local-store kernel / put the previous
-    tile back* — is described once as a step list evaluated per
-    iteration ``k``:
-
-    * ``("dget", tag0, alt, ahead, table)`` — issue one DMA get per
-      ``(addr, nbytes)`` pair in ``table[k + ahead]`` under tag
-      ``tag0 + ((k + ahead) & alt)``; skipped when ``k + ahead >=
-      count`` (the look-ahead fetch has nothing left to prefetch).
-    * ``("dput", tag0, alt, 0, table)`` — the put mirror, indexed at
-      ``k`` itself.
-    * ``("dwait", tag0, alt, kmin)`` — wait on tag ``tag0 + (k & alt)``;
-      skipped while ``k < kmin`` (the tag has not been issued yet).
-    * ``("blk", table)`` — replay the :class:`OpBlock` ``table[k]`` at
-      delta 0 (streaming kernels address the local store, which never
-      shifts).
-    * ``("lsst", table, nbytes, accesses)`` — a bare local-store write
-      at offset ``table[k]`` (e.g. bitonic's hi-half writeback between
-      the two puts of an iteration).
-
-    Tables are plain per-thread sequences (addresses need not follow
-    any stride — filtered block lists and mesh-indexed gathers index
-    straight in), so one descriptor covers a whole pass.  Yielding the
-    stream op means exactly yielding :meth:`materialize`'s op tuples
-    one by one; the processor's stream arm interprets the steps with
-    bit-identical per-op semantics but no generator round trips, and
-    ``REPRO_BLOCKS=0`` (or a mid-iteration suspension point) falls
-    back to the materialized chunks.
-    """
-
-    __slots__ = ("steps", "count", "name")
-
-    def __init__(self, steps: tuple, count: int, name: str | None) -> None:
-        self.steps = steps
-        self.count = count
-        self.name = name
-
-    def __repr__(self) -> str:
-        label = self.name or "anonymous"
-        return (f"<OpStream {label!r}: {len(self.steps)} step(s) "
-                f"x {self.count} iterations>")
-
-    def op(self) -> tuple:
-        """The stream op this descriptor is yielded as."""
-        return (OP_STREAM, self)
-
-    def materialize(self, start: int = 0, stop: int | None = None,
-                    step0: int = 0) -> list:
-        """The plain per-op DMA stream for iterations ``[start, stop)``.
-
-        This *is* the stream's semantics: every execution mode other
-        than the stream arm (``REPRO_BLOCKS=0``, or a resume after a
-        mid-iteration quantum yield) runs exactly these tuples through
-        the ordinary dispatch arms.  ``step0`` skips the first
-        iteration's leading steps (a quantum yield spills the rest of
-        the interrupted iteration, not all of it).
-        """
-        if stop is None:
-            stop = self.count
-        count = self.count
-        all_steps = self.steps
-        first_steps = all_steps[step0:] if step0 else all_steps
-        out = []
-        emit = out.append
-        for k in range(start, stop):
-            for step in first_steps if k == start else all_steps:
-                kind = step[0]
-                if kind == OP_DMA_GET or kind == OP_DMA_PUT:
-                    _, tag0, alt, ahead, table = step
-                    j = k + ahead
-                    if j >= count:
-                        continue
-                    tag = tag0 + (j & alt)
-                    for addr, nbytes in table[j]:
-                        emit((kind, tag, addr, nbytes, 0, None))
-                elif kind == OP_DMA_WAIT:
-                    _, tag0, alt, kmin = step
-                    if k >= kmin:
-                        emit((OP_DMA_WAIT, tag0 + (k & alt)))
-                elif kind == OP_BLOCK:
-                    emit((OP_BLOCK, step[1][k], 0))
-                else:  # lsst
-                    _, table, nbytes, accesses = step
-                    emit((OP_LOCAL_STORE, table[k], nbytes, accesses))
-        return out
-
-    def footprint(self):
-        """All DMA commands the stream issues, as raw command tuples.
-
-        Returns ``(gets, puts)`` where each entry is ``(tag, addr,
-        nbytes, 0, None)`` in issue order — the shape the static
-        dataflow auditor feeds its range checks.
-        """
-        gets: list = []
-        puts: list = []
-        count = self.count
-        for k in range(count):
-            for step in self.steps:
-                kind = step[0]
-                if kind == OP_DMA_GET or kind == OP_DMA_PUT:
-                    _, tag0, alt, ahead, table = step
-                    j = k + ahead
-                    if j >= count:
-                        continue
-                    tag = tag0 + (j & alt)
-                    sink = gets if kind == OP_DMA_GET else puts
-                    for addr, nbytes in table[j]:
-                        sink.append((tag, addr, nbytes, 0, None))
-        return gets, puts
-
-
-def _check_table(table, need: int, what: str) -> None:
-    if len(table) < need:
-        raise ValueError(
-            f"stream {what} table holds {len(table)} entries; "
-            f"the stream needs {need}")
-
-
-def stream_get(tag0: int, table, alternate: bool = True,
-               ahead: int = 0) -> tuple:
-    """A per-iteration DMA-get step for :func:`stream`.
-
-    ``table[j]`` is the tuple of ``(addr, nbytes)`` commands iteration
-    ``k = j - ahead`` issues; ``ahead=1`` is the double-buffer
-    look-ahead fetch (skipped on the last iteration, and ``table[0]``
-    is left to the loop prologue).  ``alternate`` selects the
-    ping-pong tag ``tag0 + (j & 1)``.
-    """
-    if tag0 < 0 or ahead < 0:
-        raise ValueError(f"bad stream get tag={tag0} ahead={ahead}")
-    return (OP_DMA_GET, tag0, 1 if alternate else 0, ahead, table)
-
-
-def stream_put(tag0: int, table, alternate: bool = True) -> tuple:
-    """The DMA-put mirror of :func:`stream_get`, indexed at ``k``."""
-    if tag0 < 0:
-        raise ValueError(f"negative stream put tag {tag0}")
-    return (OP_DMA_PUT, tag0, 1 if alternate else 0, 0, table)
-
-
-def stream_wait(tag0: int, alternate: bool = True, first: int = 0) -> tuple:
-    """A per-iteration DMA-wait step: skipped while ``k < first``."""
-    if tag0 < 0 or first < 0:
-        raise ValueError(f"bad stream wait tag={tag0} first={first}")
-    return (OP_DMA_WAIT, tag0, 1 if alternate else 0, first)
-
-
-def stream_kernel(table) -> tuple:
-    """The per-iteration local-store kernel step: replay ``table[k]``."""
-    return (OP_BLOCK, table)
-
-
-def stream_store(table, nbytes: int, accesses: int | None = None) -> tuple:
-    """A bare per-iteration local-store write at offset ``table[k]``."""
-    if nbytes <= 0:
-        raise ValueError(f"stream store must cover at least one byte, "
-                         f"got {nbytes}")
-    if accesses is None:
-        accesses = (nbytes >> 2) or 1
-    elif accesses <= 0:
-        raise ValueError(f"access count must be positive, got {accesses}")
-    return (OP_LOCAL_STORE, table, nbytes, accesses)
-
-
-def stream(*steps: tuple, count: int, name: str | None = None) -> OpStream:
-    """Build an immutable, validated :class:`OpStream` from step tuples.
-
-    Validation is front-loaded here so the stream arm does none: every
-    step must come from one of the ``stream_*`` factories above, every
-    table must cover the iterations that index it, kernel tables must
-    hold :class:`OpBlock` templates, and DMA tables must hold positive
-    line ranges.
-    """
-    if not steps:
-        raise ValueError("a stream must contain at least one step")
-    if not isinstance(count, int) or count < 1:
-        raise ValueError(f"stream iteration count must be >= 1, got {count!r}")
-    if count > MAX_STREAM_ITERS:
-        raise ValueError(
-            f"stream of {count} iterations exceeds "
-            f"MAX_STREAM_ITERS={MAX_STREAM_ITERS}")
-    for step in steps:
-        kind = step[0]
-        if kind == OP_DMA_GET or kind == OP_DMA_PUT:
-            _, _tag0, _alt, ahead, table = step
-            # The look-ahead step's last used index is count - 1 (the
-            # guard skips k + ahead >= count), so every step needs
-            # exactly count table entries.
-            _check_table(table, count, "DMA")
-            for j in range(ahead, count):
-                for addr, nbytes in table[j]:
-                    if addr < 0 or nbytes <= 0:
-                        raise ValueError(
-                            f"bad stream DMA range addr={addr:#x} "
-                            f"nbytes={nbytes}")
-        elif kind == OP_DMA_WAIT:
-            pass
-        elif kind == OP_BLOCK:
-            table = step[1]
-            _check_table(table, count, "kernel")
-            for tmpl in table:
-                if not isinstance(tmpl, OpBlock):
-                    raise ValueError(
-                        f"stream kernel table must hold OpBlock "
-                        f"templates, got {tmpl!r}")
-        elif kind == OP_LOCAL_STORE:
-            _check_table(step[1], count, "local-store")
-        else:
-            raise ValueError(f"unknown stream step {step!r}")
-    return OpStream(tuple(steps), count, name)
 
 
 def phase_runs(replays, name: str | None = None):

@@ -36,15 +36,11 @@ if TYPE_CHECKING:
 #: Fetch stall per instruction-cache miss: an L2 round trip.
 ICACHE_MISS_PENALTY_NS = 12.0
 
-#: Iterations one phase dispatch walks (single-lane arithmetic phases)
-#: or spills as block replays (every other phase, and every phase under
+#: Iterations one phase dispatch walks (single-lane phases) or spills
+#: as block replays (multi-lane phases, and every phase under
 #: ``REPRO_BLOCKS=0``).  Bounds the pending list while keeping the
 #: re-dispatch overhead amortized.
 PHASE_SPILL_CHUNK = 64
-
-#: Iterations a demoted stream (``REPRO_BLOCKS=0``) materializes per
-#: chunk back into the plain per-op DMA stream.
-STREAM_SPILL_CHUNK = 64
 
 #: Block-arm dispatches (one block, or one phase chunk) that skip the
 #: per-op inline L1 pre-probe after one full dispatch of the same
@@ -60,8 +56,10 @@ class Processor:
 
     def __init__(self, core_id: int, system: "CmpSystem",
                  thread: Iterator[tuple]) -> None:
+        # No reference back to ``system``: without a processor <-> system
+        # cycle, a finished system is freed by reference counting instead
+        # of waiting for the cyclic garbage collector.
         self.core_id = core_id
-        self.system = system
         self.sim = system.sim
         self.hierarchy = system.hierarchy
         config = system.config
@@ -81,10 +79,9 @@ class Processor:
         #: Run-until-miss fast path (see :mod:`repro.sim.fastpath`).
         #: Read at construction so one system runs one mode throughout.
         self._fastpath = fastpath_enabled()
-        #: Descriptor switch (REPRO_BLOCKS); when off, every OpBlock is
-        #: materialized back into the plain per-op stream, every OpPhase
-        #: spilled into per-iteration block replays, and every OpStream
-        #: materialized into the plain per-op DMA stream.
+        #: Block-arm switch (REPRO_BLOCKS); when off, every OpBlock is
+        #: materialized back into the plain per-op stream and every
+        #: OpPhase spilled into per-iteration block replays.
         self._blocks = blocks_enabled()
         #: Ops spilled from a descriptor (resume cursors after a quantum
         #: yield, phase chunks that are not walked, or whole descriptors
@@ -111,11 +108,6 @@ class Processor:
         #: walked or spilled).
         self.phase_iters = 0
         self.phase_iters_total = 0
-        #: Iterations driven by the stream arm (mode-dependent
-        #: diagnostic) and total iterations dispatched as streams
-        #: (counted once whether interpreted or materialized).
-        self.stream_iters = 0
-        self.stream_iters_total = 0
         self.done = False
         self.finish_fs = 0
 
@@ -178,21 +170,15 @@ class Processor:
           local-store ops each have an arm in the loop; L1 hits retire
           through the inline probe above, every other line through the
           hierarchy walker; a quantum yield leaves a resume cursor.
-          Blocks carrying DMA / prefetch / flush ops materialize back
-          into plain tuples handled by the arms above, and multi-lane
-          or non-arithmetic phases spill block replays.  There is no
-          closed form: the resident blocks one would retire
-          arithmetically are mostly STR local-store kernels whose few op
-          tuples each stand for thousands of accesses, so skipping their
-          loop saves no measurable host time (see docs/PERF.md).
-        * **The stream arm** (``"strm"``, see
-          :func:`repro.core.ops.stream`) interprets the per-iteration
-          step list of a double-buffered DMA loop with the dget / dput /
-          dwait / lsst arms' semantics, detouring kernel steps through
-          the block arm.
+          Multi-lane phases spill block replays.  There is no closed
+          form: the resident blocks one would retire arithmetically are
+          mostly STR local-store kernels whose few op tuples each stand
+          for thousands of accesses, so skipping their loop saves no
+          measurable host time (see docs/PERF.md).
 
-        ``REPRO_BLOCKS=0`` turns all three descriptor paths off: blocks
-        and streams materialize, phases spill as block replays.
+        ``REPRO_BLOCKS=0`` turns the block arm off: blocks materialize,
+        phases spill as block replays.  DMA commands and waits are
+        always plain ops, handled by the dget / dput / dwait arms.
         """
         gen_send = self._gen.send
         cycle_fs = self.cycle_fs
@@ -242,8 +228,6 @@ class Processor:
         stores_hit = 0
         phase_retired = 0
         phase_total = 0
-        stream_retired = 0
-        stream_total = 0
 
         # Exit actions: how the loop below was left.
         FINISH, SUSPEND, YIELD = 0, 1, 2
@@ -336,7 +320,7 @@ class Processor:
                 elif kind == "blk" or kind == "ph":
                     # Block arm: one per-op loop over an OpBlock's ops.  A
                     # block op is one iteration at its replay delta; a
-                    # single-lane arithmetic phase (see
+                    # single-lane phase (see
                     # repro.core.ops.OpPhase) is a chunk of iterations of
                     # its lane's block at base + k * stride.
                     if kind == "blk":
@@ -349,10 +333,9 @@ class Processor:
                         # below at a quantum boundary; re-enter at the
                         # recorded op index.
                         start = op[3] if len(op) == 4 else 0
-                        if not blocks_on or not blk.arith_only:
-                            # Escape hatch, or a block carrying DMA /
-                            # prefetch / flush ops: run the plain per-op
-                            # stream through the ordinary dispatch arms.
+                        if not blocks_on:
+                            # Escape hatch: run the plain per-op stream
+                            # through the ordinary dispatch arms.
                             pending.extend(reversed(blk.materialize(base)))
                             continue
                         vid = id(blk)
@@ -372,8 +355,7 @@ class Processor:
                             k_hi = count
                         lanes = ph.lanes
                         blk, base, stride = lanes[0]
-                        if not (blocks_on and len(lanes) == 1
-                                and blk.arith_only):
+                        if not blocks_on or len(lanes) != 1:
                             # Spill a bounded chunk of iterations as plain
                             # ("blk", ...) replays and leave a cursor,
                             # keeping the pending list short.
@@ -532,153 +514,6 @@ class Processor:
                         pending.append(("ph", ph, k))
                     continue
 
-                elif kind == "strm":
-                    # Stream arm (see repro.core.ops.OpStream): interpret
-                    # the per-iteration step list of a double-buffered
-                    # DMA loop directly — same primitives as the dget /
-                    # dput / dwait / lsst arms below, bit for bit, but no
-                    # generator round trips and no per-op tuple traffic.
-                    # Kernel steps detour through the block arm via a
-                    # resume cursor.
-                    st = op[1]
-                    # A 4-tuple is a resume cursor: re-enter at iteration
-                    # k, step index si.  The mode-independent total is
-                    # counted once, at first dispatch.
-                    if len(op) == 4:
-                        k = op[2]
-                        si = op[3]
-                    else:
-                        k = 0
-                        si = 0
-                        stream_total += st.count
-                    count = st.count
-                    if not blocks_on:
-                        # Escape hatch: materialize a bounded chunk back
-                        # into the plain per-op DMA stream, handled by
-                        # the ordinary dispatch arms.
-                        k_hi = k + STREAM_SPILL_CHUNK
-                        if k_hi < count:
-                            pending.append(("strm", st, k_hi, 0))
-                        else:
-                            k_hi = count
-                        pending.extend(reversed(st.materialize(k, k_hi)))
-                        continue
-                    steps = st.steps
-                    n_steps = len(steps)
-                    # How the step loop was left: 0 = stream complete,
-                    # 1 = quantum yield (remainder spilled), 2 = kernel
-                    # detour (cursor + block pushed on pending).
-                    leave = 0
-                    while True:
-                        if si == n_steps:
-                            si = 0
-                            k += 1
-                            stream_retired += 1
-                            if k == count:
-                                break
-                        step = steps[si]
-                        si += 1
-                        skind = step[0]
-                        # Set to the current step's unexecuted remainder
-                        # (possibly empty) when the quantum expires and
-                        # the renewal fails: the rest of the iteration is
-                        # materialized behind a next-iteration cursor.
-                        part = None
-                        if skind == "dget" or skind == "dput":
-                            _, tag0, alt, ahead, table = step
-                            j = k + ahead
-                            if j >= count:
-                                continue
-                            tag = tag0 + (j & alt)
-                            if dma_engine is None:
-                                raise SimulationError(
-                                    f"core {core_id}: DMA issued on the "
-                                    "cache-coherent model")
-                            issue_cmd = (dma_engine.get if skind == "dget"
-                                         else dma_engine.put)
-                            cmds = table[j]
-                            n_cmds = len(cmds)
-                            ci = 0
-                            while ci < n_cmds:
-                                addr, nbytes = cmds[ci]
-                                ci += 1
-                                now += dma_setup_fs
-                                useful += dma_setup_fs
-                                instructions += dma_setup_cycles
-                                done = issue_cmd(now, addr, nbytes, 0, None)
-                                previous = dma_tags.get(tag, 0)
-                                if done > previous:
-                                    dma_tags[tag] = done
-                                if now >= limit:
-                                    if fastpath:
-                                        next_fs = peek_time()
-                                        if next_fs is None or next_fs > now:
-                                            limit = now + quantum_fs
-                                            continue
-                                    part = [(skind, tag, a, n, 0, None)
-                                            for a, n in cmds[ci:]]
-                                    break
-                        elif skind == "dwait":
-                            _, tag0, alt, kmin = step
-                            if k < kmin:
-                                continue
-                            done = dma_tags.get(tag0 + (k & alt))
-                            if done is None:
-                                raise SimulationError(
-                                    f"core {core_id}: dwait on tag "
-                                    f"{tag0 + (k & alt)} which never "
-                                    "issued a DMA command")
-                            if done > now:
-                                sync += done - now
-                                now = done
-                            if now >= limit:
-                                if fastpath:
-                                    next_fs = peek_time()
-                                    if next_fs is None or next_fs > now:
-                                        limit = now + quantum_fs
-                                    else:
-                                        part = []
-                                else:
-                                    part = []
-                        elif skind == "lsst":
-                            _, table, nbytes, accesses = step
-                            if local_store is None:
-                                raise SimulationError(
-                                    f"core {core_id}: local-store access "
-                                    "on the cache-coherent model")
-                            local_store.check_range(table[k], nbytes)
-                            local_store.record_write(nbytes, accesses)
-                            issue = accesses * cycle_fs
-                            now += issue
-                            useful += issue
-                            instructions += accesses
-                            local_accesses += accesses
-                            if now >= limit:
-                                if fastpath:
-                                    next_fs = peek_time()
-                                    if next_fs is None or next_fs > now:
-                                        limit = now + quantum_fs
-                                    else:
-                                        part = []
-                                else:
-                                    part = []
-                        else:  # blk: kernel detour through the block arm
-                            pending.append(("strm", st, k, si))
-                            pending.append(("blk", step[1][k], 0))
-                            leave = 2
-                            break
-                        if part is not None:
-                            leave = 1
-                            part.extend(st.materialize(k, k + 1, si))
-                            if k + 1 < count:
-                                pending.append(("strm", st, k + 1, 0))
-                            pending.extend(reversed(part))
-                            break
-                    if leave == 1:
-                        action = YIELD
-                        break
-                    continue
-
                 elif kind == "lsld" or kind == "lsst":
                     _, offset, nbytes, accesses = op
                     store = local_store
@@ -813,8 +648,7 @@ class Processor:
             self._flush_locals(
                 now, send_value, useful, sync, load_stall, store_stall,
                 instructions, word_accesses, local_accesses, icache_misses,
-                loads_hit, stores_hit, phase_retired, phase_total,
-                stream_retired, stream_total)
+                loads_hit, stores_hit, phase_retired, phase_total)
         if action == FINISH:
             self._finish()
         elif action == YIELD:
@@ -823,8 +657,7 @@ class Processor:
     def _flush_locals(self, now, send_value, useful, sync, load_stall,
                       store_stall, instructions, word_accesses,
                       local_accesses, icache_misses, loads_hit,
-                      stores_hit, phase_retired, phase_total,
-                      stream_retired, stream_total) -> None:
+                      stores_hit, phase_retired, phase_total) -> None:
         """Fold the hot loop's batched deltas back into the object state."""
         self.now = now
         self._send_value = send_value
@@ -838,15 +671,12 @@ class Processor:
         self.icache_misses += icache_misses
         self.phase_iters += phase_retired
         self.phase_iters_total += phase_total
-        self.stream_iters += stream_retired
-        self.stream_iters_total += stream_total
         if loads_hit or stores_hit:
             self.hierarchy.fold_hit_counters(loads_hit, stores_hit)
 
     def _finish(self) -> None:
         self.done = True
         self.finish_fs = self.now
-        self.system.core_finished(self)
 
     # ------------------------------------------------------------------
     # Derived quantities

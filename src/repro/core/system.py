@@ -52,7 +52,6 @@ class CmpSystem:
             Processor(core_id, self, thread)
             for core_id, thread in enumerate(threads)
         ]
-        self._finished = 0
         self.exec_time_fs = 0
         self.settled_fs = 0
         self.monitors = None
@@ -62,12 +61,6 @@ class CmpSystem:
             from repro.analysis.monitors import attach_monitors
 
             self.monitors = attach_monitors(self)
-
-    def core_finished(self, processor) -> None:
-        """Processor callback: record a core's completion time."""
-        self._finished += 1
-        if processor.finish_fs > self.exec_time_fs:
-            self.exec_time_fs = processor.finish_fs
 
     def run(self, loop=None) -> RunResult:
         """Execute the program to completion and return the measurements.
@@ -85,12 +78,13 @@ class CmpSystem:
             self.sim.run()
         else:
             loop(self.sim)
-        if self._finished != len(self.processors):
-            blocked = [p.core_id for p in self.processors if not p.done]
+        blocked = [p.core_id for p in self.processors if not p.done]
+        if blocked:
             raise SimulationError(
                 f"deadlock: cores {blocked} never finished "
                 f"(workload {self.program.name!r})"
             )
+        self.exec_time_fs = max(p.finish_fs for p in self.processors)
         # Settle: flush dirty cached state so both models account the same
         # compulsory write traffic (Section 4 methodology).
         self.settled_fs = self.hierarchy.drain(self.exec_time_fs)
@@ -152,10 +146,6 @@ class CmpSystem:
             "sim.phase_iters": sum(p.phase_iters for p in self.processors),
             "sim.phase_iters_total": sum(
                 p.phase_iters_total for p in self.processors),
-            "sim.stream_iters": sum(
-                p.stream_iters for p in self.processors),
-            "sim.stream_iters_total": sum(
-                p.stream_iters_total for p in self.processors),
         }
         if config.model is MemoryModel.STREAMING:
             stats["dma.commands"] = hierarchy.dma_commands

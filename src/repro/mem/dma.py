@@ -25,7 +25,7 @@ from collections.abc import Iterable
 
 from repro.config import StreamConfig
 from repro.mem.coherence import MesiState
-from repro.sim.fastpath import blocks_enabled
+from repro.sim.fastpath import fastpath_enabled
 from repro.sim.resources import _MAX_INTERVALS, _TRIM_AT
 
 
@@ -45,15 +45,16 @@ class DmaEngine:
         self.commands = 0
         self.bytes_read = 0
         self.bytes_written = 0
-        #: Descriptor switch (REPRO_BLOCKS), read at construction like
-        #: the processor's fast-path flags: when on, contiguous
-        #: line-aligned commands whose lines are all L2-resident are
-        #: served by a fused per-granule loop (:meth:`_fast_get` /
-        #: :meth:`_fast_put`) instead of four resource method calls per
-        #: granule.  The fused loop replays the exact calendar, counter,
-        #: and LRU transitions of the ordinary path, granule for granule,
-        #: and bails to it at the first line that is not a guaranteed hit.
-        self._fast = blocks_enabled()
+        #: Fast-path switch (REPRO_FASTPATH), read at construction like
+        #: the processor's: when on, and no observer is attached,
+        #: contiguous line-aligned commands whose lines are all
+        #: L2-resident are served by a fused per-granule loop
+        #: (:meth:`_fast_get` / :meth:`_fast_put`) instead of four
+        #: resource method calls per granule.  The fused loop replays the
+        #: exact calendar, counter, and LRU transitions of the ordinary
+        #: path, granule for granule, and bails to it at the first line
+        #: that is not a guaranteed hit.
+        self._fast = fastpath_enabled()
         #: Optional invariant observer (repro.analysis.monitors), called
         #: as ``observer(kind, engine, addr, nbytes, stride, block,
         #: now_fs)`` with kind "get"/"put" before each command executes.

@@ -1,43 +1,42 @@
-"""The two execution-mode switches: the fast path and the descriptors.
+"""The two execution-mode switches: the fast path and the block arm.
 
 The processor's hot loop (see :mod:`repro.core.processor`) can execute
 consecutive compute operations and guaranteed-L1-hit accesses without
 re-entering the event queue, falling back to the event-driven slow path
 only at misses, synchronization, DMA waits, and pending-event boundaries.
-The fast path is *bit-identical* to the slow path by construction (the
-elided events are the core's own back-to-back resume events, which the
-kernel would pop next in any case) — but because "identical by
-construction" is a claim worth distrusting, the escape hatch
+The DMA engine likewise serves the all-L2-hit prefix of contiguous line
+commands in a fused per-granule loop (off while a DMA observer is
+attached).  The fast path is *bit-identical* to the slow path by
+construction (the elided events are the core's own back-to-back resume
+events, which the kernel would pop next in any case; the fused loops
+replay the per-granule resource transitions exactly) — but because
+"identical by construction" is a claim worth distrusting, the escape
+hatch
 
     REPRO_FASTPATH=0 python -m repro ...
 
-forces the original one-event-per-quantum execution, and the invariance
-tests in ``tests/test_fastpath.py`` diff full result rows across both
-modes.  Only ``stats["sim.events"]`` may differ (that is the point).
+forces the original one-event-per-quantum execution with every DMA
+granule walked through the ordinary resource methods, and the
+invariance tests in ``tests/test_fastpath.py`` and ``tests/test_dma.py``
+diff full result rows across both modes.  Only ``stats["sim.*"]`` may
+differ (that is the point).
 
-The second switch covers the loop descriptors workloads may yield in
-place of plain op tuples: :class:`repro.core.ops.OpBlock` templates,
-:class:`repro.core.ops.OpPhase` runs of constant-stride block iterations,
-and :class:`repro.core.ops.OpStream` double-buffered DMA loops.  The
-processor's block arm runs blocks and single-lane arithmetic phases
-through one tight per-op loop, its stream arm interprets stream steps
-without generator round trips, and the DMA engine serves the all-L2-hit
-prefix of contiguous line commands in a fused per-granule loop.  The
-escape hatch
+The second switch covers the block arm only: the loop descriptors
+workloads may yield in place of plain op tuples,
+:class:`repro.core.ops.OpBlock` templates and
+:class:`repro.core.ops.OpPhase` runs of constant-stride block
+iterations.  The processor's block arm runs blocks and single-lane
+phases through one tight per-op loop.  The escape hatch
 
     REPRO_BLOCKS=0 python -m repro ...
 
-turns all of that off: every block and stream is materialized back into
-the plain per-op stream, every phase spills into per-iteration block
-replays, and the DMA engine walks every granule through the ordinary
-resource methods.
+turns it off: every block is materialized back into the plain per-op
+stream and every phase spills into per-iteration block replays.
 
 The two hatches compose into a four-mode identity matrix, every cell
 bit-identical except ``stats["sim.*"]`` diagnostics, and
 ``REPRO_FASTPATH=0 REPRO_BLOCKS=0`` is the seed's execution model, byte
-for byte.  One hatch covers all three descriptors because phases and
-stream kernels run through the block arm's loop; docs/PERF.md has the
-measured per-tier marginals.
+for byte; docs/PERF.md has the measured marginals.
 
 Both flags are read when a system is constructed, not at import time, so
 tests can toggle them per-run with ``monkeypatch.setenv``.

@@ -37,11 +37,6 @@ from repro.core.ops import (
     local_store,
     phase_runs,
     store,
-    stream,
-    stream_get,
-    stream_kernel,
-    stream_put,
-    stream_wait,
 )
 from repro.core.sync import Barrier
 from repro.workloads.base import (
@@ -285,61 +280,33 @@ class ArtWorkload(Workload):
                         name="art.kernel")
                 return tmpl
 
-            # Vector loops as stream descriptors, cached per slice — the
-            # same vectors recur every pass of every invocation.
-            vector_cache: dict[tuple, object] = {}
-
-            def vector_stream(base: int, start_el: int, count_el: int,
+            def stream_vector(base: int, start_el: int, count_el: int,
                               is_write: bool):
-                key = (base, start_el, count_el, is_write)
-                loop = vector_cache.get(key)
-                if loop is not None:
-                    return loop
                 start_b = start_el * WORD_BYTES
                 total = count_el * WORD_BYTES
                 offsets = range(0, total, block_bytes)
-                sizes = [min(block_bytes, total - off) for off in offsets]
                 if is_write:
                     # Compute into the single output buffer, put under
-                    # the constant tag 2; the trailing dma_wait(2) stays
-                    # with the caller.
-                    loop = stream(
-                        stream_kernel(tuple(
-                            kernel(out_buf, size, True) for size in sizes)),
-                        stream_put(2, tuple(
-                            ((base + start_b + off, size),)
-                            for off, size in zip(offsets, sizes)),
-                            alternate=False),
-                        count=len(sizes), name="art.write")
-                else:
-                    # Double-buffered input stream (macroscopic
-                    # prefetching); the caller issues the first fetch.
-                    loop = stream(
-                        stream_get(0, tuple(
-                            ((base + start_b + off, size),)
-                            for off, size in zip(offsets, sizes)),
-                            ahead=1),
-                        stream_wait(0),
-                        stream_kernel(tuple(
-                            kernel(buf[k & 1], size, False)
-                            for k, size in enumerate(sizes))),
-                        count=len(sizes), name="art.read")
-                vector_cache[key] = loop
-                return loop
-
-            def stream_vector(base: int, start_el: int, count_el: int,
-                              is_write: bool):
-                total = count_el * WORD_BYTES
-                if total <= 0:
+                    # the constant tag 2.
+                    for off in offsets:
+                        size = min(block_bytes, total - off)
+                        yield kernel(out_buf, size, True).at()
+                        yield dma_put(2, base + start_b + off, size)
+                    if offsets:    # tag 2 never issues on an empty slice
+                        yield dma_wait(2)
                     return
-                loop = vector_stream(base, start_el, count_el, is_write)
-                if is_write:
-                    yield loop.op()
-                    yield dma_wait(2)
-                    return
-                yield dma_get(0, base + start_el * WORD_BYTES,
-                              min(block_bytes, total))
-                yield loop.op()
+                # Double-buffered input stream (macroscopic prefetching).
+                if offsets:
+                    yield dma_get(0, base + start_b, min(block_bytes, total))
+                for i, off in enumerate(offsets):
+                    parity = i & 1
+                    size = min(block_bytes, total - off)
+                    nxt = off + block_bytes
+                    if nxt < total:
+                        yield dma_get((i + 1) & 1, base + start_b + nxt,
+                                      min(block_bytes, total - nxt))
+                    yield dma_wait(parity)
+                    yield kernel(buf[parity], size, False).at()
 
             for _ in range(params["invocations"]):
                 for _name, reads, writes in self._VECTOR_PASSES:

@@ -31,11 +31,6 @@ from repro.core.ops import (
     local_store,
     phase,
     store,
-    stream,
-    stream_get,
-    stream_kernel,
-    stream_put,
-    stream_wait,
 )
 from repro.core.sync import Barrier
 from repro.workloads.base import (
@@ -210,43 +205,35 @@ class FemWorkload(Workload):
                         name="fem.kernel")
                 return tmpl
 
-            # Per-block command tables, shared by every timestep: one
-            # contiguous own-state get, then an indexed gather of each
-            # neighbour's flux field (sub-line transfers that re-fetch
-            # data shared with adjacent cells).
-            get_tab = []
-            put_tab = []
-            ker_tab = []
-            for i, block_start in enumerate(blocks):
+            def fetch(tag: int, block_start: int):
+                # Contiguous own-state block, then an indexed gather of
+                # each neighbour's flux field (sub-line transfers that
+                # re-fetch data shared with adjacent cells).
                 n_blk = min(block_cells, start + count - block_start)
-                cmds = [(state + block_start * CELL_BYTES,
-                         n_blk * CELL_BYTES)]
+                yield dma_get(tag, state + block_start * CELL_BYTES,
+                              n_blk * CELL_BYTES)
                 for cell in range(block_start, block_start + n_blk):
                     for nb in mesh[cell]:
-                        cmds.append(
-                            (state + int(nb) * CELL_BYTES, FLUX_BYTES))
-                get_tab.append(tuple(cmds))
-                # Whole blocks go back, modified or not (Section 2.3).
-                put_tab.append(((state + block_start * CELL_BYTES,
-                                 n_blk * CELL_BYTES),))
-                ker_tab.append(kernel(i & 1, n_blk))
-            sweep = (stream(
-                stream_get(0, tuple(get_tab), ahead=1),
-                stream_wait(0),
-                stream_wait(2, first=2),
-                stream_kernel(tuple(ker_tab)),
-                stream_put(2, tuple(put_tab)),
-                count=len(blocks), name="fem.sweep")
-                if blocks else None)
+                        yield dma_get(tag, state + int(nb) * CELL_BYTES,
+                                      FLUX_BYTES)
 
             issued_2 = issued_3 = False
             for _step in range(params["iterations"]):
-                if sweep is not None:
-                    # Prologue: fetch the first block's own state and
-                    # neighbour fluxes, then stream the whole sweep.
-                    for addr, nbytes in get_tab[0]:
-                        yield dma_get(0, addr, nbytes)
-                    yield sweep.op()
+                if blocks:
+                    yield from fetch(0, blocks[0])
+                for i, block_start in enumerate(blocks):
+                    parity = i & 1
+                    n_blk = min(block_cells, start + count - block_start)
+                    if i + 1 < len(blocks):
+                        yield from fetch((i + 1) & 1, blocks[i + 1])
+                    yield dma_wait(parity)
+                    if i >= 2:
+                        yield dma_wait(2 + parity)
+                    yield kernel(parity, n_blk).at()
+                    # Whole blocks go back, modified or not (Section 2.3).
+                    yield dma_put(2 + parity,
+                                  state + block_start * CELL_BYTES,
+                                  n_blk * CELL_BYTES)
                 # Tags 2/3 only exist once an even/odd iteration has put;
                 # waiting on a never-issued tag is an error.
                 if blocks:

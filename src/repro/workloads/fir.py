@@ -38,11 +38,6 @@ from repro.core.ops import (
     pfs_store,
     phase,
     store,
-    stream,
-    stream_get,
-    stream_kernel,
-    stream_put,
-    stream_wait,
 )
 from repro.core.sync import Barrier
 from repro.workloads.base import (
@@ -184,26 +179,23 @@ class FirWorkload(Workload):
             def block_addr(index: int) -> int:
                 return input_base + index * block_bytes
 
-            # The double-buffer loop as one stream descriptor: iteration
-            # k prefetches block k+1 (ping-pong tag k+1 & 1, skipped on
-            # the last iteration), waits for block k, drains the output
-            # buffer it reuses (tag 2 + parity, first issued at k=2),
-            # runs the parity kernel, and puts block k back.
-            loop = stream(
-                stream_get(0, tuple(
-                    ((block_addr(start + j), block_bytes),)
-                    for j in range(count)), ahead=1),
-                stream_wait(0),
-                stream_wait(2, first=2),
-                stream_kernel(tuple(kernel[k & 1] for k in range(count))),
-                stream_put(2, tuple(
-                    ((output_base + (start + k) * block_bytes, block_bytes),)
-                    for k in range(count))),
-                count=count, name="fir.loop")
-
             # Prologue: fetch the first block.
             yield dma_get(0, block_addr(start), block_bytes)
-            yield loop.op()
+            for i in range(count):
+                block_no = start + i
+                parity = i & 1
+                # Macroscopic prefetch: start the next fetch before working.
+                if i + 1 < count:
+                    yield dma_get((i + 1) & 1, block_addr(block_no + 1),
+                                  block_bytes)
+                yield dma_wait(parity)
+                # Drain the output buffer this iteration reuses.
+                if i >= 2:
+                    yield dma_wait(2 + parity)
+                yield kernel[parity].at()
+                yield dma_put(2 + parity,
+                              output_base + block_no * block_bytes,
+                              block_bytes)
             yield dma_wait(2)
             if count > 1:       # tag 3 first issues on the second block
                 yield dma_wait(3)

@@ -47,12 +47,6 @@ from repro.core.ops import (
     phase,
     phase_runs,
     store,
-    stream,
-    stream_get,
-    stream_kernel,
-    stream_put,
-    stream_store,
-    stream_wait,
 )
 from repro.core.sync import Barrier
 from repro.workloads.base import (
@@ -329,41 +323,22 @@ class BitonicSortWorkload(Workload):
 
                 # Double-buffered: the next pair streams in while this one
                 # is compared and exchanged (macroscopic prefetching).
-                # The whole pass is one stream descriptor: iteration k
-                # prefetches pair k+1, waits for pair k, drains the
-                # reused put tag, compare-exchanges, and writes both
-                # halves back (the hi-half local-store update interleaves
-                # with the two puts, exactly as the plain loop did).
                 if mine:
                     yield from fetch(0, mine[0])
-                    lo_addrs = [base + b * block_bytes for b in mine]
+                for i, b in enumerate(mine):
+                    parity = i & 1
+                    if i + 1 < len(mine):
+                        yield from fetch((i + 1) & 1, mine[i + 1])
+                    yield dma_wait(parity)
+                    if i >= 2:
+                        yield dma_wait(2 + parity)
+                    lo_addr = base + b * block_bytes
+                    yield kernel(parity, paired).at()
+                    yield dma_put(2 + parity, lo_addr, block_bytes)
                     if paired:
-                        get_tab = tuple(
-                            ((lo, block_bytes),
-                             (lo + stride_bytes, block_bytes))
-                            for lo in lo_addrs)
-                    else:
-                        get_tab = tuple(
-                            ((lo, block_bytes),) for lo in lo_addrs)
-                    steps = [
-                        stream_get(0, get_tab, ahead=1),
-                        stream_wait(0),
-                        stream_wait(2, first=2),
-                        stream_kernel(tuple(
-                            kernel(k & 1, paired)
-                            for k in range(len(mine)))),
-                        stream_put(2, tuple(
-                            ((lo, block_bytes),) for lo in lo_addrs)),
-                    ]
-                    if paired:
-                        steps.append(stream_store(tuple(
-                            buf_hi[k & 1] for k in range(len(mine))),
-                            block_bytes))
-                        steps.append(stream_put(2, tuple(
-                            ((lo + stride_bytes, block_bytes),)
-                            for lo in lo_addrs)))
-                    yield stream(*steps, count=len(mine),
-                                 name="bitonic.pass").op()
+                        yield local_store(buf_hi[parity], block_bytes)
+                        yield dma_put(2 + parity, lo_addr + stride_bytes,
+                                      block_bytes)
                 # Tags 2/3 only exist once an even/odd iteration has put;
                 # waiting on a never-issued tag is an error.
                 if mine:
@@ -593,29 +568,19 @@ class MergeSortWorkload(Workload):
                     yield dma_get(tag, a_base + blk * size, size)
                     yield dma_get(tag, a_base + run_bytes + blk * size, size)
 
-                # The level's whole merge loop is one stream descriptor:
-                # iteration k prefetches input pair k+1 (two gets, one
-                # per run half), waits for pair k, drains the reused put
-                # tag, merges, and puts the doubled output block.
                 if work:
                     yield from fetch(0, work[0])
-                    get_tab = []
-                    put_tab = []
-                    for task, blk in work:
-                        a_base = src + task * 2 * run_bytes
-                        get_tab.append(
-                            ((a_base + blk * size, size),
-                             (a_base + run_bytes + blk * size, size)))
-                        out_base = dst + task * 2 * run_bytes
-                        put_tab.append(
-                            ((out_base + 2 * blk * size, 2 * size),))
-                    yield stream(
-                        stream_get(0, tuple(get_tab), ahead=1),
-                        stream_wait(0),
-                        stream_wait(2, first=2),
-                        stream_kernel((merge_kernel(size),) * len(work)),
-                        stream_put(2, tuple(put_tab)),
-                        count=len(work), name="merge.level").op()
+                for i, (task, blk) in enumerate(work):
+                    parity = i & 1
+                    if i + 1 < len(work):
+                        yield from fetch((i + 1) & 1, work[i + 1])
+                    yield dma_wait(parity)
+                    if i >= 2:
+                        yield dma_wait(2 + parity)
+                    yield merge_kernel(size).at()
+                    out_base = dst + task * 2 * run_bytes
+                    yield dma_put(2 + parity, out_base + 2 * blk * size,
+                                  2 * size)
                 # Tags 2/3 only exist once an even/odd iteration has put;
                 # waiting on a never-issued tag is an error.
                 if work:

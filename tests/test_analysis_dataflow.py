@@ -381,7 +381,6 @@ class TestBlockFootprint:
         blk = block(load(0, LINE), store(LINE, LINE), compute(4),
                     name="unit")
         fp = blk.footprint()
-        assert fp.arith_only
         assert fp.reads == ((0, LINE),)
         assert fp.writes == ((LINE, 2 * LINE),)
         assert blk.footprint() is fp  # cached
@@ -404,24 +403,6 @@ class TestBlockEligibility:
         assert report.converted
         assert report.blocks and all(b.eligible for b in report.blocks)
         assert not report.hazards
-
-    def test_dma_block_fails_the_proof(self):
-        # The block arm runs compute, cached and local-store ops only; a
-        # DMA-bearing template materializes, so its proof fails.
-        arena = Arena()
-        base = arena.alloc(1024, "data")
-
-        def lone(env):
-            buf = env.local_store.alloc(256, "buf")
-            blk = block(dma_get(1, base, 256), dma_wait(1),
-                        local_load(buf, 256), name="fetch")
-            for i in range(4):
-                yield blk.at(i * 256)
-
-        report = audit([lone], str_config(cores=1), arena)
-        proof = report.blocks[0]
-        assert not proof.arith_only and not proof.eligible
-        assert "block-proof-failed" in warning_kinds(report)
 
     def test_aligned_resident_block_is_eligible(self):
         arena = Arena()
@@ -536,8 +517,8 @@ class TestReportRendering:
     def test_to_dict_schema(self):
         d = self._report().to_dict()
         assert set(d) == {"workload", "model", "cores", "preset", "hazards",
-                          "warnings", "blocks", "phases", "streams",
-                          "candidates", "converted", "phased", "streamed",
+                          "warnings", "blocks", "phases",
+                          "candidates", "converted", "phased",
                           "ops_walked", "truncated"}
         for entry in d["blocks"]:
             assert {"name", "replays", "strides", "eligible"} <= set(entry)

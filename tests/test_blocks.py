@@ -7,8 +7,9 @@ plain op tuples one by one with every memory address shifted by
 meaning, so these tests pin both sides: the template/validation API, and
 full-record bit-identity across every combination of ``REPRO_BLOCKS``
 and ``REPRO_FASTPATH`` — over workloads that take every descriptor
-path (blocks, phases and streams) — with ``stats["sim.*"]`` as the
-single permitted difference, same as the fast-path contract.
+path (blocks and phases) and the fused DMA loops — with
+``stats["sim.*"]`` as the single permitted difference, same as the
+fast-path contract.
 """
 
 import pytest
@@ -19,9 +20,14 @@ from repro.core.ops import (
     MAX_BLOCK_OPS,
     barrier_wait,
     block,
+    bulk_prefetch,
+    cache_flush,
+    cache_invalidate,
     compute,
     dma_get,
+    dma_put,
     dma_wait,
+    icache_miss,
     load,
     local_load,
     lock_acquire,
@@ -44,9 +50,8 @@ def run_threads(*threads, model="cc", **cfg_kwargs):
 def comparable(result) -> dict:
     """The full result record minus the permitted ``sim.*`` diagnostics.
 
-    ``sim.events`` and the descriptor counters (``sim.phase_iters``,
-    ``sim.stream_iters``) are mode-dependent by design; everything else
-    must be bit-identical.
+    ``sim.events`` and the phase counters (``sim.phase_iters``) are
+    mode-dependent by design; everything else must be bit-identical.
     """
     record = result.to_dict()
     record["stats"] = {k: v for k, v in record["stats"].items()
@@ -84,6 +89,14 @@ class TestValidation:
         task_pop(object()),
         barrier_wait(object()),
         lock_acquire(object()),
+        # The block arm runs compute, cached and local-store ops only.
+        dma_get(1, 0x2000, 64),
+        dma_put(1, 0x2000, 64),
+        dma_wait(1),
+        bulk_prefetch(0x2000, 64),
+        cache_flush(0x2000, 64),
+        cache_invalidate(0x2000, 64),
+        icache_miss(),
     ])
     def test_suspending_ops_rejected(self, op):
         with pytest.raises(ValueError, match="cannot appear inside a block"):
@@ -114,15 +127,13 @@ class TestMaterialize:
             compute(5),
             load(0x100, 32),
             local_load(0x40, 16),
-            dma_get(3, 0x2000, 64),
-            dma_wait(3),
+            store(0x2000, 64),
         )
         ops = blk.materialize(0x1000)
         assert ops[0] == compute(5)                    # unchanged
         assert ops[1] == load(0x1100, 32)              # addr shifted
         assert ops[2] == local_load(0x40, 16)          # local: fixed space
-        assert ops[3] == dma_get(3, 0x3000, 64)        # DMA addr shifted
-        assert ops[4] == dma_wait(3)                   # tag untouched
+        assert ops[3] == store(0x3000, 64)             # addr shifted
 
     def test_zero_delta_is_the_template(self):
         blk = block(load(0x100, 32), store(0x200, 32))
@@ -176,31 +187,15 @@ class TestReplayIdentity:
         off = run_threads(thread)
         assert comparable(on) == comparable(off)
 
-    def test_dma_block_matches_escape_hatch(self, monkeypatch):
-        # DMA-bearing blocks never run in the block arm; they must still
-        # replay identically through the materialized path.
-        def thread(env):
-            env.local_store.alloc(256, "buf")
-            blk = block(dma_get(1, 0x4000, 256), dma_wait(1),
-                        local_load(0, 256), compute(50))
-            for i in range(6):
-                yield blk.at(i * 256)
-
-        monkeypatch.setenv("REPRO_BLOCKS", "1")
-        on = run_threads(thread, model="str")
-        monkeypatch.setenv("REPRO_BLOCKS", "0")
-        off = run_threads(thread, model="str")
-        assert comparable(on) == comparable(off)
-
 
 class TestFourModeIdentity:
     """blocks x fastpath: all four interpreters, one answer.
 
     The workloads cover every descriptor path: block replays (all of
-    them), walked phases (bitonic-cc, fir-cc) and streams with their
-    fused DMA loops (the str rows).  Spilled two-lane phases (merge-cc)
-    and the observer de-opts are in ``tests/test_phases.py`` and
-    ``tests/test_streams.py``.
+    them), walked phases (bitonic-cc, fir-cc) and double-buffered DMA
+    loops with their fused granule loops (the str rows).  Spilled
+    two-lane phases (merge-cc) and the observer de-opts are in
+    ``tests/test_phases.py`` and ``tests/test_dma.py``.
     """
 
     MODES = [(blocks, fastpath)

@@ -1,13 +1,41 @@
-"""DMA engine: block decomposition, L2 interaction, traffic accounting."""
+"""DMA engine: block decomposition, L2 interaction, traffic accounting,
+and bit-identity of double-buffered DMA loops across execution modes.
+
+The fused all-hit granule loops follow ``REPRO_FASTPATH`` and turn off
+under a DMA observer; neither may change a run.  The double-buffered
+loop tests below drive the canonical streaming-model hot loop — fetch
+the next tile, wait for this one, run the local-store kernel, put it
+back — as a plain generator loop, and diff full result records across
+every combination of ``REPRO_BLOCKS``, ``REPRO_FASTPATH`` and the
+hierarchy and DMA-engine observers, with ``stats["sim.*"]`` as the
+single permitted difference.
+"""
 
 import random
 
 import pytest
 
-from repro.config import CacheConfig, MachineConfig
+from repro.config import CacheConfig, DramConfig, MachineConfig
+from repro.core.ops import (
+    block,
+    compute,
+    dma_get,
+    dma_put,
+    dma_wait,
+    local_load,
+    local_store,
+)
+from repro.core.system import CmpSystem
 from repro.mem.hierarchy import StreamingHierarchy
+from repro.obs import DmaCommandRecorder
 from repro.sim.resources import OccupancyResource
 from repro.units import ns_to_fs
+from repro.workloads import get_workload
+from repro.workloads.base import Program
+
+LINE = 32                  # MachineConfig default L1 line size
+BLOCK_BYTES = 8 * LINE     # one double-buffer tile
+COUNT = 12                 # iterations per double-buffered loop
 
 
 def engine_and_uncore(cores=1):
@@ -135,17 +163,17 @@ class TestTiming:
 
 
 class TestFusedLoopIdentity:
-    """The fused all-hit loops (REPRO_BLOCKS) match the per-granule path.
+    """The fused all-hit loops (REPRO_FASTPATH) match the per-granule path.
 
     Two identical single-bank hierarchies run the same command sequence,
-    one built with the descriptor paths on and one with them off; every
+    one built with the fast path on and one with it off; every
     observable of the engines and of the uncore must agree.
     """
 
     LINE = 32
 
-    def build(self, monkeypatch, blocks):
-        monkeypatch.setenv("REPRO_BLOCKS", blocks)
+    def build(self, monkeypatch, fastpath):
+        monkeypatch.setenv("REPRO_FASTPATH", fastpath)
         # Two cores form one cluster, so the uncore has one L2 bank.  A
         # 4 KiB L2 (8 sets of 16 ways) puts several lines of each long
         # command in one set, so LRU order and evictions are checked.
@@ -242,3 +270,183 @@ class TestFusedLoopIdentity:
         assert self.state(fused) == self.state(plain)
         assert tally["granules"] > 0
         assert tally["backfills"] > 0
+
+
+def run_threads(*threads, **cfg_kwargs):
+    cfg = MachineConfig(num_cores=len(threads), **cfg_kwargs).with_model("str")
+    return CmpSystem(cfg, Program("test", list(threads))).run()
+
+
+def comparable(result) -> dict:
+    """The full result record minus the permitted ``sim.*`` diagnostics."""
+    record = result.to_dict()
+    record["stats"] = {k: v for k, v in record["stats"].items()
+                       if not k.startswith("sim.")}
+    return record
+
+
+def double_buffered_thread(env):
+    """The canonical double-buffered DMA loop, as a plain generator.
+
+    Mirrors the fir streaming build: iteration ``k`` prefetches tile
+    ``k + 1`` under ping-pong tag ``(k + 1) & 1``, waits for tile ``k``,
+    waits for the put of the output buffer it reuses (tag
+    ``2 + parity``, first issued at ``k = 2``), runs the parity kernel,
+    and puts tile ``k`` back under tag ``2 + (k & 1)``.
+    """
+    ls = env.local_store
+    in_buf = [ls.alloc(BLOCK_BYTES, f"in{p}") for p in range(2)]
+    out_buf = [ls.alloc(BLOCK_BYTES, f"out{p}") for p in range(2)]
+    kernel = [
+        block(local_load(in_buf[p], BLOCK_BYTES),
+              compute(40, l1_accesses=20),
+              local_store(out_buf[p], BLOCK_BYTES),
+              name=f"k{p}")
+        for p in range(2)
+    ]
+    in_base = 0x10000 + env.core_id * 0x10000
+    out_base = 0x80000 + env.core_id * 0x10000
+    yield dma_get(0, in_base, BLOCK_BYTES)
+    for k in range(COUNT):
+        if k + 1 < COUNT:
+            yield dma_get((k + 1) & 1, in_base + (k + 1) * BLOCK_BYTES,
+                          BLOCK_BYTES)
+        yield dma_wait(k & 1)
+        if k >= 2:
+            yield dma_wait(2 + (k & 1))
+        yield kernel[k & 1].at()
+        yield dma_put(2 + (k & 1), out_base + k * BLOCK_BYTES, BLOCK_BYTES)
+    yield dma_wait(2)
+    yield dma_wait(3)
+
+
+def all_modes(monkeypatch, on):
+    """Pin every hatch on (``"1"``) or off (``"0"``)."""
+    monkeypatch.setenv("REPRO_FASTPATH", on)
+    monkeypatch.setenv("REPRO_BLOCKS", on)
+
+
+class TestFlag:
+    """The fused DMA loops follow REPRO_FASTPATH, not REPRO_BLOCKS."""
+
+    def engaged(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BLOCKS", "0")
+        h = StreamingHierarchy(MachineConfig(num_cores=1).with_model("str"))
+        return h.dma_engines[0]._fast
+
+    def test_default_on(self, monkeypatch):
+        monkeypatch.delenv("REPRO_FASTPATH", raising=False)
+        assert self.engaged(monkeypatch)
+
+    @pytest.mark.parametrize("value", ["0", "false", "off", "no", " NO "])
+    def test_off_values(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_FASTPATH", value)
+        assert not self.engaged(monkeypatch)
+
+    @pytest.mark.parametrize("value", ["1", "true", "on", "yes", ""])
+    def test_on_values(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_FASTPATH", value)
+        assert self.engaged(monkeypatch)
+
+
+class TestQuantumStraddle:
+    """Quantum expiry inside a double-buffer iteration, bit for bit."""
+
+    @pytest.mark.parametrize("quantum", [10, 25, 75])
+    def test_straddle_mid_double_buffer(self, monkeypatch, quantum):
+        # With two cores and a quantum far shorter than one iteration,
+        # the scheduler preempts between the look-ahead get and the
+        # wait, inside the kernel block, and before the put.  Every
+        # such cut must replay identically with every hatch off.
+        def run(on):
+            all_modes(monkeypatch, on)
+            return run_threads(double_buffered_thread, double_buffered_thread,
+                               quantum_cycles=quantum)
+
+        assert comparable(run("1")) == comparable(run("0"))
+
+
+class TestDwaitContention:
+    """dwait under a contended DRAM channel: exact stalls, never guesses."""
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_contended_streams_identical_on_off(self, monkeypatch,
+                                                channels):
+        # Four cores hammer a starved DRAM config (1/8 the default
+        # bandwidth), so DMA transfers queue behind each other and
+        # every dwait observes a backlog.  Identity against the escape
+        # hatches is the proof that no fast path approximates a stall.
+        dram = DramConfig(bandwidth_gbps=0.8, channels=channels,
+                          interleave_bytes=256)
+        threads = [double_buffered_thread] * 4
+
+        all_modes(monkeypatch, "1")
+        on = run_threads(*threads, dram=dram)
+        all_modes(monkeypatch, "0")
+        off = run_threads(*threads, dram=dram)
+        assert comparable(on) == comparable(off)
+        # The contention was real: transfers queued at the channel and
+        # the cores spent time blocked in dwait.
+        assert on.stats["dram.wait_fs"] > 0
+        assert on.breakdown.sync_fs > 0
+
+
+def run_tiny(name, model, cores, observed=False, dma_observed=False):
+    """Run a tiny-preset workload, optionally under a no-op hierarchy
+    observer (the inline L1 probe goes off) and a no-op DMA-engine
+    observer (the fused DMA loops go off)."""
+    config = MachineConfig(num_cores=cores).with_model(model)
+    program = get_workload(name).build(config.model, config, preset="tiny")
+    system = CmpSystem(config, program)
+    if observed:
+        system.hierarchy.register_observer(lambda *args: None)
+    if dma_observed:
+        for engine in system.hierarchy.dma_engines:
+            engine.observer = lambda *args: None
+    return system.run()
+
+
+class TestSixteenModeIdentity:
+    """blocks x fastpath x observed x dma_observed: 16 interpreters, one
+    answer.  Each observer de-opts its own fast path (the inline L1
+    probe, the fused DMA loops) without changing the run."""
+
+    MODES = [(blocks, fastpath, observed, dma_observed)
+             for blocks in ("1", "0")
+             for fastpath in ("1", "0")
+             for observed in (False, True)
+             for dma_observed in (False, True)]
+
+    @pytest.mark.parametrize("workload,model,cores", [
+        ("fir", "str", 1),
+        ("bitonic", "str", 1),
+    ])
+    def test_full_record_identical_in_all_modes(self, monkeypatch, workload,
+                                                model, cores):
+        records = []
+        for blocks, fastpath, observed, dma_observed in self.MODES:
+            monkeypatch.setenv("REPRO_BLOCKS", blocks)
+            monkeypatch.setenv("REPRO_FASTPATH", fastpath)
+            records.append(comparable(run_tiny(
+                workload, model, cores, observed=observed,
+                dma_observed=dma_observed)))
+        assert all(r == records[0] for r in records[1:])
+
+
+class TestObserved:
+    """Observation de-opts the fused DMA loops but cannot change a run."""
+
+    def build(self):
+        cfg = MachineConfig(num_cores=1).with_model("str")
+        return CmpSystem(cfg, Program("test", [double_buffered_thread]))
+
+    def test_recorder_sees_every_command_and_changes_nothing(self,
+                                                             monkeypatch):
+        monkeypatch.setenv("REPRO_FASTPATH", "1")
+        bare = comparable(self.build().run())
+        observed_system = self.build()
+        with DmaCommandRecorder(observed_system.hierarchy) as recorder:
+            observed = comparable(observed_system.run())
+        assert observed == bare
+        # Prologue get + (COUNT - 1) look-ahead gets + COUNT puts.
+        assert len(recorder.events) == 2 * COUNT

@@ -3,9 +3,9 @@
 An :class:`~repro.core.ops.OpPhase` is a promise that yielding the
 phase op means exactly the same thing as yielding its ``count x lanes``
 block replays one by one (iteration-major, lane-minor).  The block arm
-in :mod:`repro.core.processor` — walking single-lane arithmetic
-iterations in its per-op loop instead of spilling them as block
-replays — is an optimization over that meaning, so these tests pin
+in :mod:`repro.core.processor` — walking single-lane iterations in its
+per-op loop instead of spilling them as block replays — is an
+optimization over that meaning, so these tests pin
 both sides: the ``phase()`` / ``phase_runs()`` API, and full-record
 bit-identity (plus L1 LRU order) against ``REPRO_BLOCKS=0``, with
 ``stats["sim.*"]`` as the single permitted difference, and across
@@ -23,8 +23,6 @@ from repro.core.ops import (
     MAX_PHASE_ITERS,
     block,
     compute,
-    dma_get,
-    dma_wait,
     load,
     local_load,
     local_store,
@@ -339,23 +337,6 @@ class TestReplayIdentity:
         assert comparable(on) == comparable(off)
         assert on.stats["sim.phase_iters"] > 0
         assert off.stats["sim.phase_iters"] == 0
-
-    def test_dma_lane_spills_and_matches(self, monkeypatch):
-        # DMA-bearing lanes are not arithmetic (arith_cycles is None):
-        # the phase must spill to the block interpreter and still replay
-        # identically.
-        def thread(env):
-            env.local_store.alloc(256, "buf")
-            blk = block(dma_get(1, 0x4000, 256), dma_wait(1),
-                        compute(50))
-            yield phase((blk, 0, 256), count=6).op()
-
-        monkeypatch.setenv("REPRO_BLOCKS", "1")
-        on = run_threads(thread, model="str")
-        monkeypatch.setenv("REPRO_BLOCKS", "0")
-        off = run_threads(thread, model="str")
-        assert comparable(on) == comparable(off)
-        assert on.stats["sim.phase_iters"] == 0
 
     def test_observer_attach_deoptimizes(self, monkeypatch):
         # A per-access observer makes hierarchy.fastpath_safe false: the

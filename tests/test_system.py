@@ -1,5 +1,8 @@
 """End-to-end system behaviour: determinism, accounting, fairness."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro import MachineConfig, run_workload
@@ -117,6 +120,24 @@ class TestRunProgramApi:
         r1 = run_program(cfg, wl.build("cc", cfg, preset="tiny"))
         r2 = CmpSystem(cfg, wl.build("cc", cfg, preset="tiny")).run()
         assert r1.exec_time_fs == r2.exec_time_fs
+
+
+class TestMemory:
+    @pytest.mark.parametrize("model", ["cc", "str"])
+    def test_finished_system_freed_without_cycle_collector(self, model):
+        # Sweeps run many systems in one process; a finished system must
+        # not wait for a full collection to release its caches.
+        cfg = MachineConfig(num_cores=4).with_model(model)
+        program = get_workload("fir").build(cfg.model, cfg, preset="tiny")
+        gc.disable()
+        try:
+            system = CmpSystem(cfg, program)
+            system.run()
+            ref = weakref.ref(system)
+            del system
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestSelfCheck:
