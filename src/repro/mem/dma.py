@@ -13,19 +13,19 @@ prefetching) without needing infinite buffering.
 
 Bandwidth model: line-sized, line-aligned granules travel through the L2
 (which avoids refills on writes that overwrite entire lines — Section
-3.3); sub-line granules (strided scatter/gather) bypass the L2 and move
-only the bytes requested, the "minimum memory channel bandwidth" property
-of Section 2.3.
+3.3); sub-line granules (strided scatter/gather) hit in the L2 too, but a
+read miss moves only the bytes requested and allocates nothing, the
+"minimum memory channel bandwidth" property of Section 2.3.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable
+from itertools import repeat
 
 from repro.config import StreamConfig
 from repro.mem.coherence import MesiState
-from repro.sim.fastpath import fastpath_enabled
 from repro.sim.resources import _MAX_INTERVALS, _TRIM_AT
 
 
@@ -45,16 +45,6 @@ class DmaEngine:
         self.commands = 0
         self.bytes_read = 0
         self.bytes_written = 0
-        #: Fast-path switch (REPRO_FASTPATH), read at construction like
-        #: the processor's: when on, and no observer is attached,
-        #: contiguous line-aligned commands whose lines are all
-        #: L2-resident are served by a fused per-granule loop
-        #: (:meth:`_fast_get` / :meth:`_fast_put`) instead of four
-        #: resource method calls per granule.  The fused loop replays the
-        #: exact calendar, counter, and LRU transitions of the ordinary
-        #: path, granule for granule, and bails to it at the first line
-        #: that is not a guaranteed hit.
-        self._fast = fastpath_enabled()
         #: Optional invariant observer (repro.analysis.monitors), called
         #: as ``observer(kind, engine, addr, nbytes, stride, block,
         #: now_fs)`` with kind "get"/"put" before each command executes.
@@ -62,10 +52,7 @@ class DmaEngine:
         #: Optional command tracer (repro.obs), called as
         #: ``trace_hook(kind, core, issue_fs, start_fs, done_fs, addr,
         #: nbytes)`` *after* each command's timing is resolved.  Purely
-        #: observational, and — unlike the hierarchy's per-access
-        #: ``trace_hook`` — fastpath-compatible: DMA commands always
-        #: execute through the engine, never through the processor's
-        #: inline-hit path, so attaching this changes nothing.
+        #: observational: attaching it changes nothing.
         self.trace_hook = None
 
     def _blocks(self, addr: int, nbytes: int, stride: int,
@@ -88,79 +75,107 @@ class DmaEngine:
             position += stride
             offset += size
 
-    def _throttle(self, start_fs: int) -> int:
-        """Apply the outstanding-access window to a granule start time."""
-        window = self._window
-        if len(window) == window.maxlen:
-            start_fs = max(start_fs, window[0])
-        return start_fs
+    def _granules(self, addr: int, nbytes: int, stride: int,
+                  block: int | None) -> tuple[Iterable[tuple[int, int]], int]:
+        """One command's ``(line, size)`` granules, and how many there are.
+
+        Granules never cross a line boundary, so a granule of
+        ``line_bytes`` bytes is a whole, aligned line.
+        """
+        lb = self.line_bytes
+        shift = self._line_shift
+        if stride == 0 and nbytes > 0 and not (addr | nbytes) & (lb - 1):
+            line0 = addr >> shift
+            nlines = nbytes >> shift
+            return zip(range(line0, line0 + nlines), repeat(lb)), nlines
+        granules = []
+        for position, size in self._blocks(addr, nbytes, stride, block):
+            end = position + size
+            while position < end:
+                step = min(end, (position | (lb - 1)) + 1) - position
+                granules.append((position >> shift, step))
+                position += step
+        return granules, len(granules)
 
     # ------------------------------------------------------------------
-    # Fused all-L2-hit command path (REPRO_BLOCKS)
+    # The granule loops
     # ------------------------------------------------------------------
     #
-    # The granule loops in get/put spend nearly all their time in four
-    # resource method calls per granule (window throttle -> crossbar ->
-    # L2 bank -> return links).  In the double-buffer steady state every
-    # granule is an L2 hit, and DMA commands execute atomically inside
-    # one processor event — no other actor can interleave mid-command —
-    # so the whole chain is a pure renewal recurrence over the resource
-    # calendar tails.  The two methods below run that recurrence in one
-    # fused loop: per granule, one L2 probe + MRU touch and a handful of
-    # integer compares, with the counters folded in aggregate afterward.
-    # Each inline branch is a literal transcription of the corresponding
-    # branch of OccupancyResource.serve / _Link.transfer / _Link.control,
-    # so calendars, busy/wait accounting, and LRU state come out
-    # bit-identical.  A backfill arrival (one landing before a calendar's
-    # tail interval) goes through the resource's own acquire; a
-    # non-resident line or a second L2 bank bails to the ordinary methods
-    # for the rest of the command.
+    # A get granule crosses four calendars (crossbar up port, control
+    # message -> L2 bank -> crossbar down port -> cluster bus response)
+    # and a put granule three (cluster bus request -> crossbar up port
+    # -> L2 bank).  DMA commands execute atomically inside one processor
+    # event -- no other actor can interleave mid-command -- so each loop
+    # hoists the calendars once per command and serves every granule
+    # with inline copies of OccupancyResource.serve's two calendar-tail
+    # branches (arrival at or after the tail; arrival inside the last
+    # busy interval), folding the busy / wait / request counters into
+    # each resource after the command.  A backfill arrival (one landing
+    # before a calendar's last interval) goes through the resource's own
+    # acquire.  The bank is ``line % num_banks``; an L2 hit is an MRU
+    # touch, and a miss goes to Uncore.dma_miss.  Every branch replays
+    # what the resource and uncore methods would do for that granule, so
+    # calendars, counters and LRU state match a granule-by-granule walk
+    # through those methods (tests/test_dma.py keeps that walk as an
+    # oracle and diffs the two).
 
-    def _fast_get(self, start: int, line0: int, nlines: int) -> tuple[int, int]:
-        """Serve leading all-hit granules of a contiguous line-aligned get.
+    def get(self, now_fs: int, addr: int, nbytes: int,
+            stride: int = 0, block: int | None = None) -> int:
+        """Fetch from memory into the local store; returns completion time.
 
-        Returns ``(granules_served, completion_high_water)``; the caller
-        finishes the remaining granules (if any) on the ordinary path.
+        Whole-line granules read through the L2 and allocate on a miss.
+        Sub-line granules (strided gathers) still hit in the L2, but a
+        miss moves only the requested bytes from DRAM and allocates
+        nothing (Section 2.3).
         """
+        if self.observer is not None:
+            self.observer("get", self, addr, nbytes, stride, block, now_fs)
+        self.commands += 1
+        self.bytes_read += nbytes
+        granules, count = self._granules(addr, nbytes, stride, block)
+        start = max(now_fs, self._engine_free)
         u = self.uncore
-        if u._num_banks != 1:
-            return 0, start
-        l2 = u.l2
-        sets = l2._sets
-        smask = l2._set_mask
-        bk = u.l2_banks[0]
+        sets = u.l2._sets
+        smask = u.l2._set_mask
+        dma_miss = u.dma_miss
+        banks = u.l2_banks
+        nb = len(banks)
         cl = self.cluster_id
         xc = u.xbar.up[cl]
         xd = u.xbar.down[cl]
         br = u.buses[cl].resp
-        lb = self.line_bytes
-        # Per-resource constants and calendar tails, hoisted once.
+        # Per-resource constants and calendars, hoisted once.  Every
+        # bank has the same service time and latency.
         xc_s = xc.cycle_fs
         xc_lat = xc.latency_fs
         xc_starts, xc_ends = xc._starts, xc._ends
         bk_s = u._l2_service_fs
-        bk_lat = bk.latency_fs
-        bk_starts, bk_ends = bk._starts, bk._ends
-        xd_s = (-(-lb // xd.width_bytes) or 1) * xd.cycle_fs
-        xd_lat = xd.latency_fs
+        bk_lat = banks[0].latency_fs
+        bk_starts_of = [bank._starts for bank in banks]
+        bk_ends_of = [bank._ends for bank in banks]
+        xd_w, xd_c, xd_lat = xd.width_bytes, xd.cycle_fs, xd.latency_fs
         xd_starts, xd_ends = xd._starts, xd._ends
-        br_s = (-(-lb // br.width_bytes) or 1) * br.cycle_fs
-        br_lat = br.latency_fs
+        br_w, br_c, br_lat = br.width_bytes, br.cycle_fs, br.latency_fs
         br_starts, br_ends = br._starts, br._ends
-        xc_n = bk_n = xd_n = br_n = 0
-        xc_wait = bk_wait = xd_wait = br_wait = 0
+        # Inline tallies: backfills per link (acquire counts its own),
+        # busy time on the size-dependent links, per-bank requests.
+        xc_bf = xd_bf = br_bf = 0
+        xc_wait = xd_wait = br_wait = 0
+        xd_busy = br_busy = 0
+        bk_n = [0] * nb
+        bk_wait = [0] * nb
+        size_now = xd_s = br_s = 0
+        hits = 0
         window = self._window
         win = window.maxlen
         append = window.append
         wlen = len(window)
         done = start
-        served = 0
-        line = line0
-        end_line = line0 + nlines
-        while line < end_line:
-            cache_set = sets[line & smask]
-            if line not in cache_set:
-                break
+        for line, size in granules:
+            if size != size_now:
+                size_now = size
+                xd_s = (-(-size // xd_w) or 1) * xd_c
+                br_s = (-(-size // br_w) or 1) * br_c
             # Outstanding-access window.
             if wlen < win:
                 t = start
@@ -168,9 +183,8 @@ class DmaEngine:
             else:
                 w0 = window[0]
                 t = start if start >= w0 else w0
-            # Crossbar up port, control message (_Link.control).
+            # Crossbar up port, control message.
             if not xc_ends or t >= xc_ends[-1]:
-                xc_n += 1
                 e = t + xc_s
                 if xc_ends and xc_ends[-1] == t:
                     xc_ends[-1] = e
@@ -182,41 +196,48 @@ class DmaEngine:
                         del xc_ends[:_MAX_INTERVALS]
                 t = e + xc_lat
             elif t >= xc_starts[-1]:
-                xc_n += 1
                 e = xc_ends[-1]
                 xc_wait += e - t
                 e += xc_s
                 xc_ends[-1] = e
                 t = e + xc_lat
             else:
+                xc_bf += 1
                 t = xc.acquire(t, xc_s)[1]
-            # L2 bank port (OccupancyResource.serve) -- hit, so the
-            # access completes at the bank; counters fold below.
+            # L2 bank port, then the L2 itself.
+            b = line % nb
+            bk_ends = bk_ends_of[b]
             if not bk_ends or t >= bk_ends[-1]:
-                bk_n += 1
+                bk_n[b] += 1
                 e = t + bk_s
                 if bk_ends and bk_ends[-1] == t:
                     bk_ends[-1] = e
                 else:
+                    bk_starts = bk_starts_of[b]
                     bk_starts.append(t)
                     bk_ends.append(e)
                     if len(bk_starts) >= _TRIM_AT:
                         del bk_starts[:_MAX_INTERVALS]
                         del bk_ends[:_MAX_INTERVALS]
                 t = e + bk_lat
-            elif t >= bk_starts[-1]:
-                bk_n += 1
+            elif t >= bk_starts_of[b][-1]:
+                bk_n[b] += 1
                 e = bk_ends[-1]
-                bk_wait += e - t
+                bk_wait[b] += e - t
                 e += bk_s
                 bk_ends[-1] = e
                 t = e + bk_lat
             else:
-                t = bk.acquire(t, bk_s)[1]
-            cache_set.move_to_end(line)
-            # Crossbar down port, line transfer (_Link.transfer).
+                t = banks[b].acquire(t, bk_s)[1]
+            cache_set = sets[line & smask]
+            if line in cache_set:
+                cache_set.move_to_end(line)
+                hits += 1
+            else:
+                t = dma_miss(line, t, size, False)
+            # Crossbar down port, data.
             if not xd_ends or t >= xd_ends[-1]:
-                xd_n += 1
+                xd_busy += xd_s
                 e = t + xd_s
                 if xd_ends and xd_ends[-1] == t:
                     xd_ends[-1] = e
@@ -228,17 +249,18 @@ class DmaEngine:
                         del xd_ends[:_MAX_INTERVALS]
                 t = e + xd_lat
             elif t >= xd_starts[-1]:
-                xd_n += 1
+                xd_busy += xd_s
                 e = xd_ends[-1]
                 xd_wait += e - t
                 e += xd_s
                 xd_ends[-1] = e
                 t = e + xd_lat
             else:
+                xd_bf += 1
                 t = xd.acquire(t, xd_s)[1]
-            # Cluster bus, response direction (_Link.transfer).
+            # Cluster bus, response direction.
             if not br_ends or t >= br_ends[-1]:
-                br_n += 1
+                br_busy += br_s
                 e = t + br_s
                 if br_ends and br_ends[-1] == t:
                     br_ends[-1] = e
@@ -250,246 +272,35 @@ class DmaEngine:
                         del br_ends[:_MAX_INTERVALS]
                 t = e + br_lat
             elif t >= br_starts[-1]:
-                br_n += 1
+                br_busy += br_s
                 e = br_ends[-1]
                 br_wait += e - t
                 e += br_s
                 br_ends[-1] = e
                 t = e + br_lat
             else:
+                br_bf += 1
                 t = br.acquire(t, br_s)[1]
             append(t)
             if t > done:
                 done = t
-            served += 1
-            line += 1
-        if served:
-            if xc_n:
-                xc.busy_fs += xc_n * xc_s
-                xc.requests += xc_n
-                xc.wait_fs += xc_wait
-            if bk_n:
-                bk.busy_fs += bk_n * bk_s
-                bk.requests += bk_n
-                bk.wait_fs += bk_wait
-            if xd_n:
-                xd.busy_fs += xd_n * xd_s
-                xd.requests += xd_n
-                xd.wait_fs += xd_wait
-            if br_n:
-                br.busy_fs += br_n * br_s
-                br.requests += br_n
-                br.wait_fs += br_wait
-            xd.bytes_moved += served * lb
-            br.bytes_moved += served * lb
-            u.l2_reads += served
-            u.l2_read_hits += served
-        return served, done
-
-    def _fast_put(self, start: int, line0: int, nlines: int) -> tuple[int, int]:
-        """Serve leading all-hit granules of a contiguous line-aligned put.
-
-        Mirrors :meth:`_fast_get` for the write chain (request bus ->
-        crossbar up -> L2 bank, hit dirtying the line in place).
-        """
-        u = self.uncore
-        if u._num_banks != 1:
-            return 0, start
-        l2 = u.l2
-        sets = l2._sets
-        smask = l2._set_mask
-        bk = u.l2_banks[0]
-        cl = self.cluster_id
-        bq = u.buses[cl].req
-        xu = u.xbar.up[cl]
-        lb = self.line_bytes
-        bq_s = (-(-lb // bq.width_bytes) or 1) * bq.cycle_fs
-        bq_lat = bq.latency_fs
-        bq_starts, bq_ends = bq._starts, bq._ends
-        xu_s = (-(-lb // xu.width_bytes) or 1) * xu.cycle_fs
-        xu_lat = xu.latency_fs
-        xu_starts, xu_ends = xu._starts, xu._ends
-        bk_s = u._l2_service_fs
-        bk_lat = bk.latency_fs
-        bk_starts, bk_ends = bk._starts, bk._ends
-        bq_n = xu_n = bk_n = 0
-        bq_wait = xu_wait = bk_wait = 0
-        modified = MesiState.MODIFIED
-        window = self._window
-        win = window.maxlen
-        append = window.append
-        wlen = len(window)
-        done = start
-        served = 0
-        line = line0
-        end_line = line0 + nlines
-        while line < end_line:
-            cache_set = sets[line & smask]
-            entry = cache_set.get(line)
-            if entry is None:
-                break
-            if wlen < win:
-                t = start
-                wlen += 1
-            else:
-                w0 = window[0]
-                t = start if start >= w0 else w0
-            # Cluster bus, request direction (_Link.transfer).
-            if not bq_ends or t >= bq_ends[-1]:
-                bq_n += 1
-                e = t + bq_s
-                if bq_ends and bq_ends[-1] == t:
-                    bq_ends[-1] = e
-                else:
-                    bq_starts.append(t)
-                    bq_ends.append(e)
-                    if len(bq_starts) >= _TRIM_AT:
-                        del bq_starts[:_MAX_INTERVALS]
-                        del bq_ends[:_MAX_INTERVALS]
-                t = e + bq_lat
-            elif t >= bq_starts[-1]:
-                bq_n += 1
-                e = bq_ends[-1]
-                bq_wait += e - t
-                e += bq_s
-                bq_ends[-1] = e
-                t = e + bq_lat
-            else:
-                t = bq.acquire(t, bq_s)[1]
-            # Crossbar up port, line transfer (_Link.transfer).
-            if not xu_ends or t >= xu_ends[-1]:
-                xu_n += 1
-                e = t + xu_s
-                if xu_ends and xu_ends[-1] == t:
-                    xu_ends[-1] = e
-                else:
-                    xu_starts.append(t)
-                    xu_ends.append(e)
-                    if len(xu_starts) >= _TRIM_AT:
-                        del xu_starts[:_MAX_INTERVALS]
-                        del xu_ends[:_MAX_INTERVALS]
-                t = e + xu_lat
-            elif t >= xu_starts[-1]:
-                xu_n += 1
-                e = xu_ends[-1]
-                xu_wait += e - t
-                e += xu_s
-                xu_ends[-1] = e
-                t = e + xu_lat
-            else:
-                t = xu.acquire(t, xu_s)[1]
-            # L2 write hit (Uncore.l2_write with refill=False): MRU touch,
-            # bank access, line dirtied in place.
-            cache_set.move_to_end(line)
-            if not bk_ends or t >= bk_ends[-1]:
-                bk_n += 1
-                e = t + bk_s
-                if bk_ends and bk_ends[-1] == t:
-                    bk_ends[-1] = e
-                else:
-                    bk_starts.append(t)
-                    bk_ends.append(e)
-                    if len(bk_starts) >= _TRIM_AT:
-                        del bk_starts[:_MAX_INTERVALS]
-                        del bk_ends[:_MAX_INTERVALS]
-                t = e + bk_lat
-            elif t >= bk_starts[-1]:
-                bk_n += 1
-                e = bk_ends[-1]
-                bk_wait += e - t
-                e += bk_s
-                bk_ends[-1] = e
-                t = e + bk_lat
-            else:
-                t = bk.acquire(t, bk_s)[1]
-            entry.state = modified
-            append(t)
-            if t > done:
-                done = t
-            served += 1
-            line += 1
-        if served:
-            if bq_n:
-                bq.busy_fs += bq_n * bq_s
-                bq.requests += bq_n
-                bq.wait_fs += bq_wait
-            if xu_n:
-                xu.busy_fs += xu_n * xu_s
-                xu.requests += xu_n
-                xu.wait_fs += xu_wait
-            if bk_n:
-                bk.busy_fs += bk_n * bk_s
-                bk.requests += bk_n
-                bk.wait_fs += bk_wait
-            bq.bytes_moved += served * lb
-            xu.bytes_moved += served * lb
-            u.l2_writes += served
-            u.l2_write_hits += served
-        return served, done
-
-    def get(self, now_fs: int, addr: int, nbytes: int,
-            stride: int = 0, block: int | None = None) -> int:
-        """Fetch from memory into the local store; returns completion time."""
-        if self.observer is not None:
-            self.observer("get", self, addr, nbytes, stride, block, now_fs)
-        self.commands += 1
-        self.bytes_read += nbytes
-        start = max(now_fs, self._engine_free)
-        done = start
-        uncore = self.uncore
-        cl = self.cluster_id
-        # Hot-loop locals: every granule crosses three resources, so the
-        # attribute chains are hoisted once per command.
-        line_bytes = self.line_bytes
-        window = self._window
-        win_size = window.maxlen
-        append = window.append
-        xbar_control = uncore.xbar.up[cl].control
-        xbar_down = uncore.xbar.down[cl].transfer
-        bus_resp = uncore.buses[cl].resp.transfer
-        l2_read = uncore.l2_read
-        if stride == 0 and nbytes > 0 and not (addr & (line_bytes - 1)) \
-                and not (nbytes & (line_bytes - 1)):
-            # Contiguous line-aligned command: uniform line granules.
-            line0 = addr >> self._line_shift
-            nlines = nbytes >> self._line_shift
-            first = 0
-            # Single-line commands (e.g. a mesh gather rim) skip the
-            # fused loop: its setup costs more than the one pass through
-            # the plain loop it would replace.
-            if nlines > 1 and self._fast and self.observer is None:
-                first, done = self._fast_get(start, line0, nlines)
-            for line in range(line0 + first, line0 + nlines):
-                t = start if len(window) < win_size else max(start, window[0])
-                t = xbar_control(t)
-                t, _ = l2_read(line, t)
-                t = xbar_down(t, line_bytes)
-                t = bus_resp(t, line_bytes)
-                append(t)
-                if t > done:
-                    done = t
-        else:
-            shift = self._line_shift
-            l2_read_partial = uncore.l2_read_partial
-            for block_addr, block_size in self._blocks(addr, nbytes, stride,
-                                                       block):
-                for gran_addr, gran_size in self._granules(block_addr,
-                                                           block_size):
-                    t = start if len(window) < win_size \
-                        else max(start, window[0])
-                    line = gran_addr >> shift
-                    t = xbar_control(t)
-                    if gran_size == line_bytes and gran_addr % line_bytes == 0:
-                        t, _ = l2_read(line, t)
-                    else:
-                        # Scatter/gather: the L2 still serves reuse; a miss
-                        # moves only the bytes needed from DRAM.
-                        t = l2_read_partial(line, gran_size, t)
-                    t = xbar_down(t, gran_size)
-                    t = bus_resp(t, gran_size)
-                    append(t)
-                    if t > done:
-                        done = t
+        xc.busy_fs += (count - xc_bf) * xc_s
+        xc.requests += count - xc_bf
+        xc.wait_fs += xc_wait
+        for bank, n, wait in zip(banks, bk_n, bk_wait):
+            bank.busy_fs += n * bk_s
+            bank.requests += n
+            bank.wait_fs += wait
+        xd.busy_fs += xd_busy
+        xd.requests += count - xd_bf
+        xd.wait_fs += xd_wait
+        br.busy_fs += br_busy
+        br.requests += count - br_bf
+        br.wait_fs += br_wait
+        xd.bytes_moved += nbytes
+        br.bytes_moved += nbytes
+        u.l2_reads += count
+        u.l2_read_hits += hits
         self._engine_free = done
         if self.trace_hook is not None:
             self.trace_hook("get", self.core_id, now_fs, start, done,
@@ -504,58 +315,154 @@ class DmaEngine:
         the last granule into the memory system (the data's journey to DRAM
         continues via L2 write-back, exactly as the paper's Section 3.3
         describes — "the L2 cache avoids refills on write misses when DMA
-        transfers overwrite entire lines").
+        transfers overwrite entire lines").  Sub-line granules (strided
+        scatters) allocate without a refill too: successive commands
+        cover their lines, so the data stays on chip for later reuse and
+        reaches DRAM once, on eviction, instead of as narrow writes.
         """
         if self.observer is not None:
             self.observer("put", self, addr, nbytes, stride, block, now_fs)
         self.commands += 1
         self.bytes_written += nbytes
+        granules, count = self._granules(addr, nbytes, stride, block)
         start = max(now_fs, self._engine_free)
-        done = start
-        uncore = self.uncore
+        u = self.uncore
+        sets = u.l2._sets
+        smask = u.l2._set_mask
+        dma_miss = u.dma_miss
+        banks = u.l2_banks
+        nb = len(banks)
         cl = self.cluster_id
-        line_bytes = self.line_bytes
+        bq = u.buses[cl].req
+        xu = u.xbar.up[cl]
+        bq_w, bq_c, bq_lat = bq.width_bytes, bq.cycle_fs, bq.latency_fs
+        bq_starts, bq_ends = bq._starts, bq._ends
+        xu_w, xu_c, xu_lat = xu.width_bytes, xu.cycle_fs, xu.latency_fs
+        xu_starts, xu_ends = xu._starts, xu._ends
+        bk_s = u._l2_service_fs
+        bk_lat = banks[0].latency_fs
+        bk_starts_of = [bank._starts for bank in banks]
+        bk_ends_of = [bank._ends for bank in banks]
+        bq_bf = xu_bf = 0
+        bq_wait = xu_wait = 0
+        bq_busy = xu_busy = 0
+        bk_n = [0] * nb
+        bk_wait = [0] * nb
+        size_now = bq_s = xu_s = 0
+        hits = 0
+        modified = MesiState.MODIFIED
         window = self._window
-        win_size = window.maxlen
+        win = window.maxlen
         append = window.append
-        bus_req = uncore.buses[cl].req.transfer
-        xbar_up = uncore.xbar.up[cl].transfer
-        l2_write = uncore.l2_write
-        if stride == 0 and nbytes > 0 and not (addr & (line_bytes - 1)) \
-                and not (nbytes & (line_bytes - 1)):
-            line0 = addr >> self._line_shift
-            nlines = nbytes >> self._line_shift
-            first = 0
-            # Same single-line gate as the get side.
-            if nlines > 1 and self._fast and self.observer is None:
-                first, done = self._fast_put(start, line0, nlines)
-            for line in range(line0 + first, line0 + nlines):
-                t = start if len(window) < win_size else max(start, window[0])
-                t = bus_req(t, line_bytes)
-                t = xbar_up(t, line_bytes)
-                t = l2_write(line, t, refill=False)
-                append(t)
-                if t > done:
-                    done = t
-        else:
-            shift = self._line_shift
-            l2_write_partial = uncore.l2_write_partial
-            for block_addr, block_size in self._blocks(addr, nbytes, stride,
-                                                       block):
-                for gran_addr, gran_size in self._granules(block_addr,
-                                                           block_size):
-                    t = start if len(window) < win_size \
-                        else max(start, window[0])
-                    t = bus_req(t, gran_size)
-                    t = xbar_up(t, gran_size)
-                    line = gran_addr >> shift
-                    if gran_size == line_bytes and gran_addr % line_bytes == 0:
-                        t = l2_write(line, t, refill=False)
-                    else:
-                        t = l2_write_partial(line, gran_size, t)
-                    append(t)
-                    if t > done:
-                        done = t
+        wlen = len(window)
+        done = start
+        for line, size in granules:
+            if size != size_now:
+                size_now = size
+                bq_s = (-(-size // bq_w) or 1) * bq_c
+                xu_s = (-(-size // xu_w) or 1) * xu_c
+            if wlen < win:
+                t = start
+                wlen += 1
+            else:
+                w0 = window[0]
+                t = start if start >= w0 else w0
+            # Cluster bus, request direction, data.
+            if not bq_ends or t >= bq_ends[-1]:
+                bq_busy += bq_s
+                e = t + bq_s
+                if bq_ends and bq_ends[-1] == t:
+                    bq_ends[-1] = e
+                else:
+                    bq_starts.append(t)
+                    bq_ends.append(e)
+                    if len(bq_starts) >= _TRIM_AT:
+                        del bq_starts[:_MAX_INTERVALS]
+                        del bq_ends[:_MAX_INTERVALS]
+                t = e + bq_lat
+            elif t >= bq_starts[-1]:
+                bq_busy += bq_s
+                e = bq_ends[-1]
+                bq_wait += e - t
+                e += bq_s
+                bq_ends[-1] = e
+                t = e + bq_lat
+            else:
+                bq_bf += 1
+                t = bq.acquire(t, bq_s)[1]
+            # Crossbar up port, data.
+            if not xu_ends or t >= xu_ends[-1]:
+                xu_busy += xu_s
+                e = t + xu_s
+                if xu_ends and xu_ends[-1] == t:
+                    xu_ends[-1] = e
+                else:
+                    xu_starts.append(t)
+                    xu_ends.append(e)
+                    if len(xu_starts) >= _TRIM_AT:
+                        del xu_starts[:_MAX_INTERVALS]
+                        del xu_ends[:_MAX_INTERVALS]
+                t = e + xu_lat
+            elif t >= xu_starts[-1]:
+                xu_busy += xu_s
+                e = xu_ends[-1]
+                xu_wait += e - t
+                e += xu_s
+                xu_ends[-1] = e
+                t = e + xu_lat
+            else:
+                xu_bf += 1
+                t = xu.acquire(t, xu_s)[1]
+            # L2 bank port, then the L2: a hit dirties the line in place.
+            b = line % nb
+            bk_ends = bk_ends_of[b]
+            if not bk_ends or t >= bk_ends[-1]:
+                bk_n[b] += 1
+                e = t + bk_s
+                if bk_ends and bk_ends[-1] == t:
+                    bk_ends[-1] = e
+                else:
+                    bk_starts = bk_starts_of[b]
+                    bk_starts.append(t)
+                    bk_ends.append(e)
+                    if len(bk_starts) >= _TRIM_AT:
+                        del bk_starts[:_MAX_INTERVALS]
+                        del bk_ends[:_MAX_INTERVALS]
+                t = e + bk_lat
+            elif t >= bk_starts_of[b][-1]:
+                bk_n[b] += 1
+                e = bk_ends[-1]
+                bk_wait[b] += e - t
+                e += bk_s
+                bk_ends[-1] = e
+                t = e + bk_lat
+            else:
+                t = banks[b].acquire(t, bk_s)[1]
+            cache_set = sets[line & smask]
+            entry = cache_set.get(line)
+            if entry is not None:
+                cache_set.move_to_end(line)
+                entry.state = modified
+                hits += 1
+            else:
+                t = dma_miss(line, t, size, True)
+            append(t)
+            if t > done:
+                done = t
+        bq.busy_fs += bq_busy
+        bq.requests += count - bq_bf
+        bq.wait_fs += bq_wait
+        xu.busy_fs += xu_busy
+        xu.requests += count - xu_bf
+        xu.wait_fs += xu_wait
+        for bank, n, wait in zip(banks, bk_n, bk_wait):
+            bank.busy_fs += n * bk_s
+            bank.requests += n
+            bank.wait_fs += wait
+        bq.bytes_moved += nbytes
+        xu.bytes_moved += nbytes
+        u.l2_writes += count
+        u.l2_write_hits += hits
         self._engine_free = done
         if self.trace_hook is not None:
             self.trace_hook("put", self.core_id, now_fs, start, done,
@@ -572,15 +479,3 @@ class DmaEngine:
         capacity.
         """
         return max(now_fs, self._engine_free)
-
-    def _granules(self, addr: int, nbytes: int) -> Iterable[tuple[int, int]]:
-        """Split a block into line-aligned granules of at most one line."""
-        line = self.line_bytes
-        position = addr
-        remaining = nbytes
-        while remaining > 0:
-            boundary = (position // line + 1) * line
-            size = min(remaining, boundary - position)
-            yield position, size
-            position += size
-            remaining -= size

@@ -62,9 +62,6 @@ class Uncore:
         self.l2_writebacks = 0
         self.l2_refills_avoided = 0
 
-    def _bank(self, line: int) -> OccupancyResource:
-        return self.l2_banks[line % self._num_banks]
-
     def _evict(self, victim, when_fs: int) -> None:
         """Handle an L2 victim: dirty lines are written back to DRAM.
 
@@ -83,7 +80,7 @@ class Uncore:
         """Read one line through the L2.  Returns (completion_fs, hit)."""
         self.l2_reads += 1
         # SetAssocCache.touch, inlined: this is the busiest uncore entry
-        # point (every L1 miss and every DMA line granule lands here).
+        # point (every L1 miss lands here).
         l2 = self.l2
         cache_set = l2._sets[line & l2._set_mask]
         entry = cache_set.get(line)
@@ -102,10 +99,10 @@ class Uncore:
     def l2_write(self, line: int, now_fs: int, refill: bool) -> int:
         """Write one full or partial line into the L2.
 
-        ``refill=False`` is the full-line case (L1 dirty write-back or a
-        line-aligned DMA put): the L2 allocates and validates the line
-        without reading the stale data from memory.  ``refill=True`` is a
-        partial-line write, which must fetch the line first.
+        ``refill=False`` is the full-line case (an L1 dirty write-back):
+        the L2 allocates and validates the line without reading the stale
+        data from memory.  ``refill=True`` is a partial-line write, which
+        must fetch the line first.
         """
         self.l2_writes += 1
         entry = self.l2.touch(line)
@@ -125,45 +122,28 @@ class Uncore:
         self._evict(victim, sent)
         return done
 
-    def l2_read_partial(self, line: int, nbytes: int, now_fs: int) -> int:
-        """Sub-line read (strided/indexed DMA gather).
+    def dma_miss(self, line: int, sent_fs: int, nbytes: int,
+                 write: bool) -> int:
+        """Finish a DMA granule that missed the L2; returns its done time.
 
-        The L2 still captures long-term reuse (Section 3.3), but a miss
-        moves only the requested bytes from DRAM and does not allocate —
-        the "minimum memory channel bandwidth" property of scatter/gather
-        DMA (Section 2.3).
+        ``sent_fs`` is when the bank access sent the miss on (the DMA
+        engine's granule loops do the bank access and the hit/miss
+        counters themselves).  A write allocates the line dirty without a
+        refill, whole line or not: a whole-line put overwrites it, and
+        strided scatter output is gathered in the L2 until successive
+        commands cover the line.  A whole-line read fetches the line from
+        DRAM and allocates it; a sub-line read moves only the requested
+        bytes and allocates nothing, the "minimum memory channel
+        bandwidth" property of scatter/gather DMA (Section 2.3).
         """
-        self.l2_reads += 1
-        entry = self.l2.touch(line)
-        bank = self.l2_banks[line % self._num_banks]
-        sent = bank.serve(now_fs, self._l2_service_fs)
-        if entry is not None:
-            self.l2_read_hits += 1
-            return sent
-        return self.dram.read(sent, nbytes, addr=line * self.line_bytes)
-
-    def l2_write_partial(self, line: int, nbytes: int, now_fs: int) -> int:
-        """Sub-line write (strided/indexed DMA scatter).
-
-        Hits merge into the cached line.  Misses allocate the line without
-        a refill: DMA scatter output is gathered in the L2 (strided puts
-        cover their lines across successive commands — e.g. adjacent
-        macroblocks writing the two halves of a reconstruction line), so
-        the data stays on chip for later reuse and reaches DRAM once, on
-        eviction, instead of as narrow writes.
-        """
-        self.l2_writes += 1
-        entry = self.l2.touch(line)
-        bank = self.l2_banks[line % self._num_banks]
-        sent = bank.serve(now_fs, self._l2_service_fs)
-        if entry is not None:
-            self.l2_write_hits += 1
-            entry.state = MesiState.MODIFIED
-            return sent
-        self.l2_refills_avoided += 1
-        victim = self.l2.insert(line, MesiState.MODIFIED)
-        self._evict(victim, sent)
-        return sent
+        if write:
+            self.l2_refills_avoided += 1
+            self._evict(self.l2.insert(line, MesiState.MODIFIED), sent_fs)
+            return sent_fs
+        done = self.dram.read(sent_fs, nbytes, addr=line * self.line_bytes)
+        if nbytes == self.line_bytes:
+            self._evict(self.l2.insert(line, MesiState.EXCLUSIVE), sent_fs)
+        return done
 
     def flush(self, now_fs: int) -> int:
         """Write every dirty L2 line back to DRAM (end-of-run settling)."""

@@ -4,22 +4,18 @@ The processor's hot loop (see :mod:`repro.core.processor`) can execute
 consecutive compute operations and guaranteed-L1-hit accesses without
 re-entering the event queue, falling back to the event-driven slow path
 only at misses, synchronization, DMA waits, and pending-event boundaries.
-The DMA engine likewise serves the all-L2-hit prefix of contiguous line
-commands in a fused per-granule loop (off while a DMA observer is
-attached).  The fast path is *bit-identical* to the slow path by
-construction (the elided events are the core's own back-to-back resume
-events, which the kernel would pop next in any case; the fused loops
-replay the per-granule resource transitions exactly) — but because
-"identical by construction" is a claim worth distrusting, the escape
-hatch
+The fast path is *bit-identical* to the slow path by construction (the
+elided events are the core's own back-to-back resume events, which the
+kernel would pop next in any case) — but because "identical by
+construction" is a claim worth distrusting, the escape hatch
 
     REPRO_FASTPATH=0 python -m repro ...
 
-forces the original one-event-per-quantum execution with every DMA
-granule walked through the ordinary resource methods, and the
-invariance tests in ``tests/test_fastpath.py`` and ``tests/test_dma.py``
-diff full result rows across both modes.  Only ``stats["sim.*"]`` may
-differ (that is the point).
+forces the original one-event-per-quantum execution, and the invariance
+tests in ``tests/test_fastpath.py`` and ``tests/test_dma.py`` diff full
+result rows across both modes.  Only ``stats["sim.*"]`` may differ
+(that is the point).  DMA commands do not depend on the hatch: the
+engine serves every command through one granule loop per direction.
 
 The second switch covers the block arm only: the loop descriptors
 workloads may yield in place of plain op tuples,

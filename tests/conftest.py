@@ -5,9 +5,15 @@ Experiment CLI commands persist results under ``$REPRO_STORE`` (or
 by a previous checkout or leak records into the developer's working
 tree, so every test session gets its own throwaway store directory
 unless a test overrides it explicitly.
+
+``pytest --hypothesis-profile=deep`` gives the DMA differential test
+(``tests/test_dma.py``) ten times its default number of examples.
 """
 
 import pytest
+from hypothesis import settings
+
+settings.register_profile("deep", max_examples=2000)
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -7,9 +7,8 @@ plain op tuples one by one with every memory address shifted by
 meaning, so these tests pin both sides: the template/validation API, and
 full-record bit-identity across every combination of ``REPRO_BLOCKS``
 and ``REPRO_FASTPATH`` — over workloads that take every descriptor
-path (blocks and phases) and the fused DMA loops — with
-``stats["sim.*"]`` as the single permitted difference, same as the
-fast-path contract.
+path (blocks and phases) and DMA commands — with ``stats["sim.*"]``
+as the single permitted difference, same as the fast-path contract.
 """
 
 import pytest
@@ -193,9 +192,9 @@ class TestFourModeIdentity:
 
     The workloads cover every descriptor path: block replays (all of
     them), walked phases (bitonic-cc, fir-cc) and double-buffered DMA
-    loops with their fused granule loops (the str rows).  Spilled
-    two-lane phases (merge-cc) and the observer de-opts are in
-    ``tests/test_phases.py`` and ``tests/test_dma.py``.
+    loops (the str rows).  Spilled two-lane phases (merge-cc) and the
+    observer axes are in ``tests/test_phases.py`` and
+    ``tests/test_dma.py``.
     """
 
     MODES = [(blocks, fastpath)

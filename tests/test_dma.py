@@ -1,19 +1,24 @@
 """DMA engine: block decomposition, L2 interaction, traffic accounting,
-and bit-identity of double-buffered DMA loops across execution modes.
+the granule loops against the per-granule walk they replaced, and
+bit-identity of double-buffered DMA loops across execution modes.
 
-The fused all-hit granule loops follow ``REPRO_FASTPATH`` and turn off
-under a DMA observer; neither may change a run.  The double-buffered
-loop tests below drive the canonical streaming-model hot loop — fetch
-the next tile, wait for this one, run the local-store kernel, put it
-back — as a plain generator loop, and diff full result records across
-every combination of ``REPRO_BLOCKS``, ``REPRO_FASTPATH`` and the
-hierarchy and DMA-engine observers, with ``stats["sim.*"]`` as the
-single permitted difference.
+The engine serves every command through one granule loop per direction.
+The oracle below restores the old walk, four resource method calls per
+granule, and random command scripts must leave both engines' machines
+in the same state.  The double-buffered loop tests drive the canonical
+streaming-model hot loop — fetch the next tile, wait for this one, run
+the local-store kernel, put it back — as a plain generator loop, and
+diff full result records across every combination of ``REPRO_BLOCKS``,
+``REPRO_FASTPATH`` and the hierarchy and DMA-engine observers, with
+``stats["sim.*"]`` as the single permitted difference.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from repro.config import CacheConfig, DramConfig, MachineConfig
 from repro.core.ops import (
@@ -26,8 +31,10 @@ from repro.core.ops import (
     local_store,
 )
 from repro.core.system import CmpSystem
+from repro.mem.dma import DmaEngine
 from repro.mem.hierarchy import StreamingHierarchy
 from repro.obs import DmaCommandRecorder
+from repro.sim.fastpath import fastpath_enabled
 from repro.sim.resources import OccupancyResource
 from repro.units import ns_to_fs
 from repro.workloads import get_workload
@@ -162,18 +169,139 @@ class TestTiming:
         assert unc.l2.occupancy() == 1   # only the full line allocates
 
 
+class PerGranuleEngine(DmaEngine):
+    """The engine before the granule loops: every granule walks the
+    resource and uncore methods one call at a time."""
+
+    def _split(self, addr, nbytes, stride, block):
+        """(address, size) granules: each block cut at line boundaries."""
+        line = self.line_bytes
+        for position, remaining in self._blocks(addr, nbytes, stride, block):
+            while remaining > 0:
+                boundary = (position // line + 1) * line
+                size = min(remaining, boundary - position)
+                yield position, size
+                position += size
+                remaining -= size
+
+    def _read_partial(self, line, nbytes, now_fs):
+        """The old ``Uncore.l2_read_partial``: hits count, a miss moves
+        only the requested bytes and allocates nothing."""
+        uncore = self.uncore
+        uncore.l2_reads += 1
+        entry = uncore.l2.touch(line)
+        bank = uncore.l2_banks[line % uncore._num_banks]
+        sent = bank.serve(now_fs, uncore._l2_service_fs)
+        if entry is not None:
+            uncore.l2_read_hits += 1
+            return sent
+        return uncore.dram.read(sent, nbytes, addr=line * self.line_bytes)
+
+    def get(self, now_fs, addr, nbytes, stride=0, block=None):
+        if self.observer is not None:
+            self.observer("get", self, addr, nbytes, stride, block, now_fs)
+        self.commands += 1
+        self.bytes_read += nbytes
+        start = max(now_fs, self._engine_free)
+        done = start
+        uncore = self.uncore
+        cl = self.cluster_id
+        line_bytes = self.line_bytes
+        window = self._window
+        xbar_control = uncore.xbar.up[cl].control
+        xbar_down = uncore.xbar.down[cl].transfer
+        bus_resp = uncore.buses[cl].resp.transfer
+        for gran_addr, gran_size in self._split(addr, nbytes, stride, block):
+            t = start if len(window) < window.maxlen \
+                else max(start, window[0])
+            line = gran_addr // line_bytes
+            t = xbar_control(t)
+            if gran_size == line_bytes:
+                t, _ = uncore.l2_read(line, t)
+            else:
+                t = self._read_partial(line, gran_size, t)
+            t = xbar_down(t, gran_size)
+            t = bus_resp(t, gran_size)
+            window.append(t)
+            done = max(done, t)
+        self._engine_free = done
+        if self.trace_hook is not None:
+            self.trace_hook("get", self.core_id, now_fs, start, done,
+                            addr, nbytes)
+        return done
+
+    def put(self, now_fs, addr, nbytes, stride=0, block=None):
+        if self.observer is not None:
+            self.observer("put", self, addr, nbytes, stride, block, now_fs)
+        self.commands += 1
+        self.bytes_written += nbytes
+        start = max(now_fs, self._engine_free)
+        done = start
+        uncore = self.uncore
+        cl = self.cluster_id
+        window = self._window
+        bus_req = uncore.buses[cl].req.transfer
+        xbar_up = uncore.xbar.up[cl].transfer
+        for gran_addr, gran_size in self._split(addr, nbytes, stride, block):
+            t = start if len(window) < window.maxlen \
+                else max(start, window[0])
+            t = bus_req(t, gran_size)
+            t = xbar_up(t, gran_size)
+            # The old Uncore.l2_write_partial was l2_write(refill=False)
+            # line for line: whole and sub-line puts allocate alike.
+            t = uncore.l2_write(gran_addr // self.line_bytes, t, refill=False)
+            window.append(t)
+            done = max(done, t)
+        self._engine_free = done
+        if self.trace_hook is not None:
+            self.trace_hook("put", self.core_id, now_fs, start, done,
+                            addr, nbytes)
+        return done
+
+
+def with_oracle_engines(h):
+    """Swap every DMA engine of ``h`` for a fresh :class:`PerGranuleEngine`."""
+    h.dma_engines = [
+        PerGranuleEngine(e.core_id, e.cluster_id, e.uncore, e.config,
+                         e.line_bytes)
+        for e in h.dma_engines]
+    return h
+
+
+def machine_state(h):
+    """Every observable a DMA command can change: each calendar with its
+    counters, the L2 contents in LRU order with states, the uncore and
+    DRAM counters, and each engine's queue state."""
+    u = h.uncore
+    resources = [*(link for bus in u.buses for link in bus.links()),
+                 *u.xbar.links(), *u.l2_banks, *u.dram.channels()]
+    calendars = [(r.name, list(r._starts), list(r._ends), r.busy_fs,
+                  r.wait_fs, r.requests, getattr(r, "bytes_moved", 0))
+                 for r in resources]
+    lru = [[(line, entry.state, entry.ready_fs, entry.prefetched)
+            for line, entry in cache_set.items()]
+           for cache_set in u.l2._sets]
+    dram = u.dram
+    counters = (u.l2_reads, u.l2_read_hits, u.l2_writes, u.l2_write_hits,
+                u.l2_writebacks, u.l2_refills_avoided, dram.read_bytes,
+                dram.write_bytes, dram.read_accesses, dram.write_accesses,
+                dram.row_hits, dram.row_misses)
+    engines = [(e._engine_free, list(e._window), e.commands, e.bytes_read,
+                e.bytes_written) for e in h.dma_engines]
+    return calendars, lru, counters, engines
+
+
 class TestFusedLoopIdentity:
-    """The fused all-hit loops (REPRO_FASTPATH) match the per-granule path.
+    """The granule loops match the per-granule walk, granule for granule.
 
     Two identical single-bank hierarchies run the same command sequence,
-    one built with the fast path on and one with it off; every
-    observable of the engines and of the uncore must agree.
+    one with the shipped engines and one with :class:`PerGranuleEngine`;
+    every observable of the engines and of the uncore must agree.
     """
 
     LINE = 32
 
-    def build(self, monkeypatch, fastpath):
-        monkeypatch.setenv("REPRO_FASTPATH", fastpath)
+    def build(self):
         # Two cores form one cluster, so the uncore has one L2 bank.  A
         # 4 KiB L2 (8 sets of 16 ways) puts several lines of each long
         # command in one set, so LRU order and evictions are checked.
@@ -224,25 +352,10 @@ class TestFusedLoopIdentity:
             t += ns_to_fs(rng.randrange(0, 40))
         return log
 
-    def state(self, h):
-        u = h.uncore
-        resources = [u.xbar.up[0], u.xbar.down[0], u.buses[0].req,
-                     u.buses[0].resp, u.l2_banks[0], *u.dram.channels()]
-        calendars = [(r.name, list(r._starts), list(r._ends), r.busy_fs,
-                      r.wait_fs, r.requests, getattr(r, "bytes_moved", 0))
-                     for r in resources]
-        lru = [[(line, entry.state) for line, entry in cache_set.items()]
-               for cache_set in u.l2._sets]
-        engines = [(e._engine_free, list(e._window), e.commands)
-                   for e in h.dma_engines]
-        counters = (u.l2_reads, u.l2_read_hits, u.l2_writes,
-                    u.l2_write_hits, u.dram.read_bytes, u.dram.write_bytes)
-        return calendars, lru, engines, counters
-
     def test_fused_loops_match_per_granule_path(self, monkeypatch):
-        fused = self.build(monkeypatch, "1")
-        plain = self.build(monkeypatch, "0")
-        # Count what the fused loops serve, and the backfill arrivals
+        looped = self.build()
+        plain = with_oracle_engines(self.build())
+        # Count the granules the loops serve, and the backfill arrivals
         # they hand to a resource's own acquire.
         tally = {"granules": 0, "backfills": 0, "inside": False}
         acquire = OccupancyResource.acquire
@@ -253,23 +366,142 @@ class TestFusedLoopIdentity:
             return acquire(resource, now_fs, service_fs)
 
         monkeypatch.setattr(OccupancyResource, "acquire", counting_acquire)
-        for engine in fused.dma_engines:
-            for name in ("_fast_get", "_fast_put"):
-                def wrapped(start, line0, nlines,
-                            inner=getattr(engine, name)):
+        u = looped.uncore
+        for engine in looped.dma_engines:
+            for name in ("get", "put"):
+                def wrapped(*args, inner=getattr(engine, name)):
+                    before = u.l2_reads + u.l2_writes
                     tally["inside"] = True
                     try:
-                        served, done = inner(start, line0, nlines)
+                        return inner(*args)
                     finally:
                         tally["inside"] = False
-                    tally["granules"] += served
-                    return served, done
+                        tally["granules"] += u.l2_reads + u.l2_writes - before
                 setattr(engine, name, wrapped)
 
-        assert self.drive(fused) == self.drive(plain)
-        assert self.state(fused) == self.state(plain)
+        assert self.drive(looped) == self.drive(plain)
+        assert machine_state(looped) == machine_state(plain)
         assert tally["granules"] > 0
         assert tally["backfills"] > 0
+
+    def test_arrival_inside_a_peer_fill(self):
+        """A get granule arriving inside the response bus's last busy
+        interval.  Granules reach that bus through the crossbar down
+        port, which is at least as slow, so only a different path can
+        leave such an interval: here, a peer-to-peer fill in the
+        cluster."""
+        line = self.LINE
+        # When a lone single-line get reaches the response bus.
+        probe = self.build()
+        probe.dma_engines[0].get(0, 64 * line, line)
+        reach = probe.uncore.buses[0].resp._starts[0]
+
+        def run(h):
+            resp = h.uncore.buses[0].resp
+            h.store_line(0, 7, 0)                   # core 0 owns line 7
+            h.load_line(1, 7, ns_to_fs(1000))       # supplied by core 0
+            fill = resp._starts[-1]
+            wait = resp.wait_fs
+            at = fill + resp.cycle_fs // 2 - reach
+            done = h.dma_engines[0].get(at, 64 * line, line)
+            assert resp.wait_fs > wait
+            return done
+
+        looped = self.build()
+        plain = with_oracle_engines(self.build())
+        assert run(looped) == run(plain)
+        assert machine_state(looped) == machine_state(plain)
+
+
+#: Command shapes of the differential scripts: contiguous line-aligned,
+#: single-line, misaligned contiguous (sub-line head and tail), strided
+#: whole lines, and sub-line gathers / scatters at either stride sign.
+SHAPES = ("lines", "line", "misaligned", "strided", "gather", "backward")
+
+command_strategy = st.tuples(
+    # Cache loads and stores share the buses and crossbar ports with
+    # the DMA granules (a cache-to-cache fill uses the bus alone), so
+    # arrivals also land inside another request's busy interval.
+    st.sampled_from(("get", "put", "load", "store")),
+    st.integers(0, 3),                  # engine slot, see ENGINE_SLOTS
+    st.sampled_from(SHAPES),
+    st.integers(0, 95),                 # first line: 3x the L2's 32 lines
+    st.integers(1, 24),                 # lines or blocks
+    st.integers(1, 31),                 # byte offset / sub-line block size
+    st.integers(0, 3),                  # extra stride, in lines
+    st.integers(-80, 80),               # ns from the previous issue
+)
+
+
+def _command(shape, first, count, offset, extra):
+    """``(addr, nbytes, stride, block)`` of one drawn command."""
+    base = first * LINE
+    if shape == "lines":
+        return base, count * LINE, 0, None
+    if shape == "line":
+        return base, LINE, 0, None
+    if shape == "misaligned":
+        return base + offset, count * LINE - offset // 2, 0, None
+    if shape == "strided":
+        return base, count * LINE, (1 + extra) * LINE, LINE
+    size = offset % 16 + 1              # a sub-line block
+    stride = size + extra * LINE + offset
+    if shape == "gather":
+        return base + offset, count * size, stride, size
+    return base + count * stride, count * size, -stride, size
+
+
+def _run_script(h, script):
+    """Issue ``script`` on ``h``; returns every returned time."""
+    cores = len(h.dma_engines)
+    slots = (0, 1, cores // 2, cores - 1)
+    now = 0
+    log = []
+    for kind, slot, shape, first, count, offset, extra, delta in script:
+        core = slots[slot]
+        now = max(0, now + ns_to_fs(delta))
+        if kind == "load":          # eight hot lines: peers supply them
+            log.append(h.load_line(core, first % 8, now))
+        elif kind == "store":
+            log.append(h.store_line(core, first % 8, now))
+        else:
+            engine = h.dma_engines[core]
+            issue = engine.get if kind == "get" else engine.put
+            log.append(issue(now, *_command(shape, first, count, offset,
+                                            extra)))
+    return log
+
+
+#: Scripts per run.  A profile with a larger budget raises it: CI's
+#: slowpath-smoke job loads ``deep`` (tests/conftest.py).
+SCRIPTS = 200
+
+
+# No explain phase: its branch tracing over whole scripts only slows a
+# failing run's shrink.
+@settings(max_examples=max(SCRIPTS, settings.default.max_examples),
+          deadline=None,
+          phases=[p for p in Phase if p is not Phase.explain])
+@given(cores=st.sampled_from([2, 8, 16]), window=st.sampled_from([2, 16]),
+       channels=st.sampled_from([1, 2]),
+       script=st.lists(command_strategy, min_size=5, max_size=40))
+def test_granule_loops_match_per_granule_walk(cores, window, channels,
+                                              script):
+    # 2, 8 and 16 cores give 1, 2 and 4 L2 banks; slots 2 and 3 are
+    # engines in other clusters once there are two.  A 1 KiB L2 (8 sets
+    # of 4 ways) evicts clean and dirty lines mid-command, and issue
+    # times up to 80 ns apart backfill each other's calendars.
+    config = MachineConfig(
+        num_cores=cores,
+        l2=CacheConfig(capacity_bytes=1024, associativity=4),
+        dram=DramConfig(channels=channels, interleave_bytes=64),
+    ).with_model("str")
+    config = config.with_(stream=replace(config.stream,
+                                         dma_max_outstanding=window))
+    looped = StreamingHierarchy(config)
+    plain = with_oracle_engines(StreamingHierarchy(config))
+    assert _run_script(looped, script) == _run_script(plain, script)
+    assert machine_state(looped) == machine_state(plain)
 
 
 def run_threads(*threads, **cfg_kwargs):
@@ -327,12 +559,12 @@ def all_modes(monkeypatch, on):
 
 
 class TestFlag:
-    """The fused DMA loops follow REPRO_FASTPATH, not REPRO_BLOCKS."""
+    """REPRO_FASTPATH parses every on/off spelling, whatever
+    REPRO_BLOCKS says."""
 
     def engaged(self, monkeypatch):
         monkeypatch.setenv("REPRO_BLOCKS", "0")
-        h = StreamingHierarchy(MachineConfig(num_cores=1).with_model("str"))
-        return h.dma_engines[0]._fast
+        return fastpath_enabled()
 
     def test_default_on(self, monkeypatch):
         monkeypatch.delenv("REPRO_FASTPATH", raising=False)
@@ -394,7 +626,7 @@ class TestDwaitContention:
 def run_tiny(name, model, cores, observed=False, dma_observed=False):
     """Run a tiny-preset workload, optionally under a no-op hierarchy
     observer (the inline L1 probe goes off) and a no-op DMA-engine
-    observer (the fused DMA loops go off)."""
+    observer (called once per command)."""
     config = MachineConfig(num_cores=cores).with_model(model)
     program = get_workload(name).build(config.model, config, preset="tiny")
     system = CmpSystem(config, program)
@@ -407,9 +639,9 @@ def run_tiny(name, model, cores, observed=False, dma_observed=False):
 
 
 class TestSixteenModeIdentity:
-    """blocks x fastpath x observed x dma_observed: 16 interpreters, one
-    answer.  Each observer de-opts its own fast path (the inline L1
-    probe, the fused DMA loops) without changing the run."""
+    """blocks x fastpath x observed x dma_observed: 16 modes, one
+    answer.  The hierarchy observer turns the inline L1 probe off; the
+    DMA-engine observer sees every command; neither changes the run."""
 
     MODES = [(blocks, fastpath, observed, dma_observed)
              for blocks in ("1", "0")
@@ -434,7 +666,7 @@ class TestSixteenModeIdentity:
 
 
 class TestObserved:
-    """Observation de-opts the fused DMA loops but cannot change a run."""
+    """A DMA command recorder sees every command but cannot change a run."""
 
     def build(self):
         cfg = MachineConfig(num_cores=1).with_model("str")
