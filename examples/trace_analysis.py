@@ -29,8 +29,7 @@ def analyze(name: str, overrides: dict | None = None) -> None:
     system = CmpSystem(config, program)
     recorder = TraceRecorder(system)
     sampler = IntervalSampler(system, interval_fs=ns_to_fs(20_000))
-    sampler.start()
-    system.run()
+    sampler.drive()
 
     loads = [r for r in recorder.records if r.kind == "ld"][:20_000]
     label = name + (" (original layout)" if overrides else "")

@@ -226,8 +226,8 @@ def main(argv: list[str] | None = None) -> int:
             interval_fs = max(1, config.core.cycle_fs * 20000)
             sampler = None
             if args.profile or args.trace_out:
+                # drive() samples between windows, adding no events.
                 sampler = IntervalSampler(system, interval_fs=interval_fs)
-                sampler.start()
             # Hooks attach through an ExitStack so a raising run cannot
             # leak a trace_hook and pin later runs to the slow path.
             with ExitStack() as stack:
@@ -245,7 +245,9 @@ def main(argv: list[str] | None = None) -> int:
                         KernelEventRecorder(system.sim))
                     dma_rec = stack.enter_context(
                         DmaCommandRecorder(system.hierarchy))
-                result = _run_profiled(args.cprofile, system.run)
+                result = _run_profiled(
+                    args.cprofile,
+                    system.run if sampler is None else sampler.drive)
             _print_run(result)
             if args.profile and sampler is not None:
                 print()

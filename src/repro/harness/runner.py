@@ -27,14 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.grid.keys import freeze
 from repro.grid.spec import RunSpec
 from repro.grid.store import FailedRun, MemoryCache, RunFailedError
 from repro.results import RunResult
-
-#: Back-compat alias: the one true canonicalizer lives with the grid
-#: key-hashing (it now handles sets and rejects unhashable leaves).
-_freeze = freeze
 
 
 class Runner:

@@ -9,17 +9,16 @@ requests queue at each link independently.
 from __future__ import annotations
 
 from repro.config import InterconnectConfig
-from repro.sim.resources import _MAX_INTERVALS, _TRIM_AT, OccupancyResource
+from repro.sim.resources import OccupancyResource
 from repro.units import ns_to_fs
 
 
 class _Link(OccupancyResource):
     """A link with width-quantized service time.
 
-    ``transfer`` and ``control`` inline :meth:`OccupancyResource.acquire`'s
-    calendar-tail fast path (an exact copy of its logic): every miss walk
-    and every DMA granule crosses two or three links, making these the
-    busiest ``acquire`` callers in the system.
+    ``transfer`` and ``control`` turn a message into its service time
+    and reserve it with :meth:`OccupancyResource.serve`, the calendar's
+    one reservation routine.
     """
 
     __slots__ = ("width_bytes", "cycle_fs", "bytes_moved")
@@ -37,45 +36,11 @@ class _Link(OccupancyResource):
             raise ValueError(f"{self.name}: negative transfer {num_bytes}")
         self.bytes_moved += num_bytes
         cycles = -(-num_bytes // self.width_bytes) or 1
-        service = cycles * self.cycle_fs
-        ends = self._ends
-        if not ends or now_fs >= ends[-1]:
-            self.busy_fs += service
-            self.requests += 1
-            end = now_fs + service
-            if ends and ends[-1] == now_fs:
-                ends[-1] = end
-            else:
-                starts = self._starts
-                starts.append(now_fs)
-                ends.append(end)
-                if len(starts) >= _TRIM_AT:
-                    del starts[:_MAX_INTERVALS]
-                    del ends[:_MAX_INTERVALS]
-            return end + self.latency_fs
-        _, done = self.acquire(now_fs, service)
-        return done
+        return self.serve(now_fs, cycles * self.cycle_fs)
 
     def control(self, now_fs: int) -> int:
         """A control-only message (request, invalidate): one link cycle."""
-        service = self.cycle_fs
-        ends = self._ends
-        if not ends or now_fs >= ends[-1]:
-            self.busy_fs += service
-            self.requests += 1
-            end = now_fs + service
-            if ends and ends[-1] == now_fs:
-                ends[-1] = end
-            else:
-                starts = self._starts
-                starts.append(now_fs)
-                ends.append(end)
-                if len(starts) >= _TRIM_AT:
-                    del starts[:_MAX_INTERVALS]
-                    del ends[:_MAX_INTERVALS]
-            return end + self.latency_fs
-        _, done = self.acquire(now_fs, service)
-        return done
+        return self.serve(now_fs, self.cycle_fs)
 
 
 class ClusterBus:

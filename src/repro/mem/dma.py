@@ -110,10 +110,12 @@ class DmaEngine:
     # with inline copies of OccupancyResource.serve's two calendar-tail
     # branches (arrival at or after the tail; arrival inside the last
     # busy interval), folding the busy / wait / request counters into
-    # each resource after the command.  A backfill arrival (one landing
-    # before a calendar's last interval) goes through the resource's own
-    # acquire.  The bank is ``line % num_banks``; an L2 hit is an MRU
-    # touch, and a miss goes to Uncore.dma_miss.  Every branch replays
+    # each resource after the command.  The copies stay inline because
+    # a method call per calendar per granule is the cost these loops
+    # exist to remove.  A backfill arrival (one landing before a
+    # calendar's last interval) calls the resource's serve, which counts
+    # it itself.  The bank is ``line % num_banks``; an L2 hit is an MRU
+    # touch, and a miss goes to Uncore.l2_miss.  Every branch replays
     # what the resource and uncore methods would do for that granule, so
     # calendars, counters and LRU state match a granule-by-granule walk
     # through those methods (tests/test_dma.py keeps that walk as an
@@ -137,7 +139,7 @@ class DmaEngine:
         u = self.uncore
         sets = u.l2._sets
         smask = u.l2._set_mask
-        dma_miss = u.dma_miss
+        l2_miss = u.l2_miss
         banks = u.l2_banks
         nb = len(banks)
         cl = self.cluster_id
@@ -157,7 +159,7 @@ class DmaEngine:
         xd_starts, xd_ends = xd._starts, xd._ends
         br_w, br_c, br_lat = br.width_bytes, br.cycle_fs, br.latency_fs
         br_starts, br_ends = br._starts, br._ends
-        # Inline tallies: backfills per link (acquire counts its own),
+        # Inline tallies: backfills per link (serve counts its own),
         # busy time on the size-dependent links, per-bank requests.
         xc_bf = xd_bf = br_bf = 0
         xc_wait = xd_wait = br_wait = 0
@@ -203,7 +205,7 @@ class DmaEngine:
                 t = e + xc_lat
             else:
                 xc_bf += 1
-                t = xc.acquire(t, xc_s)[1]
+                t = xc.serve(t, xc_s)
             # L2 bank port, then the L2 itself.
             b = line % nb
             bk_ends = bk_ends_of[b]
@@ -228,13 +230,13 @@ class DmaEngine:
                 bk_ends[-1] = e
                 t = e + bk_lat
             else:
-                t = banks[b].acquire(t, bk_s)[1]
+                t = banks[b].serve(t, bk_s)
             cache_set = sets[line & smask]
             if line in cache_set:
                 cache_set.move_to_end(line)
                 hits += 1
             else:
-                t = dma_miss(line, t, size, False)
+                t = l2_miss(line, t, size, False)
             # Crossbar down port, data.
             if not xd_ends or t >= xd_ends[-1]:
                 xd_busy += xd_s
@@ -257,7 +259,7 @@ class DmaEngine:
                 t = e + xd_lat
             else:
                 xd_bf += 1
-                t = xd.acquire(t, xd_s)[1]
+                t = xd.serve(t, xd_s)
             # Cluster bus, response direction.
             if not br_ends or t >= br_ends[-1]:
                 br_busy += br_s
@@ -280,7 +282,7 @@ class DmaEngine:
                 t = e + br_lat
             else:
                 br_bf += 1
-                t = br.acquire(t, br_s)[1]
+                t = br.serve(t, br_s)
             append(t)
             if t > done:
                 done = t
@@ -329,7 +331,7 @@ class DmaEngine:
         u = self.uncore
         sets = u.l2._sets
         smask = u.l2._set_mask
-        dma_miss = u.dma_miss
+        l2_miss = u.l2_miss
         banks = u.l2_banks
         nb = len(banks)
         cl = self.cluster_id
@@ -389,7 +391,7 @@ class DmaEngine:
                 t = e + bq_lat
             else:
                 bq_bf += 1
-                t = bq.acquire(t, bq_s)[1]
+                t = bq.serve(t, bq_s)
             # Crossbar up port, data.
             if not xu_ends or t >= xu_ends[-1]:
                 xu_busy += xu_s
@@ -412,7 +414,7 @@ class DmaEngine:
                 t = e + xu_lat
             else:
                 xu_bf += 1
-                t = xu.acquire(t, xu_s)[1]
+                t = xu.serve(t, xu_s)
             # L2 bank port, then the L2: a hit dirties the line in place.
             b = line % nb
             bk_ends = bk_ends_of[b]
@@ -437,7 +439,7 @@ class DmaEngine:
                 bk_ends[-1] = e
                 t = e + bk_lat
             else:
-                t = banks[b].acquire(t, bk_s)[1]
+                t = banks[b].serve(t, bk_s)
             cache_set = sets[line & smask]
             entry = cache_set.get(line)
             if entry is not None:
@@ -445,7 +447,7 @@ class DmaEngine:
                 entry.state = modified
                 hits += 1
             else:
-                t = dma_miss(line, t, size, True)
+                t = l2_miss(line, t, size, True)
             append(t)
             if t > done:
                 done = t

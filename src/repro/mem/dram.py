@@ -44,13 +44,9 @@ class DramChannel:
                                latency_fs=0)
             for c in range(config.channels)
         ]
-        self.channel = self._channels[0]   # back-compat: the first channel
         self._interleave = config.interleave_bytes
         self._latency_fs = config.latency_fs
         self._banked = config.banks > 1 and config.row_hit_latency_ns is not None
-        # Single-channel flat-latency config (every paper experiment):
-        # read/write skip the channel/latency dispatch helpers entirely.
-        self._simple = config.channels == 1 and not self._banked
         if self._banked:
             self._row_hit_fs = ns_to_fs(config.row_hit_latency_ns)
             self._row_bytes = config.row_bytes
@@ -66,37 +62,12 @@ class DramChannel:
         self.row_hits = 0
         self.row_misses = 0
 
-    def _channel_for(self, addr: int | None) -> ThroughputResource:
-        if addr is None or len(self._channels) == 1:
-            return self._channels[0]
-        return self._channels[(addr // self._interleave) % len(self._channels)]
-
-    def _latency_for(self, addr: int | None) -> int:
-        """Access latency, consulting the open-row buffers when banked."""
-        if not self._banked or addr is None:
-            return self._latency_fs
-        channel = (addr // self._interleave) % len(self._channels)
-        row = addr // self._row_bytes
-        bank = row % self._banks
-        open_rows = self._open_rows[channel]
-        if open_rows[bank] == row:
-            self.row_hits += 1
-            return self._row_hit_fs
-        self.row_misses += 1
-        open_rows[bank] = row
-        return self._latency_fs
-
     def read(self, now_fs: int, num_bytes: int, addr: int | None = None) -> int:
         """Fetch ``num_bytes``; returns the completion time (data available)."""
+        done = self._access(now_fs, num_bytes, addr)
         self.read_bytes += num_bytes
         self.read_accesses += 1
-        if self._simple:
-            channel = self.channel
-            channel.bytes_moved += num_bytes
-            return channel.serve(now_fs, num_bytes * channel.fs_per_byte) \
-                + self._latency_fs
-        _, done = self._channel_for(addr).transfer(now_fs, num_bytes)
-        return done + self._latency_for(addr)
+        return done
 
     def write(self, now_fs: int, num_bytes: int, addr: int | None = None) -> int:
         """Write ``num_bytes``; returns the time the channel is done with it.
@@ -104,15 +75,35 @@ class DramChannel:
         Writes are posted: callers normally do not put this latency on any
         core's critical path, but the occupancy still contends with reads.
         """
+        done = self._access(now_fs, num_bytes, addr)
         self.write_bytes += num_bytes
         self.write_accesses += 1
-        if self._simple:
-            channel = self.channel
-            channel.bytes_moved += num_bytes
-            return channel.serve(now_fs, num_bytes * channel.fs_per_byte) \
-                + self._latency_fs
-        _, done = self._channel_for(addr).transfer(now_fs, num_bytes)
-        return done + self._latency_for(addr)
+        return done
+
+    def _access(self, now_fs: int, num_bytes: int, addr: int | None) -> int:
+        """Occupy the address's channel, then add the access latency.
+
+        The latency is the flat one, or the open-row one when banked; an
+        access without an address uses the first channel and the flat
+        latency.  ``serve`` rejects a negative size before anything is
+        counted.
+        """
+        index = 0 if addr is None else \
+            (addr // self._interleave) % len(self._channels)
+        channel = self._channels[index]
+        done = channel.serve(now_fs, num_bytes * channel.fs_per_byte)
+        channel.bytes_moved += num_bytes
+        if not self._banked or addr is None:
+            return done + self._latency_fs
+        row = addr // self._row_bytes
+        bank = row % self._banks
+        open_rows = self._open_rows[index]
+        if open_rows[bank] == row:
+            self.row_hits += 1
+            return done + self._row_hit_fs
+        self.row_misses += 1
+        open_rows[bank] = row
+        return done + self._latency_fs
 
     @property
     def total_bytes(self) -> int:

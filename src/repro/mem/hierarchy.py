@@ -76,8 +76,8 @@ class Uncore:
             self.dram.write(when_fs, self.line_bytes,
                             addr=victim.line * self.line_bytes)
 
-    def l2_read(self, line: int, now_fs: int) -> tuple[int, bool]:
-        """Read one line through the L2.  Returns (completion_fs, hit)."""
+    def l2_read(self, line: int, now_fs: int) -> int:
+        """Read one line through the L2; returns the completion time."""
         self.l2_reads += 1
         # SetAssocCache.touch, inlined: this is the busiest uncore entry
         # point (every L1 miss lands here).
@@ -89,20 +89,14 @@ class Uncore:
         if entry is not None:
             cache_set.move_to_end(line)
             self.l2_read_hits += 1
-            return sent, True
-        done = self.dram.read(sent, self.line_bytes,
-                              addr=line * self.line_bytes)
-        victim = self.l2.insert(line, MesiState.EXCLUSIVE)
-        self._evict(victim, sent)
-        return done, False
+            return sent
+        return self.l2_miss(line, sent, self.line_bytes, False)
 
-    def l2_write(self, line: int, now_fs: int, refill: bool) -> int:
-        """Write one full or partial line into the L2.
+    def l2_write(self, line: int, now_fs: int) -> int:
+        """Write one full line (an L1 dirty write-back) into the L2.
 
-        ``refill=False`` is the full-line case (an L1 dirty write-back):
-        the L2 allocates and validates the line without reading the stale
-        data from memory.  ``refill=True`` is a partial-line write, which
-        must fetch the line first.
+        A miss allocates and validates the line without reading the stale
+        data from memory.
         """
         self.l2_writes += 1
         entry = self.l2.touch(line)
@@ -112,29 +106,21 @@ class Uncore:
             self.l2_write_hits += 1
             entry.state = MesiState.MODIFIED
             return sent
-        done = sent
-        if refill:
-            done = self.dram.read(sent, self.line_bytes,
-                                  addr=line * self.line_bytes)
-        else:
-            self.l2_refills_avoided += 1
-        victim = self.l2.insert(line, MesiState.MODIFIED)
-        self._evict(victim, sent)
-        return done
+        return self.l2_miss(line, sent, self.line_bytes, True)
 
-    def dma_miss(self, line: int, sent_fs: int, nbytes: int,
-                 write: bool) -> int:
-        """Finish a DMA granule that missed the L2; returns its done time.
+    def l2_miss(self, line: int, sent_fs: int, nbytes: int,
+                write: bool) -> int:
+        """Finish an L2 access that missed; returns its done time.
 
-        ``sent_fs`` is when the bank access sent the miss on (the DMA
-        engine's granule loops do the bank access and the hit/miss
-        counters themselves).  A write allocates the line dirty without a
-        refill, whole line or not: a whole-line put overwrites it, and
-        strided scatter output is gathered in the L2 until successive
-        commands cover the line.  A whole-line read fetches the line from
-        DRAM and allocates it; a sub-line read moves only the requested
-        bytes and allocates nothing, the "minimum memory channel
-        bandwidth" property of scatter/gather DMA (Section 2.3).
+        ``sent_fs`` is when the bank access sent the miss on (callers do
+        the bank access and the hit/miss counters themselves).  A write
+        allocates the line dirty without a refill, whole line or not: a
+        whole-line write overwrites it, and strided DMA scatter output is
+        gathered in the L2 until successive commands cover the line.  A
+        whole-line read fetches the line from DRAM and allocates it; a
+        sub-line (DMA gather) read moves only the requested bytes and
+        allocates nothing, the "minimum memory channel bandwidth"
+        property of scatter/gather DMA (Section 2.3).
         """
         if write:
             self.l2_refills_avoided += 1
@@ -411,7 +397,7 @@ class CacheCoherentHierarchy:
         line_bytes = uncore.line_bytes
         t = bus.req.transfer(now_fs, line_bytes)
         t = xbar_up.transfer(t, line_bytes)
-        return uncore.l2_write(line, t, refill=False)
+        return uncore.l2_write(line, t)
 
     def _fetch(self, core: int, line: int, now_fs: int, for_write: bool,
                refill: bool = True) -> int:
@@ -449,7 +435,7 @@ class CacheCoherentHierarchy:
                 owner_entry = self.l1s[owner_core].lookup(line)
                 if owner_state is MesiState.MODIFIED:
                     # Downgrade with write-back so the L2 holds a clean copy.
-                    self.uncore.l2_write(line, t, refill=False)
+                    self.uncore.l2_write(line, t)
                 if owner_entry is not None:
                     owner_entry.state = MesiState.SHARED
                 self._install(core, line, MesiState.SHARED, now_fs)
@@ -462,7 +448,7 @@ class CacheCoherentHierarchy:
             self._install(core, line, MesiState.MODIFIED, now_fs)
             return t
         t = xbar_up.control(t)
-        t, _ = uncore.l2_read(line, t)
+        t = uncore.l2_read(line, t)
         t = xbar_down.transfer(t, line_bytes)
         t = bus.resp.transfer(t, line_bytes)
         state = MesiState.MODIFIED if for_write else MesiState.EXCLUSIVE
@@ -490,7 +476,7 @@ class CacheCoherentHierarchy:
             self.prefetches_issued += 1
             t = bus.req.control(now_fs)
             t = xbar_up.control(t)
-            t, _ = uncore.l2_read(pline, t)
+            t = uncore.l2_read(pline, t)
             t = xbar_down.transfer(t, line_bytes)
             t = bus.resp.transfer(t, line_bytes)
             self._install(core, pline, MesiState.EXCLUSIVE, now_fs,
@@ -525,7 +511,7 @@ class CacheCoherentHierarchy:
             self.bulk_prefetches += 1
             t = bus.req.control(t)
             t = xbar_up.control(t)
-            fill, _ = uncore.l2_read(line, t)
+            fill = uncore.l2_read(line, t)
             fill = xbar_down.transfer(fill, line_bytes)
             fill = bus.resp.transfer(fill, line_bytes)
             self._install(core, line, MesiState.EXCLUSIVE, now_fs,

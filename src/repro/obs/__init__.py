@@ -7,7 +7,7 @@ hook the hot path unless the user asked for a trace*):
   existing component state; attaching it keeps
   ``hierarchy.fastpath_safe`` true and results bit-identical.
 * :mod:`repro.obs.sampler` — per-interval metric series via the
-  interval sampler's pull mode (no events added, ``sim.events``
+  interval sampler's ``drive()`` (no events added, ``sim.events``
   unchanged).
 * :mod:`repro.obs.chrometrace` — Chrome ``trace_event`` export of
   access traces, DMA commands, kernel dispatch spans, and counter

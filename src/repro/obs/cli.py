@@ -8,8 +8,8 @@ Usage::
     python -m repro obs validate trace.json
 
 ``report`` runs one workload and prints the grouped metrics report;
-``series`` samples metric time series during the run (pull mode — the
-result stays bit-identical); ``export`` records the access trace, DMA
+``series`` samples metric time series during the run (the sampler adds
+no events, so the result stays bit-identical); ``export`` records the access trace, DMA
 commands, kernel dispatch spans, and counter series, and writes one
 Chrome ``trace_event`` JSON; ``validate`` schema-checks such a file.
 """

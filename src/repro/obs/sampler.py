@@ -1,9 +1,9 @@
 """Metric time series over :class:`~repro.sim.sampling.IntervalSampler`.
 
-:class:`MetricsSampler` runs a system to completion in the sampler's
-**pull mode** (``drive()``), snapshotting a
+:class:`MetricsSampler` runs a system to completion through the
+sampler's ``drive()``, snapshotting a
 :class:`~repro.obs.metrics.MetricsRegistry` at every window boundary.
-Pull mode steps the simulator with ``drain_until`` and schedules no
+``drive()`` steps the simulator with ``drain_until`` and schedules no
 events of its own, and the registry attaches no hooks, so the returned
 :class:`~repro.results.RunResult` — including ``stats["sim.events"]`` —
 is bit-identical to an unsampled, uninstrumented run.

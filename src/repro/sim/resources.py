@@ -62,27 +62,25 @@ class OccupancyResource:
         self._starts: list[int] = []
         self._ends: list[int] = []
 
-    @property
-    def next_free(self) -> int:
-        """The end of the last reservation (0 if never used)."""
-        return self._ends[-1] if self._ends else 0
-
-    def acquire(self, now_fs: int, service_fs: int) -> tuple[int, int]:
+    def serve(self, now_fs: int, service_fs: int) -> int:
         """Serve a request arriving at ``now_fs`` needing ``service_fs``.
 
-        Returns ``(start_fs, done_fs)`` where ``done_fs`` includes the
-        pipeline latency.  The resource is occupied during
-        ``[start_fs, start_fs + service_fs)``.
+        The request takes the first idle gap at or after ``now_fs`` that
+        fits it, occupies the resource for ``service_fs`` from there, and
+        completes one pipeline latency after that; the return value is
+        that completion time.  The three cases, cheapest first: arrival
+        at or after the end of the last reservation, arrival inside the
+        last busy interval, and first-fit backfill into an earlier gap.
         """
         if service_fs < 0:
             raise ValueError(f"{self.name}: negative service time {service_fs}")
         self.busy_fs += service_fs
         self.requests += 1
         starts, ends = self._starts, self._ends
-        # Tail fast path: most requests arrive at or after the end of the
-        # last reservation (streaming accesses walk forward in time), so
-        # serve them by appending/merging at the tail without the bisect
-        # and the O(n) mid-list inserts of the general path below.
+        # Tail: most requests arrive at or after the end of the last
+        # reservation (streaming accesses walk forward in time), so they
+        # append or merge at the tail without a bisect or a mid-list
+        # insert.
         if not ends or now_fs >= ends[-1]:
             end = now_fs + service_fs
             if service_fs:
@@ -94,17 +92,19 @@ class OccupancyResource:
                     if len(starts) >= _TRIM_AT:
                         del starts[:_MAX_INTERVALS]
                         del ends[:_MAX_INTERVALS]
-            return now_fs, end + self.latency_fs
+            return end + self.latency_fs
         if service_fs and now_fs >= starts[-1]:
             # Arrival inside the last busy interval (the common case when
             # a pipelined run of requests all arrive at their issue time):
             # intervals are disjoint, so every earlier interval is fully
             # past and the first fitting gap is the open tail.
-            start = ends[-1]
-            self.wait_fs += start - now_fs
-            ends[-1] = start + service_fs
-            return start, ends[-1] + self.latency_fs
-        # First interval that ends after the arrival.
+            end = ends[-1]
+            self.wait_fs += end - now_fs
+            end += service_fs
+            ends[-1] = end
+            return end + self.latency_fs
+        # Backfill: walk from the first interval that ends after the
+        # arrival to the first gap that fits.
         index = bisect_right(ends, now_fs)
         t = now_fs
         while index < len(starts):
@@ -113,11 +113,10 @@ class OccupancyResource:
             if ends[index] > t:
                 t = ends[index]
             index += 1
-        start = t
-        self.wait_fs += start - now_fs
+        self.wait_fs += t - now_fs
         end = t + service_fs
         # Insert, merging with touching neighbours to keep the list small.
-        merge_prev = index > 0 and ends[index - 1] == start
+        merge_prev = index > 0 and ends[index - 1] == t
         merge_next = index < len(starts) and starts[index] == end
         if service_fs == 0:
             pass  # zero-length reservations need no calendar entry
@@ -128,48 +127,14 @@ class OccupancyResource:
         elif merge_prev:
             ends[index - 1] = end
         elif merge_next:
-            starts[index] = start
+            starts[index] = t
         else:
-            starts.insert(index, start)
+            starts.insert(index, t)
             ends.insert(index, end)
         if len(starts) >= _TRIM_AT:
             del starts[:_MAX_INTERVALS]
             del ends[:_MAX_INTERVALS]
-        return start, end + self.latency_fs
-
-    def serve(self, now_fs: int, service_fs: int) -> int:
-        """:meth:`acquire` for hot callers that only need the done time.
-
-        Identical accounting and calendar updates, but skips the result
-        tuple (and the negative-service validation — every caller passes
-        a fixed config-derived service time).  The two common cases are
-        handled inline; everything else falls through to ``acquire``.
-        """
-        ends = self._ends
-        if not ends or now_fs >= ends[-1]:
-            self.busy_fs += service_fs
-            self.requests += 1
-            end = now_fs + service_fs
-            if service_fs:
-                if ends and ends[-1] == now_fs:
-                    ends[-1] = end
-                else:
-                    starts = self._starts
-                    starts.append(now_fs)
-                    ends.append(end)
-                    if len(starts) >= _TRIM_AT:
-                        del starts[:_MAX_INTERVALS]
-                        del ends[:_MAX_INTERVALS]
-            return end + self.latency_fs
-        if service_fs and now_fs >= self._starts[-1]:
-            self.busy_fs += service_fs
-            self.requests += 1
-            start = ends[-1]
-            self.wait_fs += start - now_fs
-            end = start + service_fs
-            ends[-1] = end
-            return end + self.latency_fs
-        return self.acquire(now_fs, service_fs)[1]
+        return end + self.latency_fs
 
     def utilization(self, total_fs: int) -> float:
         """Fraction of ``total_fs`` during which the resource was busy."""
@@ -181,8 +146,11 @@ class OccupancyResource:
 class ThroughputResource(OccupancyResource):
     """An occupancy resource whose service time is proportional to bytes.
 
-    Used for the memory channel and network links: a transfer of ``n``
-    bytes occupies the resource for ``n * fs_per_byte`` femtoseconds.
+    Used for the memory channels: a transfer of ``n`` bytes occupies the
+    resource for ``n * fs_per_byte`` femtoseconds.  The channel owner
+    (:class:`~repro.mem.dram.DramChannel`) converts bytes to service time
+    and counts ``bytes_moved``; both are read per channel by
+    :mod:`repro.obs`.
     """
 
     __slots__ = ("fs_per_byte", "bytes_moved")
@@ -193,13 +161,3 @@ class ThroughputResource(OccupancyResource):
             raise ValueError(f"{name}: fs_per_byte must be positive, got {fs_per_byte}")
         self.fs_per_byte = fs_per_byte
         self.bytes_moved = 0
-
-    def transfer(self, now_fs: int, num_bytes: int) -> tuple[int, int]:
-        """Serve a ``num_bytes`` transfer arriving at ``now_fs``.
-
-        Returns ``(start_fs, done_fs)``.
-        """
-        if num_bytes < 0:
-            raise ValueError(f"{self.name}: negative transfer size {num_bytes}")
-        self.bytes_moved += num_bytes
-        return self.acquire(now_fs, num_bytes * self.fs_per_byte)

@@ -1,29 +1,23 @@
 """Interval sampling: time series of system activity during a run.
 
-A :class:`IntervalSampler` attaches to a :class:`~repro.core.system.CmpSystem`
-before ``run()`` and snapshots counters at fixed simulated-time intervals,
-yielding per-window series of DRAM bandwidth utilization and core
-activity — the phase behaviour (e.g. MergeSort's narrowing merge levels,
-MPEG-2's per-frame barriers) that end-of-run totals average away.
+A :class:`IntervalSampler` runs a :class:`~repro.core.system.CmpSystem`
+and snapshots counters at fixed simulated-time intervals, yielding
+per-window series of DRAM bandwidth utilization and core activity — the
+phase behaviour (e.g. MergeSort's narrowing merge levels, MPEG-2's
+per-frame barriers) that end-of-run totals average away.
 
 Usage::
 
     system = CmpSystem(config, program)
     sampler = IntervalSampler(system, interval_fs=ns_to_fs(50_000))
-    sampler.start()
-    result = system.run()
+    result = sampler.drive()
     print(sampler.render())
 
-Two driving modes share the same snapshot logic:
-
-* **event mode** (``start()`` then ``system.run()``): the sampler
-  schedules itself as a periodic event, riding along inside the normal
-  event loop, and its ticks count toward ``sim.events``;
-* **pull mode** (``result = sampler.drive()``): the sampler runs the
-  system itself, stepping the simulator one window at a time with
-  :meth:`~repro.sim.kernel.Simulator.drain_until` — the same
-  boundary-stepping primitive the processor fast path is built on — and
-  snapshots between steps, adding no events to the queue.
+``drive()`` runs the system itself, stepping the simulator one window at
+a time with :meth:`~repro.sim.kernel.Simulator.drain_until` — the same
+boundary-stepping primitive the processor fast path is built on — and
+snapshots between steps.  It adds no events to the queue, so a sampled
+run's result is bit-identical to an unsampled one.
 """
 
 from __future__ import annotations
@@ -82,33 +76,22 @@ class IntervalSampler:
         self.samples: list[dict] = []
         self._last_dram_bytes = 0
         self._last_useful_fs = 0
-        self._started = False
-
-    def start(self) -> None:
-        """Arm the sampler; must be called before ``system.run()``."""
-        if self._started:
-            raise RuntimeError("sampler already started")
-        self._started = True
-        self.system.sim.at(self.interval_fs, self._tick)
+        self._driven = False
 
     def drive(self):
         """Run the attached system to completion, sampling between windows.
 
-        Pull-mode alternative to ``start()`` + ``system.run()``: drives
-        the event loop itself, one ``interval_fs`` window at a time, via
-        :meth:`~repro.sim.kernel.Simulator.drain_until`, and snapshots at
-        each boundary.  Unlike event mode the sampler adds no events of
-        its own, so ``stats["sim.events"]`` matches an unsampled run.
-        Returns the :class:`~repro.results.RunResult`.
-
-        Window semantics differ from event mode only at boundaries:
-        ``drain_until`` processes events scheduled *at* the boundary
-        before the snapshot, whereas the event-mode tick (scheduled
-        first) fires ahead of them.
+        Drives the event loop one ``interval_fs`` window at a time via
+        :meth:`~repro.sim.kernel.Simulator.drain_until` and snapshots at
+        each boundary, after the events scheduled *at* the boundary.  The
+        sampler adds no events of its own, so the result, including
+        ``stats["sim.events"]``, matches an unsampled run.  A sampler
+        drives one run only.  Returns the
+        :class:`~repro.results.RunResult`.
         """
-        if self._started:
-            raise RuntimeError("sampler already started")
-        self._started = True
+        if self._driven:
+            raise RuntimeError("sampler already drove its run")
+        self._driven = True
         return self.system.run(loop=self._loop)
 
     def _loop(self, sim) -> None:
@@ -118,12 +101,6 @@ class IntervalSampler:
             sim.drain_until(boundary)
             self._snapshot(boundary)
             boundary += self.interval_fs
-
-    def _tick(self) -> None:
-        system = self.system
-        self._snapshot(system.sim.now)
-        if not all(p.done for p in system.processors):
-            system.sim.after(self.interval_fs, self._tick)
 
     def _snapshot(self, time_fs: int) -> None:
         system = self.system

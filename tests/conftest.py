@@ -6,8 +6,9 @@ by a previous checkout or leak records into the developer's working
 tree, so every test session gets its own throwaway store directory
 unless a test overrides it explicitly.
 
-``pytest --hypothesis-profile=deep`` gives the DMA differential test
-(``tests/test_dma.py``) ten times its default number of examples.
+``pytest --hypothesis-profile=deep`` gives the differential tests of the
+DMA granule loops (``tests/test_dma.py``) and of the calendar's
+``serve`` (``tests/test_sim_kernel.py``) 2,000 examples each.
 """
 
 import pytest

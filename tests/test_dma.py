@@ -217,7 +217,7 @@ class PerGranuleEngine(DmaEngine):
             line = gran_addr // line_bytes
             t = xbar_control(t)
             if gran_size == line_bytes:
-                t, _ = uncore.l2_read(line, t)
+                t = uncore.l2_read(line, t)
             else:
                 t = self._read_partial(line, gran_size, t)
             t = xbar_down(t, gran_size)
@@ -247,9 +247,9 @@ class PerGranuleEngine(DmaEngine):
                 else max(start, window[0])
             t = bus_req(t, gran_size)
             t = xbar_up(t, gran_size)
-            # The old Uncore.l2_write_partial was l2_write(refill=False)
-            # line for line: whole and sub-line puts allocate alike.
-            t = uncore.l2_write(gran_addr // self.line_bytes, t, refill=False)
+            # The old Uncore.l2_write_partial was l2_write line for
+            # line: whole and sub-line puts allocate alike.
+            t = uncore.l2_write(gran_addr // self.line_bytes, t)
             window.append(t)
             done = max(done, t)
         self._engine_free = done
@@ -356,16 +356,17 @@ class TestFusedLoopIdentity:
         looped = self.build()
         plain = with_oracle_engines(self.build())
         # Count the granules the loops serve, and the backfill arrivals
-        # they hand to a resource's own acquire.
+        # (before a calendar's last interval) they hand to serve.
         tally = {"granules": 0, "backfills": 0, "inside": False}
-        acquire = OccupancyResource.acquire
+        serve = OccupancyResource.serve
 
-        def counting_acquire(resource, now_fs, service_fs):
-            if tally["inside"]:
+        def counting_serve(resource, now_fs, service_fs):
+            starts = resource._starts
+            if tally["inside"] and starts and now_fs < starts[-1]:
                 tally["backfills"] += 1
-            return acquire(resource, now_fs, service_fs)
+            return serve(resource, now_fs, service_fs)
 
-        monkeypatch.setattr(OccupancyResource, "acquire", counting_acquire)
+        monkeypatch.setattr(OccupancyResource, "serve", counting_serve)
         u = looped.uncore
         for engine in looped.dma_engines:
             for name in ("get", "put"):

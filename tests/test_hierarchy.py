@@ -125,25 +125,21 @@ class TestUncore:
         cfg = MachineConfig(num_cores=1)
         unc = Uncore(cfg)
         n_lines = cfg.l2.num_lines
-        unc.l2_write(0, 0, refill=False)
+        unc.l2_write(0, 0)
         # Fill the L2 far enough to evict line 0's set.
         for i in range(1, cfg.l2.associativity + 1):
-            unc.l2_write(i * cfg.l2.num_sets, i * 10**7, refill=False)
+            unc.l2_write(i * cfg.l2.num_sets, i * 10**7)
         assert unc.l2_writebacks == 1
         assert unc.dram.write_bytes == 32
         assert n_lines > 0
-
-    def test_l2_partial_write_refills(self):
-        unc = Uncore(MachineConfig(num_cores=1))
-        unc.l2_write(7, 0, refill=True)
-        assert unc.dram.read_bytes == 32
 
     def test_l2_read_hit_does_not_touch_dram(self):
         unc = Uncore(MachineConfig(num_cores=1))
         unc.l2_read(3, 0)
         reads = unc.dram.read_bytes
-        _, hit = unc.l2_read(3, 10**9)
-        assert hit
+        hits = unc.l2_read_hits
+        unc.l2_read(3, 10**9)
+        assert unc.l2_read_hits == hits + 1
         assert unc.dram.read_bytes == reads
 
 
@@ -232,8 +228,8 @@ class TestWaitAccounting:
         from repro.sim.resources import OccupancyResource
 
         r = OccupancyResource("r")
-        r.acquire(0, 100)
-        r.acquire(10, 10)
+        r.serve(0, 100)
+        r.serve(10, 10)
         assert r.wait_fs == 90
 
     def test_system_exposes_wait_stats(self):

@@ -83,7 +83,7 @@ class _FullScan:
             self.prefetches_issued += 1
             t = uncore.buses[cluster].req.control(now_fs)
             t = uncore.xbar.up[cluster].control(t)
-            t, _ = uncore.l2_read(pline, t)
+            t = uncore.l2_read(pline, t)
             t = uncore.xbar.down[cluster].transfer(t, uncore.line_bytes)
             t = uncore.buses[cluster].resp.transfer(t, uncore.line_bytes)
             self._install(core, pline, MesiState.EXCLUSIVE, now_fs,
@@ -102,7 +102,7 @@ class _FullScan:
             self.bulk_prefetches += 1
             t = uncore.buses[cluster].req.control(t)
             t = uncore.xbar.up[cluster].control(t)
-            fill, _ = uncore.l2_read(line, t)
+            fill = uncore.l2_read(line, t)
             fill = uncore.xbar.down[cluster].transfer(fill, uncore.line_bytes)
             fill = uncore.buses[cluster].resp.transfer(fill, uncore.line_bytes)
             self._install(core, line, MesiState.EXCLUSIVE, now_fs,

@@ -33,8 +33,7 @@ def run_sampled(name="fir", cores=4, interval_ns=20_000, model="cc"):
     program = get_workload(name).build(model, cfg, preset="tiny")
     system = CmpSystem(cfg, program)
     sampler = IntervalSampler(system, interval_fs=ns_to_fs(interval_ns))
-    sampler.start()
-    result = system.run()
+    result = sampler.drive()
     return sampler, result
 
 
@@ -81,14 +80,14 @@ class TestIntervalSampler:
         with pytest.raises(ValueError):
             IntervalSampler(system, interval_fs=0)
 
-    def test_double_start_rejected(self):
+    def test_double_drive_rejected(self):
         cfg = MachineConfig(num_cores=1)
         program = get_workload("fir").build("cc", cfg, preset="tiny")
         system = CmpSystem(cfg, program)
-        sampler = IntervalSampler(system, interval_fs=1000)
-        sampler.start()
+        sampler = IntervalSampler(system, interval_fs=ns_to_fs(20_000))
+        sampler.drive()
         with pytest.raises(RuntimeError):
-            sampler.start()
+            sampler.drive()
 
 
 def build_system(name="fir", cores=4, model="cc"):
@@ -98,7 +97,7 @@ def build_system(name="fir", cores=4, model="cc"):
 
 
 class TestPullModeSampler:
-    """drive(): the sampler steps the run itself via Simulator.drain_until."""
+    """drive() steps the run itself via Simulator.drain_until."""
 
     def test_drive_runs_to_completion_and_samples(self):
         system = build_system()
@@ -111,9 +110,8 @@ class TestPullModeSampler:
                 assert 0.0 <= v <= 1.0
 
     def test_drive_result_identical_to_unsampled_run(self):
-        """Pull mode adds no events, so the full result — including
-        ``stats['sim.events']``, which event-mode ticks perturb — matches
-        an unsampled run bit for bit."""
+        """The sampler adds no events, so the full result — including
+        ``stats['sim.events']`` — matches an unsampled run bit for bit."""
         plain = build_system().run()
         system = build_system()
         sampler = IntervalSampler(system, interval_fs=ns_to_fs(20_000))
@@ -127,10 +125,3 @@ class TestPullModeSampler:
         sampler.drive()
         for i, sample in enumerate(sampler.samples):
             assert sample["time_fs"] == (i + 1) * interval
-
-    def test_drive_after_start_rejected(self):
-        system = build_system()
-        sampler = IntervalSampler(system, interval_fs=1000)
-        sampler.start()
-        with pytest.raises(RuntimeError):
-            sampler.drive()

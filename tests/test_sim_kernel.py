@@ -1,9 +1,17 @@
-"""Event queue, simulator clock, and occupancy resources."""
+"""Event queue, simulator clock, and occupancy resources.
+
+The calendar tests end with a differential test of ``serve`` against
+the two-method calendar it replaced.
+"""
+
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import DramConfig
+from repro.mem.dram import DramChannel
 from repro.sim import (
     EventQueue,
     OccupancyResource,
@@ -11,6 +19,7 @@ from repro.sim import (
     Simulator,
     ThroughputResource,
 )
+from repro.sim.resources import _MAX_INTERVALS, _TRIM_AT
 
 
 class TestEventQueue:
@@ -232,26 +241,28 @@ class TestDrainUntil:
 class TestOccupancyResource:
     def test_idle_resource_serves_immediately(self):
         r = OccupancyResource("r", latency_fs=10)
-        start, done = r.acquire(100, 5)
+        done = r.serve(100, 5)
+        start = done - 5 - 10
         assert (start, done) == (100, 115)
 
     def test_busy_resource_queues(self):
         r = OccupancyResource("r")
-        r.acquire(100, 50)
-        start, done = r.acquire(120, 10)
+        r.serve(100, 50)
+        done = r.serve(120, 10)
+        start = done - 10
         assert start == 150
         assert done == 160
 
     def test_late_arrival_not_penalized(self):
         r = OccupancyResource("r")
-        r.acquire(0, 10)
-        start, _ = r.acquire(1000, 10)
+        r.serve(0, 10)
+        start = r.serve(1000, 10) - 10
         assert start == 1000
 
     def test_busy_accounting_and_utilization(self):
         r = OccupancyResource("r")
-        r.acquire(0, 30)
-        r.acquire(0, 20)
+        r.serve(0, 30)
+        r.serve(0, 20)
         assert r.busy_fs == 50
         assert r.requests == 2
         assert r.utilization(100) == pytest.approx(0.5)
@@ -259,7 +270,7 @@ class TestOccupancyResource:
 
     def test_negative_service_rejected(self):
         with pytest.raises(ValueError):
-            OccupancyResource("r").acquire(0, -1)
+            OccupancyResource("r").serve(0, -1)
 
     def test_negative_latency_rejected(self):
         with pytest.raises(ValueError):
@@ -276,7 +287,7 @@ class TestOccupancyResource:
         r = OccupancyResource("r")
         intervals = []
         for now, svc in reqs:
-            start, _ = r.acquire(now, svc)
+            start = r.serve(now, svc) - svc
             if svc > 0:
                 intervals.append((start, start + svc))
         intervals.sort()
@@ -285,30 +296,41 @@ class TestOccupancyResource:
 
 
 class TestThroughputResource:
+    """Byte-rate calendars, driven through the DRAM channel that owns them."""
+
     def test_transfer_time_proportional_to_bytes(self):
-        r = ThroughputResource("ch", fs_per_byte=100, latency_fs=1000)
-        start, done = r.transfer(0, 32)
+        dram = DramChannel(DramConfig())
+        channel = dram.channels()[0]
+        per_byte, latency = channel.fs_per_byte, dram.config.latency_fs
+        done = dram.read(0, 32)
+        start = done - 32 * per_byte - latency
         assert start == 0
-        assert done == 32 * 100 + 1000
-        assert r.bytes_moved == 32
+        assert done == 32 * per_byte + latency
+        assert channel.bytes_moved == 32
 
     def test_back_to_back_transfers_pipeline(self):
         """Latency is pipelined: it does not occupy the channel."""
-        r = ThroughputResource("ch", fs_per_byte=10, latency_fs=500)
-        _, done1 = r.transfer(0, 10)
-        start2, done2 = r.transfer(0, 10)
-        assert start2 == 100          # right after the first's occupancy
-        assert done1 == 600
-        assert done2 == 700           # overlapped latencies
+        dram = DramChannel(DramConfig())
+        per_byte, latency = dram.channels()[0].fs_per_byte, \
+            dram.config.latency_fs
+        done1 = dram.read(0, 10)
+        done2 = dram.read(0, 10)
+        start2 = done2 - 10 * per_byte - latency
+        assert start2 == 10 * per_byte   # right after the first's occupancy
+        assert done1 == 10 * per_byte + latency
+        assert done2 == 20 * per_byte + latency   # overlapped latencies
 
     def test_invalid_rate_rejected(self):
         with pytest.raises(ValueError):
             ThroughputResource("ch", fs_per_byte=0)
 
     def test_negative_bytes_rejected(self):
-        r = ThroughputResource("ch", fs_per_byte=1)
+        dram = DramChannel(DramConfig())
         with pytest.raises(ValueError):
-            r.transfer(0, -1)
+            dram.read(0, -1)
+        # A rejected request leaves no trace in the counters.
+        assert (dram.read_bytes, dram.read_accesses,
+                dram.channels()[0].bytes_moved) == (0, 0, 0)
 
 
 class TestBackfill:
@@ -316,37 +338,35 @@ class TestBackfill:
 
     def test_early_arrival_backfills_gap(self):
         r = OccupancyResource("r")
-        r.acquire(1000, 10)           # busy [1000, 1010)
-        start, _ = r.acquire(0, 10)   # fits entirely before
+        r.serve(1000, 10)                 # busy [1000, 1010)
+        start = r.serve(0, 10) - 10       # fits entirely before
         assert start == 0
 
     def test_backfill_respects_fit(self):
         r = OccupancyResource("r")
-        r.acquire(100, 50)            # busy [100, 150)
-        start, _ = r.acquire(95, 10)  # 5 fs gap does not fit 10 fs
+        r.serve(100, 50)                  # busy [100, 150)
+        start = r.serve(95, 10) - 10      # 5 fs gap does not fit 10 fs
         assert start == 150
 
     def test_backfill_between_two_reservations(self):
         r = OccupancyResource("r")
-        r.acquire(0, 10)              # [0, 10)
-        r.acquire(100, 10)            # [100, 110)
-        start, _ = r.acquire(20, 30)  # fits in [10, 100)
+        r.serve(0, 10)                    # [0, 10)
+        r.serve(100, 10)                  # [100, 110)
+        start = r.serve(20, 30) - 30      # fits in [10, 100)
         assert start == 20
 
     def test_touching_intervals_merge(self):
         r = OccupancyResource("r")
-        r.acquire(0, 10)
-        r.acquire(10, 10)
-        r.acquire(20, 10)
+        r.serve(0, 10)
+        r.serve(10, 10)
+        r.serve(20, 10)
         assert len(r._starts) == 1
         assert (r._starts[0], r._ends[0]) == (0, 30)
 
     def test_calendar_bounded(self):
-        from repro.sim.resources import _MAX_INTERVALS
-
         r = OccupancyResource("r")
         for i in range(1000):
-            r.acquire(i * 100, 10)    # widely spaced, never merge
+            r.serve(i * 100, 10)          # widely spaced, never merge
         # Trimming is chunked (amortized O(1) per request), so the
         # calendar floats between _MAX_INTERVALS and twice that.
         assert len(r._starts) < 2 * _MAX_INTERVALS
@@ -358,12 +378,186 @@ class TestBackfill:
         r = OccupancyResource("r")
         intervals = []
         for now, svc in reqs:
-            start, done = r.acquire(now, svc)
+            start = r.serve(now, svc) - svc
             assert start >= now
             intervals.append((start, start + svc))
         intervals.sort()
         for (s0, e0), (s1, e1) in zip(intervals, intervals[1:]):
             assert e0 <= s1
+
+
+class FirstFitOracle:
+    """The calendar before ``serve`` became its one reservation routine.
+
+    ``acquire`` is the old general method, returning ``(start, done)``;
+    ``serve`` is the old done-time entry point, with the two tail
+    branches inlined in front of a fall-through to ``acquire``.  Both
+    are kept line for line, as the oracle the merged ``serve`` is
+    diffed against.
+    """
+
+    def __init__(self, latency_fs: int = 0) -> None:
+        self.name = "oracle"
+        self.latency_fs = latency_fs
+        self.busy_fs = 0
+        self.wait_fs = 0
+        self.requests = 0
+        self._starts: list[int] = []
+        self._ends: list[int] = []
+
+    def acquire(self, now_fs: int, service_fs: int) -> tuple[int, int]:
+        if service_fs < 0:
+            raise ValueError(f"{self.name}: negative service time {service_fs}")
+        self.busy_fs += service_fs
+        self.requests += 1
+        starts, ends = self._starts, self._ends
+        if not ends or now_fs >= ends[-1]:
+            end = now_fs + service_fs
+            if service_fs:
+                if ends and ends[-1] == now_fs:
+                    ends[-1] = end
+                else:
+                    starts.append(now_fs)
+                    ends.append(end)
+                    if len(starts) >= _TRIM_AT:
+                        del starts[:_MAX_INTERVALS]
+                        del ends[:_MAX_INTERVALS]
+            return now_fs, end + self.latency_fs
+        if service_fs and now_fs >= starts[-1]:
+            start = ends[-1]
+            self.wait_fs += start - now_fs
+            ends[-1] = start + service_fs
+            return start, ends[-1] + self.latency_fs
+        index = bisect_right(ends, now_fs)
+        t = now_fs
+        while index < len(starts):
+            if starts[index] - t >= service_fs:
+                break
+            if ends[index] > t:
+                t = ends[index]
+            index += 1
+        start = t
+        self.wait_fs += start - now_fs
+        end = t + service_fs
+        merge_prev = index > 0 and ends[index - 1] == start
+        merge_next = index < len(starts) and starts[index] == end
+        if service_fs == 0:
+            pass
+        elif merge_prev and merge_next:
+            ends[index - 1] = ends[index]
+            del starts[index]
+            del ends[index]
+        elif merge_prev:
+            ends[index - 1] = end
+        elif merge_next:
+            starts[index] = start
+        else:
+            starts.insert(index, start)
+            ends.insert(index, end)
+        if len(starts) >= _TRIM_AT:
+            del starts[:_MAX_INTERVALS]
+            del ends[:_MAX_INTERVALS]
+        return start, end + self.latency_fs
+
+    def serve(self, now_fs: int, service_fs: int) -> int:
+        ends = self._ends
+        if not ends or now_fs >= ends[-1]:
+            self.busy_fs += service_fs
+            self.requests += 1
+            end = now_fs + service_fs
+            if service_fs:
+                if ends and ends[-1] == now_fs:
+                    ends[-1] = end
+                else:
+                    starts = self._starts
+                    starts.append(now_fs)
+                    ends.append(end)
+                    if len(starts) >= _TRIM_AT:
+                        del starts[:_MAX_INTERVALS]
+                        del ends[:_MAX_INTERVALS]
+            return end + self.latency_fs
+        if service_fs and now_fs >= self._starts[-1]:
+            self.busy_fs += service_fs
+            self.requests += 1
+            start = ends[-1]
+            self.wait_fs += start - now_fs
+            end = start + service_fs
+            ends[-1] = end
+            return end + self.latency_fs
+        return self.acquire(now_fs, service_fs)[1]
+
+
+def _arrival(kind: str, offset: int, service: int, starts: list[int],
+             ends: list[int]) -> tuple[int, int]:
+    """``(now, service)`` for a request placed relative to the calendar.
+
+    ``tail`` arrives exactly at the end of the last reservation,
+    ``after`` past it, ``inside`` within the last busy interval,
+    ``before`` ahead of the first retained interval, ``touch`` where its
+    end meets the start of some interval, ``fill`` exactly into the gap
+    after some interval (merging both neighbours), and ``anywhere`` at
+    a point spread over the whole calendar.
+    """
+    if not ends:
+        return offset, service
+    if kind == "tail":
+        return ends[-1], service
+    if kind == "after":
+        return ends[-1] + 1 + offset, service
+    if kind == "inside":
+        return starts[-1] + offset % (ends[-1] - starts[-1]), service
+    if kind == "before":
+        return max(0, starts[0] - 1 - offset), service
+    i = offset % len(starts)
+    if kind == "touch":
+        return max(0, starts[i] - service), service
+    if kind == "fill" and i + 1 < len(starts):
+        return ends[i], starts[i + 1] - ends[i]
+    return offset * 37 % (ends[-1] + 50), service
+
+
+#: Reservations made before a script, each opening a new interval: none,
+#: half a trim, and one short of the first or the second trim, so the
+#: script's first new interval trims the calendar, on whichever path.
+PREFILLS = (0, _TRIM_AT // 2, _TRIM_AT - 1, _TRIM_AT + _MAX_INTERVALS - 1)
+
+request_strategy = st.tuples(
+    st.sampled_from(("tail", "after", "inside", "before", "touch", "fill",
+                     "anywhere")),
+    st.integers(0, 400),
+    st.one_of(st.just(0), st.integers(1, 60)),
+    st.booleans())
+
+
+@settings(max_examples=max(300, settings.default.max_examples),
+          deadline=None)
+@given(latency=st.sampled_from([0, 7]), prefill=st.sampled_from(PREFILLS),
+       script=st.lists(request_strategy, min_size=1, max_size=120))
+def test_serve_matches_first_fit_oracle(latency, prefill, script):
+    """The merged ``serve`` against the old ``acquire`` / ``serve`` pair.
+
+    Every request goes to the new calendar's ``serve`` and to the
+    oracle, through either of its two entry points (the links, DMA
+    backfills and the multi-channel DRAM path called ``acquire``; the
+    rest called ``serve``).  Done times, both interval lists and every
+    counter must agree after each request.
+    """
+    new = OccupancyResource("r", latency_fs=latency)
+    old = FirstFitOracle(latency_fs=latency)
+    for i in range(prefill):
+        now = (new._ends[-1] if new._ends else 0) + 1 + i % 50
+        assert new.serve(now, 10 + i % 7) == old.serve(now, 10 + i % 7)
+    for kind, offset, service, via_acquire in script:
+        now, service = _arrival(kind, offset, service, old._starts, old._ends)
+        if via_acquire:
+            expected = old.acquire(now, service)[1]
+        else:
+            expected = old.serve(now, service)
+        assert new.serve(now, service) == expected
+        assert new._starts == old._starts
+        assert new._ends == old._ends
+        assert (new.busy_fs, new.wait_fs, new.requests) == \
+            (old.busy_fs, old.wait_fs, old.requests)
 
 
 class TestEventHook:
