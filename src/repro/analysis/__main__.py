@@ -5,7 +5,7 @@ Subcommands::
     check-protocol   exhaustively model-check MESI for 2..N caches
     lint             run the simulator-aware lint pass over source trees
     audit-programs   statically audit workload op streams for races,
-                     DMA hazards, and block-replay eligibility
+                     false sharing, and DMA / local-store hazards
     monitor          run one workload with runtime invariant monitors on
 
 Exit status is non-zero when a check fails, the lint pass has findings,
@@ -47,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     audit_p = sub.add_parser(
         "audit-programs",
         help="static dataflow audit of workload op streams: races, "
-             "false sharing, DMA/local-store hazards, block eligibility")
+             "false sharing, DMA/local-store hazards")
     audit_p.add_argument("workloads", nargs="*",
                          help="workload names (default: all shipped)")
     audit_p.add_argument("--models", nargs="+", default=["cc", "str"],
@@ -59,16 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          choices=["default", "small", "tiny"])
     audit_p.add_argument("--json", action="store_true",
                          help="machine-readable JSON output")
-    audit_p.add_argument("--expect-converted", metavar="NAMES",
-                         help="comma-separated workloads that must replay "
-                              "OpBlock templates in the cc mapping; exit "
-                              "non-zero when the audited set differs")
-    audit_p.add_argument("--expect-phased", metavar="NAMES",
-                         help="comma-separated workloads that must dispatch "
-                              "at least one eligible OpPhase in the cc "
-                              "mapping; exit non-zero when the audited set "
-                              "differs (guards against silent "
-                              "de-vectorization)")
 
     mon_p = sub.add_parser(
         "monitor",
@@ -125,32 +115,7 @@ def main(argv: list[str] | None = None) -> int:
                         print(exc.args[0], file=sys.stderr)
                         return 2
         print(render_reports(reports, as_json=args.json))
-        status = 0
-        if any(r.hazards for r in reports):
-            status = 1
-        if args.expect_converted is not None:
-            expected = sorted({part.strip()
-                               for part in args.expect_converted.split(",")
-                               if part.strip()})
-            converted = sorted({r.workload for r in reports
-                                if r.model == "cc" and r.converted})
-            if converted != expected:
-                print(f"expect-converted mismatch: expected {expected}, "
-                      f"audited programs replay blocks in {converted}",
-                      file=sys.stderr)
-                status = 1
-        if args.expect_phased is not None:
-            expected = sorted({part.strip()
-                               for part in args.expect_phased.split(",")
-                               if part.strip()})
-            phased = sorted({r.workload for r in reports
-                             if r.model == "cc" and r.phased})
-            if phased != expected:
-                print(f"expect-phased mismatch: expected {expected}, "
-                      f"audited programs dispatch eligible phases in "
-                      f"{phased}", file=sys.stderr)
-                status = 1
-        return status
+        return 1 if any(r.hazards for r in reports) else 0
 
     # monitor
     from repro import MachineConfig, get_workload

@@ -18,12 +18,11 @@ byte-interval sets, and reports:
   concurrent put-put overlap, waits on tags that never issued, DMA left
   in flight at a barrier or thread end, and local-store out-of-bounds /
   use-after-reset / capacity violations (mirroring
-  :class:`~repro.analysis.monitors.LocalStoreMonitor`);
-* **Block eligibility** — a proof per replayed
-  :class:`~repro.core.ops.OpBlock` template and per dispatched
-  :class:`~repro.core.ops.OpPhase`, plus *candidate* loops: periodic
-  raw-op runs that could use :func:`repro.core.ops.block` replay but do
-  not — the work-list for the next descriptor conversion.
+  :class:`~repro.analysis.monitors.LocalStoreMonitor`).
+
+Block replays (:class:`~repro.core.ops.OpBlock`) and phases
+(:class:`~repro.core.ops.OpPhase`) are walked as the footprints they
+stand for, so a converted loop audits exactly like its raw-op form.
 
 Concurrency model: a *unit* is either a core's top-level code or one
 task popped from a :class:`~repro.core.sync.TaskQueue` (tasks may land
@@ -83,15 +82,6 @@ WARNING = "warning"
 #: fraction of this.  Exceeding it truncates the walk with a warning.
 MAX_WALK_OPS = 2_000_000
 
-#: Longest raw-op loop body the candidate detector considers.
-MAX_PERIOD = 64
-
-#: Raw ops traced per un-broken segment for candidate detection.
-MAX_TRACE_SEGMENT = 50_000
-
-#: Comparison budget for periodic-run detection, per walk.
-MAX_PERIOD_COMPARISONS = 4_000_000
-
 Interval = tuple[int, int]
 
 
@@ -141,84 +131,6 @@ class Diagnostic:
         return f"{self.severity.upper()} {self.kind}: {self.message}{where}"
 
 
-@dataclass(frozen=True)
-class BlockProof:
-    """Eligibility proof for one replayed OpBlock template.
-
-    :func:`~repro.core.ops.block` admits only the ops the processor's
-    block arm runs (compute, cached and local-store accesses), so every
-    template is eligible by construction.  Stride, alignment and L1
-    residency change only how many lines the loop serves inline, never
-    whether it runs, so they are reported (``strides``) but not gated
-    on.
-    """
-
-    name: str
-    replays: int
-    strides: tuple
-
-    @property
-    def eligible(self) -> bool:
-        return True
-
-    def render(self) -> str:
-        strides = ",".join(str(s) for s in self.strides) or "-"
-        return (f"block {self.name!r}: {self.replays} replays, "
-                f"stride {strides}: eligible")
-
-
-@dataclass(frozen=True)
-class PhaseProof:
-    """Eligibility verdict for one dispatched OpPhase descriptor.
-
-    ``eligible`` mirrors the processor's walk rule (the condition under
-    which the block arm walks a phase's iterations in its per-op loop
-    instead of spilling them as block replays): one lane.  L1 residency
-    is dynamic and changes only how many lines the loop serves inline,
-    so ``fits_l1`` is reported as a predictor, not a gate.
-    """
-
-    name: str
-    lanes: int
-    dispatches: int
-    iterations: int
-    fits_l1: bool
-
-    @property
-    def eligible(self) -> bool:
-        return self.lanes == 1
-
-    def render(self) -> str:
-        verdict = "eligible" if self.eligible else "NOT eligible"
-        tail = "" if self.eligible else " (several lanes)"
-        resident = "resident-sized" if self.fits_l1 else "exceeds L1"
-        return (f"phase {self.name!r}: {self.lanes} lane(s) x "
-                f"{self.iterations} iteration(s) over "
-                f"{self.dispatches} dispatch(es), {resident}: "
-                f"{verdict}{tail}")
-
-
-@dataclass(frozen=True)
-class LoopCandidate:
-    """A raw-op loop that could be converted to OpBlock replay."""
-
-    body_ops: int
-    reps: int
-    loops: int
-    delta: int
-    opcodes: str
-    region: str
-    mem_positions: int
-    eligible_positions: int
-
-    def render(self) -> str:
-        return (f"candidate loop over {self.region}: body [{self.opcodes}], "
-                f"{self.reps} reps x {self.loops} occurrence(s), "
-                f"delta {self.delta} "
-                f"({self.eligible_positions}/{self.mem_positions} mem ops "
-                "convertible)")
-
-
 @dataclass
 class AuditReport:
     """Everything one audit of one (workload, model, cores) produced."""
@@ -228,9 +140,6 @@ class AuditReport:
     cores: int
     preset: str
     diagnostics: list[Diagnostic]
-    blocks: list[BlockProof]
-    phases: list[PhaseProof]
-    candidates: list[LoopCandidate]
     ops_walked: int
     truncated: bool
 
@@ -242,16 +151,6 @@ class AuditReport:
     def warnings(self) -> list[Diagnostic]:
         return [d for d in self.diagnostics if d.severity == WARNING]
 
-    @property
-    def converted(self) -> bool:
-        """True when the program already replays OpBlock templates."""
-        return bool(self.blocks)
-
-    @property
-    def phased(self) -> bool:
-        """True when the program dispatches at least one eligible phase."""
-        return any(p.eligible for p in self.phases)
-
     def to_dict(self) -> dict:
         return {
             "workload": self.workload,
@@ -260,13 +159,6 @@ class AuditReport:
             "preset": self.preset,
             "hazards": [asdict(d) for d in self.hazards],
             "warnings": [asdict(d) for d in self.warnings],
-            "blocks": [dict(asdict(b), eligible=b.eligible)
-                       for b in self.blocks],
-            "phases": [dict(asdict(p), eligible=p.eligible)
-                       for p in self.phases],
-            "candidates": [asdict(c) for c in self.candidates],
-            "converted": self.converted,
-            "phased": self.phased,
             "ops_walked": self.ops_walked,
             "truncated": self.truncated,
         }
@@ -275,9 +167,7 @@ class AuditReport:
         lines = [
             f"{self.workload}/{self.model} cores={self.cores} "
             f"preset={self.preset}: {len(self.hazards)} hazard(s), "
-            f"{len(self.warnings)} warning(s), {len(self.blocks)} block "
-            f"template(s), {len(self.phases)} phase descriptor(s), "
-            f"{len(self.candidates)} candidate loop(s) "
+            f"{len(self.warnings)} warning(s) "
             f"[{self.ops_walked} ops walked]"
         ]
         for d in self.hazards:
@@ -287,12 +177,6 @@ class AuditReport:
         hidden = len(self.warnings) - max_warnings
         if hidden > 0:
             lines.append(f"  ... {hidden} more warning(s)")
-        for b in self.blocks:
-            lines.append("  " + b.render())
-        for p in self.phases:
-            lines.append("  " + p.render())
-        for c in self.candidates:
-            lines.append("  " + c.render())
         if self.truncated:
             lines.append("  (walk truncated at op budget; results partial)")
         return "\n".join(lines)
@@ -378,8 +262,7 @@ class _Walker:
     """Per-thread symbolic execution state."""
 
     __slots__ = ("core", "gen", "epoch", "unit", "locks", "issued",
-                 "outstanding", "barrier", "done", "send", "trace",
-                 "trace_truncated")
+                 "outstanding", "barrier", "done", "send")
 
     def __init__(self, core: int, gen: Any) -> None:
         self.core = core
@@ -392,8 +275,6 @@ class _Walker:
         self.barrier: Any = None
         self.done = False
         self.send: Any = None
-        self.trace: list[tuple] = []
-        self.trace_truncated = False
 
 
 class _ProgramAuditor:
@@ -416,9 +297,6 @@ class _ProgramAuditor:
         self.dma: dict[tuple, list[tuple]] = {}
         self.cached_reads: list[Interval] = []
         self.cached_writes: list[Interval] = []
-        self.block_stats: dict[int, dict] = {}
-        self.phase_stats: dict[int, dict] = {}
-        self.segments: list[tuple[str, list[tuple]]] = []
         self.pop_seq: dict[int, int] = {}
         self.unit_labels: dict[tuple, str] = {}
         self.ops_walked = 0
@@ -473,8 +351,6 @@ class _ProgramAuditor:
                 break
             if not self._release_barriers(walkers):
                 self._stall(walkers)
-        for w in walkers:
-            self._flush_trace(w)
         self._analyze_conflicts()
         self._analyze_dma()
 
@@ -541,7 +417,6 @@ class _ProgramAuditor:
 
     def _thread_end(self, w: _Walker) -> None:
         self._check_outstanding(w, "thread end")
-        self._flush_trace(w)
 
     def _check_outstanding(self, w: _Walker, where: str) -> None:
         for tag, count in w.outstanding.items():
@@ -558,28 +433,19 @@ class _ProgramAuditor:
         """Interpret one op; returns False when the walker suspends."""
         self.ops_walked += 1
         kind = op[0]
-        if kind == OP_COMPUTE:
-            self._trace(w, (kind, None, None))
-        elif kind in (OP_LOAD, OP_BULK_PREFETCH):
+        if kind in (OP_LOAD, OP_BULK_PREFETCH):
             self._record(w, False, op[1], op[2])
-            self._trace(w, (OP_LOAD, op[1], op[2]))
         elif kind in (OP_STORE, OP_PFS):
             self._record(w, True, op[1], op[2])
-            self._trace(w, (OP_STORE, op[1], op[2]))
         elif kind in (OP_LOCAL_LOAD, OP_LOCAL_STORE):
             self._local(w, op[1], op[2])
-            self._trace(w, (kind, op[1], op[2]))
         elif kind == OP_BLOCK:
-            self._flush_trace(w)
             self._replay_block(w, op[1], op[2])
         elif kind == OP_PHASE:
-            self._flush_trace(w)
             self._replay_phase(w, op[1])
         elif kind in (OP_DMA_GET, OP_DMA_PUT):
-            self._flush_trace(w)
             self._dma_command(w, kind, op[1], op[2], op[3], op[4], op[5])
         elif kind == OP_DMA_WAIT:
-            self._flush_trace(w)
             tag = op[1]
             if tag not in w.issued:
                 self._sink(Diagnostic(
@@ -589,17 +455,14 @@ class _ProgramAuditor:
             else:
                 w.outstanding[tag] = 0
         elif kind == OP_BARRIER:
-            self._flush_trace(w)
             self._check_outstanding(w, f"barrier "
                                        f"{getattr(op[1], 'name', '?')!r}")
             w.unit = ("core", w.core)
             w.barrier = op[1]
             return False
         elif kind == OP_LOCK:
-            self._flush_trace(w)
             w.locks.add(id(op[1]))
         elif kind == OP_UNLOCK:
-            self._flush_trace(w)
             if id(op[1]) not in w.locks:
                 self._sink(Diagnostic(
                     HAZARD, "lock-discipline",
@@ -609,7 +472,6 @@ class _ProgramAuditor:
             else:
                 w.locks.discard(id(op[1]))
         elif kind == OP_TASK_POP:
-            self._flush_trace(w)
             queue = op[1]
             item, _done = queue.pop(0, 0)
             if item is None:
@@ -620,8 +482,9 @@ class _ProgramAuditor:
                 w.unit = ("task", id(queue), seq)
                 self.unit_labels[w.unit] = f"{queue.name}[{seq}]"
             w.send = item
-        elif kind in (OP_CACHE_FLUSH, OP_CACHE_INVALIDATE, OP_ICACHE_MISS):
-            self._flush_trace(w)
+        elif kind in (OP_COMPUTE, OP_CACHE_FLUSH, OP_CACHE_INVALIDATE,
+                      OP_ICACHE_MISS):
+            pass
         else:
             self._sink(Diagnostic(
                 WARNING, "unknown-op",
@@ -650,23 +513,7 @@ class _ProgramAuditor:
         self.stores[w.core].check(offset, nbytes, self._label(w.unit))
 
     def _replay_block(self, w: _Walker, blk: OpBlock, delta: int) -> None:
-        stats = self.block_stats.get(id(blk))
-        if stats is None:
-            stats = self.block_stats[id(blk)] = {
-                "blk": blk, "replays": 0, "strides": set(), "last": {},
-            }
-        stats["replays"] += 1
-        last = stats["last"].get(w.core)
-        if last is not None:
-            stride = delta - last[0]
-            # Only strides seen on consecutive replay pairs count as
-            # loop strides; a one-off jump (e.g. wrapping to the next
-            # pass of a sort) is not an iteration stride.
-            if stride == last[1]:
-                stats["strides"].add(stride)
-            stats["last"][w.core] = (delta, stride)
-        else:
-            stats["last"][w.core] = (delta, None)
+        """Record one block replay from its footprint shifted by ``delta``."""
         fp = blk.footprint()
         self.ops_walked += len(blk.ops)
         for s, e in fp.reads:
@@ -681,25 +528,17 @@ class _ProgramAuditor:
     def _replay_phase(self, w: _Walker, ph: OpPhase) -> None:
         """Walk a phase as the block replays it stands for.
 
-        The phase's semantics *are* its per-iteration block replays
-        (iteration-major, lane-minor), so routing every replay through
-        :meth:`_replay_block` keeps the conflict analysis, footprints,
-        and block proofs identical to the unconverted loop while the
-        phase descriptor itself gets a separate eligibility verdict.
+        The phase's semantics *are* its per-iteration block replays, so
+        routing every replay through :meth:`_replay_block` keeps the
+        conflict analysis and footprints identical to the unconverted
+        loop.
         """
-        stats = self.phase_stats.get(id(ph))
-        if stats is None:
-            stats = self.phase_stats[id(ph)] = {"ph": ph, "dispatches": 0,
-                                                "iterations": 0}
-        stats["dispatches"] += 1
-        stats["iterations"] += ph.count
-        lanes = ph.lanes
+        blk, base, stride = ph.blk, ph.base, ph.stride
         for k in range(ph.count):
             if self.ops_walked >= MAX_WALK_OPS:
                 self._mark_truncated()
                 return
-            for blk, base, stride in lanes:
-                self._replay_block(w, blk, base + k * stride)
+            self._replay_block(w, blk, base + k * stride)
 
     def _dma_command(self, w: _Walker, kind: str, tag: int, addr: int,
                      nbytes: int, stride: int, block: int | None) -> None:
@@ -723,19 +562,6 @@ class _ProgramAuditor:
         self.dma.setdefault((w.unit, w.epoch), []).append((kind, intervals))
         w.issued.add(tag)
         w.outstanding[tag] = w.outstanding.get(tag, 0) + 1
-
-    # -- raw-op tracing for candidate detection ------------------------
-
-    def _trace(self, w: _Walker, entry: tuple) -> None:
-        if len(w.trace) < MAX_TRACE_SEGMENT:
-            w.trace.append(entry)
-        else:
-            w.trace_truncated = True
-
-    def _flush_trace(self, w: _Walker) -> None:
-        if len(w.trace) >= 3:
-            self.segments.append((self._label(w.unit), w.trace))
-        w.trace = []
 
     # -- post-walk analyses --------------------------------------------
 
@@ -871,243 +697,18 @@ class _ProgramAuditor:
                 "generation of the data",
                 unit_a=la, unit_b=lb, epoch=epoch))
 
-    # -- block eligibility ---------------------------------------------
-
-    def _l1_capacity(self) -> int:
-        if self.streaming:
-            return self.config.stream_l1.capacity_bytes
-        return self.config.l1.capacity_bytes
-
-    def block_proofs(self) -> list[BlockProof]:
-        proofs = []
-        for stats in self.block_stats.values():
-            blk: OpBlock = stats["blk"]
-            proofs.append(BlockProof(
-                name=blk.name or "anonymous",
-                replays=stats["replays"],
-                strides=tuple(sorted(stats["strides"])),
-            ))
-        proofs.sort(key=lambda p: p.name)
-        return proofs
-
-    def phase_proofs(self) -> list[PhaseProof]:
-        # Run-length coalescing (phase_runs) mints a fresh descriptor per
-        # run, so same-shaped descriptors aggregate under one proof:
-        # signature -> [dispatches, iterations].
-        grouped: dict[tuple, list[int]] = {}
-        line_bytes = self.line_bytes
-        for stats in self.phase_stats.values():
-            ph: OpPhase = stats["ph"]
-            # One iteration's cache footprint: every lane's intervals
-            # shifted to the first iteration's deltas, merged across
-            # lanes (later iterations have the same shape).
-            intervals = []
-            for blk, base, _stride in ph.lanes:
-                fp = blk.footprint()
-                for s, e in fp.reads:
-                    intervals.append((s + base, e + base))
-                for s, e in fp.writes:
-                    intervals.append((s + base, e + base))
-            if intervals:
-                lines = _to_lines(merge_intervals(intervals), line_bytes)
-                touched = sum(e - s for s, e in lines) * line_bytes
-                fits = touched <= self._l1_capacity()
-            else:
-                fits = True
-            key = (ph.name or "anonymous", len(ph.lanes), fits)
-            counts = grouped.setdefault(key, [0, 0])
-            counts[0] += stats["dispatches"]
-            counts[1] += stats["iterations"]
-        proofs = []
-        for key, (dispatches, iterations) in grouped.items():
-            name, lanes, fits = key
-            proof = PhaseProof(
-                name=name,
-                lanes=lanes,
-                dispatches=dispatches,
-                iterations=iterations,
-                fits_l1=fits,
-            )
-            proofs.append(proof)
-            if not proof.eligible:
-                self._sink(Diagnostic(
-                    WARNING, "phase-proof-failed",
-                    f"dispatched phase {proof.name!r} fails its "
-                    "eligibility proof: " + proof.render()))
-        proofs.sort(key=lambda p: (p.name, -p.iterations))
-        return proofs
-
-    # -- candidate loops -----------------------------------------------
-
-    def find_candidates(self) -> list[LoopCandidate]:
-        budget = MAX_PERIOD_COMPARISONS
-        found: dict[tuple, dict] = {}
-        for _unit, seg in self.segments:
-            budget = self._scan_segment(seg, found, budget)
-            if budget <= 0:
-                self._sink(Diagnostic(
-                    WARNING, "candidate-scan-truncated",
-                    "periodic-loop detection stopped at its comparison "
-                    "budget; the candidate list may be incomplete"))
-                break
-        out = []
-        for entry in found.values():
-            out.append(LoopCandidate(
-                body_ops=entry["period"],
-                reps=entry["reps"],
-                loops=entry["loops"],
-                delta=entry["delta"],
-                opcodes=entry["opcodes"],
-                region=entry["region"],
-                mem_positions=entry["mem"],
-                eligible_positions=entry["eligible"],
-            ))
-        out.sort(key=lambda c: (c.region, c.body_ops))
-        return out
-
-    def _scan_segment(self, seg: list[tuple], found: dict[tuple, dict],
-                      budget: int) -> int:
-        n = len(seg)
-        i = 0
-        while i < n and budget > 0:
-            hit = None
-            max_p = min(MAX_PERIOD, (n - i) // 3)
-            for period in range(1, max_p + 1):
-                reps, deltas, budget = self._count_reps(seg, i, period,
-                                                        budget)
-                if reps >= 3:
-                    hit = (period, reps, deltas)
-                    break
-                if budget <= 0:
-                    break
-            if hit is None:
-                i += 1
-                continue
-            period, reps, deltas = hit
-            self._record_candidate(seg[i:i + period], deltas, period,
-                                   reps, found)
-            i += period * reps
-        return budget
-
-    def _count_reps(self, seg: list[tuple], start: int, period: int,
-                    budget: int) -> tuple[int, list, int]:
-        n = len(seg)
-        base = seg[start:start + period]
-        if not any(e[1] is not None for e in base):
-            return 0, [], budget
-        deltas: list[int | None] = [None] * period
-        reps = 1
-        while start + (reps + 1) * period <= n and budget > 0:
-            prev = start + (reps - 1) * period
-            cur = start + reps * period
-            ok = True
-            for j in range(period):
-                budget -= 1
-                a, b = seg[prev + j], seg[cur + j]
-                if a[0] != b[0] or a[2] != b[2]:
-                    ok = False
-                    break
-                if (a[1] is None) != (b[1] is None):
-                    ok = False
-                    break
-                if a[1] is not None:
-                    d = b[1] - a[1]
-                    if reps == 1:
-                        deltas[j] = d
-                    elif deltas[j] != d:
-                        ok = False
-                        break
-            if not ok:
-                break
-            reps += 1
-        return reps, deltas, budget
-
-    def _record_candidate(self, base: list[tuple], deltas: list,
-                          period: int, reps: int,
-                          found: dict[tuple, dict]) -> None:
-        mem = [j for j, e in enumerate(base) if e[1] is not None]
-        votes: dict[int, int] = {}
-        for j in mem:
-            d = deltas[j]
-            if d:
-                votes[d] = votes.get(d, 0) + 1
-        if votes:
-            primary = max(votes, key=lambda d: (votes[d], -abs(d)))
-        else:
-            primary = 0  # resident loop: same footprint every iteration
-        if primary % self.line_bytes != 0:
-            return
-        eligible = [j for j in mem if deltas[j] == primary]
-        if not eligible:
-            return
-        reads = merge_intervals(
-            [(base[j][1], base[j][1] + base[j][2])
-             for j in eligible if base[j][0] != OP_STORE])
-        writes = merge_intervals(
-            [(base[j][1], base[j][1] + base[j][2])
-             for j in eligible if base[j][0] == OP_STORE])
-        if primary and _has_shift_conflict(reads, writes, primary):
-            return
-        touched = sum(e - s for s, e in list(reads) + list(writes))
-        if touched > self._l1_capacity():
-            return
-        opcodes = _summarize_opcodes([e[0] for e in base])
-        first = base[eligible[0]][1]
-        region = self._region_of(first).split("+")[0]
-        key = (opcodes, period, primary, region)
-        entry = found.get(key)
-        if entry is None:
-            found[key] = {
-                "period": period, "reps": reps, "loops": 1,
-                "delta": primary, "opcodes": opcodes, "region": region,
-                "mem": len(mem), "eligible": len(eligible),
-            }
-        else:
-            entry["loops"] += 1
-            entry["reps"] = max(entry["reps"], reps)
-
     # -- report --------------------------------------------------------
 
     def report(self) -> AuditReport:
-        blocks = self.block_proofs()
-        phases = self.phase_proofs()
-        candidates = self.find_candidates()
         return AuditReport(
             workload=self.workload,
             model=self.model.value,
             cores=self.config.num_cores,
             preset=self.preset,
             diagnostics=list(self.diagnostics),
-            blocks=blocks,
-            phases=phases,
-            candidates=candidates,
             ops_walked=self.ops_walked,
             truncated=self.truncated,
         )
-
-
-def _has_shift_conflict(reads: tuple, writes: tuple, stride: int) -> bool:
-    for k in (1, 2):
-        shift = k * stride
-        shifted = [(s + shift, e + shift) for s, e in writes]
-        if (_intersect(shifted, reads) or _intersect(shifted, writes)
-                or _intersect([(s + shift, e + shift) for s, e in reads],
-                              writes)):
-            return True
-    return False
-
-
-def _summarize_opcodes(kinds: list[str]) -> str:
-    out = []
-    i = 0
-    while i < len(kinds):
-        j = i
-        while j < len(kinds) and kinds[j] == kinds[i]:
-            j += 1
-        count = j - i
-        out.append(f"{count}x{kinds[i]}" if count > 1 else kinds[i])
-        i = j
-    return " ".join(out)
 
 
 def audit_program(program: Program, config: MachineConfig,

@@ -19,20 +19,19 @@ The ``task_pop`` operation returns a value *into* the generator — use
 
 Hot loops should not rebuild the same op tuples every iteration: build an
 :class:`OpBlock` template once with :func:`block` and yield
-``template.at(offset)`` per iteration instead.  The processor's block arm
-replays the block in one tight per-op loop without generator round trips
-(see :mod:`repro.core.processor` and docs/PERF.md).
+``template.at(offset)`` per iteration instead.  The processor feeds the
+block's ops through its ordinary per-op arms without generator round
+trips (see :mod:`repro.core.processor` and docs/PERF.md).
 
-A level above blocks, a loop that replays templates at a *constant
+A level above blocks, a loop that replays one template at a *constant
 stride* can be described once as an :class:`OpPhase` (:func:`phase`) and
-yielded as a single op: the block arm then walks the whole run — many
-block iterations of the same loop — without a generator round trip per
+yielded as a single op: the processor then walks the whole run — many
+iterations of the same block — without a generator round trip per
 iteration.
 
-Blocks hold only what the block arm runs: compute, cached and
-local-store accesses.  DMA commands, waits and the other ops are yielded
-plain; a double-buffered DMA loop is an ordinary generator loop (see
-docs/API.md).
+Blocks hold only compute, cached and local-store accesses.  DMA
+commands, waits and the other ops are yielded plain; a double-buffered
+DMA loop is an ordinary generator loop (see docs/API.md).
 """
 
 from __future__ import annotations
@@ -255,8 +254,8 @@ def icache_miss(count: int = 1) -> tuple:
 #: block (REPRO_BLOCKS=0) from ballooning memory.
 MAX_BLOCK_OPS = 4096
 
-#: Ops the block arm's per-op loop runs: compute, cached and local-store
-#: accesses.  Nothing else may appear inside a block.
+#: Ops a block may hold: compute, cached and local-store accesses.
+#: Nothing else may appear inside a block.
 _ARITH_OPS = frozenset({
     OP_COMPUTE, OP_LOAD, OP_STORE, OP_PFS, OP_LOCAL_LOAD, OP_LOCAL_STORE,
 })
@@ -345,7 +344,7 @@ class OpBlock:
     ``template.at(offset)``.  The offset shifts every cached-memory
     address in the block; local-store offsets are a separate, fixed
     address space and do not shift.  A block holds only compute, cached
-    and local-store accesses — the ops the processor's block arm runs.
+    and local-store accesses.
 
     ``min_addr`` — the lowest memory address, for the sign check in
     :meth:`at` — is precomputed once per template.
@@ -392,9 +391,10 @@ class OpBlock:
     def materialize(self, delta: int, start: int = 0) -> list:
         """The plain per-op stream this block stands for, from ``start``.
 
-        This *is* the block's semantics: with the block arm off
-        (``REPRO_BLOCKS=0``) the processor runs exactly these tuples
-        through the ordinary dispatch arms.
+        This *is* the block's semantics: the processor's template cursor
+        feeds exactly these tuples through its ordinary dispatch arms,
+        and with the cursor off (``REPRO_BLOCKS=0``) it runs them from
+        the pending list.
         """
         ops = self.ops[start:] if start else self.ops
         if delta == 0:
@@ -423,8 +423,8 @@ def block(*ops: tuple, name: str | None = None) -> OpBlock:
         kind = op[0]
         if kind in _BLOCK_REJECTED:
             raise ValueError(
-                f"op {kind!r} cannot appear inside a block (the block arm "
-                "runs only compute, cached and local-store ops)")
+                f"op {kind!r} cannot appear inside a block (a block "
+                "holds only compute, cached and local-store ops)")
         if kind not in _ARITH_OPS:
             raise ValueError(f"unknown opcode {kind!r} in block")
     return OpBlock(tuple(ops), name)
@@ -441,29 +441,28 @@ MAX_PHASE_ITERS = 1 << 24
 
 
 class OpPhase:
-    """A run of ``count`` iterations of constant-stride block replays.
+    """A run of ``count`` constant-stride replays of one block.
 
-    One iteration replays every *lane* in order: lane ``(blk, base,
-    stride)`` contributes ``blk.at(base + k * stride)`` to iteration
-    ``k``.  That is the phase's entire meaning — yielding the phase op is
-    exactly yielding those ``count x len(lanes)`` block replays one by
-    one.  The processor's block arm walks single-lane phases as
-    iterations of its per-op loop; every other phase, and every phase
-    under ``REPRO_BLOCKS=0``, runs precisely that spilled stream through
-    the block arm.
+    Iteration ``k`` replays ``blk.at(base + k * stride)``.  That is the
+    phase's entire meaning — yielding the phase op is exactly yielding
+    those ``count`` block replays one by one.  The processor walks them
+    as iterations of its template cursor; under ``REPRO_BLOCKS=0`` it
+    runs precisely that spilled stream.
     """
 
-    __slots__ = ("lanes", "count", "name")
+    __slots__ = ("blk", "base", "stride", "count", "name")
 
-    def __init__(self, lanes: tuple, count: int, name: str | None) -> None:
-        self.lanes = lanes
+    def __init__(self, blk: OpBlock, base: int, stride: int, count: int,
+                 name: str | None) -> None:
+        self.blk = blk
+        self.base = base
+        self.stride = stride
         self.count = count
         self.name = name
 
     def __repr__(self) -> str:
         label = self.name or "anonymous"
-        return (f"<OpPhase {label!r}: {len(self.lanes)} lane(s) "
-                f"x {self.count} iterations>")
+        return f"<OpPhase {label!r}: {self.count} iterations>"
 
     def op(self) -> tuple:
         """The phase op this descriptor is yielded as."""
@@ -474,55 +473,55 @@ class OpPhase:
 
         This *is* the phase's semantics: each entry is the plain
         ``("blk", template, delta)`` op the unconverted loop would have
-        yielded, in iteration-major, lane-minor order.
+        yielded.
         """
         if stop is None:
             stop = self.count
-        lanes = self.lanes
-        return [
-            (OP_BLOCK, blk, base + k * stride)
-            for k in range(start, stop)
-            for blk, base, stride in lanes
-        ]
+        blk, base, stride = self.blk, self.base, self.stride
+        return [(OP_BLOCK, blk, base + k * stride)
+                for k in range(start, stop)]
 
 
 def phase(*lanes: tuple, count: int, name: str | None = None) -> OpPhase:
-    """Build an immutable, validated :class:`OpPhase` from lane tuples.
+    """Build an immutable, validated :class:`OpPhase` from one lane.
 
-    Each lane is ``(template, base, stride)``: iteration ``k`` of the
+    The lane is ``(template, base, stride)``: iteration ``k`` of the
     phase replays ``template.at(base + k * stride)``.  Validation is
-    front-loaded here so the processor's block arm does none: every
-    template must be an :class:`OpBlock`, and every replay delta the
-    phase can produce must keep the template's lowest address
-    non-negative (strides may be negative for descending sweeps).
+    front-loaded here so the processor does none: exactly one lane, the
+    template an :class:`OpBlock`, and every replay delta the phase can
+    produce keeping the template's lowest address non-negative (strides
+    may be negative for descending sweeps).  A loop over several
+    templates per iteration yields their ``at()`` replays instead.
     """
     if not lanes:
         raise ValueError("a phase must contain at least one lane")
+    if len(lanes) > 1:
+        raise ValueError(
+            f"a phase has one lane, got {len(lanes)}; yield the "
+            "templates' at() replays from a loop instead")
+    lane = lanes[0]
     if not isinstance(count, int) or count < 1:
         raise ValueError(f"phase iteration count must be >= 1, got {count!r}")
     if count > MAX_PHASE_ITERS:
         raise ValueError(
             f"phase of {count} iterations exceeds "
             f"MAX_PHASE_ITERS={MAX_PHASE_ITERS}")
-    checked = []
-    for lane in lanes:
-        if (not isinstance(lane, tuple) or len(lane) != 3
-                or not isinstance(lane[0], OpBlock)):
+    if (not isinstance(lane, tuple) or len(lane) != 3
+            or not isinstance(lane[0], OpBlock)):
+        raise ValueError(
+            f"phase lane must be (OpBlock, base, stride), got {lane!r}")
+    blk, base, stride = lane
+    if not isinstance(base, int) or not isinstance(stride, int):
+        raise ValueError(
+            f"phase lane base/stride must be ints, got {lane!r}")
+    # The extreme deltas bound every iteration's delta, so checking
+    # both ends validates the whole run.
+    for delta in (base, base + (count - 1) * stride):
+        if delta < 0 and blk.min_addr + delta < 0:
             raise ValueError(
-                f"phase lane must be (OpBlock, base, stride), got {lane!r}")
-        blk, base, stride = lane
-        if not isinstance(base, int) or not isinstance(stride, int):
-            raise ValueError(
-                f"phase lane base/stride must be ints, got {lane!r}")
-        # The extreme deltas bound every iteration's delta, so checking
-        # both ends validates the whole run.
-        for delta in (base, base + (count - 1) * stride):
-            if delta < 0 and blk.min_addr + delta < 0:
-                raise ValueError(
-                    f"{blk!r}: phase delta {delta} shifts address "
-                    f"{blk.min_addr:#x} negative")
-        checked.append((blk, base, stride))
-    return OpPhase(tuple(checked), count, name)
+                f"{blk!r}: phase delta {delta} shifts address "
+                f"{blk.min_addr:#x} negative")
+    return OpPhase(blk, base, stride, count, name)
 
 
 def phase_runs(replays, name: str | None = None):
@@ -530,7 +529,7 @@ def phase_runs(replays, name: str | None = None):
 
     A generator over run-length encoding: consecutive replays of the
     *same* template whose deltas advance by a constant stride collapse
-    into one single-lane :class:`OpPhase`; isolated replays stay plain
+    into one :class:`OpPhase`; isolated replays stay plain
     block ops.  The emitted op stream is semantically identical to
     yielding ``template.at(delta)`` for every input pair, so workloads
     with data-dependent template choices (e.g. bitonic's dirty/clean
@@ -554,7 +553,7 @@ def phase_runs(replays, name: str | None = None):
             if count == 1:
                 yield tmpl.at(base)
             else:
-                yield OpPhase(((tmpl, base, stride),), count, name).op()
+                yield OpPhase(tmpl, base, stride, count, name).op()
         tmpl = nxt_tmpl
         base = last = nxt_delta
         stride = 0
@@ -563,4 +562,4 @@ def phase_runs(replays, name: str | None = None):
         if count == 1:
             yield tmpl.at(base)
         else:
-            yield OpPhase(((tmpl, base, stride),), count, name).op()
+            yield OpPhase(tmpl, base, stride, count, name).op()

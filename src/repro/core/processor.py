@@ -36,19 +36,10 @@ if TYPE_CHECKING:
 #: Fetch stall per instruction-cache miss: an L2 round trip.
 ICACHE_MISS_PENALTY_NS = 12.0
 
-#: Iterations one phase dispatch walks (single-lane phases) or spills
-#: as block replays (multi-lane phases, and every phase under
-#: ``REPRO_BLOCKS=0``).  Bounds the pending list while keeping the
+#: Iterations one phase dispatch spills as block replays under
+#: ``REPRO_BLOCKS=0``.  Bounds the pending list while keeping the
 #: re-dispatch overhead amortized.
 PHASE_SPILL_CHUNK = 64
-
-#: Block-arm dispatches (one block, or one phase chunk) that skip the
-#: per-op inline L1 pre-probe after one full dispatch of the same
-#: template observed zero inline hits (the probe then only doubles the
-#: miss path's lookups), before probing one dispatch again in case
-#: residency returned.  Wall-clock only: the walker retires a hit
-#: bit-identically to the inline probe.
-BLK_COLD_SKIP = 15
 
 
 class Processor:
@@ -84,14 +75,9 @@ class Processor:
         #: OpPhase spilled into per-iteration block replays.
         self._blocks = blocks_enabled()
         #: Ops spilled from a descriptor (resume cursors after a quantum
-        #: yield, phase chunks that are not walked, or whole descriptors
-        #: under REPRO_BLOCKS=0), consumed LIFO before the generator is
-        #: consulted again.
+        #: yield, or whole descriptors under REPRO_BLOCKS=0), consumed
+        #: LIFO before the generator is consulted again.
         self._pending: list[tuple] = []
-        #: Per-template cold verdicts: id(blk) or id(phase) ->
-        #: dispatches left to skip the inline L1 pre-probe (see
-        #: :data:`BLK_COLD_SKIP`).
-        self._blk_verdicts: dict[int, int] = {}
         # Clock and accounting (all femtoseconds)
         self.now = 0
         self.useful_fs = 0
@@ -102,10 +88,10 @@ class Processor:
         self.word_accesses = 0
         self.local_accesses = 0
         self.icache_misses = 0
-        #: Iterations the block arm walked as phase iterations without
-        #: spilling (mode-dependent diagnostic) and total iterations
-        #: dispatched as phases (mode-independent: counted once whether
-        #: walked or spilled).
+        #: Iterations the template cursor walked as phase iterations
+        #: without spilling (mode-dependent diagnostic) and total
+        #: iterations dispatched as phases (mode-independent: counted
+        #: once whether walked or spilled).
         self.phase_iters = 0
         self.phase_iters_total = 0
         self.done = False
@@ -160,23 +146,19 @@ class Processor:
         one-event-per-quantum execution; per-access side channels (trace
         hooks, invariant observers) disable the inline-hit path alone.
 
-        * **The block arm** is one tight per-op loop (no generator round
-          trips) over immutable op templates.  An op block (``"blk"``,
-          see :func:`repro.core.ops.block`) is one iteration of that
-          loop at its replay delta.  A single-lane op phase (``"ph"``,
-          see :func:`repro.core.ops.phase`) — a run of constant-stride
-          block iterations — is up to ``PHASE_SPILL_CHUNK`` iterations
-          of the same loop at ``base + k * stride``.  Compute, L1 and
-          local-store ops each have an arm in the loop; L1 hits retire
-          through the inline probe above, every other line through the
-          hierarchy walker; a quantum yield leaves a resume cursor.
-          Multi-lane phases spill block replays.  There is no closed
-          form: the resident blocks one would retire arithmetically are
-          mostly STR local-store kernels whose few op tuples each stand
-          for thousands of accesses, so skipping their loop saves no
-          measurable host time (see docs/PERF.md).
+        * **The template cursor** feeds descriptor ops to the same arms
+          without generator round trips.  An op block (``"blk"``, see
+          :func:`repro.core.ops.block`) points the cursor at its
+          immutable op templates and a replay ``delta``; an op phase
+          (``"ph"``, see :func:`repro.core.ops.phase`) — a run of
+          constant-stride block iterations — also sets the iteration
+          ``k``, at ``delta = base + k * stride``.  The op fetch reads
+          the cursor before the pending list and the generator, and the
+          ld / st / pfs arm adds ``delta`` to every address (0 between
+          dispatches).  A quantum yield inside a template leaves a
+          resume cursor on the pending list.
 
-        ``REPRO_BLOCKS=0`` turns the block arm off: blocks materialize,
+        ``REPRO_BLOCKS=0`` turns the cursor off: blocks materialize,
         phases spill as block replays.  DMA commands and waits are
         always plain ops, handled by the dget / dput / dwait arms.
         """
@@ -192,7 +174,6 @@ class Processor:
         fast_mem = fastpath and hierarchy.fastpath_safe
         blocks_on = self._blocks
         pending = self._pending
-        verdicts = self._blk_verdicts
         # Per-op invariants hoisted to loop-locals: resolved once per
         # scheduling slice instead of once per op.
         local_store = (self._local_store[core_id]
@@ -228,24 +209,49 @@ class Processor:
         stores_hit = 0
         phase_retired = 0
         phase_total = 0
+        # The template cursor: ``index`` into ``tmpl_ops`` (``n_ops``
+        # long; 0 when no template is being fed), the replay ``delta``
+        # every ld/st/pfs adds to its address (0 between dispatches),
+        # and, for a phase ``ph``, its iteration ``k`` of ``k_end`` at
+        # ``step`` bytes apart.
+        blk = ph = None
+        tmpl_ops: tuple = ()
+        n_ops = index = delta = k = k_end = step = 0
 
         # Exit actions: how the loop below was left.
         FINISH, SUSPEND, YIELD = 0, 1, 2
         action = SUSPEND
         try:
             while True:
-                if pending:
-                    # Spilled block remainder; blocks never contain ops
-                    # that suspend or send values, so send_value is
-                    # untouched on this path.
-                    op = pending.pop()
+                # Op fetch: the template cursor first, then spilled ops,
+                # then the generator.  Blocks never contain ops that
+                # suspend or send values, so send_value is untouched on
+                # the first two paths.
+                if index < n_ops:
+                    op = tmpl_ops[index]
+                    index += 1
+                elif n_ops and ph is not None and k + 1 < k_end:
+                    # The phase's next iteration.
+                    phase_retired += 1
+                    k += 1
+                    delta += step
+                    op = tmpl_ops[0]
+                    index = 1
                 else:
-                    try:
-                        op = gen_send(send_value)
-                    except StopIteration:
-                        action = FINISH
-                        break
-                    send_value = None
+                    if n_ops:
+                        # The cursor's last iteration is done.
+                        if ph is not None:
+                            phase_retired += 1
+                        n_ops = index = delta = 0
+                    if pending:
+                        op = pending.pop()
+                    else:
+                        try:
+                            op = gen_send(send_value)
+                        except StopIteration:
+                            action = FINISH
+                            break
+                        send_value = None
                 kind = op[0]
 
                 if kind == "c":
@@ -258,6 +264,7 @@ class Processor:
 
                 elif kind == "ld":
                     _, addr, nbytes, accesses = op
+                    addr += delta
                     issue = accesses * cycle_fs
                     now += issue
                     useful += issue
@@ -287,6 +294,7 @@ class Processor:
 
                 elif kind == "st" or kind == "pfs":
                     _, addr, nbytes, accesses = op
+                    addr += delta
                     issue = accesses * cycle_fs
                     now += issue
                     useful += issue
@@ -318,30 +326,24 @@ class Processor:
                         line += 1
 
                 elif kind == "blk" or kind == "ph":
-                    # Block arm: one per-op loop over an OpBlock's ops.  A
-                    # block op is one iteration at its replay delta; a
-                    # single-lane phase (see
-                    # repro.core.ops.OpPhase) is a chunk of iterations of
-                    # its lane's block at base + k * stride.
+                    # Descriptor dispatch: point the template cursor at
+                    # the block's ops; the op fetch above then feeds
+                    # them through the ordinary arms at ``delta``.
                     if kind == "blk":
-                        blk = op[1]
-                        base = op[2]
-                        stride = 0
-                        k = 0
-                        count = k_hi = 1
-                        # A 4-tuple is a resume cursor spilled by the loop
-                        # below at a quantum boundary; re-enter at the
-                        # recorded op index.
-                        start = op[3] if len(op) == 4 else 0
                         if not blocks_on:
                             # Escape hatch: run the plain per-op stream
                             # through the ordinary dispatch arms.
-                            pending.extend(reversed(blk.materialize(base)))
+                            pending.extend(reversed(op[1].materialize(op[2])))
                             continue
-                        vid = id(blk)
+                        blk = op[1]
+                        ph = None
+                        delta = op[2]
+                        # A 4-tuple is a resume cursor left at a quantum
+                        # boundary: re-enter at the recorded op index.
+                        index = op[3] if len(op) == 4 else 0
                     else:
                         ph = op[1]
-                        count = ph.count
+                        k_end = ph.count
                         # A 3-tuple is a resume cursor: re-enter at the
                         # recorded iteration.  The mode-independent total
                         # is counted once, at first dispatch.
@@ -349,169 +351,26 @@ class Processor:
                             k = op[2]
                         else:
                             k = 0
-                            phase_total += count
-                        k_hi = k + PHASE_SPILL_CHUNK
-                        if k_hi > count:
-                            k_hi = count
-                        lanes = ph.lanes
-                        blk, base, stride = lanes[0]
-                        if not blocks_on or len(lanes) != 1:
+                            phase_total += k_end
+                        blk = ph.blk
+                        step = ph.stride
+                        if not blocks_on:
                             # Spill a bounded chunk of iterations as plain
                             # ("blk", ...) replays and leave a cursor,
                             # keeping the pending list short.
-                            if k_hi < count:
+                            k_hi = k + PHASE_SPILL_CHUNK
+                            if k_hi < k_end:
                                 pending.append(("ph", ph, k_hi))
+                            else:
+                                k_hi = k_end
                             for j in range(k_hi - 1, k - 1, -1):
-                                for blk, base, stride in reversed(lanes):
-                                    pending.append(
-                                        ("blk", blk, base + j * stride))
+                                pending.append(
+                                    ("blk", blk, ph.base + j * step))
                             continue
-                        start = 0
-                        vid = id(ph)
-                    # Per-template cold verdict (see BLK_COLD_SKIP): a
-                    # template streaming through memory pays the inline
-                    # L1 probe *and* the walker on every line, so after
-                    # one full dispatch with zero inline hits, later
-                    # dispatches skip the probe and drive the walker
-                    # directly (walker-served hits fold into the same
-                    # counters, so stats cannot diverge).
-                    skip = verdicts.get(vid, 0)
-                    if skip:
-                        verdicts[vid] = skip - 1
-                        probe = False
-                    else:
-                        probe = fast_mem
-                    hits0 = loads_hit + stores_hit
-                    ops_seq = blk.ops
-                    n_ops = len(ops_seq)
-                    k0 = k
-                    index = start
-                    yielded = False
-                    while k < k_hi:
-                        delta = base + k * stride
-                        while index < n_ops:
-                            bop = ops_seq[index]
-                            index += 1
-                            bkind = bop[0]
-                            if bkind == "ld":
-                                _, addr, nbytes, accesses = bop
-                                addr += delta
-                                issue = accesses * cycle_fs
-                                now += issue
-                                useful += issue
-                                instructions += accesses
-                                word_accesses += accesses
-                                line = addr >> line_shift
-                                last = (addr + nbytes - 1) >> line_shift
-                                while True:
-                                    if probe:
-                                        cache_set = l1_sets[line & l1_mask]
-                                        entry = cache_set.get(line)
-                                        if (entry is not None
-                                                and entry.ready_fs <= now
-                                                and not entry.prefetched):
-                                            cache_set.move_to_end(line)
-                                            loads_hit += 1
-                                            if line == last:
-                                                break
-                                            line += 1
-                                            continue
-                                    done = load_line(core_id, line, now)
-                                    if done > now:
-                                        load_stall += done - now
-                                        now = done
-                                    if line == last:
-                                        break
-                                    line += 1
-                            elif bkind == "c":
-                                _, cycles, op_instructions, l1_accesses = bop
-                                cost = cycles * cycle_fs
-                                now += cost
-                                useful += cost
-                                instructions += op_instructions
-                                word_accesses += l1_accesses
-                            elif bkind == "st" or bkind == "pfs":
-                                _, addr, nbytes, accesses = bop
-                                addr += delta
-                                issue = accesses * cycle_fs
-                                now += issue
-                                useful += issue
-                                instructions += accesses
-                                word_accesses += accesses
-                                no_allocate = bkind == "pfs"
-                                line = addr >> line_shift
-                                last = (addr + nbytes - 1) >> line_shift
-                                while True:
-                                    if probe:
-                                        cache_set = l1_sets[line & l1_mask]
-                                        entry = cache_set.get(line)
-                                        if (entry is not None
-                                                and entry.state is not shared):
-                                            cache_set.move_to_end(line)
-                                            entry.state = modified
-                                            entry.prefetched = False
-                                            stores_hit += 1
-                                            if line == last:
-                                                break
-                                            line += 1
-                                            continue
-                                    stall = store_line(core_id, line, now,
-                                                       no_allocate=no_allocate)
-                                    if stall:
-                                        store_stall += stall
-                                        now += stall
-                                    if line == last:
-                                        break
-                                    line += 1
-                            else:  # lsld / lsst
-                                _, offset, nbytes, accesses = bop
-                                if local_store is None:
-                                    raise SimulationError(
-                                        f"core {core_id}: local-store access "
-                                        "on the cache-coherent model")
-                                local_store.check_range(offset, nbytes)
-                                if bkind == "lsld":
-                                    local_store.record_read(nbytes, accesses)
-                                else:
-                                    local_store.record_write(nbytes, accesses)
-                                issue = accesses * cycle_fs
-                                now += issue
-                                useful += issue
-                                instructions += accesses
-                                local_accesses += accesses
-                            if now >= limit:
-                                if fastpath:
-                                    next_fs = peek_time()
-                                    if next_fs is None or next_fs > now:
-                                        limit = now + quantum_fs
-                                        continue
-                                yielded = True
-                                break
-                        if index < n_ops:
-                            break  # yielded mid-iteration
+                        delta = ph.base + k * step
                         index = 0
-                        k += 1
-                        if yielded:
-                            break
-                    if kind == "ph":
-                        phase_retired += k - k0
-                    if yielded:
-                        # Leave a cursor for the rest of the run (phases
-                        # only: a block's count is 1) and, in front of it,
-                        # the interrupted iteration's remainder.
-                        if index:
-                            if k + 1 < count:
-                                pending.append(("ph", ph, k + 1))
-                            pending.append(("blk", blk, delta, index))
-                        elif k < count:
-                            pending.append(("ph", ph, k))
-                        action = YIELD
-                        break
-                    if (probe and start == 0
-                            and loads_hit + stores_hit == hits0):
-                        verdicts[vid] = BLK_COLD_SKIP
-                    if k < count:
-                        pending.append(("ph", ph, k))
+                    tmpl_ops = blk.ops
+                    n_ops = len(tmpl_ops)
                     continue
 
                 elif kind == "lsld" or kind == "lsst":
@@ -640,6 +499,16 @@ class Processor:
                             # the heap.
                             limit = now + quantum_fs
                             continue
+                    if n_ops:
+                        # Leave the cursor on the pending list: the phase's
+                        # later iterations and, in front of them, the rest
+                        # of the interrupted iteration.
+                        if ph is not None and k + 1 < k_end:
+                            pending.append(("ph", ph, k + 1))
+                        if index < n_ops:
+                            pending.append(("blk", blk, delta, index))
+                        elif ph is not None:
+                            phase_retired += 1
                     action = YIELD
                     break
         finally:

@@ -62,30 +62,17 @@ class DramChannel:
         self.row_hits = 0
         self.row_misses = 0
 
-    def read(self, now_fs: int, num_bytes: int, addr: int | None = None) -> int:
-        """Fetch ``num_bytes``; returns the completion time (data available)."""
-        done = self._access(now_fs, num_bytes, addr)
-        self.read_bytes += num_bytes
-        self.read_accesses += 1
-        return done
+    def access(self, now_fs: int, num_bytes: int, addr: int | None = None,
+               write: bool = False) -> int:
+        """Move ``num_bytes`` to or from memory; returns the done time.
 
-    def write(self, now_fs: int, num_bytes: int, addr: int | None = None) -> int:
-        """Write ``num_bytes``; returns the time the channel is done with it.
-
-        Writes are posted: callers normally do not put this latency on any
-        core's critical path, but the occupancy still contends with reads.
-        """
-        done = self._access(now_fs, num_bytes, addr)
-        self.write_bytes += num_bytes
-        self.write_accesses += 1
-        return done
-
-    def _access(self, now_fs: int, num_bytes: int, addr: int | None) -> int:
-        """Occupy the address's channel, then add the access latency.
-
-        The latency is the flat one, or the open-row one when banked; an
-        access without an address uses the first channel and the flat
-        latency.  ``serve`` rejects a negative size before anything is
+        Occupies the address's channel, then adds the access latency:
+        the flat one, or the open-row one when banked.  An access without
+        an address uses the first channel and the flat latency.  For a
+        read the done time is when the data is available; writes are
+        posted, so callers normally keep their done time off every
+        core's critical path, but their occupancy still contends with
+        reads.  ``serve`` rejects a negative size before anything is
         counted.
         """
         index = 0 if addr is None else \
@@ -93,6 +80,12 @@ class DramChannel:
         channel = self._channels[index]
         done = channel.serve(now_fs, num_bytes * channel.fs_per_byte)
         channel.bytes_moved += num_bytes
+        if write:
+            self.write_bytes += num_bytes
+            self.write_accesses += 1
+        else:
+            self.read_bytes += num_bytes
+            self.read_accesses += 1
         if not self._banked or addr is None:
             return done + self._latency_fs
         row = addr // self._row_bytes

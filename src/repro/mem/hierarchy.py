@@ -73,8 +73,8 @@ class Uncore:
         """
         if victim is not None and victim.state is MesiState.MODIFIED:
             self.l2_writebacks += 1
-            self.dram.write(when_fs, self.line_bytes,
-                            addr=victim.line * self.line_bytes)
+            self.dram.access(when_fs, self.line_bytes,
+                             victim.line * self.line_bytes, True)
 
     def l2_read(self, line: int, now_fs: int) -> int:
         """Read one line through the L2; returns the completion time."""
@@ -126,7 +126,7 @@ class Uncore:
             self.l2_refills_avoided += 1
             self._evict(self.l2.insert(line, MesiState.MODIFIED), sent_fs)
             return sent_fs
-        done = self.dram.read(sent_fs, nbytes, addr=line * self.line_bytes)
+        done = self.dram.access(sent_fs, nbytes, line * self.line_bytes, False)
         if nbytes == self.line_bytes:
             self._evict(self.l2.insert(line, MesiState.EXCLUSIVE), sent_fs)
         return done
@@ -142,8 +142,8 @@ class Uncore:
                 if entry.state is modified:
                     entry.state = MesiState.EXCLUSIVE
                     self.l2_writebacks += 1
-                    t = self.dram.write(t, self.line_bytes,
-                                        addr=entry.line * self.line_bytes)
+                    t = self.dram.access(t, self.line_bytes,
+                                         entry.line * self.line_bytes, True)
         return t
 
 
@@ -223,8 +223,8 @@ class CacheCoherentHierarchy:
     def fold_hit_counters(self, loads_hit: int, stores_hit: int) -> None:
         """Fold a batch of inline-retired L1 hits into the op counters.
 
-        The processor's fast paths (the inline L1 probe of the per-op
-        arms and of the block arm) count guaranteed hits in loop-locals
+        The processor's fast path (the inline L1 probe of its per-op
+        arms) counts guaranteed hits in loop-locals
         and fold them here once per scheduling slice — the per-access paths
         (:meth:`load_line` / :meth:`store_line`) bump the same counters
         one at a time, so totals are mode-independent.

@@ -1,4 +1,4 @@
-"""The two execution-mode switches: the fast path and the block arm.
+"""The two execution-mode switches: the fast path and the template cursor.
 
 The processor's hot loop (see :mod:`repro.core.processor`) can execute
 consecutive compute operations and guaranteed-L1-hit accesses without
@@ -17,12 +17,12 @@ result rows across both modes.  Only ``stats["sim.*"]`` may differ
 (that is the point).  DMA commands do not depend on the hatch: the
 engine serves every command through one granule loop per direction.
 
-The second switch covers the block arm only: the loop descriptors
-workloads may yield in place of plain op tuples,
+The second switch covers the template cursor only: the loop
+descriptors workloads may yield in place of plain op tuples,
 :class:`repro.core.ops.OpBlock` templates and
 :class:`repro.core.ops.OpPhase` runs of constant-stride block
-iterations.  The processor's block arm runs blocks and single-lane
-phases through one tight per-op loop.  The escape hatch
+iterations.  The processor's template cursor feeds their ops through
+its ordinary per-op arms.  The escape hatch
 
     REPRO_BLOCKS=0 python -m repro ...
 

@@ -29,7 +29,6 @@ from repro.core.ops import (
     load,
     local_load,
     local_store,
-    phase,
     store,
 )
 from repro.core.sync import Barrier
@@ -156,16 +155,11 @@ class FemWorkload(Workload):
                     # lines, so only touched lines ever get written back.
                     ops.append(store(state + cell * CELL_BYTES, CELL_BYTES))
                 groups.append(block(*ops, name="fem.cells"))
-            # One all-static multi-lane phase per timestep (every lane at
-            # delta 0, stride 0): the sweep revisits the same addresses,
-            # so one descriptor stands for a whole timestep's block
-            # replays.  Built once, replayed per step.
-            step = (phase(*((tmpl, 0, 0) for tmpl in groups),
-                          count=1, name="fem.step").op()
-                    if groups else None)
+            # The sweep revisits the same addresses, so every timestep
+            # replays each group's block at delta 0.
+            step = [tmpl.at(0) for tmpl in groups]
             for _step in range(params["iterations"]):
-                if step is not None:
-                    yield step
+                yield from step
                 yield barrier_wait(barrier)
 
         return Program("fem", [make_thread] * num_cores, arena)

@@ -44,7 +44,6 @@ from repro.core.ops import (
     local_load,
     local_store,
     pfs_store,
-    phase,
     phase_runs,
     store,
 )
@@ -454,15 +453,11 @@ class MergeSortWorkload(Workload):
         def make_thread(env: Env):
             core = env.core_id
             # Phase 1: quicksort chunks in place (cache-resident working
-            # set).  One two-lane phase covers the whole strip: iteration
-            # c replays the sort sweep then the writeback sweep at chunk
-            # c's offset.
+            # set): the sort sweep, then the writeback sweep, per chunk.
             start, count = partition(n_chunks, num_cores, core)
-            if count:
-                yield phase(
-                    (chunk_read, start * chunk_bytes, chunk_bytes),
-                    (chunk_write, start * chunk_bytes, chunk_bytes),
-                    count=count, name="merge.qsort").op()
+            for chunk in range(start, start + count):
+                yield chunk_read.at(chunk * chunk_bytes)
+                yield chunk_write.at(chunk * chunk_bytes)
             yield barrier_wait(barrier)
             # Phase 2: merge runs with halving parallelism, ping-pong buffers.
             for level in range(levels):
@@ -473,13 +468,12 @@ class MergeSortWorkload(Workload):
                 consume, emit = merge_templates[level]
                 for task in range(core, n_tasks, num_cores):
                     # Consume one line from each run per iteration, emit
-                    # two output lines: a two-lane phase whose input lane
-                    # steps one line while the output lane steps two.
+                    # two output lines: the input steps one line while
+                    # the output steps two.
                     task_base = task * 2 * run_bytes
-                    yield phase(
-                        (consume, task_base, LINE_BYTES),
-                        (emit, task_base, 2 * LINE_BYTES),
-                        count=run_lines, name="merge.task").op()
+                    for k in range(run_lines):
+                        yield consume.at(task_base + k * LINE_BYTES)
+                        yield emit.at(task_base + 2 * k * LINE_BYTES)
                 yield barrier_wait(barrier)
 
         return Program("merge", [make_thread] * num_cores, arena)

@@ -1,6 +1,6 @@
 """Static dataflow auditor: differential soundness against the runtime
-monitors, zero hazards on shipped programs, block-eligibility proofs,
-candidate-loop detection, and the ``audit-programs`` CLI arm.
+monitors, zero hazards on shipped programs, block footprints, and the
+``audit-programs`` CLI arm.
 
 The differential contract (ISSUE 6): every class of bug the monitor
 self-tests seed and catch *dynamically* must also be caught *statically*
@@ -51,9 +51,6 @@ from repro.workloads.base import Arena, Program
 LINE = 32
 
 ALL_WORKLOADS = workload_names()
-
-#: Workloads whose cc mapping replays OpBlock templates (converted in PR 5).
-CONVERTED = {"art", "bitonic", "fem", "fir", "merge"}
 
 
 def cc_config(cores=2):
@@ -397,87 +394,6 @@ class TestBlockFootprint:
         assert BlockFootprint.__name__ == "BlockFootprint"
 
 
-class TestBlockEligibility:
-    def test_fir_blocks_prove_eligible(self):
-        report = audit_workload("fir", "cc", cores=4, preset="tiny")
-        assert report.converted
-        assert report.blocks and all(b.eligible for b in report.blocks)
-        assert not report.hazards
-
-    def test_aligned_resident_block_is_eligible(self):
-        arena = Arena()
-        base = arena.alloc(1024, "data")
-        blk = block(load(base, LINE), store(base + 512, LINE), compute(2),
-                    name="walk")
-
-        def lone(env):
-            for i in range(6):
-                yield blk.at(i * LINE)
-
-        report = audit([lone], cc_config(cores=1), arena)
-        proof = report.blocks[0]
-        assert proof.eligible and proof.strides == (LINE,)
-        assert proof.replays == 6
-
-    def test_one_off_wrap_jump_is_not_a_stride(self):
-        # Mirrors bitonic's per-pass wrap: consecutive replays stride by
-        # one line, then a single large negative jump starts the next
-        # pass.  The jump must not poison the proof.
-        arena = Arena()
-        base = arena.alloc(4096, "data")
-        blk = block(load(base, LINE), compute(2), name="passes")
-
-        def lone(env):
-            for _pass in range(3):
-                for i in range(5):
-                    yield blk.at(_pass * 17 + i * LINE)
-
-        report = audit([lone], cc_config(cores=1), arena)
-        proof = report.blocks[0]
-        assert proof.strides == (LINE,)
-        assert proof.eligible
-
-
-class TestCandidateLoops:
-    def test_streaming_raw_loop_is_detected(self):
-        arena = Arena()
-        src = arena.alloc(16 * LINE, "src")
-        dst = arena.alloc(16 * LINE, "dst")
-
-        def lone(env):
-            for i in range(12):
-                yield load(src + i * LINE, LINE)
-                yield compute(4)
-                yield store(dst + i * LINE, LINE)
-
-        report = audit([lone], cc_config(cores=1), arena)
-        assert report.candidates
-        cand = report.candidates[0]
-        assert cand.delta == LINE
-        assert cand.body_ops == 3
-        assert cand.eligible_positions == cand.mem_positions == 2
-
-    def test_unaligned_loop_is_skipped(self):
-        arena = Arena()
-        src = arena.alloc(1024, "src")
-
-        def lone(env):
-            for i in range(12):
-                yield load(src + i * 8, 8)  # 8-byte stride
-                yield compute(4)
-
-        report = audit([lone], cc_config(cores=1), arena)
-        assert not report.candidates
-
-    def test_jpeg_encoder_exposes_the_block_candidate(self):
-        # The worked example from docs/ANALYSIS.md: jpeg_enc's cc RGB
-        # loop is periodic with a line-aligned 512-byte delta — the
-        # auditor's suggested next conversion.
-        report = audit_workload("jpeg_enc", "cc", cores=4, preset="tiny")
-        assert not report.converted
-        assert any(c.delta == 512 for c in report.candidates)
-
-
 class TestShippedProgramsSweep:
     @pytest.mark.parametrize("model", ["cc", "str"])
     @pytest.mark.parametrize("cores", [1, 4])
@@ -488,20 +404,6 @@ class TestShippedProgramsSweep:
                 f"{name}/{model} c{cores}: "
                 + "; ".join(d.render() for d in report.hazards))
             assert not report.truncated
-
-    def test_converted_set_matches_pr5(self):
-        converted = {
-            name for name in ALL_WORKLOADS
-            if audit_workload(name, "cc", cores=4, preset="tiny").converted
-        }
-        assert converted == CONVERTED
-
-    def test_all_shipped_block_templates_prove_eligible(self):
-        for name in sorted(CONVERTED):
-            for model in ("cc", "str"):
-                report = audit_workload(name, model, cores=4, preset="tiny")
-                for proof in report.blocks:
-                    assert proof.eligible, f"{name}/{model}: {proof.render()}"
 
     def test_fem_sharing_stays_a_warning(self):
         cc = audit_workload("fem", "cc", cores=4, preset="tiny")
@@ -517,13 +419,7 @@ class TestReportRendering:
     def test_to_dict_schema(self):
         d = self._report().to_dict()
         assert set(d) == {"workload", "model", "cores", "preset", "hazards",
-                          "warnings", "blocks", "phases",
-                          "candidates", "converted", "phased",
-                          "ops_walked", "truncated"}
-        for entry in d["blocks"]:
-            assert {"name", "replays", "strides", "eligible"} <= set(entry)
-        for entry in d["phases"]:
-            assert {"name", "lanes", "iterations", "eligible"} <= set(entry)
+                          "warnings", "ops_walked", "truncated"}
 
     def test_render_reports_text_and_json(self):
         reports = [self._report()]
@@ -576,14 +472,6 @@ class TestCli:
         payload = json.loads(proc.stdout)
         assert payload["count"] == 1
         assert payload["reports"][0]["workload"] == "fir"
-        assert payload["reports"][0]["converted"] is True
-
-    def test_expect_converted_mismatch_fails(self):
-        proc = self._run("audit-programs", "fir", "depth", "--models", "cc",
-                         "--cores", "2", "--preset", "tiny",
-                         "--expect-converted", "fir,depth")
-        assert proc.returncode == 1
-        assert "expect-converted mismatch" in proc.stderr
 
     def test_unknown_workload_exits_two(self):
         proc = self._run("audit-programs", "nonesuch")

@@ -3,7 +3,7 @@
 An :class:`~repro.core.ops.OpBlock` is a promise that yielding
 ``template.at(delta)`` means exactly the same thing as yielding the
 plain op tuples one by one with every memory address shifted by
-``delta``.  The processor's block arm is an optimization over that
+``delta``.  The processor's template cursor is an optimization over that
 meaning, so these tests pin both sides: the template/validation API, and
 full-record bit-identity across every combination of ``REPRO_BLOCKS``
 and ``REPRO_FASTPATH`` — over workloads that take every descriptor
@@ -88,7 +88,7 @@ class TestValidation:
         task_pop(object()),
         barrier_wait(object()),
         lock_acquire(object()),
-        # The block arm runs compute, cached and local-store ops only.
+        # A block holds compute, cached and local-store ops only.
         dma_get(1, 0x2000, 64),
         dma_put(1, 0x2000, 64),
         dma_wait(1),
@@ -192,8 +192,8 @@ class TestFourModeIdentity:
 
     The workloads cover every descriptor path: block replays (all of
     them), walked phases (bitonic-cc, fir-cc) and double-buffered DMA
-    loops (the str rows).  Spilled two-lane phases (merge-cc) and the
-    observer axes are in ``tests/test_phases.py`` and
+    loops (the str rows).  Merge-cc's replay loops and the observer
+    axes are in ``tests/test_phases.py`` and
     ``tests/test_dma.py``.
     """
 

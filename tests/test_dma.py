@@ -195,7 +195,7 @@ class PerGranuleEngine(DmaEngine):
         if entry is not None:
             uncore.l2_read_hits += 1
             return sent
-        return uncore.dram.read(sent, nbytes, addr=line * self.line_bytes)
+        return uncore.dram.access(sent, nbytes, line * self.line_bytes)
 
     def get(self, now_fs, addr, nbytes, stride=0, block=None):
         if self.observer is not None:

@@ -35,45 +35,45 @@ class TestConfig:
 class TestOpenRowBehaviour:
     def test_first_access_is_a_row_miss(self):
         ch = banked()
-        done = ch.read(0, 32, addr=0)
+        done = ch.access(0, 32, addr=0)
         assert done == ns_to_fs(5 + 70)
         assert ch.row_misses == 1
 
     def test_same_row_hits(self):
         ch = banked()
-        ch.read(0, 32, addr=0)
+        ch.access(0, 32, addr=0)
         t0 = ns_to_fs(1000)
-        done = ch.read(t0, 32, addr=1024)    # same 2 KB row
+        done = ch.access(t0, 32, addr=1024)    # same 2 KB row
         assert done == t0 + ns_to_fs(5 + 25)
         assert ch.row_hits == 1
 
     def test_row_conflict_pays_full_latency(self):
         ch = banked(banks=2)
-        ch.read(0, 32, addr=0)               # bank 0, row 0
+        ch.access(0, 32, addr=0)               # bank 0, row 0
         t0 = ns_to_fs(1000)
         # rows advance bank-interleaved: row 2 also maps to bank 0.
-        done = ch.read(t0, 32, addr=2 * 2048)
+        done = ch.access(t0, 32, addr=2 * 2048)
         assert done == t0 + ns_to_fs(5 + 70)
         assert ch.row_misses == 2
 
     def test_banks_keep_independent_rows(self):
         ch = banked(banks=2)
-        ch.read(0, 32, addr=0)          # bank 0
-        ch.read(0, 32, addr=2048)       # bank 1
-        ch.read(ns_to_fs(100), 32, addr=64)     # bank 0 again: hit
-        ch.read(ns_to_fs(200), 32, addr=2112)   # bank 1 again: hit
+        ch.access(0, 32, addr=0)          # bank 0
+        ch.access(0, 32, addr=2048)       # bank 1
+        ch.access(ns_to_fs(100), 32, addr=64)     # bank 0 again: hit
+        ch.access(ns_to_fs(200), 32, addr=2112)   # bank 1 again: hit
         assert ch.row_hits == 2
 
     def test_addressless_access_pays_full_latency(self):
         ch = banked()
-        done = ch.read(0, 32)
+        done = ch.access(0, 32)
         assert done == ns_to_fs(5 + 70)
         assert ch.row_hits == 0 and ch.row_misses == 0
 
     def test_flat_channel_ignores_addresses(self):
         ch = DramChannel(DramConfig())
-        ch.read(0, 32, addr=0)
-        ch.read(ns_to_fs(100), 32, addr=64)
+        ch.access(0, 32, addr=0)
+        ch.access(ns_to_fs(100), 32, addr=64)
         assert ch.row_hits == 0 and ch.row_misses == 0
 
 

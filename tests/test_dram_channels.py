@@ -29,25 +29,25 @@ class TestInterleaving:
     def test_addresses_interleave_across_channels(self):
         ch = DramChannel(DramConfig(channels=2, interleave_bytes=256))
         # Two simultaneous reads to different channels do not queue.
-        done_a = ch.read(0, 32, addr=0)
-        done_b = ch.read(0, 32, addr=256)
+        done_a = ch.access(0, 32, addr=0)
+        done_b = ch.access(0, 32, addr=256)
         assert done_a == done_b == ns_to_fs(5 + 70)
 
     def test_same_channel_still_serializes(self):
         ch = DramChannel(DramConfig(channels=2, interleave_bytes=256))
-        ch.read(0, 32, addr=0)
-        done = ch.read(0, 32, addr=512)   # 512 // 256 = 2 -> channel 0 again
+        ch.access(0, 32, addr=0)
+        done = ch.access(0, 32, addr=512)   # 512 // 256 = 2 -> channel 0 again
         assert done == ns_to_fs(10 + 70)
 
     def test_addressless_requests_use_channel_zero(self):
         ch = DramChannel(DramConfig(channels=4))
-        ch.read(0, 32)
-        done = ch.read(0, 32)
+        ch.access(0, 32)
+        done = ch.access(0, 32)
         assert done == ns_to_fs(10 + 70)
 
     def test_utilization_averages_channels(self):
         ch = DramChannel(DramConfig(channels=2, interleave_bytes=256))
-        ch.read(0, 64, addr=0)            # only channel 0 busy
+        ch.access(0, 64, addr=0)            # only channel 0 busy
         assert ch.utilization(ns_to_fs(10)) == pytest.approx(0.5)
 
 

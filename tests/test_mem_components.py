@@ -60,7 +60,7 @@ class TestStoreBuffer:
 class TestDramChannel:
     def test_read_latency_and_occupancy(self):
         ch = DramChannel(DramConfig(bandwidth_gbps=6.4, latency_ns=70))
-        done = ch.read(0, 32)
+        done = ch.access(0, 32)
         # 32 B at 6.4 GB/s = 5 ns occupancy, + 70 ns access latency.
         assert done == ns_to_fs(75)
         assert ch.read_bytes == 32
@@ -68,8 +68,8 @@ class TestDramChannel:
 
     def test_reads_and_writes_share_the_channel(self):
         ch = DramChannel(DramConfig(bandwidth_gbps=6.4, latency_ns=70))
-        ch.write(0, 64)               # occupies [0, 10 ns)
-        done = ch.read(0, 32)         # queues behind the write
+        ch.access(0, 64, write=True)  # occupies [0, 10 ns)
+        done = ch.access(0, 32)       # queues behind the write
         assert done == ns_to_fs(10 + 5 + 70)
         assert ch.total_bytes == 96
         assert ch.total_accesses == 2
@@ -80,12 +80,12 @@ class TestDramChannel:
         last = 0
         n = 100
         for _ in range(n):
-            last = ch.read(0, 32)
+            last = ch.access(0, 32)
         assert last == ns_to_fs(n * 5 + 70)
 
     def test_utilization(self):
         ch = DramChannel(DramConfig(bandwidth_gbps=6.4, latency_ns=70))
-        ch.read(0, 64)
+        ch.access(0, 64)
         assert ch.utilization(ns_to_fs(20)) == pytest.approx(0.5)
 
 

@@ -1,11 +1,11 @@
 """Op phases: descriptors, coalescing, and bit-identity.
 
 An :class:`~repro.core.ops.OpPhase` is a promise that yielding the
-phase op means exactly the same thing as yielding its ``count x lanes``
-block replays one by one (iteration-major, lane-minor).  The block arm
-in :mod:`repro.core.processor` — walking single-lane iterations in its
-per-op loop instead of spilling them as block replays — is an
-optimization over that meaning, so these tests pin
+phase op means exactly the same thing as yielding its ``count`` block
+replays one by one.  The template cursor in :mod:`repro.core.processor`
+— walking the iterations through the per-op arms instead of spilling
+them as block replays — is an optimization over that meaning, so these
+tests pin
 both sides: the ``phase()`` / ``phase_runs()`` API, and full-record
 bit-identity (plus L1 LRU order) against ``REPRO_BLOCKS=0``, with
 ``stats["sim.*"]`` as the single permitted difference, and across
@@ -132,10 +132,12 @@ class TestValidation:
         (compute(1), 0, LINE),         # not an OpBlock
         (BLK, 0),                      # wrong arity
         "lane",                        # not a tuple
+        [(BLK, 0, LINE), (BLK, 0x1000, LINE)],   # two lanes
     ])
     def test_bad_lane_rejected(self, lane):
+        lanes = lane if isinstance(lane, list) else [lane]
         with pytest.raises(ValueError, match="lane"):
-            phase(lane, count=2)
+            phase(*lanes, count=2)
 
     def test_non_int_base_or_stride_rejected(self):
         with pytest.raises(ValueError, match="ints"):
@@ -159,15 +161,14 @@ class TestValidation:
         assert ph.op() == ("ph", ph)
 
     def test_replays_are_the_semantics(self):
-        other = block(compute(1), load(0x40, LINE))
-        ph = phase((BLK, 0, LINE), (other, 0x1000, 2 * LINE), count=3)
+        ph = phase((BLK, 0x1000, 2 * LINE), count=3)
         assert ph.replays() == [
-            ("blk", BLK, 0), ("blk", other, 0x1000),
-            ("blk", BLK, LINE), ("blk", other, 0x1000 + 2 * LINE),
-            ("blk", BLK, 2 * LINE), ("blk", other, 0x1000 + 4 * LINE),
+            ("blk", BLK, 0x1000),
+            ("blk", BLK, 0x1000 + 2 * LINE),
+            ("blk", BLK, 0x1000 + 4 * LINE),
         ]
-        assert ph.replays(start=2) == ph.replays()[4:]
-        assert ph.replays(start=1, stop=2) == ph.replays()[2:4]
+        assert ph.replays(start=2) == ph.replays()[2:]
+        assert ph.replays(start=1, stop=2) == ph.replays()[1:2]
 
 
 def expand(op_stream):
@@ -187,7 +188,7 @@ class TestPhaseRuns:
         ops = list(phase_runs(iter(replays), name="run"))
         assert len(ops) == 1 and ops[0][0] == "ph"
         ph = ops[0][1]
-        assert ph.lanes == ((BLK, 0, LINE),)
+        assert (ph.blk, ph.base, ph.stride) == (BLK, 0, LINE)
         assert ph.count == 16
         assert ph.name == "run"
 
@@ -201,8 +202,8 @@ class TestPhaseRuns:
                    + [(other, k * LINE) for k in range(4)])
         ops = list(phase_runs(iter(replays)))
         assert [op[0] for op in ops] == ["ph", "ph"]
-        assert ops[0][1].lanes[0][0] is BLK
-        assert ops[1][1].lanes[0][0] is other
+        assert ops[0][1].blk is BLK
+        assert ops[1][1].blk is other
 
     def test_stride_change_splits_runs(self):
         replays = [(BLK, d) for d in (0, LINE, 2 * LINE,   # stride LINE
@@ -211,7 +212,8 @@ class TestPhaseRuns:
         assert [op[0] for op in ops] == ["ph", "ph"]
         assert ops[0][1].count == 3
         assert ops[1][1].count == 2
-        assert ops[1][1].lanes == ((BLK, 8 * LINE, 2 * LINE),)
+        ph = ops[1][1]
+        assert (ph.blk, ph.base, ph.stride) == (BLK, 8 * LINE, 2 * LINE)
 
     def test_later_runs_keep_their_own_base(self):
         # Two separate runs over the same (template, stride) pair are
@@ -223,8 +225,8 @@ class TestPhaseRuns:
         ops = list(phase_runs(iter(replays)))
         phases = [op[1] for op in ops if op[0] == "ph"]
         assert len(phases) == 2
-        assert phases[0].lanes == ((BLK, 0, LINE),)
-        assert phases[1].lanes == ((BLK, 0x8000, LINE),)
+        assert [(ph.blk, ph.base, ph.stride) for ph in phases] == \
+            [(BLK, 0, LINE), (BLK, 0x8000, LINE)]
         assert [ph.count for ph in phases] == [4, 6]
 
     def test_expansion_is_semantically_identical(self):
@@ -276,9 +278,9 @@ class TestReplayIdentity:
         assert records[0] == records[1] == records[2]
 
     def test_random_phases_three_ways(self):
-        # Property test: random eligible single-lane phases (the shape
-        # phase_runs mints) replayed as descriptors, as block streams,
-        # and fully materialized must agree bit for bit.
+        # Property test: random phases (the shape phase_runs mints)
+        # replayed as descriptors, as block streams, and fully
+        # materialized must agree bit for bit.
         rng = random.Random(1234)
         specs = []
         for _ in range(10):
@@ -340,10 +342,10 @@ class TestReplayIdentity:
 
     def test_observer_attach_deoptimizes(self, monkeypatch):
         # A per-access observer makes hierarchy.fastpath_safe false: the
-        # block arm still walks the phases, but with the inline L1 probe
-        # off (its hits would skip the observer's callbacks), so every
-        # line access reaches the observer and the record stays
-        # identical.
+        # template cursor still walks the phases, but with the inline
+        # L1 probe off (its hits would skip the observer's callbacks),
+        # so every line access reaches the observer and the record
+        # stays identical.
         monkeypatch.setenv("REPRO_FASTPATH", "1")
         monkeypatch.setenv("REPRO_BLOCKS", "1")
         phased, _, _ = self.make_threads()
@@ -363,7 +365,7 @@ class TestReplayIdentity:
 
 def run_tiny(name, model, cores, observed=False):
     """Run a tiny-preset workload, optionally under a no-op hierarchy
-    observer (which turns the block arm's inline L1 probe off)."""
+    observer (which turns the inline L1 probe off)."""
     config = MachineConfig(num_cores=cores).with_model(model)
     program = get_workload(name).build(config.model, config, preset="tiny")
     system = CmpSystem(config, program)
@@ -402,7 +404,7 @@ class TestEightModeIdentity:
 
 
 class TestWalkedShapes:
-    """Shapes the block arm walks: full record, L1 LRU order and
+    """Shapes the template cursor walks: full record, L1 LRU order and
     local-store counters match ``REPRO_BLOCKS=0`` exactly."""
 
     def both_ways(self, monkeypatch, *threads, observer_log=None,
@@ -429,7 +431,7 @@ class TestWalkedShapes:
         return sides
 
     def test_str_phase_mixing_l1_and_local_store(self, monkeypatch):
-        # One lane mixing L1 and local-store ops on the streaming model.
+        # One block mixing L1 and local-store ops on the streaming model.
         # The 64-cycle local load outlasts the 50-cycle quantum, so with
         # a second core pending the quantum expires right after it and
         # the core yields mid-iteration, leaving a block cursor just

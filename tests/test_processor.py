@@ -1,5 +1,9 @@
 """Processor interpreter: op handling, stall attribution, accounting."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.config import MachineConfig
@@ -176,3 +180,49 @@ class TestDeadlockDetection:
         system = CmpSystem(cfg, Program("test", [thread]))
         with pytest.raises(SimulationError, match="deadlock"):
             system.run()
+
+
+#: Runs art-cc-16 (small preset, 256 neurons, original layout) and prints
+#: how many times the cores called into the hierarchy walker.
+_COUNT_WALKER_CALLS = """
+from repro import MachineConfig
+from repro.core.system import CmpSystem
+from repro.workloads import get_workload
+
+cfg = MachineConfig(num_cores=16).with_model("cc")
+program = get_workload("art").build(
+    cfg.model, cfg, preset="small",
+    overrides={"n_neurons": 256, "layout": "original"})
+system = CmpSystem(cfg, program)
+hierarchy = system.hierarchy
+calls = 0
+load_line, store_line = hierarchy.load_line, hierarchy.store_line
+
+def counted(walk):
+    def call(*args, **kwargs):
+        global calls
+        calls += 1
+        return walk(*args, **kwargs)
+    return call
+
+hierarchy.load_line = counted(load_line)
+hierarchy.store_line = counted(store_line)
+system.run()
+print(calls)
+"""
+
+
+def test_walker_calls_do_not_depend_on_hash_seed():
+    """Host work is a function of the run alone: the interpreter keeps
+    no state keyed by object identity, whose reuse varies with the
+    process's allocation pattern (and so with ``PYTHONHASHSEED``)."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    counts = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.path.join(root, "src"))
+        proc = subprocess.run([sys.executable, "-c", _COUNT_WALKER_CALLS],
+                              capture_output=True, text=True, env=env,
+                              check=True, timeout=300)
+        counts.append(int(proc.stdout))
+    assert counts[0] == counts[1] > 0

@@ -302,7 +302,7 @@ class TestThroughputResource:
         dram = DramChannel(DramConfig())
         channel = dram.channels()[0]
         per_byte, latency = channel.fs_per_byte, dram.config.latency_fs
-        done = dram.read(0, 32)
+        done = dram.access(0, 32)
         start = done - 32 * per_byte - latency
         assert start == 0
         assert done == 32 * per_byte + latency
@@ -313,8 +313,8 @@ class TestThroughputResource:
         dram = DramChannel(DramConfig())
         per_byte, latency = dram.channels()[0].fs_per_byte, \
             dram.config.latency_fs
-        done1 = dram.read(0, 10)
-        done2 = dram.read(0, 10)
+        done1 = dram.access(0, 10)
+        done2 = dram.access(0, 10)
         start2 = done2 - 10 * per_byte - latency
         assert start2 == 10 * per_byte   # right after the first's occupancy
         assert done1 == 10 * per_byte + latency
@@ -327,7 +327,7 @@ class TestThroughputResource:
     def test_negative_bytes_rejected(self):
         dram = DramChannel(DramConfig())
         with pytest.raises(ValueError):
-            dram.read(0, -1)
+            dram.access(0, -1)
         # A rejected request leaves no trace in the counters.
         assert (dram.read_bytes, dram.read_accesses,
                 dram.channels()[0].bytes_moved) == (0, 0, 0)
