@@ -228,8 +228,9 @@ def main(argv: list[str] | None = None) -> int:
             if args.profile or args.trace_out:
                 # drive() samples between windows, adding no events.
                 sampler = IntervalSampler(system, interval_fs=interval_fs)
-            # Hooks attach through an ExitStack so a raising run cannot
-            # leak a trace_hook and pin later runs to the slow path.
+            # Recorders attach through an ExitStack so a raising run
+            # cannot leave one on an observers list; a leaked hierarchy
+            # observer would pin later runs to the slow path.
             with ExitStack() as stack:
                 recorder = None
                 if args.trace or args.trace_out:

@@ -18,13 +18,14 @@ with cycle-stamped context as soon as a check fails:
   capacity budget (24 KB in the paper) is respected and every recorded
   access falls inside the currently allocated region (catching
   use-after-``reset`` and out-of-bounds offsets).
-* :class:`EventQueueMonitor` — event-queue monotonicity: popped
-  timestamps never decrease (wraps the live queue's ``pop``).
+* :class:`EventQueueMonitor` — event-queue monotonicity: dispatched
+  timestamps never decrease.
 
-Monitors attach via the hook points the instrumented classes expose
-(``hierarchy.register_observer``, ``DmaEngine.observer``,
-``LocalStore.observer``) and are enabled for a whole run by the
-``debug_invariants`` flag of :class:`~repro.config.MachineConfig`::
+Every monitor is a plain observer: it attaches by being appended to the
+``observers`` list of the component it watches (the hierarchy, each
+``DmaEngine``, each ``LocalStore``, the ``Simulator``).  The whole set
+is enabled for a run by the ``debug_invariants`` flag of
+:class:`~repro.config.MachineConfig`::
 
     config = MachineConfig(num_cores=8).with_model("str") \
         .with_debug_invariants()
@@ -50,12 +51,14 @@ class CoherenceMonitor:
 
     name = "coherence"
 
-    def __init__(self) -> None:
+    def __init__(self, hierarchy) -> None:
+        self.hierarchy = hierarchy
         self.checks = 0
 
     def __call__(self, kind: str, core: int, line: int, now_fs: int,
-                 hierarchy) -> None:
+                 done_fs: int) -> None:
         self.checks += 1
+        hierarchy = self.hierarchy
         states = hierarchy.line_states(line)
         check_global_invariant(states, now_fs=now_fs, line=line)
         if len(states) == 1:
@@ -101,7 +104,8 @@ class DmaRaceMonitor:
             yield from range(first, last + 1)
 
     def __call__(self, kind: str, engine, addr: int, nbytes: int,
-                 stride: int, block: int | None, now_fs: int) -> None:
+                 stride: int, block: int | None, issue_fs: int,
+                 start_fs: int, done_fs: int) -> None:
         self.checks += 1
         for line in self._lines(engine, addr, nbytes, stride, block):
             for core, l1 in enumerate(self.hierarchy.l1s):
@@ -114,7 +118,7 @@ class DmaRaceMonitor:
                     raise InvariantViolation(
                         f"DMA {kind} by core {engine.core_id} overlaps a "
                         f"cached line",
-                        now_fs=now_fs,
+                        now_fs=issue_fs,
                         context={"line": line, "cached_by": core,
                                  "state": entry.state.name, "addr": addr,
                                  "nbytes": nbytes},
@@ -154,38 +158,23 @@ class LocalStoreMonitor:
 
 
 class EventQueueMonitor:
-    """Checks that popped event timestamps never go backwards."""
+    """Checks that dispatched event timestamps never go backwards."""
 
     name = "event-queue"
 
-    def __init__(self, sim) -> None:
-        self.sim = sim
+    def __init__(self) -> None:
         self.checks = 0
         self.last_fs = 0
-        queue = sim.queue
-        original_pop = queue.pop
 
-        def checked_pop():
-            time_fs, callback = original_pop()
-            self.checks += 1
-            if time_fs < self.last_fs:
-                raise InvariantViolation(
-                    "event queue popped a timestamp out of order",
-                    now_fs=time_fs,
-                    context={"previous_fs": self.last_fs},
-                )
-            self.last_fs = time_fs
-            return time_fs, callback
-
-        self._original_pop = original_pop
-        self._checked_pop = checked_pop
-        queue.pop = checked_pop  # type: ignore[method-assign]
-
-    def detach(self) -> None:
-        """Unwrap the queue's ``pop`` (only while ours is still on top)."""
-        queue = self.sim.queue
-        if queue.pop is self._checked_pop:
-            queue.pop = self._original_pop  # type: ignore[method-assign]
+    def __call__(self, time_fs: int) -> None:
+        self.checks += 1
+        if time_fs < self.last_fs:
+            raise InvariantViolation(
+                "event queue popped a timestamp out of order",
+                now_fs=time_fs,
+                context={"previous_fs": self.last_fs},
+            )
+        self.last_fs = time_fs
 
 
 class MonitorSet:
@@ -193,28 +182,27 @@ class MonitorSet:
 
     def __init__(self) -> None:
         self.monitors: list = []
-        self._detachers: list = []
+        self._attached: list[tuple[list, object]] = []
 
-    def add(self, monitor, detach=None) -> None:
-        """Track ``monitor``; ``detach`` optionally undoes its attachment."""
-        self.monitors.append(monitor)
-        if detach is not None:
-            self._detachers.append(detach)
+    def attach(self, observers: list, monitor) -> None:
+        """Append ``monitor`` to a component's ``observers`` list."""
+        observers.append(monitor)
+        self._attached.append((observers, monitor))
+        if monitor not in self.monitors:
+            self.monitors.append(monitor)
 
     def detach(self) -> None:
-        """Remove every monitor from its hook point (idempotent).
+        """Remove every monitor from every list it joined (idempotent).
 
-        The symmetric half of :func:`attach_monitors`: hierarchy
-        observers are unregistered (restoring
-        ``hierarchy.fastpath_safe``), DMA and local-store observers are
-        cleared, and the event queue's wrapped ``pop`` is unwound.
-        Without this, a monitor set detached between runs would leave
-        ``hierarchy._observers`` populated and permanently pin the
-        system to the slow path.
+        The symmetric half of :func:`attach_monitors`: other observers
+        stay attached, and once the hierarchy's list is empty
+        ``hierarchy.fastpath_safe`` is true again, so a set detached
+        between runs does not pin the system to the slow path.
         """
-        for undo in self._detachers:
-            undo()
-        self._detachers = []
+        for observers, monitor in self._attached:
+            if monitor in observers:
+                observers.remove(monitor)
+        self._attached = []
 
     @property
     def total_checks(self) -> int:
@@ -239,32 +227,14 @@ def attach_monitors(system) -> MonitorSet:
     monitors = MonitorSet()
     hierarchy = system.hierarchy
     if not isinstance(hierarchy, IncoherentCacheHierarchy):
-        coherence = CoherenceMonitor()
-        hierarchy.register_observer(coherence)
-        monitors.add(coherence,
-                     detach=lambda: hierarchy.unregister_observer(coherence))
+        monitors.attach(hierarchy.observers, CoherenceMonitor(hierarchy))
     if isinstance(hierarchy, StreamingHierarchy):
         dma_monitor = DmaRaceMonitor(hierarchy)
         for engine in hierarchy.dma_engines:
-            engine.observer = dma_monitor
-
-        def _clear_dma_observers():
-            for engine in hierarchy.dma_engines:
-                if engine.observer is dma_monitor:
-                    engine.observer = None
-
-        monitors.add(dma_monitor, detach=_clear_dma_observers)
+            monitors.attach(engine.observers, dma_monitor)
         ls_monitor = LocalStoreMonitor(
             system.config.stream.local_store_bytes)
         for store in hierarchy.local_stores:
-            store.observer = ls_monitor
-
-        def _clear_ls_observers():
-            for store in hierarchy.local_stores:
-                if store.observer is ls_monitor:
-                    store.observer = None
-
-        monitors.add(ls_monitor, detach=_clear_ls_observers)
-    queue_monitor = EventQueueMonitor(system.sim)
-    monitors.add(queue_monitor, detach=queue_monitor.detach)
+            monitors.attach(store.observers, ls_monitor)
+    monitors.attach(system.sim.observers, EventQueueMonitor())
     return monitors

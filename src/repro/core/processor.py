@@ -143,8 +143,9 @@ class Processor:
           (run-until-miss/sync/boundary) with a renewed quantum.
 
         ``REPRO_FASTPATH=0`` disables both, restoring the seed's
-        one-event-per-quantum execution; per-access side channels (trace
-        hooks, invariant observers) disable the inline-hit path alone.
+        one-event-per-quantum execution; a non-empty
+        ``hierarchy.observers`` list (access tracing, invariant monitors)
+        disables the inline-hit path alone.
 
         * **The template cursor** feeds descriptor ops to the same arms
           without generator round trips.  An op block (``"blk"``, see

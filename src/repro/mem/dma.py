@@ -45,15 +45,14 @@ class DmaEngine:
         self.commands = 0
         self.bytes_read = 0
         self.bytes_written = 0
-        #: Optional invariant observer (repro.analysis.monitors), called
-        #: as ``observer(kind, engine, addr, nbytes, stride, block,
-        #: now_fs)`` with kind "get"/"put" before each command executes.
-        self.observer = None
-        #: Optional command tracer (repro.obs), called as
-        #: ``trace_hook(kind, core, issue_fs, start_fs, done_fs, addr,
-        #: nbytes)`` *after* each command's timing is resolved.  Purely
-        #: observational: attaching it changes nothing.
-        self.trace_hook = None
+        #: Command observers (repro.obs.DmaCommandRecorder, the
+        #: repro.analysis.monitors), each called as ``observer(kind,
+        #: engine, addr, nbytes, stride, block, issue_fs, start_fs,
+        #: done_fs)`` with kind "get"/"put" once per command, after its
+        #: timing is resolved.  The granule loops never read or write L1
+        #: state, so an observer checking the caches sees what the
+        #: command saw.
+        self.observers: list = []
 
     def _blocks(self, addr: int, nbytes: int, stride: int,
                 block: int | None) -> Iterable[tuple[int, int]]:
@@ -130,8 +129,6 @@ class DmaEngine:
         miss moves only the requested bytes from DRAM and allocates
         nothing (Section 2.3).
         """
-        if self.observer is not None:
-            self.observer("get", self, addr, nbytes, stride, block, now_fs)
         self.commands += 1
         self.bytes_read += nbytes
         granules, count = self._granules(addr, nbytes, stride, block)
@@ -304,9 +301,9 @@ class DmaEngine:
         u.l2_reads += count
         u.l2_read_hits += hits
         self._engine_free = done
-        if self.trace_hook is not None:
-            self.trace_hook("get", self.core_id, now_fs, start, done,
-                            addr, nbytes)
+        for observer in self.observers:
+            observer("get", self, addr, nbytes, stride, block, now_fs, start,
+                     done)
         return done
 
     def put(self, now_fs: int, addr: int, nbytes: int,
@@ -322,8 +319,6 @@ class DmaEngine:
         cover their lines, so the data stays on chip for later reuse and
         reaches DRAM once, on eviction, instead of as narrow writes.
         """
-        if self.observer is not None:
-            self.observer("put", self, addr, nbytes, stride, block, now_fs)
         self.commands += 1
         self.bytes_written += nbytes
         granules, count = self._granules(addr, nbytes, stride, block)
@@ -466,9 +461,9 @@ class DmaEngine:
         u.l2_writes += count
         u.l2_write_hits += hits
         self._engine_free = done
-        if self.trace_hook is not None:
-            self.trace_hook("put", self.core_id, now_fs, start, done,
-                            addr, nbytes)
+        for observer in self.observers:
+            observer("put", self, addr, nbytes, stride, block, now_fs, start,
+                     done)
         return done
 
     def drain_time(self, now_fs: int) -> int:

@@ -190,15 +190,14 @@ class CacheCoherentHierarchy:
              self.uncore.xbar.down[cl], cl)
             for cl in self.cluster_of
         ]
-        #: Optional callable (now_fs, core, kind, line, latency_fs) invoked
-        #: for every demand access; installed by repro.trace.TraceRecorder.
-        self.trace_hook = None
-        #: Invariant observers (repro.analysis.monitors): each is notified
-        #: with (kind, core, line, now_fs, hierarchy) after every
-        #: state-changing line operation.  Empty unless the config's
-        #: ``debug_invariants`` flag attached monitors, so the hot path
-        #: pays one falsy check per operation.
-        self._observers: list = []
+        #: Per-access observers (repro.trace.TraceRecorder, the
+        #: repro.analysis.monitors): each is called as ``observer(kind,
+        #: core, line, now_fs, done_fs)`` after every "load", "store",
+        #: "flush" and "invalidate" line operation has changed state, and
+        #: may raise InvariantViolation.  ``done_fs`` is a load's
+        #: completion time and ``now_fs`` for the other kinds.  Empty by
+        #: default, so the hot path pays one falsy check.
+        self.observers: list = []
         # Statistics (line-granularity operations)
         self.load_ops = 0
         self.store_ops = 0
@@ -233,44 +232,18 @@ class CacheCoherentHierarchy:
         self.store_ops += stores_hit
 
     # ------------------------------------------------------------------
-    # Invariant observers (debug mode)
+    # Per-access observers
     # ------------------------------------------------------------------
 
     @property
     def fastpath_safe(self) -> bool:
         """True when the inline L1-hit fast path preserves all side effects.
 
-        Trace hooks and invariant observers fire on *every* demand access,
-        including hits; while either is attached, the processor must route
-        hits through :meth:`load_line`/:meth:`store_line` so the side
-        channels observe them.
+        Observers fire on *every* demand access, including hits; while
+        any is attached, the processor must route hits through
+        :meth:`load_line`/:meth:`store_line` so the observers see them.
         """
-        return self.trace_hook is None and not self._observers
-
-    def register_observer(self, observer) -> None:
-        """Attach an invariant observer (see :mod:`repro.analysis.monitors`).
-
-        ``observer`` must be callable as
-        ``observer(kind, core, line, now_fs, hierarchy)`` where ``kind``
-        is one of ``"load"``, ``"store"``, ``"flush"``, ``"invalidate"``.
-        Observers run *after* the operation's state changes and may raise
-        :class:`~repro.sim.kernel.InvariantViolation`.
-        """
-        self._observers.append(observer)
-
-    def unregister_observer(self, observer) -> None:
-        """Detach an observer registered with :meth:`register_observer`.
-
-        The symmetric removal: once the last observer (and any trace
-        hook) is gone, :attr:`fastpath_safe` becomes true again, so a
-        monitor detached between runs no longer pins every later run on
-        the same system to the slow path.  Idempotent — removing an
-        observer that is not (or no longer) attached is a no-op.
-        """
-        try:
-            self._observers.remove(observer)
-        except ValueError:
-            pass
+        return not self.observers
 
     def line_states(self, line: int) -> tuple[MesiState, ...]:
         """The MESI state of ``line`` in every L1 (INVALID when absent)."""
@@ -280,9 +253,10 @@ class CacheCoherentHierarchy:
             for l1 in self.l1s
         )
 
-    def _notify(self, kind: str, core: int, line: int, now_fs: int) -> None:
-        for observer in self._observers:
-            observer(kind, core, line, now_fs, self)
+    def _notify(self, kind: str, core: int, line: int, now_fs: int,
+                done_fs: int) -> None:
+        for observer in self.observers:
+            observer(kind, core, line, now_fs, done_fs)
 
     # ------------------------------------------------------------------
     # Coherence helpers
@@ -538,20 +512,16 @@ class CacheCoherentHierarchy:
                 prefetcher = self.prefetchers[core]
                 if prefetcher is not None:
                     self._issue_prefetches(core, prefetcher.on_tagged_hit(line), now_fs)
-            if self.trace_hook is not None:
-                self.trace_hook(now_fs, core, "ld", line, done - now_fs)
-            if self._observers:
-                self._notify("load", core, line, now_fs)
+            if self.observers:
+                self._notify("load", core, line, now_fs, done)
             return done
         self.load_misses += 1
         done = self._fetch(core, line, now_fs, for_write=False)
         prefetcher = self.prefetchers[core]
         if prefetcher is not None:
             self._issue_prefetches(core, prefetcher.on_miss(line), now_fs)
-        if self.trace_hook is not None:
-            self.trace_hook(now_fs, core, "ld", line, done - now_fs)
-        if self._observers:
-            self._notify("load", core, line, now_fs)
+        if self.observers:
+            self._notify("load", core, line, now_fs, done)
         return done
 
     def store_line(self, core: int, line: int, now_fs: int,
@@ -563,8 +533,6 @@ class CacheCoherentHierarchy:
         buffer is full.
         """
         self.store_ops += 1
-        if self.trace_hook is not None:
-            self.trace_hook(now_fs, core, "st", line, 0)
         entry = self.l1s[core].touch(line)
         if entry is not None:
             if entry.state is MesiState.SHARED:
@@ -575,8 +543,8 @@ class CacheCoherentHierarchy:
                     xbar_up.control(t)
             entry.state = MesiState.MODIFIED
             entry.prefetched = False
-            if self._observers:
-                self._notify("store", core, line, now_fs)
+            if self.observers:
+                self._notify("store", core, line, now_fs, now_fs)
             return 0
         self.store_misses += 1
         if self._no_write_allocate and not no_allocate:
@@ -584,13 +552,13 @@ class CacheCoherentHierarchy:
             # without allocating in the L1.
             self._invalidate_peers(line, core)
             done = self.writeback(core, line, now_fs)
-            if self._observers:
-                self._notify("store", core, line, now_fs)
+            if self.observers:
+                self._notify("store", core, line, now_fs, now_fs)
             return self.store_buffers[core].push(now_fs, done)
         refill = not no_allocate
         done = self._fetch(core, line, now_fs, for_write=True, refill=refill)
-        if self._observers:
-            self._notify("store", core, line, now_fs)
+        if self.observers:
+            self._notify("store", core, line, now_fs, now_fs)
         return self.store_buffers[core].push(now_fs, done)
 
     # ------------------------------------------------------------------
@@ -612,8 +580,8 @@ class CacheCoherentHierarchy:
                 entry.state = MesiState.SHARED
                 self.flushes += 1
                 flushed = max(flushed, self.writeback(core, line, now_fs))
-                if self._observers:
-                    self._notify("flush", core, line, now_fs)
+                if self.observers:
+                    self._notify("flush", core, line, now_fs, now_fs)
         return flushed
 
     def invalidate_range(self, core: int, first_line: int, last_line: int,
@@ -632,8 +600,8 @@ class CacheCoherentHierarchy:
                 if victim.state is MesiState.MODIFIED:
                     self.writeback(core, line, now_fs)
                     self.dirty_invalidates += 1
-                if self._observers:
-                    self._notify("invalidate", core, line, now_fs)
+                if self.observers:
+                    self._notify("invalidate", core, line, now_fs, now_fs)
 
     # ------------------------------------------------------------------
     # End-of-run settling

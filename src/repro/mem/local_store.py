@@ -29,10 +29,10 @@ class LocalStore:
         self.read_accesses = 0
         self.write_accesses = 0
         self.high_water_bytes = 0
-        #: Optional invariant observer (repro.analysis.monitors), called as
+        #: Invariant observers (repro.analysis.monitors), each called as
         #: ``observer(kind, store, offset, num_bytes)`` with kind
         #: "alloc" / "access" after the local bounds checks pass.
-        self.observer = None
+        self.observers: list = []
 
     def alloc(self, num_bytes: int, name: str = "buffer") -> int:
         """Reserve ``num_bytes``; returns the offset.  Raises on overflow."""
@@ -47,8 +47,8 @@ class LocalStore:
         self._brk = offset + num_bytes
         if self._brk > self.high_water_bytes:
             self.high_water_bytes = self._brk
-        if self.observer is not None:
-            self.observer("alloc", self, offset, num_bytes)
+        for observer in self.observers:
+            observer("alloc", self, offset, num_bytes)
         return offset
 
     def reset(self) -> None:
@@ -72,8 +72,8 @@ class LocalStore:
                 f"access [{offset}, {offset + num_bytes}) outside "
                 f"{self.capacity_bytes}-byte local store"
             )
-        if self.observer is not None:
-            self.observer("access", self, offset, num_bytes)
+        for observer in self.observers:
+            observer("access", self, offset, num_bytes)
 
     def record_read(self, num_bytes: int, accesses: int) -> None:
         """Account a core read (bytes and access count)."""

@@ -46,14 +46,12 @@ def _us(time_fs: int) -> float:
 class KernelEventRecorder:
     """Coalesces every dispatched event into spans of dense activity.
 
-    Rides on :meth:`repro.sim.kernel.Simulator.attach_event_hook` (the
-    instance-level ``queue.pop`` wrap), so it observes every event with
-    zero cost when not attached and never perturbs event order or
+    An observer on :attr:`repro.sim.kernel.Simulator.observers`, so it
+    sees every dispatched event and never perturbs event order or
     timestamps.  Consecutive events closer than ``coalesce_fs`` merge
     into one span; each span records its event count.
 
-    Use as a context manager so the hook is removed even when the run
-    raises::
+    Use as a context manager so it detaches even when the run raises::
 
         with KernelEventRecorder(system.sim) as kernel:
             result = system.run()
@@ -66,9 +64,9 @@ class KernelEventRecorder:
                             else ns_to_fs(100))
         self._spans: list[tuple[int, int, int]] = []
         self._open: list[int] | None = None    # [start_fs, end_fs, count]
-        sim.attach_event_hook(self._on_event)
+        sim.observers.append(self)
 
-    def _on_event(self, time_fs: int) -> None:
+    def __call__(self, time_fs: int) -> None:
         span = self._open
         if span is not None and time_fs - span[1] <= self.coalesce_fs:
             span[1] = time_fs
@@ -80,7 +78,8 @@ class KernelEventRecorder:
 
     def detach(self) -> None:
         """Stop observing (idempotent) and close the open span."""
-        self.sim.detach_event_hook()
+        if self in self.sim.observers:
+            self.sim.observers.remove(self)
         if self._open is not None:
             self._spans.append(tuple(self._open))
             self._open = None
@@ -99,33 +98,31 @@ class KernelEventRecorder:
 
 
 class DmaCommandRecorder:
-    """Collects every DMA command via ``DmaEngine.trace_hook``.
+    """Collects every DMA command as an observer on each ``DmaEngine``.
 
     Fastpath-compatible (DMA commands never take the processor's
     inline-hit path), so recording them leaves results bit-identical.
     On a non-streaming hierarchy this attaches to nothing and records
-    nothing.  Context-manager use detaches the hooks even on a raise.
+    nothing.  Context-manager use detaches it even on a raise.
     """
 
     def __init__(self, hierarchy) -> None:
         self.events: list[tuple] = []
         self._engines = tuple(getattr(hierarchy, "dma_engines", ()))
         for engine in self._engines:
-            if engine.trace_hook is not None:
-                raise RuntimeError(
-                    f"DMA engine {engine.core_id} already has a trace hook")
-            engine.trace_hook = self._record
+            engine.observers.append(self)
 
-    def _record(self, kind: str, core: int, issue_fs: int, start_fs: int,
-                done_fs: int, addr: int, nbytes: int) -> None:
-        self.events.append((kind, core, issue_fs, start_fs, done_fs,
-                            addr, nbytes))
+    def __call__(self, kind: str, engine, addr: int, nbytes: int,
+                 stride: int, block: int | None, issue_fs: int,
+                 start_fs: int, done_fs: int) -> None:
+        self.events.append((kind, engine.core_id, issue_fs, start_fs,
+                            done_fs, addr, nbytes))
 
     def detach(self) -> None:
-        """Remove the hooks (idempotent; never evicts another recorder)."""
+        """Stop recording (idempotent; other observers stay attached)."""
         for engine in self._engines:
-            if engine.trace_hook == self._record:
-                engine.trace_hook = None
+            if self in engine.observers:
+                engine.observers.remove(self)
 
     def __enter__(self) -> "DmaCommandRecorder":
         return self

@@ -5,7 +5,7 @@ cache statistics on the hierarchy, ``busy_fs`` / ``wait_fs`` /
 ``bytes_moved`` on every occupancy resource, command counts on the DMA
 engines.  A :class:`MetricsRegistry` is nothing but a *named catalog of
 readers* over that existing state: registering metrics attaches **no
-hooks** and adds **no per-access work**, so ``hierarchy.fastpath_safe``
+observers** and adds **no per-access work**, so ``hierarchy.fastpath_safe``
 stays true and a run with metrics enabled is bit-identical to an
 uninstrumented run.
 

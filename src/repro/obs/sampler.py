@@ -4,7 +4,7 @@
 sampler's ``drive()``, snapshotting a
 :class:`~repro.obs.metrics.MetricsRegistry` at every window boundary.
 ``drive()`` steps the simulator with ``drain_until`` and schedules no
-events of its own, and the registry attaches no hooks, so the returned
+events of its own, and the registry attaches no observers, so the returned
 :class:`~repro.results.RunResult` — including ``stats["sim.events"]`` —
 is bit-identical to an unsampled, uninstrumented run.
 

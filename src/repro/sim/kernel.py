@@ -43,13 +43,9 @@ class InvariantViolation(SimulationError, AssertionError):
 
 
 class EventQueue:
-    """A binary-heap event queue keyed on (time, insertion sequence).
+    """A binary-heap event queue keyed on (time, insertion sequence)."""
 
-    No ``__slots__`` here on purpose: the analysis monitors
-    (:class:`repro.analysis.monitors.EventQueueMonitor`) wrap ``pop`` on
-    the instance, and the kernel's dispatch loop routes every event
-    through that attribute so such wrappers always observe the pops.
-    """
+    __slots__ = ("_heap", "_seq")
 
     def __init__(self) -> None:
         self._heap: list[tuple[int, int, Callable[[], None]]] = []
@@ -103,11 +99,11 @@ class Simulator:
         self.events_processed = 0
         self._max_events = max_events
         self._running = False
-        # Optional event observer (see attach_event_hook): kept out of
-        # the dispatch loop entirely — it rides on queue.pop wrapping.
-        self._event_hook: Callable[[int], None] | None = None
-        self._hooked_pop: Callable | None = None
-        self._inner_pop: Callable | None = None
+        #: Event observers (repro.obs.KernelEventRecorder, the event-queue
+        #: invariant monitor), each called as ``observer(time_fs)`` for
+        #: every dispatched event, before its callback runs.  Purely
+        #: observational: event order and timestamps never change.
+        self.observers: list[Callable[[int], None]] = []
 
     def at(self, time_fs: int, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` at absolute time ``time_fs``.
@@ -132,47 +128,6 @@ class Simulator:
         """Process events until the queue is empty.  Returns the final clock."""
         self._dispatch(None)
         return self.now
-
-    def attach_event_hook(self, hook: Callable[[int], None]) -> None:
-        """Observe every dispatched event: ``hook(time_fs)`` per pop.
-
-        Implemented by wrapping the queue's instance-level ``pop`` — the
-        same interception point the analysis monitors use — so the
-        dispatch loop pays nothing when no hook is attached (the common
-        case keeps the unwrapped bound method).  Purely observational:
-        attaching a hook never changes event order, timestamps, or any
-        measured quantity.  One hook at a time; attach raises if one is
-        already present, and :meth:`detach_event_hook` is idempotent.
-        """
-        if self._event_hook is not None:
-            raise SimulationError("simulator already has an event hook")
-        self._event_hook = hook
-        inner_pop = self.queue.pop
-
-        def observed_pop() -> tuple[int, Callable[[], None]]:
-            time_fs, callback = inner_pop()
-            hook(time_fs)
-            return time_fs, callback
-
-        self._hooked_pop = observed_pop
-        self._inner_pop = inner_pop
-        self.queue.pop = observed_pop  # type: ignore[method-assign]
-
-    def detach_event_hook(self) -> None:
-        """Remove the event hook installed by :meth:`attach_event_hook`.
-
-        Idempotent, and careful about stacking: the wrapper is only
-        unwound when it is still the queue's current ``pop`` (a monitor
-        wrapping *after* us keeps observing; it delegates to our wrapper,
-        which keeps delegating to the original).
-        """
-        if self._event_hook is None:
-            return
-        if self.queue.pop is self._hooked_pop:
-            self.queue.pop = self._inner_pop  # type: ignore[method-assign]
-        self._event_hook = None
-        self._hooked_pop = None
-        self._inner_pop = None
 
     def drain_until(self, time_fs: int) -> int:
         """Process every pending event with timestamp <= ``time_fs``.
@@ -199,16 +154,20 @@ class Simulator:
             raise SimulationError("Simulator.run is not reentrant")
         self._running = True
         processed = 0
-        # Alias the hot state out of the loop.  The heap list is only
-        # *peeked* directly (for the loop condition); pops go through the
-        # queue's ``pop`` attribute so instance-level wrappers (the event
-        # queue invariant monitor) see every event.
+        # Alias the hot state out of the loop and pop the heap directly
+        # (the loop condition keeps it non-empty).  The observer list is
+        # aliased, not copied, so an observer attached mid-run sees the
+        # next event.
         heap = self.queue._heap
-        pop = self.queue.pop
+        heappop = heapq.heappop
+        observers = self.observers
         max_events = self._max_events
         try:
             while heap and (until_fs is None or heap[0][0] <= until_fs):
-                time_fs, callback = pop()
+                time_fs, _, callback = heappop(heap)
+                if observers:
+                    for observer in observers:
+                        observer(time_fs)
                 if time_fs < self.now:
                     raise SimulationError(
                         f"time went backwards: {time_fs} < {self.now}"

@@ -58,7 +58,7 @@ class IntervalSampler:
     window boundary.  Probes run at scheduling boundaries only — the
     same points where the processor fast path folds its batched stats —
     so they observe a consistent system state without attaching any
-    per-access hook (``hierarchy.fastpath_safe`` stays true).
+    per-access observer (``hierarchy.fastpath_safe`` stays true).
     """
 
     def __init__(self, system: "CmpSystem", interval_fs: int,

@@ -42,15 +42,19 @@ class TraceRecord:
     latency_fs: int
 
 
+#: Hierarchy observer kinds that are demand accesses, and their short
+#: trace names.
+_SHORT_KINDS = {"load": "ld", "store": "st"}
+
+
 class TraceRecorder:
     """Captures every demand access of a system run.
 
-    Attaching a recorder installs the hierarchy's per-access
-    ``trace_hook``, which disables the run-until-miss fast path for as
-    long as it is attached (``hierarchy.fastpath_safe``).  Use the
-    recorder as a context manager so the hook is removed even when the
-    run raises — a leaked hook would silently pin every later run on
-    the same system to the slow path::
+    The recorder is a hierarchy observer: attached, it makes
+    ``hierarchy.fastpath_safe`` false, which routes L1 hits through the
+    hierarchy so every one is recorded.  Use it as a context manager so
+    it detaches even when the run raises — a leaked observer would pin
+    every later run on the same system to the slow path::
 
         with TraceRecorder(system) as recorder:
             result = system.run()
@@ -60,23 +64,20 @@ class TraceRecorder:
     def __init__(self, system: "CmpSystem") -> None:
         self.system = system
         self.records: list[TraceRecord] = []
-        if system.hierarchy.trace_hook is not None:
-            raise RuntimeError("system already has a trace recorder")
-        system.hierarchy.trace_hook = self._record
+        system.hierarchy.observers.append(self)
 
-    def _record(self, time_fs: int, core: int, kind: str, line: int,
-                latency_fs: int) -> None:
-        self.records.append(TraceRecord(time_fs, core, kind, line, latency_fs))
+    def __call__(self, kind: str, core: int, line: int, now_fs: int,
+                 done_fs: int) -> None:
+        short = _SHORT_KINDS.get(kind)      # flush/invalidate: not demand
+        if short is not None:
+            self.records.append(
+                TraceRecord(now_fs, core, short, line, done_fs - now_fs))
 
     def detach(self) -> None:
-        """Stop recording (removes the hierarchy hook).
-
-        Idempotent, and careful not to evict a *different* recorder: the
-        hook is cleared only while it is still this recorder's own, so
-        ``detach()`` after a re-attach elsewhere is a no-op.
-        """
-        if self.system.hierarchy.trace_hook == self._record:
-            self.system.hierarchy.trace_hook = None
+        """Stop recording (idempotent; other observers stay attached)."""
+        observers = self.system.hierarchy.observers
+        if self in observers:
+            observers.remove(self)
 
     def __enter__(self) -> "TraceRecorder":
         return self

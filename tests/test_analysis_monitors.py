@@ -27,8 +27,8 @@ def small_streaming_hierarchy(cores=4):
 class TestCoherenceMonitor:
     def test_clean_traffic_passes(self):
         h = small_cc_hierarchy()
-        monitor = CoherenceMonitor()
-        h.register_observer(monitor)
+        monitor = CoherenceMonitor(h)
+        h.observers.append(monitor)
         h.load_line(0, 100, 0)
         h.load_line(1, 100, 1_000_000)
         h.store_line(2, 100, 2_000_000)
@@ -36,30 +36,30 @@ class TestCoherenceMonitor:
 
     def test_corrupted_state_raises_with_context(self):
         h = small_cc_hierarchy()
-        monitor = CoherenceMonitor()
-        h.register_observer(monitor)
+        monitor = CoherenceMonitor(h)
+        h.observers.append(monitor)
         # Corrupt the protocol state directly: two dirty owners.
         h.l1s[0].insert(100, MesiState.MODIFIED)
         h.l1s[1].insert(100, MesiState.MODIFIED)
         with pytest.raises(InvariantViolation, match="multiple M/E"):
-            monitor("load", 0, 100, 5_000_000, h)
+            monitor("load", 0, 100, 5_000_000, 5_000_000)
         try:
-            monitor("load", 0, 100, 5_000_000, h)
+            monitor("load", 0, 100, 5_000_000, 5_000_000)
         except InvariantViolation as exc:
             assert exc.now_fs == 5_000_000
             assert exc.context["line"] == 100
 
     def test_drifted_presence_map_raises_with_both_masks(self):
         h = small_cc_hierarchy()
-        monitor = CoherenceMonitor()
-        h.register_observer(monitor)
+        monitor = CoherenceMonitor(h)
+        h.observers.append(monitor)
         h.load_line(0, 100, 0)
         # Drop the line behind the presence map's back: its bit for
         # core 0 is now stale.
         h.l1s[0].invalidate(100)
         h.l1s[1].insert(100, MesiState.EXCLUSIVE)
         with pytest.raises(InvariantViolation, match="presence map") as info:
-            monitor("load", 1, 100, 5_000_000, h)
+            monitor("load", 1, 100, 5_000_000, 5_000_000)
         assert info.value.now_fs == 5_000_000
         assert info.value.context == {"line": 100, "presence_mask": 0b01,
                                       "residency_mask": 0b10}
@@ -76,7 +76,7 @@ class TestDmaRaceMonitor:
         h = small_streaming_hierarchy(cores)
         monitor = DmaRaceMonitor(h)
         for engine in h.dma_engines:
-            engine.observer = monitor
+            engine.observers.append(monitor)
         return h, monitor
 
     def test_get_racing_dirty_cached_line_raises(self):
@@ -125,21 +125,21 @@ class TestLocalStoreMonitor:
     def test_in_bounds_usage_is_clean(self):
         store = LocalStore(1024)
         monitor = LocalStoreMonitor(budget_bytes=1024)
-        store.observer = monitor
+        store.observers.append(monitor)
         offset = store.alloc(256, "buf")
         store.check_range(offset, 256)
         assert monitor.checks == 2
 
     def test_access_outside_allocation_raises(self):
         store = LocalStore(1024)
-        store.observer = LocalStoreMonitor(budget_bytes=1024)
+        store.observers.append(LocalStoreMonitor(budget_bytes=1024))
         store.alloc(128, "buf")
         with pytest.raises(InvariantViolation, match="allocated region"):
             store.check_range(0, 512)
 
     def test_use_after_reset_raises(self):
         store = LocalStore(1024)
-        store.observer = LocalStoreMonitor(budget_bytes=1024)
+        store.observers.append(LocalStoreMonitor(budget_bytes=1024))
         offset = store.alloc(256, "buf")
         store.reset()
         with pytest.raises(InvariantViolation, match="allocated region"):
@@ -149,7 +149,7 @@ class TestLocalStoreMonitor:
         # The paper's streaming model budgets 24 KB per core; a config
         # smuggling in a larger store is flagged on first use.
         store = LocalStore(64 * 1024)
-        store.observer = LocalStoreMonitor(budget_bytes=24 * 1024)
+        store.observers.append(LocalStoreMonitor(budget_bytes=24 * 1024))
         with pytest.raises(InvariantViolation, match="capacity budget"):
             store.alloc(32, "buf")
 
@@ -164,7 +164,8 @@ class TestLocalStoreMonitor:
 class TestEventQueueMonitor:
     def test_normal_run_counts_pops(self):
         sim = Simulator()
-        monitor = EventQueueMonitor(sim)
+        monitor = EventQueueMonitor()
+        sim.observers.append(monitor)
         for t in (5, 1, 9):
             sim.at(t, lambda: None)
         sim.run()
@@ -173,11 +174,12 @@ class TestEventQueueMonitor:
 
     def test_out_of_order_pop_raises(self):
         sim = Simulator()
-        monitor = EventQueueMonitor(sim)
+        monitor = EventQueueMonitor()
+        sim.observers.append(monitor)
         sim.at(100, lambda: None)
         monitor.last_fs = 200  # simulate a corrupted heap
         with pytest.raises(InvariantViolation, match="out of order"):
-            sim.queue.pop()
+            sim.run()
 
 
 class TestSystemIntegration:
@@ -205,7 +207,7 @@ class TestSystemIntegration:
         assert "dma-race" in names
         assert "local-store" in names
         for engine in system.hierarchy.dma_engines:
-            assert engine.observer is not None
+            assert engine.observers
 
     def test_incoherent_model_skips_coherence_monitor(self):
         # The incoherent model violates SWMR between sync points by
@@ -220,7 +222,7 @@ class TestSystemIntegration:
                                             preset="tiny")
         system = CmpSystem(config, program)
         assert system.monitors is None
-        assert system.hierarchy._observers == []
+        assert system.hierarchy.observers == []
 
     def test_summary_renders(self):
         system, _ = self._run("str")
@@ -263,23 +265,11 @@ class TestSystemIntegration:
     def test_detach_unwinds_streaming_observers_too(self):
         system = self._armed_system(model="str")
         monitors = attach_monitors(system)
-        assert any(e.observer is not None
-                   for e in system.hierarchy.dma_engines)
+        assert all(e.observers for e in system.hierarchy.dma_engines)
         monitors.detach()
-        assert all(e.observer is None
-                   for e in system.hierarchy.dma_engines)
-        assert all(s.observer is None
-                   for s in system.hierarchy.local_stores)
-
-    def test_detach_unwraps_the_event_queue(self):
-        system = self._armed_system()
-        # Bound-method equality (not identity): attribute access mints a
-        # fresh bound method each time.
-        bare_pop = system.sim.queue.pop
-        monitors = attach_monitors(system)
-        assert system.sim.queue.pop != bare_pop
-        monitors.detach()
-        assert system.sim.queue.pop == bare_pop
+        assert all(e.observers == [] for e in system.hierarchy.dma_engines)
+        assert all(s.observers == [] for s in system.hierarchy.local_stores)
+        assert system.sim.observers == []
 
     def test_detached_monitors_stop_checking(self):
         system = self._armed_system()
@@ -293,6 +283,6 @@ class TestSystemIntegration:
         system = self._armed_system()
         monitors = attach_monitors(system)
         other = lambda *args: None  # noqa: E731
-        system.hierarchy.register_observer(other)
+        system.hierarchy.observers.append(other)
         monitors.detach()
-        assert system.hierarchy._observers == [other]
+        assert system.hierarchy.observers == [other]

@@ -198,8 +198,6 @@ class PerGranuleEngine(DmaEngine):
         return uncore.dram.access(sent, nbytes, line * self.line_bytes)
 
     def get(self, now_fs, addr, nbytes, stride=0, block=None):
-        if self.observer is not None:
-            self.observer("get", self, addr, nbytes, stride, block, now_fs)
         self.commands += 1
         self.bytes_read += nbytes
         start = max(now_fs, self._engine_free)
@@ -225,14 +223,12 @@ class PerGranuleEngine(DmaEngine):
             window.append(t)
             done = max(done, t)
         self._engine_free = done
-        if self.trace_hook is not None:
-            self.trace_hook("get", self.core_id, now_fs, start, done,
-                            addr, nbytes)
+        for observer in self.observers:
+            observer("get", self, addr, nbytes, stride, block, now_fs, start,
+                     done)
         return done
 
     def put(self, now_fs, addr, nbytes, stride=0, block=None):
-        if self.observer is not None:
-            self.observer("put", self, addr, nbytes, stride, block, now_fs)
         self.commands += 1
         self.bytes_written += nbytes
         start = max(now_fs, self._engine_free)
@@ -253,9 +249,9 @@ class PerGranuleEngine(DmaEngine):
             window.append(t)
             done = max(done, t)
         self._engine_free = done
-        if self.trace_hook is not None:
-            self.trace_hook("put", self.core_id, now_fs, start, done,
-                            addr, nbytes)
+        for observer in self.observers:
+            observer("put", self, addr, nbytes, stride, block, now_fs, start,
+                     done)
         return done
 
 
@@ -632,10 +628,10 @@ def run_tiny(name, model, cores, observed=False, dma_observed=False):
     program = get_workload(name).build(config.model, config, preset="tiny")
     system = CmpSystem(config, program)
     if observed:
-        system.hierarchy.register_observer(lambda *args: None)
+        system.hierarchy.observers.append(lambda *args: None)
     if dma_observed:
         for engine in system.hierarchy.dma_engines:
-            engine.observer = lambda *args: None
+            engine.observers.append(lambda *args: None)
     return system.run()
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.monitors import MonitorSet
 from repro.config import CacheConfig, MachineConfig, WritePolicy
 from repro.mem.coherence import MesiState
 from repro.mem.hierarchy import CacheCoherentHierarchy, StreamingHierarchy, Uncore
@@ -242,41 +243,41 @@ class TestWaitAccounting:
 
 
 class TestObserverRoundTrip:
-    """register/unregister must round-trip ``fastpath_safe``."""
+    """Appending to and removing from ``observers`` round-trips
+    ``fastpath_safe``."""
 
     def test_unregister_restores_fastpath(self):
         h = hierarchy()
         observer = lambda *args: None  # noqa: E731
         assert h.fastpath_safe
-        h.register_observer(observer)
+        h.observers.append(observer)
         assert not h.fastpath_safe
-        h.unregister_observer(observer)
+        h.observers.remove(observer)
         assert h.fastpath_safe
 
     def test_unregister_is_idempotent(self):
         h = hierarchy()
-        observer = lambda *args: None  # noqa: E731
-        h.register_observer(observer)
-        h.unregister_observer(observer)
-        h.unregister_observer(observer)      # a no-op, not an error
-        h.unregister_observer(lambda *args: None)   # never attached: no-op
+        monitors = MonitorSet()
+        monitors.attach(h.observers, lambda *args: None)
+        monitors.detach()
+        monitors.detach()                    # a no-op, not an error
         assert h.fastpath_safe
 
     def test_unregister_removes_only_the_given_observer(self):
         h = hierarchy()
         keep = lambda *args: None    # noqa: E731
         drop = lambda *args: None    # noqa: E731
-        h.register_observer(keep)
-        h.register_observer(drop)
-        h.unregister_observer(drop)
-        assert h._observers == [keep]
+        h.observers.append(keep)
+        h.observers.append(drop)
+        h.observers.remove(drop)
+        assert h.observers == [keep]
         assert not h.fastpath_safe
 
     def test_unregistered_observer_stops_firing(self):
         h = hierarchy()
         seen = []
-        h.register_observer(lambda *args: seen.append(args))
+        h.observers.append(lambda *args: seen.append(args))
         h.load_line(0, 100, 0)
-        h.unregister_observer(h._observers[0])
+        h.observers.pop()
         h.load_line(0, 200, ns_to_fs(1_000))
         assert len(seen) == 1

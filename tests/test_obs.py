@@ -3,7 +3,7 @@
 The load-bearing contract: **observing a run must not change it**.  The
 metrics registry is pull-model (no hooks), the series sampler drives the
 simulator through ``drain_until`` (no events of its own), and the DMA /
-kernel recorders ride hooks that are off the processor fast path — so a
+kernel recorders are observers off the processor fast path — so a
 fully-instrumented run stays bit-identical to a bare one, including
 ``stats["sim.events"]``.
 """
@@ -13,6 +13,7 @@ import json
 import pytest
 
 from repro import MachineConfig
+from repro.analysis.monitors import attach_monitors
 from repro.core.system import CmpSystem
 from repro.obs import (
     COUNTER,
@@ -27,7 +28,6 @@ from repro.obs import (
     save_chrome_trace,
     validate_chrome_trace,
 )
-from repro.sim.kernel import SimulationError
 from repro.trace import TraceRecorder
 from repro.units import ns_to_fs
 from repro.workloads import get_workload
@@ -195,13 +195,6 @@ class TestKernelEventRecorder:
         assert len(wide.spans()) == 1
         assert wide.spans()[0][2] == result.stats["sim.events"]
 
-    def test_second_recorder_rejected_while_attached(self):
-        system = build_system(cores=1)
-        with KernelEventRecorder(system.sim):
-            with pytest.raises(SimulationError):
-                KernelEventRecorder(system.sim)
-        KernelEventRecorder(system.sim).detach()   # free again after exit
-
     def test_detach_idempotent_and_stops_observing(self):
         system = build_system(cores=1)
         recorder = KernelEventRecorder(system.sim)
@@ -215,7 +208,7 @@ class TestKernelEventRecorder:
         with pytest.raises(RuntimeError, match="boom"):
             with KernelEventRecorder(system.sim):
                 raise RuntimeError("boom")
-        KernelEventRecorder(system.sim).detach()   # attach slot is free
+        assert system.sim.observers == []
 
 
 class TestDmaCommandRecorder:
@@ -245,22 +238,40 @@ class TestDmaCommandRecorder:
             system.run()
         assert len(dma) == 0
 
-    def test_double_attach_rejected(self):
-        system = build_system(model="str")
-        with DmaCommandRecorder(system.hierarchy):
-            with pytest.raises(RuntimeError, match="already has a trace"):
-                DmaCommandRecorder(system.hierarchy)
 
-    def test_detach_never_evicts_another_hook(self):
-        system = build_system(model="str")
-        recorder = DmaCommandRecorder(system.hierarchy)
-        recorder.detach()
-        sentinel = lambda *args: None  # noqa: E731
-        for engine in system.hierarchy.dma_engines:
-            engine.trace_hook = sentinel
-        recorder.detach()              # idempotent, must not clear sentinel
-        for engine in system.hierarchy.dma_engines:
-            assert engine.trace_hook is sentinel
+
+class TestAllObservers:
+    """Every recorder and the invariant monitors on one system at once:
+    each component keeps one observers list, and they all share it."""
+
+    @pytest.mark.parametrize("model", ["cc", "str"])
+    @pytest.mark.parametrize("cores", [1, 4])
+    def test_observed_run_identical_and_detaches_clean(self, model, cores):
+        plain = build_system(cores=cores, model=model).run()
+        system = build_system(cores=cores, model=model)
+        hierarchy = system.hierarchy
+        monitors = attach_monitors(system)
+        with TraceRecorder(system) as first, TraceRecorder(system) as second, \
+                DmaCommandRecorder(hierarchy) as dma, \
+                KernelEventRecorder(system.sim) as kernel:
+            observed = system.run()
+        monitors.detach()
+        # Full record equality, sim.* included.
+        assert observed.to_dict() == plain.to_dict()
+        engines = getattr(hierarchy, "dma_engines", [])
+        stores = getattr(hierarchy, "local_stores", [])
+        lists = [hierarchy.observers, system.sim.observers,
+                 *(e.observers for e in engines),
+                 *(s.observers for s in stores)]
+        assert all(observers == [] for observers in lists)
+        assert hierarchy.fastpath_safe
+        # Two recorders on one list both record everything.
+        assert first.records == second.records
+        assert len(first) == hierarchy.l1_ops
+        assert len(dma) == sum(e.commands for e in engines)
+        assert sum(n for _, _, n in kernel.spans()) == \
+            observed.stats["sim.events"]
+        assert monitors.total_checks > 0
 
 
 class TestChromeExport:

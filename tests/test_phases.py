@@ -43,7 +43,7 @@ def build_system(*threads, model="cc", observer=None, **cfg_kwargs):
     cfg = MachineConfig(num_cores=len(threads), **cfg_kwargs).with_model(model)
     system = CmpSystem(cfg, Program("test", list(threads)))
     if observer is not None:
-        system.hierarchy.register_observer(observer)
+        system.hierarchy.observers.append(observer)
     return system
 
 
@@ -351,7 +351,7 @@ class TestReplayIdentity:
         phased, _, _ = self.make_threads()
         seen = []
 
-        def observer(kind, core, line, now_fs, hierarchy):
+        def observer(kind, core, line, now_fs, done_fs):
             seen.append(kind)
 
         watched = run_threads(phased, observer=observer)
@@ -370,7 +370,7 @@ def run_tiny(name, model, cores, observed=False):
     program = get_workload(name).build(config.model, config, preset="tiny")
     system = CmpSystem(config, program)
     if observed:
-        system.hierarchy.register_observer(lambda *args: None)
+        system.hierarchy.observers.append(lambda *args: None)
         assert not system.hierarchy.fastpath_safe
     return system.run()
 
@@ -421,7 +421,7 @@ class TestWalkedShapes:
             seen = []
             observer = None
             if observer_log:
-                def observer(kind, core, line, now_fs, hierarchy):
+                def observer(kind, core, line, now_fs, done_fs):
                     seen.append((kind, core, line, now_fs))
             system = build_system(*threads, observer=observer, **kwargs)
             pending = system.processors[0]._pending = RecordingList()

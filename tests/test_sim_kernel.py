@@ -561,7 +561,7 @@ def test_serve_matches_first_fit_oracle(latency, prefill, script):
 
 
 class TestEventHook:
-    """The instance-level ``queue.pop`` wrap behind attach_event_hook."""
+    """``Simulator.observers``: one call per dispatched event."""
 
     def loaded_sim(self, n=5):
         sim = Simulator()
@@ -572,7 +572,7 @@ class TestEventHook:
     def test_hook_sees_every_event_timestamp(self):
         sim = self.loaded_sim()
         seen = []
-        sim.attach_event_hook(seen.append)
+        sim.observers.append(seen.append)
         sim.run()
         assert seen == [0, 10, 20, 30, 40]
 
@@ -580,49 +580,28 @@ class TestEventHook:
         plain = self.loaded_sim()
         plain.run()
         hooked = self.loaded_sim()
-        hooked.attach_event_hook(lambda t: None)
+        hooked.observers.append(lambda t: None)
         hooked.run()
         assert hooked.events_processed == plain.events_processed
         assert hooked.now == plain.now
 
-    def test_second_hook_rejected(self):
-        sim = self.loaded_sim()
-        sim.attach_event_hook(lambda t: None)
-        with pytest.raises(SimulationError, match="already has an event"):
-            sim.attach_event_hook(lambda t: None)
-
     def test_detach_is_idempotent_and_stops_observing(self):
+        from repro.obs import KernelEventRecorder
+
         sim = self.loaded_sim()
-        seen = []
-        sim.attach_event_hook(seen.append)
-        sim.detach_event_hook()
-        sim.detach_event_hook()              # no-op
+        recorder = KernelEventRecorder(sim)
+        recorder.detach()
+        recorder.detach()                    # no-op
         sim.run()
-        assert seen == []
+        assert recorder.spans() == []
+        assert sim.observers == []
 
     def test_reattach_after_detach(self):
         sim = self.loaded_sim()
-        sim.attach_event_hook(lambda t: None)
-        sim.detach_event_hook()
-        seen = []
-        sim.attach_event_hook(seen.append)
+        first, second = [], []
+        sim.observers.append(first.append)
+        sim.observers.remove(first.append)
+        sim.observers.append(second.append)
+        sim.observers.append(first.append)   # two observers both see all
         sim.run()
-        assert len(seen) == 5
-
-    def test_detach_under_a_later_wrapper_keeps_the_stack(self):
-        # A monitor wrapping *after* the hook keeps observing: detach
-        # must not restore the unwrapped pop over the monitor's wrapper.
-        sim = self.loaded_sim()
-        sim.attach_event_hook(lambda t: None)
-        inner = sim.queue.pop
-        pops = []
-
-        def counting_pop():
-            pops.append(1)
-            return inner()
-
-        sim.queue.pop = counting_pop
-        sim.detach_event_hook()
-        assert sim.queue.pop is counting_pop
-        sim.run()
-        assert len(pops) == 5
+        assert first == second == [0, 10, 20, 30, 40]

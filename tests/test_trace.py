@@ -40,14 +40,6 @@ class TestRecorder:
             assert r.latency_fs >= 0
             assert r.time_fs <= result.exec_time_fs
 
-    def test_double_attach_rejected(self):
-        cfg = MachineConfig(num_cores=1)
-        program = get_workload("fir").build("cc", cfg, preset="tiny")
-        system = CmpSystem(cfg, program)
-        TraceRecorder(system)
-        with pytest.raises(RuntimeError):
-            TraceRecorder(system)
-
     def test_detach_stops_recording(self):
         cfg = MachineConfig(num_cores=1)
         program = get_workload("fir").build("cc", cfg, preset="tiny")
@@ -81,7 +73,7 @@ class TestRecorder:
             assert not system.hierarchy.fastpath_safe
         assert system.hierarchy.fastpath_safe
         assert recorder.records == []
-        TraceRecorder(system)        # the hook slot is free again
+        assert system.hierarchy.observers == []
 
     def test_context_manager_detaches_on_raise(self):
         cfg = MachineConfig(num_cores=1)
@@ -90,9 +82,9 @@ class TestRecorder:
         with pytest.raises(RuntimeError, match="boom"):
             with TraceRecorder(system):
                 raise RuntimeError("boom")
-        # The hook leak this guards against: before the fix, a raise
-        # inside the with-block left trace_hook attached and pinned
-        # every later run on this system to the slow path.
+        # The leak this guards against: a raise inside the with-block
+        # leaving the recorder on the observers list would pin every
+        # later run on this system to the slow path.
         assert system.hierarchy.fastpath_safe
 
     def test_detach_is_idempotent_and_never_evicts_a_successor(self):
@@ -104,7 +96,32 @@ class TestRecorder:
         first.detach()                       # no-op, not an error
         second = TraceRecorder(system)
         first.detach()                       # must not evict `second`
-        assert system.hierarchy.trace_hook == second._record
+        assert system.hierarchy.observers == [second]
+
+
+class TestPinnedTraces:
+    """sha256 of ``TraceRecorder.save`` output for two tiny 4-core CC
+    runs: every demand access's time, core, kind, line and latency."""
+
+    @pytest.mark.parametrize("name, digest, loads_missing, upgrades, c2c", [
+        ("fir", "0db55845bed6a807732034d7c99432b0"
+                "0c32fc5ea34074b3361d008f1c35b173", 512, 0, 0),
+        ("merge", "07bff9a23b6a71117afc73647ed768fe"
+                  "0282c3313e661c71988eef3096a4790b", 576, 64, 640),
+    ], ids=["fir", "merge"])
+    def test_saved_trace_digest(self, tmp_path, name, digest, loads_missing,
+                                upgrades, c2c):
+        import hashlib
+
+        recorder, system, _ = record_run(name, cores=4)
+        path = tmp_path / "trace.jsonl"
+        recorder.save(path)
+        assert len(recorder) == system.hierarchy.l1_ops
+        assert sum(1 for r in recorder.records
+                   if r.kind == "ld" and r.latency_fs > 0) == loads_missing
+        assert system.hierarchy.upgrades == upgrades
+        assert system.hierarchy.cache_to_cache == c2c
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def rec(i, line, kind="ld", latency=0):
