@@ -16,9 +16,11 @@ from repro.units import ns_to_fs
 class _Link(OccupancyResource):
     """A link with width-quantized service time.
 
-    ``transfer`` and ``control`` turn a message into its service time
-    and reserve it with :meth:`OccupancyResource.serve`, the calendar's
-    one reservation routine.
+    :meth:`service_fs` is the one width-quantization formula;
+    ``transfer`` and ``control`` reserve its result with
+    :meth:`OccupancyResource.serve`, the calendar's one reservation
+    routine.  The hierarchy's miss walk and the DMA granule loops read
+    the same service times and call ``serve`` themselves.
     """
 
     __slots__ = ("width_bytes", "cycle_fs", "bytes_moved")
@@ -30,13 +32,17 @@ class _Link(OccupancyResource):
         self.cycle_fs = ns_to_fs(cycle_ns)
         self.bytes_moved = 0
 
+    def service_fs(self, num_bytes: int) -> int:
+        """Link occupancy of a ``num_bytes`` message: whole link cycles,
+        at least one (0 bytes is a control-only message)."""
+        return (-(-num_bytes // self.width_bytes) or 1) * self.cycle_fs
+
     def transfer(self, now_fs: int, num_bytes: int) -> int:
         """Move ``num_bytes`` over the link; returns the completion time."""
         if num_bytes < 0:
             raise ValueError(f"{self.name}: negative transfer {num_bytes}")
         self.bytes_moved += num_bytes
-        cycles = -(-num_bytes // self.width_bytes) or 1
-        return self.serve(now_fs, cycles * self.cycle_fs)
+        return self.serve(now_fs, self.service_fs(num_bytes))
 
     def control(self, now_fs: int) -> int:
         """A control-only message (request, invalidate): one link cycle."""

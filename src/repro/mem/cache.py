@@ -19,6 +19,10 @@ from collections.abc import Iterator
 from repro.config import CacheConfig
 from repro.mem.coherence import MesiState
 
+# A global: reading a member through the enum class is several times
+# slower, and every L2 install checks it.
+_INVALID = MesiState.INVALID
+
 
 class CacheLine:
     """Metadata for one resident cache line.
@@ -91,7 +95,7 @@ class SetAssocCache:
         else None.  Inserting a line that is already resident is an error —
         callers must use :meth:`lookup` / :meth:`touch` first.
         """
-        if state is MesiState.INVALID:
+        if state is _INVALID:
             raise ValueError("cannot insert a line in INVALID state")
         cache_set = self._sets[line & self._set_mask]
         if line in cache_set:

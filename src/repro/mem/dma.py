@@ -152,9 +152,9 @@ class DmaEngine:
         bk_lat = banks[0].latency_fs
         bk_starts_of = [bank._starts for bank in banks]
         bk_ends_of = [bank._ends for bank in banks]
-        xd_w, xd_c, xd_lat = xd.width_bytes, xd.cycle_fs, xd.latency_fs
+        xd_lat = xd.latency_fs
         xd_starts, xd_ends = xd._starts, xd._ends
-        br_w, br_c, br_lat = br.width_bytes, br.cycle_fs, br.latency_fs
+        br_lat = br.latency_fs
         br_starts, br_ends = br._starts, br._ends
         # Inline tallies: backfills per link (serve counts its own),
         # busy time on the size-dependent links, per-bank requests.
@@ -173,8 +173,8 @@ class DmaEngine:
         for line, size in granules:
             if size != size_now:
                 size_now = size
-                xd_s = (-(-size // xd_w) or 1) * xd_c
-                br_s = (-(-size // br_w) or 1) * br_c
+                xd_s = xd.service_fs(size)
+                br_s = br.service_fs(size)
             # Outstanding-access window.
             if wlen < win:
                 t = start
@@ -332,9 +332,9 @@ class DmaEngine:
         cl = self.cluster_id
         bq = u.buses[cl].req
         xu = u.xbar.up[cl]
-        bq_w, bq_c, bq_lat = bq.width_bytes, bq.cycle_fs, bq.latency_fs
+        bq_lat = bq.latency_fs
         bq_starts, bq_ends = bq._starts, bq._ends
-        xu_w, xu_c, xu_lat = xu.width_bytes, xu.cycle_fs, xu.latency_fs
+        xu_lat = xu.latency_fs
         xu_starts, xu_ends = xu._starts, xu._ends
         bk_s = u._l2_service_fs
         bk_lat = banks[0].latency_fs
@@ -356,8 +356,8 @@ class DmaEngine:
         for line, size in granules:
             if size != size_now:
                 size_now = size
-                bq_s = (-(-size // bq_w) or 1) * bq_c
-                xu_s = (-(-size // xu_w) or 1) * xu_c
+                bq_s = bq.service_fs(size)
+                xu_s = xu.service_fs(size)
             if wlen < win:
                 t = start
                 wlen += 1

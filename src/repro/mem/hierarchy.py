@@ -15,9 +15,13 @@ model's small 8 KB cache as "L1" and adds per-core local stores and DMA
 engines.
 
 All walk methods are *per cache line*: callers (the processor model) pass
-line numbers, and receive absolute completion timestamps.  Timing uses
-occupancy resources, so contention between cores, prefetchers, DMA
-engines, and write-backs emerges naturally.
+line numbers, and receive absolute completion timestamps.  Every L1 fill
+(demand misses of all three models, both prefetchers) runs one flat body,
+``CacheCoherentHierarchy._walk``: bus, owner probe, crossbar, L2 bank,
+DRAM, install and victim write-back, with no per-hop method calls beyond
+the calendars' ``serve``.  Timing uses occupancy resources, so contention
+between cores, prefetchers, DMA engines, and write-backs emerges
+naturally.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 from repro.config import (CacheConfig, CoherenceKind, MachineConfig,
                           WritePolicy)
 from repro.interconnect.fabric import ClusterBus, Crossbar
-from repro.mem.cache import SetAssocCache
+from repro.mem.cache import CacheLine, SetAssocCache
 from repro.mem.coherence import MesiState
 from repro.mem.dma import DmaEngine
 from repro.mem.dram import DramChannel
@@ -34,6 +38,11 @@ from repro.mem.prefetcher import StreamPrefetcher
 from repro.mem.store_buffer import StoreBuffer
 from repro.sim.resources import OccupancyResource
 from repro.units import ns_to_fs
+
+# Module constants: reading a member through the enum class is several
+# times slower than a global, and the miss walk reads them per miss.
+_MODIFIED, _EXCLUSIVE, _SHARED = (MesiState.MODIFIED, MesiState.EXCLUSIVE,
+                                  MesiState.SHARED)
 
 
 class Uncore:
@@ -62,36 +71,6 @@ class Uncore:
         self.l2_writebacks = 0
         self.l2_refills_avoided = 0
 
-    def _evict(self, victim, when_fs: int) -> None:
-        """Handle an L2 victim: dirty lines are written back to DRAM.
-
-        ``when_fs`` must be the time the *miss was sent* to memory (the
-        bank access time), not the fill-completion time: victim data sits
-        in a write-back buffer and drains opportunistically, so posting it
-        after the fill's full access latency would falsely serialize the
-        next demand read behind an entire DRAM round trip.
-        """
-        if victim is not None and victim.state is MesiState.MODIFIED:
-            self.l2_writebacks += 1
-            self.dram.access(when_fs, self.line_bytes,
-                             victim.line * self.line_bytes, True)
-
-    def l2_read(self, line: int, now_fs: int) -> int:
-        """Read one line through the L2; returns the completion time."""
-        self.l2_reads += 1
-        # SetAssocCache.touch, inlined: this is the busiest uncore entry
-        # point (every L1 miss lands here).
-        l2 = self.l2
-        cache_set = l2._sets[line & l2._set_mask]
-        entry = cache_set.get(line)
-        bank = self.l2_banks[line % self._num_banks]
-        sent = bank.serve(now_fs, self._l2_service_fs)
-        if entry is not None:
-            cache_set.move_to_end(line)
-            self.l2_read_hits += 1
-            return sent
-        return self.l2_miss(line, sent, self.line_bytes, False)
-
     def l2_write(self, line: int, now_fs: int) -> int:
         """Write one full line (an L1 dirty write-back) into the L2.
 
@@ -104,7 +83,7 @@ class Uncore:
         sent = bank.serve(now_fs, self._l2_service_fs)
         if entry is not None:
             self.l2_write_hits += 1
-            entry.state = MesiState.MODIFIED
+            entry.state = _MODIFIED
             return sent
         return self.l2_miss(line, sent, self.line_bytes, True)
 
@@ -120,27 +99,37 @@ class Uncore:
         whole-line read fetches the line from DRAM and allocates it; a
         sub-line (DMA gather) read moves only the requested bytes and
         allocates nothing, the "minimum memory channel bandwidth"
-        property of scatter/gather DMA (Section 2.3).
+        property of scatter/gather DMA (Section 2.3).  A dirty L2 victim
+        drains from a write-back buffer, so it is written back at
+        ``sent_fs``: posting it at the done time would serialize the
+        next demand read behind a whole DRAM round trip.
         """
         if write:
             self.l2_refills_avoided += 1
-            self._evict(self.l2.insert(line, MesiState.MODIFIED), sent_fs)
-            return sent_fs
-        done = self.dram.access(sent_fs, nbytes, line * self.line_bytes, False)
-        if nbytes == self.line_bytes:
-            self._evict(self.l2.insert(line, MesiState.EXCLUSIVE), sent_fs)
+            state = _MODIFIED
+            done = sent_fs
+        else:
+            done = self.dram.access(sent_fs, nbytes, line * self.line_bytes,
+                                    False)
+            if nbytes != self.line_bytes:
+                return done
+            state = _EXCLUSIVE
+        victim = self.l2.insert(line, state)
+        if victim is not None and victim.state is _MODIFIED:
+            self.l2_writebacks += 1
+            self.dram.access(sent_fs, self.line_bytes,
+                             victim.line * self.line_bytes, True)
         return done
 
     def flush(self, now_fs: int) -> int:
         """Write every dirty L2 line back to DRAM (end-of-run settling)."""
         t = now_fs
-        modified = MesiState.MODIFIED
         # Walk the per-set dicts directly: lines() is a generator chain,
         # and this walk visits every set of a 16K-line cache per run.
         for cache_set in self.l2._sets:
             for entry in cache_set.values():
-                if entry.state is modified:
-                    entry.state = MesiState.EXCLUSIVE
+                if entry.state is _MODIFIED:
+                    entry.state = _EXCLUSIVE
                     self.l2_writebacks += 1
                     t = self.dram.access(t, self.line_bytes,
                                          entry.line * self.line_bytes, True)
@@ -149,6 +138,9 @@ class Uncore:
 
 class CacheCoherentHierarchy:
     """Per-core coherent L1s over the shared uncore (the paper's CC model)."""
+
+    #: Whether misses probe, and stores invalidate, peer copies.
+    _coherent = True
 
     def __init__(self, config: MachineConfig,
                  l1_config: CacheConfig | None = None) -> None:
@@ -181,22 +173,30 @@ class CacheCoherentHierarchy:
         self._num_peers = num_cores - 1
         # One shared int per single-holder mask keeps peak RSS down.
         self._core_bits = [1 << c for c in range(num_cores)]
-        # A lone broadcast core skips the snoop walk; a directory still counts.
-        self._no_peers = num_cores == 1 and not self._directory_mode
-        # Per-core interconnect endpoints, pre-resolved: the miss walk is
-        # the simulator's hottest call chain after the op loop itself.
-        self._core_ports = [
-            (self.uncore.buses[cl], self.uncore.xbar.up[cl],
-             self.uncore.xbar.down[cl], cl)
-            for cl in self.cluster_of
-        ]
+        # The miss walk's routes.  Per core: bus request, crossbar up and
+        # down, bus response, cluster, then the bus's and the crossbar's
+        # control and line service times (a bus's two directions share a
+        # config, as do all crossbar ports).  Then the L2's sets, set
+        # mask, banks, bank count and bank service time.
+        uncore, line_bytes = self.uncore, config.line_bytes
+        self._core_ports = []
+        for cl in self.cluster_of:
+            bus, up = uncore.buses[cl], uncore.xbar.up[cl]
+            self._core_ports.append(
+                (bus.req, up, uncore.xbar.down[cl], bus.resp, cl,
+                 bus.req.service_fs(0), bus.req.service_fs(line_bytes),
+                 up.service_fs(0), up.service_fs(line_bytes)))
+        self._l2_route = (uncore.l2._sets, uncore.l2._set_mask,
+                          uncore.l2_banks, len(uncore.l2_banks),
+                          uncore._l2_service_fs)
+        self._sent_fs = 0   # the last L2 fill's request time at the crossbar
         #: Per-access observers (repro.trace.TraceRecorder, the
         #: repro.analysis.monitors): each is called as ``observer(kind,
         #: core, line, now_fs, done_fs)`` after every "load", "store",
         #: "flush" and "invalidate" line operation has changed state, and
         #: may raise InvariantViolation.  ``done_fs`` is a load's
         #: completion time and ``now_fs`` for the other kinds.  Empty by
-        #: default, so the hot path pays one falsy check.
+        #: default, so the hot path pays one empty loop.
         self.observers: list = []
         # Statistics (line-granularity operations)
         self.load_ops = 0
@@ -222,11 +222,9 @@ class CacheCoherentHierarchy:
     def fold_hit_counters(self, loads_hit: int, stores_hit: int) -> None:
         """Fold a batch of inline-retired L1 hits into the op counters.
 
-        The processor's fast path (the inline L1 probe of its per-op
-        arms) counts guaranteed hits in loop-locals
-        and fold them here once per scheduling slice — the per-access paths
-        (:meth:`load_line` / :meth:`store_line`) bump the same counters
-        one at a time, so totals are mode-independent.
+        The processor's inline L1 probe counts hits in loop-locals and
+        folds them here once per scheduling slice; :meth:`load_line` and
+        :meth:`store_line` bump the same counters one at a time.
         """
         self.load_ops += loads_hit
         self.store_ops += stores_hit
@@ -253,11 +251,6 @@ class CacheCoherentHierarchy:
             for l1 in self.l1s
         )
 
-    def _notify(self, kind: str, core: int, line: int, now_fs: int,
-                done_fs: int) -> None:
-        for observer in self.observers:
-            observer(kind, core, line, now_fs, done_fs)
-
     # ------------------------------------------------------------------
     # Coherence helpers
     # ------------------------------------------------------------------
@@ -276,6 +269,8 @@ class CacheCoherentHierarchy:
         broadcast charges the peers it would snoop in that order (up to
         the M/E owner, else all), each a tag lookup (Section 3.2).
         """
+        if not self._coherent:
+            return None
         mask = self._presence.get(line, 0) & ~(1 << requester)
         owner = best = None
         probed = 0
@@ -286,7 +281,7 @@ class CacheCoherentHierarchy:
             entry = self.l1s[core].lookup(line)
             if entry is None:
                 continue
-            if entry.state in (MesiState.MODIFIED, MesiState.EXCLUSIVE):
+            if entry.state in (_MODIFIED, _EXCLUSIVE):
                 owner = (core, entry.state)
                 break
             if best is None:
@@ -305,6 +300,8 @@ class CacheCoherentHierarchy:
 
         Charged like :meth:`_find_owner`, but a broadcast reaches all peers.
         """
+        if not self._coherent:
+            return False
         mine = self._core_bits[requester]
         held = self._presence.get(line, 0)
         mask = held & ~mine
@@ -330,111 +327,138 @@ class CacheCoherentHierarchy:
                     any_remote = True
         return any_remote
 
-    def _drop_holder(self, line: int, core: int) -> None:
-        held = self._presence.get(line, 0) & ~self._core_bits[core]
-        if held:
-            self._presence[line] = held
-        else:
-            self._presence.pop(line, None)
-
     # ------------------------------------------------------------------
-    # Fill path
+    # The miss walk
     # ------------------------------------------------------------------
-
-    def _install(self, core: int, line: int, state: MesiState, when_fs: int,
-                 ready_fs: int = 0, prefetched: bool = False) -> None:
-        """Install a line in a core's L1, handling the victim write-back.
-
-        ``when_fs`` is the *issue* time of the demand access that caused
-        the fill, not the fill-completion time: victim write-backs sit in
-        a write-back buffer and drain at low priority, so charging their
-        resource occupancy at (or before) the demand's own walk keeps
-        acquisitions in time order and never blocks a later demand
-        request behind a posted write.
-        """
-        victim = self.l1s[core].insert(line, state, ready_fs, prefetched)
-        if self._num_peers:
-            presence = self._presence
-            bit = self._core_bits[core]
-            held = presence.get(line)
-            presence[line] = bit if held is None else held | bit
-            if victim is not None:
-                self._drop_holder(victim.line, core)
-        if victim is not None and victim.state is MesiState.MODIFIED:
-            self.writeback(core, victim.line, when_fs)
 
     def writeback(self, core: int, line: int, now_fs: int) -> int:
         """Write a dirty L1 line back to the L2 (posted; returns done time)."""
         self.l1_writebacks += 1
-        uncore = self.uncore
-        bus, xbar_up, _, _ = self._core_ports[core]
-        line_bytes = uncore.line_bytes
-        t = bus.req.transfer(now_fs, line_bytes)
-        t = xbar_up.transfer(t, line_bytes)
-        return uncore.l2_write(line, t)
+        req, up = self._core_ports[core][:2]
+        line_bytes = self.uncore.line_bytes
+        t = up.transfer(req.transfer(now_fs, line_bytes), line_bytes)
+        return self.uncore.l2_write(line, t)
 
-    def _fetch(self, core: int, line: int, now_fs: int, for_write: bool,
-               refill: bool = True) -> int:
-        """The miss walk: cluster bus, snoop, crossbar, L2, DRAM.
+    def _walk(self, core: int, line: int, now_fs: int, for_write: bool,
+              refill: bool = True, req_fs: int = -1,
+              prefetched: bool = False) -> int:
+        """Fill ``line`` into ``core``'s L1; returns when the line lands.
 
-        Returns the time the requested line is installed in the L1.
+        A demand miss (``req_fs`` < 0) requests at ``now_fs``, probes
+        the peers, and takes the line from an owner or the L2, or (a
+        store without ``refill``) just validates it.  A prefetch fill
+        requests at ``req_fs``, reads the L2 (its caller found no peer
+        copy) and installs the line ready when it lands.  Every L2 read
+        leaves its request's crossbar time in ``_sent_fs``.  A dirty
+        victim's write-back is posted at ``now_fs``: it drains from a
+        write-back buffer and must not block a later demand.
+
+        Each hop is one ``OccupancyResource.serve``, with the bytes
+        counted as ``_Link.control`` / ``transfer`` count them.  Inline
+        copies: the empty-mask charges of :meth:`_find_owner` and
+        :meth:`_invalidate_peers`, the L2 hit, ``SetAssocCache.insert``,
+        the presence update, and :meth:`writeback` with
+        ``Uncore.l2_write``.  Peer copies and ``Uncore.l2_miss`` (shared
+        with the DMA loops) stay calls.
         """
+        req, up, down, resp, cluster, bus_ctl, bus_line, xbar_ctl, \
+            xbar_line = self._core_ports[core]
         uncore = self.uncore
-        bus, xbar_up, xbar_down, cluster = self._core_ports[core]
+        l2_sets, l2_mask, banks, num_banks, bank_fs = self._l2_route
         line_bytes = uncore.line_bytes
-        t = bus.req.control(now_fs)
-
-        if self._no_peers:
-            owner = None
-        else:
-            owner = self._find_owner(line, core)
-            if for_write and self._invalidate_peers(line, core):
-                t = xbar_up.control(t)
-
+        presence = self._presence
+        owner = None
+        t = req.serve(now_fs if req_fs < 0 else req_fs, bus_ctl)
+        if req_fs < 0 and self._coherent:
+            if presence.get(line, 0) & ~self._core_bits[core]:
+                owner = self._find_owner(line, core)
+                if for_write and self._invalidate_peers(line, core):
+                    t = up.serve(t, xbar_ctl)
+            elif self._directory_mode:
+                self.directory_lookups += 2 if for_write else 1
+            else:
+                self.snoop_lookups += self._num_peers * (2 if for_write else 1)
         if owner is not None:
             owner_core, owner_state = owner
-            owner_cluster = self.cluster_of[owner_core]
             self.cache_to_cache += 1
-            if owner_cluster != cluster:
+            if self.cluster_of[owner_core] != cluster:
                 # Remote supply: request over the crossbar, data back over it.
-                t = xbar_up.control(t)
-                t = self._core_ports[owner_core][0].resp.transfer(t, line_bytes)
-                t = xbar_down.transfer(t, line_bytes)
-            t = bus.resp.transfer(t, line_bytes)
+                t = up.serve(t, xbar_ctl)
+                owner_resp = self._core_ports[owner_core][3]
+                owner_resp.bytes_moved += line_bytes
+                t = owner_resp.serve(t, bus_line)
+                down.bytes_moved += line_bytes
+                t = down.serve(t, xbar_line)
+            resp.bytes_moved += line_bytes
+            t = resp.serve(t, bus_line)
             if for_write:
                 # Ownership (and any dirty data) moves to the requester;
                 # the owner was invalidated above.
-                self._install(core, line, MesiState.MODIFIED, now_fs)
+                state = _MODIFIED
             else:
-                owner_entry = self.l1s[owner_core].lookup(line)
-                if owner_state is MesiState.MODIFIED:
+                if owner_state is _MODIFIED:
                     # Downgrade with write-back so the L2 holds a clean copy.
-                    self.uncore.l2_write(line, t)
-                if owner_entry is not None:
-                    owner_entry.state = MesiState.SHARED
-                self._install(core, line, MesiState.SHARED, now_fs)
-            return t
-
-        # No on-chip L1 copy: go to the L2 (and DRAM beyond it).
-        if for_write and not refill:
+                    uncore.l2_write(line, t)
+                self.l1s[owner_core].lookup(line).state = _SHARED
+                state = _SHARED
+        elif for_write and not refill:
             # PFS / no-allocate: validate the line without reading old data.
             self.refills_avoided += 1
-            self._install(core, line, MesiState.MODIFIED, now_fs)
-            return t
-        t = xbar_up.control(t)
-        t = uncore.l2_read(line, t)
-        t = xbar_down.transfer(t, line_bytes)
-        t = bus.resp.transfer(t, line_bytes)
-        state = MesiState.MODIFIED if for_write else MesiState.EXCLUSIVE
-        self._install(core, line, state, now_fs)
+            state = _MODIFIED
+        else:
+            # No on-chip L1 copy: go to the L2 (and DRAM beyond it).
+            t = self._sent_fs = up.serve(t, xbar_ctl)
+            uncore.l2_reads += 1
+            l2_set = l2_sets[line & l2_mask]
+            t = banks[line % num_banks].serve(t, bank_fs)
+            if line in l2_set:
+                l2_set.move_to_end(line)
+                uncore.l2_read_hits += 1
+            else:
+                t = uncore.l2_miss(line, t, line_bytes, False)
+            down.bytes_moved += line_bytes
+            t = down.serve(t, xbar_line)
+            resp.bytes_moved += line_bytes
+            t = resp.serve(t, bus_line)
+            state = _MODIFIED if for_write else _EXCLUSIVE
+        l1 = self.l1s[core]
+        l1_set = l1._sets[line & l1._set_mask]
+        victim = None
+        if len(l1_set) >= l1.associativity:
+            victim = l1_set.popitem(last=False)[1]
+        else:
+            l1._resident += 1
+        l1_set[line] = CacheLine(line, state, t if req_fs >= 0 else 0,
+                                 prefetched)
+        if self._num_peers:
+            bit = self._core_bits[core]
+            presence[line] = presence.get(line, 0) | bit
+            if victim is not None:
+                if presence[victim.line] == bit:
+                    del presence[victim.line]
+                else:
+                    presence[victim.line] ^= bit
+        if victim is not None and victim.state is _MODIFIED:
+            vline = victim.line
+            self.l1_writebacks += 1
+            req.bytes_moved += line_bytes
+            up.bytes_moved += line_bytes
+            w = up.serve(req.serve(now_fs, bus_line), xbar_line)
+            uncore.l2_writes += 1
+            l2_set = l2_sets[vline & l2_mask]
+            entry = l2_set.get(vline)
+            w = banks[vline % num_banks].serve(w, bank_fs)
+            if entry is not None:
+                l2_set.move_to_end(vline)
+                uncore.l2_write_hits += 1
+                entry.state = _MODIFIED
+            else:
+                uncore.l2_miss(vline, w, line_bytes, True)
         return t
 
     def _issue_prefetches(self, core: int, lines: list[int], now_fs: int) -> None:
         """Fetch prefetch candidates and install them with a future ready time."""
         l1 = self.l1s[core]
-        bus, xbar_up, xbar_down, _ = self._core_ports[core]
-        uncore = self.uncore
-        line_bytes = uncore.line_bytes
         inflight = self._inflight[core]
         if inflight:
             inflight[:] = [t for t in inflight if t > now_fs]
@@ -442,20 +466,13 @@ class CacheCoherentHierarchy:
             if len(inflight) >= self._mshr_limit - 1:
                 self.prefetch_mshr_drops += 1
                 break
-            if l1.lookup(pline) is not None:
-                continue
-            if self._find_owner(pline, core) is not None:
-                # Keep the prefetcher simple: skip lines another core owns.
+            # Keep the prefetcher simple: skip lines another core owns.
+            if (l1.lookup(pline) is not None
+                    or self._find_owner(pline, core) is not None):
                 continue
             self.prefetches_issued += 1
-            t = bus.req.control(now_fs)
-            t = xbar_up.control(t)
-            t = uncore.l2_read(pline, t)
-            t = xbar_down.transfer(t, line_bytes)
-            t = bus.resp.transfer(t, line_bytes)
-            self._install(core, pline, MesiState.EXCLUSIVE, now_fs,
-                          ready_fs=t, prefetched=True)
-            inflight.append(t)
+            inflight.append(self._walk(core, pline, now_fs, False,
+                                       req_fs=now_fs, prefetched=True))
 
     def bulk_prefetch(self, core: int, first_line: int, last_line: int,
                       now_fs: int) -> int:
@@ -470,27 +487,16 @@ class CacheCoherentHierarchy:
         not block on it).
         """
         l1 = self.l1s[core]
-        bus, xbar_up, xbar_down, _ = self._core_ports[core]
-        uncore = self.uncore
-        line_bytes = uncore.line_bytes
-        done = now_fs
-        t = now_fs
+        done = t = now_fs
         for line in range(first_line, last_line + 1):
-            if l1.lookup(line) is not None:
-                continue
-            if self._find_owner(line, core) is not None:
-                # Like the hardware prefetcher: leave shared lines to the
-                # demand path's coherence actions.
+            # Like the hardware prefetcher: leave shared lines to the
+            # demand path's coherence actions.
+            if (l1.lookup(line) is not None
+                    or self._find_owner(line, core) is not None):
                 continue
             self.bulk_prefetches += 1
-            t = bus.req.control(t)
-            t = xbar_up.control(t)
-            fill = uncore.l2_read(line, t)
-            fill = xbar_down.transfer(fill, line_bytes)
-            fill = bus.resp.transfer(fill, line_bytes)
-            self._install(core, line, MesiState.EXCLUSIVE, now_fs,
-                          ready_fs=fill, prefetched=False)
-            done = max(done, fill)
+            done = max(done, self._walk(core, line, now_fs, False, req_fs=t))
+            t = self._sent_fs
         return done
 
     # ------------------------------------------------------------------
@@ -512,16 +518,16 @@ class CacheCoherentHierarchy:
                 prefetcher = self.prefetchers[core]
                 if prefetcher is not None:
                     self._issue_prefetches(core, prefetcher.on_tagged_hit(line), now_fs)
-            if self.observers:
-                self._notify("load", core, line, now_fs, done)
+            for observer in self.observers:
+                observer("load", core, line, now_fs, done)
             return done
         self.load_misses += 1
-        done = self._fetch(core, line, now_fs, for_write=False)
+        done = self._walk(core, line, now_fs, False)
         prefetcher = self.prefetchers[core]
         if prefetcher is not None:
             self._issue_prefetches(core, prefetcher.on_miss(line), now_fs)
-        if self.observers:
-            self._notify("load", core, line, now_fs, done)
+        for observer in self.observers:
+            observer("load", core, line, now_fs, done)
         return done
 
     def store_line(self, core: int, line: int, now_fs: int,
@@ -535,16 +541,16 @@ class CacheCoherentHierarchy:
         self.store_ops += 1
         entry = self.l1s[core].touch(line)
         if entry is not None:
-            if entry.state is MesiState.SHARED:
+            if entry.state is _SHARED:
                 self.upgrades += 1
-                bus, xbar_up, _, _ = self._core_ports[core]
-                t = bus.req.control(now_fs)
+                req, up = self._core_ports[core][:2]
+                t = req.control(now_fs)
                 if self._invalidate_peers(line, core):
-                    xbar_up.control(t)
-            entry.state = MesiState.MODIFIED
+                    up.control(t)
+            entry.state = _MODIFIED
             entry.prefetched = False
-            if self.observers:
-                self._notify("store", core, line, now_fs, now_fs)
+            for observer in self.observers:
+                observer("store", core, line, now_fs, now_fs)
             return 0
         self.store_misses += 1
         if self._no_write_allocate and not no_allocate:
@@ -552,13 +558,10 @@ class CacheCoherentHierarchy:
             # without allocating in the L1.
             self._invalidate_peers(line, core)
             done = self.writeback(core, line, now_fs)
-            if self.observers:
-                self._notify("store", core, line, now_fs, now_fs)
-            return self.store_buffers[core].push(now_fs, done)
-        refill = not no_allocate
-        done = self._fetch(core, line, now_fs, for_write=True, refill=refill)
-        if self.observers:
-            self._notify("store", core, line, now_fs, now_fs)
+        else:
+            done = self._walk(core, line, now_fs, True, not no_allocate)
+        for observer in self.observers:
+            observer("store", core, line, now_fs, now_fs)
         return self.store_buffers[core].push(now_fs, done)
 
     # ------------------------------------------------------------------
@@ -576,12 +579,12 @@ class CacheCoherentHierarchy:
         flushed = now_fs
         for line in range(first_line, last_line + 1):
             entry = l1.lookup(line)
-            if entry is not None and entry.state is MesiState.MODIFIED:
-                entry.state = MesiState.SHARED
+            if entry is not None and entry.state is _MODIFIED:
+                entry.state = _SHARED
                 self.flushes += 1
                 flushed = max(flushed, self.writeback(core, line, now_fs))
-                if self.observers:
-                    self._notify("flush", core, line, now_fs, now_fs)
+                for observer in self.observers:
+                    observer("flush", core, line, now_fs, now_fs)
         return flushed
 
     def invalidate_range(self, core: int, first_line: int, last_line: int,
@@ -596,12 +599,14 @@ class CacheCoherentHierarchy:
             victim = l1.invalidate(line)
             if victim is not None:
                 self.invalidates += 1
-                self._drop_holder(line, core)
-                if victim.state is MesiState.MODIFIED:
+                held = self._presence.pop(line, 0) & ~self._core_bits[core]
+                if held:
+                    self._presence[line] = held
+                if victim.state is _MODIFIED:
                     self.writeback(core, line, now_fs)
                     self.dirty_invalidates += 1
-                if self.observers:
-                    self._notify("invalidate", core, line, now_fs, now_fs)
+                for observer in self.observers:
+                    observer("invalidate", core, line, now_fs, now_fs)
 
     # ------------------------------------------------------------------
     # End-of-run settling
@@ -615,14 +620,13 @@ class CacheCoherentHierarchy:
         to use less bandwidth than one that wrote it out during the run.
         """
         t = now_fs
-        modified = MesiState.MODIFIED
         for buffer in self.store_buffers:
             t = max(t, buffer.drain_time(now_fs))
         for core, l1 in enumerate(self.l1s):
             for cache_set in l1._sets:
                 for entry in cache_set.values():
-                    if entry.state is modified:
-                        entry.state = MesiState.SHARED
+                    if entry.state is _MODIFIED:
+                        entry.state = _SHARED
                         t = max(t, self.writeback(core, entry.line, t))
         return max(t, self.uncore.flush(t))
 
@@ -653,11 +657,7 @@ class IncoherentCacheHierarchy(CacheCoherentHierarchy):
     whose threads write disjoint cache lines in between.
     """
 
-    def _find_owner(self, line: int, requester: int) -> None:
-        return None
-
-    def _invalidate_peers(self, line: int, requester: int) -> bool:
-        return False
+    _coherent = False
 
 
 class StreamingHierarchy(CacheCoherentHierarchy):

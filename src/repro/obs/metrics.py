@@ -172,6 +172,8 @@ class MetricsRegistry:
                              lambda bank=bank: bank.busy_fs)
             registry.counter(f"{comp}.wait_fs", comp, "fs",
                              lambda bank=bank: bank.wait_fs)
+            registry.counter(f"{comp}.backfills", comp, "ops",
+                             lambda bank=bank: bank.backfills)
 
         dram = uncore.dram
         for stat in ("read_bytes", "write_bytes"):
@@ -188,6 +190,8 @@ class MetricsRegistry:
                              lambda channel=channel: channel.busy_fs)
             registry.counter(f"{comp}.wait_fs", comp, "fs",
                              lambda channel=channel: channel.wait_fs)
+            registry.counter(f"{comp}.backfills", comp, "ops",
+                             lambda channel=channel: channel.backfills)
 
         links = [link for bus in uncore.buses for link in bus.links()]
         links.extend(uncore.xbar.links())
@@ -201,6 +205,8 @@ class MetricsRegistry:
                              lambda link=link: link.busy_fs)
             registry.counter(f"{comp}.wait_fs", comp, "fs",
                              lambda link=link: link.wait_fs)
+            registry.counter(f"{comp}.backfills", comp, "ops",
+                             lambda link=link: link.backfills)
 
         for i, engine in enumerate(getattr(hierarchy, "dma_engines", ())):
             comp = f"dma.{i}"

@@ -71,13 +71,6 @@ class EventQueue:
         heapq.heappush(self._heap, (time_fs, self._seq, callback))
         self._seq += 1
 
-    def pop(self) -> tuple[int, Callable[[], None]]:
-        """Remove and return the earliest (time, callback) pair."""
-        if not self._heap:
-            raise SimulationError("pop from empty event queue")
-        time_fs, _, callback = heapq.heappop(self._heap)
-        return time_fs, callback
-
     def peek_time(self) -> int | None:
         """Return the timestamp of the earliest event, or None if empty."""
         if not self._heap:

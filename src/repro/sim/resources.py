@@ -47,7 +47,7 @@ class OccupancyResource:
     """
 
     __slots__ = ("name", "latency_fs", "busy_fs", "wait_fs", "requests",
-                 "_starts", "_ends")
+                 "backfills", "_starts", "_ends")
 
     def __init__(self, name: str, latency_fs: int = 0) -> None:
         if latency_fs < 0:
@@ -57,6 +57,9 @@ class OccupancyResource:
         self.busy_fs = 0
         self.wait_fs = 0
         self.requests = 0
+        #: Requests placed by the first-fit branch: arrivals before the
+        #: last busy interval, which search for the first gap that fits.
+        self.backfills = 0
         # Disjoint, sorted busy intervals; _ends mirrors the interval end
         # points so arrival lookup can bisect.
         self._starts: list[int] = []
@@ -105,35 +108,38 @@ class OccupancyResource:
             return end + self.latency_fs
         # Backfill: walk from the first interval that ends after the
         # arrival to the first gap that fits.
+        self.backfills += 1
         index = bisect_right(ends, now_fs)
         t = now_fs
-        while index < len(starts):
-            if starts[index] - t >= service_fs:
-                break  # the gap before this interval fits
-            if ends[index] > t:
-                t = ends[index]
-            index += 1
-        self.wait_fs += t - now_fs
+        # The arrival is before the last end, so ``index`` is in range;
+        # most backfills fit the gap they land in and skip the walk.
+        if starts[index] - t < service_fs:
+            while index < len(starts):
+                if starts[index] - t >= service_fs:
+                    break  # the gap before this interval fits
+                if ends[index] > t:
+                    t = ends[index]
+                index += 1
+            self.wait_fs += t - now_fs
         end = t + service_fs
+        if not service_fs:
+            return end + self.latency_fs  # no calendar entry
         # Insert, merging with touching neighbours to keep the list small.
-        merge_prev = index > 0 and ends[index - 1] == t
-        merge_next = index < len(starts) and starts[index] == end
-        if service_fs == 0:
-            pass  # zero-length reservations need no calendar entry
-        elif merge_prev and merge_next:
-            ends[index - 1] = ends[index]
-            del starts[index]
-            del ends[index]
-        elif merge_prev:
-            ends[index - 1] = end
-        elif merge_next:
+        if index and ends[index - 1] == t:
+            if index < len(starts) and starts[index] == end:
+                ends[index - 1] = ends[index]
+                del starts[index]
+                del ends[index]
+            else:
+                ends[index - 1] = end
+        elif index < len(starts) and starts[index] == end:
             starts[index] = t
         else:
             starts.insert(index, t)
             ends.insert(index, end)
-        if len(starts) >= _TRIM_AT:
-            del starts[:_MAX_INTERVALS]
-            del ends[:_MAX_INTERVALS]
+            if len(starts) >= _TRIM_AT:
+                del starts[:_MAX_INTERVALS]
+                del ends[:_MAX_INTERVALS]
         return end + self.latency_fs
 
     def utilization(self, total_fs: int) -> float:

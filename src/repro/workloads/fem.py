@@ -16,7 +16,7 @@ its elements in-place" case).
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.config import MachineConfig
 from repro.core.ops import (
@@ -41,6 +41,10 @@ from repro.workloads.base import (
     register,
 )
 
+# numpy is imported where it is used: it is most of `import repro`.
+if TYPE_CHECKING:
+    import numpy as np
+
 #: Bytes of one cell's full state record (4 cache lines).
 CELL_BYTES = 128
 #: Bytes of the neighbour flux field gathered per adjacent cell.
@@ -56,6 +60,8 @@ def build_mesh(rows: int, cols: int, seed: int,
     ids are pairwise swapped, introducing the irregularity of a real
     unstructured mesh while keeping most accesses local.
     """
+    import numpy as np
+
     n = rows * cols
     ids = np.arange(n)
     rng = np.random.default_rng(seed)

@@ -20,7 +20,7 @@ lower-level accesses.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.config import MachineConfig
 from repro.core.ops import (
@@ -43,6 +43,10 @@ from repro.workloads.base import (
     Workload,
     register,
 )
+
+# numpy is imported where it is used: it is most of `import repro`.
+if TYPE_CHECKING:
+    import numpy as np
 
 NODE_BYTES = 32
 TRIANGLE_BYTES = 64
@@ -107,6 +111,8 @@ class RaytracerWorkload(Workload):
         a chunk come from nearby pixels, so their upper-level decisions
         correlate: the first few levels are shared within the chunk.
         """
+        import numpy as np
+
         rng = np.random.default_rng(params["seed"] * 100003 + chunk)
         depth = params["tree_depth"]
         rays = params["chunk_rays"]

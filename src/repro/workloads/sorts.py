@@ -30,7 +30,7 @@ runs the complete network so tests can verify the schedule sorts.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.config import MachineConfig
 from repro.core.ops import (
@@ -59,6 +59,10 @@ from repro.workloads.base import (
     partition,
     register,
 )
+
+# numpy is imported where it is used: it is most of `import repro`.
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def bitonic_pass_schedule(n_keys: int, full_network: bool) -> list[tuple[int, int]]:
@@ -98,6 +102,8 @@ def apply_bitonic_pass(arr: np.ndarray, stride: int, block: int) -> np.ndarray:
     direction alternates per ``block`` elements, which is what makes the
     full network sort arbitrary inputs.
     """
+    import numpy as np
+
     n = arr.size
     view = arr.reshape(-1, 2 * stride)
     lo = view[:, :stride]
@@ -159,6 +165,8 @@ class BitonicSortWorkload(Workload):
         Each pass entry is ``(stride_keys, dirty_line_flags)``.  The final
         array is kept on the instance (``last_sorted``) for tests.
         """
+        import numpy as np
+
         n = params["n_keys"]
         rng = np.random.default_rng(params["seed"])
         if params["nearly_sorted"]:

@@ -184,6 +184,19 @@ class PerGranuleEngine(DmaEngine):
                 position += size
                 remaining -= size
 
+    def _read_line(self, line, now_fs):
+        """The old ``Uncore.l2_read``: a whole-line read through the L2,
+        allocating on a miss."""
+        uncore = self.uncore
+        uncore.l2_reads += 1
+        entry = uncore.l2.touch(line)
+        bank = uncore.l2_banks[line % uncore._num_banks]
+        sent = bank.serve(now_fs, uncore._l2_service_fs)
+        if entry is not None:
+            uncore.l2_read_hits += 1
+            return sent
+        return uncore.l2_miss(line, sent, self.line_bytes, False)
+
     def _read_partial(self, line, nbytes, now_fs):
         """The old ``Uncore.l2_read_partial``: hits count, a miss moves
         only the requested bytes and allocates nothing."""
@@ -215,7 +228,7 @@ class PerGranuleEngine(DmaEngine):
             line = gran_addr // line_bytes
             t = xbar_control(t)
             if gran_size == line_bytes:
-                t = uncore.l2_read(line, t)
+                t = self._read_line(line, t)
             else:
                 t = self._read_partial(line, gran_size, t)
             t = xbar_down(t, gran_size)

@@ -135,11 +135,13 @@ class TestUncore:
         assert n_lines > 0
 
     def test_l2_read_hit_does_not_touch_dram(self):
-        unc = Uncore(MachineConfig(num_cores=1))
-        unc.l2_read(3, 0)
+        h = hierarchy(cores=1)
+        unc = h.uncore
+        h.load_line(0, 3, 0)
         reads = unc.dram.read_bytes
         hits = unc.l2_read_hits
-        unc.l2_read(3, 10**9)
+        h.invalidate_range(0, 3, 3, 10**9)      # clean: no write-back
+        h.load_line(0, 3, 10**9)
         assert unc.l2_read_hits == hits + 1
         assert unc.dram.read_bytes == reads
 

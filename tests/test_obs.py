@@ -89,6 +89,9 @@ class TestFromSystem:
         assert {"sim.events", "core.0.instructions", "core.1.instructions",
                 "l1.0.occupancy", "l1.load_ops", "l2.reads", "l2.occupancy",
                 "dram.read_bytes"} <= names
+        # Every calendar reports its first-fit backfills.
+        assert {"bus.0.req.backfills", "xbar.down.0.backfills",
+                "l2.bank.0.backfills", "dram.ch.0.backfills"} <= names
         # Coherent model has no DMA engines or local stores.
         assert not any(n.startswith(("dma.", "ls.")) for n in names)
 

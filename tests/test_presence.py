@@ -1,13 +1,20 @@
-"""The presence map against the full peer scan it replaced.
+"""The flat miss walk against the method chain it replaced.
 
-Both coherence modes find a miss's supplier through one per-line
-presence bitmask and probe only the L1s that hold the line; broadcast
-mode still charges the snoops a real broadcast would make.  The oracle
-below restores the old walk over every peer (broadcast) or over the
-exact sharer set (directory), and the prefetch walks that index the
-uncore's ports per line.  Every drawn op sequence must produce the same
-returned times, the same counters and the same L1 contents, LRU order
-and states, and the presence map must match L1 residency after every op.
+``CacheCoherentHierarchy._walk`` serves every L1 fill in one body, with
+inline copies of the peer probe's charges, the L2 hit, the L1 install,
+the presence update and the victim write-back.  The reference walker
+below is the chain that body replaced, kept standalone: ``_fetch`` over
+``_Link.control`` / ``transfer``, ``l2_read`` / ``l2_write`` /
+``l2_miss`` / ``_evict``, ``_install`` through ``SetAssocCache.insert``
+and ``writeback``, with the full peer scan (every peer in broadcast
+mode, the exact sharer set in directory mode) instead of the presence
+map, and prefetch walks that index the uncore's ports per line.
+
+Every drawn op sequence must leave both with the same returned times,
+hierarchy counters, L1 contents (LRU order, states, ready times), every
+link, L2 bank and DRAM calendar with its counters and bytes, the uncore
+L2 counters and L2 contents, and the DRAM counters; with two or more
+cores the presence map must also match L1 residency after every op.
 """
 
 from dataclasses import replace
@@ -16,12 +23,10 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from repro import MachineConfig
-from repro.config import CacheConfig, CoherenceKind
+from repro.config import CacheConfig, CoherenceKind, WritePolicy
 from repro.mem.coherence import MesiState
 from repro.mem.hierarchy import (CacheCoherentHierarchy,
-                                 IncoherentCacheHierarchy)
-
-TINY_L1 = CacheConfig(capacity_bytes=512, associativity=2)
+                                 IncoherentCacheHierarchy, StreamingHierarchy)
 
 COUNTERS = ("load_ops", "store_ops", "load_misses", "store_misses",
             "upgrades", "invalidations_sent", "snoop_lookups",
@@ -29,10 +34,16 @@ COUNTERS = ("load_ops", "store_ops", "load_misses", "store_misses",
             "prefetches_issued", "prefetch_mshr_drops", "bulk_prefetches",
             "flushes", "invalidates", "dirty_invalidates",
             "prefetch_useful", "prefetch_late_fs", "refills_avoided")
+UNCORE_COUNTERS = ("l2_reads", "l2_read_hits", "l2_writes", "l2_write_hits",
+                   "l2_writebacks", "l2_refills_avoided")
+DRAM_COUNTERS = ("read_bytes", "write_bytes", "read_accesses",
+                 "write_accesses", "row_hits", "row_misses")
 
 
-class _FullScan:
-    """The pre-presence-map walk: probe every candidate peer in turn."""
+class _Reference:
+    """The pre-flattening miss chain, with the full peer scan."""
+
+    # -- peers ----------------------------------------------------------
 
     def _peers(self, line, requester):
         peers = [c for c in range(len(self.l1s)) if c != requester]
@@ -66,10 +77,129 @@ class _FullScan:
                     any_remote = True
         return any_remote
 
+    def _drop_holder(self, line, core):
+        held = self._presence.get(line, 0) & ~self._core_bits[core]
+        if held:
+            self._presence[line] = held
+        else:
+            self._presence.pop(line, None)
+
+    # -- the uncore: Uncore.l2_read / l2_write / l2_miss / _evict --------
+
+    def _l2_read(self, line, now_fs):
+        u = self.uncore
+        u.l2_reads += 1
+        entry = u.l2.touch(line)
+        sent = u.l2_banks[line % len(u.l2_banks)].serve(now_fs,
+                                                       u._l2_service_fs)
+        if entry is not None:
+            u.l2_read_hits += 1
+            return sent
+        return self._l2_miss(line, sent, False)
+
+    def _l2_write(self, line, now_fs):
+        u = self.uncore
+        u.l2_writes += 1
+        entry = u.l2.touch(line)
+        sent = u.l2_banks[line % len(u.l2_banks)].serve(now_fs,
+                                                       u._l2_service_fs)
+        if entry is not None:
+            u.l2_write_hits += 1
+            entry.state = MesiState.MODIFIED
+            return sent
+        return self._l2_miss(line, sent, True)
+
+    def _l2_miss(self, line, sent_fs, write):
+        u = self.uncore
+        if write:
+            u.l2_refills_avoided += 1
+            self._evict(u.l2.insert(line, MesiState.MODIFIED), sent_fs)
+            return sent_fs
+        done = u.dram.access(sent_fs, u.line_bytes, line * u.line_bytes,
+                             False)
+        self._evict(u.l2.insert(line, MesiState.EXCLUSIVE), sent_fs)
+        return done
+
+    def _evict(self, victim, when_fs):
+        u = self.uncore
+        if victim is not None and victim.state is MesiState.MODIFIED:
+            u.l2_writebacks += 1
+            u.dram.access(when_fs, u.line_bytes, victim.line * u.line_bytes,
+                          True)
+
+    # -- the fill chain ---------------------------------------------------
+
+    def _ports(self, core):
+        u = self.uncore
+        cluster = self.cluster_of[core]
+        return (u.buses[cluster], u.xbar.up[cluster], u.xbar.down[cluster],
+                cluster)
+
+    def _install(self, core, line, state, when_fs, ready_fs=0,
+                 prefetched=False):
+        victim = self.l1s[core].insert(line, state, ready_fs, prefetched)
+        if self._num_peers:
+            presence = self._presence
+            bit = self._core_bits[core]
+            held = presence.get(line)
+            presence[line] = bit if held is None else held | bit
+            if victim is not None:
+                self._drop_holder(victim.line, core)
+        if victim is not None and victim.state is MesiState.MODIFIED:
+            self.writeback(core, victim.line, when_fs)
+
+    def writeback(self, core, line, now_fs):
+        self.l1_writebacks += 1
+        bus, xbar_up, _, _ = self._ports(core)
+        line_bytes = self.uncore.line_bytes
+        t = bus.req.transfer(now_fs, line_bytes)
+        t = xbar_up.transfer(t, line_bytes)
+        return self._l2_write(line, t)
+
+    def _fetch(self, core, line, now_fs, for_write, refill=True):
+        bus, xbar_up, xbar_down, cluster = self._ports(core)
+        line_bytes = self.uncore.line_bytes
+        t = bus.req.control(now_fs)
+        owner = self._find_owner(line, core)
+        if for_write and self._invalidate_peers(line, core):
+            t = xbar_up.control(t)
+        if owner is not None:
+            owner_core, owner_state = owner
+            self.cache_to_cache += 1
+            if self.cluster_of[owner_core] != cluster:
+                t = xbar_up.control(t)
+                t = self._ports(owner_core)[0].resp.transfer(t, line_bytes)
+                t = xbar_down.transfer(t, line_bytes)
+            t = bus.resp.transfer(t, line_bytes)
+            if for_write:
+                self._install(core, line, MesiState.MODIFIED, now_fs)
+            else:
+                owner_entry = self.l1s[owner_core].lookup(line)
+                if owner_state is MesiState.MODIFIED:
+                    self._l2_write(line, t)
+                if owner_entry is not None:
+                    owner_entry.state = MesiState.SHARED
+                self._install(core, line, MesiState.SHARED, now_fs)
+            return t
+        if for_write and not refill:
+            self.refills_avoided += 1
+            self._install(core, line, MesiState.MODIFIED, now_fs)
+            return t
+        t = xbar_up.control(t)
+        t = self._l2_read(line, t)
+        t = xbar_down.transfer(t, line_bytes)
+        t = bus.resp.transfer(t, line_bytes)
+        state = MesiState.MODIFIED if for_write else MesiState.EXCLUSIVE
+        self._install(core, line, state, now_fs)
+        return t
+
+    # load_line / store_line reach the demand miss through ``_walk``.
+    _walk = _fetch
+
     def _issue_prefetches(self, core, lines, now_fs):
         l1 = self.l1s[core]
-        cluster = self.cluster_of[core]
-        uncore = self.uncore
+        bus, xbar_up, xbar_down, _ = self._ports(core)
+        line_bytes = self.uncore.line_bytes
         inflight = self._inflight[core]
         if inflight:
             inflight[:] = [t for t in inflight if t > now_fs]
@@ -81,52 +211,53 @@ class _FullScan:
                     or self._find_owner(pline, core) is not None):
                 continue
             self.prefetches_issued += 1
-            t = uncore.buses[cluster].req.control(now_fs)
-            t = uncore.xbar.up[cluster].control(t)
-            t = uncore.l2_read(pline, t)
-            t = uncore.xbar.down[cluster].transfer(t, uncore.line_bytes)
-            t = uncore.buses[cluster].resp.transfer(t, uncore.line_bytes)
+            t = bus.req.control(now_fs)
+            t = xbar_up.control(t)
+            t = self._l2_read(pline, t)
+            t = xbar_down.transfer(t, line_bytes)
+            t = bus.resp.transfer(t, line_bytes)
             self._install(core, pline, MesiState.EXCLUSIVE, now_fs,
                           ready_fs=t, prefetched=True)
             inflight.append(t)
 
     def bulk_prefetch(self, core, first_line, last_line, now_fs):
         l1 = self.l1s[core]
-        cluster = self.cluster_of[core]
-        uncore = self.uncore
+        bus, xbar_up, xbar_down, _ = self._ports(core)
+        line_bytes = self.uncore.line_bytes
         done = t = now_fs
         for line in range(first_line, last_line + 1):
             if (l1.lookup(line) is not None
                     or self._find_owner(line, core) is not None):
                 continue
             self.bulk_prefetches += 1
-            t = uncore.buses[cluster].req.control(t)
-            t = uncore.xbar.up[cluster].control(t)
-            fill = uncore.l2_read(line, t)
-            fill = uncore.xbar.down[cluster].transfer(fill, uncore.line_bytes)
-            fill = uncore.buses[cluster].resp.transfer(fill, uncore.line_bytes)
+            t = bus.req.control(t)
+            t = xbar_up.control(t)
+            fill = self._l2_read(line, t)
+            fill = xbar_down.transfer(fill, line_bytes)
+            fill = bus.resp.transfer(fill, line_bytes)
             self._install(core, line, MesiState.EXCLUSIVE, now_fs,
                           ready_fs=fill, prefetched=False)
             done = max(done, fill)
         return done
 
 
-class FullScanCoherent(_FullScan, CacheCoherentHierarchy):
+class ReferenceCoherent(_Reference, CacheCoherentHierarchy):
     pass
 
 
-class FullScanIncoherent(_FullScan, IncoherentCacheHierarchy):
+class ReferenceIncoherent(_Reference, IncoherentCacheHierarchy):
     def _peers(self, line, requester):
         return []
 
 
-MODES = {
-    "broadcast": (CoherenceKind.BROADCAST, CacheCoherentHierarchy,
-                  FullScanCoherent),
-    "directory": (CoherenceKind.DIRECTORY, CacheCoherentHierarchy,
-                  FullScanCoherent),
-    "incoherent": (CoherenceKind.BROADCAST, IncoherentCacheHierarchy,
-                   FullScanIncoherent),
+class ReferenceStreaming(_Reference, StreamingHierarchy):
+    pass
+
+
+HIERARCHIES = {
+    "cc": (CacheCoherentHierarchy, ReferenceCoherent),
+    "icc": (IncoherentCacheHierarchy, ReferenceIncoherent),
+    "str": (StreamingHierarchy, ReferenceStreaming),
 }
 
 KINDS = ("load", "scan", "store", "pfs", "flush", "invalidate", "bulk")
@@ -134,7 +265,7 @@ KINDS = ("load", "scan", "store", "pfs", "flush", "invalidate", "bulk")
 op_strategy = st.tuples(
     st.sampled_from(KINDS),
     st.integers(0, 15),                 # core (mod the core count)
-    st.integers(0, 15),                 # first line: 2x an L1's 8 lines
+    st.integers(0, 15),                 # first line: 2x an L1's lines
     st.integers(0, 3),                  # extra lines for range ops
     st.integers(0, 60),                 # ns since the previous op
 )
@@ -159,17 +290,38 @@ def _apply(h, op, now_fs):
     return h.bulk_prefetch(core, line, line + extra, now_fs)
 
 
-def _trace(cls, config, ops):
+def _machine(h):
+    """Every calendar with its counters and bytes, the uncore L2 counters
+    and contents (LRU order, states), and the DRAM counters."""
+    u = h.uncore
+    resources = [*(link for bus in u.buses for link in bus.links()),
+                 *u.xbar.links(), *u.l2_banks, *u.dram.channels()]
+    calendars = [(r.name, list(r._starts), list(r._ends), r.busy_fs,
+                  r.wait_fs, r.requests, r.backfills,
+                  getattr(r, "bytes_moved", None)) for r in resources]
+    l2 = [[(line, e.state) for line, e in cache_set.items()]
+          for cache_set in u.l2._sets]
+    return (calendars, [getattr(u, n) for n in UNCORE_COUNTERS], l2,
+            [getattr(u.dram, n) for n in DRAM_COUNTERS])
+
+
+def _trace(cls, config, l1_config, ops):
     """Run ``ops`` on a fresh hierarchy; return each op's result, the
-    counters, the L1 contents in LRU order, and every (op index, line)
-    at which the presence map disagreed with L1 residency."""
-    h = cls(config, l1_config=TINY_L1)
+    hierarchy counters, the L1 contents in LRU order, the in-flight
+    prefetch fills, the uncore state, and every (op index, line) at
+    which the presence map disagreed with L1 residency."""
+    if issubclass(cls, StreamingHierarchy):
+        h = cls(config.with_(stream_l1=l1_config))
+    else:
+        h = cls(config, l1_config=l1_config)
     now = 0
     returned = []
     drift = []
     for i, op in enumerate(ops):
         now += op[-1] * 1_000_000
         returned.append(_apply(h, op, now))
+        if len(h.l1s) < 2:
+            continue            # one core keeps no presence map
         for line in range(32):          # prefetches run past line 15
             resident = tuple(c for c, l1 in enumerate(h.l1s)
                              if l1.lookup(line) is not None)
@@ -179,26 +331,46 @@ def _trace(cls, config, ops):
     contents = [[[(e.line, e.state, e.ready_fs, e.prefetched)
                   for e in cache_set.values()] for cache_set in l1._sets]
                 for l1 in h.l1s]
-    return returned, counters, contents, drift
+    return (returned, counters, contents, h._inflight, _machine(h)), drift
 
 
 # No explain phase: its per-example branch tracing over a whole
 # simulated op sequence grew a failing run past 700 MB and many minutes
 # of shrinking; without it a failure shrinks in under a minute.
-@settings(max_examples=150, deadline=None,
-          phases=[p for p in Phase if p is not Phase.explain])
-@given(mode=st.sampled_from(sorted(MODES)), cores=st.sampled_from([4, 16]),
+@settings(max_examples=max(150, settings.default.max_examples),
+          deadline=None, phases=[p for p in Phase if p is not Phase.explain])
+@given(hierarchy=st.sampled_from(sorted(HIERARCHIES)),
+       coherence=st.sampled_from([CoherenceKind.BROADCAST,
+                                  CoherenceKind.DIRECTORY]),
+       cores=st.sampled_from([1, 4, 16]),
+       line_bytes=st.sampled_from([32, 64]),
+       write_through=st.booleans(), tiny_l2=st.booleans(),
        ops=st.lists(op_strategy, min_size=30, max_size=100))
-def test_presence_map_matches_full_peer_scan(mode, cores, ops):
-    coherence, fast_cls, oracle_cls = MODES[mode]
-    config = MachineConfig(num_cores=cores,
-                           coherence=coherence).with_prefetch(depth=4)
+def test_flat_walk_matches_method_chain(hierarchy, coherence, cores,
+                                        line_bytes, write_through, tiny_l2,
+                                        ops):
+    flat_cls, reference_cls = HIERARCHIES[hierarchy]
+    policy = (WritePolicy.NO_WRITE_ALLOCATE if write_through
+              else WritePolicy.WRITE_ALLOCATE)
+    # 512 bytes, 2-way: 16 or 8 lines, so evictions come quickly.
+    l1_config = CacheConfig(capacity_bytes=512, associativity=2,
+                            line_bytes=line_bytes, write_policy=policy)
+    config = MachineConfig(num_cores=cores, coherence=coherence)
+    config = config.with_(l1=replace(config.l1, line_bytes=line_bytes))
+    if tiny_l2:
+        # 16 or 8 lines in 2-way sets: L2 LRU order and dirty L2
+        # victims come into play.
+        config = config.with_(l2=CacheConfig(capacity_bytes=512,
+                                             associativity=2,
+                                             line_bytes=line_bytes))
+    config = config.with_prefetch(depth=4)
     # Few MSHRs, so prefetch issue also stops on a full MSHR file.
     config = config.with_(core=replace(config.core, mshr_entries=3))
-    returned, counters, contents, drift = _trace(fast_cls, config, ops)
+    flat, drift = _trace(flat_cls, config, l1_config, ops)
     assert drift == []
-    want_returned, want_counters, want_contents, _ = _trace(
-        oracle_cls, config, ops)
-    assert returned == want_returned
-    assert counters == want_counters
-    assert contents == want_contents
+    reference, _ = _trace(reference_cls, config, l1_config, ops)
+    assert flat[0] == reference[0]          # returned times
+    assert flat[1] == reference[1]          # hierarchy counters
+    assert flat[2] == reference[2]          # L1 contents
+    assert flat[3] == reference[3]          # in-flight prefetch fills
+    assert flat[4] == reference[4]          # calendars, L2, DRAM

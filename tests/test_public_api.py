@@ -1,6 +1,10 @@
 """Public-API surface: everything documented must import and be exported."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -84,3 +88,18 @@ def test_version_present():
 
     major, minor, patch = repro.__version__.split(".")
     assert all(part.isdigit() for part in (major, minor, patch))
+
+
+def test_import_repro_leaves_numpy_unloaded():
+    """numpy is most of ``import repro``'s time; the workloads that use
+    it import it when they build, not when the package loads."""
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "False"

@@ -23,29 +23,24 @@ from repro.sim.resources import _MAX_INTERVALS, _TRIM_AT
 
 
 class TestEventQueue:
+    """Queue order, as the simulator's dispatch loop pops it."""
+
     def test_orders_by_time(self):
-        q = EventQueue()
+        sim = Simulator()
         fired = []
-        q.schedule(30, lambda: fired.append("c"))
-        q.schedule(10, lambda: fired.append("a"))
-        q.schedule(20, lambda: fired.append("b"))
-        while len(q):
-            _, cb = q.pop()
-            cb()
+        sim.at(30, lambda: fired.append("c"))
+        sim.at(10, lambda: fired.append("a"))
+        sim.at(20, lambda: fired.append("b"))
+        sim.run()
         assert fired == ["a", "b", "c"]
 
     def test_equal_times_fire_in_insertion_order(self):
-        q = EventQueue()
+        sim = Simulator()
         fired = []
         for i in range(5):
-            q.schedule(100, lambda i=i: fired.append(i))
-        while len(q):
-            q.pop()[1]()
+            sim.at(100, lambda i=i: fired.append(i))
+        sim.run()
         assert fired == [0, 1, 2, 3, 4]
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(SimulationError):
-            EventQueue().pop()
 
     def test_negative_time_rejected(self):
         with pytest.raises(SimulationError):
@@ -76,10 +71,11 @@ class TestEventQueue:
     @given(st.lists(st.integers(min_value=0, max_value=10**9), min_size=1,
                     max_size=200))
     def test_pop_order_is_sorted(self, times):
-        q = EventQueue()
+        sim = Simulator()
+        popped = []
         for t in times:
-            q.schedule(t, lambda: None)
-        popped = [q.pop()[0] for _ in range(len(times))]
+            sim.at(t, lambda: popped.append(sim.now))
+        sim.run()
         assert popped == sorted(times)
 
 
@@ -335,6 +331,16 @@ class TestThroughputResource:
 
 class TestBackfill:
     """The gap calendar: early arrivals use idle gaps between reservations."""
+
+    def test_backfills_count_only_gap_arrivals(self):
+        r = OccupancyResource("r")
+        r.serve(0, 10)                    # empty calendar: the tail
+        r.serve(20, 10)                   # after the last end: the tail
+        r.serve(25, 5)                    # inside the last interval
+        assert r.backfills == 0
+        r.serve(12, 4)                    # the gap [10, 20)
+        assert r.backfills == 1
+        assert r.requests == 4
 
     def test_early_arrival_backfills_gap(self):
         r = OccupancyResource("r")
