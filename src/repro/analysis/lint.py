@@ -36,6 +36,10 @@ REPRO007   no ``os.environ`` / ``os.getenv`` reads of ``REPRO_*``
            is built, so a mid-run read makes behaviour depend on when
            the environment mutates — a determinism bug.  The sanctioned
            construction-time readers carry suppression comments
+REPRO008   in ``core/``, ``mem/``, ``sim/``, ``interconnect/`` and
+           ``workloads/``: no ``id(...)`` dict key or subscript, and no
+           loop or comprehension over a ``set``/``frozenset`` literal or
+           call — addresses and str hashes change from run to run
 ========== ==========================================================
 
 A file that cannot be parsed is reported as a single ``REPRO000``
@@ -80,6 +84,9 @@ _EXACT_QUANTITY_RE = re.compile(r"(_fs|_ns|_cycles|cycle_fs)$")
 _INT_QUANTITY_RE = re.compile(r"(_fs|_cycles)$")
 
 
+#: Packages below ``repro`` whose iteration order reaches results (REPRO008).
+_DETERMINISM_SCOPE = {"core", "mem", "sim", "interconnect", "workloads"}
+
 _SUPPRESS_RE = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9_,\s]+)")
 
 #: Rule registry: id -> one-line summary.  Help text and documentation
@@ -95,6 +102,7 @@ RULES: dict[str, str] = {
     "REPRO005": "no bare assert for invariant checks",
     "REPRO006": "no float arithmetic assigned to integer clock quantities",
     "REPRO007": "no mid-run reads of REPRO_* environment escape hatches",
+    "REPRO008": "no id() keys or set iteration in simulator packages",
 }
 
 
@@ -187,6 +195,11 @@ def _exact_target_name(node: ast.AST) -> str | None:
     return None
 
 
+def _calls(node: ast.AST, *names: str) -> bool:
+    """True when ``node`` calls a bare name among ``names``."""
+    return isinstance(node, ast.Call) and _dotted_name(node.func) in names
+
+
 def _needs_unit_suffix(name: str) -> bool:
     if name.startswith("_"):
         return False
@@ -200,6 +213,10 @@ class _Visitor(ast.NodeVisitor):
     def __init__(self, path: str) -> None:
         self.path = path
         self.findings: list[Finding] = []
+        # REPRO008 checks files in a _DETERMINISM_SCOPE package of ``repro``.
+        up = Path(path).parts[::-1]     # the last ``repro`` directory wins
+        below = up[:up.index("repro")][::-1] if "repro" in up else ()
+        self.deterministic = len(below) > 1 and below[0] in _DETERMINISM_SCOPE
 
     def _add(self, node: ast.AST, rule: str, message: str) -> None:
         self.findings.append(Finding(self.path, node.lineno, node.col_offset,
@@ -242,6 +259,7 @@ class _Visitor(ast.NodeVisitor):
             self._flag_env_read(node, first.value)
 
     def visit_Subscript(self, node: ast.Subscript) -> None:
+        self._check_id_keys(node.slice)
         dotted = _dotted_name(node.value)
         if dotted.split(".")[-1] == "environ":
             key = node.slice
@@ -359,6 +377,32 @@ class _Visitor(ast.NodeVisitor):
                     self._flag_float_arith(node, name, taint)
         self.generic_visit(node)
 
+    # REPRO008 ---------------------------------------------------------
+    def _check_id_keys(self, *keys: ast.AST | None) -> None:
+        for key in keys:
+            if self.deterministic and key is not None and _calls(key, "id"):
+                self._add(key, "REPRO008", "id() as a key: object addresses "
+                          "change from run to run — key by a stable name")
+
+    def visit_Dict(self, node: ast.Dict) -> None:
+        self._check_id_keys(*node.keys)
+        self.generic_visit(node)
+
+    def visit_DictComp(self, node: ast.DictComp) -> None:
+        self._check_id_keys(node.key)
+        self.generic_visit(node)
+
+    def visit_For(self, node: ast.For | ast.AsyncFor | ast.comprehension) -> None:
+        it = node.iter
+        if self.deterministic and (isinstance(it, (ast.Set, ast.SetComp))
+                                   or _calls(it, "set", "frozenset")):
+            self._add(it, "REPRO008", "iteration over a set follows its "
+                      "hashes, and PYTHONHASHSEED changes str hashes — "
+                      "iterate a list, a dict or a sorted() copy")
+        self.generic_visit(node)
+
+    visit_AsyncFor = visit_comprehension = visit_For
+
     # REPRO004 ---------------------------------------------------------
     def _check_defaults(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
         defaults = list(node.args.defaults) + [
@@ -377,13 +421,11 @@ class _Visitor(ast.NodeVisitor):
                           "per-core components would share it — default to "
                           "None and construct inside the body")
 
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+    def visit_FunctionDef(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
         self._check_defaults(node)
         self.generic_visit(node)
 
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._check_defaults(node)
-        self.generic_visit(node)
+    visit_AsyncFunctionDef = visit_FunctionDef
 
     # REPRO005 ---------------------------------------------------------
     def visit_Assert(self, node: ast.Assert) -> None:

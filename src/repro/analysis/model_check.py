@@ -258,12 +258,7 @@ class HierarchyModel:
         self._sequences[state] = ()
         return state
 
-    def events(self, state: ProtoState):
-        for core in range(self.num_caches):
-            yield core, MesiEvent.LOAD
-            yield core, MesiEvent.STORE
-            if state.states[core] is not MesiState.INVALID:
-                yield core, MesiEvent.EVICT
+    events = TableModel.events
 
     def apply(self, state: ProtoState, core: int, event: MesiEvent) -> ProtoState:
         prefix = self._sequences[state]

@@ -62,13 +62,11 @@ class Lock:
         self.name = name
         self.holder: Processor | None = None
         self._waiters: deque[Processor] = deque()
-        self.acquisitions = 0
         self.contended_acquisitions = 0
 
     def acquire(self, processor: "Processor", now_fs: int) -> int | None:
         """Try to take the lock.  Returns ``now_fs`` on success, None if
         the caller must suspend (it is woken when granted the lock)."""
-        self.acquisitions += 1
         if self.holder is None:
             self.holder = processor
             return now_fs

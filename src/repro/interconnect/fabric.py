@@ -16,11 +16,11 @@ from repro.units import ns_to_fs
 class _Link(OccupancyResource):
     """A link with width-quantized service time.
 
-    :meth:`service_fs` is the one width-quantization formula;
-    ``transfer`` and ``control`` reserve its result with
-    :meth:`OccupancyResource.serve`, the calendar's one reservation
-    routine.  The hierarchy's miss walk and the DMA granule loops read
-    the same service times and call ``serve`` themselves.
+    :meth:`service_fs` is the one width-quantization formula.  Callers
+    (the hierarchy's miss walk and write-back, the DMA granule loops)
+    reserve its result with :meth:`OccupancyResource.serve`, the
+    calendar's one reservation routine, and add the bytes they carry to
+    ``bytes_moved``.
     """
 
     __slots__ = ("width_bytes", "cycle_fs", "bytes_moved")
@@ -37,17 +37,6 @@ class _Link(OccupancyResource):
         at least one (0 bytes is a control-only message)."""
         return (-(-num_bytes // self.width_bytes) or 1) * self.cycle_fs
 
-    def transfer(self, now_fs: int, num_bytes: int) -> int:
-        """Move ``num_bytes`` over the link; returns the completion time."""
-        if num_bytes < 0:
-            raise ValueError(f"{self.name}: negative transfer {num_bytes}")
-        self.bytes_moved += num_bytes
-        return self.serve(now_fs, self.service_fs(num_bytes))
-
-    def control(self, now_fs: int) -> int:
-        """A control-only message (request, invalidate): one link cycle."""
-        return self.serve(now_fs, self.cycle_fs)
-
 
 class ClusterBus:
     """The wide bidirectional intra-cluster bus (32 bytes, 2-cycle latency).
@@ -61,18 +50,10 @@ class ClusterBus:
 
     def __init__(self, cluster_id: int, config: InterconnectConfig) -> None:
         self.cluster_id = cluster_id
-        self.req = _Link(
-            f"bus.{cluster_id}.req",
-            width_bytes=config.bus_width_bytes,
-            cycle_ns=config.bus_cycle_ns,
-            latency_ns=config.bus_latency_ns,
-        )
-        self.resp = _Link(
-            f"bus.{cluster_id}.resp",
-            width_bytes=config.bus_width_bytes,
-            cycle_ns=config.bus_cycle_ns,
-            latency_ns=config.bus_latency_ns,
-        )
+        self.req, self.resp = (
+            _Link(f"bus.{cluster_id}.{way}", config.bus_width_bytes,
+                  config.bus_cycle_ns, config.bus_latency_ns)
+            for way in ("req", "resp"))
 
     @property
     def bytes_moved(self) -> int:

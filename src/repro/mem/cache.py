@@ -72,9 +72,6 @@ class SetAssocCache:
         # most one per insert/invalidate.
         self._resident = 0
 
-    def _set_for(self, line: int) -> OrderedDict[int, CacheLine]:
-        return self._sets[line & self._set_mask]
-
     def lookup(self, line: int) -> CacheLine | None:
         """Return the resident line, or None.  Does not update LRU."""
         return self._sets[line & self._set_mask].get(line)

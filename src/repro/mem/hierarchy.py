@@ -78,10 +78,12 @@ class Uncore:
         data from memory.
         """
         self.l2_writes += 1
-        entry = self.l2.touch(line)
-        bank = self.l2_banks[line % self._num_banks]
-        sent = bank.serve(now_fs, self._l2_service_fs)
+        l2_set = self.l2._sets[line & self.l2._set_mask]
+        entry = l2_set.get(line)
+        sent = self.l2_banks[line % self._num_banks].serve(
+            now_fs, self._l2_service_fs)
         if entry is not None:
+            l2_set.move_to_end(line)
             self.l2_write_hits += 1
             entry.state = _MODIFIED
             return sent
@@ -167,10 +169,11 @@ class CacheCoherentHierarchy:
         self.cluster_of = [i // cluster_size for i in range(num_cores)]
         self._no_write_allocate = l1_config.write_policy is WritePolicy.NO_WRITE_ALLOCATE
         # Presence map for both coherence modes: bit c of a line's mask is
-        # set while core c's L1 holds it.  With no peers it stays empty.
+        # set while core c's L1 holds it.  Empty without peers or coherence.
         self._directory_mode = config.coherence is CoherenceKind.DIRECTORY
         self._presence: dict[int, int] = {}
         self._num_peers = num_cores - 1
+        self._keeps_presence = self._coherent and num_cores > 1
         # One shared int per single-holder mask keeps peak RSS down.
         self._core_bits = [1 << c for c in range(num_cores)]
         # The miss walk's routes.  Per core: bus request, crossbar up and
@@ -257,7 +260,7 @@ class CacheCoherentHierarchy:
 
     def holders(self, line: int) -> tuple[int, ...]:
         """Cores the presence map records as holding ``line``, ascending
-        (exact with two or more cores; one core keeps no map)."""
+        (exact with two or more cores; one core and ICC record none)."""
         mask = self._presence.get(line, 0)
         return tuple(c for c in range(len(self.l1s)) if mask >> c & 1)
 
@@ -332,12 +335,17 @@ class CacheCoherentHierarchy:
     # ------------------------------------------------------------------
 
     def writeback(self, core: int, line: int, now_fs: int) -> int:
-        """Write a dirty L1 line back to the L2 (posted; returns done time)."""
+        """Write a dirty L1 line back to the L2 (posted; returns done time).
+
+        Every L1 write-back comes here (walk victims, write-through
+        stores, flushes, invalidates, :meth:`drain`): bus request,
+        crossbar up, then ``Uncore.l2_write``."""
         self.l1_writebacks += 1
-        req, up = self._core_ports[core][:2]
-        line_bytes = self.uncore.line_bytes
-        t = up.transfer(req.transfer(now_fs, line_bytes), line_bytes)
-        return self.uncore.l2_write(line, t)
+        req, up, _, _, _, _, bus_line, _, xbar_line = self._core_ports[core]
+        req.bytes_moved += self.uncore.line_bytes
+        up.bytes_moved += self.uncore.line_bytes
+        return self.uncore.l2_write(
+            line, up.serve(req.serve(now_fs, bus_line), xbar_line))
 
     def _walk(self, core: int, line: int, now_fs: int, for_write: bool,
               refill: bool = True, req_fs: int = -1,
@@ -353,13 +361,13 @@ class CacheCoherentHierarchy:
         victim's write-back is posted at ``now_fs``: it drains from a
         write-back buffer and must not block a later demand.
 
-        Each hop is one ``OccupancyResource.serve``, with the bytes
-        counted as ``_Link.control`` / ``transfer`` count them.  Inline
-        copies: the empty-mask charges of :meth:`_find_owner` and
-        :meth:`_invalidate_peers`, the L2 hit, ``SetAssocCache.insert``,
-        the presence update, and :meth:`writeback` with
-        ``Uncore.l2_write``.  Peer copies and ``Uncore.l2_miss`` (shared
-        with the DMA loops) stay calls.
+        Each hop is one ``OccupancyResource.serve``, and a data hop adds
+        its bytes to the link's ``bytes_moved``.  Inline copies: the
+        empty-mask charges of :meth:`_find_owner` and
+        :meth:`_invalidate_peers`, the L2 hit, ``SetAssocCache.insert``
+        and the presence update.  Peer copies, ``Uncore.l2_miss`` (shared
+        with the DMA loops) and :meth:`writeback` (about one miss in
+        eight has a dirty victim) stay calls.
         """
         req, up, down, resp, cluster, bus_ctl, bus_line, xbar_ctl, \
             xbar_line = self._core_ports[core]
@@ -430,7 +438,7 @@ class CacheCoherentHierarchy:
             l1._resident += 1
         l1_set[line] = CacheLine(line, state, t if req_fs >= 0 else 0,
                                  prefetched)
-        if self._num_peers:
+        if self._keeps_presence:
             bit = self._core_bits[core]
             presence[line] = presence.get(line, 0) | bit
             if victim is not None:
@@ -439,21 +447,7 @@ class CacheCoherentHierarchy:
                 else:
                     presence[victim.line] ^= bit
         if victim is not None and victim.state is _MODIFIED:
-            vline = victim.line
-            self.l1_writebacks += 1
-            req.bytes_moved += line_bytes
-            up.bytes_moved += line_bytes
-            w = up.serve(req.serve(now_fs, bus_line), xbar_line)
-            uncore.l2_writes += 1
-            l2_set = l2_sets[vline & l2_mask]
-            entry = l2_set.get(vline)
-            w = banks[vline % num_banks].serve(w, bank_fs)
-            if entry is not None:
-                l2_set.move_to_end(vline)
-                uncore.l2_write_hits += 1
-                entry.state = _MODIFIED
-            else:
-                uncore.l2_miss(vline, w, line_bytes, True)
+            self.writeback(core, victim.line, now_fs)
         return t
 
     def _issue_prefetches(self, core: int, lines: list[int], now_fs: int) -> None:
@@ -543,10 +537,11 @@ class CacheCoherentHierarchy:
         if entry is not None:
             if entry.state is _SHARED:
                 self.upgrades += 1
-                req, up = self._core_ports[core][:2]
-                t = req.control(now_fs)
+                req, up, _, _, _, bus_ctl, _, xbar_ctl, _ = \
+                    self._core_ports[core]
+                t = req.serve(now_fs, bus_ctl)
                 if self._invalidate_peers(line, core):
-                    up.control(t)
+                    up.serve(t, xbar_ctl)
             entry.state = _MODIFIED
             entry.prefetched = False
             for observer in self.observers:
@@ -599,9 +594,10 @@ class CacheCoherentHierarchy:
             victim = l1.invalidate(line)
             if victim is not None:
                 self.invalidates += 1
-                held = self._presence.pop(line, 0) & ~self._core_bits[core]
-                if held:
-                    self._presence[line] = held
+                if self._keeps_presence:
+                    held = self._presence.pop(line, 0) & ~self._core_bits[core]
+                    if held:
+                        self._presence[line] = held
                 if victim.state is _MODIFIED:
                     self.writeback(core, line, now_fs)
                     self.dirty_invalidates += 1

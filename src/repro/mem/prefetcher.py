@@ -43,7 +43,6 @@ class StreamPrefetcher:
         self._streams: dict[int, _Stream] = {}
         self._clock = 0
         self.prefetches_issued = 0
-        self.streams_allocated = 0
 
     def _advance(self, stream: _Stream, upto_line: int) -> list[int]:
         """Issue prefetches so the stream runs ``depth`` lines past ``upto_line``."""
@@ -94,7 +93,6 @@ class StreamPrefetcher:
         self._clock += 1
         stream = _Stream(next_line=line + 1, last_used=self._clock)
         self._streams[line] = stream
-        self.streams_allocated += 1
         return stream
 
     @property

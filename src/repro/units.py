@@ -12,7 +12,6 @@ the integer femtosecond domain.
 
 from __future__ import annotations
 
-FS_PER_PS = 1_000
 FS_PER_NS = 1_000_000
 FS_PER_US = 1_000_000_000
 FS_PER_MS = 1_000_000_000_000

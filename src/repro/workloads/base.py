@@ -242,10 +242,3 @@ def partition(total: int, parts: int, index: int) -> tuple[int, int]:
     count = base + (1 if index < extra else 0)
     start = index * base + min(index, extra)
     return start, count
-
-
-def line_span(addr: int, nbytes: int) -> int:
-    """Number of cache lines [addr, addr+nbytes) touches."""
-    first = addr // LINE_BYTES
-    last = (addr + nbytes - 1) // LINE_BYTES
-    return last - first + 1

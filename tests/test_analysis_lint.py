@@ -280,6 +280,53 @@ class TestEnvEscapeHatchRule:
         assert [f for f in findings if f.rule == "REPRO007"] == []
 
 
+class TestDeterminismRule:
+    SIM = "src/repro/mem/x.py"
+
+    def rules(self, source, path=SIM):
+        return [f.rule for f in lint_source(source, path)]
+
+    def test_id_subscript_flagged(self):
+        assert self.rules("d = {}\nd[id(x)] = 1\n") == ["REPRO008"]
+
+    def test_id_dict_keys_flagged(self):
+        src = "a = {id(x): 1}\nb = {id(v): v for v in xs}\n"
+        assert self.rules(src) == ["REPRO008", "REPRO008"]
+
+    def test_loops_and_comprehensions_over_sets_flagged(self):
+        src = ("for v in {1, 2}:\n    pass\n"
+               "for v in set(xs):\n    pass\n"
+               "w = [v for v in frozenset(xs)]\n"
+               "y = {k: 0 for k in {v for v in xs}}\n")
+        assert self.rules(src) == ["REPRO008"] * 4
+
+    def test_ordered_uses_allowed(self):
+        src = ("d = {}\nd[name] = id(x)\n"        # id() as a value
+               "for v in sorted(set(xs)):\n    pass\n"
+               "w = [v for v in dict.fromkeys(xs)]\n"
+               "seen = set(xs)\nok = 3 in seen\n")
+        assert self.rules(src) == []
+
+    def test_only_simulator_packages_in_scope(self):
+        src = "for v in set(xs):\n    pass\n"
+        for path in ("src/repro/core/a.py", "src/repro/sim/a.py",
+                     "src/repro/interconnect/a.py",
+                     "src/repro/workloads/sub/a.py",
+                     "repro/src/repro/mem/a.py"):
+            assert self.rules(src, path) == ["REPRO008"], path
+        for path in ("src/repro/serve/a.py", "src/repro/analysis/a.py",
+                     "src/repro/cli.py", "mem/a.py", "<string>"):
+            assert self.rules(src, path) == [], path
+
+    def test_suppressible(self):
+        src = "for v in set(xs):  # repro-lint: disable=REPRO008\n    pass\n"
+        assert self.rules(src) == []
+
+    def test_tree_has_no_findings(self):
+        findings = lint_paths([REPO_SRC])
+        assert [f for f in findings if f.rule == "REPRO008"] == []
+
+
 class TestSyntaxErrorHandling:
     BROKEN = "def f(:\n    pass\n"
 
@@ -331,10 +378,10 @@ class TestJsonSchema:
 
 class TestRuleRegistry:
     def test_registry_covers_known_rules(self):
-        assert set(RULES) == {f"REPRO00{i}" for i in range(8)}
+        assert set(RULES) == {f"REPRO00{i}" for i in range(9)}
 
     def test_rule_range_excludes_the_parse_pseudo_rule(self):
-        assert rule_range() == "REPRO001..REPRO007"
+        assert rule_range() == "REPRO001..REPRO008"
 
     def test_cli_help_renders_the_range(self):
         env_src = str(REPO_SRC.parents[0])
@@ -343,4 +390,4 @@ class TestRuleRegistry:
             capture_output=True, text=True,
             env={"PYTHONPATH": env_src, "PATH": "/usr/bin:/bin"})
         assert proc.returncode == 0
-        assert "REPRO001..REPRO007" in proc.stdout
+        assert "REPRO001..REPRO008" in proc.stdout

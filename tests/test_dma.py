@@ -169,6 +169,12 @@ class TestTiming:
         assert unc.l2.occupancy() == 1   # only the full line allocates
 
 
+def _transfer(link, now_fs, num_bytes):
+    """A data message: count its bytes, reserve its width-quantized time."""
+    link.bytes_moved += num_bytes
+    return link.serve(now_fs, link.service_fs(num_bytes))
+
+
 class PerGranuleEngine(DmaEngine):
     """The engine before the granule loops: every granule walks the
     resource and uncore methods one call at a time."""
@@ -219,20 +225,20 @@ class PerGranuleEngine(DmaEngine):
         cl = self.cluster_id
         line_bytes = self.line_bytes
         window = self._window
-        xbar_control = uncore.xbar.up[cl].control
-        xbar_down = uncore.xbar.down[cl].transfer
-        bus_resp = uncore.buses[cl].resp.transfer
+        xbar_up = uncore.xbar.up[cl]
+        xbar_down = uncore.xbar.down[cl]
+        bus_resp = uncore.buses[cl].resp
         for gran_addr, gran_size in self._split(addr, nbytes, stride, block):
             t = start if len(window) < window.maxlen \
                 else max(start, window[0])
             line = gran_addr // line_bytes
-            t = xbar_control(t)
+            t = xbar_up.serve(t, xbar_up.service_fs(0))      # control
             if gran_size == line_bytes:
                 t = self._read_line(line, t)
             else:
                 t = self._read_partial(line, gran_size, t)
-            t = xbar_down(t, gran_size)
-            t = bus_resp(t, gran_size)
+            t = _transfer(xbar_down, t, gran_size)
+            t = _transfer(bus_resp, t, gran_size)
             window.append(t)
             done = max(done, t)
         self._engine_free = done
@@ -249,13 +255,13 @@ class PerGranuleEngine(DmaEngine):
         uncore = self.uncore
         cl = self.cluster_id
         window = self._window
-        bus_req = uncore.buses[cl].req.transfer
-        xbar_up = uncore.xbar.up[cl].transfer
+        bus_req = uncore.buses[cl].req
+        xbar_up = uncore.xbar.up[cl]
         for gran_addr, gran_size in self._split(addr, nbytes, stride, block):
             t = start if len(window) < window.maxlen \
                 else max(start, window[0])
-            t = bus_req(t, gran_size)
-            t = xbar_up(t, gran_size)
+            t = _transfer(bus_req, t, gran_size)
+            t = _transfer(xbar_up, t, gran_size)
             # The old Uncore.l2_write_partial was l2_write line for
             # line: whole and sub-line puts allocate alike.
             t = uncore.l2_write(gran_addr // self.line_bytes, t)

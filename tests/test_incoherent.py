@@ -16,6 +16,7 @@ from repro.core.sync import Barrier
 from repro.core.system import CmpSystem
 from repro.mem.coherence import MesiState
 from repro.mem.hierarchy import IncoherentCacheHierarchy
+from repro.workloads import get_workload
 from repro.workloads.base import Arena, Program
 
 
@@ -135,6 +136,32 @@ class TestSystemLevel:
         assert delta < 0.02 * coherent.exec_time_fs
         assert incoherent.traffic == coherent.traffic
         assert incoherent.energy.dcache < coherent.energy.dcache
+
+
+class TestNoPresenceMap:
+    """Nothing in the ICC model reads the presence map, so it keeps none."""
+
+    # merge shares lines between synchronization points, so it does not
+    # build for ICC; depth is the second data-parallel program here.
+    @pytest.mark.parametrize("name", ["fir", "depth"])
+    def test_four_core_run_leaves_presence_empty(self, name):
+        config = MachineConfig(num_cores=4).with_model("icc")
+        program = get_workload(name).build(config.model, config,
+                                           preset="tiny")
+        system = CmpSystem(config, program)
+        system.run()
+        assert system.hierarchy.l1_misses > 0
+        assert system.hierarchy._presence == {}
+
+    def test_fills_victims_and_invalidates_leave_presence_empty(self):
+        h = hierarchy(cores=4)
+        for line in range(40):      # 32 lines of L1 each: victims too
+            h.load_line(line % 4, line % 16, line * 10**6)
+            h.load_line(line % 4, 16 + line, line * 10**6)
+        h.invalidate_range(1, 0, 15, 10**9)
+        assert h.invalidates > 0
+        assert h._presence == {}
+        assert h.holders(0) == ()
 
 
 class TestCacheControlOnCoherentModel:

@@ -1,20 +1,22 @@
 """The flat miss walk against the method chain it replaced.
 
 ``CacheCoherentHierarchy._walk`` serves every L1 fill in one body, with
-inline copies of the peer probe's charges, the L2 hit, the L1 install,
-the presence update and the victim write-back.  The reference walker
-below is the chain that body replaced, kept standalone: ``_fetch`` over
-``_Link.control`` / ``transfer``, ``l2_read`` / ``l2_write`` /
-``l2_miss`` / ``_evict``, ``_install`` through ``SetAssocCache.insert``
-and ``writeback``, with the full peer scan (every peer in broadcast
-mode, the exact sharer set in directory mode) instead of the presence
-map, and prefetch walks that index the uncore's ports per line.
+inline copies of the peer probe's charges, the L2 hit, the L1 install
+and the presence update; every L1 write-back goes through
+``writeback``.  The reference walker below is the chain that body
+replaced, kept standalone: ``_fetch`` over its own ``control`` /
+``transfer`` link helpers, ``l2_read`` / ``l2_write`` / ``l2_miss`` /
+``_evict``, ``_install`` through ``SetAssocCache.insert`` and
+``writeback``, with the full peer scan (every peer in broadcast mode,
+the exact sharer set in directory mode) instead of the presence map,
+and prefetch walks that index the uncore's ports per line.
 
-Every drawn op sequence must leave both with the same returned times,
-hierarchy counters, L1 contents (LRU order, states, ready times), every
-link, L2 bank and DRAM calendar with its counters and bytes, the uncore
-L2 counters and L2 contents, and the DRAM counters; with two or more
-cores the presence map must also match L1 residency after every op.
+Every drawn op sequence ends with ``drain``, and must leave both with
+the same returned times (the drain's included), hierarchy counters, L1
+contents (LRU order, states, ready times), every link, L2 bank and DRAM
+calendar with its counters and bytes, the uncore L2 counters and L2
+contents, and the DRAM counters; with two or more coherent cores the
+presence map must also match L1 residency after every op.
 """
 
 from dataclasses import replace
@@ -38,6 +40,17 @@ UNCORE_COUNTERS = ("l2_reads", "l2_read_hits", "l2_writes", "l2_write_hits",
                    "l2_writebacks", "l2_refills_avoided")
 DRAM_COUNTERS = ("read_bytes", "write_bytes", "read_accesses",
                  "write_accesses", "row_hits", "row_misses")
+
+
+def transfer(link, now_fs, num_bytes):
+    """A data message: count its bytes, reserve its width-quantized time."""
+    link.bytes_moved += num_bytes
+    return link.serve(now_fs, link.service_fs(num_bytes))
+
+
+def control(link, now_fs):
+    """A control-only message: one link cycle."""
+    return link.serve(now_fs, link.service_fs(0))
 
 
 class _Reference:
@@ -138,7 +151,7 @@ class _Reference:
     def _install(self, core, line, state, when_fs, ready_fs=0,
                  prefetched=False):
         victim = self.l1s[core].insert(line, state, ready_fs, prefetched)
-        if self._num_peers:
+        if self._keeps_presence:
             presence = self._presence
             bit = self._core_bits[core]
             held = presence.get(line)
@@ -152,25 +165,25 @@ class _Reference:
         self.l1_writebacks += 1
         bus, xbar_up, _, _ = self._ports(core)
         line_bytes = self.uncore.line_bytes
-        t = bus.req.transfer(now_fs, line_bytes)
-        t = xbar_up.transfer(t, line_bytes)
+        t = transfer(bus.req, now_fs, line_bytes)
+        t = transfer(xbar_up, t, line_bytes)
         return self._l2_write(line, t)
 
     def _fetch(self, core, line, now_fs, for_write, refill=True):
         bus, xbar_up, xbar_down, cluster = self._ports(core)
         line_bytes = self.uncore.line_bytes
-        t = bus.req.control(now_fs)
+        t = control(bus.req, now_fs)
         owner = self._find_owner(line, core)
         if for_write and self._invalidate_peers(line, core):
-            t = xbar_up.control(t)
+            t = control(xbar_up, t)
         if owner is not None:
             owner_core, owner_state = owner
             self.cache_to_cache += 1
             if self.cluster_of[owner_core] != cluster:
-                t = xbar_up.control(t)
-                t = self._ports(owner_core)[0].resp.transfer(t, line_bytes)
-                t = xbar_down.transfer(t, line_bytes)
-            t = bus.resp.transfer(t, line_bytes)
+                t = control(xbar_up, t)
+                t = transfer(self._ports(owner_core)[0].resp, t, line_bytes)
+                t = transfer(xbar_down, t, line_bytes)
+            t = transfer(bus.resp, t, line_bytes)
             if for_write:
                 self._install(core, line, MesiState.MODIFIED, now_fs)
             else:
@@ -185,10 +198,10 @@ class _Reference:
             self.refills_avoided += 1
             self._install(core, line, MesiState.MODIFIED, now_fs)
             return t
-        t = xbar_up.control(t)
+        t = control(xbar_up, t)
         t = self._l2_read(line, t)
-        t = xbar_down.transfer(t, line_bytes)
-        t = bus.resp.transfer(t, line_bytes)
+        t = transfer(xbar_down, t, line_bytes)
+        t = transfer(bus.resp, t, line_bytes)
         state = MesiState.MODIFIED if for_write else MesiState.EXCLUSIVE
         self._install(core, line, state, now_fs)
         return t
@@ -211,11 +224,11 @@ class _Reference:
                     or self._find_owner(pline, core) is not None):
                 continue
             self.prefetches_issued += 1
-            t = bus.req.control(now_fs)
-            t = xbar_up.control(t)
+            t = control(bus.req, now_fs)
+            t = control(xbar_up, t)
             t = self._l2_read(pline, t)
-            t = xbar_down.transfer(t, line_bytes)
-            t = bus.resp.transfer(t, line_bytes)
+            t = transfer(xbar_down, t, line_bytes)
+            t = transfer(bus.resp, t, line_bytes)
             self._install(core, pline, MesiState.EXCLUSIVE, now_fs,
                           ready_fs=t, prefetched=True)
             inflight.append(t)
@@ -230,11 +243,11 @@ class _Reference:
                     or self._find_owner(line, core) is not None):
                 continue
             self.bulk_prefetches += 1
-            t = bus.req.control(t)
-            t = xbar_up.control(t)
+            t = control(bus.req, t)
+            t = control(xbar_up, t)
             fill = self._l2_read(line, t)
-            fill = xbar_down.transfer(fill, line_bytes)
-            fill = bus.resp.transfer(fill, line_bytes)
+            fill = transfer(xbar_down, fill, line_bytes)
+            fill = transfer(bus.resp, fill, line_bytes)
             self._install(core, line, MesiState.EXCLUSIVE, now_fs,
                           ready_fs=fill, prefetched=False)
             done = max(done, fill)
@@ -306,27 +319,31 @@ def _machine(h):
 
 
 def _trace(cls, config, l1_config, ops):
-    """Run ``ops`` on a fresh hierarchy; return each op's result, the
-    hierarchy counters, the L1 contents in LRU order, the in-flight
-    prefetch fills, the uncore state, and every (op index, line) at
-    which the presence map disagreed with L1 residency."""
+    """Run ``ops`` then ``drain`` on a fresh hierarchy; return each op's
+    result and the drain's, the hierarchy counters, the L1 contents in
+    LRU order, the in-flight prefetch fills, the uncore state, and every
+    (op index, line) at which the presence map disagreed with L1
+    residency."""
     if issubclass(cls, StreamingHierarchy):
         h = cls(config.with_(stream_l1=l1_config))
     else:
         h = cls(config, l1_config=l1_config)
+    # One core keeps no presence map, and ICC records no holders.
+    check_presence = len(h.l1s) > 1 and h._coherent
     now = 0
     returned = []
     drift = []
     for i, op in enumerate(ops):
         now += op[-1] * 1_000_000
         returned.append(_apply(h, op, now))
-        if len(h.l1s) < 2:
-            continue            # one core keeps no presence map
+        if not check_presence:
+            continue
         for line in range(32):          # prefetches run past line 15
             resident = tuple(c for c, l1 in enumerate(h.l1s)
                              if l1.lookup(line) is not None)
             if h.holders(line) != resident:
                 drift.append((i, line))
+    returned.append(h.drain(now))
     counters = {name: getattr(h, name) for name in COUNTERS}
     contents = [[[(e.line, e.state, e.ready_fs, e.prefetched)
                   for e in cache_set.values()] for cache_set in l1._sets]
@@ -369,7 +386,7 @@ def test_flat_walk_matches_method_chain(hierarchy, coherence, cores,
     flat, drift = _trace(flat_cls, config, l1_config, ops)
     assert drift == []
     reference, _ = _trace(reference_cls, config, l1_config, ops)
-    assert flat[0] == reference[0]          # returned times
+    assert flat[0] == reference[0]          # returned times, drain's last
     assert flat[1] == reference[1]          # hierarchy counters
     assert flat[2] == reference[2]          # L1 contents
     assert flat[3] == reference[3]          # in-flight prefetch fills
