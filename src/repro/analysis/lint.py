@@ -38,8 +38,12 @@ REPRO007   no ``os.environ`` / ``os.getenv`` reads of ``REPRO_*``
            construction-time readers carry suppression comments
 REPRO008   in ``core/``, ``mem/``, ``sim/``, ``interconnect/`` and
            ``workloads/``: no ``id(...)`` dict key or subscript, and no
-           loop or comprehension over a ``set``/``frozenset`` literal or
-           call — addresses and str hashes change from run to run
+           read of a set's order — a loop or comprehension over it,
+           ``iter``/``list``/``tuple``/``enumerate``/``zip``/``str.join``
+           of it, or its ``.pop()`` — where the set is a literal, a set
+           comprehension, a ``set()``/``frozenset()`` call, or a local
+           name only ever bound to one; addresses and str hashes change
+           from run to run
 ========== ==========================================================
 
 A file that cannot be parsed is reported as a single ``REPRO000``
@@ -86,6 +90,13 @@ _INT_QUANTITY_RE = re.compile(r"(_fs|_cycles)$")
 
 #: Packages below ``repro`` whose iteration order reaches results (REPRO008).
 _DETERMINISM_SCOPE = {"core", "mem", "sim", "interconnect", "workloads"}
+
+#: Builtins whose result follows the order of a set passed in (REPRO008).
+_ORDER_READERS = {"iter", "list", "tuple", "enumerate", "zip"}
+
+#: Nodes that open a scope of local names (REPRO008 resolves names per scope).
+_SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef,
+           ast.Lambda)
 
 _SUPPRESS_RE = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9_,\s]+)")
 
@@ -200,6 +211,64 @@ def _calls(node: ast.AST, *names: str) -> bool:
     return isinstance(node, ast.Call) and _dotted_name(node.func) in names
 
 
+def _is_set_expr(node: ast.AST) -> bool:
+    """A set literal, set comprehension, or ``set()``/``frozenset()`` call."""
+    return (isinstance(node, (ast.Set, ast.SetComp))
+            or _calls(node, "set", "frozenset"))
+
+
+def _scope_nodes(scope: ast.AST):
+    """The nodes of ``scope`` itself, parents first, not of nested scopes."""
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _set_names(scope: ast.AST) -> frozenset[str]:
+    """Local names of ``scope`` that every binding sets to a set expression.
+
+    Any other binding — a parameter, a loop or ``with`` target, an
+    unpacking, an import, a nested ``def`` — clears the name.  ``s |= t``
+    keeps a set a set, so augmented assignments do not count.
+    """
+    bound: dict[str, bool] = {}
+    claimed: set[ast.AST] = set()
+
+    def bind(name: str, is_set: bool) -> None:
+        bound[name] = bound.get(name, True) and is_set
+
+    for node in _scope_nodes(scope):
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.NamedExpr)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    claimed.add(target)
+                    if node.value is not None:
+                        bind(target.id, _is_set_expr(node.value))
+        elif isinstance(node, ast.AugAssign):
+            claimed.add(node.target)
+        elif isinstance(node, ast.Name):
+            if isinstance(node.ctx, ast.Store) and node not in claimed:
+                bind(node.id, False)
+        elif isinstance(node, ast.arg):
+            bind(node.arg, False)
+        elif isinstance(node, ast.alias):
+            bind((node.asname or node.name).split(".")[0], False)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.ClassDef)):
+            bind(node.name, False)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bind(node.name, False)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            for name in node.names:
+                bind(name, False)
+    return frozenset(name for name, is_set in bound.items() if is_set)
+
+
 def _needs_unit_suffix(name: str) -> bool:
     if name.startswith("_"):
         return False
@@ -217,6 +286,8 @@ class _Visitor(ast.NodeVisitor):
         up = Path(path).parts[::-1]     # the last ``repro`` directory wins
         below = up[:up.index("repro")][::-1] if "repro" in up else ()
         self.deterministic = len(below) > 1 and below[0] in _DETERMINISM_SCOPE
+        # The set-valued local names of each enclosing scope (REPRO008).
+        self._set_scopes: list[frozenset[str]] = [frozenset()]
 
     def _add(self, node: ast.AST, rule: str, message: str) -> None:
         self.findings.append(Finding(self.path, node.lineno, node.col_offset,
@@ -238,6 +309,7 @@ class _Visitor(ast.NodeVisitor):
                           f"wall-clock call {dotted}() in simulator code; "
                           "simulated time must come from the event kernel")
         self._check_env_call(node, parts)
+        self._check_set_read(node)
         self.generic_visit(node)
 
     # REPRO007 ---------------------------------------------------------
@@ -392,13 +464,42 @@ class _Visitor(ast.NodeVisitor):
         self._check_id_keys(node.key)
         self.generic_visit(node)
 
+    def _in_scope(self, node: ast.AST) -> None:
+        self._set_scopes.append(_set_names(node) if self.deterministic
+                                else frozenset())
+        self.generic_visit(node)
+        self._set_scopes.pop()
+
+    visit_Module = visit_ClassDef = visit_Lambda = _in_scope
+
+    def _is_set(self, node: ast.AST) -> bool:
+        return self.deterministic and (
+            _is_set_expr(node) or (isinstance(node, ast.Name)
+                                   and node.id in self._set_scopes[-1]))
+
+    def _flag_set_read(self, node: ast.AST, what: str) -> None:
+        self._add(node, "REPRO008", f"{what} a set follows its hashes, and "
+                  "PYTHONHASHSEED changes str hashes — read a list, a dict "
+                  "or a sorted() copy")
+
+    def _check_set_read(self, node: ast.Call) -> None:
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in _ORDER_READERS:
+            read = node.args if func.id == "zip" else node.args[:1]
+            what = f"{func.id}() over"
+        elif isinstance(func, ast.Attribute) and func.attr == "join":
+            read, what = node.args, "str.join() over"
+        elif (isinstance(func, ast.Attribute) and func.attr == "pop"
+              and not node.args):
+            read, what = [func.value], ".pop() from"
+        else:
+            return
+        if any(self._is_set(arg) for arg in read):
+            self._flag_set_read(node, what)
+
     def visit_For(self, node: ast.For | ast.AsyncFor | ast.comprehension) -> None:
-        it = node.iter
-        if self.deterministic and (isinstance(it, (ast.Set, ast.SetComp))
-                                   or _calls(it, "set", "frozenset")):
-            self._add(it, "REPRO008", "iteration over a set follows its "
-                      "hashes, and PYTHONHASHSEED changes str hashes — "
-                      "iterate a list, a dict or a sorted() copy")
+        if self._is_set(node.iter):
+            self._flag_set_read(node.iter, "iteration over")
         self.generic_visit(node)
 
     visit_AsyncFor = visit_comprehension = visit_For
@@ -423,7 +524,7 @@ class _Visitor(ast.NodeVisitor):
 
     def visit_FunctionDef(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
         self._check_defaults(node)
-        self.generic_visit(node)
+        self._in_scope(node)
 
     visit_AsyncFunctionDef = visit_FunctionDef
 

@@ -8,16 +8,28 @@ value object that can be
 * memoized in a dict (:meth:`RunSpec.memo_key`),
 * addressed in the on-disk store (:meth:`RunSpec.content_key`, a hash
   of the *expanded* :class:`~repro.config.MachineConfig` so any config
-  field change — not just the sweep knobs — changes the key), and
+  field change — not just the sweep knobs — changes the key; memoised
+  per process by the spec's value), and
 * shipped across a process boundary (plain picklable dataclass, plus
   :meth:`to_dict` / :meth:`from_dict` for the JSON store records).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass
 
 from repro.grid import keys
+
+#: Entry limit of the per-process content-key memo; full means cleared,
+#: so a long-lived server's memory stays flat.
+_KEY_MEMO_ENTRIES = 4096
+
+#: Canonical JSON of ``RunSpec.to_dict()`` -> content key.  The key is a
+#: pure function of the spec, :data:`keys.SCHEMA_VERSION` and
+#: ``repro.__version__``, and the last two are fixed within a process.
+_key_memo: dict[str, str] = {}
+_key_memo_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -111,7 +123,29 @@ class RunSpec:
                 keys.freeze(self.config_overrides or {}))
 
     def content_key(self) -> str:
-        """Stable store address: hash of the full expanded configuration."""
+        """Stable store address: hash of the full expanded configuration.
+
+        Deriving it expands and hashes the whole :class:`MachineConfig`,
+        so it is memoised per process by the spec's value: the canonical
+        JSON of :meth:`to_dict`, which tells ``1``, ``1.0`` and ``True``
+        apart and ignores dict order, as the key does.  A spec whose
+        :meth:`to_dict` does not canonicalise (a ``MemoryModel`` as
+        ``model``) is derived afresh on every call.
+        """
+        try:
+            identity = keys.canonical_json(self.to_dict())
+        except TypeError:
+            return self._derive_content_key()
+        key = _key_memo.get(identity)
+        if key is None:
+            key = self._derive_content_key()
+            with _key_memo_lock:
+                if len(_key_memo) >= _KEY_MEMO_ENTRIES:
+                    _key_memo.clear()
+                _key_memo[identity] = key
+        return key
+
+    def _derive_content_key(self) -> str:
         return keys.content_key({
             "workload": self.workload,
             "preset": self.preset,

@@ -189,6 +189,8 @@ class BitonicSortWorkload(Workload):
         return arena, base, passes
 
     def _build_cached(self, config: MachineConfig, params: dict) -> Program:
+        import numpy as np
+
         arena, base, passes = self._prepare(params)
         num_cores = config.num_cores
         barrier = Barrier(num_cores, "bitonic.pass")
@@ -239,28 +241,31 @@ class BitonicSortWorkload(Workload):
                 # mixes templates; phase_runs coalesces the (typically
                 # long, on nearly-sorted data) same-template runs into
                 # constant-stride phases and passes isolated lines
-                # through as plain block replays.  One bulk tolist() per
-                # pass: indexing a Python list in the replay generators
-                # is far cheaper than minting a numpy scalar per line.
-                flags = dirty.tolist()
+                # through as plain block replays.  Each core converts
+                # only the flags of its own share, in bulk: iterating
+                # Python lists in the replay generators is far cheaper
+                # than minting a numpy scalar per line.
                 if stride >= WORDS_PER_LINE:
+                    # Half the lines are lo lines.  Lo index j is line
+                    # (j // s) * 2 * s + j % s for line stride s, and its
+                    # partner is s lines further on.
                     line_stride = stride // WORDS_PER_LINE
-                    lo_lines = [
-                        line for line in range(len(flags))
-                        if (line // line_stride) % 2 == 0
-                    ]
-                    start, count = partition(len(lo_lines), num_cores, core)
+                    start, count = partition(len(dirty) // 2, num_cores, core)
+                    lo = np.arange(start, start + count)
+                    lo = lo // line_stride * (2 * line_stride) + lo % line_stride
                     yield from phase_runs(
-                        ((pair_block(line_stride, flags[lo],
-                                     flags[lo + line_stride]),
-                          lo * LINE_BYTES)
-                         for lo in lo_lines[start:start + count]),
+                        ((pair_block(line_stride, dirty_lo, dirty_hi),
+                          line * LINE_BYTES)
+                         for line, dirty_lo, dirty_hi in zip(
+                             lo.tolist(), dirty[lo].tolist(),
+                             dirty[lo + line_stride].tolist())),
                         name="bitonic.pass")
                 else:
-                    start, count = partition(len(flags), num_cores, core)
+                    start, count = partition(len(dirty), num_cores, core)
                     yield from phase_runs(
-                        ((single_block(flags[line]), line * LINE_BYTES)
-                         for line in range(start, start + count)),
+                        ((single_block(flag), line * LINE_BYTES)
+                         for line, flag in enumerate(
+                             dirty[start:start + count].tolist(), start)),
                         name="bitonic.pass")
                 yield barrier_wait(barrier)
 

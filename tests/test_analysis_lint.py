@@ -300,11 +300,50 @@ class TestDeterminismRule:
                "y = {k: 0 for k in {v for v in xs}}\n")
         assert self.rules(src) == ["REPRO008"] * 4
 
+    def test_order_reading_calls_on_sets_flagged(self):
+        src = ("a = next(iter({1, 2}))\n"
+               "b = list(set(xs))\n"
+               "c = tuple({v for v in xs})\n"
+               "d = enumerate(frozenset(xs))\n"
+               "e = zip(ys, set(xs))\n"
+               "f = ','.join({'a', 'b'})\n"
+               "g = str.join(',', set(xs))\n"
+               "h = {1, 2}.pop()\n")
+        assert self.rules(src) == ["REPRO008"] * 8
+
+    def test_set_valued_locals_flagged(self):
+        src = ("def f(xs):\n"
+               "    seen = set()\n"
+               "    seen |= set(xs)\n"
+               "    if xs:\n"
+               "        seen = {1}\n"
+               "    first = next(iter(seen))\n"
+               "    for v in seen:\n"
+               "        pass\n"
+               "    return ' '.join(seen), seen.pop(), list(seen)\n")
+        assert self.rules(src) == ["REPRO008"] * 5
+
+    def test_locals_not_only_sets_allowed(self):
+        src = ("def f(xs, s):\n"
+               "    seen = set(xs)\n"
+               "    seen = sorted(seen)\n"          # rebound to a list
+               "    out = list(seen) + list(s)\n"   # a parameter
+               "    for k in xs:\n"
+               "        pass\n"
+               "    k = {1}\n"                      # also a loop target
+               "    return out, k.pop(), list(k)\n"
+               "def g():\n"
+               "    return list(seen)\n")           # another scope's name
+        assert self.rules(src) == []
+
     def test_ordered_uses_allowed(self):
         src = ("d = {}\nd[name] = id(x)\n"        # id() as a value
                "for v in sorted(set(xs)):\n    pass\n"
                "w = [v for v in dict.fromkeys(xs)]\n"
-               "seen = set(xs)\nok = 3 in seen\n")
+               "seen = set(xs)\nok = 3 in seen\n"
+               "n = len(seen)\nlo = min(seen)\n"
+               "v = list(sorted(seen))\nw = ','.join(sorted(seen))\n"
+               "x = ys.pop()\ny = d.pop(k)\nz = list(xs)\n")
         assert self.rules(src) == []
 
     def test_only_simulator_packages_in_scope(self):
@@ -320,6 +359,10 @@ class TestDeterminismRule:
 
     def test_suppressible(self):
         src = "for v in set(xs):  # repro-lint: disable=REPRO008\n    pass\n"
+        assert self.rules(src) == []
+        src = ("def f(xs):\n"
+               "    s = set(xs)\n"
+               "    return s.pop()  # repro-lint: disable=REPRO008\n")
         assert self.rules(src) == []
 
     def test_tree_has_no_findings(self):
