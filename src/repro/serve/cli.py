@@ -165,7 +165,8 @@ def _cmd_stats(args) -> int:
           f"{server['inflight']} run(s) in flight, "
           f"{'threads' if server['in_process'] else 'processes'}="
           f"{server['jobs']}")
-    print(f"served     : {server['store_hits']} store hit(s), "
+    print(f"served     : {server['store_hits']} store hit(s) "
+          f"({server['memo_hits']} from memory), "
           f"{server['runs_executed']} executed, "
           f"{server['dedup_joins']} dedup join(s), "
           f"{server['failures']} failure(s)")

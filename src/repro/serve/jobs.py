@@ -52,6 +52,10 @@ class JobTable:
     def __init__(self) -> None:
         self._jobs: dict[str, Job] = {}
 
+    def get(self, key: str) -> Job | None:
+        """The in-flight job for ``key``, or None."""
+        return self._jobs.get(key)
+
     def get_or_create(self, key: str, spec: RunSpec) -> tuple[Job, bool]:
         """The job for ``key`` (created if absent) and whether it is new."""
         job = self._jobs.get(key)
@@ -85,6 +89,9 @@ class ServerStats:
     specs_requested: int = 0
     unique_specs: int = 0
     store_hits: int = 0
+    #: The subset of ``store_hits`` answered from the server's in-memory
+    #: hit table, with no store read.
+    memo_hits: int = 0
     runs_executed: int = 0
     failures: int = 0
     dedup_joins: int = 0

@@ -8,6 +8,9 @@ One :class:`ReproServer` owns
   default; a ``ThreadPoolExecutor`` in ``in_process`` mode for
   environments where process pools are unavailable — that mode is what
   exercises the scheduler's thread-safe deadline path),
+* a bounded hit table (content key -> ``RunResult``) of records this
+  server has already read from its store, so a repeat hit is answered
+  on the event loop with no thread handoff, disk read or JSON parse,
 * a :class:`~repro.serve.jobs.JobTable` deduplicating in-flight misses
   across *all* connected clients: two clients sweeping overlapping
   config sets trigger each missing run exactly once and both stream
@@ -44,8 +47,16 @@ from repro.grid.scheduler import (
 )
 from repro.grid.spec import RunSpec
 from repro.grid.store import FailedRun, ResultStore
+from repro.results import RunResult
 from repro.serve import protocol
 from repro.serve.jobs import JobTable, ServerStats
+
+#: Entry bound of the server's hit table, cleared when full.  A record
+#: is a pure function of its content key, and the key mixes in the
+#: schema and code version, so a held result never goes stale within
+#: one process.  Failures are never held: ``grid clear --failed`` plus a
+#: resubmit must re-run.
+_HIT_MEMO_ENTRIES = 1024
 
 
 def _describe(exc: BaseException) -> str:
@@ -129,6 +140,9 @@ class ReproServer:
         self.stats = ServerStats()
         self._log = log if log is not None else sys.stderr
         self._jobs = JobTable()
+        #: Content key -> ``RunResult`` already read from the store;
+        #: touched only on the event loop thread.
+        self._hits: dict[str, RunResult] = {}
         self._watchers: set[_Connection] = set()
         self._connections: set[_Connection] = set()
         self._job_tasks: set[asyncio.Task] = set()
@@ -324,16 +338,22 @@ class ReproServer:
         hits: list[RunOutcome] = []
         waiting: list[tuple] = []        # (job, source)
         for key, spec in unique.items():
-            job = self._jobs._jobs.get(key)
+            job = self._jobs.get(key)
             if job is not None:
                 job.joiners += 1
                 self.stats.dedup_joins += 1
                 waiting.append((job, "shared"))
                 continue
-            cached = None
-            if self.store is not None:
+            cached = self._hits.get(key)
+            if cached is not None:
+                self.stats.memo_hits += 1
+            elif self.store is not None:
                 cached = await loop.run_in_executor(None, self.store.get,
                                                     spec)
+                if isinstance(cached, RunResult):
+                    if len(self._hits) >= _HIT_MEMO_ENTRIES:
+                        self._hits.clear()
+                    self._hits[key] = cached
             if cached is not None:
                 self.stats.store_hits += 1
                 self._progress.on_cache_hit()

@@ -121,8 +121,10 @@ class TestJobTable:
         async def scenario():
             table = JobTable()
             spec = specs_for(2)[0]
+            assert table.get("k1") is None
             job, created = table.get_or_create("k1", spec)
             assert created and table.inflight() == 1
+            assert table.get("k1") is job
             again, created2 = table.get_or_create("k1", spec)
             assert again is job and not created2
             assert job.joiners == 1
@@ -158,7 +160,7 @@ class TestServerBasics:
             assert client.ping()["type"] == "pong"
             frame = client.stats()
         assert frame["store"]["records"] == 0
-        for key in ("connections", "runs_executed", "dedup_joins",
+        for key in ("connections", "runs_executed", "dedup_joins", "memo_hits",
                     "inflight", "watchers", "jobs", "in_process"):
             assert key in frame["server"]
         assert frame["progress"]["completed"] == 0
@@ -267,6 +269,111 @@ class TestSubmissions:
         result = experiments.figure3(runner, workloads=["fir"])
         assert runner.runs == 0          # everything came off the wire
         assert result.rows
+
+
+class _SizeWatchedDict(dict):
+    """A dict that remembers the most entries it ever held."""
+
+    most = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.most = max(self.most, len(self))
+
+
+class TestHitTable:
+    """Repeat store hits come from the server's in-memory hit table."""
+
+    @staticmethod
+    def count_store_reads(harness):
+        store = harness.server.store
+        calls = []
+        read = store.get
+
+        def counting_get(spec):
+            calls.append(spec)
+            return read(spec)
+
+        store.get = counting_get
+        return calls
+
+    def test_repeat_hit_skips_the_store_read(self, make_server):
+        harness = make_server()
+        calls = self.count_store_reads(harness)
+        specs = specs_for(1, 2)
+        with harness.client() as client:
+            client.submit(specs)                  # runs: one miss read each
+            client.submit(specs)                  # fills the table from disk
+            assert len(calls) == 4
+            again = client.submit(specs)
+            stats = client.stats()["server"]
+        assert len(calls) == 4                    # no store read this time
+        assert all(o.source == "store" for o in again.outcomes)
+        assert stats["store_hits"] == 4 and stats["memo_hits"] == 2
+        assert stats["runs_executed"] == 2
+        store = harness.server.store
+        for outcome in again.outcomes:
+            assert outcome.result.to_dict() == \
+                store.get_record(outcome.key)["result"]
+
+    def test_failed_record_is_never_held(self, make_server):
+        harness = make_server(retries=0)
+        spec = specs_for(2, overrides={"_grid_raise": "injected"})[0]
+        with harness.client() as client:
+            client.submit([spec])
+            again = client.submit([spec]).outcomes[0]
+            assert again.status == "failed" and again.source == "store"
+            assert spec.content_key() not in harness.server._hits
+            harness.server.store.clear(failed_only=True)
+            before = client.stats()["server"]["runs_executed"]
+            rerun = client.submit([spec]).outcomes[0]
+            stats = client.stats()["server"]
+        assert rerun.source == "run"
+        assert stats["runs_executed"] == before + 1
+        assert stats["memo_hits"] == 0
+
+    def test_bound_clears_the_table_and_keeps_records_identical(
+            self, make_server, monkeypatch):
+        from repro.serve import server as server_module
+
+        monkeypatch.setattr(server_module, "_HIT_MEMO_ENTRIES", 2)
+        harness = make_server()
+        harness.server._hits = table = _SizeWatchedDict()
+        specs = specs_for(1, 2, 4)
+
+        def rows(report):
+            return {o.key: o.result.to_dict() for o in report.outcomes}
+
+        with harness.client() as client:
+            cold = rows(client.submit(specs))
+            first = client.submit(specs)
+            second = client.submit(specs)
+        assert all(o.source == "store"
+                   for o in first.outcomes + second.outcomes)
+        assert rows(first) == cold and rows(second) == cold
+        assert table.most == 2 and len(table) <= 2
+
+    def test_truncated_record_is_quarantined_and_rerun(
+            self, make_server, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        spec = specs_for(2)[0]
+        key = store.put(spec, spec.execute())
+        path = store._path(key)
+        harness = make_server(store=store)
+        path.write_text(path.read_text()[:40])    # a torn write
+        with harness.client() as client:
+            rerun = client.submit([spec]).outcomes[0]
+            assert rerun.source == "run" and rerun.status == "ok"
+            assert path.with_suffix(".corrupt").exists()
+            assert key not in harness.server._hits
+            fresh = client.submit([spec]).outcomes[0]
+            memo = client.submit([spec]).outcomes[0]
+            stats = client.stats()["server"]
+        record = store.get_record(key)["result"]
+        assert fresh.source == "store" and memo.source == "store"
+        assert fresh.result.to_dict() == record == memo.result.to_dict()
+        assert harness.server._hits[key].to_dict() == record
+        assert stats["runs_executed"] == 1 and stats["memo_hits"] == 1
 
 
 class TestDedupAcrossClients:
@@ -406,6 +513,7 @@ class TestServeCli:
         assert main(["stats", "--socket", harness.socket_path]) == 0
         captured = capsys.readouterr()
         assert "server" in captured.out and "store" in captured.out
+        assert "(0 from memory)" in captured.out
         assert main(["stop", "--socket", harness.socket_path]) == 0
         harness.thread.join(timeout=10)
         assert not harness.thread.is_alive()
