@@ -62,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="sample activity over time and print sparklines")
     run_p.add_argument("--metrics", action="store_true",
                        help="print the per-component metrics report "
-                            "(fastpath-safe; results are bit-identical)")
+                            "(pull-model; results are bit-identical)")
     run_p.add_argument("--trace", metavar="PATH",
                        help="record the demand-access trace as JSON lines")
     run_p.add_argument("--trace-out", metavar="PATH",
@@ -229,8 +229,8 @@ def main(argv: list[str] | None = None) -> int:
                 # drive() samples between windows, adding no events.
                 sampler = IntervalSampler(system, interval_fs=interval_fs)
             # Recorders attach through an ExitStack so a raising run
-            # cannot leave one on an observers list; a leaked hierarchy
-            # observer would pin later runs to the slow path.
+            # cannot leave one on an observers list, where it would
+            # record later runs too.
             with ExitStack() as stack:
                 recorder = None
                 if args.trace or args.trace_out:

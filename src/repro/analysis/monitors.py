@@ -195,9 +195,8 @@ class MonitorSet:
         """Remove every monitor from every list it joined (idempotent).
 
         The symmetric half of :func:`attach_monitors`: other observers
-        stay attached, and once the hierarchy's list is empty
-        ``hierarchy.fastpath_safe`` is true again, so a set detached
-        between runs does not pin the system to the slow path.
+        stay attached, so a set detached between runs stops checking
+        without disturbing them.
         """
         for observers, monitor in self._attached:
             if monitor in observers:

@@ -25,7 +25,6 @@ from repro.core.sync import (
     LOCK_OVERHEAD_CYCLES,
     TASK_POP_OVERHEAD_CYCLES,
 )
-from repro.mem.coherence import MesiState
 from repro.sim.fastpath import blocks_enabled, fastpath_enabled
 from repro.sim.kernel import SimulationError
 from repro.units import ns_to_fs
@@ -125,27 +124,20 @@ class Processor:
 
         This is the simulator's single hottest loop, and it is written
         accordingly: the local clock and every per-op counter live in
-        local variables (flushed back to the object in one place),
-        bound methods are hoisted out of the loop, and — with the fast
-        path enabled — two classes of event-queue round trips disappear:
+        local variables (flushed back to the object in one place), and
+        bound methods are hoisted out of the loop.  Every load and store
+        line, hit or miss, goes through ``load_line`` / ``store_line``,
+        so every hierarchy observer sees every access in every mode.
 
-        * **Guaranteed L1 hits** are retired inline (LRU touch + counter)
-          without calling into the hierarchy walker.  A line that is
-          absent, still in flight (``ready_fs``), or carrying a prefetch
-          tag takes the ordinary walker path, so every stat and timestamp
-          is bit-identical.
-        * **Quantum expiry** only re-enters the event queue when another
-          event is pending at or before the core's local clock.  When the
-          queue is empty or its head lies in this core's future, the
-          kernel would pop this core's own resume event next with nothing
-          in between, so eliding the yield cannot change the interleaving
-          of shared-resource acquisitions — the core just keeps running
-          (run-until-miss/sync/boundary) with a renewed quantum.
-
-        ``REPRO_FASTPATH=0`` disables both, restoring the seed's
-        one-event-per-quantum execution; a non-empty
-        ``hierarchy.observers`` list (access tracing, invariant monitors)
-        disables the inline-hit path alone.
+        * **Quantum extension** (the fast path): quantum expiry only
+          re-enters the event queue when another event is pending at or
+          before the core's local clock.  When the queue is empty or its
+          head lies in this core's future, the kernel would pop this
+          core's own resume event next with nothing in between, so
+          eliding the yield cannot change the interleaving of
+          shared-resource acquisitions — the core just keeps running
+          with a renewed quantum.  ``REPRO_FASTPATH=0`` turns it off,
+          restoring the seed's one-event-per-quantum execution.
 
         * **The template cursor** feeds descriptor ops to the same arms
           without generator round trips.  An op block (``"blk"``, see
@@ -172,7 +164,6 @@ class Processor:
         line_shift = self._line_shift
         quantum_fs = self._quantum_fs
         fastpath = self._fastpath
-        fast_mem = fastpath and hierarchy.fastpath_safe
         blocks_on = self._blocks
         pending = self._pending
         # Per-op invariants hoisted to loop-locals: resolved once per
@@ -184,15 +175,7 @@ class Processor:
         dma_setup_cycles = self._dma_setup_cycles
         dma_setup_fs = dma_setup_cycles * cycle_fs
         imiss_fs = self._imiss_fs
-        # The inline hit path goes straight at the L1's per-set dicts; the
-        # slow path (and every miss) re-enters through the cache's public
-        # methods, so LRU order ends up identical either way.
-        l1 = hierarchy.l1s[core_id]
-        l1_sets = l1._sets
-        l1_mask = l1._set_mask
         peek_time = self.sim.queue.peek_time
-        shared = MesiState.SHARED
-        modified = MesiState.MODIFIED
 
         send_value = self._send_value
         now = self.now
@@ -206,8 +189,6 @@ class Processor:
         word_accesses = 0
         local_accesses = 0
         icache_misses = 0
-        loads_hit = 0
-        stores_hit = 0
         phase_retired = 0
         phase_total = 0
         # The template cursor: ``index`` into ``tmpl_ops`` (``n_ops``
@@ -274,17 +255,6 @@ class Processor:
                     line = addr >> line_shift
                     last = (addr + nbytes - 1) >> line_shift
                     while True:
-                        if fast_mem:
-                            cache_set = l1_sets[line & l1_mask]
-                            entry = cache_set.get(line)
-                            if (entry is not None and entry.ready_fs <= now
-                                    and not entry.prefetched):
-                                cache_set.move_to_end(line)
-                                loads_hit += 1
-                                if line == last:
-                                    break
-                                line += 1
-                                continue
                         done = load_line(core_id, line, now)
                         if done > now:
                             load_stall += done - now
@@ -305,18 +275,6 @@ class Processor:
                     line = addr >> line_shift
                     last = (addr + nbytes - 1) >> line_shift
                     while True:
-                        if fast_mem:
-                            cache_set = l1_sets[line & l1_mask]
-                            entry = cache_set.get(line)
-                            if entry is not None and entry.state is not shared:
-                                cache_set.move_to_end(line)
-                                entry.state = modified
-                                entry.prefetched = False
-                                stores_hit += 1
-                                if line == last:
-                                    break
-                                line += 1
-                                continue
                         stall = store_line(core_id, line, now,
                                            no_allocate=no_allocate)
                         if stall:
@@ -518,7 +476,7 @@ class Processor:
             self._flush_locals(
                 now, send_value, useful, sync, load_stall, store_stall,
                 instructions, word_accesses, local_accesses, icache_misses,
-                loads_hit, stores_hit, phase_retired, phase_total)
+                phase_retired, phase_total)
         if action == FINISH:
             self._finish()
         elif action == YIELD:
@@ -526,8 +484,8 @@ class Processor:
 
     def _flush_locals(self, now, send_value, useful, sync, load_stall,
                       store_stall, instructions, word_accesses,
-                      local_accesses, icache_misses, loads_hit,
-                      stores_hit, phase_retired, phase_total) -> None:
+                      local_accesses, icache_misses, phase_retired,
+                      phase_total) -> None:
         """Fold the hot loop's batched deltas back into the object state."""
         self.now = now
         self._send_value = send_value
@@ -541,8 +499,6 @@ class Processor:
         self.icache_misses += icache_misses
         self.phase_iters += phase_retired
         self.phase_iters_total += phase_total
-        if loads_hit or stores_hit:
-            self.hierarchy.fold_hit_counters(loads_hit, stores_hit)
 
     def _finish(self) -> None:
         self.done = True

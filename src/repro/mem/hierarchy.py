@@ -222,29 +222,9 @@ class CacheCoherentHierarchy:
         self.prefetch_late_fs = 0
         self.refills_avoided = 0
 
-    def fold_hit_counters(self, loads_hit: int, stores_hit: int) -> None:
-        """Fold a batch of inline-retired L1 hits into the op counters.
-
-        The processor's inline L1 probe counts hits in loop-locals and
-        folds them here once per scheduling slice; :meth:`load_line` and
-        :meth:`store_line` bump the same counters one at a time.
-        """
-        self.load_ops += loads_hit
-        self.store_ops += stores_hit
-
     # ------------------------------------------------------------------
     # Per-access observers
     # ------------------------------------------------------------------
-
-    @property
-    def fastpath_safe(self) -> bool:
-        """True when the inline L1-hit fast path preserves all side effects.
-
-        Observers fire on *every* demand access, including hits; while
-        any is attached, the processor must route hits through
-        :meth:`load_line`/:meth:`store_line` so the observers see them.
-        """
-        return not self.observers
 
     def line_states(self, line: int) -> tuple[MesiState, ...]:
         """The MESI state of ``line`` in every L1 (INVALID when absent)."""

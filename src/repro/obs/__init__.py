@@ -1,11 +1,11 @@
-"""repro.obs — fastpath-compatible observability.
+"""repro.obs — pull-model observability.
 
 Three layers over one principle (*pull at scheduling boundaries, never
 hook the hot path unless the user asked for a trace*):
 
 * :mod:`repro.obs.metrics` — a registry of counters/gauges that reads
-  existing component state; attaching it keeps
-  ``hierarchy.fastpath_safe`` true and results bit-identical.
+  existing component state; it attaches no observer and keeps results
+  bit-identical.
 * :mod:`repro.obs.sampler` — per-interval metric series via the
   interval sampler's ``drive()`` (no events added, ``sim.events``
   unchanged).

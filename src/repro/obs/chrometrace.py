@@ -100,8 +100,8 @@ class KernelEventRecorder:
 class DmaCommandRecorder:
     """Collects every DMA command as an observer on each ``DmaEngine``.
 
-    Fastpath-compatible (DMA commands never take the processor's
-    inline-hit path), so recording them leaves results bit-identical.
+    The engines call their observers once per command and select no
+    code path by them, so recording leaves results bit-identical.
     On a non-streaming hierarchy this attaches to nothing and records
     nothing.  Context-manager use detaches it even on a raise.
     """

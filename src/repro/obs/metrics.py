@@ -1,18 +1,16 @@
-"""Fastpath-compatible metrics: a pull-model registry over live counters.
+"""Pull-model metrics: a registry of readers over live counters.
 
 The simulator's components already keep cheap cumulative counters —
 cache statistics on the hierarchy, ``busy_fs`` / ``wait_fs`` /
 ``bytes_moved`` on every occupancy resource, command counts on the DMA
 engines.  A :class:`MetricsRegistry` is nothing but a *named catalog of
 readers* over that existing state: registering metrics attaches **no
-observers** and adds **no per-access work**, so ``hierarchy.fastpath_safe``
-stays true and a run with metrics enabled is bit-identical to an
-uninstrumented run.
+observers** and adds **no per-access work**, so a run with metrics
+enabled is bit-identical to an uninstrumented run.
 
 Values are pulled at scheduling boundaries (end of run, or between
-sampling windows via :class:`repro.obs.sampler.MetricsSampler`) — the
-same points where the processor fast path folds its batched statistics
-into the shared counters, so a pull always observes a consistent state.
+sampling windows via :class:`repro.obs.sampler.MetricsSampler`), where
+no core is mid-op, so a pull always observes a consistent state.
 
 Two metric kinds:
 
@@ -129,7 +127,7 @@ class MetricsRegistry:
         statistics, the shared L2 and its banks, every interconnect link
         (cluster buses and crossbar ports), the DRAM channels, and the
         simulator itself.  Pure enumeration: nothing is attached to the
-        system and ``hierarchy.fastpath_safe`` is left untouched.
+        system.
         """
         registry = cls()
         hierarchy = system.hierarchy

@@ -1,13 +1,13 @@
 """The two execution-mode switches: the fast path and the template cursor.
 
-The processor's hot loop (see :mod:`repro.core.processor`) can execute
-consecutive compute operations and guaranteed-L1-hit accesses without
-re-entering the event queue, falling back to the event-driven slow path
-only at misses, synchronization, DMA waits, and pending-event boundaries.
-The fast path is *bit-identical* to the slow path by construction (the
-elided events are the core's own back-to-back resume events, which the
-kernel would pop next in any case) — but because "identical by
-construction" is a claim worth distrusting, the escape hatch
+The fast path is quantum extension: when a core's quantum expires and
+no other event is pending at or before its local clock, the processor's
+hot loop (see :mod:`repro.core.processor`) renews the quantum in place
+instead of re-entering the event queue.  It is *bit-identical* to the
+slow path by construction (the elided events are the core's own
+back-to-back resume events, which the kernel would pop next in any
+case) — but because "identical by construction" is a claim worth
+distrusting, the escape hatch
 
     REPRO_FASTPATH=0 python -m repro ...
 

@@ -55,10 +55,9 @@ class IntervalSampler:
 
     ``probes`` optionally extends every sample with extra columns: a
     mapping of column name to zero-argument callable, evaluated at each
-    window boundary.  Probes run at scheduling boundaries only — the
-    same points where the processor fast path folds its batched stats —
-    so they observe a consistent system state without attaching any
-    per-access observer (``hierarchy.fastpath_safe`` stays true).
+    window boundary.  Probes run at scheduling boundaries only, where no
+    core is mid-op, so they observe a consistent system state without
+    attaching any per-access observer.
     """
 
     def __init__(self, system: "CmpSystem", interval_fs: int,

@@ -50,11 +50,11 @@ _SHORT_KINDS = {"load": "ld", "store": "st"}
 class TraceRecorder:
     """Captures every demand access of a system run.
 
-    The recorder is a hierarchy observer: attached, it makes
-    ``hierarchy.fastpath_safe`` false, which routes L1 hits through the
-    hierarchy so every one is recorded.  Use it as a context manager so
-    it detaches even when the run raises — a leaked observer would pin
-    every later run on the same system to the slow path::
+    The recorder is a hierarchy observer: every load and store line,
+    hit or miss, goes through the hierarchy, so every one is recorded.
+    Use it as a context manager so it detaches even when the run raises
+    — a leaked observer would record every later run on the same
+    system::
 
         with TraceRecorder(system) as recorder:
             result = system.run()

@@ -255,11 +255,11 @@ class TestSystemIntegration:
 
     def test_detach_restores_fastpath(self):
         system = self._armed_system()
-        assert system.hierarchy.fastpath_safe
+        assert system.hierarchy.observers == []
         monitors = attach_monitors(system)
-        assert not system.hierarchy.fastpath_safe
+        assert system.hierarchy.observers != []
         monitors.detach()
-        assert system.hierarchy.fastpath_safe
+        assert system.hierarchy.observers == []
         monitors.detach()                    # idempotent
 
     def test_detach_unwinds_streaming_observers_too(self):

@@ -171,8 +171,8 @@ class TestReplayIdentity:
 
     def test_straddling_a_miss_matches_escape_hatch(self, monkeypatch):
         # Iteration 0 runs cold (every line goes through the walker);
-        # later iterations rerun the same lines warm (every line an
-        # inline hit).  Both must agree bit-for-bit with the escape-hatch
+        # later iterations rerun the same lines warm (every line an L1
+        # hit).  Both must agree bit-for-bit with the escape-hatch
         # interpreter.
         def thread(env):
             blk = block(compute(20), load(0x1000, 64), compute(10),

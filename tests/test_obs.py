@@ -103,9 +103,8 @@ class TestFromSystem:
 
     def test_enumeration_attaches_nothing(self):
         system = build_system()
-        assert system.hierarchy.fastpath_safe
         MetricsRegistry.from_system(system)
-        assert system.hierarchy.fastpath_safe
+        assert system.hierarchy.observers == []
 
     def test_counters_match_result_after_run(self):
         system = build_system()
@@ -130,15 +129,15 @@ class TestBitIdentity:
         # Full record equality — sim.events is NOT exempted here: pull
         # mode adds no events, so even the event count must match.
         assert sampled.to_dict() == plain.to_dict()
-        assert sampled_system.hierarchy.fastpath_safe
+        assert sampled_system.hierarchy.observers == []
 
     def test_recorders_leave_fastpath_breakers_visible(self):
-        # The access-trace recorder *is* a fastpath breaker; the obs
+        # The access-trace recorder is a per-access observer; the obs
         # layer must not mask that.
         system = build_system()
-        with TraceRecorder(system):
-            assert not system.hierarchy.fastpath_safe
-        assert system.hierarchy.fastpath_safe
+        with TraceRecorder(system) as recorder:
+            assert system.hierarchy.observers == [recorder]
+        assert system.hierarchy.observers == []
 
 
 class TestMetricsSampler:
@@ -267,7 +266,6 @@ class TestAllObservers:
                  *(e.observers for e in engines),
                  *(s.observers for s in stores)]
         assert all(observers == [] for observers in lists)
-        assert hierarchy.fastpath_safe
         # Two recorders on one list both record everything.
         assert first.records == second.records
         assert len(first) == hierarchy.l1_ops
@@ -367,9 +365,13 @@ class TestGoldenTrace:
                                    dma_events=dma.events,
                                    kernel_spans=kernel.spans())
 
-    def test_matches_golden_file(self):
+    def test_matches_golden_file(self, monkeypatch):
         import pathlib
 
+        # The golden file holds the default mode's kernel spans, and
+        # REPRO_FASTPATH=0 dispatches more events by design.
+        monkeypatch.setenv("REPRO_FASTPATH", "1")
+        monkeypatch.setenv("REPRO_BLOCKS", "1")
         golden = pathlib.Path(__file__).parent / self.GOLDEN
         doc = self.export_fixed_run()
         expected = json.loads(golden.read_text())

@@ -254,8 +254,7 @@ class TestReplayIdentity:
 
         def phased(env):
             # Three dispatches of the same region: the first runs cold
-            # (every line misses), the rest walk warm (every line hits
-            # inline).
+            # (every line misses), the rest walk warm (every line hits).
             for _ in range(3):
                 yield phase((blk, 0, self.STRIDE), count=self.COUNT).op()
 
@@ -341,11 +340,10 @@ class TestReplayIdentity:
         assert off.stats["sim.phase_iters"] == 0
 
     def test_observer_attach_deoptimizes(self, monkeypatch):
-        # A per-access observer makes hierarchy.fastpath_safe false: the
-        # template cursor still walks the phases, but with the inline
-        # L1 probe off (its hits would skip the observer's callbacks),
-        # so every line access reaches the observer and the record
-        # stays identical.
+        # A per-access observer selects no code path: the template
+        # cursor still walks the phases, every line access (hits
+        # included) reaches the observer through load_line/store_line,
+        # and the record stays identical.
         monkeypatch.setenv("REPRO_FASTPATH", "1")
         monkeypatch.setenv("REPRO_BLOCKS", "1")
         phased, _, _ = self.make_threads()
@@ -365,27 +363,27 @@ class TestReplayIdentity:
 
 def run_tiny(name, model, cores, observed=False):
     """Run a tiny-preset workload, optionally under a no-op hierarchy
-    observer (which turns the inline L1 probe off)."""
+    observer (called on every line access; it selects no code path)."""
     config = MachineConfig(num_cores=cores).with_model(model)
     program = get_workload(name).build(config.model, config, preset="tiny")
     system = CmpSystem(config, program)
     if observed:
         system.hierarchy.observers.append(lambda *args: None)
-        assert not system.hierarchy.fastpath_safe
     return system.run()
 
 
 class TestEightModeIdentity:
-    """blocks x fastpath x observed: all eight interpreters, one answer.
+    """blocks x fastpath, plus one all-on leg observed: one answer.
 
-    ``observed`` attaches a hierarchy observer, which keeps the phase
-    walk but routes every L1 hit through the hierarchy.
+    ``observed`` attaches a hierarchy observer.  It selects no code
+    path, so one leg with both hatches on covers it; CI's hatches-off
+    step runs the observed tests of test_obs.py and test_trace.py with
+    both hatches off.
     """
 
-    MODES = [(blocks, fastpath, observed)
+    MODES = [(blocks, fastpath, False)
              for blocks in ("1", "0")
-             for fastpath in ("1", "0")
-             for observed in (False, True)]
+             for fastpath in ("1", "0")] + [("1", "1", True)]
 
     @pytest.mark.parametrize("workload,model,cores", [
         ("bitonic", "cc", 4),
@@ -458,9 +456,8 @@ class TestWalkedShapes:
         assert any(op[1].ops[op[3] - 1][0] == "lsld" for op in cursors)
 
     def test_phase_walked_under_an_observer(self, monkeypatch):
-        # The observer turns the inline probe off, not the walk: both
-        # sides must notify the observer with the same accesses at the
-        # same times.
+        # The observer does not turn the walk off: both sides must
+        # notify it with the same accesses at the same times.
         def thread(env):
             blk = block(compute(20), load(0x1000, LINE), compute(10),
                         store(0x1000, LINE), name="kernel")
@@ -474,8 +471,8 @@ class TestWalkedShapes:
         assert walked[4].stats["sim.phase_iters"] == 3 * 48
 
     def test_resident_block_straddles_a_pending_event(self, monkeypatch):
-        # Core 0 replays one fully resident block (every line an inline
-        # hit after the first dispatch) across 20-cycle quanta while
+        # Core 0 replays one fully resident block (every line an L1 hit
+        # after the first dispatch) across 20-cycle quanta while
         # core 1's events are pending, so the block yields mid-dispatch
         # and resumes from its cursor.  0x1000 and 0x5000 share an L1
         # set (512 sets of 32 B), so the re-load of 0x1000 sets their

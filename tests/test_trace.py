@@ -70,8 +70,7 @@ class TestRecorder:
         program = get_workload("fir").build("cc", cfg, preset="tiny")
         system = CmpSystem(cfg, program)
         with TraceRecorder(system) as recorder:
-            assert not system.hierarchy.fastpath_safe
-        assert system.hierarchy.fastpath_safe
+            assert system.hierarchy.observers == [recorder]
         assert recorder.records == []
         assert system.hierarchy.observers == []
 
@@ -83,9 +82,9 @@ class TestRecorder:
             with TraceRecorder(system):
                 raise RuntimeError("boom")
         # The leak this guards against: a raise inside the with-block
-        # leaving the recorder on the observers list would pin every
-        # later run on this system to the slow path.
-        assert system.hierarchy.fastpath_safe
+        # leaving the recorder on the observers list would record every
+        # later run on this system.
+        assert system.hierarchy.observers == []
 
     def test_detach_is_idempotent_and_never_evicts_a_successor(self):
         cfg = MachineConfig(num_cores=1)
