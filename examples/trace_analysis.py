@@ -6,12 +6,13 @@ MPEG-2 (blocked, heavy reuse) and the original 179.art layout (sparse
 strides, no reuse) — and shows how the offline tools expose what the
 paper's Table 3 summarizes: reuse-distance profiles, ideal-cache hit
 rates versus capacity, and where loads were served.  Also demonstrates
-the interval profiler's activity sparklines.
+the metrics sampler's activity sparklines (what ``python -m repro run
+--profile`` prints).
 """
 
 from repro import MachineConfig
 from repro.core.system import CmpSystem
-from repro.sim.sampling import IntervalSampler
+from repro.obs import MetricsSampler
 from repro.trace import (
     TraceRecorder,
     footprint,
@@ -28,7 +29,7 @@ def analyze(name: str, overrides: dict | None = None) -> None:
                                        overrides=overrides)
     system = CmpSystem(config, program)
     recorder = TraceRecorder(system)
-    sampler = IntervalSampler(system, interval_fs=ns_to_fs(20_000))
+    sampler = MetricsSampler(system, interval_fs=ns_to_fs(20_000))
     sampler.drive()
 
     loads = [r for r in recorder.records if r.kind == "ld"][:20_000]

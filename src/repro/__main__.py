@@ -12,19 +12,24 @@ Usage::
     python -m repro serve start --socket .repro-serve.sock --jobs 4
     python -m repro tune fir merge --preset tiny --budget 24
     python -m repro run fir --model cc --cores 1 --preset tiny --cprofile
+    python -m repro run fir --preset tiny --metrics --profile series.json \
+        --trace-out trace.json
 
 ``figureN`` / ``table3`` commands print the experiment's paper-style
 rows; ``run`` executes one workload/configuration and prints the full
-measurement record.  Experiment commands persist results in the
-content-addressed store (``.repro-cache/`` or ``$REPRO_STORE``; disable
-with ``--no-store``) and fan out over worker processes with
-``--jobs N``; ``grid`` exposes the full sweep toolbox (see
-``python -m repro grid --help``).
+measurement record, plus whatever its instruments recorded: the metrics
+report (``--metrics``), metric time series (``--profile [PATH]``), the
+access trace (``--trace``), and a Chrome trace (``--trace-out``).
+Experiment commands persist results in the content-addressed store
+(``.repro-cache/`` or ``$REPRO_STORE``; disable with ``--no-store``) and
+fan out over worker processes with ``--jobs N``; ``grid`` exposes the
+full sweep toolbox (see ``python -m repro grid --help``).
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from repro import run_workload, workload_names
@@ -58,8 +63,13 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(with --prefetch; default 4)")
     run_p.add_argument("--preset", default="default",
                        choices=["default", "small", "tiny"])
-    run_p.add_argument("--profile", action="store_true",
-                       help="sample activity over time and print sparklines")
+    run_p.add_argument("--profile", metavar="PATH", nargs="?", const="",
+                       help="sample metric time series and print "
+                            "sparklines; with PATH also write the series "
+                            "as JSON ('-' for stdout)")
+    run_p.add_argument("--interval-ns", type=int, default=0, metavar="NS",
+                       help="sampling window of --profile and --trace-out "
+                            "in simulated ns (default: 20k core cycles)")
     run_p.add_argument("--metrics", action="store_true",
                        help="print the per-component metrics report "
                             "(pull-model; results are bit-identical)")
@@ -180,6 +190,75 @@ def _print_run(result) -> None:
         f"{k}={v * 1e3:.2f}mJ" for k, v in energy.items() if v))
 
 
+def _run(args) -> int:
+    """``run``: build one system, run it under the requested instruments,
+    and print the run record and what the instruments recorded."""
+    from contextlib import ExitStack
+
+    from repro.grid.spec import RunSpec
+
+    system = RunSpec(
+        args.workload, model=args.model, cores=args.cores,
+        clock_ghz=args.clock, bandwidth_gbps=args.bandwidth,
+        prefetch=args.prefetch, prefetch_depth=args.prefetch_depth,
+        preset=args.preset).build_system()
+    sampler = None
+    if args.profile is not None or args.trace_out:
+        from repro.obs import MetricsSampler
+        from repro.units import ns_to_fs
+
+        # drive() samples between windows, adding no events.
+        sampler = MetricsSampler(system, ns_to_fs(args.interval_ns)
+                                 if args.interval_ns > 0 else None)
+    # Recorders attach through an ExitStack so a raising run cannot leave
+    # one on an observers list, where it would record later runs too.
+    with ExitStack() as stack:
+        recorder = kernel_rec = dma_rec = None
+        if args.trace or args.trace_out:
+            from repro.trace import TraceRecorder
+
+            recorder = stack.enter_context(TraceRecorder(system))
+        if args.trace_out:
+            from repro.obs import DmaCommandRecorder, KernelEventRecorder
+
+            kernel_rec = stack.enter_context(KernelEventRecorder(system.sim))
+            dma_rec = stack.enter_context(DmaCommandRecorder(system.hierarchy))
+        result = _run_profiled(
+            args.cprofile, system.run if sampler is None else sampler.drive)
+    _print_run(result)
+    if args.profile is not None:
+        print()
+        print(sampler.render())
+        print(f"{len(sampler.samples)} window(s) x {len(sampler.registry)} "
+              f"metric(s)")
+    if args.metrics:
+        from repro.obs import render_report
+
+        print()
+        print(render_report(system, result))
+    if args.trace:
+        recorder.save(args.trace)
+        print(f"\ntrace: {len(recorder)} accesses -> {args.trace}")
+    if args.trace_out:
+        from repro.obs import export_chrome_trace, save_chrome_trace
+
+        doc = export_chrome_trace(
+            trace=recorder.records, dma_events=dma_rec.events,
+            kernel_spans=kernel_rec.spans(), samples=sampler.samples)
+        save_chrome_trace(doc, args.trace_out)
+        print(f"\nchrome trace: {len(doc['traceEvents'])} event(s) "
+              f"({len(recorder)} accesses, {len(dma_rec)} DMA commands, "
+              f"{len(kernel_rec.spans())} kernel spans) -> {args.trace_out}")
+    # The series document comes last, so '--profile -' ends stdout with it.
+    if args.profile == "-":
+        json.dump(sampler.to_dict(), sys.stdout, sort_keys=True)
+        sys.stdout.write("\n")
+    elif args.profile:
+        sampler.save(args.profile)
+        print(f"series -> {args.profile}")
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = _build_parser().parse_args(argv)
@@ -208,77 +287,7 @@ def main(argv: list[str] | None = None) -> int:
             print(name)
         return 0
     if args.command == "run":
-        if args.profile or args.trace or args.metrics or args.trace_out:
-            from contextlib import ExitStack
-
-            from repro import MachineConfig, get_workload
-            from repro.core.system import CmpSystem
-            from repro.sim.sampling import IntervalSampler
-
-            config = MachineConfig(num_cores=args.cores) \
-                .with_model(args.model).with_clock(args.clock) \
-                .with_bandwidth(args.bandwidth)
-            if args.prefetch:
-                config = config.with_prefetch(depth=args.prefetch_depth)
-            program = get_workload(args.workload).build(
-                config.model, config, preset=args.preset)
-            system = CmpSystem(config, program)
-            interval_fs = max(1, config.core.cycle_fs * 20000)
-            sampler = None
-            if args.profile or args.trace_out:
-                # drive() samples between windows, adding no events.
-                sampler = IntervalSampler(system, interval_fs=interval_fs)
-            # Recorders attach through an ExitStack so a raising run
-            # cannot leave one on an observers list, where it would
-            # record later runs too.
-            with ExitStack() as stack:
-                recorder = None
-                if args.trace or args.trace_out:
-                    from repro.trace import TraceRecorder
-
-                    recorder = stack.enter_context(TraceRecorder(system))
-                kernel_rec = dma_rec = None
-                if args.trace_out:
-                    from repro.obs import (DmaCommandRecorder,
-                                           KernelEventRecorder)
-
-                    kernel_rec = stack.enter_context(
-                        KernelEventRecorder(system.sim))
-                    dma_rec = stack.enter_context(
-                        DmaCommandRecorder(system.hierarchy))
-                result = _run_profiled(
-                    args.cprofile,
-                    system.run if sampler is None else sampler.drive)
-            _print_run(result)
-            if args.profile and sampler is not None:
-                print()
-                print(sampler.render())
-            if args.metrics:
-                from repro.obs import render_report
-
-                print()
-                print(render_report(system, result))
-            if recorder is not None and args.trace:
-                recorder.save(args.trace)
-                print(f"\ntrace: {len(recorder)} accesses -> {args.trace}")
-            if args.trace_out:
-                from repro.obs import export_chrome_trace, save_chrome_trace
-
-                doc = export_chrome_trace(
-                    trace=recorder.records, dma_events=dma_rec.events,
-                    kernel_spans=kernel_rec.spans(), samples=sampler.samples)
-                save_chrome_trace(doc, args.trace_out)
-                print(f"\nchrome trace: {len(doc['traceEvents'])} event(s) "
-                      f"-> {args.trace_out}")
-        else:
-            result = _run_profiled(args.cprofile, lambda: run_workload(
-                args.workload, model=args.model, cores=args.cores,
-                clock_ghz=args.clock, bandwidth_gbps=args.bandwidth,
-                prefetch=args.prefetch, prefetch_depth=args.prefetch_depth,
-                preset=args.preset,
-            ))
-            _print_run(result)
-        return 0
+        return _run(args)
     if args.command == "compare":
         from repro.harness.reports import format_table
         from repro.workloads import get_workload

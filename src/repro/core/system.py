@@ -67,9 +67,8 @@ class CmpSystem:
 
         ``loop`` optionally replaces the default ``self.sim.run()`` event
         loop with a callable taking the simulator; it must drain the
-        queue completely.  Pull-style drivers
-        (:meth:`repro.sim.sampling.IntervalSampler.drive`) use it to step
-        the run boundary by boundary with
+        queue completely.  :meth:`repro.obs.MetricsSampler.drive` uses
+        it to step the run boundary by boundary with
         :meth:`~repro.sim.kernel.Simulator.drain_until`.
         """
         for processor in self.processors:

@@ -71,23 +71,29 @@ class RunSpec:
             config = config.with_overrides(self.config_overrides)
         return config
 
-    def execute(self):
-        """Run the simulation this spec describes; returns a RunResult.
+    def build_system(self):
+        """Build the :class:`~repro.core.system.CmpSystem` this spec
+        describes, ready to run.
 
-        This is *the* execution path: the serial :class:`Runner`, the
-        parallel workers, and ``repro.run_workload`` all reduce to the
-        same config-build + program-build + :func:`run_program` calls,
-        which is what makes serial and parallel sweeps bit-identical.
+        This is *the* build path: :meth:`execute` (the serial
+        :class:`Runner` and the parallel workers),
+        :meth:`execute_with_series` and ``python -m repro run`` all start
+        here, which is what makes serial, parallel and instrumented runs
+        bit-identical.
         """
         from repro.config import MemoryModel
-        from repro.core.system import run_program
+        from repro.core.system import CmpSystem
         from repro.workloads import get_workload
 
         config = self.to_config()
         program = get_workload(self.workload).build(
             MemoryModel.parse(self.model), config, preset=self.preset,
             overrides=self.overrides)
-        return run_program(config, program)
+        return CmpSystem(config, program)
+
+    def execute(self):
+        """Run the simulation this spec describes; returns a RunResult."""
+        return self.build_system().run()
 
     def execute_with_series(self, interval_fs: int = 0):
         """Like :meth:`execute`, but also sample a metric time series.
@@ -97,21 +103,12 @@ class RunSpec:
         hooks and adds no events, so ``result`` — including
         ``stats["sim.events"]`` — is bit-identical to :meth:`execute`
         and safe to store under the same content key.  ``interval_fs=0``
-        picks an automatic window of 20k core cycles.
+        picks the sampler's automatic window of 20k core cycles.
         """
-        from repro.config import MemoryModel
-        from repro.core.system import CmpSystem
         from repro.obs.sampler import MetricsSampler
-        from repro.workloads import get_workload
 
-        config = self.to_config()
-        program = get_workload(self.workload).build(
-            MemoryModel.parse(self.model), config, preset=self.preset,
-            overrides=self.overrides)
-        system = CmpSystem(config, program)
-        if interval_fs <= 0:
-            interval_fs = max(1, config.core.cycle_fs * 20_000)
-        sampler = MetricsSampler(system, interval_fs)
+        sampler = MetricsSampler(self.build_system(),
+                                 interval_fs if interval_fs > 0 else None)
         result = sampler.drive()
         return result, sampler.to_dict()
 

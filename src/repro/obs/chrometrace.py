@@ -142,9 +142,8 @@ def export_chrome_trace(trace=None, dma_events=None, kernel_spans=None,
     ``dma_events`` the tuples a :class:`DmaCommandRecorder` collected;
     ``kernel_spans`` the ``(start_fs, end_fs, events)`` spans of a
     :class:`KernelEventRecorder`; ``samples`` the per-interval rows of
-    an :class:`~repro.sim.sampling.IntervalSampler` (or the flattened
-    rows of a :class:`~repro.obs.sampler.MetricsSampler`).  Any subset
-    may be None.  Returns a JSON-safe dict.
+    a :class:`~repro.obs.sampler.MetricsSampler`.  Any subset may be
+    None.  Returns a JSON-safe dict.
     """
     events: list[dict] = []
 

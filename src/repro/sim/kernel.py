@@ -125,10 +125,11 @@ class Simulator:
     def drain_until(self, time_fs: int) -> int:
         """Process every pending event with timestamp <= ``time_fs``.
 
-        The shared boundary-stepping primitive: interval sampling and the
-        processor fast path both step the simulation to a time boundary,
-        and both must honor the same (time, insertion order) dispatch rule
-        as :meth:`run`.  Events scheduled *at* the boundary fire (ties in
+        The shared boundary-stepping primitive: the metrics sampler
+        (:meth:`repro.obs.MetricsSampler.drive`) and the processor fast
+        path both step the simulation to a time boundary, and both must
+        honor the same (time, insertion order) dispatch rule as
+        :meth:`run`.  Events scheduled *at* the boundary fire (ties in
         insertion order, exactly as in a full :meth:`run`); the clock ends
         on the last processed event and never moves backwards.  Returns
         the number of events processed (zero for an empty queue or a

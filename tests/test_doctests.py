@@ -5,10 +5,10 @@ import doctest
 import pytest
 
 import repro.harness.reports
-import repro.sim.sampling
+import repro.obs.sampler
 import repro.units
 
-MODULES = [repro.units, repro.harness.reports, repro.sim.sampling]
+MODULES = [repro.units, repro.harness.reports, repro.obs.sampler]
 
 
 @pytest.mark.parametrize("module", MODULES,

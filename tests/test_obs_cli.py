@@ -9,16 +9,18 @@ from repro.obs.cli import main as obs_main
 
 
 class TestObsCommands:
+    """The instrumented ``repro run`` flags and ``repro obs validate``."""
+
     def test_report(self, capsys):
-        assert obs_main(["report", "fir", "--cores", "2",
-                         "--preset", "tiny"]) == 0
+        assert main(["run", "fir", "--cores", "2", "--preset", "tiny",
+                     "--metrics"]) == 0
         out = capsys.readouterr().out
         assert "fir/cc" in out
         assert "l1.load_ops" in out
 
     def test_series_to_stdout(self, capsys):
-        assert obs_main(["series", "fir", "--cores", "2", "--preset", "tiny",
-                         "--json", "-"]) == 0
+        assert main(["run", "fir", "--cores", "2", "--preset", "tiny",
+                     "--profile", "-"]) == 0
         out = capsys.readouterr().out
         assert "window(s)" in out
         doc = json.loads(out.splitlines()[-1])
@@ -27,8 +29,8 @@ class TestObsCommands:
 
     def test_series_to_file(self, tmp_path, capsys):
         path = tmp_path / "series.json"
-        assert obs_main(["series", "fir", "--cores", "2", "--preset", "tiny",
-                         "--json", str(path)]) == 0
+        assert main(["run", "fir", "--cores", "2", "--preset", "tiny",
+                     "--profile", str(path)]) == 0
         doc = json.loads(path.read_text())
         assert set(doc) == {"interval_fs", "kinds", "units", "samples"}
 
@@ -36,8 +38,8 @@ class TestObsCommands:
         from repro.obs import validate_chrome_trace
 
         path = tmp_path / "trace.json"
-        assert obs_main(["export", "fir", "--model", "str", "--cores", "2",
-                         "--preset", "tiny", "-o", str(path)]) == 0
+        assert main(["run", "fir", "--model", "str", "--cores", "2",
+                     "--preset", "tiny", "--trace-out", str(path)]) == 0
         out = capsys.readouterr().out
         assert "chrome trace" in out
         assert "DMA commands" in out
@@ -59,14 +61,29 @@ class TestObsCommands:
 
     def test_unknown_workload_rejected(self):
         with pytest.raises(SystemExit):
-            obs_main(["report", "nonesuch"])
+            main(["run", "nonesuch"])
 
 
 class TestMainForwarding:
-    def test_obs_subcommand_forwards(self, capsys):
-        assert main(["obs", "report", "fir", "--cores", "2",
-                     "--preset", "tiny"]) == 0
+    def test_obs_subcommand_forwards(self, tmp_path, capsys):
+        path = tmp_path / "trace.json"
+        assert main(["run", "fir", "--cores", "2", "--preset", "tiny",
+                     "--metrics", "--trace-out", str(path)]) == 0
         assert "l1.load_ops" in capsys.readouterr().out
+        assert main(["obs", "validate", str(path)]) == 0
+        assert "valid trace_event JSON" in capsys.readouterr().out
+
+    def test_run_profile_path_writes_the_grid_series(self, tmp_path, capsys):
+        """``run --profile PATH`` writes the very series a grid sweep
+        stores as a sidecar for the same spec."""
+        from repro.grid.spec import RunSpec
+
+        path = tmp_path / "series.json"
+        assert main(["run", "fir", "--cores", "2", "--preset", "tiny",
+                     "--profile", str(path)]) == 0
+        _, series = RunSpec("fir", cores=2, preset="tiny") \
+            .execute_with_series()
+        assert path.read_text() == json.dumps(series, sort_keys=True) + "\n"
 
     def test_run_metrics_flag_prints_report(self, capsys):
         assert main(["run", "fir", "--cores", "2", "--preset", "tiny",

@@ -18,8 +18,6 @@ PUBLIC_MODULES = [
     "repro.sim",
     "repro.sim.kernel",
     "repro.sim.resources",
-    "repro.sim.sampling",
-    "repro.sim.stats",
     "repro.interconnect",
     "repro.interconnect.fabric",
     "repro.mem",

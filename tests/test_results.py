@@ -1,9 +1,8 @@
-"""RunResult, Breakdown, Traffic, EnergyBreakdown, and stats registry."""
+"""RunResult, Breakdown, Traffic, and EnergyBreakdown."""
 
 import pytest
 
 from repro.results import Breakdown, EnergyBreakdown, RunResult, Traffic
-from repro.sim.stats import Counter, StatsRegistry
 
 
 def make_result(**overrides):
@@ -79,38 +78,3 @@ class TestRunResultMetrics:
     def test_summary_mentions_key_facts(self):
         text = make_result().summary()
         assert "fir" in text and "cc" in text and "cores=4" in text
-
-
-class TestStatsRegistry:
-    def test_counter_basics(self):
-        c = Counter("x")
-        c.add()
-        c.add(5)
-        assert c.value == 6
-        with pytest.raises(ValueError):
-            c.add(-1)
-
-    def test_registry_creates_and_reuses(self):
-        reg = StatsRegistry()
-        a = reg.counter("l1.misses")
-        b = reg.counter("l1.misses")
-        assert a is b
-        a.add(3)
-        assert reg["l1.misses"] == 3
-        assert reg.get("absent", 7) == 7
-        assert "l1.misses" in reg
-
-    def test_prefix_total(self):
-        reg = StatsRegistry()
-        reg.counter("l1.0.misses").add(2)
-        reg.counter("l1.1.misses").add(3)
-        reg.counter("l2.misses").add(10)
-        assert reg.total("l1.") == 5
-        assert reg.total("") == 15
-
-    def test_as_dict_snapshot(self):
-        reg = StatsRegistry()
-        reg.counter("a").add(1)
-        snap = reg.as_dict()
-        reg.counter("a").add(1)
-        assert snap == {"a": 1}

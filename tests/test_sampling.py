@@ -1,10 +1,10 @@
-"""Interval sampling and sparkline rendering."""
+"""Interval sampling (MetricsSampler) and sparkline rendering."""
 
 import pytest
 
 from repro import MachineConfig
 from repro.core.system import CmpSystem
-from repro.sim.sampling import IntervalSampler, sparkline
+from repro.obs.sampler import MetricsSampler, sparkline
 from repro.units import ns_to_fs
 from repro.workloads import get_workload
 
@@ -32,7 +32,7 @@ def run_sampled(name="fir", cores=4, interval_ns=20_000, model="cc"):
     cfg = MachineConfig(num_cores=cores).with_model(model)
     program = get_workload(name).build(model, cfg, preset="tiny")
     system = CmpSystem(cfg, program)
-    sampler = IntervalSampler(system, interval_fs=ns_to_fs(interval_ns))
+    sampler = MetricsSampler(system, interval_fs=ns_to_fs(interval_ns))
     result = sampler.drive()
     return sampler, result
 
@@ -78,13 +78,13 @@ class TestIntervalSampler:
         program = get_workload("fir").build("cc", cfg, preset="tiny")
         system = CmpSystem(cfg, program)
         with pytest.raises(ValueError):
-            IntervalSampler(system, interval_fs=0)
+            MetricsSampler(system, interval_fs=0)
 
     def test_double_drive_rejected(self):
         cfg = MachineConfig(num_cores=1)
         program = get_workload("fir").build("cc", cfg, preset="tiny")
         system = CmpSystem(cfg, program)
-        sampler = IntervalSampler(system, interval_fs=ns_to_fs(20_000))
+        sampler = MetricsSampler(system, interval_fs=ns_to_fs(20_000))
         sampler.drive()
         with pytest.raises(RuntimeError):
             sampler.drive()
@@ -101,7 +101,7 @@ class TestPullModeSampler:
 
     def test_drive_runs_to_completion_and_samples(self):
         system = build_system()
-        sampler = IntervalSampler(system, interval_fs=ns_to_fs(20_000))
+        sampler = MetricsSampler(system, interval_fs=ns_to_fs(20_000))
         result = sampler.drive()
         assert result.exec_time_fs > 0
         assert len(sampler.samples) >= 2
@@ -114,14 +114,14 @@ class TestPullModeSampler:
         ``stats['sim.events']`` — matches an unsampled run bit for bit."""
         plain = build_system().run()
         system = build_system()
-        sampler = IntervalSampler(system, interval_fs=ns_to_fs(20_000))
+        sampler = MetricsSampler(system, interval_fs=ns_to_fs(20_000))
         driven = sampler.drive()
         assert driven.to_dict() == plain.to_dict()
 
     def test_drive_sample_times_are_window_boundaries(self):
         system = build_system()
         interval = ns_to_fs(20_000)
-        sampler = IntervalSampler(system, interval_fs=interval)
+        sampler = MetricsSampler(system, interval_fs=interval)
         sampler.drive()
         for i, sample in enumerate(sampler.samples):
             assert sample["time_fs"] == (i + 1) * interval
