@@ -72,16 +72,15 @@ def run_workload(name: str, model: str = "cc", cores: int = 8,
                  overrides: dict | None = None) -> RunResult:
     """Build and run one application on one machine configuration.
 
-    This is the one-call public entry point: it assembles a
-    :class:`MachineConfig` from the keyword arguments, builds the named
-    workload for the requested memory model, runs the simulation, and
-    returns the full :class:`RunResult`.
+    This is the one-call public entry point: it runs the
+    :class:`~repro.grid.spec.RunSpec` the keyword arguments describe,
+    through the one build path that ``python -m repro run``, the grid
+    and the serve workers share, and returns the full
+    :class:`RunResult`.
     """
-    config = MachineConfig(num_cores=cores).with_model(model)
-    config = config.with_clock(clock_ghz).with_bandwidth(bandwidth_gbps)
-    if prefetch:
-        config = config.with_prefetch(depth=prefetch_depth)
-    workload = get_workload(name)
-    program = workload.build(config.model, config, preset=preset,
-                             overrides=overrides)
-    return run_program(config, program)
+    from repro.grid.spec import RunSpec
+
+    return RunSpec(name, model=model, cores=cores, clock_ghz=clock_ghz,
+                   bandwidth_gbps=bandwidth_gbps, prefetch=prefetch,
+                   prefetch_depth=prefetch_depth, preset=preset,
+                   overrides=overrides).execute()

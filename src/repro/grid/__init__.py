@@ -23,7 +23,7 @@ for the store layout, key schema, and failure semantics, and
 ``python -m repro grid --help`` for the command-line surface.
 """
 
-from repro.grid.keys import SCHEMA_VERSION, content_key, freeze
+from repro.grid.keys import SCHEMA_VERSION, content_key
 from repro.grid.progress import Progress
 from repro.grid.scheduler import GridScheduler, PlanCache, RunOutcome, plan, replay_cache
 from repro.grid.spec import RunSpec
@@ -38,7 +38,6 @@ from repro.grid.store import (
 __all__ = [
     "SCHEMA_VERSION",
     "content_key",
-    "freeze",
     "RunSpec",
     "ResultStore",
     "MemoryCache",

@@ -11,10 +11,11 @@ Usage::
 
 ``sweep`` regenerates the named experiments (default: every one) by
 planning their deduplicated run set, executing the misses on a worker
-pool, and replaying the experiments from the settled results.  The
-existing ``python -m repro figureN/table3/all`` commands accept
-``--jobs`` / ``--store`` / ``--no-store`` and route through the same
-machinery.
+pool, and replaying the experiments from the settled results.  That is
+the one sweep path: ``python -m repro figureN/table3/all`` take it too
+(their ``--jobs`` defaults to one worker), and ``python -m repro serve
+submit`` replays its served outcomes through the same tail,
+:func:`replay_experiments`.
 
 The store location is ``--store PATH`` if given, else the
 ``REPRO_STORE`` environment variable, else ``.repro-cache/`` in the
@@ -30,12 +31,7 @@ import sys
 
 from repro.grid.progress import Progress
 from repro.grid.scheduler import GridScheduler, plan, replay_cache
-from repro.grid.store import (
-    MemoryCache,
-    ResultStore,
-    RunFailedError,
-    StoreCache,
-)
+from repro.grid.store import ResultStore, RunFailedError
 
 #: Default store directory when neither --store nor REPRO_STORE is set.
 DEFAULT_STORE = ".repro-cache"
@@ -72,15 +68,61 @@ def run_experiments(names: list[str], preset: str = "default",
                     progress_json: str | None = None,
                     series_interval_fs: int | None = None,
                     render=None) -> int:
-    """Regenerate experiments with optional parallelism and persistence.
+    """Regenerate experiments: plan, schedule on ``jobs`` workers, replay.
 
-    ``render(name, experiment_result)`` is called for each completed
-    experiment (default: print the text table to stdout).
+    Every sweep takes this one path, whatever ``jobs`` is: the
+    experiments' deduplicated run set is planned, store hits settle at
+    once, the misses run on a :class:`GridScheduler` pool of ``jobs``
+    workers (none is started when nothing misses), and
+    :func:`replay_experiments` renders the experiments from the settled
+    outcomes.  ``render(name, experiment_result)`` is called for each
+    completed experiment (default: print the text table to stdout).
     ``progress_json`` may be a path (one summary document written at the
     end) or ``"-"`` (one JSON line per sweep event streamed to stdout,
     flushed per line).  ``series_interval_fs`` additionally samples a
     metric time series inside every executed run and stores it beside
     the result record (0 means a per-config automatic interval).
+
+    Returns :func:`replay_experiments`' exit code.
+    """
+    from repro.harness import EXPERIMENTS
+
+    names = _experiment_names(names)
+    stream_events = progress_json == "-"
+    progress = Progress(jsonl=sys.stdout if stream_events else None)
+    specs = plan([EXPERIMENTS[name] for name in names], preset=preset)
+    scheduler = GridScheduler(jobs=jobs, store=store,
+                              timeout_s=timeout_s, retries=retries,
+                              retry_failed=retry_failed,
+                              progress=progress,
+                              series_interval_fs=series_interval_fs)
+    code = replay_experiments(names, list(scheduler.map(specs)),
+                              preset=preset, render=render)
+    if progress_json:
+        payload = progress.as_dict()
+        payload["experiments"] = names
+        payload["preset"] = preset
+        if stream_events:
+            progress.emit_jsonl("summary", **payload)
+        else:
+            payload["store"] = str(store.root) if store is not None else None
+            with open(progress_json, "w") as handle:
+                json.dump(payload, handle, indent=2, sort_keys=True)
+                handle.write("\n")
+    return code
+
+
+def replay_experiments(names: list[str], outcomes: list,
+                       preset: str = "default", render=None) -> int:
+    """Render experiments from settled outcomes; summarise what went wrong.
+
+    The one tail of every sweep (``grid sweep``, the experiment
+    commands, ``serve submit``).  Each named experiment is replayed
+    through a :class:`~repro.harness.runner.Runner` over
+    :func:`replay_cache` of ``outcomes``; an experiment that needs a
+    failed run is reported incomplete on stderr and skipped.  Failed
+    runs and scorecard claims outside their acceptance band are then
+    listed on stderr.
 
     Returns the process exit code: 0 when everything settled in band, 1
     when any run degraded to a recorded FailedRun, and 2 when every run
@@ -95,42 +137,22 @@ def run_experiments(names: list[str], preset: str = "default",
             print(result.to_text())
             print()
 
-    names = _experiment_names(names)
-    fns = [EXPERIMENTS[name] for name in names]
-    jobs = max(1, jobs)
-    stream_events = progress_json == "-"
-    progress = Progress(jobs=jobs,
-                        jsonl=sys.stdout if stream_events else None)
-    failures: dict[str, object] = {}
-    results: list = []
+    failures = {outcome.key: outcome.failure for outcome in outcomes
+                if outcome.status == "failed"}
+    runner = Runner(preset=preset, cache=replay_cache(outcomes))
+    rendered = 0
+    out_of_band = []
+    for name in names:
+        try:
+            result = EXPERIMENTS[name](runner)
+        except RunFailedError as error:
+            failures[error.failure.key] = error.failure
+            print(f"{name}: incomplete — {error}", file=sys.stderr)
+            continue
+        render(name, result)
+        rendered += 1
+        out_of_band += [row for row in result.rows if row.get("ok") is False]
 
-    if jobs == 1 and series_interval_fs is None:
-        cache = StoreCache(store) if store is not None else MemoryCache()
-        runner = Runner(preset=preset, cache=cache)
-        rendered = _replay(names, fns, runner, failures, render, results)
-        progress.total = cache.hits + cache.misses  # post-hoc accounting
-        progress.cache_hits = getattr(cache, "store_hits", 0)
-        progress.runs_launched = runner.runs
-        progress.completed = progress.cache_hits + runner.runs
-        progress.failed = len(failures)
-    else:
-        specs = plan(fns, preset=preset)
-        scheduler = GridScheduler(jobs=jobs, store=store,
-                                  timeout_s=timeout_s, retries=retries,
-                                  retry_failed=retry_failed,
-                                  progress=progress,
-                                  series_interval_fs=series_interval_fs)
-        outcomes = list(scheduler.map(specs))
-        for outcome in outcomes:
-            if outcome.status == "failed":
-                failures[outcome.key] = outcome.failure
-        runner = Runner(preset=preset, cache=replay_cache(outcomes))
-        rendered = _replay(names, fns, runner, failures, render, results)
-
-    out_of_band = [
-        row for result in results for row in result.rows
-        if row.get("ok") is False
-    ]
     if failures:
         print(f"\n{len(failures)} run(s) failed "
               f"({len(names) - rendered} experiment(s) incomplete):",
@@ -144,39 +166,9 @@ def run_experiments(names: list[str], preset: str = "default",
             print(f"  - {row.get('claim', '?')}: measured "
                   f"{row.get('measured')} outside {row.get('band')}",
                   file=sys.stderr)
-    if stream_events:
-        payload = progress.as_dict()
-        payload["experiments"] = names
-        payload["preset"] = preset
-        progress.emit_jsonl("summary", **payload)
-    elif progress_json:
-        payload = progress.as_dict()
-        payload["experiments"] = names
-        payload["preset"] = preset
-        payload["store"] = str(store.root) if store is not None else None
-        with open(progress_json, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
     if failures:
         return 1
     return 2 if out_of_band else 0
-
-
-def _replay(names, fns, runner, failures, render, results=None) -> int:
-    """Render each experiment from the runner; collect clean failures."""
-    rendered = 0
-    for name, fn in zip(names, fns):
-        try:
-            result = fn(runner)
-        except RunFailedError as error:
-            failures[error.failure.key] = error.failure
-            print(f"{name}: incomplete — {error}", file=sys.stderr)
-            continue
-        if results is not None:
-            results.append(result)
-        render(name, result)
-        rendered += 1
-    return rendered
 
 
 def _cmd_sweep(args) -> int:

@@ -1,16 +1,15 @@
-"""Canonical run keys: one canonicalizer for memoization and storage.
+"""Canonical run keys: the canonicalizer behind every run identity.
 
-Every cache layer in the system — the in-process memo dict of
-:class:`~repro.harness.runner.Runner`, the on-disk store of
-:mod:`repro.grid.store`, and the deduplication set of the parallel
-scheduler — must agree on when two run requests are "the same run".
-This module is the single source of that answer:
+:meth:`repro.grid.spec.RunSpec.content_key` is the one answer to "are
+these two run requests the same run?" — for the on-disk store of
+:mod:`repro.grid.store`, the scheduler's deduplication, and the
+in-process caches behind :class:`~repro.harness.runner.Runner`.  This
+module supplies its parts:
 
-* :func:`freeze` turns an overrides mapping (or any nested structure of
-  dicts / lists / tuples / sets) into a hashable, order-independent
-  tuple for in-memory dictionary keys.
-* :func:`jsonable` produces the equivalent canonical JSON-safe form
-  (sets become tagged sorted lists, so a set and a list never collide).
+* :func:`jsonable` produces the canonical JSON-safe form of an
+  overrides mapping or any nested structure of dicts / lists / tuples /
+  sets (sets become tagged sorted lists, so a set and a list never
+  collide; ``1``, ``1.0`` and ``True`` stay apart);
 * :func:`content_key` hashes the *full* machine configuration plus the
   workload / preset / overrides and a schema + code version stamp into
   a stable hex digest — the address of a result in the on-disk store.
@@ -36,36 +35,8 @@ SCHEMA_VERSION = 1
 _SET_TAG = "__repro_set__"
 
 
-def freeze(value):
-    """Recursively convert ``value`` into a hashable canonical form.
-
-    Dicts become key-sorted tuples of pairs, lists/tuples become tuples,
-    sets and frozensets become order-independent sorted tuples (tagged so
-    they can never collide with a list of the same elements).  Any other
-    leaf must already be hashable; an unhashable leaf (e.g. a stray dict
-    subclass or a numpy array) raises :class:`TypeError` immediately
-    instead of silently producing an unstable key.
-    """
-    if isinstance(value, dict):
-        return tuple(sorted((str(k), freeze(v)) for k, v in value.items()))
-    if isinstance(value, (list, tuple)):
-        return tuple(freeze(v) for v in value)
-    if isinstance(value, (set, frozenset)):
-        frozen = sorted((repr(v), freeze(v)) for v in value)
-        return (_SET_TAG,) + tuple(item for _, item in frozen)
-    try:
-        hash(value)
-    except TypeError:
-        raise TypeError(
-            f"cannot build a stable run key from unhashable leaf "
-            f"{value!r} of type {type(value).__name__}; use plain "
-            f"dicts/lists/sets/scalars in overrides"
-        ) from None
-    return value
-
-
 def jsonable(value):
-    """The canonical JSON-safe equivalent of :func:`freeze`.
+    """The canonical JSON-safe form of ``value``.
 
     Returns a structure ``json.dumps`` accepts with no custom encoder:
     dicts keep string keys, sets become ``[_SET_TAG, ...sorted items]``,
@@ -113,5 +84,4 @@ def content_key(payload) -> str:
     return digest.hexdigest()
 
 
-__all__ = ["SCHEMA_VERSION", "freeze", "jsonable", "canonical_json",
-           "content_key"]
+__all__ = ["SCHEMA_VERSION", "jsonable", "canonical_json", "content_key"]

@@ -18,11 +18,14 @@ stream of :class:`RunOutcome`:
    in-flight spec so one poison run cannot take innocent neighbours
    down with it.
 
-Determinism: workers execute exactly the same
-:meth:`RunSpec.execute` path as the serial Runner, and results cross
+Every experiment sweep runs through this scheduler, whatever its
+``jobs``: a pool of one worker is the serial sweep, and a sweep whose
+runs all hit the store starts no pool.  Determinism: workers execute
+:meth:`RunSpec.execute`, the one build-and-run path, and results cross
 the process boundary through the lossless ``RunResult.to_dict`` /
-``from_dict`` pair, so a parallel sweep is bit-identical to a serial
-one (``tests/test_grid_determinism.py`` holds this line).
+``from_dict`` pair, so a sweep is bit-identical at every ``jobs`` and to
+an in-process :class:`~repro.harness.runner.Runner`
+(``tests/test_grid_determinism.py`` holds this line).
 
 This module reads the host clock to time *orchestration* (never
 simulated time); those lines carry REPRO001 lint exemptions.
@@ -246,6 +249,7 @@ class GridScheduler:
             else:
                 yield RunOutcome(spec, key, "ok", "store", result=cached)
         if not pending:
+            progress.close()
             return
 
         attempts = dict.fromkeys((key for key, _ in pending), 0)
@@ -403,15 +407,15 @@ class PlanCache:
 
     def __init__(self) -> None:
         self.specs: list[RunSpec] = []
-        self._memo: dict[tuple, RunResult] = {}
+        self._memo: dict[str, RunResult] = {}
 
     def get(self, spec: RunSpec) -> RunResult:
         """Record ``spec`` (once) and return the placeholder result."""
-        memo_key = spec.memo_key()
-        if memo_key not in self._memo:
-            self._memo[memo_key] = _synthetic_result(spec)
+        key = spec.content_key()
+        if key not in self._memo:
+            self._memo[key] = _synthetic_result(spec)
             self.specs.append(spec)
-        return self._memo[memo_key]
+        return self._memo[key]
 
     def put(self, spec: RunSpec, outcome) -> None:
         """Planning never stores real results."""

@@ -5,11 +5,11 @@ workload, memory model, machine knobs, preset, overrides — as a frozen
 value object that can be
 
 * executed (:meth:`RunSpec.execute`, in-process or inside a worker),
-* memoized in a dict (:meth:`RunSpec.memo_key`),
-* addressed in the on-disk store (:meth:`RunSpec.content_key`, a hash
-  of the *expanded* :class:`~repro.config.MachineConfig` so any config
-  field change — not just the sweep knobs — changes the key; memoised
-  per process by the spec's value), and
+* identified by :meth:`RunSpec.content_key`, a hash of the *expanded*
+  :class:`~repro.config.MachineConfig` so any config field change — not
+  just the sweep knobs — changes the key (memoised per process by the
+  spec's value); the on-disk store, the scheduler and every in-process
+  cache key by it, and
 * shipped across a process boundary (plain picklable dataclass, plus
   :meth:`to_dict` / :meth:`from_dict` for the JSON store records).
 """
@@ -111,13 +111,6 @@ class RunSpec:
                                  interval_fs if interval_fs > 0 else None)
         result = sampler.drive()
         return result, sampler.to_dict()
-
-    def memo_key(self) -> tuple:
-        """Cheap hashable key for in-process memo dictionaries."""
-        return (self.workload, self.model, self.cores, self.clock_ghz,
-                self.bandwidth_gbps, self.prefetch, self.prefetch_depth,
-                self.preset, keys.freeze(self.overrides or {}),
-                keys.freeze(self.config_overrides or {}))
 
     def content_key(self) -> str:
         """Stable store address: hash of the full expanded configuration.

@@ -28,7 +28,8 @@ no-op and the atomic-replace guarantees still hold.
 The cache interface consumed by :class:`~repro.harness.runner.Runner`
 is three methods (``get`` / ``put`` / ``describe``) implemented by
 
-* :class:`MemoryCache` — the classic per-process memo dict,
+* :class:`MemoryCache` — a per-process dict keyed by
+  :meth:`RunSpec.content_key`, the store's own key,
 * :class:`StoreCache` — the same, backed by a :class:`ResultStore` so
   results survive the process and are shared across processes.
 """
@@ -400,16 +401,16 @@ class ResultStore:
 # ----------------------------------------------------------------------
 
 class MemoryCache:
-    """Per-process memo dict — the Runner's historical behavior."""
+    """Per-process memo dict keyed by content key — the Runner's default."""
 
     def __init__(self) -> None:
-        self._memo: dict[tuple, RunResult | FailedRun] = {}
+        self._memo: dict[str, RunResult | FailedRun] = {}
         self.hits = 0
         self.misses = 0
 
     def get(self, spec: RunSpec) -> "RunResult | FailedRun | None":
         """The memoized outcome for ``spec``, or None."""
-        outcome = self._memo.get(spec.memo_key())
+        outcome = self._memo.get(spec.content_key())
         if outcome is None:
             self.misses += 1
         else:
@@ -418,7 +419,7 @@ class MemoryCache:
 
     def put(self, spec: RunSpec, outcome: "RunResult | FailedRun") -> None:
         """Memoize ``outcome`` for ``spec``."""
-        self._memo[spec.memo_key()] = outcome
+        self._memo[spec.content_key()] = outcome
 
     def describe(self) -> str:
         """One-line backend description for diagnostics."""
@@ -436,21 +437,21 @@ class StoreCache:
 
     def __init__(self, store: ResultStore) -> None:
         self.store = store
-        self._memo: dict[tuple, RunResult | FailedRun] = {}
+        self._memo: dict[str, RunResult | FailedRun] = {}
         self.hits = 0            # in-memory hits
         self.store_hits = 0      # on-disk hits
         self.misses = 0
 
     def get(self, spec: RunSpec) -> "RunResult | FailedRun | None":
         """Outcome from memory, then disk; None on a full miss."""
-        memo_key = spec.memo_key()
-        outcome = self._memo.get(memo_key)
+        key = spec.content_key()
+        outcome = self._memo.get(key)
         if outcome is not None:
             self.hits += 1
             return outcome
         outcome = self.store.get(spec)
         if outcome is not None:
-            self._memo[memo_key] = outcome
+            self._memo[key] = outcome
             self.store_hits += 1
             return outcome
         self.misses += 1
@@ -459,7 +460,7 @@ class StoreCache:
     def put(self, spec: RunSpec, outcome: "RunResult | FailedRun",
             wall_s: float | None = None) -> None:
         """Record ``outcome`` in both layers."""
-        self._memo[spec.memo_key()] = outcome
+        self._memo[spec.content_key()] = outcome
         self.store.put(spec, outcome, wall_s=wall_s)
 
     def describe(self) -> str:

@@ -3,20 +3,21 @@
 Many experiments share runs (every figure normalizes to the one-core
 cache-based execution, Figure 3/4 reuse Figure 2's 16-core points, ...),
 so the :class:`Runner` caches :class:`~repro.results.RunResult` objects
-by their full configuration key.
+by :meth:`~repro.grid.spec.RunSpec.content_key`.
 
 The cache backend is pluggable (any object with ``get(spec)`` /
 ``put(spec, outcome)``), which is how the grid subsystem composes with
-the unchanged experiment functions:
+the unchanged experiment functions.  Every experiment command drives a
+Runner twice: over a :class:`~repro.grid.scheduler.PlanCache`, which
+records the requested run set without simulating, and then over
+:func:`repro.grid.scheduler.replay_cache`, which replays the settled
+outcomes of the grid scheduler (see :mod:`repro.grid.cli`).  For
+library callers and tests:
 
-* :class:`~repro.grid.store.MemoryCache` (the default) — the classic
-  per-process memo dict;
+* :class:`~repro.grid.store.MemoryCache` (the default) — a per-process
+  memo dict;
 * :class:`~repro.grid.store.StoreCache` — results persist in the
-  on-disk content-addressed store and survive the process;
-* :class:`~repro.grid.scheduler.PlanCache` — records the requested run
-  set without simulating, for parallel sweep planning;
-* a cache pre-filled by :func:`repro.grid.scheduler.replay_cache` —
-  replays a parallel sweep's results through the experiments.
+  on-disk content-addressed store and survive the process.
 
 A cached :class:`~repro.grid.store.FailedRun` raises a clean
 :class:`~repro.grid.store.RunFailedError` instead of re-simulating, so

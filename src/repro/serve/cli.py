@@ -15,7 +15,9 @@ client invocation against a running server.  The default endpoint is
 the ``.repro-serve.sock`` unix socket in the working directory; pass
 ``--port`` (and optionally ``--host``) for TCP instead.  ``submit``
 accepts experiment names (planned exactly like ``grid sweep``, then
-rendered from the served outcomes) or a single ``--workload`` spec.
+rendered from the served outcomes through ``grid sweep``'s own tail, so
+it exits 0, 1 on a failed run, or 2 on an out-of-band claim) or a
+single ``--workload`` spec (exit 1 when it failed).
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ import json
 import os
 import sys
 
-from repro.grid.cli import _experiment_names, _replay, resolve_store
-from repro.grid.scheduler import plan, replay_cache
+from repro.grid.cli import _experiment_names, replay_experiments, resolve_store
+from repro.grid.scheduler import plan
 from repro.grid.spec import RunSpec
 
 #: Default unix-socket endpoint (shared by server and clients).
@@ -97,9 +99,6 @@ def _specs_from_args(args) -> tuple[list[RunSpec], list[str]]:
 
 
 def _cmd_submit(args) -> int:
-    from repro.harness import EXPERIMENTS
-    from repro.harness.runner import Runner
-
     specs, names = _specs_from_args(args)
     transcript = open(args.transcript, "w") if args.transcript else None
 
@@ -128,18 +127,7 @@ def _cmd_submit(args) -> int:
               f"{done.get('runs', 0)} runs, {done.get('shared', 0)} shared)",
               file=sys.stderr)
     if names and not args.json:
-        failures: dict[str, object] = {
-            o.key: o.failure for o in report.outcomes
-            if o.status == "failed"}
-        runner = Runner(preset=args.preset,
-                        cache=replay_cache(report.outcomes))
-
-        def render(_name, result) -> None:
-            print(result.to_text())
-            print()
-
-        _replay(names, [EXPERIMENTS[name] for name in names], runner,
-                failures, render)
+        return replay_experiments(names, report.outcomes, preset=args.preset)
     return 1 if report.failed else 0
 
 

@@ -77,17 +77,69 @@ def test_experiment_store_warm_restart(tmp_path, capsys):
     assert capsys.readouterr().out == cold
 
 
-def test_experiment_parallel_jobs(tmp_path, capsys):
-    store = str(tmp_path / "store")
-    progress = tmp_path / "progress.json"
-    assert main(["figure3", "--preset", "tiny", "--jobs", "2",
-                 "--store", store, "--progress-json", str(progress)]) == 0
-    assert "Figure 3" in capsys.readouterr().out
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_experiment_parallel_jobs(tmp_path, capsys, jobs):
     import json
 
-    doc = json.loads(progress.read_text())
-    assert doc["jobs"] == 2
+    store = str(tmp_path / "store")
+    cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
+    for progress in (cold, warm):
+        assert main(["figure3", "--preset", "tiny", "--jobs", jobs,
+                     "--store", store, "--progress-json", str(progress)]) == 0
+        assert "Figure 3" in capsys.readouterr().out
+    doc = json.loads(cold.read_text())
+    assert doc["jobs"] == int(jobs)
     assert doc["runs_launched"] + doc["cache_hits"] == doc["total"]
+    # A warm sweep settles every planned run from the store.
+    doc = json.loads(warm.read_text())
+    assert doc["total"] == doc["cache_hits"] == 12
+    assert doc["runs_launched"] == 0
+
+
+def test_grid_sweep_retry_failed_at_one_job(tmp_path, capsys):
+    from repro.grid.scheduler import plan
+    from repro.grid.store import FailedRun, ResultStore
+    from repro.results import RunResult
+
+    store = ResultStore(tmp_path / "store")
+    spec = plan([EXPERIMENTS["figure3"]], preset="tiny")[0]
+    store.put(spec, FailedRun(key=spec.content_key(), label=spec.label(),
+                              kind="exception", message="seeded failure"))
+    assert main(["grid", "sweep", "figure3", "--preset", "tiny",
+                 "--jobs", "1", "--retry-failed",
+                 "--store", str(store.root)]) == 0
+    assert "seeded failure" not in capsys.readouterr().err
+    assert isinstance(store.get(spec), RunResult)
+
+
+@pytest.mark.parametrize(("failed", "code"), [(True, 1), (False, 2)],
+                         ids=["failed-run", "out-of-band"])
+def test_replay_experiments_exit_codes(monkeypatch, capsys, failed, code):
+    from repro.grid.cli import replay_experiments
+    from repro.grid.scheduler import RunOutcome
+    from repro.grid.spec import RunSpec
+    from repro.grid.store import FailedRun
+    from repro.harness.runner import ExperimentResult
+
+    spec = RunSpec("fir", cores=2, preset="tiny")
+    key = spec.content_key()
+    if failed:
+        outcome = RunOutcome(spec, key, "failed", "run", failure=FailedRun(
+            key=key, label=spec.label(), kind="exception", message="boom"))
+    else:
+        outcome = RunOutcome(spec, key, "ok", "run", result=spec.execute())
+
+    def scorecard(runner):
+        runner.run("fir", cores=2)
+        result = ExperimentResult("fake", "Fake scorecard", ["claim", "ok"])
+        result.add(claim="fake-claim", measured=1.0, band=(0.0, 0.5),
+                   ok=False)
+        return result
+
+    monkeypatch.setitem(EXPERIMENTS, "fake", scorecard)
+    assert replay_experiments(["fake"], [outcome], preset="tiny") == code
+    err = capsys.readouterr().err
+    assert ("1 run(s) failed" if failed else "1 claim(s) out of band") in err
 
 
 def test_grid_subcommand_forwards(tmp_path, capsys):

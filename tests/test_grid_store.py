@@ -298,6 +298,15 @@ class TestRunnerIntegration:
         with pytest.raises(RunFailedError, match="worker died"):
             runner.run("fir", cores=2)
 
+    def test_int_and_float_overrides_are_different_runs(self):
+        # The in-process caches key by content key, as the store does:
+        # an override of 1024.0 is not the run of 1024.
+        runner = Runner(preset="tiny")
+        runner.run("fir", cores=2, overrides={"n_samples": 1024})
+        with pytest.raises(TypeError):
+            runner.run("fir", cores=2, overrides={"n_samples": 1024.0})
+        assert runner.runs == 1
+
     def test_default_cache_is_memory(self):
         runner = Runner(preset="tiny")
         assert isinstance(runner.cache, MemoryCache)

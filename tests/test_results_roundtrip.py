@@ -20,9 +20,26 @@ from hypothesis import strategies as st
 from repro import run_workload, workload_names
 from repro.config import MachineConfig, MemoryModel
 from repro.grid import spec as spec_module
-from repro.grid.keys import SCHEMA_VERSION, content_key, freeze, jsonable
+from repro.grid.keys import (
+    SCHEMA_VERSION,
+    canonical_json,
+    content_key,
+    jsonable,
+)
 from repro.grid.spec import RunSpec
+from repro.grid.store import MemoryCache
 from repro.results import Breakdown, EnergyBreakdown, RunResult, Traffic
+
+
+@pytest.mark.parametrize(("name", "kwargs"), [
+    ("fir", {"model": "str", "cores": 2}),
+    ("merge", {"model": "cc", "cores": 2, "prefetch": True,
+               "prefetch_depth": 2}),
+], ids=["fir-str", "merge-cc-pf2"])
+def test_run_workload_is_the_spec_build_path(name, kwargs):
+    spec = RunSpec(name, preset="tiny", **kwargs)
+    assert run_workload(name, preset="tiny", **kwargs).to_dict() == \
+        spec.execute().to_dict()
 
 
 @pytest.mark.parametrize("name", workload_names())
@@ -106,7 +123,9 @@ class TestContentKey:
         a = RunSpec(**{**self.BASE, "overrides": {"a": 1, "b": 2}})
         b = RunSpec(**{**self.BASE, "overrides": {"b": 2, "a": 1}})
         assert a.content_key() == b.content_key()
-        assert a.memo_key() == b.memo_key()
+        cache = MemoryCache()
+        cache.put(a, "settled")
+        assert cache.get(b) == "settled"
 
     def test_schema_stamp_in_key(self):
         payload = {"x": 1}
@@ -267,23 +286,18 @@ class TestContentKeyMemo:
 
 
 class TestFreeze:
+    """The canonical form behind every run key (``keys.jsonable``)."""
+
     def test_dict_order_independent(self):
-        assert freeze({"a": 1, "b": [2, 3]}) == freeze({"b": [2, 3], "a": 1})
+        assert canonical_json({"a": 1, "b": [2, 3]}) == \
+            canonical_json({"b": [2, 3], "a": 1})
 
     def test_sets_are_order_independent(self):
-        assert freeze({"keys": {3, 1, 2}}) == freeze({"keys": {2, 3, 1}})
-        assert freeze(frozenset("ab")) == freeze(set("ba"))
+        assert jsonable({"keys": {3, 1, 2}}) == jsonable({"keys": {2, 3, 1}})
+        assert jsonable(frozenset("ab")) == jsonable(set("ba"))
 
     def test_set_never_collides_with_list(self):
-        assert freeze({1, 2}) != freeze([1, 2])
         assert jsonable({1, 2}) != jsonable([1, 2])
-
-    def test_unhashable_leaf_rejected(self):
-        class Weird:
-            __hash__ = None
-
-        with pytest.raises(TypeError, match="unhashable leaf"):
-            freeze({"bad": Weird()})
 
     def test_jsonable_rejects_non_scalar_leaf(self):
         with pytest.raises(TypeError, match="run-key leaf"):
@@ -291,4 +305,5 @@ class TestFreeze:
 
     def test_nested_structures(self):
         value = {"grid": [{1, 2}, ("a", {"x": None})]}
-        assert freeze(value) == freeze({"grid": [{2, 1}, ("a", {"x": None})]})
+        assert canonical_json(value) == \
+            canonical_json({"grid": [{2, 1}, ("a", {"x": None})]})
