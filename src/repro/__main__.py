@@ -47,7 +47,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list the available workloads")
 
     run_p = sub.add_parser("run", help="run one workload/configuration")
-    run_p.add_argument("workload", choices=workload_names())
+    # Optional only so that a workload swallowed by '--profile' or
+    # '--cprofile' (each takes an optional PATH) can be recovered; main()
+    # still requires one.
+    run_p.add_argument("workload", nargs="?", choices=workload_names())
     run_p.add_argument("--model", choices=["cc", "str", "icc"], default="cc",
                        help="cache-coherent, streaming, or incoherent caches")
     run_p.add_argument("--cores", type=int, default=8)
@@ -261,7 +264,8 @@ def _run(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     if args.command == "analysis":
         from repro.analysis.__main__ import main as analysis_main
 
@@ -287,6 +291,16 @@ def main(argv: list[str] | None = None) -> int:
             print(name)
         return 0
     if args.command == "run":
+        if args.workload is None:
+            # 'run --profile fir': the flag's optional PATH took the
+            # workload, so the flag goes back to having no PATH.
+            flag = next((f for f in ("profile", "cprofile")
+                         if getattr(args, f) in workload_names()), None)
+            if flag is None:
+                parser.error("run: the following arguments are required: "
+                             "workload")
+            args.workload = getattr(args, flag)
+            setattr(args, flag, "")
         return _run(args)
     if args.command == "compare":
         from repro.harness.reports import format_table

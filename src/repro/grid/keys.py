@@ -3,7 +3,7 @@
 :meth:`repro.grid.spec.RunSpec.content_key` is the one answer to "are
 these two run requests the same run?" — for the on-disk store of
 :mod:`repro.grid.store`, the scheduler's deduplication, and the
-in-process caches behind :class:`~repro.harness.runner.Runner`.  This
+per-process caches behind :class:`~repro.harness.runner.Runner`.  This
 module supplies its parts:
 
 * :func:`jsonable` produces the canonical JSON-safe form of an

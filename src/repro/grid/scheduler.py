@@ -13,10 +13,15 @@ stream of :class:`RunOutcome`:
 4. failures degrade instead of aborting: an exception inside a worker
    is retried a bounded number of times and then recorded as a
    :class:`~repro.grid.store.FailedRun`; a run exceeding the per-run
-   timeout is recorded as a timeout failure; a **killed worker** (the
-   pool breaks) triggers isolated single-worker re-execution of every
-   in-flight spec so one poison run cannot take innocent neighbours
-   down with it.
+   timeout (``SIGALRM`` on the worker's main thread) is recorded as a
+   timeout failure; a **killed worker** (the pool breaks) re-runs every
+   in-flight spec alone through :func:`run_isolated`, so one poison run
+   cannot take innocent neighbours down with it.
+
+Runs execute only in worker processes: the serve server submits the
+same :func:`_execute_in_worker` to its own pool, recovers from a broken
+pool through the same :func:`run_isolated`, and records payloads
+through the same :func:`outcome_from_payload`.
 
 Every experiment sweep runs through this scheduler, whatever its
 ``jobs``: a pool of one worker is the serial sweep, and a sweep whose
@@ -24,7 +29,7 @@ runs all hit the store starts no pool.  Determinism: workers execute
 :meth:`RunSpec.execute`, the one build-and-run path, and results cross
 the process boundary through the lossless ``RunResult.to_dict`` /
 ``from_dict`` pair, so a sweep is bit-identical at every ``jobs`` and to
-an in-process :class:`~repro.harness.runner.Runner`
+a local :class:`~repro.harness.runner.Runner`
 (``tests/test_grid_determinism.py`` holds this line).
 
 This module reads the host clock to time *orchestration* (never
@@ -33,7 +38,6 @@ simulated time); those lines carry REPRO001 lint exemptions.
 
 from __future__ import annotations
 
-import ctypes
 import os
 import signal
 import threading
@@ -61,44 +65,6 @@ def _alarm(_signum, _frame):
     raise _RunTimeout()
 
 
-class _DeadlineWatchdog:
-    """Thread-safe per-run deadline for non-main-thread execution.
-
-    ``signal.setitimer`` only works on the main thread of the main
-    interpreter; when a run executes on a worker *thread* (the serve
-    server's in-process fallback, or any embedding that calls
-    :func:`_execute_in_worker` off the main thread), a daemon timer
-    instead injects :class:`_RunTimeout` into the running thread via
-    ``PyThreadState_SetAsyncExc``.  Delivery happens at the next
-    bytecode boundary — a run blocked inside a single C call is only
-    interrupted when it returns to Python — so this is a deadline
-    guard, not hard preemption; the pure-Python simulator crosses
-    bytecode boundaries constantly, which is what makes it effective.
-    """
-
-    def __init__(self, timeout_s: float) -> None:
-        self._thread_id = threading.get_ident()
-        self._timer = threading.Timer(timeout_s, self._fire)
-        self._timer.daemon = True
-        self.fired = False
-
-    def start(self) -> None:
-        self._timer.start()
-
-    def _fire(self) -> None:
-        self.fired = True
-        ctypes.pythonapi.PyThreadState_SetAsyncExc(
-            ctypes.c_long(self._thread_id), ctypes.py_object(_RunTimeout))
-
-    def cancel(self) -> None:
-        self._timer.cancel()
-        if self.fired:
-            # Withdraw an injected-but-undelivered exception so it can
-            # never surface later inside unrelated code on this thread.
-            ctypes.pythonapi.PyThreadState_SetAsyncExc(
-                ctypes.c_long(self._thread_id), None)
-
-
 def _execute_in_worker(spec: RunSpec, timeout_s: float | None,
                        series_interval_fs: int | None = None) -> dict:
     """Worker entry point: run one spec, never raise.
@@ -106,11 +72,24 @@ def _execute_in_worker(spec: RunSpec, timeout_s: float | None,
     Returns a payload dict: ``{"ok": True, "result": ..., "wall_s": ...}``
     (plus ``"series"`` when series sampling was requested) or
     ``{"ok": False, "kind": "exception"|"timeout", "message": ...}``.
-    The per-run timeout is enforced with ``SIGITIMER`` inside the worker
-    so a runaway simulation cannot wedge its pool slot forever; when the
-    run executes off the main thread (where ``SIGALRM`` is unusable) a
-    :class:`_DeadlineWatchdog` enforces the same deadline instead.
+    The per-run timeout is enforced with ``SIGALRM`` on the worker's
+    main thread, so a runaway simulation cannot wedge its pool slot
+    forever.  A timeout that cannot be armed (a caller off the main
+    thread, or a host without ``SIGALRM``) is a failed payload naming
+    the cause; the spec is not run untimed.
     """
+    if timeout_s is not None:
+        if not hasattr(signal, "SIGALRM"):
+            cause = "this host has no SIGALRM"
+        elif threading.current_thread() is not threading.main_thread():
+            cause = (f"SIGALRM needs the main thread, not "
+                     f"{threading.current_thread().name!r}")
+        else:
+            cause = None
+        if cause is not None:
+            return {"ok": False, "kind": "exception",
+                    "message": f"cannot enforce the per-run timeout of "
+                               f"{timeout_s} s: {cause}"}
     hooks = {k: (spec.overrides or {}).get(k) for k in _HOOK_KEYS}
     if any(hooks.values()):
         stripped = {k: v for k, v in spec.overrides.items()
@@ -119,23 +98,13 @@ def _execute_in_worker(spec: RunSpec, timeout_s: float | None,
         if hooks["_grid_kill_worker"]:
             os._exit(13)  # simulate a worker killed mid-run
     start = time.perf_counter()  # repro-lint: disable=REPRO001
-    use_alarm = (timeout_s is not None and hasattr(signal, "SIGALRM")
-                 and threading.current_thread() is threading.main_thread())
-    watchdog = None
-    if use_alarm:
+    if timeout_s is not None:
         previous = signal.signal(signal.SIGALRM, _alarm)
         signal.setitimer(signal.ITIMER_REAL, timeout_s)
-    elif timeout_s is not None:
-        watchdog = _DeadlineWatchdog(timeout_s)
-        watchdog.start()
     series = None
     try:
         if hooks["_grid_sleep_s"]:
-            # Sleep in slices so an injected deadline exception (which
-            # only lands between bytecodes) is delivered promptly.
-            deadline = time.monotonic() + float(hooks["_grid_sleep_s"])  # repro-lint: disable=REPRO001
-            while time.monotonic() < deadline:  # repro-lint: disable=REPRO001
-                time.sleep(0.02)
+            time.sleep(float(hooks["_grid_sleep_s"]))
         if hooks["_grid_raise"]:
             raise RuntimeError(str(hooks["_grid_raise"]))
         if series_interval_fs is not None:
@@ -152,16 +121,38 @@ def _execute_in_worker(spec: RunSpec, timeout_s: float | None,
                 "traceback": traceback.format_exc(limit=20),
                 "wall_s": time.perf_counter() - start}  # repro-lint: disable=REPRO001
     finally:
-        if use_alarm:
+        if timeout_s is not None:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
-        if watchdog is not None:
-            watchdog.cancel()
     payload = {"ok": True, "result": result.to_dict(),
                "wall_s": time.perf_counter() - start}  # repro-lint: disable=REPRO001
     if series is not None:
         payload["series"] = series
     return payload
+
+
+def run_isolated(spec: RunSpec, timeout_s: float | None,
+                 series_interval_fs: int | None = None,
+                 mp_context=None) -> dict:
+    """Re-run one spec alone in a fresh one-worker pool; never raise.
+
+    After a pool break nobody can tell which in-flight run killed the
+    worker, so each affected spec gets a private pool: the poison one
+    fails alone, the innocent ones complete normally.  Returns the
+    worker's payload, or a ``crash`` payload when this worker dies too.
+    ``mp_context`` is the broken pool's, so the re-run starts its worker
+    the way the caller's pool did.
+    """
+    isolated = ProcessPoolExecutor(max_workers=1, mp_context=mp_context)
+    try:
+        return isolated.submit(_execute_in_worker, spec, timeout_s,
+                               series_interval_fs).result()
+    except BrokenProcessPool:
+        return {"ok": False, "kind": "crash",
+                "message": "worker process died (killed or crashed "
+                           "the interpreter)"}
+    finally:
+        isolated.shutdown(wait=False, cancel_futures=True)
 
 
 @dataclass
@@ -286,7 +277,12 @@ class GridScheduler:
                     executor.shutdown(wait=False, cancel_futures=True)
                     executor = ProcessPoolExecutor(max_workers=self.jobs)
                     for key, spec in crashed:
-                        yield self._run_isolated(key, spec, progress)
+                        progress.on_retry()
+                        attempts[key] += 1
+                        yield self._finish(
+                            key, spec, run_isolated(spec, self.timeout_s,
+                                                    self.series_interval_fs),
+                            attempts[key], progress)
         finally:
             executor.shutdown(wait=False, cancel_futures=True)
             progress.close()
@@ -315,46 +311,15 @@ class GridScheduler:
                 _execute_in_worker, spec, self.timeout_s,
                 self.series_interval_fs)] = (key, spec)
             return None
-        outcome = outcome_from_payload(spec, key, payload, attempts[key],
+        return self._finish(key, spec, payload, attempts[key], progress)
+
+    def _finish(self, key, spec, payload, attempts, progress) -> RunOutcome:
+        """Record a final payload and count it as done."""
+        outcome = outcome_from_payload(spec, key, payload, attempts,
                                        self.store)
         progress.on_done(wall_s=outcome.wall_s,
                          failed=outcome.status == "failed")
         return outcome
-
-    def _run_isolated(self, key, spec, progress) -> RunOutcome:
-        """Re-run one spec in its own single-worker pool.
-
-        After a pool break we cannot tell which in-flight run killed the
-        worker, so each affected spec gets a private pool: the poison one
-        fails alone, the innocent ones complete normally.
-        """
-        progress.on_retry()
-        isolated = ProcessPoolExecutor(max_workers=1)
-        try:
-            future = isolated.submit(_execute_in_worker, spec, self.timeout_s,
-                                     self.series_interval_fs)
-            try:
-                payload = future.result()
-            except BrokenProcessPool:
-                failure = FailedRun(
-                    key=key, label=spec.label(), kind="crash",
-                    message="worker process died (killed or crashed "
-                            "the interpreter)",
-                    attempts=2)
-                return self._record_failure(spec, failure, None, progress)
-        finally:
-            isolated.shutdown(wait=False, cancel_futures=True)
-        outcome = outcome_from_payload(spec, key, payload, 2, self.store)
-        progress.on_done(wall_s=outcome.wall_s,
-                         failed=outcome.status == "failed")
-        return outcome
-
-    def _record_failure(self, spec, failure, wall_s, progress) -> RunOutcome:
-        if self.store is not None:
-            self.store.put(spec, failure, wall_s=wall_s)
-        progress.on_done(wall_s=wall_s, failed=True)
-        return RunOutcome(spec, failure.key, "failed", "run",
-                          failure=failure, wall_s=wall_s)
 
 
 # ----------------------------------------------------------------------
@@ -442,7 +407,7 @@ def replay_cache(outcomes) -> MemoryCache:
     Failed outcomes are installed as :class:`FailedRun` markers so a
     replaying Runner raises a clean
     :class:`~repro.grid.store.RunFailedError` instead of silently
-    re-simulating the failed point in-process.
+    re-simulating the failed point locally.
     """
     cache = MemoryCache()
     for outcome in outcomes:
@@ -452,4 +417,4 @@ def replay_cache(outcomes) -> MemoryCache:
 
 
 __all__ = ["GridScheduler", "RunOutcome", "PlanCache", "plan",
-           "replay_cache", "outcome_from_payload"]
+           "replay_cache", "outcome_from_payload", "run_isolated"]

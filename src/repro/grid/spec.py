@@ -4,11 +4,11 @@ A :class:`RunSpec` captures everything :func:`repro.run_workload` needs —
 workload, memory model, machine knobs, preset, overrides — as a frozen
 value object that can be
 
-* executed (:meth:`RunSpec.execute`, in-process or inside a worker),
+* executed (:meth:`RunSpec.execute`, by a local Runner or inside a worker),
 * identified by :meth:`RunSpec.content_key`, a hash of the *expanded*
   :class:`~repro.config.MachineConfig` so any config field change — not
   just the sweep knobs — changes the key (memoised per process by the
-  spec's value); the on-disk store, the scheduler and every in-process
+  spec's value); the on-disk store, the scheduler and every Runner
   cache key by it, and
 * shipped across a process boundary (plain picklable dataclass, plus
   :meth:`to_dict` / :meth:`from_dict` for the JSON store records).

@@ -58,9 +58,10 @@ class _StoreLock:
 
     Backed by ``flock`` on ``<root>/.lock``; re-entrant within one
     :class:`ResultStore` instance (``compact`` calls locked helpers).
-    Threads sharing the instance (the serve server's in-process workers
-    and store writers) serialize on a re-entrant mutex first: the flock
-    handle and nesting depth are per-instance state, and ``flock``
+    Threads sharing the instance (the serve server writes records and
+    reads the store on its executor threads, while its simulations run
+    in worker processes) serialize on a re-entrant mutex first: the
+    flock handle and nesting depth are per-instance state, and ``flock``
     itself does not exclude threads of one process.  Degrades to the
     mutex alone where ``fcntl`` is unavailable — the store then falls
     back to pure atomic-replace semantics across processes.
@@ -405,17 +406,10 @@ class MemoryCache:
 
     def __init__(self) -> None:
         self._memo: dict[str, RunResult | FailedRun] = {}
-        self.hits = 0
-        self.misses = 0
 
     def get(self, spec: RunSpec) -> "RunResult | FailedRun | None":
         """The memoized outcome for ``spec``, or None."""
-        outcome = self._memo.get(spec.content_key())
-        if outcome is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return outcome
+        return self._memo.get(spec.content_key())
 
     def put(self, spec: RunSpec, outcome: "RunResult | FailedRun") -> None:
         """Memoize ``outcome`` for ``spec``."""
@@ -438,24 +432,16 @@ class StoreCache:
     def __init__(self, store: ResultStore) -> None:
         self.store = store
         self._memo: dict[str, RunResult | FailedRun] = {}
-        self.hits = 0            # in-memory hits
-        self.store_hits = 0      # on-disk hits
-        self.misses = 0
 
     def get(self, spec: RunSpec) -> "RunResult | FailedRun | None":
         """Outcome from memory, then disk; None on a full miss."""
         key = spec.content_key()
         outcome = self._memo.get(key)
-        if outcome is not None:
-            self.hits += 1
-            return outcome
-        outcome = self.store.get(spec)
-        if outcome is not None:
-            self._memo[key] = outcome
-            self.store_hits += 1
-            return outcome
-        self.misses += 1
-        return None
+        if outcome is None:
+            outcome = self.store.get(spec)
+            if outcome is not None:
+                self._memo[key] = outcome
+        return outcome
 
     def put(self, spec: RunSpec, outcome: "RunResult | FailedRun",
             wall_s: float | None = None) -> None:

@@ -72,7 +72,7 @@ def _cmd_start(args) -> int:
     server = ReproServer(
         store=resolve_store(args.store, args.no_store),
         jobs=args.jobs, timeout_s=args.timeout, retries=args.retries,
-        series_interval_fs=series_interval_fs, in_process=args.in_process,
+        series_interval_fs=series_interval_fs,
         backpressure=args.backpressure)
     if args.port is not None:
         server.run(host=args.host, port=args.port)
@@ -151,8 +151,7 @@ def _cmd_stats(args) -> int:
     store = frame["store"]
     print(f"server     : {server['connections_open']} client(s) connected, "
           f"{server['inflight']} run(s) in flight, "
-          f"{'threads' if server['in_process'] else 'processes'}="
-          f"{server['jobs']}")
+          f"processes={server['jobs']}")
     print(f"served     : {server['store_hits']} store hit(s) "
           f"({server['memo_hits']} from memory), "
           f"{server['runs_executed']} executed, "
@@ -197,7 +196,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _address_flags(start)
     start.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                        metavar="N",
-                       help="concurrent simulations (default: CPU count)")
+                       help="worker processes, one simulation each "
+                            "(default: CPU count)")
     start.add_argument("--store", metavar="PATH",
                        help="result-store directory (default: $REPRO_STORE "
                             "or .repro-cache)")
@@ -208,9 +208,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="per-run timeout in seconds")
     start.add_argument("--retries", type=int, default=1,
                        help="resubmissions after a worker exception")
-    start.add_argument("--in-process", action="store_true",
-                       help="execute runs on threads inside the server "
-                            "process instead of a process pool")
     start.add_argument("--backpressure", type=int, default=256, metavar="N",
                        help="outbound frames buffered per client before "
                             "the sender blocks / ticks drop (default 256)")

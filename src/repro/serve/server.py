@@ -4,10 +4,9 @@ One :class:`ReproServer` owns
 
 * a :class:`~repro.grid.store.ResultStore` (the shared memo table —
   every hit is answered instantly, no simulation),
-* a worker pool (``ProcessPoolExecutor`` with a spawn context by
-  default; a ``ThreadPoolExecutor`` in ``in_process`` mode for
-  environments where process pools are unavailable — that mode is what
-  exercises the scheduler's thread-safe deadline path),
+* a worker pool (``ProcessPoolExecutor`` with a spawn context: every
+  miss runs in a worker process, where the per-run deadline is
+  ``SIGALRM`` on the worker's main thread),
 * a bounded hit table (content key -> ``RunResult``) of records this
   server has already read from its store, so a repeat hit is answered
   on the event loop with no thread handoff, disk read or JSON parse,
@@ -21,7 +20,8 @@ One :class:`ReproServer` owns
   while global ``progress`` ticks for ``watch`` subscribers are
   droppable and are counted, not buffered, when a watcher lags.
 
-Execution reuses :func:`repro.grid.scheduler._execute_in_worker` and
+Execution reuses :func:`repro.grid.scheduler._execute_in_worker`,
+:func:`repro.grid.scheduler.run_isolated` (a killed worker) and
 :func:`repro.grid.scheduler.outcome_from_payload` verbatim, so a served
 run writes exactly the record a ``grid sweep`` would and the results
 are bit-identical row for row.
@@ -36,7 +36,7 @@ import multiprocessing
 import os
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.grid.progress import Progress
@@ -44,6 +44,7 @@ from repro.grid.scheduler import (
     RunOutcome,
     _execute_in_worker,
     outcome_from_payload,
+    run_isolated,
 )
 from repro.grid.spec import RunSpec
 from repro.grid.store import FailedRun, ResultStore
@@ -57,6 +58,10 @@ from repro.serve.jobs import JobTable, ServerStats
 #: one process.  Failures are never held: ``grid clear --failed`` plus a
 #: resubmit must re-run.
 _HIT_MEMO_ENTRIES = 1024
+
+#: Workers start by spawn: the server process carries an event loop and
+#: helper threads, which fork(2) would duplicate into workers.
+_SPAWN = multiprocessing.get_context("spawn")
 
 
 def _describe(exc: BaseException) -> str:
@@ -127,7 +132,6 @@ class ReproServer:
                  timeout_s: float | None = None,
                  retries: int = 1,
                  series_interval_fs: int | None = None,
-                 in_process: bool = False,
                  backpressure: int = 256,
                  log=None) -> None:
         self.store = store
@@ -135,7 +139,6 @@ class ReproServer:
         self.timeout_s = timeout_s
         self.retries = max(0, retries)
         self.series_interval_fs = series_interval_fs
-        self.in_process = in_process
         self.backpressure = max(1, backpressure)
         self.stats = ServerStats()
         self._log = log if log is not None else sys.stderr
@@ -158,14 +161,7 @@ class ReproServer:
     # -- lifecycle -------------------------------------------------------
 
     def _make_executor(self):
-        if self.in_process:
-            return ThreadPoolExecutor(max_workers=self.jobs,
-                                      thread_name_prefix="repro-serve-run")
-        # A spawn context: the server process carries an event loop and
-        # helper threads, which fork(2) would duplicate into workers.
-        return ProcessPoolExecutor(
-            max_workers=self.jobs,
-            mp_context=multiprocessing.get_context("spawn"))
+        return ProcessPoolExecutor(max_workers=self.jobs, mp_context=_SPAWN)
 
     async def serve(self, socket_path: str | None = None,
                     host: str | None = None, port: int | None = None,
@@ -186,8 +182,7 @@ class ReproServer:
             where = f"tcp:{sock[0]}:{sock[1]}"
             self.port = sock[1]
         print(f"repro.serve: listening on {where} "
-              f"({'threads' if self.in_process else 'processes'}="
-              f"{self.jobs}, store="
+              f"(processes={self.jobs}, store="
               f"{self.store.root if self.store else 'disabled'})",
               file=self._log, flush=True)
         if ready is not None:
@@ -311,7 +306,6 @@ class ReproServer:
         server["watchers"] = len(self._watchers)
         server["connections_open"] = len(self._connections)
         server["jobs"] = self.jobs
-        server["in_process"] = self.in_process
         return {"type": "stats", "id": rid,
                 "store": self.store.stats() if self.store else None,
                 "server": server,
@@ -458,7 +452,9 @@ class ReproServer:
                             self.timeout_s, self.series_interval_fs)
                     except BrokenProcessPool:
                         self._rebuild_executor(generation)
-                        payload = await self._run_isolated(job)
+                        payload = await loop.run_in_executor(
+                            None, run_isolated, job.spec, self.timeout_s,
+                            self.series_interval_fs, _SPAWN)
                         attempts += 1
                         break
                     if payload["ok"] or payload["kind"] != "exception" \
@@ -488,25 +484,6 @@ class ReproServer:
                 job.future.set_exception(exc)
         finally:
             self._jobs.finish(job.key)
-
-    async def _run_isolated(self, job) -> dict:
-        """Re-run one spec alone after a pool break (poison isolation)."""
-        if self.in_process:        # thread pools cannot break this way
-            return {"ok": False, "kind": "crash",
-                    "message": "in-process worker pool broke unexpectedly"}
-        loop = asyncio.get_running_loop()
-        isolated = ProcessPoolExecutor(
-            max_workers=1, mp_context=multiprocessing.get_context("spawn"))
-        try:
-            return await loop.run_in_executor(
-                isolated, _execute_in_worker, job.spec, self.timeout_s,
-                self.series_interval_fs)
-        except BrokenProcessPool:
-            return {"ok": False, "kind": "crash",
-                    "message": "worker process died (killed or crashed "
-                               "the interpreter)"}
-        finally:
-            isolated.shutdown(wait=False, cancel_futures=True)
 
     def _rebuild_executor(self, generation: int) -> None:
         """Replace a broken pool once, however many jobs noticed."""

@@ -178,6 +178,32 @@ def test_run_cprofile_dumps_stats_file(tmp_path, capsys):
     assert "fir/cc" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag,printed", [("--profile", "window(s) x"),
+                                          ("--cprofile", "cumtime")],
+                         ids=["profile", "cprofile"])
+def test_run_flag_before_workload_keeps_the_workload(flag, printed, capsys):
+    # The flag's optional PATH takes the next word: a workload name there
+    # is the workload, and the flag runs without a PATH.
+    assert main(["run", flag, "fir", "--cores", "2", "--preset", "tiny"]) == 0
+    out = capsys.readouterr().out
+    assert "fir/cc" in out and printed in out
+
+
+def test_run_profile_path_before_workload_still_writes(tmp_path, capsys):
+    path = tmp_path / "out.json"
+    assert main(["run", "--profile", str(path), "fir", "--cores", "2",
+                 "--preset", "tiny"]) == 0
+    assert path.exists()
+    assert f"series -> {path}" in capsys.readouterr().out
+
+
+def test_run_without_workload_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["run", "--profile", "--cores", "2"])
+    assert info.value.code == 2
+    assert "required: workload" in capsys.readouterr().err
+
+
 def test_compare_includes_applicable_models(capsys):
     assert main(["compare", "fir", "--cores", "4", "--preset", "tiny"]) == 0
     out = capsys.readouterr().out

@@ -97,37 +97,54 @@ class TestFaultTolerance:
         assert outcomes[0].wall_s < 5
 
     def test_timeout_enforced_off_the_main_thread(self):
-        # Regression: the per-run deadline used SIGALRM, which only the
-        # main thread may arm — a worker *thread* (the serve server's
-        # in-process mode) must fall back to the deadline watchdog.
-        from concurrent.futures import ThreadPoolExecutor
+        # SIGALRM only arms on the main thread: a caller off it gets a
+        # failed payload naming the cause, and the spec never runs (it
+        # would sleep 30 s untimed).
+        import threading
 
         from repro.grid.scheduler import _execute_in_worker
 
         spec = specs_for(2, overrides={"_grid_sleep_s": 30})[0]
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            payload = pool.submit(_execute_in_worker, spec, 0.5).result(
-                timeout=30)
+        payloads = []
+        caller = threading.Thread(
+            target=lambda: payloads.append(_execute_in_worker(spec, 0.5)),
+            name="off-main")
+        caller.start()
+        caller.join(timeout=10)
+        assert not caller.is_alive()
+        payload = payloads[0]
         assert payload["ok"] is False
-        assert payload["kind"] == "timeout"
-        assert payload["wall_s"] < 10
+        assert payload["kind"] == "exception"
+        assert "per-run timeout of 0.5 s" in payload["message"]
+        assert "'off-main'" in payload["message"]
+        assert "wall_s" not in payload
 
-    def test_fast_run_off_the_main_thread_is_unaffected(self):
-        # The watchdog must withdraw an unfired (or late-fired) deadline
-        # exception instead of letting it surface in later work.
-        from concurrent.futures import ThreadPoolExecutor
+    def test_timeout_without_sigalrm_runs_nothing(self, monkeypatch):
+        import signal
 
         from repro.grid.scheduler import _execute_in_worker
 
-        spec = specs_for(2)[0]
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            payload = pool.submit(_execute_in_worker, spec, 30.0).result(
-                timeout=60)
-            # Reuse the same thread: no stale injected exception lands.
-            follow_up = pool.submit(lambda: sum(range(10_000))).result(
-                timeout=10)
-        assert payload["ok"] is True
-        assert follow_up == sum(range(10_000))
+        monkeypatch.delattr(signal, "SIGALRM")
+        spec = specs_for(2, overrides={"_grid_sleep_s": 30})[0]
+        payload = _execute_in_worker(spec, 0.5)
+        assert payload["ok"] is False
+        assert "this host has no SIGALRM" in payload["message"]
+        assert "wall_s" not in payload
+
+    def test_killed_worker_record(self, tmp_path):
+        # The isolated re-run is the second attempt; a crash records no
+        # wall time.  tests/test_serve.py checks serve writes the same.
+        store = ResultStore(tmp_path)
+        poison = specs_for(2, overrides={"_grid_kill_worker": True})[0]
+        outcome = list(GridScheduler(jobs=1, store=store).map([poison]))[0]
+        assert outcome.wall_s is None
+        record = store.get_record(poison.content_key())
+        assert record["failure"] == {
+            "key": poison.content_key(), "label": poison.label(),
+            "kind": "crash", "attempts": 2,
+            "message": "worker process died (killed or crashed the "
+                       "interpreter)"}
+        assert record["wall_s"] is None
 
 
 class TestSeriesSweeps:

@@ -255,21 +255,25 @@ class TestCaches:
         result = executed()
         cache.put(SPEC, result)
         assert cache.get(SPEC) is result
-        assert cache.hits == 1 and cache.misses == 1
+        assert cache.get(RunSpec("fir", cores=4, preset="tiny")) is None
+        assert cache.describe() == "memory (1 entries)"
 
     def test_store_cache_layers(self, tmp_path):
         store = ResultStore(tmp_path)
         warm = StoreCache(store)
         result = executed()
         warm.put(SPEC, result)
-        # A fresh cache over the same store hits the disk layer once,
-        # then the memory layer.
+        # A fresh cache over the same store reads the disk layer once,
+        # then answers from the memory layer: the second get still
+        # answers after the record file is gone.
         cold = StoreCache(store)
         first = cold.get(SPEC)
-        second = cold.get(SPEC)
         assert first == result
+        store._path(SPEC.content_key()).unlink()
+        second = cold.get(SPEC)
         assert first is second
-        assert cold.store_hits == 1 and cold.hits == 1 and cold.misses == 0
+        assert StoreCache(store).get(SPEC) is None
+        assert cold.get(RunSpec("fir", cores=4, preset="tiny")) is None
 
 
 class TestRunnerIntegration:

@@ -1,14 +1,16 @@
 """The serve subsystem: protocol, dedup, multiplexing, bit-identity.
 
-The server under test runs in-process (thread pool workers) inside a
-background thread of the test process — fast, deterministic, and it
-exercises the scheduler's thread-safe deadline path.  The process-pool
-mode is covered end-to-end by the CI serve-smoke job.
+The server under test runs its event loop on a background thread of
+the test process and its simulations in spawned worker processes, as
+``repro serve start`` does, so the per-run deadline, a killed worker
+and a dropped client take the shipping paths.  The CI serve-smoke job
+drives the same paths through the command line.
 """
 
 import io
 import itertools
 import os
+import socket
 import threading
 import time
 
@@ -34,12 +36,11 @@ _SOCKET_IDS = itertools.count(1)
 
 
 class ServerHarness:
-    """One in-process server on a unix socket in tmp_path."""
+    """One server on a unix socket in tmp_path, its loop on a thread."""
 
     def __init__(self, tmp_path, **kwargs):
         kwargs.setdefault("store", ResultStore(tmp_path / "store"))
         kwargs.setdefault("jobs", 2)
-        kwargs.setdefault("in_process", True)
         kwargs.setdefault("log", io.StringIO())
         self.server = ReproServer(**kwargs)
         self.socket_path = str(tmp_path / f"serve{next(_SOCKET_IDS)}.sock")
@@ -161,7 +162,7 @@ class TestServerBasics:
             frame = client.stats()
         assert frame["store"]["records"] == 0
         for key in ("connections", "runs_executed", "dedup_joins", "memo_hits",
-                    "inflight", "watchers", "jobs", "in_process"):
+                    "inflight", "watchers", "jobs"):
             assert key in frame["server"]
         assert frame["progress"]["completed"] == 0
 
@@ -435,15 +436,59 @@ class TestFailuresAndDeadlines:
         assert again.status == "failed" and again.source == "store"
 
     def test_in_process_timeout_fails_cleanly(self, make_server):
-        # Thread-pool workers cannot use SIGALRM: this drives the
-        # scheduler's _DeadlineWatchdog path end to end.
+        # The deadline is SIGALRM on the worker process's main thread.
         harness = make_server(timeout_s=0.5)
         spec = specs_for(2, overrides={"_grid_sleep_s": 30})[0]
         with harness.client() as client:
             report = client.submit([spec])
+            assert client.ping()["type"] == "pong"
         outcome = report.outcomes[0]
         assert outcome.status == "failed"
         assert outcome.failure.kind == "timeout"
+        assert outcome.wall_s < 10
+
+    def test_killed_worker_fails_alone_and_the_server_keeps_running(
+            self, make_server):
+        harness = make_server()
+        poison = specs_for(2, overrides={"_grid_kill_worker": True})[0]
+        plain = specs_for(4)[0]
+        with harness.client() as client:
+            report = client.submit([poison, plain])
+            again = client.submit([poison]).outcomes[0]
+            later = client.submit(specs_for(1)).outcomes[0]
+        by_key = {o.key: o for o in report.outcomes}
+        crashed = by_key[poison.content_key()]
+        assert crashed.status == "failed"
+        assert crashed.failure.kind == "crash"
+        assert crashed.failure.attempts == 2
+        assert by_key[plain.content_key()].status == "ok"
+        assert again.status == "failed" and again.source == "store"
+        assert later.status == "ok" and later.source == "run"
+        # The record grid sweeps write for a killed worker.
+        record = harness.server.store.get_record(poison.content_key())
+        assert record["failure"]["message"] == \
+            "worker process died (killed or crashed the interpreter)"
+        assert record["wall_s"] is None
+
+    def test_dropped_client_run_completes_once(self, make_server):
+        harness = make_server()
+        spec = specs_for(2, overrides={"_grid_sleep_s": 0.5})[0]
+        raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        raw.connect(harness.socket_path)
+        lines = raw.makefile("rb")
+        assert protocol.decode(lines.readline())["type"] == "hello"
+        raw.sendall(protocol.encode(
+            {"type": "submit", "id": "gone", "specs": [spec.to_dict()]}))
+        assert protocol.decode(lines.readline())["type"] == "accepted"
+        lines.close()
+        raw.close()
+        with harness.client() as client:
+            outcome = client.submit([spec]).outcomes[0]
+            stats = client.stats()["server"]
+        assert outcome.status == "ok"
+        assert outcome.source in ("shared", "store")
+        assert stats["runs_executed"] == 1
+        assert stats["errors"] == 0
 
 
 class TestWatch:
