@@ -109,18 +109,15 @@ class DmaRaceMonitor:
         self.checks += 1
         for line in self._lines(engine, addr, nbytes, stride, block):
             for core, l1 in enumerate(self.hierarchy.l1s):
-                entry = l1.lookup(line)
-                if entry is None:
-                    continue
-                racy = (entry.state is MesiState.MODIFIED
-                        if kind == "get" else True)
-                if racy:
+                state = l1.lookup(line)
+                if state is not None and (kind != "get"
+                                          or state is MesiState.MODIFIED):
                     raise InvariantViolation(
                         f"DMA {kind} by core {engine.core_id} overlaps a "
                         f"cached line",
                         now_fs=issue_fs,
                         context={"line": line, "cached_by": core,
-                                 "state": entry.state.name, "addr": addr,
+                                 "state": state.name, "addr": addr,
                                  "nbytes": nbytes},
                     )
 

@@ -43,7 +43,7 @@ import signal
 import threading
 import time
 import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
@@ -131,28 +131,39 @@ def _execute_in_worker(spec: RunSpec, timeout_s: float | None,
     return payload
 
 
-def run_isolated(spec: RunSpec, timeout_s: float | None,
+def run_isolated(specs: dict, timeout_s: float | None,
                  series_interval_fs: int | None = None,
-                 mp_context=None) -> dict:
-    """Re-run one spec alone in a fresh one-worker pool; never raise.
+                 mp_context=None, jobs: int = 1):
+    """Re-run each spec alone in a fresh one-worker pool; never raise.
 
     After a pool break nobody can tell which in-flight run killed the
     worker, so each affected spec gets a private pool: the poison one
-    fails alone, the innocent ones complete normally.  Returns the
-    worker's payload, or a ``crash`` payload when this worker dies too.
-    ``mp_context`` is the broken pool's, so the re-run starts its worker
-    the way the caller's pool did.
+    fails alone, the innocent ones complete normally, up to ``jobs`` of
+    them at once.  ``specs`` maps a tag (a content key) to its spec;
+    yields ``(tag, payload)`` as each settles, a ``crash`` payload when
+    its worker dies too.  ``mp_context`` is the broken pool's, so a
+    re-run starts its worker the way the caller's pool did.
     """
-    isolated = ProcessPoolExecutor(max_workers=1, mp_context=mp_context)
+    queued, running = list(specs.items()), {}
     try:
-        return isolated.submit(_execute_in_worker, spec, timeout_s,
-                               series_interval_fs).result()
-    except BrokenProcessPool:
-        return {"ok": False, "kind": "crash",
-                "message": "worker process died (killed or crashed "
-                           "the interpreter)"}
+        while queued or running:
+            while queued and len(running) < jobs:
+                tag, spec = queued.pop(0)
+                pool = ProcessPoolExecutor(1, mp_context=mp_context)
+                running[pool.submit(_execute_in_worker, spec, timeout_s,
+                                    series_interval_fs)] = (tag, pool)
+            for future in wait(running, return_when=FIRST_COMPLETED)[0]:
+                tag, pool = running.pop(future)
+                pool.shutdown(wait=False)
+                try:
+                    yield tag, future.result()
+                except BrokenProcessPool:
+                    yield tag, {"ok": False, "kind": "crash",
+                                "message": "worker process died (killed or "
+                                           "crashed the interpreter)"}
     finally:
-        isolated.shutdown(wait=False, cancel_futures=True)
+        for _, pool in running.values():
+            pool.shutdown(wait=False, cancel_futures=True)
 
 
 @dataclass
@@ -249,9 +260,7 @@ class GridScheduler:
             futures = {}
             for key, spec in pending:
                 attempts[key] += 1
-                futures[executor.submit(
-                    _execute_in_worker, spec, self.timeout_s,
-                    self.series_interval_fs)] = (key, spec)
+                futures[self._submit(executor, spec)] = (key, spec)
                 progress.on_launch()
             while futures:
                 done, _ = wait(futures, return_when=FIRST_COMPLETED)
@@ -268,21 +277,18 @@ class GridScheduler:
                     if outcome is not None:
                         yield outcome
                 if crashed:
-                    # The pool is broken: every other in-flight future is
-                    # doomed too.  Drain them, rebuild the pool, and
-                    # re-run each affected spec in isolation.
-                    for future, (key, spec) in list(futures.items()):
-                        crashed.append((key, spec))
+                    # The pool is broken: every other future is doomed
+                    # too.  Re-run each affected spec in isolation.
+                    isolate = dict(crashed + list(futures.values()))
                     futures.clear()
-                    executor.shutdown(wait=False, cancel_futures=True)
-                    executor = ProcessPoolExecutor(max_workers=self.jobs)
-                    for key, spec in crashed:
+                    for key in isolate:
                         progress.on_retry()
                         attempts[key] += 1
-                        yield self._finish(
-                            key, spec, run_isolated(spec, self.timeout_s,
-                                                    self.series_interval_fs),
-                            attempts[key], progress)
+                    for key, payload in run_isolated(
+                            isolate, self.timeout_s,
+                            self.series_interval_fs, jobs=self.jobs):
+                        yield self._finish(key, isolate[key], payload,
+                                           attempts[key], progress)
         finally:
             executor.shutdown(wait=False, cancel_futures=True)
             progress.close()
@@ -307,11 +313,20 @@ class GridScheduler:
                 and attempts[key] <= self.retries:
             attempts[key] += 1
             progress.on_retry()
-            futures[executor.submit(
-                _execute_in_worker, spec, self.timeout_s,
-                self.series_interval_fs)] = (key, spec)
+            futures[self._submit(executor, spec)] = (key, spec)
             return None
         return self._finish(key, spec, payload, attempts[key], progress)
+
+    def _submit(self, executor, spec) -> Future:
+        """Submit one run; a pool that broke meanwhile (a worker died)
+        answers a future holding the break, to settle as a crash."""
+        try:
+            return executor.submit(_execute_in_worker, spec, self.timeout_s,
+                                   self.series_interval_fs)
+        except BrokenProcessPool as exc:
+            future: Future = Future()
+            future.set_exception(exc)
+            return future
 
     def _finish(self, key, spec, payload, attempts, progress) -> RunOutcome:
         """Record a final payload and count it as done."""

@@ -16,7 +16,7 @@ This package implements every storage structure of the paper's CMP
   memory hierarchies that cores issue accesses against.
 """
 
-from repro.mem.cache import CacheLine, SetAssocCache
+from repro.mem.cache import SetAssocCache
 from repro.mem.coherence import MesiState
 from repro.mem.dma import DmaEngine
 from repro.mem.dram import DramChannel
@@ -28,7 +28,6 @@ from repro.mem.prefetcher import StreamPrefetcher
 from repro.mem.store_buffer import StoreBuffer
 
 __all__ = [
-    "CacheLine",
     "SetAssocCache",
     "MesiState",
     "DmaEngine",

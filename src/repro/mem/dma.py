@@ -436,10 +436,9 @@ class DmaEngine:
             else:
                 t = banks[b].serve(t, bk_s)
             cache_set = sets[line & smask]
-            entry = cache_set.get(line)
-            if entry is not None:
+            if line in cache_set:
                 cache_set.move_to_end(line)
-                entry.state = modified
+                cache_set[line] = modified
                 hits += 1
             else:
                 t = l2_miss(line, t, size, True)

@@ -29,7 +29,7 @@ from __future__ import annotations
 from repro.config import (CacheConfig, CoherenceKind, MachineConfig,
                           WritePolicy)
 from repro.interconnect.fabric import ClusterBus, Crossbar
-from repro.mem.cache import CacheLine, SetAssocCache
+from repro.mem.cache import SetAssocCache
 from repro.mem.coherence import MesiState
 from repro.mem.dma import DmaEngine
 from repro.mem.dram import DramChannel
@@ -79,13 +79,12 @@ class Uncore:
         """
         self.l2_writes += 1
         l2_set = self.l2._sets[line & self.l2._set_mask]
-        entry = l2_set.get(line)
         sent = self.l2_banks[line % self._num_banks].serve(
             now_fs, self._l2_service_fs)
-        if entry is not None:
+        if line in l2_set:
             l2_set.move_to_end(line)
             self.l2_write_hits += 1
-            entry.state = _MODIFIED
+            l2_set[line] = _MODIFIED
             return sent
         return self.l2_miss(line, sent, self.line_bytes, True)
 
@@ -116,25 +115,29 @@ class Uncore:
             if nbytes != self.line_bytes:
                 return done
             state = _EXCLUSIVE
-        victim = self.l2.insert(line, state)
-        if victim is not None and victim.state is _MODIFIED:
-            self.l2_writebacks += 1
-            self.dram.access(sent_fs, self.line_bytes,
-                             victim.line * self.line_bytes, True)
+        # SetAssocCache.insert, inline: every L2 install comes here.
+        l2_set = self.l2._sets[line & self.l2._set_mask]
+        if len(l2_set) >= self.l2.associativity:
+            victim, victim_state = l2_set.popitem(last=False)
+            if victim_state is _MODIFIED:
+                self.l2_writebacks += 1
+                self.dram.access(sent_fs, self.line_bytes,
+                                 victim * self.line_bytes, True)
+        else:
+            self.l2._resident += 1
+        l2_set[line] = state
         return done
 
     def flush(self, now_fs: int) -> int:
         """Write every dirty L2 line back to DRAM (end-of-run settling)."""
         t = now_fs
-        # Walk the per-set dicts directly: lines() is a generator chain,
-        # and this walk visits every set of a 16K-line cache per run.
         for cache_set in self.l2._sets:
-            for entry in cache_set.values():
-                if entry.state is _MODIFIED:
-                    entry.state = _EXCLUSIVE
+            for line, state in cache_set.items():
+                if state is _MODIFIED:
+                    cache_set[line] = _EXCLUSIVE
                     self.l2_writebacks += 1
                     t = self.dram.access(t, self.line_bytes,
-                                         entry.line * self.line_bytes, True)
+                                         line * self.line_bytes, True)
         return t
 
 
@@ -228,11 +231,7 @@ class CacheCoherentHierarchy:
 
     def line_states(self, line: int) -> tuple[MesiState, ...]:
         """The MESI state of ``line`` in every L1 (INVALID when absent)."""
-        return tuple(
-            entry.state if (entry := l1.lookup(line)) is not None
-            else MesiState.INVALID
-            for l1 in self.l1s
-        )
+        return tuple(l1.lookup(line) or MesiState.INVALID for l1 in self.l1s)
 
     # ------------------------------------------------------------------
     # Coherence helpers
@@ -261,14 +260,14 @@ class CacheCoherentHierarchy:
             core = (mask & -mask).bit_length() - 1
             mask &= mask - 1
             probed += 1
-            entry = self.l1s[core].lookup(line)
-            if entry is None:
+            state = self.l1s[core].lookup(line)
+            if state is None:
                 continue
-            if entry.state in (_MODIFIED, _EXCLUSIVE):
-                owner = (core, entry.state)
+            if state is _MODIFIED or state is _EXCLUSIVE:
+                owner = (core, state)
                 break
             if best is None:
-                best = (core, entry.state)
+                best = (core, state)
         if self._directory_mode:
             self.directory_lookups += 1
             self.snoop_lookups += probed
@@ -345,7 +344,8 @@ class CacheCoherentHierarchy:
         its bytes to the link's ``bytes_moved``.  Inline copies: the
         empty-mask charges of :meth:`_find_owner` and
         :meth:`_invalidate_peers`, the L2 hit, ``SetAssocCache.insert``
-        and the presence update.  Peer copies, ``Uncore.l2_miss`` (shared
+        (a prefetch fill's ``fills`` entry included) and the presence
+        update.  Peer copies, ``Uncore.l2_miss`` (shared
         with the DMA loops) and :meth:`writeback` (about one miss in
         eight has a dirty victim) stay calls.
         """
@@ -387,7 +387,9 @@ class CacheCoherentHierarchy:
                 if owner_state is _MODIFIED:
                     # Downgrade with write-back so the L2 holds a clean copy.
                     uncore.l2_write(line, t)
-                self.l1s[owner_core].lookup(line).state = _SHARED
+                # A state change, not an access: the owner's LRU stays.
+                owner_l1 = self.l1s[owner_core]
+                owner_l1._sets[line & owner_l1._set_mask][line] = _SHARED
                 state = _SHARED
         elif for_write and not refill:
             # PFS / no-allocate: validate the line without reading old data.
@@ -413,21 +415,24 @@ class CacheCoherentHierarchy:
         l1_set = l1._sets[line & l1._set_mask]
         victim = None
         if len(l1_set) >= l1.associativity:
-            victim = l1_set.popitem(last=False)[1]
+            victim, victim_state = l1_set.popitem(last=False)
+            if l1.fills:
+                l1.fills.pop(victim, None)
         else:
             l1._resident += 1
-        l1_set[line] = CacheLine(line, state, t if req_fs >= 0 else 0,
-                                 prefetched)
+        l1_set[line] = state
+        if req_fs >= 0:
+            l1.fills[line] = (t, prefetched)
         if self._keeps_presence:
             bit = self._core_bits[core]
             presence[line] = presence.get(line, 0) | bit
             if victim is not None:
-                if presence[victim.line] == bit:
-                    del presence[victim.line]
+                if presence[victim] == bit:
+                    del presence[victim]
                 else:
-                    presence[victim.line] ^= bit
-        if victim is not None and victim.state is _MODIFIED:
-            self.writeback(core, victim.line, now_fs)
+                    presence[victim] ^= bit
+        if victim is not None and victim_state is _MODIFIED:
+            self.writeback(core, victim, now_fs)
         return t
 
     def _issue_prefetches(self, core: int, lines: list[int], now_fs: int) -> None:
@@ -480,26 +485,30 @@ class CacheCoherentHierarchy:
     def load_line(self, core: int, line: int, now_fs: int) -> int:
         """Load one line; returns the completion time (== now on an L1 hit)."""
         self.load_ops += 1
-        entry = self.l1s[core].touch(line)
-        if entry is not None:
+        l1 = self.l1s[core]
+        l1_set = l1._sets[line & l1._set_mask]
+        if line in l1_set:
+            l1_set.move_to_end(line)
             done = now_fs
-            if entry.ready_fs > now_fs:
-                self.prefetch_late_fs += entry.ready_fs - now_fs
-                done = entry.ready_fs
-            if entry.prefetched:
-                entry.prefetched = False
-                self.prefetch_useful += 1
-                prefetcher = self.prefetchers[core]
-                if prefetcher is not None:
-                    self._issue_prefetches(core, prefetcher.on_tagged_hit(line), now_fs)
-            for observer in self.observers:
-                observer("load", core, line, now_fs, done)
-            return done
-        self.load_misses += 1
-        done = self._walk(core, line, now_fs, False)
-        prefetcher = self.prefetchers[core]
-        if prefetcher is not None:
-            self._issue_prefetches(core, prefetcher.on_miss(line), now_fs)
+            fills = l1.fills
+            if fills and (fill := fills.get(line)) is not None:
+                ready_fs, prefetched = fill
+                if ready_fs > now_fs:
+                    self.prefetch_late_fs += ready_fs - now_fs
+                    done = ready_fs
+                if prefetched:
+                    fills[line] = (ready_fs, False)
+                    self.prefetch_useful += 1
+                    prefetcher = self.prefetchers[core]
+                    if prefetcher is not None:
+                        self._issue_prefetches(
+                            core, prefetcher.on_tagged_hit(line), now_fs)
+        else:
+            self.load_misses += 1
+            done = self._walk(core, line, now_fs, False)
+            prefetcher = self.prefetchers[core]
+            if prefetcher is not None:
+                self._issue_prefetches(core, prefetcher.on_miss(line), now_fs)
         for observer in self.observers:
             observer("load", core, line, now_fs, done)
         return done
@@ -513,17 +522,21 @@ class CacheCoherentHierarchy:
         buffer is full.
         """
         self.store_ops += 1
-        entry = self.l1s[core].touch(line)
-        if entry is not None:
-            if entry.state is _SHARED:
+        l1 = self.l1s[core]
+        l1_set = l1._sets[line & l1._set_mask]
+        state = l1_set.get(line)
+        if state is not None:
+            l1_set.move_to_end(line)
+            if state is _SHARED:
                 self.upgrades += 1
                 req, up, _, _, _, bus_ctl, _, xbar_ctl, _ = \
                     self._core_ports[core]
                 t = req.serve(now_fs, bus_ctl)
                 if self._invalidate_peers(line, core):
                     up.serve(t, xbar_ctl)
-            entry.state = _MODIFIED
-            entry.prefetched = False
+            l1_set[line] = _MODIFIED
+            if l1.fills and (fill := l1.fills.get(line)) and fill[1]:
+                l1.fills[line] = (fill[0], False)
             for observer in self.observers:
                 observer("store", core, line, now_fs, now_fs)
             return 0
@@ -553,9 +566,8 @@ class CacheCoherentHierarchy:
         l1 = self.l1s[core]
         flushed = now_fs
         for line in range(first_line, last_line + 1):
-            entry = l1.lookup(line)
-            if entry is not None and entry.state is _MODIFIED:
-                entry.state = _SHARED
+            if l1.lookup(line) is _MODIFIED:
+                l1._sets[line & l1._set_mask][line] = _SHARED
                 self.flushes += 1
                 flushed = max(flushed, self.writeback(core, line, now_fs))
                 for observer in self.observers:
@@ -571,14 +583,14 @@ class CacheCoherentHierarchy:
         """
         l1 = self.l1s[core]
         for line in range(first_line, last_line + 1):
-            victim = l1.invalidate(line)
-            if victim is not None:
+            state = l1.invalidate(line)
+            if state is not None:
                 self.invalidates += 1
                 if self._keeps_presence:
                     held = self._presence.pop(line, 0) & ~self._core_bits[core]
                     if held:
                         self._presence[line] = held
-                if victim.state is _MODIFIED:
+                if state is _MODIFIED:
                     self.writeback(core, line, now_fs)
                     self.dirty_invalidates += 1
                 for observer in self.observers:
@@ -600,10 +612,10 @@ class CacheCoherentHierarchy:
             t = max(t, buffer.drain_time(now_fs))
         for core, l1 in enumerate(self.l1s):
             for cache_set in l1._sets:
-                for entry in cache_set.values():
-                    if entry.state is _MODIFIED:
-                        entry.state = _SHARED
-                        t = max(t, self.writeback(core, entry.line, t))
+                for line, state in cache_set.items():
+                    if state is _MODIFIED:
+                        cache_set[line] = _SHARED
+                        t = max(t, self.writeback(core, line, t))
         return max(t, self.uncore.flush(t))
 
     # ------------------------------------------------------------------

@@ -452,9 +452,10 @@ class ReproServer:
                             self.timeout_s, self.series_interval_fs)
                     except BrokenProcessPool:
                         self._rebuild_executor(generation)
-                        payload = await loop.run_in_executor(
-                            None, run_isolated, job.spec, self.timeout_s,
-                            self.series_interval_fs, _SPAWN)
+                        payload = (await loop.run_in_executor(
+                            None, dict, run_isolated(
+                                {job.key: job.spec}, self.timeout_s,
+                                self.series_interval_fs, _SPAWN)))[job.key]
                         attempts += 1
                         break
                     if payload["ok"] or payload["kind"] != "exception" \

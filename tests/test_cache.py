@@ -13,14 +13,22 @@ def small_cache(capacity=256, assoc=2, line=32):
     return SetAssocCache(CacheConfig(capacity, assoc, line), "test")
 
 
+def touch(c, line):
+    """An access's LRU refresh, as ``load_line`` / ``store_line`` run it
+    inline on a hit; returns the line's state or None."""
+    cache_set = c._sets[line & c._set_mask]
+    state = cache_set.get(line)
+    if state is not None:
+        cache_set.move_to_end(line)
+    return state
+
+
 class TestBasics:
     def test_miss_then_hit(self):
         c = small_cache()
         assert c.lookup(5) is None
         c.insert(5, MesiState.EXCLUSIVE)
-        entry = c.lookup(5)
-        assert entry is not None
-        assert entry.state is MesiState.EXCLUSIVE
+        assert c.lookup(5) is MesiState.EXCLUSIVE
 
     def test_insert_invalid_rejected(self):
         with pytest.raises(ValueError):
@@ -35,8 +43,7 @@ class TestBasics:
     def test_invalidate_returns_entry(self):
         c = small_cache()
         c.insert(9, MesiState.MODIFIED)
-        victim = c.invalidate(9)
-        assert victim is not None and victim.state is MesiState.MODIFIED
+        assert c.invalidate(9) is MesiState.MODIFIED
         assert c.lookup(9) is None
         assert c.invalidate(9) is None
 
@@ -48,8 +55,7 @@ class TestBasics:
         c.insert(3 + num_sets, MesiState.SHARED)
         # Third line in the same set evicts the LRU one.
         victim = c.insert(3 + 2 * num_sets, MesiState.SHARED)
-        assert victim is not None
-        assert victim.line == 3
+        assert victim == (3, MesiState.SHARED)
 
     def test_clear(self):
         c = small_cache()
@@ -65,9 +71,9 @@ class TestLru:
         a, b, d = 0, num_sets, 2 * num_sets      # all in set 0
         c.insert(a, MesiState.SHARED)
         c.insert(b, MesiState.SHARED)
-        c.touch(a)                               # b becomes LRU
+        touch(c, a)                              # b becomes LRU
         victim = c.insert(d, MesiState.SHARED)
-        assert victim.line == b
+        assert victim[0] == b
         assert c.lookup(a) is not None
 
     def test_insertion_is_mru(self):
@@ -76,7 +82,7 @@ class TestLru:
         c.insert(0, MesiState.SHARED)
         c.insert(num_sets, MesiState.SHARED)
         victim = c.insert(2 * num_sets, MesiState.SHARED)
-        assert victim.line == 0
+        assert victim[0] == 0
 
 
 class TestProperties:
@@ -89,7 +95,7 @@ class TestProperties:
             if c.lookup(line) is None:
                 c.insert(line, MesiState.SHARED)
             else:
-                c.touch(line)
+                touch(c, line)
         assert c.occupancy() <= c.config.num_lines
         for s in c._sets:
             assert len(s) <= c.associativity
@@ -105,7 +111,7 @@ class TestProperties:
         reference = [[] for _ in range(num_sets)]
         for line in lines:
             ref_set = reference[line % num_sets]
-            if c.touch(line) is None:
+            if touch(c, line) is None:
                 c.insert(line, MesiState.SHARED)
                 if len(ref_set) == assoc:
                     ref_set.pop(0)
@@ -115,9 +121,7 @@ class TestProperties:
                 ref_set.remove(line)
                 ref_set.append(line)
         for set_index in range(num_sets):
-            resident = sorted(
-                e.line for e in c._sets[set_index].values()
-            )
+            resident = sorted(c._sets[set_index])
             assert resident == sorted(reference[set_index])
 
     @settings(max_examples=50, deadline=None)
@@ -142,6 +146,32 @@ class TestProperties:
     def test_most_recent_line_always_resident(self, lines):
         c = small_cache(capacity=1024, assoc=2)
         for line in lines:
-            if c.touch(line) is None:
+            if touch(c, line) is None:
                 c.insert(line, MesiState.SHARED)
             assert c.lookup(line) is not None
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(
+        ["insert", "fill", "invalidate", "clear"]), st.integers(0, 63)),
+        min_size=1, max_size=300))
+    def test_fills_never_outlive_their_line(self, ops):
+        """Every ``fills`` entry belongs to a resident line, through
+        inserts, prefetch fills, evicting inserts, invalidates and
+        clears; ``occupancy()`` matches the sets after every step."""
+        c = small_cache(capacity=256, assoc=2)   # 4 sets: lines collide
+        for step, (op, line) in enumerate(ops):
+            if op == "clear":
+                c.clear()
+            elif op == "invalidate":
+                c.invalidate(line)
+            elif c.lookup(line) is None:
+                fill = (step, step % 2 == 0) if op == "fill" else None
+                victim = c.insert(line, MesiState.EXCLUSIVE, fill)
+                if victim is not None:
+                    assert victim[0] not in c.fills
+                assert (line in c.fills) == (fill is not None)
+            resident = {line for cache_set in c._sets for line in cache_set}
+            assert c.fills.keys() <= resident
+            assert c.occupancy() == sum(len(s) for s in c._sets)
+        c.clear()
+        assert not c.fills and c.occupancy() == 0

@@ -43,8 +43,8 @@ class TestStateHelpers:
 
 def _states(hierarchy, line):
     return [
-        entry.state if (entry := l1.lookup(line)) is not None
-        else MesiState.INVALID
+        MesiState.INVALID if (state := l1.lookup(line)) is None
+        else state
         for l1 in hierarchy.l1s
     ]
 
@@ -60,14 +60,14 @@ class TestProtocolTransitions:
     def test_first_load_gets_exclusive(self):
         h = small_hierarchy()
         h.load_line(0, 100, 0)
-        assert h.l1s[0].lookup(100).state is MesiState.EXCLUSIVE
+        assert h.l1s[0].lookup(100) is MesiState.EXCLUSIVE
 
     def test_second_load_downgrades_to_shared(self):
         h = small_hierarchy()
         h.load_line(0, 100, 0)
         h.load_line(1, 100, 1000)
-        assert h.l1s[0].lookup(100).state is MesiState.SHARED
-        assert h.l1s[1].lookup(100).state is MesiState.SHARED
+        assert h.l1s[0].lookup(100) is MesiState.SHARED
+        assert h.l1s[1].lookup(100) is MesiState.SHARED
         assert h.cache_to_cache == 1
 
     def test_store_miss_gets_modified_and_invalidates(self):
@@ -75,7 +75,7 @@ class TestProtocolTransitions:
         h.load_line(0, 100, 0)
         h.load_line(1, 100, 1000)
         h.store_line(2, 100, 2000)
-        assert h.l1s[2].lookup(100).state is MesiState.MODIFIED
+        assert h.l1s[2].lookup(100) is MesiState.MODIFIED
         assert h.l1s[0].lookup(100) is None
         assert h.l1s[1].lookup(100) is None
 
@@ -84,7 +84,7 @@ class TestProtocolTransitions:
         h.load_line(0, 100, 0)
         before = h.invalidations_sent
         h.store_line(0, 100, 1000)
-        assert h.l1s[0].lookup(100).state is MesiState.MODIFIED
+        assert h.l1s[0].lookup(100) is MesiState.MODIFIED
         assert h.invalidations_sent == before
         assert h.upgrades == 0
 
@@ -94,15 +94,15 @@ class TestProtocolTransitions:
         h.load_line(1, 100, 1000)
         h.store_line(0, 100, 2000)
         assert h.upgrades == 1
-        assert h.l1s[0].lookup(100).state is MesiState.MODIFIED
+        assert h.l1s[0].lookup(100) is MesiState.MODIFIED
         assert h.l1s[1].lookup(100) is None
 
     def test_load_from_modified_peer_supplies_and_downgrades(self):
         h = small_hierarchy()
         h.store_line(0, 100, 0)
         h.load_line(1, 100, 1000)
-        assert h.l1s[0].lookup(100).state is MesiState.SHARED
-        assert h.l1s[1].lookup(100).state is MesiState.SHARED
+        assert h.l1s[0].lookup(100) is MesiState.SHARED
+        assert h.l1s[1].lookup(100) is MesiState.SHARED
         # The dirty data was written back to the L2 on the downgrade.
         assert h.uncore.l2.lookup(100) is not None
 
@@ -111,7 +111,7 @@ class TestProtocolTransitions:
         h.store_line(0, 100, 0)
         h.store_line(1, 100, 1000)
         assert h.l1s[0].lookup(100) is None
-        assert h.l1s[1].lookup(100).state is MesiState.MODIFIED
+        assert h.l1s[1].lookup(100) is MesiState.MODIFIED
 
 
 ops_strategy = st.lists(
@@ -150,9 +150,7 @@ class TestProtocolProperties:
                 h.load_line(core, line, now)
             else:
                 h.store_line(core, line, now)
-                entry = h.l1s[core].lookup(line)
-                assert entry is not None
-                assert entry.state is MesiState.MODIFIED
+                assert h.l1s[core].lookup(line) is MesiState.MODIFIED
 
     @settings(max_examples=30, deadline=None)
     @given(ops_strategy)

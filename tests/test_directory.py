@@ -20,7 +20,7 @@ def directory_hierarchy(cores=4):
 
 def _states(h, line):
     return [
-        e.state if (e := l1.lookup(line)) is not None else MesiState.INVALID
+        MesiState.INVALID if (s := l1.lookup(line)) is None else s
         for l1 in h.l1s
     ]
 
@@ -37,8 +37,8 @@ class TestDirectoryProtocol:
         h = directory_hierarchy()
         h.load_line(0, 100, 0)
         h.load_line(1, 100, 10**9)
-        assert h.l1s[0].lookup(100).state is MesiState.SHARED
-        assert h.l1s[1].lookup(100).state is MesiState.SHARED
+        assert h.l1s[0].lookup(100) is MesiState.SHARED
+        assert h.l1s[1].lookup(100) is MesiState.SHARED
         h.store_line(2, 100, 2 * 10**9)
         assert h.l1s[0].lookup(100) is None
         assert h.l1s[1].lookup(100) is None
@@ -90,8 +90,9 @@ class TestDirectoryProtocol:
                     h.store_line(core, line, now)
             actual: dict[int, list[int]] = {}
             for core, l1 in enumerate(h.l1s):
-                for entry in l1.lines():
-                    actual.setdefault(entry.line, []).append(core)
+                for cache_set in l1._sets:
+                    for line in cache_set:
+                        actual.setdefault(line, []).append(core)
             for line in range(32):
                 assert h.holders(line) == tuple(actual.get(line, ()))
 
@@ -113,8 +114,8 @@ class TestDirectoryProtocol:
                 hb.store_line(core, line, now)
                 hd.store_line(core, line, now)
         for l1b, l1d in zip(hb.l1s, hd.l1s):
-            assert ({e.line for e in l1b.lines()}
-                    == {e.line for e in l1d.lines()})
+            assert ({line for s in l1b._sets for line in s}
+                    == {line for s in l1d._sets for line in s})
 
 
 class TestSystemLevel:

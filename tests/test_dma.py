@@ -175,6 +175,16 @@ def _transfer(link, now_fs, num_bytes):
     return link.serve(now_fs, link.service_fs(num_bytes))
 
 
+def l2_touch(l2, line):
+    """The old ``SetAssocCache.touch``: refresh a resident line's LRU
+    position; returns whether it was resident."""
+    cache_set = l2._sets[line & l2._set_mask]
+    if line in cache_set:
+        cache_set.move_to_end(line)
+        return True
+    return False
+
+
 class PerGranuleEngine(DmaEngine):
     """The engine before the granule loops: every granule walks the
     resource and uncore methods one call at a time."""
@@ -195,10 +205,10 @@ class PerGranuleEngine(DmaEngine):
         allocating on a miss."""
         uncore = self.uncore
         uncore.l2_reads += 1
-        entry = uncore.l2.touch(line)
+        hit = l2_touch(uncore.l2, line)
         bank = uncore.l2_banks[line % uncore._num_banks]
         sent = bank.serve(now_fs, uncore._l2_service_fs)
-        if entry is not None:
+        if hit:
             uncore.l2_read_hits += 1
             return sent
         return uncore.l2_miss(line, sent, self.line_bytes, False)
@@ -208,10 +218,10 @@ class PerGranuleEngine(DmaEngine):
         only the requested bytes and allocates nothing."""
         uncore = self.uncore
         uncore.l2_reads += 1
-        entry = uncore.l2.touch(line)
+        hit = l2_touch(uncore.l2, line)
         bank = uncore.l2_banks[line % uncore._num_banks]
         sent = bank.serve(now_fs, uncore._l2_service_fs)
-        if entry is not None:
+        if hit:
             uncore.l2_read_hits += 1
             return sent
         return uncore.dram.access(sent, nbytes, line * self.line_bytes)
@@ -293,8 +303,8 @@ def machine_state(h):
     calendars = [(r.name, list(r._starts), list(r._ends), r.busy_fs,
                   r.wait_fs, r.requests, getattr(r, "bytes_moved", 0))
                  for r in resources]
-    lru = [[(line, entry.state, entry.ready_fs, entry.prefetched)
-            for line, entry in cache_set.items()]
+    lru = [[(line, state, u.l2.fills.get(line))
+            for line, state in cache_set.items()]
            for cache_set in u.l2._sets]
     dram = u.dram
     counters = (u.l2_reads, u.l2_read_hits, u.l2_writes, u.l2_write_hits,

@@ -88,6 +88,28 @@ class TestFaultTolerance:
         assert outcomes[4].status == "ok"
         assert outcomes[8].status == "ok"
 
+    def test_isolated_reruns_run_concurrently(self, tmp_path):
+        # A pool break re-runs each in-flight spec alone, up to ``jobs``
+        # one-worker pools at once: the two innocent sleepers re-run side
+        # by side, not one after the other (2 x 1.5 s).
+        import time
+
+        sleep_s = 1.5
+        poison = specs_for(2, overrides={"_grid_kill_worker": True})
+        sleepers = specs_for(4, 8, overrides={"_grid_sleep_s": sleep_s})
+        progress = Progress()
+        start = time.perf_counter()
+        outcomes = {o.spec.cores: o for o in GridScheduler(
+            jobs=3, store=ResultStore(tmp_path),
+            progress=progress).map(poison + sleepers)}
+        elapsed = time.perf_counter() - start
+        assert [outcomes[c].status for c in (2, 4, 8)] == \
+            ["failed", "ok", "ok"]
+        assert outcomes[2].failure.kind == "crash"
+        assert outcomes[2].failure.attempts == 2
+        assert progress.retries == 3       # every spec's second attempt
+        assert elapsed < 1.6 * sleep_s
+
     def test_timeout_is_recorded_not_raised(self, tmp_path):
         slow = specs_for(2, overrides={"_grid_sleep_s": 10})
         outcomes = list(GridScheduler(jobs=1, store=ResultStore(tmp_path),

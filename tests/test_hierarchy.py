@@ -59,7 +59,7 @@ class TestStorePath:
         h.store_line(0, 100, 0, no_allocate=True)
         assert h.uncore.dram.read_bytes == 0
         assert h.refills_avoided == 1
-        assert h.l1s[0].lookup(100).state is MesiState.MODIFIED
+        assert h.l1s[0].lookup(100) is MesiState.MODIFIED
 
     def test_store_returns_stall_only_when_buffer_full(self):
         h = hierarchy()
@@ -86,8 +86,7 @@ class TestWritebacks:
         h.store_line(0, num_sets, 10**9)
         h.store_line(0, 2 * num_sets, 2 * 10**9)   # evicts dirty line 0
         assert h.l1_writebacks == 1
-        entry = h.uncore.l2.lookup(0)
-        assert entry is not None and entry.state is MesiState.MODIFIED
+        assert h.uncore.l2.lookup(0) is MesiState.MODIFIED
 
     def test_clean_eviction_is_silent(self):
         h = hierarchy(l1_capacity=128)

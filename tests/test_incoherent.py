@@ -43,7 +43,7 @@ class TestNoCoherenceActions:
         h.load_line(1, 100, 0)
         h.store_line(0, 100, 10**9)
         assert h.l1s[1].lookup(100) is not None     # stale but resident
-        assert h.l1s[0].lookup(100).state is MesiState.MODIFIED
+        assert h.l1s[0].lookup(100) is MesiState.MODIFIED
 
 
 class TestFlushInvalidate:
@@ -52,10 +52,9 @@ class TestFlushInvalidate:
         h.store_line(0, 100, 0)
         h.flush_range(0, 100, 100, 10**9)
         assert h.flushes == 1
-        entry = h.uncore.l2.lookup(100)
-        assert entry is not None and entry.state is MesiState.MODIFIED
+        assert h.uncore.l2.lookup(100) is MesiState.MODIFIED
         # The line stays cached, now clean.
-        assert h.l1s[0].lookup(100).state is MesiState.SHARED
+        assert h.l1s[0].lookup(100) is MesiState.SHARED
 
     def test_flush_skips_clean_lines(self):
         h = hierarchy()

@@ -90,8 +90,7 @@ class TestWritePolicies:
                 write_policy=WritePolicy.NO_WRITE_ALLOCATE))
         h.store_line(0, 7, 0)
         assert h.l1s[0].lookup(7) is None
-        entry = h.uncore.l2.lookup(7)
-        assert entry is not None and entry.state is MesiState.MODIFIED
+        assert h.uncore.l2.lookup(7) is MesiState.MODIFIED
 
 
 class TestStoreBufferBackpressure:

@@ -54,8 +54,8 @@ def run_threads(*threads, **kwargs):
 def core_state(system) -> tuple:
     """State a result record does not show: every L1 set's lines in LRU
     order with their full state, and every local store's counters."""
-    lru = [[[(line, e.state, e.ready_fs, e.prefetched)
-             for line, e in cache_set.items()]
+    lru = [[[(line, state, l1.fills.get(line))
+             for line, state in cache_set.items()]
             for cache_set in l1._sets]
            for l1 in system.hierarchy.l1s]
     stores = [(ls.reads, ls.read_accesses, ls.writes, ls.write_accesses)

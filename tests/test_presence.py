@@ -70,13 +70,13 @@ class _Reference:
         best = None
         for core in self._peers(line, requester):
             self.snoop_lookups += 1
-            entry = self.l1s[core].lookup(line)
-            if entry is None:
+            state = self.l1s[core].lookup(line)
+            if state is None:
                 continue
-            if entry.state in (MesiState.MODIFIED, MesiState.EXCLUSIVE):
-                return core, entry.state
+            if state in (MesiState.MODIFIED, MesiState.EXCLUSIVE):
+                return core, state
             if best is None:
-                best = (core, entry.state)
+                best = (core, state)
         return best
 
     def _invalidate_peers(self, line, requester):
@@ -99,13 +99,23 @@ class _Reference:
 
     # -- the uncore: Uncore.l2_read / l2_write / l2_miss / _evict --------
 
+    @staticmethod
+    def _touch(cache, line):
+        """The old ``SetAssocCache.touch``: refresh a resident line's LRU
+        position; returns its set, or None when it is absent."""
+        cache_set = cache._sets[line & cache._set_mask]
+        if line not in cache_set:
+            return None
+        cache_set.move_to_end(line)
+        return cache_set
+
     def _l2_read(self, line, now_fs):
         u = self.uncore
         u.l2_reads += 1
-        entry = u.l2.touch(line)
+        l2_set = self._touch(u.l2, line)
         sent = u.l2_banks[line % len(u.l2_banks)].serve(now_fs,
                                                        u._l2_service_fs)
-        if entry is not None:
+        if l2_set is not None:
             u.l2_read_hits += 1
             return sent
         return self._l2_miss(line, sent, False)
@@ -113,12 +123,12 @@ class _Reference:
     def _l2_write(self, line, now_fs):
         u = self.uncore
         u.l2_writes += 1
-        entry = u.l2.touch(line)
+        l2_set = self._touch(u.l2, line)
         sent = u.l2_banks[line % len(u.l2_banks)].serve(now_fs,
                                                        u._l2_service_fs)
-        if entry is not None:
+        if l2_set is not None:
             u.l2_write_hits += 1
-            entry.state = MesiState.MODIFIED
+            l2_set[line] = MesiState.MODIFIED
             return sent
         return self._l2_miss(line, sent, True)
 
@@ -135,9 +145,9 @@ class _Reference:
 
     def _evict(self, victim, when_fs):
         u = self.uncore
-        if victim is not None and victim.state is MesiState.MODIFIED:
+        if victim is not None and victim[1] is MesiState.MODIFIED:
             u.l2_writebacks += 1
-            u.dram.access(when_fs, u.line_bytes, victim.line * u.line_bytes,
+            u.dram.access(when_fs, u.line_bytes, victim[0] * u.line_bytes,
                           True)
 
     # -- the fill chain ---------------------------------------------------
@@ -148,18 +158,17 @@ class _Reference:
         return (u.buses[cluster], u.xbar.up[cluster], u.xbar.down[cluster],
                 cluster)
 
-    def _install(self, core, line, state, when_fs, ready_fs=0,
-                 prefetched=False):
-        victim = self.l1s[core].insert(line, state, ready_fs, prefetched)
+    def _install(self, core, line, state, when_fs, fill=None):
+        victim = self.l1s[core].insert(line, state, fill)
         if self._keeps_presence:
             presence = self._presence
             bit = self._core_bits[core]
             held = presence.get(line)
             presence[line] = bit if held is None else held | bit
             if victim is not None:
-                self._drop_holder(victim.line, core)
-        if victim is not None and victim.state is MesiState.MODIFIED:
-            self.writeback(core, victim.line, when_fs)
+                self._drop_holder(victim[0], core)
+        if victim is not None and victim[1] is MesiState.MODIFIED:
+            self.writeback(core, victim[0], when_fs)
 
     def writeback(self, core, line, now_fs):
         self.l1_writebacks += 1
@@ -187,11 +196,12 @@ class _Reference:
             if for_write:
                 self._install(core, line, MesiState.MODIFIED, now_fs)
             else:
-                owner_entry = self.l1s[owner_core].lookup(line)
+                owner_l1 = self.l1s[owner_core]
+                owner_set = owner_l1._sets[line & owner_l1._set_mask]
                 if owner_state is MesiState.MODIFIED:
                     self._l2_write(line, t)
-                if owner_entry is not None:
-                    owner_entry.state = MesiState.SHARED
+                if line in owner_set:
+                    owner_set[line] = MesiState.SHARED
                 self._install(core, line, MesiState.SHARED, now_fs)
             return t
         if for_write and not refill:
@@ -230,7 +240,7 @@ class _Reference:
             t = transfer(xbar_down, t, line_bytes)
             t = transfer(bus.resp, t, line_bytes)
             self._install(core, pline, MesiState.EXCLUSIVE, now_fs,
-                          ready_fs=t, prefetched=True)
+                          fill=(t, True))
             inflight.append(t)
 
     def bulk_prefetch(self, core, first_line, last_line, now_fs):
@@ -249,7 +259,7 @@ class _Reference:
             fill = transfer(xbar_down, fill, line_bytes)
             fill = transfer(bus.resp, fill, line_bytes)
             self._install(core, line, MesiState.EXCLUSIVE, now_fs,
-                          ready_fs=fill, prefetched=False)
+                          fill=(fill, False))
             done = max(done, fill)
         return done
 
@@ -312,8 +322,7 @@ def _machine(h):
     calendars = [(r.name, list(r._starts), list(r._ends), r.busy_fs,
                   r.wait_fs, r.requests, r.backfills,
                   getattr(r, "bytes_moved", None)) for r in resources]
-    l2 = [[(line, e.state) for line, e in cache_set.items()]
-          for cache_set in u.l2._sets]
+    l2 = [list(cache_set.items()) for cache_set in u.l2._sets]
     return (calendars, [getattr(u, n) for n in UNCORE_COUNTERS], l2,
             [getattr(u.dram, n) for n in DRAM_COUNTERS])
 
@@ -345,8 +354,9 @@ def _trace(cls, config, l1_config, ops):
                 drift.append((i, line))
     returned.append(h.drain(now))
     counters = {name: getattr(h, name) for name in COUNTERS}
-    contents = [[[(e.line, e.state, e.ready_fs, e.prefetched)
-                  for e in cache_set.values()] for cache_set in l1._sets]
+    contents = [[[(line, state, l1.fills.get(line))
+                  for line, state in cache_set.items()]
+                 for cache_set in l1._sets]
                 for l1 in h.l1s]
     return (returned, counters, contents, h._inflight, _machine(h)), drift
 

@@ -136,11 +136,9 @@ class TestCachedRandomPrograms:
         from repro.mem.coherence import MesiState
 
         system, _ = run_random(specs, "cc")
-        for l1 in system.hierarchy.l1s:
-            for entry in l1.lines():
-                assert entry.state is not MesiState.MODIFIED
-        for entry in system.hierarchy.uncore.l2.lines():
-            assert entry.state is not MesiState.MODIFIED
+        for cache in [*system.hierarchy.l1s, system.hierarchy.uncore.l2]:
+            for cache_set in cache._sets:
+                assert MesiState.MODIFIED not in cache_set.values()
 
 
 class TestStreamingRandomPrograms:
