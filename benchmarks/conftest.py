@@ -1,18 +1,27 @@
 """Shared fixtures for the per-figure benchmark harness.
 
-Every benchmark regenerates one table or figure of the paper, times the
-regeneration with pytest-benchmark, prints the paper-style rows, and
-archives them under ``benchmarks/output/`` so EXPERIMENTS.md can point at
-concrete numbers.
+Every benchmark regenerates one table or figure of the paper (or one
+ablation or extension sweep), times the regeneration with
+pytest-benchmark, prints the paper-style rows, and archives figures
+under ``benchmarks/output/`` so EXPERIMENTS.md can point at concrete
+numbers.
 
 The workload scale is selected with the ``REPRO_PRESET`` environment
 variable (``default`` | ``small`` | ``tiny``); the shipped default is the
 full benchmark scale used by EXPERIMENTS.md.
 
-Set ``REPRO_STORE`` to a directory to back the session runner with the
-persistent grid result store: simulations already recorded there (for
-example by ``python -m repro all --store ...``) are replayed from disk
-instead of re-simulated, and new runs are recorded for the next session.
+Every simulation takes the one sweep path of ``python -m repro grid
+sweep``: plan, settle store hits, run the misses on a
+:class:`~repro.grid.scheduler.GridScheduler` of one worker per CPU, and
+replay.  Figures go through :func:`repro.grid.cli.run_experiments`
+(the ``regenerate`` fixture); ablation and extension sweeps hand their
+:class:`~repro.grid.spec.RunSpec` list to one
+:meth:`~repro.grid.scheduler.GridScheduler.run_batch` (the ``settle``
+fixture).  The result store is ``REPRO_STORE`` when set, so runs already
+recorded there (for example by ``python -m repro all --store ...``) are
+replayed instead of re-simulated and new runs are recorded for the next
+session; otherwise it is a temporary store for the session, so each run
+is still simulated once and shared across figures.
 """
 
 from __future__ import annotations
@@ -22,9 +31,13 @@ import pathlib
 
 import pytest
 
-from repro.harness import Runner
+from repro.grid import GridScheduler, ResultStore, RunFailedError
+from repro.grid.cli import run_experiments
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
+
+#: Worker processes for every benchmark sweep.
+JOBS = os.cpu_count() or 1
 
 
 @pytest.fixture(scope="session")
@@ -33,20 +46,43 @@ def preset() -> str:
 
 
 @pytest.fixture(scope="session")
-def runner(preset: str) -> Runner:
-    """One memoizing runner for the whole benchmark session.
+def store(tmp_path_factory) -> ResultStore:
+    """``REPRO_STORE`` if set, else a store private to this session."""
+    root = os.environ.get("REPRO_STORE")
+    return ResultStore(root or tmp_path_factory.mktemp("store"))
 
-    Sharing the runner means the one-core baselines and the 16-core
-    default points are simulated once and reused by every figure.  With
-    ``REPRO_STORE`` set, results additionally persist across sessions
-    through the grid result store.
-    """
-    store_path = os.environ.get("REPRO_STORE")
-    if store_path:
-        from repro.grid.store import ResultStore, StoreCache
 
-        return Runner(preset=preset, cache=StoreCache(ResultStore(store_path)))
-    return Runner(preset=preset)
+@pytest.fixture(scope="session")
+def regenerate(preset: str, store: ResultStore):
+    """Regenerate one named experiment; returns its ExperimentResult."""
+
+    def _regenerate(name: str):
+        rendered = {}
+        code = run_experiments([name], preset=preset, jobs=JOBS, store=store,
+                               render=rendered.__setitem__)
+        if name not in rendered:
+            pytest.fail(f"{name} is incomplete (exit {code}): a run it "
+                        f"needs failed; see stderr")
+        return rendered[name]
+
+    return _regenerate
+
+
+@pytest.fixture(scope="session")
+def settle(store: ResultStore):
+    """Settle a list of RunSpecs; returns their RunResults in order."""
+
+    def _settle(specs):
+        outcomes = GridScheduler(jobs=JOBS, store=store).run_batch(specs)
+        results = []
+        for spec in specs:
+            outcome = outcomes[spec.content_key()]
+            if outcome.failure is not None:
+                pytest.fail(str(RunFailedError(outcome.failure)))
+            results.append(outcome.result)
+        return results
+
+    return _settle
 
 
 @pytest.fixture()

@@ -6,22 +6,15 @@ and the simulator's own execution quantum — and check that each behaves
 the way the architecture (or the modelling argument) says it should.
 """
 
-import dataclasses
-
-import pytest
-
-from repro import MachineConfig, run_program
-from repro.workloads import get_workload
+from repro.grid import RunSpec
 
 
-def run_cfg(workload: str, config: MachineConfig, preset: str = "small",
-            overrides: dict | None = None):
-    program = get_workload(workload).build(config.model, config,
-                                           preset=preset, overrides=overrides)
-    return run_program(config, program)
+def spec(workload: str, overrides: dict | None = None, **knobs) -> RunSpec:
+    """One ablation point: always the ``small`` preset."""
+    return RunSpec(workload, preset="small", overrides=overrides, **knobs)
 
 
-def test_prefetch_depth_sweep(benchmark):
+def test_prefetch_depth_sweep(benchmark, settle):
     """Deeper prefetching hides more latency, with diminishing returns.
 
     BitonicSort at 3.2 GHz has only ~20 ns of compute per line against a
@@ -29,16 +22,14 @@ def test_prefetch_depth_sweep(benchmark):
     sweep traces the textbook coverage curve.
     """
     keys = {"n_keys": 1 << 16}
+    depths = (0, 1, 2, 4, 8)
 
     def sweep():
-        rows = []
-        for depth in (0, 1, 2, 4, 8):
-            cfg = MachineConfig(num_cores=2).with_clock(3.2) \
-                .with_bandwidth(12.8)
-            if depth:
-                cfg = cfg.with_prefetch(depth=depth)
-            rows.append((depth, run_cfg("bitonic", cfg, overrides=keys)))
-        return rows
+        return list(zip(depths, settle([
+            spec("bitonic", keys, cores=2, clock_ghz=3.2,
+                 bandwidth_gbps=12.8, prefetch=depth > 0,
+                 prefetch_depth=depth or 4)
+            for depth in depths])))
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
     print("\nprefetch depth sweep (bitonic, 2 cores @ 3.2 GHz, 12.8 GB/s):")
@@ -54,17 +45,15 @@ def test_prefetch_depth_sweep(benchmark):
     assert abs(times[4] - times[3]) < 0.1 * times[3]
 
 
-def test_dma_outstanding_window_sweep(benchmark):
+def test_dma_outstanding_window_sweep(benchmark, settle):
     """The 16-granule window bounds a single engine's streaming rate."""
+    windows = (2, 4, 16, 64)
 
     def sweep():
-        rows = []
-        for window in (2, 4, 16, 64):
-            cfg = MachineConfig(num_cores=1).with_model("str")
-            cfg = cfg.with_(stream=dataclasses.replace(
-                cfg.stream, dma_max_outstanding=window))
-            rows.append((window, run_cfg("fir", cfg)))
-        return rows
+        return list(zip(windows, settle([
+            spec("fir", model="str", cores=1, config_overrides={
+                "stream.dma_max_outstanding": window})
+            for window in windows])))
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
     print("\nDMA outstanding-window sweep (fir, 1 streaming core):")
@@ -77,19 +66,16 @@ def test_dma_outstanding_window_sweep(benchmark):
     assert times[64] <= times[16] * 1.01
 
 
-def test_l2_capacity_sweep(benchmark):
+def test_l2_capacity_sweep(benchmark, settle):
     """Off-chip traffic falls once the sort's working set fits the L2."""
-    from repro.config import CacheConfig
-
     keys = {"n_keys": 1 << 17}   # 512 KB of keys
+    sizes_kib = (128, 256, 512, 2048)
 
     def sweep():
-        rows = []
-        for kib in (128, 256, 512, 2048):
-            cfg = MachineConfig(num_cores=4).with_(
-                l2=CacheConfig(capacity_bytes=kib * 1024, associativity=16))
-            rows.append((kib, run_cfg("bitonic", cfg, overrides=keys)))
-        return rows
+        return list(zip(sizes_kib, settle([
+            spec("bitonic", keys, cores=4, config_overrides={
+                "l2.capacity_bytes": kib * 1024})
+            for kib in sizes_kib])))
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
     print("\nL2 capacity sweep (bitonic, 512 KB of keys, 4 caching cores):")
@@ -102,16 +88,15 @@ def test_l2_capacity_sweep(benchmark):
     assert traffic[128] >= traffic[256] >= traffic[2048]
 
 
-def test_cluster_size_ablation(benchmark):
+def test_cluster_size_ablation(benchmark, settle):
     """Fewer cores per bus means less intra-cluster contention."""
+    sizes = (2, 4, 8)
+
     def sweep():
-        rows = []
-        for size in (2, 4, 8):
-            cfg = MachineConfig(num_cores=16).with_clock(3.2)
-            cfg = cfg.with_(interconnect=dataclasses.replace(
-                cfg.interconnect, cluster_size=size))
-            rows.append((size, run_cfg("fir", cfg)))
-        return rows
+        return list(zip(sizes, settle([
+            spec("fir", cores=16, clock_ghz=3.2, config_overrides={
+                "interconnect.cluster_size": size})
+            for size in sizes])))
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
     print("\ncluster size ablation (fir, 16 caching cores @ 3.2 GHz):")
@@ -122,19 +107,20 @@ def test_cluster_size_ablation(benchmark):
     assert max(times) < 1.3 * min(times)
 
 
-def test_quantum_insensitivity(benchmark):
+def test_quantum_insensitivity(benchmark, settle):
     """Results must not depend on the simulator's execution quantum.
 
     This is the modelling-robustness check behind the busy-calendar
     resources: with gap backfilling, cross-core clock skew (bounded by
     the quantum) must not leak into measured performance.
     """
+    quanta = (50, 200, 800)
+
     def sweep():
-        rows = []
-        for quantum in (50, 200, 800):
-            cfg = MachineConfig(num_cores=8, quantum_cycles=quantum)
-            rows.append((quantum, run_cfg("jpeg_enc", cfg)))
-        return rows
+        return list(zip(quanta, settle([
+            spec("jpeg_enc", cores=8, config_overrides={
+                "quantum_cycles": quantum})
+            for quantum in quanta])))
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
     print("\nsimulator quantum sweep (jpeg_enc, 8 caching cores):")

@@ -8,27 +8,19 @@ the core count (every miss probes every peer), while a directory's probes
 track only the actual sharers — the filter that makes larger CMPs viable.
 """
 
-import pytest
+from repro.grid import RunSpec
 
-from repro import MachineConfig, run_program
-from repro.config import CoherenceKind
-from repro.workloads import get_workload
+CORES = (8, 16, 32)
 
 
-def run_fem(cores: int, coherence: CoherenceKind, preset: str):
-    cfg = MachineConfig(num_cores=cores, coherence=coherence)
-    program = get_workload("fem").build("cc", cfg, preset=preset)
-    return run_program(cfg, program)
-
-
-def test_broadcast_vs_directory_scaling(benchmark, preset):
+def test_broadcast_vs_directory_scaling(benchmark, preset, settle):
     def sweep():
-        rows = []
-        for cores in (8, 16, 32):
-            b = run_fem(cores, CoherenceKind.BROADCAST, preset)
-            d = run_fem(cores, CoherenceKind.DIRECTORY, preset)
-            rows.append((cores, b, d))
-        return rows
+        # The wire spelling of the coherence enum, as a JSON spec has it.
+        results = iter(settle([
+            RunSpec("fem", "cc", cores=cores, preset=preset,
+                    config_overrides={"coherence": coherence})
+            for cores in CORES for coherence in ("broadcast", "directory")]))
+        return [(cores, next(results), next(results)) for cores in CORES]
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
     print("\ncoherence scaling (fem):")

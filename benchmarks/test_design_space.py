@@ -7,19 +7,16 @@ FIR's threads write disjoint lines, so it runs correctly on all three;
 this benchmark lines them up.
 """
 
-from repro import MachineConfig, run_program
-from repro.workloads import get_workload
+from repro.grid import RunSpec
+
+MODELS = ("cc", "icc", "str")
 
 
-def run_model(model: str, preset: str):
-    cfg = MachineConfig(num_cores=16).with_model(model)
-    program = get_workload("fir").build(model, cfg, preset=preset)
-    return run_program(cfg, program)
-
-
-def test_design_space(benchmark, preset):
+def test_design_space(benchmark, preset, settle):
     def sweep():
-        return {m: run_model(m, preset) for m in ("cc", "icc", "str")}
+        return dict(zip(MODELS, settle([
+            RunSpec("fir", model, cores=16, preset=preset)
+            for model in MODELS])))
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
     print("\nTable 1 design space (fir, 16 cores @ 800 MHz):")

@@ -1,10 +1,8 @@
 """Figure 10: stream-programming optimizations on cache-based 179.art."""
 
-from repro.harness import figure10
 
-
-def test_figure10(benchmark, runner, archive):
-    result = benchmark.pedantic(figure10, args=(runner,), rounds=1,
+def test_figure10(benchmark, regenerate, archive):
+    result = benchmark.pedantic(regenerate, args=("figure10",), rounds=1,
                                 iterations=1)
     archive(result)
 

@@ -1,6 +1,5 @@
 """Figure 2: execution time vs core count for all eleven applications."""
 
-from repro.harness import figure2
 from repro.harness.experiments import ALL_WORKLOADS
 
 #: Applications the paper classifies as compute-bound: both models
@@ -9,8 +8,8 @@ COMPUTE_BOUND = ["mpeg2", "h264", "depth", "raytracer", "fem",
                  "jpeg_enc", "jpeg_dec"]
 
 
-def test_figure2(benchmark, runner, archive):
-    result = benchmark.pedantic(figure2, args=(runner,), rounds=1,
+def test_figure2(benchmark, regenerate, archive):
+    result = benchmark.pedantic(regenerate, args=("figure2",), rounds=1,
                                 iterations=1)
     archive(result)
 

@@ -1,10 +1,8 @@
 """Figure 3: off-chip traffic for the cache-based and streaming systems."""
 
-from repro.harness import figure3
 
-
-def test_figure3(benchmark, runner, archive):
-    result = benchmark.pedantic(figure3, args=(runner,), rounds=1,
+def test_figure3(benchmark, regenerate, archive):
+    result = benchmark.pedantic(regenerate, args=("figure3",), rounds=1,
                                 iterations=1)
     archive(result)
 

@@ -1,10 +1,8 @@
 """Figure 4: energy consumption breakdown at 16 CPUs."""
 
-from repro.harness import figure4
 
-
-def test_figure4(benchmark, runner, archive):
-    result = benchmark.pedantic(figure4, args=(runner,), rounds=1,
+def test_figure4(benchmark, regenerate, archive):
+    result = benchmark.pedantic(regenerate, args=("figure4",), rounds=1,
                                 iterations=1)
     archive(result)
 

@@ -1,10 +1,8 @@
 """Figure 5: scaling the computational throughput of the cores."""
 
-from repro.harness import figure5
 
-
-def test_figure5(benchmark, runner, archive):
-    result = benchmark.pedantic(figure5, args=(runner,), rounds=1,
+def test_figure5(benchmark, regenerate, archive):
+    result = benchmark.pedantic(regenerate, args=("figure5",), rounds=1,
                                 iterations=1)
     archive(result)
 

@@ -1,10 +1,8 @@
 """Figure 6: the effect of increased off-chip bandwidth on FIR."""
 
-from repro.harness import figure6
 
-
-def test_figure6(benchmark, runner, archive):
-    result = benchmark.pedantic(figure6, args=(runner,), rounds=1,
+def test_figure6(benchmark, regenerate, archive):
+    result = benchmark.pedantic(regenerate, args=("figure6",), rounds=1,
                                 iterations=1)
     archive(result)
 

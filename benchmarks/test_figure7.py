@@ -1,10 +1,8 @@
 """Figure 7: the effect of hardware prefetching (depth 4, 2 cores)."""
 
-from repro.harness import figure7
 
-
-def test_figure7(benchmark, runner, archive):
-    result = benchmark.pedantic(figure7, args=(runner,), rounds=1,
+def test_figure7(benchmark, regenerate, archive):
+    result = benchmark.pedantic(regenerate, args=("figure7",), rounds=1,
                                 iterations=1)
     archive(result)
 

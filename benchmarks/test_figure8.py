@@ -1,10 +1,8 @@
 """Figure 8: "Prepare For Store" — non-allocating stores on the cache model."""
 
-from repro.harness import figure8
 
-
-def test_figure8(benchmark, runner, archive):
-    result = benchmark.pedantic(figure8, args=(runner,), rounds=1,
+def test_figure8(benchmark, regenerate, archive):
+    result = benchmark.pedantic(regenerate, args=("figure8",), rounds=1,
                                 iterations=1)
     archive(result)
 

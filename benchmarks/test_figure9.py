@@ -1,10 +1,8 @@
 """Figure 9: stream-programming optimizations on cache-based MPEG-2."""
 
-from repro.harness import figure9
 
-
-def test_figure9(benchmark, runner, archive):
-    result = benchmark.pedantic(figure9, args=(runner,), rounds=1,
+def test_figure9(benchmark, regenerate, archive):
+    result = benchmark.pedantic(regenerate, args=("figure9",), rounds=1,
                                 iterations=1)
     archive(result)
 

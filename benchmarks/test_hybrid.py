@@ -10,25 +10,23 @@ form of the paper's conclusion that dedicated streaming hardware is
 unnecessary.
 """
 
-from repro import MachineConfig, run_program
-from repro.workloads import get_workload
+from repro.grid import RunSpec
+
+#: Workload overrides of each variant: CC plus bulk prefetch and PFS is
+#: the hybrid.
+VARIANTS = {
+    "CC": ("cc", None),
+    "hybrid": ("cc", {"software_prefetch": True, "pfs": True}),
+    "STR": ("str", None),
+}
 
 
-def run_variant(model: str, overrides: dict | None, preset: str):
-    cfg = MachineConfig(num_cores=16).with_clock(3.2).with_model(model)
-    program = get_workload("fir").build(model, cfg, preset=preset,
-                                        overrides=overrides)
-    return run_program(cfg, program)
-
-
-def test_hybrid_matches_streaming(benchmark, preset):
+def test_hybrid_matches_streaming(benchmark, preset, settle):
     def sweep():
-        return {
-            "CC": run_variant("cc", None, preset),
-            "hybrid": run_variant(
-                "cc", {"software_prefetch": True, "pfs": True}, preset),
-            "STR": run_variant("str", None, preset),
-        }
+        specs = [RunSpec("fir", model, cores=16, clock_ghz=3.2,
+                         preset=preset, overrides=overrides)
+                 for model, overrides in VARIANTS.values()]
+        return dict(zip(VARIANTS, settle(specs)))
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
     print("\nhybrid model (fir, 16 cores @ 3.2 GHz):")

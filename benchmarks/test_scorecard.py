@@ -6,11 +6,9 @@ This is the one benchmark to watch: it evaluates the full claim list of
 acceptance band.
 """
 
-from repro.harness import scorecard
 
-
-def test_all_paper_claims_hold(benchmark, runner, archive):
-    result = benchmark.pedantic(scorecard, args=(runner,), rounds=1,
+def test_all_paper_claims_hold(benchmark, regenerate, archive):
+    result = benchmark.pedantic(regenerate, args=("scorecard",), rounds=1,
                                 iterations=1)
     archive(result)
     failing = [row for row in result.rows if not row["ok"]]

@@ -1,11 +1,11 @@
 """Table 3: memory characteristics of the applications (CC, 16 cores)."""
 
-from repro.harness import table3
 from repro.harness.experiments import ALL_WORKLOADS
 
 
-def test_table3(benchmark, runner, archive):
-    result = benchmark.pedantic(table3, args=(runner,), rounds=1, iterations=1)
+def test_table3(benchmark, regenerate, archive):
+    result = benchmark.pedantic(regenerate, args=("table3",), rounds=1,
+                                iterations=1)
     archive(result)
     assert result.column("app") == ALL_WORKLOADS
     by_app = {row["app"]: row for row in result.rows}

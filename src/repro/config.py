@@ -354,7 +354,9 @@ class MachineConfig:
         design-space tuner (:mod:`repro.tune`) sweeps through
         :class:`~repro.grid.spec.RunSpec.config_overrides`; each nested
         block is rebuilt with ``dataclasses.replace`` so its own
-        validation runs.  Unknown blocks or fields raise
+        validation runs.  An enum-typed field takes its member or the
+        member's value (``{"coherence": "directory"}``, the spelling a
+        JSON spec carries).  Unknown blocks, fields or enum values raise
         :class:`ValueError` rather than silently changing nothing.
         """
         grouped: dict[str, dict] = {}
@@ -377,8 +379,11 @@ class MachineConfig:
                 raise ValueError(
                     f"configuration field {block!r} is not a block; "
                     f"override it directly")
+            typed = {name: _typed(f"{block}.{name}",
+                                  getattr(current, name, None), value)
+                     for name, value in block_fields.items()}
             try:
-                changes[block] = replace(current, **block_fields)
+                changes[block] = replace(current, **typed)
             except TypeError as exc:
                 raise ValueError(
                     f"bad override field(s) for block {block!r}: {exc}"
@@ -386,9 +391,14 @@ class MachineConfig:
         for name, value in top.items():
             if name not in field_names:
                 raise ValueError(f"unknown configuration field {name!r}")
-            changes[name] = value
+            current = getattr(self, name)
+            if dataclasses.is_dataclass(current) \
+                    and not isinstance(value, type(current)):
+                raise ValueError(
+                    f"configuration field {name!r} is a block; override "
+                    f"its fields as '{name}.<field>'")
+            changes[name] = _typed(name, current, value)
         return self.with_(**changes) if changes else self
-
 
     # ------------------------------------------------------------------
     # Serialization
@@ -396,52 +406,23 @@ class MachineConfig:
 
     def to_dict(self) -> dict:
         """A JSON-serializable description of the full configuration."""
-        raw = dataclasses.asdict(self)
-        raw["model"] = self.model.value
-        raw["coherence"] = self.coherence.value
-        for cache_key in ("icache", "l1", "stream_l1", "l2"):
-            raw[cache_key]["write_policy"] = getattr(self, cache_key).write_policy.value
-        return raw
+        return dataclasses.asdict(self, dict_factory=_plain_dict)
 
     @classmethod
     def from_dict(cls, data: dict) -> "MachineConfig":
         """Rebuild a configuration written by :meth:`to_dict`.
 
+        Each block is read as ``block.field`` overrides of the defaults,
+        so a partial dict keeps the default for everything it omits.
         Unknown keys are rejected so stale config files fail loudly.
         """
-        data = dict(data)
-
-        def cache(block: dict) -> CacheConfig:
-            block = dict(block)
-            if "write_policy" in block:
-                block["write_policy"] = WritePolicy(block["write_policy"])
-            return CacheConfig(**block)
-
-        builders = {
-            "core": lambda b: CoreConfig(**b),
-            "icache": cache,
-            "l1": cache,
-            "stream_l1": cache,
-            "l2": cache,
-            "prefetch": lambda b: PrefetcherConfig(**b),
-            "dram": lambda b: DramConfig(**b),
-            "interconnect": lambda b: InterconnectConfig(**b),
-            "stream": lambda b: StreamConfig(**b),
-        }
-        kwargs: dict = {}
+        flat: dict[str, object] = {}
         for key, value in data.items():
-            if key == "model":
-                kwargs["model"] = MemoryModel.parse(value)
-            elif key == "coherence":
-                kwargs["coherence"] = CoherenceKind(value)
-            elif key in builders:
-                kwargs[key] = builders[key](value)
-            elif key in ("num_cores", "l2_latency_ns", "quantum_cycles",
-                         "debug_invariants"):
-                kwargs[key] = value
+            if isinstance(value, dict):
+                flat.update((f"{key}.{name}", v) for name, v in value.items())
             else:
-                raise ValueError(f"unknown configuration key {key!r}")
-        return cls(**kwargs)
+                flat[key] = value
+        return cls().with_overrides(flat)
 
     def save(self, path) -> None:
         """Write the configuration as JSON."""
@@ -458,6 +439,25 @@ class MachineConfig:
         import pathlib
 
         return cls.from_dict(json.loads(pathlib.Path(path).read_text()))
+
+
+def _typed(path: str, current: object, value: object) -> object:
+    """``value`` as a member of ``current``'s enum type, when it has one."""
+    if not isinstance(current, enum.Enum):
+        return value
+    kind = type(current)
+    try:
+        return kind(value)
+    except ValueError:
+        allowed = ", ".join(repr(member.value) for member in kind)
+        raise ValueError(f"unknown value {value!r} for configuration field "
+                         f"{path!r}; expected one of {allowed}") from None
+
+
+def _plain_dict(items) -> dict:
+    """``dataclasses.asdict`` factory that writes enums as their values."""
+    return {key: value.value if isinstance(value, enum.Enum) else value
+            for key, value in items}
 
 
 DEFAULT_CONFIG = MachineConfig()

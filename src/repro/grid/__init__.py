@@ -27,13 +27,7 @@ from repro.grid.keys import SCHEMA_VERSION, content_key
 from repro.grid.progress import Progress
 from repro.grid.scheduler import GridScheduler, PlanCache, RunOutcome, plan, replay_cache
 from repro.grid.spec import RunSpec
-from repro.grid.store import (
-    FailedRun,
-    MemoryCache,
-    ResultStore,
-    RunFailedError,
-    StoreCache,
-)
+from repro.grid.store import FailedRun, MemoryCache, ResultStore, RunFailedError
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -41,7 +35,6 @@ __all__ = [
     "RunSpec",
     "ResultStore",
     "MemoryCache",
-    "StoreCache",
     "FailedRun",
     "RunFailedError",
     "GridScheduler",

@@ -23,6 +23,7 @@ record; ``python -m repro grid clear`` reclaims the space.
 
 from __future__ import annotations
 
+import enum
 import hashlib
 import json
 
@@ -40,8 +41,9 @@ def jsonable(value):
 
     Returns a structure ``json.dumps`` accepts with no custom encoder:
     dicts keep string keys, sets become ``[_SET_TAG, ...sorted items]``,
-    tuples become lists.  Leaves must be JSON scalars (str / int /
-    float / bool / None); anything else raises :class:`TypeError`.
+    tuples become lists, enum members become their values.  Other
+    leaves must be JSON scalars (str / int / float / bool / None);
+    anything else raises :class:`TypeError`.
     """
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in sorted(value.items(),
@@ -53,6 +55,8 @@ def jsonable(value):
         return [_SET_TAG] + [item for _, item in items]
     if value is None or isinstance(value, (str, int, float, bool)):
         return value
+    if isinstance(value, enum.Enum):
+        return jsonable(value.value)
     raise TypeError(
         f"cannot serialize run-key leaf {value!r} of type "
         f"{type(value).__name__}; use JSON-compatible scalars"

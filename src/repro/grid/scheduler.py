@@ -400,10 +400,6 @@ class PlanCache:
     def put(self, spec: RunSpec, outcome) -> None:
         """Planning never stores real results."""
 
-    def describe(self) -> str:
-        """One-line backend description for diagnostics."""
-        return f"planner ({len(self.specs)} specs captured)"
-
 
 def plan(experiment_fns, preset: str = "default") -> list[RunSpec]:
     """The deduplicated run set needed by the given experiment functions."""

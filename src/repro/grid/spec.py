@@ -118,14 +118,9 @@ class RunSpec:
         Deriving it expands and hashes the whole :class:`MachineConfig`,
         so it is memoised per process by the spec's value: the canonical
         JSON of :meth:`to_dict`, which tells ``1``, ``1.0`` and ``True``
-        apart and ignores dict order, as the key does.  A spec whose
-        :meth:`to_dict` does not canonicalise (a ``MemoryModel`` as
-        ``model``) is derived afresh on every call.
+        apart and ignores dict order, as the key does.
         """
-        try:
-            identity = keys.canonical_json(self.to_dict())
-        except TypeError:
-            return self._derive_content_key()
+        identity = keys.canonical_json(self.to_dict())
         key = _key_memo.get(identity)
         if key is None:
             key = self._derive_content_key()

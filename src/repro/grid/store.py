@@ -25,13 +25,12 @@ key serialize cleanly (last write wins, both are valid records).  Reads
 take no lock.  On platforms without ``fcntl`` the lock degrades to a
 no-op and the atomic-replace guarantees still hold.
 
-The cache interface consumed by :class:`~repro.harness.runner.Runner`
-is three methods (``get`` / ``put`` / ``describe``) implemented by
-
-* :class:`MemoryCache` — a per-process dict keyed by
-  :meth:`RunSpec.content_key`, the store's own key,
-* :class:`StoreCache` — the same, backed by a :class:`ResultStore` so
-  results survive the process and are shared across processes.
+:class:`MemoryCache` is the cache behind a
+:class:`~repro.harness.runner.Runner` (``get`` / ``put``, keyed by
+:meth:`RunSpec.content_key`, the store's own key): every experiment
+replays through one filled from settled grid outcomes
+(:func:`repro.grid.scheduler.replay_cache`).  Nothing simulates through
+a Runner over the store; sweeps reach it through the grid scheduler.
 """
 
 from __future__ import annotations
@@ -398,7 +397,7 @@ class ResultStore:
 
 
 # ----------------------------------------------------------------------
-# Cache backends behind Runner
+# The cache behind Runner
 # ----------------------------------------------------------------------
 
 class MemoryCache:
@@ -415,44 +414,5 @@ class MemoryCache:
         """Memoize ``outcome`` for ``spec``."""
         self._memo[spec.content_key()] = outcome
 
-    def describe(self) -> str:
-        """One-line backend description for diagnostics."""
-        return f"memory ({len(self._memo)} entries)"
 
-
-class StoreCache:
-    """Store-backed cache: memo dict in front of a :class:`ResultStore`.
-
-    The memory layer preserves the Runner's result-identity guarantee
-    (two calls for the same spec return the *same* object) and avoids
-    re-parsing JSON on every memo hit; the store layer makes results
-    durable and shareable across processes.
-    """
-
-    def __init__(self, store: ResultStore) -> None:
-        self.store = store
-        self._memo: dict[str, RunResult | FailedRun] = {}
-
-    def get(self, spec: RunSpec) -> "RunResult | FailedRun | None":
-        """Outcome from memory, then disk; None on a full miss."""
-        key = spec.content_key()
-        outcome = self._memo.get(key)
-        if outcome is None:
-            outcome = self.store.get(spec)
-            if outcome is not None:
-                self._memo[key] = outcome
-        return outcome
-
-    def put(self, spec: RunSpec, outcome: "RunResult | FailedRun",
-            wall_s: float | None = None) -> None:
-        """Record ``outcome`` in both layers."""
-        self._memo[spec.content_key()] = outcome
-        self.store.put(spec, outcome, wall_s=wall_s)
-
-    def describe(self) -> str:
-        """One-line backend description for diagnostics."""
-        return f"store at {self.store.root}"
-
-
-__all__ = ["FailedRun", "RunFailedError", "ResultStore", "MemoryCache",
-           "StoreCache"]
+__all__ = ["FailedRun", "RunFailedError", "ResultStore", "MemoryCache"]

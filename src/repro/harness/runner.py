@@ -1,23 +1,20 @@
-"""Simulation runner with a pluggable result cache.
+"""Simulation runner over a result cache.
 
 Many experiments share runs (every figure normalizes to the one-core
 cache-based execution, Figure 3/4 reuse Figure 2's 16-core points, ...),
 so the :class:`Runner` caches :class:`~repro.results.RunResult` objects
 by :meth:`~repro.grid.spec.RunSpec.content_key`.
 
-The cache backend is pluggable (any object with ``get(spec)`` /
-``put(spec, outcome)``), which is how the grid subsystem composes with
-the unchanged experiment functions.  Every experiment command drives a
-Runner twice: over a :class:`~repro.grid.scheduler.PlanCache`, which
-records the requested run set without simulating, and then over
+The cache is any object with ``get(spec)`` / ``put(spec, outcome)``,
+which is how the grid subsystem composes with the unchanged experiment
+functions.  Every experiment sweep (the CLI commands, ``serve submit``
+and ``benchmarks/``) drives a Runner twice: over a
+:class:`~repro.grid.scheduler.PlanCache`, which records the requested
+run set without simulating, and then over
 :func:`repro.grid.scheduler.replay_cache`, which replays the settled
-outcomes of the grid scheduler (see :mod:`repro.grid.cli`).  For
-library callers and tests:
-
-* :class:`~repro.grid.store.MemoryCache` (the default) — a per-process
-  memo dict;
-* :class:`~repro.grid.store.StoreCache` — results persist in the
-  on-disk content-addressed store and survive the process.
+outcomes of the grid scheduler (see :mod:`repro.grid.cli`).  The
+default, a :class:`~repro.grid.store.MemoryCache`, executes misses in
+this process: the serial reference the grid is checked against.
 
 A cached :class:`~repro.grid.store.FailedRun` raises a clean
 :class:`~repro.grid.store.RunFailedError` instead of re-simulating, so
@@ -40,11 +37,6 @@ class Runner:
         self.preset = preset
         self._cache = MemoryCache() if cache is None else cache
         self.runs = 0
-
-    @property
-    def cache(self):
-        """The cache backend (``get``/``put``) behind this runner."""
-        return self._cache
 
     def run(self, workload: str, model: str = "cc", cores: int = 16,
             clock_ghz: float = 0.8, bandwidth_gbps: float = 6.4,

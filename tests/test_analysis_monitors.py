@@ -253,7 +253,7 @@ class TestSystemIntegration:
                                             preset="tiny")
         return CmpSystem(config, program)
 
-    def test_detach_restores_fastpath(self):
+    def test_detach_empties_observers(self):
         system = self._armed_system()
         assert system.hierarchy.observers == []
         monitors = attach_monitors(system)

@@ -74,3 +74,29 @@ class TestValidation:
         cfg = MachineConfig.from_dict({"num_cores": 12})
         assert cfg.num_cores == 12
         assert cfg.l2 == MachineConfig().l2
+
+
+class TestOverrideTypes:
+    """``with_overrides`` is the one place config values become enums."""
+
+    def test_block_enum_by_value(self):
+        cfg = MachineConfig().with_overrides(
+            {"l1.write_policy": "no-write-allocate"})
+        assert cfg.l1.write_policy is WritePolicy.NO_WRITE_ALLOCATE
+
+    def test_top_level_enum_by_value(self):
+        cfg = MachineConfig().with_overrides(
+            {"coherence": "directory", "model": "str"})
+        assert cfg.coherence is CoherenceKind.DIRECTORY
+        assert cfg.model is MemoryModel.STREAMING
+
+    def test_unknown_member_names_field_and_values(self):
+        with pytest.raises(ValueError, match="'coherence'.*'broadcast', "
+                                             "'directory'"):
+            MachineConfig().with_overrides({"coherence": "snoopy"})
+        with pytest.raises(ValueError, match="l2.write_policy"):
+            MachineConfig().with_overrides({"l2.write_policy": "lazy"})
+
+    def test_block_takes_fields_not_values(self):
+        with pytest.raises(ValueError, match="'l1' is a block"):
+            MachineConfig.from_dict({"l1": 5})

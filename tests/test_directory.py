@@ -133,6 +133,22 @@ class TestSystemLevel:
         assert abs(d.exec_time_fs - b.exec_time_fs) < 0.02 * b.exec_time_fs
         assert d.traffic == b.traffic
 
+    def test_wire_spelling_runs_the_directory(self):
+        # ``{"coherence": "directory"}`` is how a JSON spec carries the
+        # enum: it must run the same machine under the same key.
+        from repro.grid.spec import RunSpec
+
+        def spec(coherence):
+            return RunSpec("merge", "cc", cores=4, preset="tiny",
+                           config_overrides={"coherence": coherence})
+
+        wire, enum = spec("directory"), spec(CoherenceKind.DIRECTORY)
+        assert wire.content_key() == enum.content_key()
+        assert wire.to_config() == enum.to_config()
+        result = wire.execute()
+        assert result.to_dict() == enum.execute().to_dict()
+        assert result.stats["l1.directory_lookups"] == 1792
+
     def test_directory_saves_snoop_energy_at_scale(self):
         cfg_b = MachineConfig(num_cores=16)
         cfg_d = MachineConfig(num_cores=16,

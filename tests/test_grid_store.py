@@ -1,17 +1,12 @@
-"""The content-addressed result store and the Runner cache backends."""
+"""The content-addressed result store and the Runner's cache."""
 
 import json
 
 import pytest
 
+from repro.grid.scheduler import GridScheduler, replay_cache
 from repro.grid.spec import RunSpec
-from repro.grid.store import (
-    FailedRun,
-    MemoryCache,
-    ResultStore,
-    RunFailedError,
-    StoreCache,
-)
+from repro.grid.store import FailedRun, MemoryCache, ResultStore, RunFailedError
 from repro.harness.runner import Runner
 from repro.results import RunResult
 
@@ -256,51 +251,39 @@ class TestCaches:
         cache.put(SPEC, result)
         assert cache.get(SPEC) is result
         assert cache.get(RunSpec("fir", cores=4, preset="tiny")) is None
-        assert cache.describe() == "memory (1 entries)"
-
-    def test_store_cache_layers(self, tmp_path):
-        store = ResultStore(tmp_path)
-        warm = StoreCache(store)
-        result = executed()
-        warm.put(SPEC, result)
-        # A fresh cache over the same store reads the disk layer once,
-        # then answers from the memory layer: the second get still
-        # answers after the record file is gone.
-        cold = StoreCache(store)
-        first = cold.get(SPEC)
-        assert first == result
-        store._path(SPEC.content_key()).unlink()
-        second = cold.get(SPEC)
-        assert first is second
-        assert StoreCache(store).get(SPEC) is None
-        assert cold.get(RunSpec("fir", cores=4, preset="tiny")) is None
 
 
 class TestRunnerIntegration:
     def test_results_survive_the_process_boundary(self, tmp_path):
         store = ResultStore(tmp_path)
-        hot = Runner(preset="tiny", cache=StoreCache(store))
-        result = hot.run("fir", cores=2)
-        assert hot.runs == 1
-        # A brand-new Runner over the same store simulates nothing.
-        cold = Runner(preset="tiny", cache=StoreCache(store))
-        replayed = cold.run("fir", cores=2)
-        assert cold.runs == 0
-        assert replayed == result
+        hot = list(GridScheduler(jobs=1, store=store).map([SPEC]))
+        assert hot[0].source == "run"
+        # A brand-new scheduler over the same store simulates nothing,
+        # and a Runner replaying its outcome reads the executed result.
+        cold = list(GridScheduler(jobs=1, store=store).map([SPEC]))
+        assert cold[0].source == "store"
+        runner = Runner(preset="tiny", cache=replay_cache(cold))
+        assert runner.run("fir", cores=2) == hot[0].result == executed()
+        assert runner.runs == 0
 
-    def test_identity_preserved_within_a_runner(self, tmp_path):
-        runner = Runner(preset="tiny", cache=StoreCache(ResultStore(tmp_path)))
+    def test_identity_preserved_within_a_runner(self):
+        runner = Runner(preset="tiny")
         assert runner.run("fir", cores=2) is runner.run("fir", cores=2)
 
     def test_cached_failure_raises_cleanly(self, tmp_path):
+        # A failure recorded in the store settles as a store hit, and a
+        # Runner replaying it raises instead of re-simulating.
         store = ResultStore(tmp_path)
         spec = RunSpec("fir", cores=2, preset="tiny")
         store.put(spec, FailedRun(key=spec.content_key(),
                                   label=spec.label(), kind="crash",
                                   message="worker died"))
-        runner = Runner(preset="tiny", cache=StoreCache(store))
+        outcomes = list(GridScheduler(jobs=1, store=store).map([spec]))
+        assert outcomes[0].source == "store"
+        runner = Runner(preset="tiny", cache=replay_cache(outcomes))
         with pytest.raises(RunFailedError, match="worker died"):
             runner.run("fir", cores=2)
+        assert runner.runs == 0
 
     def test_int_and_float_overrides_are_different_runs(self):
         # The in-process caches key by content key, as the store does:
@@ -312,6 +295,8 @@ class TestRunnerIntegration:
         assert runner.runs == 1
 
     def test_default_cache_is_memory(self):
-        runner = Runner(preset="tiny")
-        assert isinstance(runner.cache, MemoryCache)
-        assert "memory" in runner.cache.describe()
+        # The default memo lives in its runner: a second runner shares
+        # nothing with it and simulates again.
+        first, second = Runner(preset="tiny"), Runner(preset="tiny")
+        assert first.run("fir", cores=2) == second.run("fir", cores=2)
+        assert first.runs == second.runs == 1

@@ -247,7 +247,7 @@ class TestObserverRoundTrip:
     """Appending to and removing from ``observers`` round-trips the
     list."""
 
-    def test_unregister_restores_fastpath(self):
+    def test_unregister_empties_observers(self):
         h = hierarchy()
         observer = lambda *args: None  # noqa: E731
         assert h.observers == []

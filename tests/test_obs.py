@@ -131,7 +131,7 @@ class TestBitIdentity:
         assert sampled.to_dict() == plain.to_dict()
         assert sampled_system.hierarchy.observers == []
 
-    def test_recorders_leave_fastpath_breakers_visible(self):
+    def test_recorder_is_visible_among_observers(self):
         # The access-trace recorder is a per-access observer; the obs
         # layer must not mask that.
         system = build_system()

@@ -339,7 +339,7 @@ class TestReplayIdentity:
         assert on.stats["sim.phase_iters"] > 0
         assert off.stats["sim.phase_iters"] == 0
 
-    def test_observer_attach_deoptimizes(self, monkeypatch):
+    def test_observer_sees_every_phase_access(self, monkeypatch):
         # A per-access observer selects no code path: the template
         # cursor still walks the phases, every line access (hits
         # included) reaches the observer through load_line/store_line,

@@ -227,12 +227,14 @@ class TestContentKeyMemo:
             assert (outcome(RunSpec.content_key, spec)
                     == outcome(reference_key, spec)), spec
 
-    def test_enum_model_is_keyed_unmemoised(self):
+    def test_enum_model_shares_the_string_memo_entry(self):
         spec_module._key_memo.clear()
         spec = RunSpec("fir", model=MemoryModel.STREAMING, cores=8,
                        preset="small")
         assert spec.content_key() == self.PINNED[0][1]
-        assert spec_module._key_memo == {}
+        assert len(spec_module._key_memo) == 1
+        assert self.PINNED[0][0].content_key() == self.PINNED[0][1]
+        assert len(spec_module._key_memo) == 1
 
     def test_mutated_overrides_rekey(self):
         overrides = {"seed": 1}

@@ -65,7 +65,7 @@ class TestRecorder:
         _, _, traced = record_run()
         assert traced.exec_time_fs == plain.exec_time_fs
 
-    def test_context_manager_detaches_and_restores_fastpath(self):
+    def test_context_manager_attaches_and_detaches_observer(self):
         cfg = MachineConfig(num_cores=1)
         program = get_workload("fir").build("cc", cfg, preset="tiny")
         system = CmpSystem(cfg, program)

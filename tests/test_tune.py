@@ -1,11 +1,15 @@
 """The design-space autotuner: space, prior, search, resume, CLI."""
 
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.config import MachineConfig
+from repro.config import CoherenceKind, MachineConfig, WritePolicy
 from repro.energy import machine_area_mm2, sram_area_mm2
+from repro.grid.spec import RunSpec
 from repro.grid.store import ResultStore
 from repro.tune import (
     Candidate,
@@ -19,6 +23,7 @@ from repro.tune import (
 )
 from repro.tune.cli import main as tune_main, parse_axes
 from repro.tune.report import render_report
+from repro.tune.space import AXES, DEFAULT_VALUES
 
 #: A small lattice every search test shares: 2 models x 2 cores x
 #: 3 L1 sizes x 2 L2 sizes x 2 prefetch depths x 2 channel counts.
@@ -40,6 +45,21 @@ def small_space() -> DesignSpace:
 
 def frontier_keys(result) -> list[str]:
     return [c.point.key() for c in result.frontier]
+
+
+def member_or_value(kind):
+    """An enum field's value as Python or as JSON spells it."""
+    return st.sampled_from([*kind, *(member.value for member in kind)])
+
+
+_points = (st.tuples(*(st.sampled_from(DEFAULT_VALUES[axis]) for axis in AXES))
+           .map(lambda combo: DesignPoint(*combo))
+           .filter(DesignPoint.is_valid))
+_enum_overrides = st.fixed_dictionaries({}, optional={
+    "coherence": member_or_value(CoherenceKind),
+    **{f"{block}.write_policy": member_or_value(WritePolicy)
+       for block in ("icache", "l1", "stream_l1", "l2")},
+})
 
 
 class TestConfigOverrides:
@@ -78,9 +98,18 @@ class TestConfigOverrides:
         b = DesignPoint("cc", 2, 32, 2, 256, 16, 0, 1).to_spec("fir", "tiny")
         assert a.content_key() != b.content_key()
 
-    def test_spec_dict_roundtrip_preserves_overrides(self):
-        from repro.grid.spec import RunSpec
+    @settings(max_examples=50, deadline=None)
+    @given(point=_points, enum_overrides=_enum_overrides)
+    def test_json_round_trip_keeps_key_and_machine(self, point,
+                                                   enum_overrides):
+        spec = point.to_spec("fir", "tiny")
+        spec = dataclasses.replace(spec, config_overrides={
+            **spec.config_overrides, **enum_overrides})
+        wire = RunSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+        assert wire.content_key() == spec.content_key()
+        assert wire.to_config() == spec.to_config()
 
+    def test_spec_dict_roundtrip_preserves_overrides(self):
         spec = DesignPoint("str", 4, 8, 2, 512, 16, 4, 2).to_spec(
             "fir", "tiny")
         again = RunSpec.from_dict(spec.to_dict())
