@@ -16,6 +16,7 @@ value object that can be
 
 from __future__ import annotations
 
+import enum
 import threading
 from dataclasses import dataclass
 
@@ -44,7 +45,9 @@ class RunSpec:
     every MachineConfig field the design-space tuner sweeps addressable
     through the same store/scheduler fabric as the classic sweep knobs;
     the content key hashes the *expanded* config, so two spellings of
-    the same machine share one store record.
+    the same machine share one store record.  A ``model`` given as a
+    :class:`~repro.config.MemoryModel` is stored as its string value,
+    so the spec serializes and labels like the string spelling.
     """
 
     workload: str
@@ -57,6 +60,10 @@ class RunSpec:
     preset: str = "default"
     overrides: dict | None = None
     config_overrides: dict | None = None
+
+    def __post_init__(self) -> None:
+        if isinstance(self.model, enum.Enum):
+            object.__setattr__(self, "model", self.model.value)
 
     def to_config(self):
         """Expand the sweep knobs into the full :class:`MachineConfig`."""

@@ -18,9 +18,11 @@ class _Link(OccupancyResource):
 
     :meth:`service_fs` is the one width-quantization formula.  Callers
     (the hierarchy's miss walk and write-back, the DMA granule loops)
-    reserve its result with :meth:`OccupancyResource.serve`, the
-    calendar's one reservation routine, and add the bytes they carry to
-    ``bytes_moved``.
+    reserve its result with :meth:`OccupancyResource.serve`, or with an
+    inline copy of its tail branches, and add the bytes they carry to
+    ``bytes_moved``.  The cycle must round to at least 1 fs, so every
+    service time is positive, which the miss walk's inline tail
+    appends assume.
     """
 
     __slots__ = ("width_bytes", "cycle_fs", "bytes_moved")
@@ -30,6 +32,9 @@ class _Link(OccupancyResource):
         super().__init__(name, latency_fs=ns_to_fs(latency_ns))
         self.width_bytes = width_bytes
         self.cycle_fs = ns_to_fs(cycle_ns)
+        if self.cycle_fs <= 0:
+            raise ValueError(f"{name}: cycle of {cycle_ns} ns rounds to "
+                             f"{self.cycle_fs} fs; it must be positive")
         self.bytes_moved = 0
 
     def service_fs(self, num_bytes: int) -> int:

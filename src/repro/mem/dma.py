@@ -26,7 +26,7 @@ from itertools import repeat
 
 from repro.config import StreamConfig
 from repro.mem.coherence import MesiState
-from repro.sim.resources import _MAX_INTERVALS, _TRIM_AT
+from repro.sim.resources import _TRIM_AT, trim
 
 
 class DmaEngine:
@@ -111,14 +111,16 @@ class DmaEngine:
     # busy interval), folding the busy / wait / request counters into
     # each resource after the command.  The copies stay inline because
     # a method call per calendar per granule is the cost these loops
-    # exist to remove.  A backfill arrival (one landing before a
-    # calendar's last interval) calls the resource's serve, which counts
-    # it itself.  The bank is ``line % num_banks``; an L2 hit is an MRU
-    # touch, and a miss goes to Uncore.l2_miss.  Every branch replays
-    # what the resource and uncore methods would do for that granule, so
-    # calendars, counters and LRU state match a granule-by-granule walk
-    # through those methods (tests/test_dma.py keeps that walk as an
-    # oracle and diffs the two).
+    # exist to remove.  An append that fills a calendar to _TRIM_AT
+    # calls sim.resources.trim, the one routine that drops intervals,
+    # as serve does; only that rare branch pays a call.  A backfill
+    # arrival (one landing before a calendar's last interval) calls the
+    # resource's serve, which counts it itself.  The bank is
+    # ``line % num_banks``; an L2 hit is an MRU touch, and a miss goes to
+    # Uncore.l2_miss.  Every branch replays what the resource and uncore
+    # methods would do for that granule, so calendars, counters and LRU
+    # state match a granule-by-granule walk through those methods
+    # (tests/test_dma.py keeps that walk as an oracle and diffs the two).
 
     def get(self, now_fs: int, addr: int, nbytes: int,
             stride: int = 0, block: int | None = None) -> int:
@@ -191,8 +193,7 @@ class DmaEngine:
                     xc_starts.append(t)
                     xc_ends.append(e)
                     if len(xc_starts) >= _TRIM_AT:
-                        del xc_starts[:_MAX_INTERVALS]
-                        del xc_ends[:_MAX_INTERVALS]
+                        trim(xc_starts, xc_ends)
                 t = e + xc_lat
             elif t >= xc_starts[-1]:
                 e = xc_ends[-1]
@@ -216,8 +217,7 @@ class DmaEngine:
                     bk_starts.append(t)
                     bk_ends.append(e)
                     if len(bk_starts) >= _TRIM_AT:
-                        del bk_starts[:_MAX_INTERVALS]
-                        del bk_ends[:_MAX_INTERVALS]
+                        trim(bk_starts, bk_ends)
                 t = e + bk_lat
             elif t >= bk_starts_of[b][-1]:
                 bk_n[b] += 1
@@ -244,8 +244,7 @@ class DmaEngine:
                     xd_starts.append(t)
                     xd_ends.append(e)
                     if len(xd_starts) >= _TRIM_AT:
-                        del xd_starts[:_MAX_INTERVALS]
-                        del xd_ends[:_MAX_INTERVALS]
+                        trim(xd_starts, xd_ends)
                 t = e + xd_lat
             elif t >= xd_starts[-1]:
                 xd_busy += xd_s
@@ -267,8 +266,7 @@ class DmaEngine:
                     br_starts.append(t)
                     br_ends.append(e)
                     if len(br_starts) >= _TRIM_AT:
-                        del br_starts[:_MAX_INTERVALS]
-                        del br_ends[:_MAX_INTERVALS]
+                        trim(br_starts, br_ends)
                 t = e + br_lat
             elif t >= br_starts[-1]:
                 br_busy += br_s
@@ -374,8 +372,7 @@ class DmaEngine:
                     bq_starts.append(t)
                     bq_ends.append(e)
                     if len(bq_starts) >= _TRIM_AT:
-                        del bq_starts[:_MAX_INTERVALS]
-                        del bq_ends[:_MAX_INTERVALS]
+                        trim(bq_starts, bq_ends)
                 t = e + bq_lat
             elif t >= bq_starts[-1]:
                 bq_busy += bq_s
@@ -397,8 +394,7 @@ class DmaEngine:
                     xu_starts.append(t)
                     xu_ends.append(e)
                     if len(xu_starts) >= _TRIM_AT:
-                        del xu_starts[:_MAX_INTERVALS]
-                        del xu_ends[:_MAX_INTERVALS]
+                        trim(xu_starts, xu_ends)
                 t = e + xu_lat
             elif t >= xu_starts[-1]:
                 xu_busy += xu_s
@@ -423,8 +419,7 @@ class DmaEngine:
                     bk_starts.append(t)
                     bk_ends.append(e)
                     if len(bk_starts) >= _TRIM_AT:
-                        del bk_starts[:_MAX_INTERVALS]
-                        del bk_ends[:_MAX_INTERVALS]
+                        trim(bk_starts, bk_ends)
                 t = e + bk_lat
             elif t >= bk_starts_of[b][-1]:
                 bk_n[b] += 1

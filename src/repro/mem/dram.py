@@ -27,7 +27,7 @@ Two latency models are available:
 from __future__ import annotations
 
 from repro.config import DramConfig
-from repro.sim.resources import ThroughputResource
+from repro.sim.resources import _TRIM_AT, ThroughputResource, trim
 from repro.units import ns_to_fs
 
 
@@ -78,7 +78,25 @@ class DramChannel:
         index = 0 if addr is None else \
             (addr // self._interleave) % len(self._channels)
         channel = self._channels[index]
-        done = channel.serve(now_fs, num_bytes * channel.fs_per_byte)
+        service = num_bytes * channel.fs_per_byte
+        # The channel's serve, tail append inline: an arrival strictly
+        # after the last busy interval, with a positive service time,
+        # opens a new interval.  Every other request (an empty
+        # calendar, a touching merge, one inside or before the last
+        # interval, zero or negative bytes) calls serve.  The channels
+        # carry no pipeline latency.
+        ends = channel._ends
+        if service > 0 and ends and now_fs > ends[-1]:
+            channel.busy_fs += service
+            channel.requests += 1
+            starts = channel._starts
+            starts.append(now_fs)
+            done = now_fs + service
+            ends.append(done)
+            if len(starts) >= _TRIM_AT:
+                trim(starts, ends)
+        else:
+            done = channel.serve(now_fs, service)
         channel.bytes_moved += num_bytes
         if write:
             self.write_bytes += num_bytes

@@ -18,10 +18,12 @@ All walk methods are *per cache line*: callers (the processor model) pass
 line numbers, and receive absolute completion timestamps.  Every L1 fill
 (demand misses of all three models, both prefetchers) runs one flat body,
 ``CacheCoherentHierarchy._walk``: bus, owner probe, crossbar, L2 bank,
-DRAM, install and victim write-back, with no per-hop method calls beyond
-the calendars' ``serve``.  Timing uses occupancy resources, so contention
-between cores, prefetchers, DMA engines, and write-backs emerges
-naturally.
+DRAM, install and victim write-back.  Its five per-miss hops (bus
+request, crossbar up, L2 bank, crossbar down, bus response) reserve a
+calendar's common case, an append after the last busy interval, inline;
+every other arrival calls the calendar's ``serve``.  Timing uses
+occupancy resources, so contention between cores, prefetchers, DMA
+engines, and write-backs emerges naturally.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from repro.mem.dram import DramChannel
 from repro.mem.local_store import LocalStore
 from repro.mem.prefetcher import StreamPrefetcher
 from repro.mem.store_buffer import StoreBuffer
-from repro.sim.resources import OccupancyResource
+from repro.sim.resources import _TRIM_AT, OccupancyResource, trim
 from repro.units import ns_to_fs
 
 # Module constants: reading a member through the enum class is several
@@ -340,14 +342,18 @@ class CacheCoherentHierarchy:
         victim's write-back is posted at ``now_fs``: it drains from a
         write-back buffer and must not block a later demand.
 
-        Each hop is one ``OccupancyResource.serve``, and a data hop adds
-        its bytes to the link's ``bytes_moved``.  Inline copies: the
-        empty-mask charges of :meth:`_find_owner` and
-        :meth:`_invalidate_peers`, the L2 hit, ``SetAssocCache.insert``
-        (a prefetch fill's ``fills`` entry included) and the presence
-        update.  Peer copies, ``Uncore.l2_miss`` (shared
-        with the DMA loops) and :meth:`writeback` (about one miss in
-        eight has a dirty victim) stay calls.
+        A data hop adds its bytes to the link's ``bytes_moved``.  Inline
+        copies: ``OccupancyResource.serve``'s tail append at the bus
+        request, crossbar up, L2 bank, crossbar down and bus response
+        hops (an arrival strictly after the last busy interval; any
+        other arrival calls ``serve``, as do the upgrade and the
+        owner-supply hops), the empty-mask charges of
+        :meth:`_find_owner` and :meth:`_invalidate_peers`, the L2 hit,
+        ``SetAssocCache.insert`` (a prefetch fill's ``fills`` entry
+        included) and the presence update.  Peer copies,
+        ``Uncore.l2_miss`` (shared with the DMA loops) and
+        :meth:`writeback` (about one miss in eight has a dirty victim)
+        stay calls.
         """
         req, up, down, resp, cluster, bus_ctl, bus_line, xbar_ctl, \
             xbar_line = self._core_ports[core]
@@ -356,7 +362,22 @@ class CacheCoherentHierarchy:
         line_bytes = uncore.line_bytes
         presence = self._presence
         owner = None
-        t = req.serve(now_fs if req_fs < 0 else req_fs, bus_ctl)
+        t = now_fs if req_fs < 0 else req_fs
+        # Bus request, control message: inline tail append.  Service
+        # times are positive (_Link rejects a cycle that rounds to
+        # 0 fs), so an append is never empty.
+        ends = req._ends
+        if ends and t > ends[-1]:
+            req.busy_fs += bus_ctl
+            req.requests += 1
+            starts = req._starts
+            starts.append(t)
+            ends.append(t + bus_ctl)
+            if len(starts) >= _TRIM_AT:
+                trim(starts, ends)
+            t += bus_ctl + req.latency_fs
+        else:
+            t = req.serve(t, bus_ctl)
         if req_fs < 0 and self._coherent:
             if presence.get(line, 0) & ~self._core_bits[core]:
                 owner = self._find_owner(line, core)
@@ -397,19 +418,69 @@ class CacheCoherentHierarchy:
             state = _MODIFIED
         else:
             # No on-chip L1 copy: go to the L2 (and DRAM beyond it).
-            t = self._sent_fs = up.serve(t, xbar_ctl)
+            # Crossbar up, control message: inline tail append.
+            ends = up._ends
+            if ends and t > ends[-1]:
+                up.busy_fs += xbar_ctl
+                up.requests += 1
+                starts = up._starts
+                starts.append(t)
+                ends.append(t + xbar_ctl)
+                if len(starts) >= _TRIM_AT:
+                    trim(starts, ends)
+                t += xbar_ctl + up.latency_fs
+            else:
+                t = up.serve(t, xbar_ctl)
+            self._sent_fs = t
             uncore.l2_reads += 1
             l2_set = l2_sets[line & l2_mask]
-            t = banks[line % num_banks].serve(t, bank_fs)
+            # L2 bank port: inline tail append.
+            bank = banks[line % num_banks]
+            ends = bank._ends
+            if ends and t > ends[-1]:
+                bank.busy_fs += bank_fs
+                bank.requests += 1
+                starts = bank._starts
+                starts.append(t)
+                ends.append(t + bank_fs)
+                if len(starts) >= _TRIM_AT:
+                    trim(starts, ends)
+                t += bank_fs + bank.latency_fs
+            else:
+                t = bank.serve(t, bank_fs)
             if line in l2_set:
                 l2_set.move_to_end(line)
                 uncore.l2_read_hits += 1
             else:
                 t = uncore.l2_miss(line, t, line_bytes, False)
+            # Crossbar down, line: inline tail append.
             down.bytes_moved += line_bytes
-            t = down.serve(t, xbar_line)
+            ends = down._ends
+            if ends and t > ends[-1]:
+                down.busy_fs += xbar_line
+                down.requests += 1
+                starts = down._starts
+                starts.append(t)
+                ends.append(t + xbar_line)
+                if len(starts) >= _TRIM_AT:
+                    trim(starts, ends)
+                t += xbar_line + down.latency_fs
+            else:
+                t = down.serve(t, xbar_line)
+            # Bus response, line: inline tail append.
             resp.bytes_moved += line_bytes
-            t = resp.serve(t, bus_line)
+            ends = resp._ends
+            if ends and t > ends[-1]:
+                resp.busy_fs += bus_line
+                resp.requests += 1
+                starts = resp._starts
+                starts.append(t)
+                ends.append(t + bus_line)
+                if len(starts) >= _TRIM_AT:
+                    trim(starts, ends)
+                t += bus_line + resp.latency_fs
+            else:
+                t = resp.serve(t, bus_line)
             state = _MODIFIED if for_write else _EXCLUSIVE
         l1 = self.l1s[core]
         l1_set = l1._sets[line & l1._set_mask]

@@ -14,6 +14,11 @@ though the resource is idle in between; the calendar lets it backfill
 the gap, which is what real arbitration would do.  Intervals are merged
 when they touch and the calendar is bounded, so the common streaming
 case stays O(log n) per request.
+
+The hot callers (the miss walk, the DRAM channel, the DMA granule
+loops) copy ``serve``'s tail branches inline and call ``serve`` for
+everything else; :func:`trim` is the one routine that drops intervals,
+for ``serve`` and every inline copy alike.
 """
 
 from __future__ import annotations
@@ -32,6 +37,18 @@ from bisect import bisect_right
 _MAX_INTERVALS = 96
 #: Trim threshold / retained suffix, precomputed for the hot path.
 _TRIM_AT = 2 * _MAX_INTERVALS
+
+
+def trim(starts: list[int], ends: list[int]) -> None:
+    """Drop a calendar's oldest ``_MAX_INTERVALS`` busy intervals.
+
+    The one routine that forgets intervals: ``serve`` and every inline
+    tail copy (the miss walk, the DRAM channel, the DMA granule loops)
+    call it once the calendar holds ``_TRIM_AT`` entries, so only the
+    rare trim pays the call.
+    """
+    del starts[:_MAX_INTERVALS]
+    del ends[:_MAX_INTERVALS]
 
 
 class OccupancyResource:
@@ -93,8 +110,7 @@ class OccupancyResource:
                     starts.append(now_fs)
                     ends.append(end)
                     if len(starts) >= _TRIM_AT:
-                        del starts[:_MAX_INTERVALS]
-                        del ends[:_MAX_INTERVALS]
+                        trim(starts, ends)
             return end + self.latency_fs
         if service_fs and now_fs >= starts[-1]:
             # Arrival inside the last busy interval (the common case when
@@ -138,8 +154,7 @@ class OccupancyResource:
             starts.insert(index, t)
             ends.insert(index, end)
             if len(starts) >= _TRIM_AT:
-                del starts[:_MAX_INTERVALS]
-                del ends[:_MAX_INTERVALS]
+                trim(starts, ends)
         return end + self.latency_fs
 
     def utilization(self, total_fs: int) -> float:

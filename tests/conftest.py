@@ -7,8 +7,9 @@ tree, so every test session gets its own throwaway store directory
 unless a test overrides it explicitly.
 
 ``pytest --hypothesis-profile=deep`` gives the differential tests of the
-DMA granule loops (``tests/test_dma.py``) and of the calendar's
-``serve`` (``tests/test_sim_kernel.py``) 2,000 examples each.
+DMA granule loops (``tests/test_dma.py``), of the calendar's ``serve``
+and the DRAM channel's ``access`` (``tests/test_sim_kernel.py``) and of
+the flat miss walk (``tests/test_presence.py``) 2,000 examples each.
 """
 
 import pytest

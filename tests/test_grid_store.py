@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.config import MemoryModel
 from repro.grid.scheduler import GridScheduler, replay_cache
 from repro.grid.spec import RunSpec
 from repro.grid.store import FailedRun, MemoryCache, ResultStore, RunFailedError
@@ -27,6 +28,20 @@ class TestResultStore:
         assert record["status"] == "ok"
         assert record["wall_s"] == 0.25
         assert record["spec"]["workload"] == "fir"
+
+    def test_enum_model_round_trip(self, tmp_path):
+        spec = RunSpec("fir", model=MemoryModel.STREAMING, cores=2,
+                       preset="tiny")
+        plain = RunSpec("fir", model="str", cores=2, preset="tiny")
+        assert spec == plain and spec.model == "str"
+        assert spec.label() == plain.label()
+        assert spec.label().startswith("fir/str ")
+        store = ResultStore(tmp_path)
+        result = spec.execute()
+        key = store.put(spec, result)
+        assert key == plain.content_key()
+        assert store.get(plain) == result
+        assert RunSpec.from_dict(store.get_record(key)["spec"]) == plain
 
     def test_missing_is_none(self, tmp_path):
         store = ResultStore(tmp_path)

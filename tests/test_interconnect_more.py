@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro import MachineConfig
 from repro.config import InterconnectConfig
 from repro.interconnect.fabric import ClusterBus, Crossbar
+from repro.mem.hierarchy import CacheCoherentHierarchy
 from repro.units import ns_to_fs
 
 
@@ -31,6 +33,33 @@ class TestBusSaturation:
         for _ in range(10):
             bus.req.serve(0, bus.req.service_fs(32))
         assert bus.req.wait_fs > 0
+
+
+class TestLinkCycle:
+    """A link cycle must be at least one femtosecond: the miss walk's
+    inline tail appends assume every service time is positive."""
+
+    @pytest.mark.parametrize("cycle_ns", [4e-7, 1e-9])
+    def test_cycle_rounding_to_zero_rejected(self, cycle_ns):
+        # Positive, so InterconnectConfig accepts it; ns_to_fs rounds to 0.
+        config = InterconnectConfig(bus_cycle_ns=cycle_ns,
+                                    crossbar_cycle_ns=cycle_ns)
+        with pytest.raises(ValueError, match="bus.0.req"):
+            ClusterBus(0, config)
+        with pytest.raises(ValueError, match="xbar.up.0"):
+            Crossbar(1, config)
+
+    def test_hierarchy_rejects_zero_crossbar_cycle(self):
+        # The L2 bank service is one crossbar cycle, so this guard
+        # covers it too.
+        config = MachineConfig(num_cores=4).with_overrides(
+            {"interconnect.crossbar_cycle_ns": 4e-7})
+        with pytest.raises(ValueError, match="xbar.up.0"):
+            CacheCoherentHierarchy(config)
+
+    def test_one_femtosecond_cycle_accepted(self):
+        config = InterconnectConfig(bus_cycle_ns=1e-6)
+        assert ClusterBus(0, config).req.service_fs(0) == 1
 
 
 class TestCrossbarGeometry:

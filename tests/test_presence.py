@@ -1,16 +1,21 @@
 """The flat miss walk against the method chain it replaced.
 
 ``CacheCoherentHierarchy._walk`` serves every L1 fill in one body, with
-inline copies of the peer probe's charges, the L2 hit, the L1 install
-and the presence update; every L1 write-back goes through
-``writeback``.  The reference walker below is the chain that body
-replaced, kept standalone: ``_fetch`` over its own ``control`` /
-``transfer`` link helpers, ``l2_read`` / ``l2_write`` / ``l2_miss`` /
-``_evict``, ``_install`` through ``SetAssocCache.insert`` and
-``writeback``, with the full peer scan (every peer in broadcast mode,
-the exact sharer set in directory mode) instead of the presence map,
-and prefetch walks that index the uncore's ports per line.
+inline copies of the peer probe's charges, the L2 hit, the L1 install,
+the presence update and the calendar tail append of its five per-miss
+hops; every L1 write-back goes through ``writeback``.  The reference
+walker below is the chain that body replaced, kept standalone:
+``_fetch`` over its own ``control`` / ``transfer`` link helpers,
+``l2_read`` / ``l2_write`` / ``l2_miss`` / ``_evict``, ``_install``
+through ``SetAssocCache.insert`` and ``writeback``, with the full peer
+scan (every peer in broadcast mode, the exact sharer set in directory
+mode) instead of the presence map, and prefetch walks that index the
+uncore's ports per line.  Every hop of the reference reserves through
+``OccupancyResource.serve``.
 
+Before the script, every link, L2 bank and DRAM channel of both
+hierarchies may be prefilled with separated intervals, up to one short
+of a trim, so the walk's inline appends must trim as ``serve`` does.
 Every drawn op sequence ends with ``drain``, and must leave both with
 the same returned times (the drain's included), hierarchy counters, L1
 contents (LRU order, states, ready times), every link, L2 bank and DRAM
@@ -29,6 +34,7 @@ from repro.config import CacheConfig, CoherenceKind, WritePolicy
 from repro.mem.coherence import MesiState
 from repro.mem.hierarchy import (CacheCoherentHierarchy,
                                  IncoherentCacheHierarchy, StreamingHierarchy)
+from repro.sim.resources import _TRIM_AT
 
 COUNTERS = ("load_ops", "store_ops", "load_misses", "store_misses",
             "upgrades", "invalidations_sent", "snoop_lookups",
@@ -313,30 +319,50 @@ def _apply(h, op, now_fs):
     return h.bulk_prefetch(core, line, line + extra, now_fs)
 
 
+#: Separated intervals reserved on every calendar before a script: none,
+#: half a trim, and one short of a trim, so the first append trims.
+PREFILLS = (0, _TRIM_AT // 2, _TRIM_AT - 1)
+
+
+def _resources(h):
+    """Every link, L2 bank and DRAM channel calendar of ``h``."""
+    u = h.uncore
+    return [*(link for bus in u.buses for link in bus.links()),
+            *u.xbar.links(), *u.l2_banks, *u.dram.channels()]
+
+
+def _prefill(h, count):
+    """Reserve ``count`` separated intervals on every calendar of ``h``,
+    each opening after a gap, ahead of most of the script's arrivals."""
+    for resource in _resources(h):
+        for i in range(count):
+            start = (resource._ends[-1] if resource._ends else 0) + 1 + i % 50
+            resource.serve(start, 10 + i % 7)
+
+
 def _machine(h):
     """Every calendar with its counters and bytes, the uncore L2 counters
     and contents (LRU order, states), and the DRAM counters."""
     u = h.uncore
-    resources = [*(link for bus in u.buses for link in bus.links()),
-                 *u.xbar.links(), *u.l2_banks, *u.dram.channels()]
     calendars = [(r.name, list(r._starts), list(r._ends), r.busy_fs,
                   r.wait_fs, r.requests, r.backfills,
-                  getattr(r, "bytes_moved", None)) for r in resources]
+                  getattr(r, "bytes_moved", None)) for r in _resources(h)]
     l2 = [list(cache_set.items()) for cache_set in u.l2._sets]
     return (calendars, [getattr(u, n) for n in UNCORE_COUNTERS], l2,
             [getattr(u.dram, n) for n in DRAM_COUNTERS])
 
 
-def _trace(cls, config, l1_config, ops):
-    """Run ``ops`` then ``drain`` on a fresh hierarchy; return each op's
-    result and the drain's, the hierarchy counters, the L1 contents in
-    LRU order, the in-flight prefetch fills, the uncore state, and every
-    (op index, line) at which the presence map disagreed with L1
-    residency."""
+def _trace(cls, config, l1_config, ops, prefill=0):
+    """Prefill every calendar of a fresh hierarchy, run ``ops`` then
+    ``drain``; return each op's result and the drain's, the hierarchy
+    counters, the L1 contents in LRU order, the in-flight prefetch
+    fills, the uncore state, and every (op index, line) at which the
+    presence map disagreed with L1 residency."""
     if issubclass(cls, StreamingHierarchy):
         h = cls(config.with_(stream_l1=l1_config))
     else:
         h = cls(config, l1_config=l1_config)
+    _prefill(h, prefill)
     # One core keeps no presence map, and ICC records no holders.
     check_presence = len(h.l1s) > 1 and h._coherent
     now = 0
@@ -372,10 +398,11 @@ def _trace(cls, config, l1_config, ops):
        cores=st.sampled_from([1, 4, 16]),
        line_bytes=st.sampled_from([32, 64]),
        write_through=st.booleans(), tiny_l2=st.booleans(),
+       prefill=st.sampled_from(PREFILLS),
        ops=st.lists(op_strategy, min_size=30, max_size=100))
 def test_flat_walk_matches_method_chain(hierarchy, coherence, cores,
                                         line_bytes, write_through, tiny_l2,
-                                        ops):
+                                        prefill, ops):
     flat_cls, reference_cls = HIERARCHIES[hierarchy]
     policy = (WritePolicy.NO_WRITE_ALLOCATE if write_through
               else WritePolicy.WRITE_ALLOCATE)
@@ -393,9 +420,9 @@ def test_flat_walk_matches_method_chain(hierarchy, coherence, cores,
     config = config.with_prefetch(depth=4)
     # Few MSHRs, so prefetch issue also stops on a full MSHR file.
     config = config.with_(core=replace(config.core, mshr_entries=3))
-    flat, drift = _trace(flat_cls, config, l1_config, ops)
+    flat, drift = _trace(flat_cls, config, l1_config, ops, prefill)
     assert drift == []
-    reference, _ = _trace(reference_cls, config, l1_config, ops)
+    reference, _ = _trace(reference_cls, config, l1_config, ops, prefill)
     assert flat[0] == reference[0]          # returned times, drain's last
     assert flat[1] == reference[1]          # hierarchy counters
     assert flat[2] == reference[2]          # L1 contents

@@ -63,8 +63,8 @@ SPECS = {
                              prefetch=True, bandwidth_gbps=1.6),
     "bulk-prefetch": RunSpec("fir", "cc", cores=2, preset="tiny",
                              overrides={"software_prefetch": True}),
-    # The enum, not the string "directory": ``with_overrides`` does not
-    # convert it, and the string silently runs broadcast coherence.
+    # The enum; ``with_overrides`` converts the string "directory" to
+    # the same member, so either spelling pins this record.
     "directory": RunSpec("merge", "cc", cores=4, preset="tiny",
                          config_overrides={
                              "coherence": CoherenceKind.DIRECTORY}),

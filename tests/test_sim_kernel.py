@@ -1,7 +1,9 @@
 """Event queue, simulator clock, and occupancy resources.
 
 The calendar tests end with a differential test of ``serve`` against
-the two-method calendar it replaced.
+the two-method calendar it replaced, and one of ``DramChannel.access``
+(whose tail append is inline) against the same access built on
+``serve``.
 """
 
 from bisect import bisect_right
@@ -20,6 +22,7 @@ from repro.sim import (
     ThroughputResource,
 )
 from repro.sim.resources import _MAX_INTERVALS, _TRIM_AT
+from repro.units import ns_to_fs
 
 
 class TestEventQueue:
@@ -564,6 +567,113 @@ def test_serve_matches_first_fit_oracle(latency, prefill, script):
         assert new._ends == old._ends
         assert (new.busy_fs, new.wait_fs, new.requests) == \
             (old.busy_fs, old.wait_fs, old.requests)
+
+
+class ReferenceDram:
+    """``DramChannel.access`` with every reservation through
+    ``ThroughputResource.serve``: the channel before its tail append
+    went inline, counters and open rows included."""
+
+    def __init__(self, config: DramConfig) -> None:
+        self.config = config
+        self.channels = [ThroughputResource(f"dram.{c}", config.fs_per_byte)
+                         for c in range(config.channels)]
+        self.banked = (config.banks > 1
+                       and config.row_hit_latency_ns is not None)
+        self.open_rows = [[None] * config.banks
+                          for _ in range(config.channels)]
+        self.read_bytes = self.write_bytes = 0
+        self.read_accesses = self.write_accesses = 0
+        self.row_hits = self.row_misses = 0
+
+    def access(self, now_fs, num_bytes, addr=None, write=False):
+        config = self.config
+        index = 0 if addr is None else \
+            addr // config.interleave_bytes % len(self.channels)
+        channel = self.channels[index]
+        done = channel.serve(now_fs, num_bytes * channel.fs_per_byte)
+        channel.bytes_moved += num_bytes
+        if write:
+            self.write_bytes += num_bytes
+            self.write_accesses += 1
+        else:
+            self.read_bytes += num_bytes
+            self.read_accesses += 1
+        if not self.banked or addr is None:
+            return done + config.latency_fs
+        row = addr // config.row_bytes
+        open_rows = self.open_rows[index]
+        if open_rows[row % config.banks] == row:
+            self.row_hits += 1
+            return done + ns_to_fs(config.row_hit_latency_ns)
+        self.row_misses += 1
+        open_rows[row % config.banks] = row
+        return done + config.latency_fs
+
+
+DRAM_COUNTERS = ("read_bytes", "write_bytes", "read_accesses",
+                 "write_accesses", "row_hits", "row_misses")
+
+
+def _dram_state(dram, channels):
+    """Every channel's calendar and counters, then the DRAM counters."""
+    return ([(list(c._starts), list(c._ends), c.busy_fs, c.wait_fs,
+              c.requests, c.backfills, c.bytes_moved) for c in channels],
+            [getattr(dram, name) for name in DRAM_COUNTERS])
+
+
+dram_request_strategy = st.tuples(
+    st.sampled_from(("tail", "after", "inside", "before", "touch",
+                     "anywhere")),
+    st.integers(0, 400),
+    st.one_of(st.just(0), st.just(-1), st.integers(1, 64)),
+    st.one_of(st.none(), st.integers(0, 4095)),
+    st.booleans())
+
+
+@settings(max_examples=max(300, settings.default.max_examples),
+          deadline=None)
+@given(channels=st.sampled_from([1, 2]), banked=st.booleans(),
+       prefill=st.sampled_from((0, _TRIM_AT - 1)),
+       script=st.lists(dram_request_strategy, min_size=1, max_size=80))
+def test_dram_access_matches_serve_reference(channels, banked, prefill,
+                                             script):
+    """``DramChannel.access``, whose tail append is inline, against the
+    same access reserving through ``serve``.
+
+    Arrivals land at, after, inside and before the addressed channel's
+    calendar; sizes include zero bytes and a negative size, which must
+    raise and count nothing.  A prefill one short of a trim makes the
+    first new interval trim.  Done times, both interval lists of every
+    channel and every counter must agree after each request.
+    """
+    config = DramConfig(channels=channels, interleave_bytes=256,
+                        banks=4 if banked else 1, row_bytes=512,
+                        row_hit_latency_ns=20.0 if banked else None)
+    new, old = DramChannel(config), ReferenceDram(config)
+    for i in range(prefill):
+        for c, channel in enumerate(old.channels):
+            now = (channel._ends[-1] if channel._ends else 0) + 1 + i % 50
+            addr = c * config.interleave_bytes
+            assert new.access(now, 1 + i % 7, addr) == \
+                old.access(now, 1 + i % 7, addr)
+    assert _dram_state(new, new.channels()) == \
+        _dram_state(old, old.channels)
+    for kind, offset, num_bytes, addr, write in script:
+        index = 0 if addr is None else \
+            addr // config.interleave_bytes % channels
+        channel = old.channels[index]
+        now, _ = _arrival(kind, offset, 1, channel._starts, channel._ends)
+        if num_bytes < 0:
+            with pytest.raises(ValueError):
+                new.access(now, num_bytes, addr, write)
+            with pytest.raises(ValueError):
+                old.access(now, num_bytes, addr, write)
+        else:
+            assert new.access(now, num_bytes, addr, write) == \
+                old.access(now, num_bytes, addr, write)
+        assert _dram_state(new, new.channels()) == \
+            _dram_state(old, old.channels)
 
 
 class TestEventHook:
