@@ -25,7 +25,7 @@ REPRO005   no bare ``assert`` for invariant checks outside ``tests/``:
 REPRO006   no float arithmetic assigned to exact integer quantities:
            an assignment (or augmented assignment) whose target ends in
            ``_fs`` / ``_cycles`` must not mix in float
-           literals or true division — the run-until-miss fast path
+           literals or true division — the fast path (quantum extension)
            advances local copies of the clock with plain ``+=``, and one
            float contaminates every later timestamp.  Quantize
            explicitly (``round(...)`` / ``int(...)`` or the

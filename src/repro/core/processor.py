@@ -66,7 +66,7 @@ class Processor:
         engines = getattr(system.hierarchy, "dma_engines", None)
         if engines is not None:
             self._dma_engine = engines[core_id]
-        #: Run-until-miss fast path (see :mod:`repro.sim.fastpath`).
+        #: Fast path, quantum extension (see :mod:`repro.sim.fastpath`).
         #: Read at construction so one system runs one mode throughout.
         self._fastpath = fastpath_enabled()
         #: Block-arm switch (REPRO_BLOCKS); when off, every OpBlock is

@@ -10,6 +10,7 @@ accounted identically for both models), and produces a
 from __future__ import annotations
 
 from repro.config import MachineConfig, MemoryModel
+from repro.core.counters import run_counters
 from repro.energy.model import EnergyModel, EnergyParams
 from repro.mem.hierarchy import (CacheCoherentHierarchy,
                                  IncoherentCacheHierarchy,
@@ -112,43 +113,7 @@ class CmpSystem:
         )
         energy = self._energy_model.compute(self)
 
-        stats = {
-            "l1.load_ops": hierarchy.load_ops,
-            "l1.store_ops": hierarchy.store_ops,
-            "l1.upgrades": hierarchy.upgrades,
-            "l1.writebacks": hierarchy.l1_writebacks,
-            "l1.snoop_lookups": hierarchy.snoop_lookups,
-            "l1.directory_lookups": hierarchy.directory_lookups,
-            "l1.invalidations": hierarchy.invalidations_sent,
-            "l1.cache_to_cache": hierarchy.cache_to_cache,
-            "l1.refills_avoided": hierarchy.refills_avoided,
-            "prefetch.issued": hierarchy.prefetches_issued,
-            "prefetch.useful": hierarchy.prefetch_useful,
-            "prefetch.bulk": hierarchy.bulk_prefetches,
-            "l2.reads": uncore.l2_reads,
-            "l2.writes": uncore.l2_writes,
-            "l2.read_hits": uncore.l2_read_hits,
-            "l2.write_hits": uncore.l2_write_hits,
-            "l2.writebacks": uncore.l2_writebacks,
-            "l2.refills_avoided": uncore.l2_refills_avoided,
-            "dram.reads": uncore.dram.read_accesses,
-            "dram.writes": uncore.dram.write_accesses,
-            "dram.row_hits": uncore.dram.row_hits,
-            "dram.row_misses": uncore.dram.row_misses,
-            "dram.utilization": uncore.dram.utilization(exec_fs),
-            "dram.wait_fs": sum(ch.wait_fs for ch in uncore.dram._channels),
-            "bus.wait_fs": sum(b.req.wait_fs + b.resp.wait_fs
-                               for b in uncore.buses),
-            "xbar.wait_fs": sum(p.wait_fs for p in uncore.xbar.up)
-                            + sum(p.wait_fs for p in uncore.xbar.down),
-            "sim.events": self.sim.events_processed,
-            "sim.phase_iters": sum(p.phase_iters for p in self.processors),
-            "sim.phase_iters_total": sum(
-                p.phase_iters_total for p in self.processors),
-        }
-        if config.model is MemoryModel.STREAMING:
-            stats["dma.commands"] = hierarchy.dma_commands
-            stats["dma.bytes"] = hierarchy.dma_bytes
+        stats = {m.name: m.read() for m in run_counters(self)}
 
         l2_accesses = uncore.l2_reads + uncore.l2_writes
         l2_misses = (l2_accesses - uncore.l2_read_hits - uncore.l2_write_hits)

@@ -166,6 +166,17 @@ def run_isolated(specs: dict, timeout_s: float | None,
             pool.shutdown(wait=False, cancel_futures=True)
 
 
+def should_retry(payload: dict, attempts: int, retries: int) -> bool:
+    """Whether a worker payload earns its spec another attempt.
+
+    Only a raised exception is retried, and only while ``attempts`` (the
+    runs made so far) is at most ``retries``; the scheduler and the
+    serve server both decide here.
+    """
+    return (not payload["ok"] and payload["kind"] == "exception"
+            and attempts <= retries)
+
+
 @dataclass
 class RunOutcome:
     """One settled grid request: a result or a recorded failure."""
@@ -309,8 +320,7 @@ class GridScheduler:
     def _settle(self, key, spec, payload, attempts, executor, futures,
                 progress) -> RunOutcome | None:
         """Turn a worker payload into an outcome (or schedule a retry)."""
-        if not payload["ok"] and payload["kind"] == "exception" \
-                and attempts[key] <= self.retries:
+        if should_retry(payload, attempts[key], self.retries):
             attempts[key] += 1
             progress.on_retry()
             futures[self._submit(executor, spec)] = (key, spec)
@@ -428,4 +438,5 @@ def replay_cache(outcomes) -> MemoryCache:
 
 
 __all__ = ["GridScheduler", "RunOutcome", "PlanCache", "plan",
-           "replay_cache", "outcome_from_payload", "run_isolated"]
+           "replay_cache", "outcome_from_payload", "run_isolated",
+           "should_retry"]

@@ -40,7 +40,7 @@ class DramChannel:
         # request below, so banked row behaviour can vary it without
         # touching the occupancy calendars.
         self._channels = [
-            ThroughputResource(f"dram.{c}", fs_per_byte=config.fs_per_byte,
+            ThroughputResource(f"dram.ch.{c}", fs_per_byte=config.fs_per_byte,
                                latency_fs=0)
             for c in range(config.channels)
         ]

@@ -12,42 +12,18 @@ Values are pulled at scheduling boundaries (end of run, or between
 sampling windows via :class:`repro.obs.sampler.MetricsSampler`), where
 no core is mid-op, so a pull always observes a consistent state.
 
-Two metric kinds:
-
-* ``counter`` — monotonically non-decreasing cumulative totals
-  (operation counts, bytes moved, busy time).  Time series report their
-  per-interval *deltas*.
-* ``gauge`` — instantaneous levels (cache occupancy, local-store
-  allocation).  Time series report the sampled value.
+The metric type and its two kinds (``counter``, ``gauge``) live in
+:mod:`repro.core.counters`, beside the run-level counter catalog that
+``RunResult.stats`` is pulled from; :meth:`MetricsRegistry.from_system`
+registers that catalog under the record's own key names.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
-#: Metric kinds.
-COUNTER = "counter"
-GAUGE = "gauge"
-
-
-@dataclass(frozen=True)
-class Metric:
-    """One named, typed reader over a component's live state."""
-
-    name: str                  # dotted, unique: "dram.ch.0.bytes_moved"
-    component: str             # grouping key: "dram.ch.0"
-    kind: str                  # COUNTER or GAUGE
-    unit: str                  # "ops", "bytes", "fs", "lines", ...
-    read: Callable[[], int | float] = field(compare=False)
-
-    def __post_init__(self) -> None:
-        if self.kind not in (COUNTER, GAUGE):
-            raise ValueError(f"{self.name}: unknown metric kind {self.kind!r}")
-
-    def value(self) -> int | float:
-        """The current value (a plain attribute read underneath)."""
-        return self.read()
+from repro.core.counters import COUNTER, GAUGE, Metric, run_counters
 
 
 class MetricsRegistry:
@@ -122,111 +98,66 @@ class MetricsRegistry:
     def from_system(cls, system) -> "MetricsRegistry":
         """Enumerate every instrumentable component of a ``CmpSystem``.
 
-        Covers the cores, the per-core L1s (and local stores / DMA
-        engines on the streaming model), the hierarchy's aggregate cache
-        statistics, the shared L2 and its banks, every interconnect link
-        (cluster buses and crossbar ports), the DRAM channels, and the
-        simulator itself.  Pure enumeration: nothing is attached to the
-        system.
+        Registers the run-level counter catalog first (every
+        ``RunResult.stats`` key, under the same name), then what the
+        record never carries: the cores, the per-core L1s (and local
+        stores / DMA engines on the streaming model), the miss and byte
+        aggregates, the cache occupancies, and every occupancy
+        calendar (L2 banks, DRAM channels, bus and crossbar links).
+        Pure enumeration: nothing is attached to the system.
         """
         registry = cls()
+        for metric in run_counters(system):
+            registry.register(metric)
         hierarchy = system.hierarchy
         uncore = hierarchy.uncore
-        sim = system.sim
-
-        registry.counter("sim.events", "sim", "events",
-                         lambda: sim.events_processed)
-        registry.gauge("sim.now_fs", "sim", "fs", lambda: sim.now)
-
-        for p in system.processors:
-            comp = f"core.{p.core_id}"
-            registry.counter(f"{comp}.instructions", comp, "ops",
-                             lambda p=p: p.instructions)
-            registry.counter(f"{comp}.word_accesses", comp, "ops",
-                             lambda p=p: p.word_accesses)
-            registry.counter(f"{comp}.useful_fs", comp, "fs",
-                             lambda p=p: p.useful_fs)
-
+        registry.gauge("sim.now_fs", "sim", "fs", lambda: system.sim.now)
         for i, l1 in enumerate(hierarchy.l1s):
             registry.gauge(f"l1.{i}.occupancy", f"l1.{i}", "lines",
                            l1.occupancy)
-
-        for stat in ("load_ops", "store_ops", "load_misses", "store_misses",
-                     "upgrades", "l1_writebacks", "invalidations_sent",
-                     "cache_to_cache", "prefetches_issued", "prefetch_useful"):
-            registry.counter(f"l1.{stat}", "l1", "ops",
-                             lambda stat=stat: getattr(hierarchy, stat))
-
-        for stat in ("l2_reads", "l2_read_hits", "l2_writes", "l2_write_hits",
-                     "l2_writebacks", "l2_refills_avoided"):
-            registry.counter(f"l2.{stat.removeprefix('l2_')}", "l2", "ops",
-                             lambda stat=stat: getattr(uncore, stat))
         registry.gauge("l2.occupancy", "l2", "lines", uncore.l2.occupancy)
-        for b, bank in enumerate(uncore.l2_banks):
-            comp = f"l2.bank.{b}"
-            registry.counter(f"{comp}.requests", comp, "ops",
-                             lambda bank=bank: bank.requests)
-            registry.counter(f"{comp}.busy_fs", comp, "fs",
-                             lambda bank=bank: bank.busy_fs)
-            registry.counter(f"{comp}.wait_fs", comp, "fs",
-                             lambda bank=bank: bank.wait_fs)
-            registry.counter(f"{comp}.backfills", comp, "ops",
-                             lambda bank=bank: bank.backfills)
 
-        dram = uncore.dram
-        for stat in ("read_bytes", "write_bytes"):
-            registry.counter(f"dram.{stat}", "dram", "bytes",
-                             lambda stat=stat: getattr(dram, stat))
-        for stat in ("read_accesses", "write_accesses"):
-            registry.counter(f"dram.{stat}", "dram", "ops",
-                             lambda stat=stat: getattr(dram, stat))
-        for c, channel in enumerate(dram.channels()):
-            comp = f"dram.ch.{c}"
-            registry.counter(f"{comp}.bytes_moved", comp, "bytes",
-                             lambda channel=channel: channel.bytes_moved)
-            registry.counter(f"{comp}.busy_fs", comp, "fs",
-                             lambda channel=channel: channel.busy_fs)
-            registry.counter(f"{comp}.wait_fs", comp, "fs",
-                             lambda channel=channel: channel.wait_fs)
-            registry.counter(f"{comp}.backfills", comp, "ops",
-                             lambda channel=channel: channel.backfills)
-
-        links = [link for bus in uncore.buses for link in bus.links()]
-        links.extend(uncore.xbar.links())
-        for link in links:
-            comp = link.name       # e.g. "bus.0.req", "xbar.up.1"
-            registry.counter(f"{comp}.bytes_moved", comp, "bytes",
-                             lambda link=link: link.bytes_moved)
-            registry.counter(f"{comp}.requests", comp, "ops",
-                             lambda link=link: link.requests)
-            registry.counter(f"{comp}.busy_fs", comp, "fs",
-                             lambda link=link: link.busy_fs)
-            registry.counter(f"{comp}.wait_fs", comp, "fs",
-                             lambda link=link: link.wait_fs)
-            registry.counter(f"{comp}.backfills", comp, "ops",
-                             lambda link=link: link.backfills)
-
-        for i, engine in enumerate(getattr(hierarchy, "dma_engines", ())):
-            comp = f"dma.{i}"
-            registry.counter(f"{comp}.commands", comp, "ops",
-                             lambda engine=engine: engine.commands)
-            registry.counter(f"{comp}.bytes_read", comp, "bytes",
-                             lambda engine=engine: engine.bytes_read)
-            registry.counter(f"{comp}.bytes_written", comp, "bytes",
-                             lambda engine=engine: engine.bytes_written)
+        calendars = [*uncore.l2_banks, *uncore.dram.channels(),
+                     *(link for bus in uncore.buses for link in bus.links()),
+                     *uncore.xbar.links()]
+        engines = getattr(hierarchy, "dma_engines", ())
+        units = [("l1", hierarchy, _L1_MISS_STATS),
+                 ("dram", uncore.dram, _DRAM_BYTE_STATS),
+                 *((f"core.{p.core_id}", p, _CORE_STATS)
+                   for p in system.processors),
+                 # "l2.bank.0", "dram.ch.0", "bus.0.req", "xbar.up.1"
+                 *((r.name, r, _CALENDAR_STATS) for r in calendars),
+                 *((f"dma.{i}", e, _DMA_STATS) for i, e in enumerate(engines))]
+        for comp, owner, stats in units:
+            for stat, unit in stats:
+                if hasattr(owner, stat):
+                    registry.counter(f"{comp}.{stat}", comp, unit,
+                                     partial(getattr, owner, stat))
 
         for i, store in enumerate(getattr(hierarchy, "local_stores", ())):
             comp = f"ls.{i}"
             registry.counter(f"{comp}.read_bytes", comp, "bytes",
-                             lambda store=store: store.reads)
+                             partial(getattr, store, "reads"))
             registry.counter(f"{comp}.write_bytes", comp, "bytes",
-                             lambda store=store: store.writes)
-            registry.gauge(f"{comp}.allocated_bytes", comp, "bytes",
-                           lambda store=store: store.allocated_bytes)
-            registry.gauge(f"{comp}.high_water_bytes", comp, "bytes",
-                           lambda store=store: store.high_water_bytes)
-
+                             partial(getattr, store, "writes"))
+            for stat in ("allocated_bytes", "high_water_bytes"):
+                registry.gauge(f"{comp}.{stat}", comp, "bytes",
+                               partial(getattr, store, stat))
         return registry
+
+
+#: Per-unit counters, ``(attribute, unit)``: each is registered as
+#: ``<component>.<attribute>`` where the unit has the attribute.
+_L1_MISS_STATS = (("load_misses", "ops"), ("store_misses", "ops"))
+_DRAM_BYTE_STATS = (("read_bytes", "bytes"), ("write_bytes", "bytes"))
+_CORE_STATS = (("instructions", "ops"), ("word_accesses", "ops"),
+               ("useful_fs", "fs"))
+#: Every occupancy calendar; ``bytes_moved`` only where the resource
+#: carries payload (links and DRAM channels).
+_CALENDAR_STATS = (("requests", "ops"), ("busy_fs", "fs"), ("wait_fs", "fs"),
+                   ("backfills", "ops"), ("bytes_moved", "bytes"))
+_DMA_STATS = (("commands", "ops"), ("bytes_read", "bytes"),
+              ("bytes_written", "bytes"))
 
 
 __all__ = ["COUNTER", "GAUGE", "Metric", "MetricsRegistry"]

@@ -32,7 +32,8 @@ def render_report(system, result,
             if metric.name.endswith(".busy_fs"):
                 util = min(1.0, value / duration)
                 extra = f"  ({util * 100:.1f}% util)"
-            body.append(f"    {metric.name:<28} {value:>16,} "
+            shown = f"{value:.4f}" if isinstance(value, float) else f"{value:,}"
+            body.append(f"    {metric.name:<28} {shown:>16} "
                         f"{metric.unit}{extra}")
         if body:
             lines.append(f"  {component}")

@@ -9,12 +9,72 @@ metrics of Table 3.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import cache
+from typing import get_origin, get_type_hints
 
 from repro.units import fs_to_ms, mb_per_s
 
 
+class _Record:
+    """The JSON form every result record shares, built from its fields.
+
+    :meth:`to_dict` writes the fields in declaration order and passes
+    every number through unchanged (no rounding; ints stay ints), so
+    ``from_dict(json.loads(json.dumps(d)))`` rebuilds a bit-identical
+    record.  That exactness lets the grid path (worker -> JSON store ->
+    replay) give results identical to an in-process run.
+    """
+
+    def to_dict(self) -> dict:
+        """JSON-safe mapping of every field, nested records included."""
+        # A frozen record's instance dict holds exactly its fields, in
+        # declaration order.
+        out = dict(vars(self))
+        for name, kind in _schema(type(self))[1].items():
+            out[name] = kind(out[name]) if kind is dict \
+                else out[name].to_dict()
+        return out
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        """Rebuild a record written by :meth:`to_dict`.
+
+        A missing or an unknown key raises :class:`ValueError`, in a
+        nested record too, so a record written by another schema fails
+        loudly instead of silently dropping measurements.
+        """
+        names, nested = _schema(cls)
+        if not isinstance(data, dict):
+            raise ValueError(f"{cls.__name__} record must be a mapping, "
+                             f"got {type(data).__name__}")
+        if data.keys() != names.keys():
+            missing = [name for name in names if name not in data]
+            unknown = sorted(set(data) - set(names))
+            raise ValueError(f"{cls.__name__} record: missing keys "
+                             f"{missing}, unknown keys {unknown}")
+        data = dict(data)
+        for name, kind in nested.items():
+            if kind is not dict:
+                data[name] = kind.from_dict(data[name])
+        return cls(**data)
+
+
+@cache
+def _schema(cls) -> tuple[dict, dict[str, type]]:
+    """``cls``'s field names in declaration order (as dict keys), and its
+    fields that hold a record or a mapping: name -> record type or dict."""
+    hints = get_type_hints(cls)
+    names = dict.fromkeys(f.name for f in fields(cls))
+    nested = {}
+    for name in names:
+        kind = get_origin(hints[name]) or hints[name]
+        if kind is dict or isinstance(kind, type) and issubclass(kind, _Record):
+            nested[name] = kind
+    return names, nested
+
+
 @dataclass(frozen=True)
-class Breakdown:
+class Breakdown(_Record):
     """Mean per-core execution-time components, in femtoseconds."""
 
     useful_fs: float
@@ -48,19 +108,9 @@ class Breakdown:
             store_fs=self.store_fs * factor,
         )
 
-    def to_dict(self) -> dict:
-        """JSON-safe mapping; values pass through untouched (no rounding)."""
-        return {"useful_fs": self.useful_fs, "sync_fs": self.sync_fs,
-                "load_fs": self.load_fs, "store_fs": self.store_fs}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Breakdown":
-        """Rebuild a breakdown written by :meth:`to_dict`."""
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class Traffic:
+class Traffic(_Record):
     """Off-chip traffic in bytes (Figure 3)."""
 
     read_bytes: int
@@ -71,18 +121,9 @@ class Traffic:
         """Read plus write bytes."""
         return self.read_bytes + self.write_bytes
 
-    def to_dict(self) -> dict:
-        """JSON-safe mapping of both directions."""
-        return {"read_bytes": self.read_bytes, "write_bytes": self.write_bytes}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Traffic":
-        """Rebuild a traffic record written by :meth:`to_dict`."""
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class EnergyBreakdown:
+class EnergyBreakdown(_Record):
     """Energy in joules, split by the Figure 4 categories."""
 
     core: float
@@ -99,29 +140,12 @@ class EnergyBreakdown:
         return (self.core + self.icache + self.dcache + self.local_store
                 + self.network + self.l2 + self.dram)
 
-    def as_dict(self) -> dict[str, float]:
-        """Category name -> joules."""
-        return {
-            "core": self.core,
-            "icache": self.icache,
-            "dcache": self.dcache,
-            "local_store": self.local_store,
-            "network": self.network,
-            "l2": self.l2,
-            "dram": self.dram,
-        }
-
-    #: :meth:`as_dict` already is the JSON form; alias for store symmetry.
-    to_dict = as_dict
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EnergyBreakdown":
-        """Rebuild an energy breakdown written by :meth:`to_dict`."""
-        return cls(**data)
+    #: Category name -> joules; the JSON form is this same mapping.
+    as_dict = _Record.to_dict
 
 
 @dataclass(frozen=True)
-class RunResult:
+class RunResult(_Record):
     """Everything measured from one simulation run."""
 
     workload: str
@@ -198,55 +222,3 @@ class RunResult:
             f"traffic={self.traffic.total_bytes / 1e6:.2f} MB, "
             f"energy={self.energy.total * 1e3:.2f} mJ"
         )
-
-    def to_dict(self) -> dict:
-        """Lossless JSON-safe form.
-
-        Every numeric field passes through unchanged — ints stay ints,
-        floats stay floats — so ``from_dict(json.loads(json.dumps(d)))``
-        reconstructs a bit-identical record.  This exactness is what lets
-        the parallel grid path (worker → JSON store → replay) guarantee
-        results identical to an in-process serial run.
-        """
-        return {
-            "workload": self.workload,
-            "model": self.model,
-            "num_cores": self.num_cores,
-            "clock_ghz": self.clock_ghz,
-            "exec_time_fs": self.exec_time_fs,
-            "settled_fs": self.settled_fs,
-            "breakdown": self.breakdown.to_dict(),
-            "traffic": self.traffic.to_dict(),
-            "energy": self.energy.to_dict(),
-            "instructions": self.instructions,
-            "word_accesses": self.word_accesses,
-            "local_accesses": self.local_accesses,
-            "l1_misses": self.l1_misses,
-            "l1_load_misses": self.l1_load_misses,
-            "l1_store_misses": self.l1_store_misses,
-            "l2_accesses": self.l2_accesses,
-            "l2_misses": self.l2_misses,
-            "stats": dict(self.stats),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunResult":
-        """Rebuild a result written by :meth:`to_dict`.
-
-        Unknown keys are rejected so records written by a newer schema
-        fail loudly instead of silently dropping measurements.
-        """
-        data = dict(data)
-        try:
-            breakdown = Breakdown.from_dict(data.pop("breakdown"))
-            traffic = Traffic.from_dict(data.pop("traffic"))
-            energy = EnergyBreakdown.from_dict(data.pop("energy"))
-        except KeyError as missing:
-            raise ValueError(f"RunResult record missing {missing}") from None
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown RunResult keys {sorted(unknown)}")
-        return cls(breakdown=breakdown, traffic=traffic, energy=energy,
-                   **data)
-

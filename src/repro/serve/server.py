@@ -45,6 +45,7 @@ from repro.grid.scheduler import (
     _execute_in_worker,
     outcome_from_payload,
     run_isolated,
+    should_retry,
 )
 from repro.grid.spec import RunSpec
 from repro.grid.store import FailedRun, ResultStore
@@ -458,8 +459,7 @@ class ReproServer:
                                 self.series_interval_fs, _SPAWN)))[job.key]
                         attempts += 1
                         break
-                    if payload["ok"] or payload["kind"] != "exception" \
-                            or attempts > self.retries:
+                    if not should_retry(payload, attempts, self.retries):
                         break
                     self._progress.on_retry()
                     self._broadcast("retry", key=job.key)

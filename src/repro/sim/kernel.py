@@ -125,15 +125,16 @@ class Simulator:
     def drain_until(self, time_fs: int) -> int:
         """Process every pending event with timestamp <= ``time_fs``.
 
-        The shared boundary-stepping primitive: the metrics sampler
-        (:meth:`repro.obs.MetricsSampler.drive`) and the processor fast
-        path both step the simulation to a time boundary, and both must
-        honor the same (time, insertion order) dispatch rule as
-        :meth:`run`.  Events scheduled *at* the boundary fire (ties in
-        insertion order, exactly as in a full :meth:`run`); the clock ends
-        on the last processed event and never moves backwards.  Returns
-        the number of events processed (zero for an empty queue or a
-        boundary before the earliest event).
+        The boundary-stepping primitive of the metrics sampler
+        (:meth:`repro.obs.MetricsSampler.drive`), under the same (time,
+        insertion order) dispatch rule as :meth:`run`; the processor
+        fast path does not step with it, it only reads
+        :meth:`EventQueue.peek_time`.  Events scheduled *at* the
+        boundary fire (ties in insertion order, exactly as in a full
+        :meth:`run`); the clock ends on the last processed event and
+        never moves backwards.  Returns the number of events processed
+        (zero for an empty queue or a boundary before the earliest
+        event).
         """
         if type(time_fs) is not int:
             raise SimulationError(

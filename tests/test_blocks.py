@@ -38,24 +38,13 @@ from repro.harness.experiments import figure2, figure5
 from repro.harness.runner import Runner
 from repro.sim.fastpath import blocks_enabled
 from repro.workloads.base import Program
+from tests.records import comparable
 
 
 def run_threads(*threads, model="cc", **cfg_kwargs):
     cfg = MachineConfig(num_cores=len(threads), **cfg_kwargs).with_model(model)
     system = CmpSystem(cfg, Program("test", list(threads)))
     return system.run()
-
-
-def comparable(result) -> dict:
-    """The full result record minus the permitted ``sim.*`` diagnostics.
-
-    ``sim.events`` and the phase counters (``sim.phase_iters``) are
-    mode-dependent by design; everything else must be bit-identical.
-    """
-    record = result.to_dict()
-    record["stats"] = {k: v for k, v in record["stats"].items()
-                       if not k.startswith("sim.")}
-    return record
 
 
 class TestFlag:

@@ -39,6 +39,7 @@ from repro.sim.resources import OccupancyResource
 from repro.units import ns_to_fs
 from repro.workloads import get_workload
 from repro.workloads.base import Program
+from tests.records import comparable
 
 LINE = 32                  # MachineConfig default L1 line size
 BLOCK_BYTES = 8 * LINE     # one double-buffer tile
@@ -533,14 +534,6 @@ def test_granule_loops_match_per_granule_walk(cores, window, channels,
 def run_threads(*threads, **cfg_kwargs):
     cfg = MachineConfig(num_cores=len(threads), **cfg_kwargs).with_model("str")
     return CmpSystem(cfg, Program("test", list(threads))).run()
-
-
-def comparable(result) -> dict:
-    """The full result record minus the permitted ``sim.*`` diagnostics."""
-    record = result.to_dict()
-    record["stats"] = {k: v for k, v in record["stats"].items()
-                       if not k.startswith("sim.")}
-    return record
 
 
 def double_buffered_thread(env):

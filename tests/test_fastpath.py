@@ -1,4 +1,4 @@
-"""Run-until-miss fast path: bit-identical to slow mode, and faster.
+"""Quantum-extension fast path: bit-identical to slow mode, and faster.
 
 The fast path (:mod:`repro.sim.fastpath`) is quantum extension: it
 elides the core's own back-to-back resume events.  Its contract is that *every* measured quantity — timestamps, stall
@@ -14,19 +14,12 @@ from repro import run_workload
 from repro.harness.experiments import figure2, figure5
 from repro.harness.runner import Runner
 from repro.sim.fastpath import fastpath_enabled
+from tests.records import comparable
 
 
 def result_in_mode(monkeypatch, fastpath: bool, **kwargs):
     monkeypatch.setenv("REPRO_FASTPATH", "1" if fastpath else "0")
     return run_workload(preset="tiny", **kwargs)
-
-
-def comparable(result) -> dict:
-    """The full result record minus the permitted ``sim.*`` diagnostics."""
-    record = result.to_dict()
-    record["stats"] = {k: v for k, v in record["stats"].items()
-                       if not k.startswith("sim.")}
-    return record
 
 
 class TestFlag:

@@ -116,6 +116,32 @@ class TestFromSystem:
         assert values["dram.read_bytes"] == \
             system.hierarchy.uncore.dram.read_bytes
 
+    @pytest.mark.parametrize("model", ["cc", "str", "icc"])
+    def test_every_stat_is_a_metric_of_equal_value(self, model):
+        # One catalog: each record key is registered under its own name
+        # and reads the value the record holds.
+        system = build_system(model=model)
+        registry = MetricsRegistry.from_system(system)
+        result = system.run()
+        values = registry.collect()
+        assert {key: values[key] for key in result.stats} == result.stats
+        assert list(result.stats) == registry.names()[:len(result.stats)]
+        assert registry.get("dram.utilization").kind == GAUGE
+
+    def test_every_calendar_registers_its_requests(self):
+        cfg = MachineConfig(num_cores=2).with_overrides({"dram.channels": 2})
+        program = get_workload("fir").build("cc", cfg, preset="tiny")
+        system = CmpSystem(cfg, program)
+        names = set(MetricsRegistry.from_system(system).names())
+        uncore = system.hierarchy.uncore
+        calendars = [*uncore.l2_banks, *uncore.dram.channels(),
+                     *uncore.xbar.links(),
+                     *(link for bus in uncore.buses for link in bus.links())]
+        assert "dram.ch.1.requests" in names
+        for resource in calendars:
+            assert {f"{resource.name}.{stat}" for stat in
+                    ("requests", "busy_fs", "wait_fs", "backfills")} <= names
+
 
 class TestBitIdentity:
     """ISSUE acceptance: metrics on == metrics off, bit for bit."""

@@ -35,6 +35,7 @@ from repro.harness.experiments import figure2, figure5
 from repro.harness.runner import Runner
 from repro.workloads import get_workload
 from repro.workloads.base import Program
+from tests.records import comparable
 
 LINE = 32  # MachineConfig default L1 line size
 
@@ -73,14 +74,6 @@ class RecordingList(list):
     def append(self, op):
         self.pushed.append(op)
         super().append(op)
-
-
-def comparable(result) -> dict:
-    """The full result record minus the permitted ``sim.*`` diagnostics."""
-    record = result.to_dict()
-    record["stats"] = {k: v for k, v in record["stats"].items()
-                       if not k.startswith("sim.")}
-    return record
 
 
 BLK = block(compute(5), load(0x100, LINE), store(0x100, LINE))

@@ -77,6 +77,29 @@ def test_from_dict_rejects_missing_blocks():
         RunResult.from_dict(data)
 
 
+@pytest.mark.parametrize("block", ["breakdown", "traffic", "energy"])
+def test_from_dict_rejects_bad_nested_keys(block):
+    data = run_workload("fir", cores=2, preset="tiny").to_dict()
+    unknown = json.loads(json.dumps(data))
+    unknown[block]["frobnication_level"] = 3
+    with pytest.raises(ValueError, match="frobnication_level"):
+        RunResult.from_dict(unknown)
+    missing = json.loads(json.dumps(data))
+    dropped = next(iter(missing[block]))
+    del missing[block][dropped]
+    with pytest.raises(ValueError, match=dropped):
+        RunResult.from_dict(missing)
+
+
+def test_from_dict_rejects_missing_scalars_and_stats():
+    data = run_workload("fir", cores=2, preset="tiny").to_dict()
+    for key in ("workload", "stats"):
+        partial = dict(data)
+        del partial[key]
+        with pytest.raises(ValueError, match=key):
+            RunResult.from_dict(partial)
+
+
 def test_component_roundtrips():
     b = Breakdown(1.5, 2, 3.25, 4)
     assert Breakdown.from_dict(b.to_dict()) == b

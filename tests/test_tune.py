@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import CoherenceKind, MachineConfig, WritePolicy
+from repro.config import CoherenceKind, MachineConfig, MemoryModel, WritePolicy
 from repro.energy import machine_area_mm2, sram_area_mm2
 from repro.grid.spec import RunSpec
 from repro.grid.store import ResultStore
@@ -108,6 +108,30 @@ class TestConfigOverrides:
         wire = RunSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert wire.content_key() == spec.content_key()
         assert wire.to_config() == spec.to_config()
+
+    @pytest.mark.parametrize(("point", "enums"), [
+        (DesignPoint("cc", 2, 16, 2, 256, 16, 0, 1),
+         {"coherence": CoherenceKind.DIRECTORY}),
+        (DesignPoint("cc", 4, 32, 4, 512, 8, 4, 2),
+         {"coherence": CoherenceKind.DIRECTORY,
+          "l1.write_policy": WritePolicy.NO_WRITE_ALLOCATE}),
+        (DesignPoint("str", 2, 8, 2, 256, 16, 0, 2),
+         {"stream_l1.write_policy": WritePolicy.NO_WRITE_ALLOCATE}),
+        (DesignPoint("icc", 2, 16, 2, 512, 16, 0, 1),
+         {"l1.write_policy": WritePolicy.NO_WRITE_ALLOCATE}),
+    ], ids=["cc-directory", "cc-directory-nwa", "str-nwa", "icc-nwa"])
+    def test_string_and_enum_spellings_give_equal_records(self, point, enums):
+        spec = point.to_spec("fir", "tiny")
+
+        def spelled(model, overrides):
+            return dataclasses.replace(spec, model=model, config_overrides={
+                **spec.config_overrides, **overrides})
+
+        strings = spelled(point.model,
+                          {path: member.value for path, member in enums.items()})
+        members = spelled(MemoryModel(point.model), enums)
+        assert strings.to_config() == members.to_config()
+        assert strings.execute().to_dict() == members.execute().to_dict()
 
     def test_spec_dict_roundtrip_preserves_overrides(self):
         spec = DesignPoint("str", 4, 8, 2, 512, 16, 4, 2).to_spec(
