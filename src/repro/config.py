@@ -157,6 +157,7 @@ class DramConfig:
     row_hit_latency_ns: float | None = None
 
     def __post_init__(self) -> None:
+        _floats(self)
         if self.bandwidth_gbps <= 0:
             raise ValueError(f"bandwidth must be positive, got {self.bandwidth_gbps}")
         if self.latency_ns < 0:
@@ -205,6 +206,7 @@ class InterconnectConfig:
     crossbar_cycle_ns: float = 1.25
 
     def __post_init__(self) -> None:
+        _floats(self)
         if self.cluster_size <= 0:
             raise ValueError(f"cluster size must be positive, got {self.cluster_size}")
         if self.bus_width_bytes <= 0 or self.crossbar_width_bytes <= 0:
@@ -245,6 +247,7 @@ class CoreConfig:
     mshr_entries: int = 8
 
     def __post_init__(self) -> None:
+        _floats(self)
         if self.clock_ghz <= 0:
             raise ValueError(f"clock must be positive, got {self.clock_ghz}")
         if self.issue_width <= 0 or self.load_store_slots <= 0:
@@ -298,8 +301,18 @@ class MachineConfig:
     debug_invariants: bool = False
 
     def __post_init__(self) -> None:
+        _floats(self)
         if self.num_cores <= 0:
             raise ValueError(f"num_cores must be positive, got {self.num_cores}")
+        # Only the first-level data cache (``l1``/``stream_l1``) reads
+        # its write policy; a policy on any other cache would change the
+        # content key and nothing else.
+        for block in ("icache", "l2"):
+            if getattr(self, block).write_policy is not WritePolicy.WRITE_ALLOCATE:
+                raise ValueError(
+                    f"{block}.write_policy must be "
+                    f"{WritePolicy.WRITE_ALLOCATE.value!r}: the simulator "
+                    f"reads the write policy of l1 and stream_l1 only")
         if self.l2_latency_ns <= 0:
             raise ValueError("L2 latency must be positive")
         if self.quantum_cycles <= 0:
@@ -439,6 +452,23 @@ class MachineConfig:
         import pathlib
 
         return cls.from_dict(json.loads(pathlib.Path(path).read_text()))
+
+
+#: Annotations of the float-typed configuration fields.
+_FLOAT_TYPES = ("float", "float | None")
+
+
+def _floats(config: object) -> None:
+    """Store an int (not a bool) bound for a float-typed field as a float.
+
+    ``clock_ghz=2`` and ``clock_ghz=2.0`` build equal configurations, but
+    they serialize as ``2`` and ``2.0``; converting here gives the one
+    machine one ``to_dict`` and so one content key.
+    """
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if type(value) is int and f.type in _FLOAT_TYPES:
+            object.__setattr__(config, f.name, float(value))
 
 
 def _typed(path: str, current: object, value: object) -> object:

@@ -47,7 +47,8 @@ class RunSpec:
     the content key hashes the *expanded* config, so two spellings of
     the same machine share one store record.  A ``model`` given as a
     :class:`~repro.config.MemoryModel` is stored as its string value,
-    so the spec serializes and labels like the string spelling.
+    and an int clock or bandwidth as its float, so the spec serializes
+    and labels like the other spelling.
     """
 
     workload: str
@@ -64,6 +65,9 @@ class RunSpec:
     def __post_init__(self) -> None:
         if isinstance(self.model, enum.Enum):
             object.__setattr__(self, "model", self.model.value)
+        for name in ("clock_ghz", "bandwidth_gbps"):
+            if type(getattr(self, name)) is int:
+                object.__setattr__(self, name, float(getattr(self, name)))
 
     def to_config(self):
         """Expand the sweep knobs into the full :class:`MachineConfig`."""

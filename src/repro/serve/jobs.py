@@ -3,8 +3,9 @@
 A :class:`Job` is one unique in-flight simulation (one content key).
 However many clients ask for the same key while it runs, the table
 hands every one of them the *same* job — the run executes once, its
-:class:`~repro.grid.scheduler.RunOutcome` settles one shared future,
-and each submission streams the outcome to its own client.  This is
+outcome, encoded once as a :class:`~repro.serve.protocol.EncodedOutcome`,
+settles one shared future, and each submission streams its own line of
+it to its own client.  This is
 the store's dedup guarantee extended over time: the store memoizes
 completed runs, the job table memoizes running ones.
 """
@@ -41,8 +42,8 @@ class Job:
         self.joiners = 0
 
     async def outcome(self):
-        """Wait for the settled outcome (shielded: a cancelled waiter
-        must never cancel the shared execution)."""
+        """Wait for the settled, encoded outcome (shielded: a cancelled
+        waiter must never cancel the shared execution)."""
         return await asyncio.shield(self.future)
 
 

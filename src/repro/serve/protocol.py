@@ -22,7 +22,9 @@ Server → client frames: ``hello`` (on connect), ``accepted``,
 
 Results cross the wire through the same lossless
 ``RunResult.to_dict`` / ``from_dict`` pair the grid store uses, which
-is what makes a served sweep bit-identical to a local one.
+is what makes a served sweep bit-identical to a local one.  The server
+encodes each settled outcome once (:class:`EncodedOutcome`) and cuts
+every request's ``outcome`` line from that encoding.
 """
 
 from __future__ import annotations
@@ -46,9 +48,14 @@ class ProtocolError(ValueError):
     """A line that is not a well-formed protocol frame."""
 
 
+#: ``json.dumps(value, sort_keys=True)``, without building an encoder
+#: per call.
+_dumps = json.JSONEncoder(sort_keys=True).encode
+
+
 def encode(frame: dict) -> bytes:
     """One frame as a newline-terminated UTF-8 JSON line."""
-    return (json.dumps(frame, sort_keys=True) + "\n").encode("utf-8")
+    return (_dumps(frame) + "\n").encode("utf-8")
 
 
 def decode(line: bytes | str) -> dict:
@@ -96,17 +103,73 @@ def outcome_frame(request_id, seq: int, outcome: RunOutcome,
     once for an earlier overlapping submission that is still in
     flight — the cross-client dedup path).
     """
+    return _outcome_frame(request_id, seq, outcome,
+                          source if source is not None else outcome.source,
+                          outcome.spec.to_dict())
+
+
+def _outcome_frame(request_id, seq: int, outcome: RunOutcome, source,
+                   spec) -> dict:
     frame = {
         "type": "outcome", "id": request_id, "seq": seq,
-        "key": outcome.key, "status": outcome.status,
-        "source": source if source is not None else outcome.source,
-        "spec": outcome.spec.to_dict(), "wall_s": outcome.wall_s,
+        "key": outcome.key, "status": outcome.status, "source": source,
+        "spec": spec, "wall_s": outcome.wall_s,
     }
     if outcome.status == "ok":
         frame["result"] = outcome.result.to_dict()
     else:
         frame["failure"] = outcome.failure.to_dict()
     return frame
+
+
+#: The per-request fields of an outcome line: its top-level keys that
+#: :meth:`EncodedOutcome.line` fills in, in ``_outcome_frame``'s
+#: argument order.
+_HOLES = ("id", "seq", "source", "spec")
+
+
+class EncodedOutcome:
+    """One settled outcome, JSON-encoded once.
+
+    :meth:`line` fills in a request's ``id``, ``seq``, ``source`` and
+    its own ``spec`` (two specs with different ``to_dict()`` can share
+    one content key) and returns exactly the bytes of
+    ``encode(outcome_frame(request_id, seq, outcome, source))`` with
+    ``outcome.spec`` replaced by ``spec``.  The result or failure
+    payload, the bulk of the line, is never encoded again.
+    """
+
+    __slots__ = ("status", "_parts", "_holes")
+
+    def __init__(self, outcome: RunOutcome) -> None:
+        self.status = outcome.status
+        frame = _outcome_frame(None, 0, outcome, None, None)
+        # ``encode`` writes a flat frame as its sorted items, each
+        # ``"key": value``, joined by ", " between braces; keep each run
+        # of fixed items as bytes and note the hole after it.
+        parts, holes, run = [], [], "{"
+        for n, name in enumerate(sorted(frame)):
+            run += (", " if n else "") + _dumps(name) + ": "
+            if name in _HOLES:
+                parts.append(run.encode("ascii"))
+                holes.append(_HOLES.index(name))
+                run = ""
+            else:
+                run += _dumps(frame[name])
+        parts.append((run + "}\n").encode("ascii"))
+        self._parts = parts
+        self._holes = holes
+
+    def line(self, request_id, seq: int, source: str,
+             spec: RunSpec) -> bytes:
+        """The outcome line of one request."""
+        values = (request_id, seq, source, spec.to_dict())
+        parts = self._parts
+        out = [parts[0]]
+        for n, hole in enumerate(self._holes, 1):
+            out.append(_dumps(values[hole]).encode("ascii"))
+            out.append(parts[n])
+        return b"".join(out)
 
 
 def done_frame(request_id, ok: int, failed: int, hits: int, runs: int,
@@ -141,4 +204,5 @@ def outcome_from_frame(frame: dict) -> RunOutcome:
 
 __all__ = ["PROTOCOL_VERSION", "REQUEST_TYPES", "ProtocolError", "encode",
            "decode", "hello_frame", "error_frame", "accepted_frame",
-           "outcome_frame", "done_frame", "outcome_from_frame"]
+           "outcome_frame", "EncodedOutcome", "done_frame",
+           "outcome_from_frame"]

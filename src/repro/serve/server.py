@@ -7,9 +7,10 @@ One :class:`ReproServer` owns
 * a worker pool (``ProcessPoolExecutor`` with a spawn context: every
   miss runs in a worker process, where the per-run deadline is
   ``SIGALRM`` on the worker's main thread),
-* a bounded hit table (content key -> ``RunResult``) of records this
+* a bounded hit table (content key -> encoded outcome) of records this
   server has already read from its store, so a repeat hit is answered
-  on the event loop with no thread handoff, disk read or JSON parse,
+  on the event loop with no thread handoff, disk read, JSON parse or
+  payload encode,
 * a :class:`~repro.serve.jobs.JobTable` deduplicating in-flight misses
   across *all* connected clients: two clients sweeping overlapping
   config sets trigger each missing run exactly once and both stream
@@ -19,6 +20,11 @@ One :class:`ReproServer` owns
   client's delivery only — never on execution, never on other clients —
   while global ``progress`` ticks for ``watch`` subscribers are
   droppable and are counted, not buffered, when a watcher lags.
+
+Every outcome line, hit or run, ok or failed, is cut from one
+:class:`~repro.serve.protocol.EncodedOutcome` per settled record: a
+store hit's lives in the hit table, a run's is shared by every
+submission that joined the job.
 
 Execution reuses :func:`repro.grid.scheduler._execute_in_worker`,
 :func:`repro.grid.scheduler.run_isolated` (a killed worker) and
@@ -49,13 +55,12 @@ from repro.grid.scheduler import (
 )
 from repro.grid.spec import RunSpec
 from repro.grid.store import FailedRun, ResultStore
-from repro.results import RunResult
 from repro.serve import protocol
 from repro.serve.jobs import JobTable, ServerStats
 
 #: Entry bound of the server's hit table, cleared when full.  A record
 #: is a pure function of its content key, and the key mixes in the
-#: schema and code version, so a held result never goes stale within
+#: schema and code version, so a held encoding never goes stale within
 #: one process.  Failures are never held: ``grid clear --failed`` plus a
 #: resubmit must re-run.
 _HIT_MEMO_ENTRIES = 1024
@@ -80,6 +85,19 @@ def _describe(exc: BaseException) -> str:
     return text
 
 
+def _read_encoded(store: ResultStore, spec: RunSpec,
+                  key: str) -> protocol.EncodedOutcome | None:
+    """The stored outcome of ``spec``, encoded, or None on a miss."""
+    stored = store.get(spec)
+    if stored is None:
+        return None
+    if isinstance(stored, FailedRun):
+        outcome = RunOutcome(spec, key, "failed", "store", failure=stored)
+    else:
+        outcome = RunOutcome(spec, key, "ok", "store", result=stored)
+    return protocol.EncodedOutcome(outcome)
+
+
 class _Connection:
     """One client connection: a bounded outbound queue + sender task."""
 
@@ -94,8 +112,12 @@ class _Connection:
     async def send(self, frame: dict) -> None:
         """Enqueue a mandatory frame; blocks the *caller* when the
         client's queue is full (per-client backpressure)."""
+        await self.send_line(protocol.encode(frame))
+
+    async def send_line(self, line: bytes) -> None:
+        """:meth:`send` for a frame already encoded."""
         if not self.closed:
-            await self.queue.put(protocol.encode(frame))
+            await self.queue.put(line)
 
     def send_tick(self, frame: dict) -> None:
         """Enqueue a droppable progress tick; lagging watchers lose
@@ -109,14 +131,26 @@ class _Connection:
             self.stats.events_dropped += 1
 
     async def sender(self) -> None:
-        """Drain the queue to the socket; ``None`` is the stop sentinel."""
+        """Drain the queue to the socket; ``None`` is the stop sentinel.
+
+        Every frame already queued when the sender wakes leaves in one
+        write, in queue order; the sentinel stops it after the frames
+        queued before it.
+        """
+        queue = self.queue
         try:
             while True:
-                data = await self.queue.get()
-                if data is None:
+                batch = [await queue.get()]
+                while batch[-1] is not None and not queue.empty():
+                    batch.append(queue.get_nowait())
+                stop = batch[-1] is None
+                if stop:
+                    batch.pop()
+                if batch:
+                    self.writer.write(b"".join(batch))
+                    await self.writer.drain()
+                if stop:
                     break
-                self.writer.write(data)
-                await self.writer.drain()
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
@@ -144,9 +178,9 @@ class ReproServer:
         self.stats = ServerStats()
         self._log = log if log is not None else sys.stderr
         self._jobs = JobTable()
-        #: Content key -> ``RunResult`` already read from the store;
-        #: touched only on the event loop thread.
-        self._hits: dict[str, RunResult] = {}
+        #: Content key -> ``EncodedOutcome`` of an ok record already
+        #: read from the store; touched only on the event loop thread.
+        self._hits: dict[str, protocol.EncodedOutcome] = {}
         self._watchers: set[_Connection] = set()
         self._connections: set[_Connection] = set()
         self._job_tasks: set[asyncio.Task] = set()
@@ -330,22 +364,22 @@ class ReproServer:
         self.stats.unique_specs += len(unique)
 
         loop = asyncio.get_running_loop()
-        hits: list[RunOutcome] = []
-        waiting: list[tuple] = []        # (job, source)
+        hits: list[tuple] = []           # (encoded, spec)
+        waiting: list[tuple] = []        # (job, spec, source)
         for key, spec in unique.items():
             job = self._jobs.get(key)
             if job is not None:
                 job.joiners += 1
                 self.stats.dedup_joins += 1
-                waiting.append((job, "shared"))
+                waiting.append((job, spec, "shared"))
                 continue
             cached = self._hits.get(key)
             if cached is not None:
                 self.stats.memo_hits += 1
             elif self.store is not None:
-                cached = await loop.run_in_executor(None, self.store.get,
-                                                    spec)
-                if isinstance(cached, RunResult):
+                cached = await loop.run_in_executor(
+                    None, _read_encoded, self.store, spec, key)
+                if cached is not None and cached.status == "ok":
                     if len(self._hits) >= _HIT_MEMO_ENTRIES:
                         self._hits.clear()
                     self._hits[key] = cached
@@ -353,12 +387,7 @@ class ReproServer:
                 self.stats.store_hits += 1
                 self._progress.on_cache_hit()
                 self._broadcast("cache_hit", key=key)
-                if isinstance(cached, FailedRun):
-                    hits.append(RunOutcome(spec, key, "failed", "store",
-                                           failure=cached))
-                else:
-                    hits.append(RunOutcome(spec, key, "ok", "store",
-                                           result=cached))
+                hits.append((cached, spec))
                 continue
             # The store read awaited above, so another submission may
             # have created this job in the meantime — join it then.
@@ -367,12 +396,12 @@ class ReproServer:
                 task = loop.create_task(self._execute_job(job))
                 self._job_tasks.add(task)
                 task.add_done_callback(self._job_tasks.discard)
-                waiting.append((job, "run"))
+                waiting.append((job, spec, "run"))
             else:
                 self.stats.dedup_joins += 1
-                waiting.append((job, "shared"))
+                waiting.append((job, spec, "shared"))
 
-        launched = sum(1 for _, source in waiting if source == "run")
+        launched = sum(1 for *_, source in waiting if source == "run")
         shared = len(waiting) - launched
         await conn.send(protocol.accepted_frame(
             rid, total=len(specs), unique=len(unique), hits=len(hits),
@@ -380,21 +409,19 @@ class ReproServer:
 
         counts = {"ok": 0, "failed": 0, "hits": len(hits), "runs": launched,
                   "shared": shared}
-        seq = 0
-        for outcome in hits:
-            counts[outcome.status] += 1
-            await conn.send(protocol.outcome_frame(rid, seq, outcome))
-            seq += 1
-        pending = {loop.create_task(job.outcome()): (job, source)
-                   for job, source in waiting}
+        for encoded, spec in hits:
+            await self._send_outcome(conn, rid, counts, encoded, spec,
+                                     "store")
+        pending = {loop.create_task(job.outcome()): (job, spec, source)
+                   for job, spec, source in waiting}
         try:
             while pending:
                 done, _ = await asyncio.wait(
                     pending, return_when=asyncio.FIRST_COMPLETED)
                 for fut in done:
-                    job, source = pending.pop(fut)
+                    job, spec, source = pending.pop(fut)
                     try:
-                        outcome = fut.result()
+                        encoded = fut.result()
                     except asyncio.CancelledError:
                         raise
                     except Exception as exc:
@@ -402,10 +429,8 @@ class ReproServer:
                             rid, f"run {job.spec.label()} hit an internal "
                                  f"server error: {_describe(exc)}"))
                         return
-                    counts[outcome.status] += 1
-                    await conn.send(protocol.outcome_frame(
-                        rid, seq, outcome, source=source))
-                    seq += 1
+                    await self._send_outcome(conn, rid, counts, encoded,
+                                             spec, source)
         except asyncio.CancelledError:
             # Client went away; shielded job futures keep running for
             # everyone else (and for the store).
@@ -417,6 +442,18 @@ class ReproServer:
                                             hits=counts["hits"],
                                             runs=counts["runs"],
                                             shared=counts["shared"]))
+
+    @staticmethod
+    async def _send_outcome(conn: _Connection, rid, counts: dict,
+                            encoded: protocol.EncodedOutcome, spec: RunSpec,
+                            source: str) -> None:
+        """Write one outcome line: the path of every hit and every run.
+
+        Its ``seq`` is the number of outcomes the submission has sent.
+        """
+        seq = counts["ok"] + counts["failed"]
+        counts[encoded.status] += 1
+        await conn.send_line(encoded.line(rid, seq, source, spec))
 
     @staticmethod
     def _parse_specs(frame: dict) -> list[RunSpec]:
@@ -475,7 +512,7 @@ class ReproServer:
                                    failed=outcome.status == "failed")
             self._broadcast("done", key=job.key, status=outcome.status)
             if not job.future.done():
-                job.future.set_result(outcome)
+                job.future.set_result(protocol.EncodedOutcome(outcome))
         except asyncio.CancelledError:
             if not job.future.done():
                 job.future.cancel()

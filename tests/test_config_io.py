@@ -1,6 +1,7 @@
 """Configuration serialization (to_dict / from_dict / save / load)."""
 
 import dataclasses
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -100,3 +101,41 @@ class TestOverrideTypes:
     def test_block_takes_fields_not_values(self):
         with pytest.raises(ValueError, match="'l1' is a block"):
             MachineConfig.from_dict({"l1": 5})
+
+    def test_int_for_a_float_field_becomes_a_float(self):
+        cfg = MachineConfig().with_clock(2).with_bandwidth(3).with_overrides(
+            {"l2_latency_ns": 3, "dram.row_hit_latency_ns": 20,
+             "interconnect.bus_cycle_ns": 2})
+        values = (cfg.core.clock_ghz, cfg.dram.bandwidth_gbps,
+                  cfg.l2_latency_ns, cfg.dram.row_hit_latency_ns,
+                  cfg.interconnect.bus_cycle_ns)
+        assert values == (2.0, 3.0, 3.0, 20.0, 2.0)
+        assert all(type(value) is float for value in values)
+        assert cfg.to_dict() == MachineConfig.from_dict(cfg.to_dict()).to_dict()
+        # Int fields and bools stay as given.
+        assert type(cfg.num_cores) is int and cfg.debug_invariants is False
+
+    def test_int_and_float_knobs_share_one_key_and_record(self):
+        from repro.grid.spec import RunSpec
+
+        whole = RunSpec("fir", "cc", cores=2, preset="tiny", clock_ghz=2,
+                        bandwidth_gbps=6)
+        spelled = RunSpec("fir", "cc", cores=2, preset="tiny",
+                          clock_ghz=2.0, bandwidth_gbps=6.0)
+        assert whole.to_dict() == spelled.to_dict()
+        assert whole.content_key() == spelled.content_key()
+        assert json.dumps(whole.execute().to_dict(), sort_keys=True) == \
+            json.dumps(spelled.execute().to_dict(), sort_keys=True)
+
+    @pytest.mark.parametrize("block", ["l2", "icache"])
+    def test_write_policy_of_an_unread_cache_is_refused(self, block):
+        # Only l1 and stream_l1 read their write policy; on any other
+        # cache the field would change the content key but not the run.
+        with pytest.raises(ValueError, match=f"{block}.write_policy"):
+            MachineConfig().with_overrides(
+                {f"{block}.write_policy": "no-write-allocate"})
+        for read in ("l1", "stream_l1"):
+            cfg = MachineConfig().with_overrides(
+                {f"{read}.write_policy": "no-write-allocate"})
+            assert getattr(cfg, read).write_policy \
+                is WritePolicy.NO_WRITE_ALLOCATE

@@ -9,6 +9,7 @@ drives the same paths through the command line.
 
 import io
 import itertools
+import json
 import os
 import socket
 import threading
@@ -115,6 +116,85 @@ class TestProtocol:
         rebuilt = protocol.outcome_from_frame(frame)
         assert rebuilt.failure == failure
         assert rebuilt.source == "shared"
+
+
+class TestEncodedOutcome:
+    """Outcome lines cut from one encoding equal a whole-frame encode."""
+
+    @pytest.fixture(scope="class")
+    def outcomes(self):
+        from repro.grid.store import FailedRun
+
+        spec = specs_for(2)[0]
+        key = spec.content_key()
+        failure = FailedRun(key=key, label=spec.label(), kind="exception",
+                            message="bad \u00b5-op\n\"quoted\"", attempts=2)
+        return {
+            "ok": RunOutcome(spec, key, "ok", "run", result=spec.execute(),
+                             wall_s=0.25),
+            "failed": RunOutcome(spec, key, "failed", "store",
+                                 failure=failure),
+        }
+
+    @pytest.mark.parametrize("status", ["ok", "failed"])
+    @pytest.mark.parametrize("source", ["store", "run", "shared"])
+    @pytest.mark.parametrize("rid", [7, "r12", None])
+    @pytest.mark.parametrize("seq", [0, 3])
+    def test_line_equals_the_encoded_frame(self, outcomes, status, source,
+                                           rid, seq):
+        outcome = outcomes[status]
+        encoded = protocol.EncodedOutcome(outcome)
+        assert encoded.status == status
+        assert encoded.line(rid, seq, source, outcome.spec) == \
+            protocol.encode(protocol.outcome_frame(rid, seq, outcome, source))
+
+    @pytest.mark.parametrize("status", ["ok", "failed"])
+    def test_line_carries_the_requests_own_spec(self, outcomes, status):
+        import dataclasses
+
+        outcome = outcomes[status]
+        other = dataclasses.replace(outcome.spec, prefetch_depth=8)
+        assert other.content_key() == outcome.key
+        line = protocol.EncodedOutcome(outcome).line(1, 1, "shared", other)
+        assert line == protocol.encode(protocol.outcome_frame(
+            1, 1, dataclasses.replace(outcome, spec=other), "shared"))
+
+
+class TestSender:
+    class _Writer:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, data):
+            self.writes.append(data)
+
+        async def drain(self):
+            pass
+
+        def close(self):
+            pass
+
+    def test_frames_queued_in_one_turn_leave_in_one_write(self):
+        import asyncio
+
+        writer = self._Writer()
+
+        async def scenario():
+            conn = _Connection(writer, backpressure=8, stats=ServerStats())
+            sender = asyncio.get_running_loop().create_task(conn.sender())
+            await asyncio.sleep(0)              # the sender waits
+            for n in range(3):
+                await conn.send({"type": "pong", "id": n})
+            await asyncio.sleep(0.01)
+            await conn.send_line(b"late\n")
+            conn.queue.put_nowait(None)
+            conn.queue.put_nowait(b"after the sentinel\n")
+            await asyncio.wait_for(sender, 5)
+
+        asyncio.run(scenario())
+        first = b"".join(protocol.encode({"type": "pong", "id": n})
+                         for n in range(3))
+        assert writer.writes == [first, b"late\n"]
 
 
 class TestJobTable:
@@ -373,8 +453,89 @@ class TestHitTable:
         record = store.get_record(key)["result"]
         assert fresh.source == "store" and memo.source == "store"
         assert fresh.result.to_dict() == record == memo.result.to_dict()
-        assert harness.server._hits[key].to_dict() == record
+        held = harness.server._hits[key].line(None, 0, "store", spec)
+        assert protocol.decode(held)["result"] == record
         assert stats["runs_executed"] == 1 and stats["memo_hits"] == 1
+
+
+class TestOutcomeLines:
+    """The bytes the server writes, read off a raw socket."""
+
+    @staticmethod
+    def submit_raw(lines, raw, rid, specs):
+        raw.sendall(protocol.encode(
+            {"type": "submit", "id": rid,
+             "specs": [spec.to_dict() for spec in specs]}))
+        got = []
+        while True:
+            line = lines.readline()
+            frame = protocol.decode(line)
+            if frame["type"] == "outcome":
+                got.append((line, frame))
+            if frame["type"] == "done":
+                return got
+
+    def test_every_outcome_line_equals_the_encoded_frame(self, make_server):
+        harness = make_server(retries=0)
+        specs = [specs_for(2)[0],
+                 specs_for(2, overrides={"_grid_raise": "injected"})[0],
+                 specs_for(1)[0]]
+        raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        raw.connect(harness.socket_path)
+        lines = raw.makefile("rb")
+        try:
+            assert protocol.decode(lines.readline())["type"] == "hello"
+            seen = set()
+            for rid in (5, "s", None, 0):       # run, disk, memo, memo
+                got = self.submit_raw(lines, raw, rid, specs)
+                assert [frame["seq"] for _, frame in got] == [0, 1, 2]
+                for line, frame in got:
+                    outcome = protocol.outcome_from_frame(frame)
+                    assert frame["id"] == rid
+                    assert line == protocol.encode(protocol.outcome_frame(
+                        rid, frame["seq"], outcome, frame["source"]))
+                    seen.add((frame["status"], frame["source"]))
+        finally:
+            lines.close()
+            raw.close()
+        assert seen == {("ok", "run"), ("failed", "run"), ("ok", "store"),
+                        ("failed", "store")}
+
+    def test_specs_sharing_a_key_each_get_their_own_spec(self, make_server):
+        # prefetch_depth means nothing with the prefetcher off, so the two
+        # specs differ on the wire but name one machine and one record.
+        slow = {"_grid_sleep_s": 0.5}
+        first = RunSpec("fir", "cc", cores=2, preset="tiny", clock_ghz=3.2,
+                        overrides=slow)
+        second = RunSpec("fir", "cc", cores=2, preset="tiny", clock_ghz=3.2,
+                         prefetch_depth=8, overrides=slow)
+        assert first.to_dict() != second.to_dict()
+        assert first.content_key() == second.content_key()
+        harness = make_server()
+        reports = {}
+
+        def submit():
+            with harness.client() as client:
+                reports["run"] = client.submit([first])
+
+        runner = threading.Thread(target=submit)
+        runner.start()
+        with harness.client() as client:
+            deadline = time.monotonic() + 10
+            while client.stats()["server"]["inflight"] < 1:
+                assert time.monotonic() < deadline, "the run never started"
+                time.sleep(0.02)
+            joined = client.submit([second]).outcomes[0]
+            runner.join(timeout=60)
+            served = [client.submit([spec]).outcomes[0]
+                      for spec in (second, first, second)]
+        ran = reports["run"].outcomes[0]
+        assert (ran.source, ran.spec) == ("run", first)
+        assert (joined.source, joined.spec) == ("shared", second)
+        assert [(o.source, o.spec) for o in served] == [
+            ("store", second), ("store", first), ("store", second)]
+        assert len({json.dumps(o.result.to_dict(), sort_keys=True)
+                    for o in [ran, joined, *served]}) == 1
 
 
 class TestDedupAcrossClients:
@@ -409,8 +570,6 @@ class TestDedupAcrossClients:
         sources = sorted(o.source for report in reports.values()
                          for o in report.outcomes)
         assert sources == ["run", "run", "shared", "shared"]
-        import json
-
         results = {name: sorted((o.spec.cores,
                                  json.dumps(o.result.to_dict(),
                                             sort_keys=True))
@@ -534,8 +693,6 @@ class TestServeCli:
 
     def test_submit_writes_a_jsonl_transcript(
             self, make_server, tmp_path, capsys):
-        import json
-
         from repro.serve.cli import main
 
         harness = make_server()

@@ -380,6 +380,21 @@ class TestBackfill:
         # calendar floats between _MAX_INTERVALS and twice that.
         assert len(r._starts) < 2 * _MAX_INTERVALS
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP 'Calendars that never double-book': the trim drops busy "
+        "intervals that a later arrival can still land on"))
+    def test_late_arrival_after_a_trim_matches_untrimmed_first_fit(self):
+        r = OccupancyResource("r")
+        reference = UntrimmedFirstFit()
+        for i in range(_TRIM_AT):         # the last append trims
+            now = 10_000 + 100 * i
+            assert r.serve(now, 50) == reference.serve(now, 50)
+        # [10_000, 10_050) is busy: untrimmed first fit starts the late
+        # request at 10_050, but the trimmed calendar no longer holds
+        # that interval and starts it at 10_000.
+        assert reference.serve(10_000, 50) - 50 == 10_050
+        assert r.serve(10_000, 50) - 50 == 10_050
+
     @settings(deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 10**3)),
                     min_size=1, max_size=150))
@@ -393,6 +408,26 @@ class TestBackfill:
         intervals.sort()
         for (s0, e0), (s1, e1) in zip(intervals, intervals[1:]):
             assert e0 <= s1
+
+
+class UntrimmedFirstFit:
+    """First-fit placement over every busy interval ever booked."""
+
+    def __init__(self) -> None:
+        self.busy: list[tuple[int, int]] = []
+
+    def serve(self, now_fs: int, service_fs: int) -> int:
+        start = now_fs
+        for lo, hi in self.busy:          # sorted and disjoint
+            if hi <= start:
+                continue
+            if lo - start >= service_fs:
+                break
+            start = hi
+        if service_fs:
+            self.busy.append((start, start + service_fs))
+            self.busy.sort()
+        return start + service_fs
 
 
 class FirstFitOracle:

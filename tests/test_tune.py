@@ -58,7 +58,7 @@ _points = (st.tuples(*(st.sampled_from(DEFAULT_VALUES[axis]) for axis in AXES))
 _enum_overrides = st.fixed_dictionaries({}, optional={
     "coherence": member_or_value(CoherenceKind),
     **{f"{block}.write_policy": member_or_value(WritePolicy)
-       for block in ("icache", "l1", "stream_l1", "l2")},
+       for block in ("l1", "stream_l1")},
 })
 
 
