@@ -119,14 +119,14 @@ class _Connection:
         if not self.closed:
             await self.queue.put(line)
 
-    def send_tick(self, frame: dict) -> None:
-        """Enqueue a droppable progress tick; lagging watchers lose
-        ticks (counted in ``events_dropped``) instead of growing an
-        unbounded buffer or stalling the server."""
+    def send_tick(self, line: bytes) -> None:
+        """Enqueue a droppable progress tick, already encoded; lagging
+        watchers lose ticks (counted in ``events_dropped``) instead of
+        growing an unbounded buffer or stalling the server."""
         if self.closed:
             return
         try:
-            self.queue.put_nowait(protocol.encode(frame))
+            self.queue.put_nowait(line)
         except asyncio.QueueFull:
             self.stats.events_dropped += 1
 
@@ -535,13 +535,15 @@ class ReproServer:
     # -- progress fan-out ------------------------------------------------
 
     def _broadcast(self, event: str, **extra) -> None:
-        """Send one droppable progress tick to every watcher."""
+        """Send one droppable progress tick, encoded once, to every
+        watcher."""
         if not self._watchers:
             return
         frame = self._progress.event_payload(event, **extra)
         frame["type"] = "progress"
+        line = protocol.encode(frame)
         for conn in list(self._watchers):
-            conn.send_tick(frame)
+            conn.send_tick(line)
 
 
 __all__ = ["ReproServer"]

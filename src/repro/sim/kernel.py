@@ -48,13 +48,13 @@ class EventQueue:
     __slots__ = ("_heap", "_seq")
 
     def __init__(self) -> None:
-        self._heap: list[tuple[int, int, Callable[[], None]]] = []
+        self._heap: list[tuple[int, int, Callable[[], int | None]]] = []
         self._seq = 0
 
     def __len__(self) -> int:
         return len(self._heap)
 
-    def schedule(self, time_fs: int, callback: Callable[[], None]) -> None:
+    def schedule(self, time_fs: int, callback: Callable[[], int | None]) -> None:
         """Schedule ``callback`` to fire at ``time_fs``.
 
         Timestamps must be integers (femtoseconds): floats happen to
@@ -84,6 +84,12 @@ class Simulator:
     Components schedule work with :meth:`at` (absolute time) or
     :meth:`after` (relative to the current clock).  :meth:`run` drains the
     queue, advancing the clock monotonically.
+
+    A callback returns None or a time to dispatch it again at: the
+    kernel re-queues it behind the events already queued for that time,
+    as a closing :meth:`at` call would, and raises
+    :class:`SimulationError` for a time in the past.  A core's coroutine
+    (:mod:`repro.core.processor`) resumes this way at quantum expiry.
     """
 
     def __init__(self, max_events: int | None = None) -> None:
@@ -98,7 +104,7 @@ class Simulator:
         #: observational: event order and timestamps never change.
         self.observers: list[Callable[[int], None]] = []
 
-    def at(self, time_fs: int, callback: Callable[[], None]) -> None:
+    def at(self, time_fs: int, callback: Callable[[], int | None]) -> None:
         """Schedule ``callback`` at absolute time ``time_fs``.
 
         Scheduling in the past is a programming error and raises
@@ -111,7 +117,7 @@ class Simulator:
             )
         self.queue.schedule(time_fs, callback)
 
-    def after(self, delay_fs: int, callback: Callable[[], None]) -> None:
+    def after(self, delay_fs: int, callback: Callable[[], int | None]) -> None:
         """Schedule ``callback`` ``delay_fs`` femtoseconds from now."""
         if delay_fs < 0:
             raise SimulationError(f"negative delay {delay_fs}")
@@ -127,14 +133,12 @@ class Simulator:
 
         The boundary-stepping primitive of the metrics sampler
         (:meth:`repro.obs.MetricsSampler.drive`), under the same (time,
-        insertion order) dispatch rule as :meth:`run`; the processor
-        fast path does not step with it, it only reads
-        :meth:`EventQueue.peek_time`.  Events scheduled *at* the
-        boundary fire (ties in insertion order, exactly as in a full
-        :meth:`run`); the clock ends on the last processed event and
-        never moves backwards.  Returns the number of events processed
-        (zero for an empty queue or a boundary before the earliest
-        event).
+        insertion order) dispatch rule as :meth:`run`.  Events
+        scheduled *at* the boundary fire (ties in insertion order,
+        exactly as in a full :meth:`run`); the clock ends on the last
+        processed event and never moves backwards.  Returns the number
+        of events processed (zero for an empty queue or a boundary
+        before the earliest event).
         """
         if type(time_fs) is not int:
             raise SimulationError(
@@ -148,13 +152,15 @@ class Simulator:
         if self._running:
             raise SimulationError("Simulator.run is not reentrant")
         self._running = True
-        processed = 0
+        first = self.events_processed
         # Alias the hot state out of the loop and pop the heap directly
         # (the loop condition keeps it non-empty).  The observer list is
         # aliased, not copied, so an observer attached mid-run sees the
         # next event.
-        heap = self.queue._heap
+        queue = self.queue
+        heap = queue._heap
         heappop = heapq.heappop
+        heappush = heapq.heappush
         observers = self.observers
         max_events = self._max_events
         try:
@@ -165,17 +171,21 @@ class Simulator:
                         observer(time_fs)
                 if time_fs < self.now:
                     raise SimulationError(
-                        f"time went backwards: {time_fs} < {self.now}"
-                    )
+                        f"time went backwards: {time_fs} < {self.now}")
                 self.now = time_fs
-                callback()
-                processed += 1
+                again = callback()
+                if again is not None:
+                    if again < time_fs:
+                        raise SimulationError(
+                            f"callback re-queued in the past: {again} < "
+                            f"now {time_fs}")
+                    heappush(heap, (again, queue._seq, callback))
+                    queue._seq += 1
                 self.events_processed += 1
                 if max_events is not None and self.events_processed > max_events:
                     raise SimulationError(
                         f"exceeded max_events={self._max_events}; "
-                        "likely a livelocked workload"
-                    )
+                        "likely a livelocked workload")
         finally:
             self._running = False
-        return processed
+        return self.events_processed - first

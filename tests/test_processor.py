@@ -1,5 +1,7 @@
 """Processor interpreter: op handling, stall attribution, accounting."""
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -8,6 +10,7 @@ import pytest
 
 from repro.config import MachineConfig
 from repro.core.ops import (
+    barrier_wait,
     compute,
     dma_get,
     dma_put,
@@ -16,12 +19,17 @@ from repro.core.ops import (
     load,
     local_load,
     local_store,
+    lock_acquire,
+    lock_release,
     pfs_store,
     store,
 )
+from repro.core.sync import Barrier, Lock
 from repro.core.system import CmpSystem
+from repro.obs import KernelEventRecorder
 from repro.sim.kernel import SimulationError
 from repro.units import ns_to_fs
+from repro.workloads import get_workload
 from repro.workloads.base import Program
 
 
@@ -180,6 +188,101 @@ class TestDeadlockDetection:
         system = CmpSystem(cfg, Program("test", [thread]))
         with pytest.raises(SimulationError, match="deadlock"):
             system.run()
+
+
+class TestCoroutine:
+    """The core as a coroutine the kernel resumes."""
+
+    def test_waking_a_finished_core_raises_naming_it(self):
+        p, _ = run_single([compute(100)])
+        finish_fs, sync_fs = p.finish_fs, p.sync_fs
+        with pytest.raises(SimulationError, match="core 0: woken after"):
+            p.wake(finish_fs + 10**6)
+        assert (p.finish_fs, p.sync_fs) == (finish_fs, sync_fs)
+
+    def test_finished_core_drops_its_callback(self):
+        p, _ = run_single([compute(5000)], quantum_cycles=50)
+        assert p.done and p._resume is None
+
+    def test_quantum_expiry_requeues_the_core(self, monkeypatch):
+        # The fast path off: every op ends a 50-cycle quantum, so the
+        # start is followed by one re-dispatch per op.
+        monkeypatch.setenv("REPRO_FASTPATH", "0")
+        _, result = run_single([compute(50)] * 20, quantum_cycles=50)
+        assert result.stats["sim.events"] == 1 + 20
+
+
+def lock_program() -> Program:
+    """Four cores contending for one lock, a barrier between rounds."""
+    lock = Lock()
+    rounds = Barrier(4)
+
+    def thread(env):
+        base = 0x10000 * (env.core_id + 1)
+        for r in range(3):
+            yield compute(50 * (env.core_id + 1))
+            yield lock_acquire(lock)
+            yield load(0x100, 64)
+            yield compute(300)
+            yield store(0x100, 64)
+            yield lock_release(lock)
+            yield load(base + r * 256, 256)
+            yield barrier_wait(rounds)
+
+    return Program("locks", [thread] * 4)
+
+
+class TestEventStream:
+    """``sim.events`` and every dispatch time, pinned in both modes.
+
+    Each digest is the sha256 of the run's ``KernelEventRecorder`` spans
+    at ``coalesce_fs=0`` (the dispatch times, run-length encoded),
+    recorded when a core re-queued itself with a closing ``sim.at``
+    call: re-queuing through the callback's return value must queue
+    exactly the same events.  ``REPRO_BLOCKS`` moves neither value.
+    """
+
+    PINS = {
+        ("bitonic-cc-4", "1"): (1681, "bc1b44c8c41e38ab1599ba52664745b9"
+                                      "a330fbcdb4f740463984217bfd150a65"),
+        ("bitonic-cc-4", "0"): (1682, "9736cac38dbae921c22ad6fe35b1d92f"
+                                      "d5573e80612508030a500888413a53c1"),
+        ("fir-str-4", "1"): (72, "068fb44895709d5c835eab095b04c00b"
+                                 "0cdd480cf2ba77ac5409e16e83583f48"),
+        ("fir-str-4", "0"): (72, "068fb44895709d5c835eab095b04c00b"
+                                 "0cdd480cf2ba77ac5409e16e83583f48"),
+        ("locks", "1"): (45, "f79f96725fad649cb7ac4def869bfcb0"
+                             "2d3d559c56f524ecd7a8fe1095b8b902"),
+        ("locks", "0"): (50, "1973da62b53a8b24958599de14b1e938"
+                             "2af804f165b7e7b814af1911ed545f6f"),
+    }
+
+    @pytest.mark.parametrize("case,fastpath", sorted(PINS))
+    def test_event_stream_matches_pin(self, monkeypatch, case, fastpath):
+        monkeypatch.setenv("REPRO_FASTPATH", fastpath)
+        if case == "locks":
+            system = CmpSystem(MachineConfig(num_cores=4), lock_program())
+        else:
+            name, model, cores = case.split("-")
+            cfg = MachineConfig(num_cores=int(cores)).with_model(model)
+            system = CmpSystem(cfg, get_workload(name).build(
+                model, cfg, preset="tiny"))
+        woken = []
+        for core in system.processors:
+            def wake(release_fs, wake=core.wake):
+                woken.append(release_fs)
+                wake(release_fs)
+
+            monkeypatch.setattr(core, "wake", wake)
+        with KernelEventRecorder(system.sim, coalesce_fs=0) as kernel:
+            result = system.run()
+        spans = json.dumps(kernel.spans()).encode()
+        events = result.stats["sim.events"]
+        assert (events, hashlib.sha256(spans).hexdigest()) == \
+            self.PINS[case, fastpath]
+        assert sum(span[2] for span in kernel.spans()) == events
+        if case != "fir-str-4":
+            assert woken, "the pinned run never suspended"
 
 
 #: Runs art-cc-16 (small preset, 256 neurons, original layout) and prints

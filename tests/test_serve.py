@@ -225,7 +225,7 @@ class TestJobTable:
         stats = ServerStats()
         conn = _Connection(_FakeWriter(), backpressure=2, stats=stats)
         for n in range(5):
-            conn.send_tick({"type": "progress", "n": n})
+            conn.send_tick(protocol.encode({"type": "progress", "n": n}))
         assert conn.queue.qsize() == 2
         assert stats.events_dropped == 3
 
@@ -651,6 +651,32 @@ class TestFailuresAndDeadlines:
 
 
 class TestWatch:
+    def test_a_tick_is_encoded_once_for_every_watcher(self, monkeypatch):
+        class _FakeWriter:
+            def close(self):
+                pass
+
+        server = ReproServer(jobs=1, log=io.StringIO())
+        watchers = [_Connection(_FakeWriter(), backpressure=8,
+                                stats=server.stats) for _ in range(3)]
+        server._watchers.update(watchers)
+        encoded = []
+        real_encode = protocol.encode
+
+        def counting_encode(frame):
+            encoded.append(frame["event"])
+            return real_encode(frame)
+
+        monkeypatch.setattr(protocol, "encode", counting_encode)
+        server._broadcast("launch", key="k1")
+        server._broadcast("done", key="k1", status="ok")
+        assert encoded == ["launch", "done"]
+        lines = [[conn.queue.get_nowait() for _ in range(2)]
+                 for conn in watchers]
+        assert lines[0] == lines[1] == lines[2]
+        assert [protocol.decode(line)["event"] for line in lines[0]] == [
+            "launch", "done"]
+
     def test_watch_streams_progress_ticks(self, make_server):
         harness = make_server()
         frames = []

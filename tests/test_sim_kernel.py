@@ -237,6 +237,77 @@ class TestDrainUntil:
         assert len(errors) == 1
 
 
+
+class TestRequeue:
+    """A callback's return value: the time to dispatch it again at."""
+
+    @staticmethod
+    def resumer(sim, log, times):
+        """A callback returning each of ``times`` in turn, then None."""
+        pending = iter(times)
+
+        def resume():
+            log.append(("resume", sim.now))
+            return next(pending, None)
+
+        return resume
+
+    def test_returned_time_dispatches_the_callback_again(self):
+        sim, log = Simulator(), []
+        sim.at(10, self.resumer(sim, log, [25, 40]))
+        sim.run()
+        assert log == [("resume", 10), ("resume", 25), ("resume", 40)]
+        assert sim.events_processed == 3
+        assert len(sim.queue) == 0
+
+    def test_tie_fires_after_events_queued_before_the_return(self):
+        sim, log = Simulator(), []
+        sim.at(50, lambda: log.append(("early", sim.now)))
+
+        def callback():
+            log.append(("callback", sim.now))
+            if sim.now == 10:
+                sim.at(50, lambda: log.append(("inside", sim.now)))
+                return 50
+            return None
+
+        sim.at(10, callback)
+        sim.run()
+        # The re-queue takes the next insertion sequence: it fires after
+        # both events queued at 50 before it, like a closing at() call.
+        assert log == [("callback", 10), ("early", 50), ("inside", 50),
+                       ("callback", 50)]
+
+    def test_returned_time_in_the_past_raises(self):
+        sim = Simulator()
+        sim.at(10, lambda: 9)
+        with pytest.raises(SimulationError, match="past"):
+            sim.run()
+
+    def test_returning_now_is_allowed(self):
+        sim, log = Simulator(), []
+        sim.at(10, self.resumer(sim, log, [10]))
+        sim.run()
+        assert log == [("resume", 10), ("resume", 10)]
+
+    def test_drain_until_stops_with_the_requeued_callback_pending(self):
+        sim, log = Simulator(), []
+        sim.at(10, self.resumer(sim, log, [20, 30, 40]))
+        assert sim.drain_until(25) == 2
+        assert log == [("resume", 10), ("resume", 20)]
+        assert sim.now == 20
+        assert sim.queue.peek_time() == 30
+        assert sim.drain_until(100) == 2
+        assert log[2:] == [("resume", 30), ("resume", 40)]
+
+    def test_max_events_counts_redispatches(self):
+        sim = Simulator(max_events=10)
+        sim.at(0, lambda: sim.now + 1)
+        with pytest.raises(SimulationError, match="max_events"):
+            sim.run()
+        assert sim.events_processed == 11
+
+
 class TestOccupancyResource:
     def test_idle_resource_serves_immediately(self):
         r = OccupancyResource("r", latency_fs=10)
