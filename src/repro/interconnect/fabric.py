@@ -21,8 +21,8 @@ class _Link(OccupancyResource):
     reserve its result with :meth:`OccupancyResource.serve`, or with an
     inline copy of its tail branches, and add the bytes they carry to
     ``bytes_moved``.  The cycle must round to at least 1 fs, so every
-    service time is positive, which the miss walk's inline tail
-    appends assume.
+    service time is positive, which the inline tail copies of the miss
+    walk and the write-back assume.
     """
 
     __slots__ = ("width_bytes", "cycle_fs", "bytes_moved")

@@ -29,6 +29,16 @@ from repro.mem.coherence import MesiState
 from repro.sim.resources import _TRIM_AT, trim
 
 
+_MODIFIED = MesiState.MODIFIED
+
+
+def _hop(link, line_bytes: int) -> tuple:
+    """A data hop of a granule route: the link, its latency, its
+    calendar lists and its whole-line service time."""
+    return (link, link.latency_fs, link._starts, link._ends,
+            link.service_fs(line_bytes))
+
+
 class DmaEngine:
     """One core's DMA engine."""
 
@@ -42,6 +52,22 @@ class DmaEngine:
         self._line_shift = line_bytes.bit_length() - 1
         self._engine_free = 0
         self._window: deque[int] = deque(maxlen=config.dma_max_outstanding)
+        # The granule loops' routes, built once per engine: the L2 and
+        # its banks (every bank has the same service time and latency),
+        # then the links a granule crosses.  The loops write the
+        # calendar lists in place; trim and serve keep their identity.
+        banks = uncore.l2_banks
+        l2 = (uncore.l2._sets, uncore.l2._set_mask, uncore.l2_miss, banks,
+              len(banks), uncore._l2_service_fs, banks[0].latency_fs,
+              [bank._starts for bank in banks], [bank._ends for bank in banks])
+        bus = uncore.buses[cluster_id]
+        up = uncore.xbar.up[cluster_id]
+        self._get_route = (
+            l2 + (up, up.cycle_fs, up.latency_fs, up._starts, up._ends)
+            + _hop(uncore.xbar.down[cluster_id], line_bytes)
+            + _hop(bus.resp, line_bytes))
+        self._put_route = (l2 + _hop(bus.req, line_bytes)
+                           + _hop(up, line_bytes))
         self.commands = 0
         self.bytes_read = 0
         self.bytes_written = 0
@@ -105,13 +131,16 @@ class DmaEngine:
     # and a put granule three (cluster bus request -> crossbar up port
     # -> L2 bank).  DMA commands execute atomically inside one processor
     # event -- no other actor can interleave mid-command -- so each loop
-    # hoists the calendars once per command and serves every granule
-    # with inline copies of OccupancyResource.serve's two calendar-tail
-    # branches (arrival at or after the tail; arrival inside the last
-    # busy interval), folding the busy / wait / request counters into
-    # each resource after the command.  The copies stay inline because
-    # a method call per calendar per granule is the cost these loops
-    # exist to remove.  An append that fills a calendar to _TRIM_AT
+    # unpacks its route (built once per engine, in __init__) and serves
+    # every granule with inline copies of OccupancyResource.serve's two
+    # calendar-tail branches (arrival at or after the tail; arrival
+    # inside the last busy interval), folding the busy / wait / request
+    # counters into each resource after the command.  The copies stay
+    # inline because a method call per calendar per granule is the cost
+    # these loops exist to remove; the route is built per engine because
+    # re-reading a dozen attributes per command was most of a short
+    # command's fixed cost.  _granules validates a command before the
+    # engine counts it.  An append that fills a calendar to _TRIM_AT
     # calls sim.resources.trim, the one routine that drops intervals,
     # as serve does; only that rare branch pays a call.  A backfill
     # arrival (one landing before a calendar's last interval) calls the
@@ -131,33 +160,14 @@ class DmaEngine:
         miss moves only the requested bytes from DRAM and allocates
         nothing (Section 2.3).
         """
+        granules, count = self._granules(addr, nbytes, stride, block)
         self.commands += 1
         self.bytes_read += nbytes
-        granules, count = self._granules(addr, nbytes, stride, block)
         start = max(now_fs, self._engine_free)
-        u = self.uncore
-        sets = u.l2._sets
-        smask = u.l2._set_mask
-        l2_miss = u.l2_miss
-        banks = u.l2_banks
-        nb = len(banks)
-        cl = self.cluster_id
-        xc = u.xbar.up[cl]
-        xd = u.xbar.down[cl]
-        br = u.buses[cl].resp
-        # Per-resource constants and calendars, hoisted once.  Every
-        # bank has the same service time and latency.
-        xc_s = xc.cycle_fs
-        xc_lat = xc.latency_fs
-        xc_starts, xc_ends = xc._starts, xc._ends
-        bk_s = u._l2_service_fs
-        bk_lat = banks[0].latency_fs
-        bk_starts_of = [bank._starts for bank in banks]
-        bk_ends_of = [bank._ends for bank in banks]
-        xd_lat = xd.latency_fs
-        xd_starts, xd_ends = xd._starts, xd._ends
-        br_lat = br.latency_fs
-        br_starts, br_ends = br._starts, br._ends
+        (sets, smask, l2_miss, banks, nb, bk_s, bk_lat, bk_starts_of,
+         bk_ends_of, xc, xc_s, xc_lat, xc_starts, xc_ends, xd, xd_lat,
+         xd_starts, xd_ends, xd_s, br, br_lat, br_starts, br_ends,
+         br_s) = self._get_route
         # Inline tallies: backfills per link (serve counts its own),
         # busy time on the size-dependent links, per-bank requests.
         xc_bf = xd_bf = br_bf = 0
@@ -165,7 +175,7 @@ class DmaEngine:
         xd_busy = br_busy = 0
         bk_n = [0] * nb
         bk_wait = [0] * nb
-        size_now = xd_s = br_s = 0
+        size_now = self.line_bytes
         hits = 0
         window = self._window
         win = window.maxlen
@@ -285,9 +295,10 @@ class DmaEngine:
         xc.requests += count - xc_bf
         xc.wait_fs += xc_wait
         for bank, n, wait in zip(banks, bk_n, bk_wait):
-            bank.busy_fs += n * bk_s
-            bank.requests += n
-            bank.wait_fs += wait
+            if n:
+                bank.busy_fs += n * bk_s
+                bank.requests += n
+                bank.wait_fs += wait
         xd.busy_fs += xd_busy
         xd.requests += count - xd_bf
         xd.wait_fs += xd_wait
@@ -296,8 +307,9 @@ class DmaEngine:
         br.wait_fs += br_wait
         xd.bytes_moved += nbytes
         br.bytes_moved += nbytes
-        u.l2_reads += count
-        u.l2_read_hits += hits
+        uncore = self.uncore
+        uncore.l2_reads += count
+        uncore.l2_read_hits += hits
         self._engine_free = done
         for observer in self.observers:
             observer("get", self, addr, nbytes, stride, block, now_fs, start,
@@ -317,35 +329,20 @@ class DmaEngine:
         cover their lines, so the data stays on chip for later reuse and
         reaches DRAM once, on eviction, instead of as narrow writes.
         """
+        granules, count = self._granules(addr, nbytes, stride, block)
         self.commands += 1
         self.bytes_written += nbytes
-        granules, count = self._granules(addr, nbytes, stride, block)
         start = max(now_fs, self._engine_free)
-        u = self.uncore
-        sets = u.l2._sets
-        smask = u.l2._set_mask
-        l2_miss = u.l2_miss
-        banks = u.l2_banks
-        nb = len(banks)
-        cl = self.cluster_id
-        bq = u.buses[cl].req
-        xu = u.xbar.up[cl]
-        bq_lat = bq.latency_fs
-        bq_starts, bq_ends = bq._starts, bq._ends
-        xu_lat = xu.latency_fs
-        xu_starts, xu_ends = xu._starts, xu._ends
-        bk_s = u._l2_service_fs
-        bk_lat = banks[0].latency_fs
-        bk_starts_of = [bank._starts for bank in banks]
-        bk_ends_of = [bank._ends for bank in banks]
+        (sets, smask, l2_miss, banks, nb, bk_s, bk_lat, bk_starts_of,
+         bk_ends_of, bq, bq_lat, bq_starts, bq_ends, bq_s, xu, xu_lat,
+         xu_starts, xu_ends, xu_s) = self._put_route
         bq_bf = xu_bf = 0
         bq_wait = xu_wait = 0
         bq_busy = xu_busy = 0
         bk_n = [0] * nb
         bk_wait = [0] * nb
-        size_now = bq_s = xu_s = 0
+        size_now = self.line_bytes
         hits = 0
-        modified = MesiState.MODIFIED
         window = self._window
         win = window.maxlen
         append = window.append
@@ -433,7 +430,7 @@ class DmaEngine:
             cache_set = sets[line & smask]
             if line in cache_set:
                 cache_set.move_to_end(line)
-                cache_set[line] = modified
+                cache_set[line] = _MODIFIED
                 hits += 1
             else:
                 t = l2_miss(line, t, size, True)
@@ -447,13 +444,15 @@ class DmaEngine:
         xu.requests += count - xu_bf
         xu.wait_fs += xu_wait
         for bank, n, wait in zip(banks, bk_n, bk_wait):
-            bank.busy_fs += n * bk_s
-            bank.requests += n
-            bank.wait_fs += wait
+            if n:
+                bank.busy_fs += n * bk_s
+                bank.requests += n
+                bank.wait_fs += wait
         bq.bytes_moved += nbytes
         xu.bytes_moved += nbytes
-        u.l2_writes += count
-        u.l2_write_hits += hits
+        uncore = self.uncore
+        uncore.l2_writes += count
+        uncore.l2_write_hits += hits
         self._engine_free = done
         for observer in self.observers:
             observer("put", self, addr, nbytes, stride, block, now_fs, start,

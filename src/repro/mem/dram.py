@@ -79,22 +79,33 @@ class DramChannel:
             (addr // self._interleave) % len(self._channels)
         channel = self._channels[index]
         service = num_bytes * channel.fs_per_byte
-        # The channel's serve, tail append inline: an arrival strictly
-        # after the last busy interval, with a positive service time,
-        # opens a new interval.  Every other request (an empty
-        # calendar, a touching merge, one inside or before the last
-        # interval, zero or negative bytes) calls serve.  The channels
-        # carry no pipeline latency.
+        # The channel's serve, both tail branches inline: an arrival at
+        # or after the last busy interval (appending, or merging when it
+        # touches), and one inside it (queueing at its end).  A backfill
+        # before the last interval and zero or negative bytes call
+        # serve.  The channels carry no pipeline latency.
         ends = channel._ends
-        if service > 0 and ends and now_fs > ends[-1]:
+        if service <= 0:
+            done = channel.serve(now_fs, service)
+        elif not ends or now_fs >= ends[-1]:
             channel.busy_fs += service
             channel.requests += 1
-            starts = channel._starts
-            starts.append(now_fs)
             done = now_fs + service
-            ends.append(done)
-            if len(starts) >= _TRIM_AT:
-                trim(starts, ends)
+            if ends and ends[-1] == now_fs:
+                ends[-1] = done
+            else:
+                starts = channel._starts
+                starts.append(now_fs)
+                ends.append(done)
+                if len(starts) >= _TRIM_AT:
+                    trim(starts, ends)
+        elif now_fs >= channel._starts[-1]:
+            channel.busy_fs += service
+            channel.requests += 1
+            done = ends[-1]
+            channel.wait_fs += done - now_fs
+            done += service
+            ends[-1] = done
         else:
             done = channel.serve(now_fs, service)
         channel.bytes_moved += num_bytes

@@ -21,7 +21,10 @@ line numbers, and receive absolute completion timestamps.  Every L1 fill
 DRAM, install and victim write-back.  Its five per-miss hops (bus
 request, crossbar up, L2 bank, crossbar down, bus response) reserve a
 calendar's common case, an append after the last busy interval, inline;
-every other arrival calls the calendar's ``serve``.  Timing uses
+every other arrival calls the calendar's ``serve``.  The write-back's
+three hops (bus request, crossbar up, ``Uncore.l2_write``'s bank) also
+queue inline behind the last busy interval, and call ``serve`` only to
+backfill.  Timing uses
 occupancy resources, so contention between cores, prefetchers, DMA
 engines, and write-backs emerges naturally.
 """
@@ -77,18 +80,47 @@ class Uncore:
         """Write one full line (an L1 dirty write-back) into the L2.
 
         A miss allocates and validates the line without reading the stale
-        data from memory.
+        data from memory.  The bank port reserves with inline copies of
+        ``OccupancyResource.serve``'s two tail branches (an arrival at or
+        after the last busy interval, one inside it); a backfill calls
+        ``serve``.  The bank service time is one crossbar cycle, so it is
+        positive.
         """
         self.l2_writes += 1
         l2_set = self.l2._sets[line & self.l2._set_mask]
-        sent = self.l2_banks[line % self._num_banks].serve(
-            now_fs, self._l2_service_fs)
+        bank = self.l2_banks[line % self._num_banks]
+        service = self._l2_service_fs
+        t = now_fs
+        ends = bank._ends
+        if not ends or t >= ends[-1]:
+            bank.busy_fs += service
+            bank.requests += 1
+            e = t + service
+            if ends and ends[-1] == t:
+                ends[-1] = e
+            else:
+                starts = bank._starts
+                starts.append(t)
+                ends.append(e)
+                if len(starts) >= _TRIM_AT:
+                    trim(starts, ends)
+            t = e + bank.latency_fs
+        elif t >= bank._starts[-1]:
+            bank.busy_fs += service
+            bank.requests += 1
+            e = ends[-1]
+            bank.wait_fs += e - t
+            e += service
+            ends[-1] = e
+            t = e + bank.latency_fs
+        else:
+            t = bank.serve(t, service)
         if line in l2_set:
             l2_set.move_to_end(line)
             self.l2_write_hits += 1
             l2_set[line] = _MODIFIED
-            return sent
-        return self.l2_miss(line, sent, self.line_bytes, True)
+            return t
+        return self.l2_miss(line, t, self.line_bytes, True)
 
     def l2_miss(self, line: int, sent_fs: int, nbytes: int,
                 write: bool) -> int:
@@ -320,13 +352,69 @@ class CacheCoherentHierarchy:
 
         Every L1 write-back comes here (walk victims, write-through
         stores, flushes, invalidates, :meth:`drain`): bus request,
-        crossbar up, then ``Uncore.l2_write``."""
+        crossbar up, then ``Uncore.l2_write``.  Both link hops reserve
+        with inline copies of ``OccupancyResource.serve``'s two tail
+        branches (an arrival at or after the last busy interval, one
+        inside it), as ``l2_write`` does at the bank; a backfill calls
+        ``serve``.  Write-backs queue behind one another on a saturated
+        uncore, so the inside branch is their common case."""
         self.l1_writebacks += 1
         req, up, _, _, _, _, bus_line, _, xbar_line = self._core_ports[core]
-        req.bytes_moved += self.uncore.line_bytes
-        up.bytes_moved += self.uncore.line_bytes
-        return self.uncore.l2_write(
-            line, up.serve(req.serve(now_fs, bus_line), xbar_line))
+        line_bytes = self.uncore.line_bytes
+        t = now_fs
+        # Bus request, line.
+        req.bytes_moved += line_bytes
+        ends = req._ends
+        if not ends or t >= ends[-1]:
+            req.busy_fs += bus_line
+            req.requests += 1
+            e = t + bus_line
+            if ends and ends[-1] == t:
+                ends[-1] = e
+            else:
+                starts = req._starts
+                starts.append(t)
+                ends.append(e)
+                if len(starts) >= _TRIM_AT:
+                    trim(starts, ends)
+            t = e + req.latency_fs
+        elif t >= req._starts[-1]:
+            req.busy_fs += bus_line
+            req.requests += 1
+            e = ends[-1]
+            req.wait_fs += e - t
+            e += bus_line
+            ends[-1] = e
+            t = e + req.latency_fs
+        else:
+            t = req.serve(t, bus_line)
+        # Crossbar up, line.
+        up.bytes_moved += line_bytes
+        ends = up._ends
+        if not ends or t >= ends[-1]:
+            up.busy_fs += xbar_line
+            up.requests += 1
+            e = t + xbar_line
+            if ends and ends[-1] == t:
+                ends[-1] = e
+            else:
+                starts = up._starts
+                starts.append(t)
+                ends.append(e)
+                if len(starts) >= _TRIM_AT:
+                    trim(starts, ends)
+            t = e + up.latency_fs
+        elif t >= up._starts[-1]:
+            up.busy_fs += xbar_line
+            up.requests += 1
+            e = ends[-1]
+            up.wait_fs += e - t
+            e += xbar_line
+            ends[-1] = e
+            t = e + up.latency_fs
+        else:
+            t = up.serve(t, xbar_line)
+        return self.uncore.l2_write(line, t)
 
     def _walk(self, core: int, line: int, now_fs: int, for_write: bool,
               refill: bool = True, req_fs: int = -1,
@@ -353,7 +441,8 @@ class CacheCoherentHierarchy:
         included) and the presence update.  Peer copies,
         ``Uncore.l2_miss`` (shared with the DMA loops) and
         :meth:`writeback` (about one miss in eight has a dirty victim)
-        stay calls.
+        stay calls; the write-back's hops and the DRAM channel copy
+        both of ``serve``'s tail branches themselves.
         """
         req, up, down, resp, cluster, bus_ctl, bus_line, xbar_ctl, \
             xbar_line = self._core_ports[core]

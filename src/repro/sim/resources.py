@@ -15,10 +15,15 @@ the gap, which is what real arbitration would do.  Intervals are merged
 when they touch and the calendar is bounded, so the common streaming
 case stays O(log n) per request.
 
-The hot callers (the miss walk, the DRAM channel, the DMA granule
-loops) copy ``serve``'s tail branches inline and call ``serve`` for
-everything else; :func:`trim` is the one routine that drops intervals,
-for ``serve`` and every inline copy alike.
+The hot callers copy ``serve``'s tail branches inline and call
+``serve`` for everything else.  The miss walk's five per-miss hops copy
+the strict tail append (an arrival after the last busy interval); the
+DRAM channel, the L1 write-back's bus request and crossbar up hops,
+``Uncore.l2_write``'s bank and the DMA granule loops copy both tail
+branches (an arrival at or after the last interval, appending or
+merging, and one inside it, queueing at its end).  Every backfill calls
+``serve``.  :func:`trim` is the one routine that drops intervals, for
+``serve`` and every inline copy alike.
 """
 
 from __future__ import annotations
@@ -43,9 +48,10 @@ def trim(starts: list[int], ends: list[int]) -> None:
     """Drop a calendar's oldest ``_MAX_INTERVALS`` busy intervals.
 
     The one routine that forgets intervals: ``serve`` and every inline
-    tail copy (the miss walk, the DRAM channel, the DMA granule loops)
-    call it once the calendar holds ``_TRIM_AT`` entries, so only the
-    rare trim pays the call.
+    tail copy (the miss walk, the L1 write-back, the DRAM channel, the
+    DMA granule loops) call it once the calendar holds ``_TRIM_AT``
+    entries, so only the rare trim pays the call.  It deletes in place:
+    each DMA engine's routes hold the lists from construction on.
     """
     del starts[:_MAX_INTERVALS]
     del ends[:_MAX_INTERVALS]

@@ -31,11 +31,13 @@ from repro.core.ops import (
     local_store,
 )
 from repro.core.system import CmpSystem
+from repro.mem.coherence import MesiState
+from repro.mem import dma as dma_module
 from repro.mem.dma import DmaEngine
 from repro.mem.hierarchy import StreamingHierarchy
 from repro.obs import DmaCommandRecorder
 from repro.sim.fastpath import fastpath_enabled
-from repro.sim.resources import OccupancyResource
+from repro.sim.resources import _TRIM_AT, OccupancyResource
 from repro.units import ns_to_fs
 from repro.workloads import get_workload
 from repro.workloads.base import Program
@@ -96,6 +98,30 @@ class TestBlockDecomposition:
         eng, _ = engine_and_uncore()
         with pytest.raises(ValueError):
             eng.get(0, 0x1000, 0)
+
+    @pytest.mark.parametrize("kind", ["get", "put"])
+    @pytest.mark.parametrize("nbytes,stride,block", [
+        (0, 0, None),           # empty
+        (-32, 0, None),         # negative size
+        (-32, 64, 16),          # negative size, strided
+        (64, 64, None),         # strided without a block
+        (64, 64, 0),            # empty block
+        (64, 64, -16),          # negative block
+        (64, 8, 16),            # stride smaller than the block
+        (64, -8, 16),           # backward, smaller than the block
+    ])
+    def test_rejected_command_counts_nothing(self, kind, nbytes, stride,
+                                             block):
+        """A command the engine rejects leaves every counter of the
+        engine, and the machine under it, as it found them."""
+        h = StreamingHierarchy(MachineConfig(num_cores=1).with_model("str"))
+        eng = h.dma_engines[0]
+        eng.get(0, 0x1000, 256)
+        eng.put(0, 0x4000, 128)
+        before = machine_state(h)
+        with pytest.raises(ValueError):
+            getattr(eng, kind)(10**6, 0x1000, nbytes, stride, block)
+        assert machine_state(h) == before
 
 
 class TestPutSemantics:
@@ -227,6 +253,21 @@ class PerGranuleEngine(DmaEngine):
             return sent
         return uncore.dram.access(sent, nbytes, line * self.line_bytes)
 
+    def _write_line(self, line, now_fs):
+        """``Uncore.l2_write`` with its bank reserved through ``serve``:
+        a hit dirties the line, a miss allocates it without a refill."""
+        uncore = self.uncore
+        uncore.l2_writes += 1
+        hit = l2_touch(uncore.l2, line)
+        bank = uncore.l2_banks[line % uncore._num_banks]
+        sent = bank.serve(now_fs, uncore._l2_service_fs)
+        if hit:
+            uncore.l2_write_hits += 1
+            uncore.l2._sets[line & uncore.l2._set_mask][line] = \
+                MesiState.MODIFIED
+            return sent
+        return uncore.l2_miss(line, sent, self.line_bytes, True)
+
     def get(self, now_fs, addr, nbytes, stride=0, block=None):
         self.commands += 1
         self.bytes_read += nbytes
@@ -275,7 +316,7 @@ class PerGranuleEngine(DmaEngine):
             t = _transfer(xbar_up, t, gran_size)
             # The old Uncore.l2_write_partial was l2_write line for
             # line: whole and sub-line puts allocate alike.
-            t = uncore.l2_write(gran_addr // self.line_bytes, t)
+            t = self._write_line(gran_addr // self.line_bytes, t)
             window.append(t)
             done = max(done, t)
         self._engine_free = done
@@ -294,16 +335,21 @@ def with_oracle_engines(h):
     return h
 
 
+def calendars_of(h):
+    """Every link, L2 bank and DRAM channel calendar of ``h``."""
+    u = h.uncore
+    return [*(link for bus in u.buses for link in bus.links()),
+            *u.xbar.links(), *u.l2_banks, *u.dram.channels()]
+
+
 def machine_state(h):
     """Every observable a DMA command can change: each calendar with its
     counters, the L2 contents in LRU order with states, the uncore and
     DRAM counters, and each engine's queue state."""
     u = h.uncore
-    resources = [*(link for bus in u.buses for link in bus.links()),
-                 *u.xbar.links(), *u.l2_banks, *u.dram.channels()]
     calendars = [(r.name, list(r._starts), list(r._ends), r.busy_fs,
                   r.wait_fs, r.requests, getattr(r, "bytes_moved", 0))
-                 for r in resources]
+                 for r in calendars_of(h)]
     lru = [[(line, state, u.l2.fills.get(line))
             for line, state in cache_set.items()]
            for cache_set in u.l2._sets]
@@ -529,6 +575,52 @@ def test_granule_loops_match_per_granule_walk(cores, window, channels,
     plain = with_oracle_engines(StreamingHierarchy(config))
     assert _run_script(looped, script) == _run_script(plain, script)
     assert machine_state(looped) == machine_state(plain)
+
+
+def test_routes_hold_across_mid_command_trims(monkeypatch):
+    """One engine's commands over calendars filled one short of a trim.
+
+    Each engine unpacks calendar lists it took at construction, so a
+    trim inside a command must leave the lists it writes the ones the
+    resources hold.  Every calendar starts with ``_TRIM_AT - 1``
+    separated intervals before the commands' issue time; a dozen
+    commands of every shape, on cold and warm lines, then trim the
+    calendars of the granule loops again and again, and both machines
+    must agree command for command.
+    """
+    config = MachineConfig(
+        num_cores=16,
+        l2=CacheConfig(capacity_bytes=1024, associativity=4),
+        dram=DramConfig(channels=2, interleave_bytes=64),
+    ).with_model("str")
+    looped = StreamingHierarchy(config)
+    plain = with_oracle_engines(StreamingHierarchy(config))
+    for h in (looped, plain):
+        for resource in calendars_of(h):
+            for i in range(_TRIM_AT - 1):
+                start = (resource._ends[-1] if resource._ends else 0) \
+                    + 1 + i % 50
+                resource.serve(start, 10 + i % 7)
+    assert machine_state(looped) == machine_state(plain)
+    # The loops' own trims: the commands that were running at each.
+    engine = looped.dma_engines[0]
+    trims = []
+    trim = dma_module.trim
+
+    def counting_trim(starts, ends):
+        trims.append(engine.commands)
+        trim(starts, ends)
+
+    monkeypatch.setattr(dma_module, "trim", counting_trim)
+    now = ns_to_fs(1000)
+    for i, shape in enumerate(SHAPES * 2):
+        kind = ("get", "put")[i % 2]
+        command = _command(shape, 7 * i % 96, 24, 5 + i, i % 3)
+        results = [getattr(h.dma_engines[0], kind)(now, *command)
+                   for h in (looped, plain)]
+        assert results[0] == results[1]
+        assert machine_state(looped) == machine_state(plain)
+    assert len(set(trims)) > 1      # trims inside more than one command
 
 
 def run_threads(*threads, **cfg_kwargs):

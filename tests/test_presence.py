@@ -3,14 +3,15 @@
 ``CacheCoherentHierarchy._walk`` serves every L1 fill in one body, with
 inline copies of the peer probe's charges, the L2 hit, the L1 install,
 the presence update and the calendar tail append of its five per-miss
-hops; every L1 write-back goes through ``writeback``.  The reference
-walker below is the chain that body replaced, kept standalone:
-``_fetch`` over its own ``control`` / ``transfer`` link helpers,
-``l2_read`` / ``l2_write`` / ``l2_miss`` / ``_evict``, ``_install``
-through ``SetAssocCache.insert`` and ``writeback``, with the full peer
-scan (every peer in broadcast mode, the exact sharer set in directory
-mode) instead of the presence map, and prefetch walks that index the
-uncore's ports per line.  Every hop of the reference reserves through
+hops; every L1 write-back goes through ``writeback``, whose two link
+hops and ``Uncore.l2_write``'s bank take ``serve``'s two tail branches
+inline.  The reference walker below is the chain that body replaced,
+kept standalone: ``_fetch`` over its own ``control`` / ``transfer``
+link helpers, ``l2_read`` / ``l2_write`` / ``l2_miss`` / ``_evict``,
+``_install`` through ``SetAssocCache.insert`` and ``writeback``, with
+the full peer scan (every peer in broadcast mode, the exact sharer set
+in directory mode) instead of the presence map, and prefetch walks that
+index the uncore's ports per line.  Every hop of the reference reserves through
 ``OccupancyResource.serve``.
 
 Before the script, every link, L2 bank and DRAM channel of both
@@ -26,7 +27,7 @@ presence map must also match L1 residency after every op.
 
 from dataclasses import replace
 
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from repro import MachineConfig
@@ -400,6 +401,14 @@ def _trace(cls, config, l1_config, ops, prefill=0):
        write_through=st.booleans(), tiny_l2=st.booleans(),
        prefill=st.sampled_from(PREFILLS),
        ops=st.lists(op_strategy, min_size=30, max_size=100))
+# Write-through stores of cores 0, 4 and 8 (three clusters) at one
+# instant: each write-back crosses its own cluster's bus and crossbar
+# port, and all reach L2 bank 0 together, so the later ones queue
+# inside the first's interval there, a case random scripts rarely draw.
+@example(hierarchy="cc", coherence=CoherenceKind.BROADCAST, cores=16,
+         line_bytes=32, write_through=True, tiny_l2=False, prefill=0,
+         ops=[("store", 0, 4, 0, 1), ("store", 4, 8, 0, 0),
+              ("store", 8, 12, 0, 0)] * 10)
 def test_flat_walk_matches_method_chain(hierarchy, coherence, cores,
                                         line_bytes, write_through, tiny_l2,
                                         prefill, ops):

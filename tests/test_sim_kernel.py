@@ -2,7 +2,7 @@
 
 The calendar tests end with a differential test of ``serve`` against
 the two-method calendar it replaced, and one of ``DramChannel.access``
-(whose tail append is inline) against the same access built on
+(whose two tail branches are inline) against the same access built on
 ``serve``.
 """
 
@@ -21,7 +21,7 @@ from repro.sim import (
     Simulator,
     ThroughputResource,
 )
-from repro.sim.resources import _MAX_INTERVALS, _TRIM_AT
+from repro.sim.resources import _MAX_INTERVALS, _TRIM_AT, trim
 from repro.units import ns_to_fs
 
 
@@ -451,6 +451,25 @@ class TestBackfill:
         # calendar floats between _MAX_INTERVALS and twice that.
         assert len(r._starts) < 2 * _MAX_INTERVALS
 
+    def test_serve_and_trim_keep_the_calendar_lists(self):
+        """Each DMA engine's routes hold a calendar's ``_starts`` and
+        ``_ends`` lists from construction on, so every branch of
+        ``serve`` and ``trim`` must edit them in place."""
+        r = OccupancyResource("r")
+        starts, ends = r._starts, r._ends
+        for i in range(3 * _TRIM_AT):     # tail appends, several trims
+            r.serve(i * 100, 10)
+        r.serve(r._ends[-1], 10)          # touching merge at the tail
+        r.serve(r._ends[-1] - 5, 10)      # inside the last interval
+        r.serve(r._starts[-2] - 20, 5)    # backfill, a mid-list insert
+        held = len(r._starts)
+        gap = r._ends[-4]                 # backfill filling a whole gap:
+        r.serve(gap, r._starts[-3] - gap)  # merges both neighbours
+        assert len(r._starts) == held - 1
+        trim(r._starts, r._ends)
+        assert r._starts is starts and r._ends is ends
+        assert r.backfills == 2
+
     @pytest.mark.xfail(strict=True, reason=(
         "ROADMAP 'Calendars that never double-book': the trim drops busy "
         "intervals that a later arrival can still land on"))
@@ -744,8 +763,8 @@ dram_request_strategy = st.tuples(
        script=st.lists(dram_request_strategy, min_size=1, max_size=80))
 def test_dram_access_matches_serve_reference(channels, banked, prefill,
                                              script):
-    """``DramChannel.access``, whose tail append is inline, against the
-    same access reserving through ``serve``.
+    """``DramChannel.access``, whose two tail branches are inline,
+    against the same access reserving through ``serve``.
 
     Arrivals land at, after, inside and before the addressed channel's
     calendar; sizes include zero bytes and a negative size, which must
