@@ -17,6 +17,7 @@ value object that can be
 from __future__ import annotations
 
 import enum
+import json
 import threading
 from dataclasses import dataclass
 
@@ -31,6 +32,9 @@ _KEY_MEMO_ENTRIES = 4096
 #: ``repro.__version__``, and the last two are fixed within a process.
 _key_memo: dict[str, str] = {}
 _key_memo_lock = threading.Lock()
+
+#: ``keys.canonical_json`` for a value that is already canonical.
+_identity = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 @dataclass(frozen=True)
@@ -129,9 +133,11 @@ class RunSpec:
         Deriving it expands and hashes the whole :class:`MachineConfig`,
         so it is memoised per process by the spec's value: the canonical
         JSON of :meth:`to_dict`, which tells ``1``, ``1.0`` and ``True``
-        apart and ignores dict order, as the key does.
+        apart and ignores dict order, as the key does.  ``to_dict`` is
+        already canonical (:func:`keys.jsonable`), so one sorted dump
+        gives :func:`keys.canonical_json`'s text without a second pass.
         """
-        identity = keys.canonical_json(self.to_dict())
+        identity = _identity(self.to_dict())
         key = _key_memo.get(identity)
         if key is None:
             key = self._derive_content_key()

@@ -89,10 +89,15 @@ class ServeClient:
         self._sock.sendall(protocol.encode(frame))
 
     def _recv(self) -> dict:
+        """The next frame; an ``error`` frame answering no request (a
+        line the server could not read) raises :class:`ServeError`."""
         line = self._file.readline()
         if not line:
             raise ConnectionError("server closed the connection")
-        return protocol.decode(line)
+        frame = protocol.decode(line)
+        if frame["type"] == "error" and frame.get("id") is None:
+            raise ServeError(frame["message"])
+        return frame
 
     def _request(self, kind: str, **fields) -> dict:
         """Send one request; returns its id."""

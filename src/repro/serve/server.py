@@ -21,6 +21,11 @@ One :class:`ReproServer` owns
   while global ``progress`` ticks for ``watch`` subscribers are
   droppable and are counted, not buffered, when a watcher lags.
 
+A submission whose every spec is a hit-table hit is answered in the
+loop turn that read its line: no task, no hop through the sender.  Any
+other submission, and one whose answer does not fit the connection's
+queue, continues on a task.
+
 Every outcome line, hit or run, ok or failed, is cut from one
 :class:`~repro.serve.protocol.EncodedOutcome` per settled record: a
 store hit's lives in the hit table, a run's is shared by every
@@ -65,6 +70,12 @@ from repro.serve.jobs import JobTable, ServerStats
 #: resubmit must re-run.
 _HIT_MEMO_ENTRIES = 1024
 
+#: Longest request line, in bytes, a connection reads (the stream limit
+#: handed to asyncio).  A submit carries each spec as about 200 bytes of
+#: JSON, so this holds sweeps of tens of thousands of specs; a longer
+#: line is answered with an ``error`` frame and the connection closes.
+_LINE_LIMIT = 16 * 2**20
+
 #: Workers start by spawn: the server process carries an event loop and
 #: helper threads, which fork(2) would duplicate into workers.
 _SPAWN = multiprocessing.get_context("spawn")
@@ -98,6 +109,34 @@ def _read_encoded(store: ResultStore, spec: RunSpec,
     return protocol.EncodedOutcome(outcome)
 
 
+def _counts(hits: int, runs: int, shared: int) -> dict:
+    """A submission's running tally, in ``done_frame``'s field names."""
+    return {"ok": 0, "failed": 0, "hits": hits, "runs": runs,
+            "shared": shared}
+
+
+def _outcome_line(rid, counts: dict, encoded: protocol.EncodedOutcome,
+                  spec: RunSpec, source: str) -> bytes:
+    """One outcome line: the path of every hit and every run.
+
+    Its ``seq`` is the number of outcomes the submission has sent.
+    """
+    seq = counts["ok"] + counts["failed"]
+    counts[encoded.status] += 1
+    return encoded.line(rid, seq, source, spec)
+
+
+def _head(rid, total: int, unique: int, hits: list,
+          counts: dict) -> list[bytes]:
+    """A submission's ``accepted`` line and its hits' outcome lines."""
+    lines = [protocol.encode(protocol.accepted_frame(
+        rid, total=total, unique=unique, hits=counts["hits"],
+        misses=counts["runs"], shared=counts["shared"]))]
+    for encoded, spec in hits:
+        lines.append(_outcome_line(rid, counts, encoded, spec, "store"))
+    return lines
+
+
 class _Connection:
     """One client connection: a bounded outbound queue + sender task."""
 
@@ -118,6 +157,27 @@ class _Connection:
         """:meth:`send` for a frame already encoded."""
         if not self.closed:
             await self.queue.put(line)
+
+    def send_now(self, lines: list[bytes]) -> bool:
+        """Send mandatory frames without waiting; False sends nothing.
+
+        With nothing queued and nothing buffered in the transport, the
+        lines go straight to the transport in one write; otherwise they
+        are queued behind what is there, if the queue has room for all
+        of them.  False means it has not: the caller must :meth:`send`
+        them, so backpressure and frame order hold.
+        """
+        if self.closed:
+            return True
+        queue = self.queue
+        if queue.empty() and not self.writer.transport.get_write_buffer_size():
+            self.writer.write(b"".join(lines))
+            return True
+        if queue.maxsize - queue.qsize() < len(lines):
+            return False
+        for line in lines:
+            queue.put_nowait(line)
+        return True
 
     def send_tick(self, line: bytes) -> None:
         """Enqueue a droppable progress tick, already encoded; lagging
@@ -208,11 +268,12 @@ class ReproServer:
         self._executor = self._make_executor()
         if socket_path is not None:
             server = await asyncio.start_unix_server(
-                self._handle_client, path=str(socket_path))
+                self._handle_client, path=str(socket_path), limit=_LINE_LIMIT)
             where = f"unix:{socket_path}"
         else:
             server = await asyncio.start_server(
-                self._handle_client, host or "127.0.0.1", port)
+                self._handle_client, host or "127.0.0.1", port,
+                limit=_LINE_LIMIT)
             sock = server.sockets[0].getsockname()
             where = f"tcp:{sock[0]}:{sock[1]}"
             self.port = sock[1]
@@ -278,7 +339,16 @@ class ReproServer:
         await conn.send(protocol.hello_frame())
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # Over the stream limit: where the next request
+                    # starts is lost with the rest of this line.
+                    self.stats.errors += 1
+                    await conn.send(protocol.error_frame(
+                        None, f"request line longer than {_LINE_LIMIT} "
+                              f"bytes; split the submission"))
+                    break
                 if not line:
                     break
                 try:
@@ -312,10 +382,13 @@ class ReproServer:
         rid = frame.get("id")
         kind = frame["type"]
         if kind == "submit":
-            task = asyncio.get_running_loop().create_task(
-                self._handle_submit(conn, rid, frame))
-            submissions.add(task)
-            task.add_done_callback(submissions.discard)
+            try:
+                specs = self._parse_specs(frame)
+            except protocol.ProtocolError as exc:
+                self.stats.errors += 1
+                await conn.send(protocol.error_frame(rid, str(exc)))
+                return True
+            self._submit(conn, rid, specs, submissions)
         elif kind == "watch":
             conn.watching = True
             self._watchers.add(conn)
@@ -348,35 +421,78 @@ class ReproServer:
 
     # -- submissions -----------------------------------------------------
 
-    async def _handle_submit(self, conn: _Connection, rid,
-                             frame: dict) -> None:
-        try:
-            specs = self._parse_specs(frame)
-        except protocol.ProtocolError as exc:
-            self.stats.errors += 1
-            await conn.send(protocol.error_frame(rid, str(exc)))
-            return
-        self.stats.submissions += 1
-        self.stats.specs_requested += len(specs)
+    def _submit(self, conn: _Connection, rid, specs: list[RunSpec],
+                submissions: set) -> None:
+        """The synchronous front of a submission.
+
+        Counts it, deduplicates its specs by content key and files the
+        keys in order, joining in-flight jobs and taking hit-table hits,
+        up to the first key that needs a store read.  When every key is
+        a hit, the whole answer is sent here, in the turn that read the
+        request; anything else (a store read, a job to wait for, a queue
+        without room for the answer) continues in :meth:`_handle_submit`
+        on a task.
+        """
+        stats = self.stats
+        stats.submissions += 1
+        stats.specs_requested += len(specs)
         unique: dict[str, RunSpec] = {}
         for spec in specs:
             unique.setdefault(spec.content_key(), spec)
-        self.stats.unique_specs += len(unique)
-
-        loop = asyncio.get_running_loop()
+        stats.unique_specs += len(unique)
+        keyed = list(unique.items())
         hits: list[tuple] = []           # (encoded, spec)
         waiting: list[tuple] = []        # (job, spec, source)
-        for key, spec in unique.items():
-            job = self._jobs.get(key)
-            if job is not None:
-                job.joiners += 1
-                self.stats.dedup_joins += 1
-                waiting.append((job, spec, "shared"))
+        filed = 0
+        while filed < len(keyed) and self._file(*keyed[filed], hits, waiting):
+            filed += 1
+        rest = keyed[filed:]
+        if not rest and not waiting:
+            counts = _counts(len(hits), 0, 0)
+            lines = _head(rid, len(specs), len(unique), hits, counts)
+            lines.append(protocol.encode(protocol.done_frame(rid, **counts)))
+            if conn.send_now(lines):
+                return
+        task = asyncio.get_running_loop().create_task(self._handle_submit(
+            conn, rid, len(specs), len(unique), rest, hits, waiting))
+        submissions.add(task)
+        task.add_done_callback(submissions.discard)
+
+    def _file(self, key: str, spec: RunSpec, hits: list,
+              waiting: list) -> bool:
+        """File one unique key without waiting: join its in-flight job
+        or take its hit-table hit.  False when it needs a store read."""
+        job = self._jobs.get(key)
+        if job is not None:
+            job.joiners += 1
+            self.stats.dedup_joins += 1
+            waiting.append((job, spec, "shared"))
+            return True
+        cached = self._hits.get(key)
+        if cached is None:
+            return False
+        self.stats.memo_hits += 1
+        self._take_hit(key, cached, spec, hits)
+        return True
+
+    def _take_hit(self, key: str, cached: protocol.EncodedOutcome,
+                  spec: RunSpec, hits: list) -> None:
+        self.stats.store_hits += 1
+        self._progress.on_cache_hit()
+        self._broadcast("cache_hit", key=key)
+        hits.append((cached, spec))
+
+    async def _handle_submit(self, conn: _Connection, rid, total: int,
+                             unique: int, rest: list, hits: list,
+                             waiting: list) -> None:
+        """A submission past its front: read the ``rest`` of its keys
+        from the store or launch their jobs, then stream every outcome."""
+        loop = asyncio.get_running_loop()
+        for key, spec in rest:
+            if self._file(key, spec, hits, waiting):
                 continue
-            cached = self._hits.get(key)
-            if cached is not None:
-                self.stats.memo_hits += 1
-            elif self.store is not None:
+            cached = None
+            if self.store is not None:
                 cached = await loop.run_in_executor(
                     None, _read_encoded, self.store, spec, key)
                 if cached is not None and cached.status == "ok":
@@ -384,10 +500,7 @@ class ReproServer:
                         self._hits.clear()
                     self._hits[key] = cached
             if cached is not None:
-                self.stats.store_hits += 1
-                self._progress.on_cache_hit()
-                self._broadcast("cache_hit", key=key)
-                hits.append((cached, spec))
+                self._take_hit(key, cached, spec, hits)
                 continue
             # The store read awaited above, so another submission may
             # have created this job in the meantime — join it then.
@@ -402,16 +515,9 @@ class ReproServer:
                 waiting.append((job, spec, "shared"))
 
         launched = sum(1 for *_, source in waiting if source == "run")
-        shared = len(waiting) - launched
-        await conn.send(protocol.accepted_frame(
-            rid, total=len(specs), unique=len(unique), hits=len(hits),
-            misses=launched, shared=shared))
-
-        counts = {"ok": 0, "failed": 0, "hits": len(hits), "runs": launched,
-                  "shared": shared}
-        for encoded, spec in hits:
-            await self._send_outcome(conn, rid, counts, encoded, spec,
-                                     "store")
+        counts = _counts(len(hits), launched, len(waiting) - launched)
+        for line in _head(rid, total, unique, hits, counts):
+            await conn.send_line(line)
         pending = {loop.create_task(job.outcome()): (job, spec, source)
                    for job, spec, source in waiting}
         try:
@@ -429,31 +535,15 @@ class ReproServer:
                             rid, f"run {job.spec.label()} hit an internal "
                                  f"server error: {_describe(exc)}"))
                         return
-                    await self._send_outcome(conn, rid, counts, encoded,
-                                             spec, source)
+                    await conn.send_line(_outcome_line(rid, counts, encoded,
+                                                       spec, source))
         except asyncio.CancelledError:
             # Client went away; shielded job futures keep running for
             # everyone else (and for the store).
             for fut in pending:
                 fut.cancel()
             raise
-        await conn.send(protocol.done_frame(rid, ok=counts["ok"],
-                                            failed=counts["failed"],
-                                            hits=counts["hits"],
-                                            runs=counts["runs"],
-                                            shared=counts["shared"]))
-
-    @staticmethod
-    async def _send_outcome(conn: _Connection, rid, counts: dict,
-                            encoded: protocol.EncodedOutcome, spec: RunSpec,
-                            source: str) -> None:
-        """Write one outcome line: the path of every hit and every run.
-
-        Its ``seq`` is the number of outcomes the submission has sent.
-        """
-        seq = counts["ok"] + counts["failed"]
-        counts[encoded.status] += 1
-        await conn.send_line(encoded.line(rid, seq, source, spec))
+        await conn.send(protocol.done_frame(rid, **counts))
 
     @staticmethod
     def _parse_specs(frame: dict) -> list[RunSpec]:

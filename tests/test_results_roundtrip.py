@@ -250,6 +250,17 @@ class TestContentKeyMemo:
             assert (outcome(RunSpec.content_key, spec)
                     == outcome(reference_key, spec)), spec
 
+    @settings(max_examples=200, deadline=None)
+    @given(spec=_specs)
+    def test_memo_identity_is_the_canonical_json(self, spec):
+        # One memo entry per canonical spec: the identity can neither
+        # split two spellings of a spec nor merge two specs.
+        identity = canonical_json(spec.to_dict())
+        assert spec_module._identity(spec.to_dict()) == identity
+        spec_module._key_memo.clear()
+        if isinstance(outcome(RunSpec.content_key, spec), str):
+            assert list(spec_module._key_memo) == [identity]
+
     def test_enum_model_shares_the_string_memo_entry(self):
         spec_module._key_memo.clear()
         spec = RunSpec("fir", model=MemoryModel.STREAMING, cores=8,

@@ -160,24 +160,33 @@ class TestEncodedOutcome:
             1, 1, dataclasses.replace(outcome, spec=other), "shared"))
 
 
+class _RecordingWriter:
+    """A stream writer that keeps its writes; ``buffered`` stands for
+    bytes still held in the transport."""
+
+    def __init__(self, buffered=0):
+        self.writes = []
+        self.transport = self
+        self.buffered = buffered
+
+    def get_write_buffer_size(self):
+        return self.buffered
+
+    def write(self, data):
+        self.writes.append(data)
+
+    async def drain(self):
+        pass
+
+    def close(self):
+        pass
+
+
 class TestSender:
-    class _Writer:
-        def __init__(self):
-            self.writes = []
-
-        def write(self, data):
-            self.writes.append(data)
-
-        async def drain(self):
-            pass
-
-        def close(self):
-            pass
-
     def test_frames_queued_in_one_turn_leave_in_one_write(self):
         import asyncio
 
-        writer = self._Writer()
+        writer = _RecordingWriter()
 
         async def scenario():
             conn = _Connection(writer, backpressure=8, stats=ServerStats())
@@ -195,6 +204,189 @@ class TestSender:
         first = b"".join(protocol.encode({"type": "pong", "id": n})
                          for n in range(3))
         assert writer.writes == [first, b"late\n"]
+
+
+class TestAnswerInTurn:
+    """An all-hit submission is answered in the turn that read it."""
+
+    @pytest.fixture(scope="class")
+    def hit(self):
+        spec = specs_for(1)[0]
+        key = spec.content_key()
+        return spec, protocol.EncodedOutcome(
+            RunOutcome(spec, key, "ok", "store", result=spec.execute()))
+
+    @pytest.mark.parametrize(
+        ("ticks", "buffered", "backpressure", "path"),
+        [(0, 0, 2, "write"),          # straight to the transport
+         (0, 1, 8, "queue"),          # behind bytes the transport holds
+         (1, 0, 8, "queue"),          # behind a queued frame
+         (3, 0, 2, "task")])          # no room: wait like any submission
+    def test_the_answer_takes_the_cheapest_ordered_path(
+            self, hit, ticks, buffered, backpressure, path):
+        import asyncio
+
+        spec, encoded = hit
+        server = ReproServer(jobs=1, log=io.StringIO())
+        server._hits[spec.content_key()] = encoded
+        writer = _RecordingWriter(buffered)
+        ticks = [protocol.encode({"type": "progress", "n": n})
+                 for n in range(ticks)]
+        submissions = set()
+
+        async def scenario():
+            conn = _Connection(writer, backpressure=backpressure,
+                               stats=server.stats)
+            if ticks:                       # a watcher: cache_hit ticks too
+                server._watchers.add(conn)
+            for line in ticks:
+                conn.send_tick(line)
+            await server._dispatch(
+                conn, {"type": "submit", "id": "h", "specs": [spec.to_dict()]},
+                submissions)
+            assert len(submissions) == (path == "task")
+            assert len(writer.writes) == (path == "write")
+            sender = asyncio.get_running_loop().create_task(conn.sender())
+            await asyncio.wait_for(asyncio.gather(*submissions), 5)
+            await conn.queue.put(None)
+            await asyncio.wait_for(sender, 5)
+
+        asyncio.run(scenario())
+        answer = [
+            protocol.encode(protocol.accepted_frame(
+                "h", total=1, unique=1, hits=1, misses=0, shared=0)),
+            encoded.line("h", 0, "store", spec),
+            protocol.encode(protocol.done_frame(
+                "h", ok=1, failed=0, hits=1, runs=0, shared=0))]
+        lines = b"".join(writer.writes).splitlines(keepends=True)
+        # The cache_hit tick is broadcast before the answer, as ever; only
+        # ticks are dropped, never a frame of the answer.
+        sent = len(ticks) + 1 if ticks else 0
+        kept = min(sent, backpressure)
+        assert [protocol.decode(line)["type"] for line in lines[:kept]] == \
+            ["progress"] * kept
+        assert lines[kept:] == answer
+        assert server.stats.events_dropped == sent - kept
+        assert server.stats.memo_hits == 1 and server.stats.store_hits == 1
+
+
+class TestPipelining:
+    """Submits written back to back, before any reply is read."""
+
+    def test_each_submission_keeps_its_frame_order(
+            self, make_server, tmp_path, monkeypatch):
+        import asyncio
+
+        store = ResultStore(tmp_path / "store")
+        memo, disk = specs_for(1, 2)
+        miss = specs_for(4, overrides={"_grid_sleep_s": 0.3})[0]
+        for spec in (memo, disk):
+            store.put(spec, spec.execute())
+        writes = []
+        real_write = asyncio.StreamWriter.write
+
+        def recording_write(writer, data):
+            writes.append(data)
+            return real_write(writer, data)
+
+        monkeypatch.setattr(asyncio.StreamWriter, "write", recording_write)
+        harness = make_server(store=store)
+        entered = []
+        handle = harness.server._handle_submit
+
+        def counting_handle(conn, rid, *args):
+            entered.append(rid)
+            return handle(conn, rid, *args)
+
+        harness.server._handle_submit = counting_handle
+        with harness.client() as client:
+            client.submit([memo])               # fills the hit table
+        entered.clear()
+        submits = {"m": [memo], "d": [disk], "x": [miss],
+                   "dx": [miss, memo, miss], "bad": [], "m2": [memo]}
+        raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        raw.connect(harness.socket_path)
+        lines = raw.makefile("rb")
+        frames: dict[str, list] = {rid: [] for rid in submits}
+        try:
+            assert protocol.decode(lines.readline())["type"] == "hello"
+            raw.sendall(b"".join(protocol.encode(
+                {"type": "submit", "id": rid,
+                 "specs": [spec.to_dict() for spec in specs]})
+                for rid, specs in submits.items()))
+            open_ids = set(submits)
+            while open_ids:
+                frame = protocol.decode(lines.readline())
+                frames[frame["id"]].append(frame)
+                if frame["type"] in ("done", "error"):
+                    open_ids.discard(frame["id"])
+        finally:
+            lines.close()
+            raw.close()
+
+        assert [f["type"] for f in frames["bad"]] == ["error"]
+        answered = {}
+        for rid, specs in submits.items():
+            if rid == "bad":
+                continue
+            got = frames[rid]
+            unique = len({spec.content_key() for spec in specs})
+            assert [f["type"] for f in got] == \
+                ["accepted"] + ["outcome"] * unique + ["done"], rid
+            assert [f["seq"] for f in got[1:-1]] == list(range(unique))
+            answered[rid] = {f["key"]: (f["status"], f["result"])
+                             for f in got[1:-1]}
+        assert frames["dx"][0]["shared"] == 1 and frames["dx"][0]["hits"] == 1
+        # The hit-table answers started no task and left in one write.
+        assert sorted(entered) == ["d", "dx", "x"]
+        for rid in ("m", "m2"):
+            want = {f["type"]: protocol.encode(f) for f in frames[rid]}
+            assert any(all(line in write for line in want.values())
+                       for write in writes), rid
+        with harness.client() as client:
+            for rid, specs in submits.items():
+                if rid == "bad":
+                    continue
+                report = client.submit(specs)
+                assert answered[rid] == {
+                    o.key: (o.status, o.result.to_dict())
+                    for o in report.outcomes}, rid
+            stats = client.stats()["server"]
+        assert stats["errors"] == 1
+        assert stats["runs_executed"] == 1
+
+
+class TestLineLimit:
+    """Request lines longer than asyncio's default stream limit."""
+
+    def test_an_over_long_line_is_an_error_frame(self, make_server,
+                                                 monkeypatch):
+        from repro.serve import server as server_module
+
+        monkeypatch.setattr(server_module, "_LINE_LIMIT", 1024)
+        harness = make_server()
+        with harness.client() as bystander:
+            with harness.client() as client:
+                with pytest.raises(ServeError, match="longer than 1024 bytes"):
+                    client.submit(specs_for(1) * 20)
+            assert bystander.ping()["type"] == "pong"
+            report = bystander.submit(specs_for(1))
+            stats = bystander.stats()["server"]
+        assert report.done["ok"] == 1
+        assert stats["errors"] == 1
+
+    def test_a_line_over_64_kib_is_read(self, make_server):
+        specs = specs_for(1) * 400
+        line = protocol.encode({"type": "submit", "id": "r1",
+                                "specs": [s.to_dict() for s in specs]})
+        assert len(line) > 64 * 1024
+        harness = make_server()
+        with harness.client() as client:
+            report = client.submit(specs)
+            stats = client.stats()["server"]
+        assert report.accepted["total"] == 400
+        assert report.accepted["unique"] == 1 and report.done["ok"] == 1
+        assert stats["runs_executed"] == 1 and stats["errors"] == 0
 
 
 class TestJobTable:
