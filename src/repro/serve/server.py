@@ -23,8 +23,8 @@ One :class:`ReproServer` owns
 
 A submission whose every spec is a hit-table hit is answered in the
 loop turn that read its line: no task, no hop through the sender.  Any
-other submission, and one whose answer does not fit the connection's
-queue, continues on a task.
+other submission, and one that finds frames still waiting to leave on
+its connection, continues on a task.
 
 Every outcome line, hit or run, ok or failed, is cut from one
 :class:`~repro.serve.protocol.EncodedOutcome` per settled record: a
@@ -71,10 +71,11 @@ from repro.serve.jobs import JobTable, ServerStats
 _HIT_MEMO_ENTRIES = 1024
 
 #: Longest request line, in bytes, a connection reads (the stream limit
-#: handed to asyncio).  A submit carries each spec as about 200 bytes of
-#: JSON, so this holds sweeps of tens of thousands of specs; a longer
-#: line is answered with an ``error`` frame and the connection closes.
-_LINE_LIMIT = 16 * 2**20
+#: handed to asyncio, which buffers up to twice it per connection).  A
+#: spec is 200-320 bytes of JSON, so this holds a submit of over 3,000
+#: specs; ``serve submit all`` sends 28 KB.  A longer line is answered
+#: with an ``error`` frame and the connection closes.
+_LINE_LIMIT = 2**20
 
 #: Workers start by spawn: the server process carries an event loop and
 #: helper threads, which fork(2) would duplicate into workers.
@@ -137,6 +138,19 @@ def _head(rid, total: int, unique: int, hits: list,
     return lines
 
 
+async def _skip_line(reader: asyncio.StreamReader) -> None:
+    """Drop the rest of an over-limit line, through its newline or to
+    EOF, a buffer of at most about the stream limit at a time."""
+    while True:
+        try:
+            await reader.readuntil(b"\n")
+            return
+        except asyncio.IncompleteReadError:
+            return
+        except asyncio.LimitOverrunError as exc:
+            await reader.readexactly(exc.consumed)
+
+
 class _Connection:
     """One client connection: a bounded outbound queue + sender task."""
 
@@ -159,24 +173,15 @@ class _Connection:
             await self.queue.put(line)
 
     def send_now(self, lines: list[bytes]) -> bool:
-        """Send mandatory frames without waiting; False sends nothing.
-
-        With nothing queued and nothing buffered in the transport, the
-        lines go straight to the transport in one write; otherwise they
-        are queued behind what is there, if the queue has room for all
-        of them.  False means it has not: the caller must :meth:`send`
-        them, so backpressure and frame order hold.
-        """
+        """Write mandatory frames in one write when nothing is queued or
+        buffered in the transport.  False sends nothing: the caller must
+        :meth:`send` them, so backpressure and frame order hold."""
         if self.closed:
             return True
-        queue = self.queue
-        if queue.empty() and not self.writer.transport.get_write_buffer_size():
-            self.writer.write(b"".join(lines))
-            return True
-        if queue.maxsize - queue.qsize() < len(lines):
+        if not self.queue.empty() \
+                or self.writer.transport.get_write_buffer_size():
             return False
-        for line in lines:
-            queue.put_nowait(line)
+        self.writer.write(b"".join(lines))
         return True
 
     def send_tick(self, line: bytes) -> None:
@@ -340,10 +345,13 @@ class ReproServer:
         try:
             while True:
                 try:
-                    line = await reader.readline()
-                except ValueError:
-                    # Over the stream limit: where the next request
-                    # starts is lost with the rest of this line.
+                    line = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as exc:
+                    line = exc.partial          # EOF: the unended last line
+                except asyncio.LimitOverrunError:
+                    # Read the client's whole line, so it is not left
+                    # blocked sending it, then answer and close.
+                    await _skip_line(reader)
                     self.stats.errors += 1
                     await conn.send(protocol.error_frame(
                         None, f"request line longer than {_LINE_LIMIT} "
@@ -383,12 +391,12 @@ class ReproServer:
         kind = frame["type"]
         if kind == "submit":
             try:
-                specs = self._parse_specs(frame)
+                keyed = self._parse_specs(frame)
             except protocol.ProtocolError as exc:
                 self.stats.errors += 1
                 await conn.send(protocol.error_frame(rid, str(exc)))
                 return True
-            self._submit(conn, rid, specs, submissions)
+            self._submit(conn, rid, keyed, submissions)
         elif kind == "watch":
             conn.watching = True
             self._watchers.add(conn)
@@ -421,40 +429,42 @@ class ReproServer:
 
     # -- submissions -----------------------------------------------------
 
-    def _submit(self, conn: _Connection, rid, specs: list[RunSpec],
+    def _submit(self, conn: _Connection, rid, keyed: list[tuple],
                 submissions: set) -> None:
         """The synchronous front of a submission.
 
-        Counts it, deduplicates its specs by content key and files the
+        Counts it, deduplicates its ``(key, spec)`` pairs and files the
         keys in order, joining in-flight jobs and taking hit-table hits,
         up to the first key that needs a store read.  When every key is
         a hit, the whole answer is sent here, in the turn that read the
         request; anything else (a store read, a job to wait for, a queue
-        without room for the answer) continues in :meth:`_handle_submit`
-        on a task.
+        with frames still waiting to leave) continues in
+        :meth:`_handle_submit` on a task.
         """
         stats = self.stats
         stats.submissions += 1
-        stats.specs_requested += len(specs)
+        total = len(keyed)
+        stats.specs_requested += total
         unique: dict[str, RunSpec] = {}
-        for spec in specs:
-            unique.setdefault(spec.content_key(), spec)
+        for key, spec in keyed:
+            unique.setdefault(key, spec)
         stats.unique_specs += len(unique)
-        keyed = list(unique.items())
+        ordered = list(unique.items())
         hits: list[tuple] = []           # (encoded, spec)
         waiting: list[tuple] = []        # (job, spec, source)
         filed = 0
-        while filed < len(keyed) and self._file(*keyed[filed], hits, waiting):
+        while filed < len(ordered) \
+                and self._file(*ordered[filed], hits, waiting):
             filed += 1
-        rest = keyed[filed:]
+        rest = ordered[filed:]
         if not rest and not waiting:
             counts = _counts(len(hits), 0, 0)
-            lines = _head(rid, len(specs), len(unique), hits, counts)
+            lines = _head(rid, total, len(unique), hits, counts)
             lines.append(protocol.encode(protocol.done_frame(rid, **counts)))
             if conn.send_now(lines):
                 return
         task = asyncio.get_running_loop().create_task(self._handle_submit(
-            conn, rid, len(specs), len(unique), rest, hits, waiting))
+            conn, rid, total, len(unique), rest, hits, waiting))
         submissions.add(task)
         task.add_done_callback(submissions.discard)
 
@@ -546,19 +556,27 @@ class ReproServer:
         await conn.send(protocol.done_frame(rid, **counts))
 
     @staticmethod
-    def _parse_specs(frame: dict) -> list[RunSpec]:
+    def _parse_specs(frame: dict) -> list[tuple[str, RunSpec]]:
+        """A submit's specs, each with its content key, in order.
+
+        Deriving the key expands the spec's whole configuration, so a
+        spec naming an unknown model or config field fails here, as a
+        malformed submit, and never past the front.
+        """
         raw = frame.get("specs")
         if not isinstance(raw, list) or not raw:
             raise protocol.ProtocolError(
                 "submit needs a non-empty 'specs' list")
-        specs = []
+        keyed = []
         for item in raw:
             try:
-                specs.append(RunSpec.from_dict(item))
-            except (TypeError, ValueError, KeyError) as exc:
+                spec = RunSpec.from_dict(item)
+                keyed.append((spec.content_key(), spec))
+            except (TypeError, ValueError, KeyError,
+                    AttributeError) as exc:
                 raise protocol.ProtocolError(
                     f"unparseable spec {item!r}: {exc}") from None
-        return specs
+        return keyed
 
     # -- execution -------------------------------------------------------
 

@@ -219,10 +219,10 @@ class TestAnswerInTurn:
     @pytest.mark.parametrize(
         ("ticks", "buffered", "backpressure", "path"),
         [(0, 0, 2, "write"),          # straight to the transport
-         (0, 1, 8, "queue"),          # behind bytes the transport holds
-         (1, 0, 8, "queue"),          # behind a queued frame
-         (3, 0, 2, "task")])          # no room: wait like any submission
-    def test_the_answer_takes_the_cheapest_ordered_path(
+         (0, 1, 8, "task"),           # behind bytes the transport holds
+         (1, 0, 8, "task"),           # behind a queued frame
+         (3, 0, 2, "task")])          # a full queue: backpressure holds
+    def test_the_answer_is_written_only_to_an_idle_connection(
             self, hit, ticks, buffered, backpressure, path):
         import asyncio
 
@@ -302,18 +302,24 @@ class TestPipelining:
         with harness.client() as client:
             client.submit([memo])               # fills the hit table
         entered.clear()
-        submits = {"m": [memo], "d": [disk], "x": [miss],
+        submits = {"x": [miss], "m": [memo], "d": [disk],
                    "dx": [miss, memo, miss], "bad": [], "m2": [memo]}
         raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         raw.connect(harness.socket_path)
         lines = raw.makefile("rb")
         frames: dict[str, list] = {rid: [] for rid in submits}
+        requests = [protocol.encode(
+            {"type": "submit", "id": rid,
+             "specs": [spec.to_dict() for spec in specs]})
+            for rid, specs in submits.items()]
         try:
             assert protocol.decode(lines.readline())["type"] == "hello"
-            raw.sendall(b"".join(protocol.encode(
-                {"type": "submit", "id": rid,
-                 "specs": [spec.to_dict() for spec in specs]})
-                for rid, specs in submits.items()))
+            # The miss's job exists before the rest arrive, so "dx" joins
+            # it rather than racing "x" to create it.
+            raw.sendall(requests[0])
+            frames["x"].append(protocol.decode(lines.readline()))
+            assert frames["x"][0]["type"] == "accepted"
+            raw.sendall(b"".join(requests[1:]))
             open_ids = set(submits)
             while open_ids:
                 frame = protocol.decode(lines.readline())
@@ -337,12 +343,12 @@ class TestPipelining:
             answered[rid] = {f["key"]: (f["status"], f["result"])
                              for f in got[1:-1]}
         assert frames["dx"][0]["shared"] == 1 and frames["dx"][0]["hits"] == 1
-        # The hit-table answers started no task and left in one write.
-        assert sorted(entered) == ["d", "dx", "x"]
-        for rid in ("m", "m2"):
-            want = {f["type"]: protocol.encode(f) for f in frames[rid]}
-            assert any(all(line in write for line in want.values())
-                       for write in writes), rid
+        # The hit-table answer to an idle connection started no task and
+        # left in one write.  "m2" follows the error frame queued for
+        # "bad", so it takes the task path unless the sender ran between.
+        assert {"d", "dx", "x"} <= set(entered) and "m" not in entered
+        want = [protocol.encode(f) for f in frames["m"]]
+        assert any(all(line in write for line in want) for write in writes)
         with harness.client() as client:
             for rid, specs in submits.items():
                 if rid == "bad":
@@ -359,8 +365,12 @@ class TestPipelining:
 class TestLineLimit:
     """Request lines longer than asyncio's default stream limit."""
 
+    # 20 copies are a 4 KB line, which the socket buffers whole; 10,000
+    # are 2 MB, which the client can finish sending only if the server
+    # reads the line to its end before it answers.
+    @pytest.mark.parametrize("copies", [20, 10_000])
     def test_an_over_long_line_is_an_error_frame(self, make_server,
-                                                 monkeypatch):
+                                                 monkeypatch, copies):
         from repro.serve import server as server_module
 
         monkeypatch.setattr(server_module, "_LINE_LIMIT", 1024)
@@ -368,7 +378,7 @@ class TestLineLimit:
         with harness.client() as bystander:
             with harness.client() as client:
                 with pytest.raises(ServeError, match="longer than 1024 bytes"):
-                    client.submit(specs_for(1) * 20)
+                    client.submit(specs_for(1) * copies)
             assert bystander.ping()["type"] == "pong"
             report = bystander.submit(specs_for(1))
             stats = bystander.stats()["server"]
@@ -456,6 +466,22 @@ class TestServerBasics:
                 client.submit([{"not_a_spec_field": 1}])
             # And the connection is still usable afterwards.
             assert client.ping()["type"] == "pong"
+
+    @pytest.mark.parametrize("bad", [
+        {"model": "bogus"}, {"cores": 0},
+        {"config_overrides": {"no_such_field": 1}},
+        {"config_overrides": "not a mapping"}])
+    def test_a_spec_whose_key_cannot_be_derived_is_an_error_frame(
+            self, make_server, bad):
+        good = specs_for(1)[0]
+        harness = make_server()
+        with harness.client() as client:
+            with pytest.raises(ServeError, match="unparseable"):
+                client.submit([good, {**good.to_dict(), **bad}])
+            report = client.submit([good])
+            stats = client.stats()["server"]
+        assert report.done["ok"] == 1
+        assert stats["errors"] == 1 and stats["submissions"] == 1
 
     def test_internal_error_frame_names_type_and_origin(
             self, make_server, monkeypatch):
