@@ -26,7 +26,7 @@ from itertools import repeat
 
 from repro.config import StreamConfig
 from repro.mem.coherence import MesiState
-from repro.sim.resources import _TRIM_AT, trim
+from repro.sim.resources import _TRIM_AT, first_fit, trim
 
 
 _MODIFIED = MesiState.MODIFIED
@@ -135,21 +135,24 @@ class DmaEngine:
     # every granule with inline copies of OccupancyResource.serve's two
     # calendar-tail branches (arrival at or after the tail; arrival
     # inside the last busy interval), folding the busy / wait / request
-    # counters into each resource after the command.  The copies stay
-    # inline because a method call per calendar per granule is the cost
-    # these loops exist to remove; the route is built per engine because
-    # re-reading a dozen attributes per command was most of a short
-    # command's fixed cost.  _granules validates a command before the
-    # engine counts it.  An append that fills a calendar to _TRIM_AT
-    # calls sim.resources.trim, the one routine that drops intervals,
-    # as serve does; only that rare branch pays a call.  A backfill
-    # arrival (one landing before a calendar's last interval) calls the
-    # resource's serve, which counts it itself.  The bank is
-    # ``line % num_banks``; an L2 hit is an MRU touch, and a miss goes to
-    # Uncore.l2_miss.  Every branch replays what the resource and uncore
-    # methods would do for that granule, so calendars, counters and LRU
-    # state match a granule-by-granule walk through those methods
-    # (tests/test_dma.py keeps that walk as an oracle and diffs the two).
+    # / backfill counters into each resource after the command.  The
+    # copies stay inline because a method call per calendar per granule
+    # is the cost these loops exist to remove; the route is built per
+    # engine because re-reading a dozen attributes per command was most
+    # of a short command's fixed cost.  _granules validates a command
+    # before the engine counts it.  An append that fills a calendar to
+    # _TRIM_AT calls sim.resources.trim, the one routine that drops
+    # intervals, as serve does; only that rare branch pays a call.  A
+    # backfill arrival (one landing before a calendar's last interval)
+    # calls sim.resources.first_fit, serve's first-fit placement on the
+    # lists alone, and the loop tallies it like a tail arrival (a bank's
+    # backfill count goes straight to the bank).  The bank is
+    # ``line % num_banks``; an L2 hit is an MRU touch, and a miss goes
+    # to Uncore.l2_miss.  Every branch replays what the resource and
+    # uncore methods would do for that granule, so calendars, counters
+    # and LRU state match a granule-by-granule walk through those
+    # methods (tests/test_dma.py keeps that walk as an oracle and diffs
+    # the two).
 
     def get(self, now_fs: int, addr: int, nbytes: int,
             stride: int = 0, block: int | None = None) -> int:
@@ -168,7 +171,7 @@ class DmaEngine:
          bk_ends_of, xc, xc_s, xc_lat, xc_starts, xc_ends, xd, xd_lat,
          xd_starts, xd_ends, xd_s, br, br_lat, br_starts, br_ends,
          br_s) = self._get_route
-        # Inline tallies: backfills per link (serve counts its own),
+        # Inline tallies: backfills per link (a bank counts its own),
         # busy time on the size-dependent links, per-bank requests.
         xc_bf = xd_bf = br_bf = 0
         xc_wait = xd_wait = br_wait = 0
@@ -213,7 +216,9 @@ class DmaEngine:
                 t = e + xc_lat
             else:
                 xc_bf += 1
-                t = xc.serve(t, xc_s)
+                s = first_fit(xc_starts, xc_ends, t, xc_s)
+                xc_wait += s - t
+                t = s + xc_s + xc_lat
             # L2 bank port, then the L2 itself.
             b = line % nb
             bk_ends = bk_ends_of[b]
@@ -237,7 +242,11 @@ class DmaEngine:
                 bk_ends[-1] = e
                 t = e + bk_lat
             else:
-                t = banks[b].serve(t, bk_s)
+                bk_n[b] += 1
+                banks[b].backfills += 1
+                s = first_fit(bk_starts_of[b], bk_ends, t, bk_s)
+                bk_wait[b] += s - t
+                t = s + bk_s + bk_lat
             cache_set = sets[line & smask]
             if line in cache_set:
                 cache_set.move_to_end(line)
@@ -245,8 +254,8 @@ class DmaEngine:
             else:
                 t = l2_miss(line, t, size, False)
             # Crossbar down port, data.
+            xd_busy += xd_s
             if not xd_ends or t >= xd_ends[-1]:
-                xd_busy += xd_s
                 e = t + xd_s
                 if xd_ends and xd_ends[-1] == t:
                     xd_ends[-1] = e
@@ -257,7 +266,6 @@ class DmaEngine:
                         trim(xd_starts, xd_ends)
                 t = e + xd_lat
             elif t >= xd_starts[-1]:
-                xd_busy += xd_s
                 e = xd_ends[-1]
                 xd_wait += e - t
                 e += xd_s
@@ -265,10 +273,12 @@ class DmaEngine:
                 t = e + xd_lat
             else:
                 xd_bf += 1
-                t = xd.serve(t, xd_s)
+                s = first_fit(xd_starts, xd_ends, t, xd_s)
+                xd_wait += s - t
+                t = s + xd_s + xd_lat
             # Cluster bus, response direction.
+            br_busy += br_s
             if not br_ends or t >= br_ends[-1]:
-                br_busy += br_s
                 e = t + br_s
                 if br_ends and br_ends[-1] == t:
                     br_ends[-1] = e
@@ -279,7 +289,6 @@ class DmaEngine:
                         trim(br_starts, br_ends)
                 t = e + br_lat
             elif t >= br_starts[-1]:
-                br_busy += br_s
                 e = br_ends[-1]
                 br_wait += e - t
                 e += br_s
@@ -287,24 +296,32 @@ class DmaEngine:
                 t = e + br_lat
             else:
                 br_bf += 1
-                t = br.serve(t, br_s)
+                s = first_fit(br_starts, br_ends, t, br_s)
+                br_wait += s - t
+                t = s + br_s + br_lat
             append(t)
             if t > done:
                 done = t
-        xc.busy_fs += (count - xc_bf) * xc_s
-        xc.requests += count - xc_bf
+        xc.busy_fs += count * xc_s
+        xc.requests += count
         xc.wait_fs += xc_wait
+        if xc_bf:
+            xc.backfills += xc_bf
         for bank, n, wait in zip(banks, bk_n, bk_wait):
             if n:
                 bank.busy_fs += n * bk_s
                 bank.requests += n
                 bank.wait_fs += wait
         xd.busy_fs += xd_busy
-        xd.requests += count - xd_bf
+        xd.requests += count
         xd.wait_fs += xd_wait
+        if xd_bf:
+            xd.backfills += xd_bf
         br.busy_fs += br_busy
-        br.requests += count - br_bf
+        br.requests += count
         br.wait_fs += br_wait
+        if br_bf:
+            br.backfills += br_bf
         xd.bytes_moved += nbytes
         br.bytes_moved += nbytes
         uncore = self.uncore
@@ -360,8 +377,8 @@ class DmaEngine:
                 w0 = window[0]
                 t = start if start >= w0 else w0
             # Cluster bus, request direction, data.
+            bq_busy += bq_s
             if not bq_ends or t >= bq_ends[-1]:
-                bq_busy += bq_s
                 e = t + bq_s
                 if bq_ends and bq_ends[-1] == t:
                     bq_ends[-1] = e
@@ -372,7 +389,6 @@ class DmaEngine:
                         trim(bq_starts, bq_ends)
                 t = e + bq_lat
             elif t >= bq_starts[-1]:
-                bq_busy += bq_s
                 e = bq_ends[-1]
                 bq_wait += e - t
                 e += bq_s
@@ -380,10 +396,12 @@ class DmaEngine:
                 t = e + bq_lat
             else:
                 bq_bf += 1
-                t = bq.serve(t, bq_s)
+                s = first_fit(bq_starts, bq_ends, t, bq_s)
+                bq_wait += s - t
+                t = s + bq_s + bq_lat
             # Crossbar up port, data.
+            xu_busy += xu_s
             if not xu_ends or t >= xu_ends[-1]:
-                xu_busy += xu_s
                 e = t + xu_s
                 if xu_ends and xu_ends[-1] == t:
                     xu_ends[-1] = e
@@ -394,7 +412,6 @@ class DmaEngine:
                         trim(xu_starts, xu_ends)
                 t = e + xu_lat
             elif t >= xu_starts[-1]:
-                xu_busy += xu_s
                 e = xu_ends[-1]
                 xu_wait += e - t
                 e += xu_s
@@ -402,7 +419,9 @@ class DmaEngine:
                 t = e + xu_lat
             else:
                 xu_bf += 1
-                t = xu.serve(t, xu_s)
+                s = first_fit(xu_starts, xu_ends, t, xu_s)
+                xu_wait += s - t
+                t = s + xu_s + xu_lat
             # L2 bank port, then the L2: a hit dirties the line in place.
             b = line % nb
             bk_ends = bk_ends_of[b]
@@ -426,7 +445,11 @@ class DmaEngine:
                 bk_ends[-1] = e
                 t = e + bk_lat
             else:
-                t = banks[b].serve(t, bk_s)
+                bk_n[b] += 1
+                banks[b].backfills += 1
+                s = first_fit(bk_starts_of[b], bk_ends, t, bk_s)
+                bk_wait[b] += s - t
+                t = s + bk_s + bk_lat
             cache_set = sets[line & smask]
             if line in cache_set:
                 cache_set.move_to_end(line)
@@ -438,11 +461,15 @@ class DmaEngine:
             if t > done:
                 done = t
         bq.busy_fs += bq_busy
-        bq.requests += count - bq_bf
+        bq.requests += count
         bq.wait_fs += bq_wait
+        if bq_bf:
+            bq.backfills += bq_bf
         xu.busy_fs += xu_busy
-        xu.requests += count - xu_bf
+        xu.requests += count
         xu.wait_fs += xu_wait
+        if xu_bf:
+            xu.backfills += xu_bf
         for bank, n, wait in zip(banks, bk_n, bk_wait):
             if n:
                 bank.busy_fs += n * bk_s

@@ -21,9 +21,12 @@ the strict tail append (an arrival after the last busy interval); the
 DRAM channel, the L1 write-back's bus request and crossbar up hops,
 ``Uncore.l2_write``'s bank and the DMA granule loops copy both tail
 branches (an arrival at or after the last interval, appending or
-merging, and one inside it, queueing at its end).  Every backfill calls
-``serve``.  :func:`trim` is the one routine that drops intervals, for
-``serve`` and every inline copy alike.
+merging, and one inside it, queueing at its end).  The DMA granule
+loops place their backfills with :func:`first_fit`, the one list-level
+placement outside ``serve``, and count them themselves; every other
+backfill calls ``serve``.  :func:`trim` is still the one routine that
+drops intervals, for ``serve``, ``first_fit`` and every inline copy
+alike.
 """
 
 from __future__ import annotations
@@ -47,14 +50,52 @@ _TRIM_AT = 2 * _MAX_INTERVALS
 def trim(starts: list[int], ends: list[int]) -> None:
     """Drop a calendar's oldest ``_MAX_INTERVALS`` busy intervals.
 
-    The one routine that forgets intervals: ``serve`` and every inline
-    tail copy (the miss walk, the L1 write-back, the DRAM channel, the
-    DMA granule loops) call it once the calendar holds ``_TRIM_AT``
-    entries, so only the rare trim pays the call.  It deletes in place:
-    each DMA engine's routes hold the lists from construction on.
+    The one routine that forgets intervals: ``serve``, ``first_fit``
+    and every inline tail copy (the miss walk, the L1 write-back, the
+    DRAM channel, the DMA granule loops) call it once the calendar
+    holds ``_TRIM_AT`` entries, so only the rare trim pays the call.
+    It deletes in place: each DMA engine's routes hold the lists from
+    construction on.
     """
     del starts[:_MAX_INTERVALS]
     del ends[:_MAX_INTERVALS]
+
+
+def first_fit(starts: list[int], ends: list[int], now_fs: int,
+              service_fs: int) -> int:
+    """Place a backfill in a calendar's lists; returns its start time.
+
+    ``serve``'s first-fit branch without the counters, for a positive
+    ``service_fs`` arriving before the calendar's last interval: the
+    DMA granule loops call it and fold busy, wait, request and backfill
+    counts into the resource per command.  ``serve`` keeps its own copy
+    of this body, since a second call per backfill costs the miss walk.
+    """
+    index = bisect_right(ends, now_fs)
+    t = now_fs
+    if starts[index] - t < service_fs:
+        while index < len(starts):
+            if starts[index] - t >= service_fs:
+                break
+            if ends[index] > t:
+                t = ends[index]
+            index += 1
+    end = t + service_fs
+    if index and ends[index - 1] == t:
+        if index < len(starts) and starts[index] == end:
+            ends[index - 1] = ends[index]
+            del starts[index]
+            del ends[index]
+        else:
+            ends[index - 1] = end
+    elif index < len(starts) and starts[index] == end:
+        starts[index] = t
+    else:
+        starts.insert(index, t)
+        ends.insert(index, end)
+        if len(starts) >= _TRIM_AT:
+            trim(starts, ends)
+    return t
 
 
 class OccupancyResource:

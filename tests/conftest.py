@@ -8,8 +8,9 @@ unless a test overrides it explicitly.
 
 ``pytest --hypothesis-profile=deep`` gives the differential tests of the
 DMA granule loops (``tests/test_dma.py``), of the calendar's ``serve``
-and the DRAM channel's ``access`` (``tests/test_sim_kernel.py``) and of
-the flat miss walk (``tests/test_presence.py``) 2,000 examples each.
+and ``first_fit`` and the DRAM channel's ``access``
+(``tests/test_sim_kernel.py``) and of the flat miss walk
+(``tests/test_presence.py``) 2,000 examples each.
 """
 
 import pytest

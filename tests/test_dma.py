@@ -14,10 +14,11 @@ diff full result records across every combination of ``REPRO_BLOCKS``,
 """
 
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import CacheConfig, DramConfig, MachineConfig
@@ -37,7 +38,7 @@ from repro.mem.dma import DmaEngine
 from repro.mem.hierarchy import StreamingHierarchy
 from repro.obs import DmaCommandRecorder
 from repro.sim.fastpath import fastpath_enabled
-from repro.sim.resources import _TRIM_AT, OccupancyResource
+from repro.sim.resources import _TRIM_AT
 from repro.units import ns_to_fs
 from repro.workloads import get_workload
 from repro.workloads.base import Program
@@ -348,7 +349,8 @@ def machine_state(h):
     DRAM counters, and each engine's queue state."""
     u = h.uncore
     calendars = [(r.name, list(r._starts), list(r._ends), r.busy_fs,
-                  r.wait_fs, r.requests, getattr(r, "bytes_moved", 0))
+                  r.wait_fs, r.requests, r.backfills,
+                  getattr(r, "bytes_moved", 0))
                  for r in calendars_of(h)]
     lru = [[(line, state, u.l2.fills.get(line))
             for line, state in cache_set.items()]
@@ -424,38 +426,50 @@ class TestFusedLoopIdentity:
             t += ns_to_fs(rng.randrange(0, 40))
         return log
 
-    def test_fused_loops_match_per_granule_path(self, monkeypatch):
+    def test_fused_loops_match_per_granule_path(self):
         looped = self.build()
         plain = with_oracle_engines(self.build())
         # Count the granules the loops serve, and the backfill arrivals
-        # (before a calendar's last interval) they hand to serve.
-        tally = {"granules": 0, "backfills": 0, "inside": False}
-        serve = OccupancyResource.serve
-
-        def counting_serve(resource, now_fs, service_fs):
-            starts = resource._starts
-            if tally["inside"] and starts and now_fs < starts[-1]:
-                tally["backfills"] += 1
-            return serve(resource, now_fs, service_fs)
-
-        monkeypatch.setattr(OccupancyResource, "serve", counting_serve)
+        # (before a calendar's last interval) they place, per command
+        # kind and hop, from the calendars' own backfill counters.
         u = looped.uncore
+        hops = {"bank": u.l2_banks, "xbar up": u.xbar.up,
+                "xbar down": u.xbar.down,
+                "bus resp": [bus.resp for bus in u.buses],
+                "bus req": [bus.req for bus in u.buses]}
+        tally = Counter()
+
+        def backfills():
+            return {hop: sum(r.backfills for r in resources)
+                    for hop, resources in hops.items()}
+
         for engine in looped.dma_engines:
             for name in ("get", "put"):
-                def wrapped(*args, inner=getattr(engine, name)):
-                    before = u.l2_reads + u.l2_writes
-                    tally["inside"] = True
+                def wrapped(*args, inner=getattr(engine, name), name=name):
+                    granules, before = u.l2_reads + u.l2_writes, backfills()
                     try:
                         return inner(*args)
                     finally:
-                        tally["inside"] = False
-                        tally["granules"] += u.l2_reads + u.l2_writes - before
+                        tally["granules"] += \
+                            u.l2_reads + u.l2_writes - granules
+                        for hop, n in backfills().items():
+                            tally[name, hop] += n - before[hop]
+                            tally["backfills"] += n - before[hop]
                 setattr(engine, name, wrapped)
 
         assert self.drive(looped) == self.drive(plain)
         assert machine_state(looped) == machine_state(plain)
         assert tally["granules"] > 0
         assert tally["backfills"] > 0
+        # Every backfill branch of both loops: the get's crossbar up
+        # control message, bank, crossbar down and response bus; the
+        # put's request bus, crossbar up data and bank.
+        for hop in ("xbar up", "bank", "xbar down", "bus resp"):
+            assert tally["get", hop] > 0, hop
+        for hop in ("bus req", "xbar up", "bank"):
+            assert tally["put", hop] > 0, hop
+        assert tally["get", "bus req"] == tally["put", "xbar down"] == \
+            tally["put", "bus resp"] == 0
 
     def test_arrival_inside_a_peer_fill(self):
         """A get granule arriving inside the response bus's last busy
@@ -558,6 +572,21 @@ SCRIPTS = 200
 @given(cores=st.sampled_from([2, 8, 16]), window=st.sampled_from([2, 16]),
        channels=st.sampled_from([1, 2]),
        script=st.lists(command_strategy, min_size=5, max_size=40))
+# Backfills that wait (each arrives where its service does not fit and
+# is placed after a walk): a get's L2 bank, a put's L2 bank, and a
+# get's response bus behind two peer fills.
+@example(cores=8, window=2, channels=1,
+         script=[("get", 2, "lines", 0, 3, 1, 0, 0)]
+         + [("get", 0, "lines", 0, 1, 1, 0, 0)] * 4)
+@example(cores=8, window=2, channels=1,
+         script=[("get", 0, "lines", 0, 1, 1, 0, 0)] * 4
+         + [("put", 2, "lines", 0, 15, 1, 0, 0)])
+@example(cores=8, window=2, channels=1,
+         script=[("get", 0, "lines", 0, 1, 1, 0, 0)] * 20
+         + [("get", 0, "lines", 0, 1, 1, 0, 8),
+            ("load", 2, "lines", 0, 1, 1, 0, 0),
+            ("load", 3, "lines", 0, 1, 1, 0, 0),
+            ("get", 2, "lines", 0, 1, 1, 0, -6)])
 def test_granule_loops_match_per_granule_walk(cores, window, channels,
                                               script):
     # 2, 8 and 16 cores give 1, 2 and 4 L2 banks; slots 2 and 3 are

@@ -21,7 +21,7 @@ from repro.sim import (
     Simulator,
     ThroughputResource,
 )
-from repro.sim.resources import _MAX_INTERVALS, _TRIM_AT, trim
+from repro.sim.resources import _MAX_INTERVALS, _TRIM_AT, first_fit, trim
 from repro.units import ns_to_fs
 
 
@@ -692,6 +692,102 @@ def test_serve_matches_first_fit_oracle(latency, prefill, script):
         assert new._ends == old._ends
         assert (new.busy_fs, new.wait_fs, new.requests) == \
             (old.busy_fs, old.wait_fs, old.requests)
+
+
+def _backfill_arrival(kind: str, at: int, offset: int, starts: list[int],
+                      ends: list[int]) -> tuple[int, int] | None:
+    """``(now, service)`` of a backfill: an arrival before the last
+    interval's start with a positive service, or None if ``kind`` has
+    none on this calendar.
+
+    ``fill`` fits the gap after interval ``at`` exactly (merging both
+    neighbours), ``short`` is one fs too long for it, ``late`` arrives
+    one fs into it with the gap's length, ``mid`` one fs into it with
+    a fs to spare (touching neither neighbour), ``prev`` starts where
+    the interval ends, ``next`` ends where it starts, ``inside``
+    arrives within an earlier interval, ``before`` ahead of the first
+    one and ``anywhere`` at a point spread over the calendar.
+    """
+    n = len(starts)
+    if not n or not starts[-1]:
+        return None
+    i = at % n
+    gap = starts[i + 1] - ends[i] if i + 1 < n else 0
+    service = 1 + offset % 60
+    if kind in ("fill", "short", "late", "prev") and not gap:
+        return None
+    if kind == "fill":
+        return ends[i], gap
+    if kind == "short":
+        return ends[i], gap + 1
+    if kind == "late":
+        return (ends[i] + 1, gap) if gap > 1 else None
+    if kind == "mid":
+        return (ends[i] + 1, gap - 2) if gap > 2 else None
+    if kind == "prev":
+        return ends[i], 1 + offset % gap
+    if kind == "next":
+        return max(0, starts[i] - service), service
+    if kind == "inside":
+        if i + 1 == n:
+            return None
+        return starts[i] + offset % (ends[i] - starts[i]), service
+    if kind == "before":
+        return max(0, starts[0] - 1 - offset), service
+    return offset * 37 % starts[-1], service
+
+
+backfill_strategy = st.tuples(
+    st.sampled_from(("fill", "short", "late", "mid", "prev", "next",
+                     "inside", "before", "anywhere", "append")),
+    st.integers(0, 400),
+    st.integers(0, 400))
+
+
+@settings(max_examples=max(300, settings.default.max_examples),
+          deadline=None)
+@given(latency=st.sampled_from([0, 7]),
+       prefill=st.sampled_from((0, _TRIM_AT // 2, _TRIM_AT - 1)),
+       script=st.lists(backfill_strategy, min_size=1, max_size=80))
+def test_first_fit_matches_serve_backfill(latency, prefill, script):
+    """``first_fit`` on a copy of a calendar against ``serve`` on it.
+
+    Each backfill (an arrival before the last interval's start, with a
+    positive service) is placed by ``first_fit`` on copies of the lists
+    and by ``serve`` on the calendar: the lists must agree, and the
+    start must be ``serve``'s done time less the service and latency.
+    Until the calendar has trimmed, the start must also be first fit
+    over every interval ever booked.  ``append`` steps, and backfill
+    kinds with no arrival on the calendar, grow it at the tail.
+    """
+    r = OccupancyResource("r", latency_fs=latency)
+    reference = UntrimmedFirstFit()
+    for i in range(prefill):
+        now = (r._ends[-1] if r._ends else 0) + 1 + i % 50
+        assert r.serve(now, 10 + i % 7) == \
+            reference.serve(now, 10 + i % 7) + latency
+    trimmed = False
+    for kind, at, offset in script:
+        arrival = None if kind == "append" else \
+            _backfill_arrival(kind, at, offset, r._starts, r._ends)
+        held = len(r._starts)
+        if arrival is None:
+            now = (r._ends[-1] if r._ends else 0) + offset % 3
+            service = 1 + at % 60
+            assert r.serve(now, service) == \
+                reference.serve(now, service) + latency
+        else:
+            now, service = arrival
+            assert service > 0 and now < r._starts[-1]
+            starts, ends = list(r._starts), list(r._ends)
+            backfills = r.backfills
+            start = first_fit(starts, ends, now, service)
+            assert start == r.serve(now, service) - service - latency
+            assert (starts, ends) == (r._starts, r._ends)
+            assert r.backfills == backfills + 1
+            if not trimmed:
+                assert start == reference.serve(now, service) - service
+        trimmed = trimmed or len(r._starts) < held - 1
 
 
 class ReferenceDram:
